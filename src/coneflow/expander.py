@@ -388,7 +388,7 @@ def relax_angular_expander(k: ConeProfile, rho_max: float = 12.0, nr: int = 72,
     rate = np.inf
     steps = 0
     while steps * dtau < tau_max:
-        u_new = flow.step(u, dtau, cfg, bv)
+        u_new = flow.step(u, dtau, cfg, bv, (steps + 1) * dtau)
         rate = float(np.max(np.abs(u_new.values - u.values))) / dtau
         u = u_new
         steps += 1

@@ -10,6 +10,13 @@ is tridiagonal and assembled analytically; polar mode probes the Jacobian by
 colored finite differences (the stencil is local, so a handful of probe
 vectors recovers every column) and solves with a sparse LU.
 
+Radial residual, Jacobian and per-step diagnostics share one cached
+three-point operator per grid (``geometry._radial_operator``).  The radial
+Newton loop runs on raw arrays: each residual evaluation also returns
+(v_r, v_rr), which the Jacobian and the curvature diagnostics reuse, and the
+accepted backtracking trial's residual starts the next iteration.  A
+non-finite residual raises NewtonError at once.
+
 Dirichlet data at the truncation radius comes in three flavors: pinned to the
 initial values, pinned to a cone, or pinned to the moving expander (needed for
 long runs, where a frozen cone value at r_max lags the true solution by
@@ -23,7 +30,6 @@ expander module uses it for anisotropic profiles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -32,7 +38,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import GridError, NewtonError, ParameterError, StepFailureError
 from .geometry import (GridFunction, GridSpec, grids_match, mean_curvature,
-                       _polar_derivatives, _radial_derivatives)
+                       _polar_derivatives, _radial_curvatures, _radial_derivatives,
+                       _radial_operator, _radial_speed)
 
 __all__ = [
     "SolverConfig",
@@ -130,74 +137,54 @@ def boundary_values_for(u0: GridFunction, config: SolverConfig, cone=None,
 
 
 # ---------------------------------------------------------------------------
-# spatial discretization shared by residual and Jacobian
+# radial residual and Jacobian, both read from geometry's cached operator
 
 
-@lru_cache(maxsize=128)
-def _radial_stencil(spec: GridSpec):
-    """Three-point derivative weights (c: first, d: second) per interior node."""
-    r = spec.nodes
-    N = r.size
-    c = np.zeros((N, 3))
-    d = np.zeros((N, 3))
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    c[1:-1, 0] = -hp / (hm * (hm + hp))
-    c[1:-1, 1] = (hp - hm) / (hm * hp)
-    c[1:-1, 2] = hm / (hp * (hm + hp))
-    d[1:-1, 0] = 2.0 / (hm * (hm + hp))
-    d[1:-1, 1] = -2.0 / (hm * hp)
-    d[1:-1, 2] = 2.0 / (hp * (hm + hp))
-    if r[0] == 0.0:
-        # even extension: first derivative vanishes, second is 2(v1-v0)/r1^2
-        d[0, 1] = -2.0 / r[1] ** 2
-        d[0, 2] = 2.0 / r[1] ** 2
-    return c, d
-
-
-def _rhs_values(u: GridFunction, config: SolverConfig) -> np.ndarray:
-    """Flow speed (plus optional similarity drift) at every node."""
-    spec = u.spec
-    if spec.polar:
-        from .geometry import graph_rhs
-        vals = graph_rhs(u).values
-        if config.similarity_drift:
-            ur = _polar_derivatives(spec, u.values)[0]
-            vals = vals + 0.5 * (spec.nodes[:, None] * ur - u.values)
-        return vals
-    from .geometry import radial_rhs
-    vals = radial_rhs(u).values
-    if config.similarity_drift:
-        p = _radial_derivatives(spec, u.values)[0]
-        vals = vals + 0.5 * (spec.nodes * p - u.values)
-    return vals
-
-
-def _radial_newton_matrix(spec: GridSpec, v: np.ndarray, dt: float,
-                          config: SolverConfig, fixed_first: bool) -> np.ndarray:
-    """Banded (I - dt*J) for the radial reduced operator at state v."""
-    c, d = _radial_stencil(spec)
-    r = spec.nodes
-    N = r.size
+def _radial_residual(spec: GridSpec, v: np.ndarray, u_prev: np.ndarray, dt: float,
+                     config: SolverConfig, outer, inner):
+    """Implicit Euler residual at v with Dirichlet rows, plus (v_r, v_rr)."""
     p, q = _radial_derivatives(spec, v)
+    rhs = _radial_speed(spec, p, q)
+    if config.similarity_drift:
+        rhs = rhs + 0.5 * (spec.nodes * p - v)
+    res = v - u_prev - dt * rhs
+    res[-1] = v[-1] - outer
+    if inner is not None:
+        res[0] = v[0] - inner
+    return res, p, q
+
+
+def _radial_newton_matrix(spec: GridSpec, p: np.ndarray, q: np.ndarray, dt: float,
+                          config: SolverConfig, fixed_first: bool) -> np.ndarray:
+    """Banded (I - dt*J) for the radial reduced operator at a state with
+    derivatives (p, q) = (v_r, v_rr).
+
+    Column i of J (stored as ``J[:, i]``, like the operator table) couples
+    row i to (v_{i-1}, v_i, v_{i+1}).  The table's one-sided end rows read
+    other nodes, so the end columns computed from them are meaningless, but
+    the end rows are Dirichlet rows (or, at r = 0, set explicitly) and get
+    replaced.
+    """
+    op = _radial_operator(spec)
+    c = op.w
+    d = 2.0 / op.D
+    r = spec.nodes
+    N = r.size
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
     one_p2 = 1.0 + p * p
-    J = np.zeros((N, 3))
-    for sidx in range(3):
-        J[:, sidx] = d[:, sidx] / one_p2 \
-            - 2.0 * p * q * c[:, sidx] / one_p2 ** 2 \
-            + (spec.n - 1) * c[:, sidx] * inv_r
+    J = d / one_p2 - 2.0 * p * q * c / one_p2 ** 2 + (spec.n - 1) * c * inv_r
     if r[0] == 0.0:
-        J[0, :] = spec.n * d[0, :]
+        # n*v_rr(0), with the ghost node v_{-1} = v_1 folded into column v_1
+        J[:, 0] = (0.0, spec.n * d[1, 0], spec.n * (d[0, 0] + d[2, 0]))
     if config.similarity_drift:
         # drift (r*v_r - v)/2; at an r=0 node only the -v/2 part survives
-        J += 0.5 * r[:, None] * c
-        J[:, 1] -= 0.5
+        J += 0.5 * r * c
+        J[1] -= 0.5
     ab = np.zeros((3, N))
-    ab[1, :] = 1.0 - dt * J[:, 1]
-    ab[0, 1:] = -dt * J[:-1, 2]
-    ab[2, :-1] = -dt * J[1:, 0]
+    ab[1, :] = 1.0 - dt * J[1]
+    ab[0, 1:] = -dt * J[2, :-1]
+    ab[2, :-1] = -dt * J[0, 1:]
     # Dirichlet rows
     ab[1, -1] = 1.0
     ab[2, -2] = 0.0
@@ -205,6 +192,17 @@ def _radial_newton_matrix(spec: GridSpec, v: np.ndarray, dt: float,
         ab[1, 0] = 1.0
         ab[0, 1] = 0.0
     return ab
+
+
+def _rhs_values(u: GridFunction, config: SolverConfig) -> np.ndarray:
+    """Flow speed (plus optional similarity drift) at every node of a polar grid."""
+    spec = u.spec
+    from .geometry import graph_rhs
+    vals = graph_rhs(u).values
+    if config.similarity_drift:
+        ur = _polar_derivatives(spec, u.values)[0]
+        vals = vals + 0.5 * (spec.nodes[:, None] * ur - u.values)
+    return vals
 
 
 def _pick_theta_colors(ntheta: int) -> int:
@@ -312,15 +310,18 @@ def _apply_boundary(vals: np.ndarray, spec: GridSpec, outer, inner):
 
 
 def step(u: GridFunction, dt: float, config: SolverConfig,
-         boundary: BoundaryValues, t_new: float | None = None,
+         boundary: BoundaryValues, t_new: float,
          stats: dict | None = None) -> GridFunction:
-    """One implicit Euler step of size dt; raises NewtonError on stagnation.
+    """One implicit Euler step of size dt to time ``t_new``.
 
+    Boundary data is evaluated at ``t_new``.  Raises NewtonError, carrying
+    the residual history, on stagnation or on a non-finite residual.
     ``stats``, when given, receives the Newton iteration count and residual
-    history of the solve.
+    history of the solve and, on radial grids, the derivatives (u_r, u_rr)
+    of the returned state under ``"derivatives"``.
     """
     spec = u.spec
-    outer, inner = boundary.resolve(t_new if t_new is not None else 0.0)
+    outer, inner = boundary.resolve(t_new)
     fixed_first = (not spec.polar and spec.r_min > 0) or (spec.polar and not spec.through_origin)
     if fixed_first and inner is None:
         raise ParameterError("grid has an inner boundary ring but no inner boundary value")
@@ -328,49 +329,82 @@ def step(u: GridFunction, dt: float, config: SolverConfig,
     v = _apply_boundary(u.values, spec, outer, inner)
     scale = 1.0 + float(np.max(np.abs(u.values)))
     history = []
+    if spec.polar:
+        v = _polar_newton(u, v, dt, config, outer, inner, fixed_first, scale, history)
+        derivatives = None
+    else:
+        v, derivatives = _radial_newton(u, v, dt, config, outer, inner, fixed_first,
+                                        scale, history)
+    if stats is not None:
+        stats["iters"] = len(history) - 1
+        stats["residuals"] = history
+        if derivatives is not None:
+            stats["derivatives"] = derivatives
+    return GridFunction(spec, v)
 
-    for it in range(config.newton_max_iter):
+
+def _stalled(config: SolverConfig, history: list) -> NewtonError:
+    return NewtonError(f"Newton stalled at residual {history[-1]:.3e} after "
+                       f"{config.newton_max_iter} iterations", residuals=history)
+
+
+def _radial_newton(u, v, dt, config, outer, inner, fixed_first, scale, history):
+    """Newton on raw arrays; returns the converged v and its (v_r, v_rr).
+
+    The accepted backtracking trial is the next iterate, so its residual is
+    reused rather than evaluated again.
+    """
+    spec = u.spec
+    res, p, q = _radial_residual(spec, v, u.values, dt, config, outer, inner)
+    for _ in range(config.newton_max_iter):
+        res_norm = float(np.max(np.abs(res)))
+        history.append(res_norm)
+        if not np.isfinite(res_norm):
+            raise NewtonError(f"non-finite Newton residual after {len(history) - 1} "
+                              "iterations", residuals=history)
+        if res_norm <= config.newton_tol * scale:
+            return v, (p, q)
+        ab = _radial_newton_matrix(spec, p, q, dt, config, fixed_first)
+        delta = solve_banded((1, 1), ab, res)
+        # backtracking keeps the first steps on kinked (conical) data stable;
+        # lam < 0.2 accepts the fourth trial at the latest
+        lam = 1.0
+        while True:
+            v_try = v - lam * delta
+            r_try, p, q = _radial_residual(spec, v_try, u.values, dt, config, outer, inner)
+            if float(np.max(np.abs(r_try))) < res_norm or lam < 0.2:
+                break
+            lam *= 0.5
+        v, res = v_try, r_try
+    raise _stalled(config, history)
+
+
+def _polar_newton(u, v, dt, config, outer, inner, fixed_first, scale, history):
+    """Newton with a colored finite-difference Jacobian; returns the converged v."""
+    spec = u.spec
+    for _ in range(config.newton_max_iter):
         residual = v - u.values - dt * _rhs_values(GridFunction(spec, v), config)
-        if spec.polar:
-            residual[-1, :] = v[-1, :] - outer
-            if inner is not None:
-                residual[0, :] = v[0, :] - inner
-        else:
-            residual[-1] = v[-1] - outer
-            if inner is not None:
-                residual[0] = v[0] - inner
+        residual[-1, :] = v[-1, :] - outer
+        if inner is not None:
+            residual[0, :] = v[0, :] - inner
         res_norm = float(np.max(np.abs(residual)))
         history.append(res_norm)
         if res_norm <= config.newton_tol * scale:
-            if stats is not None:
-                stats["iters"] = it
-                stats["residuals"] = history
-            return GridFunction(spec, v)
-        if spec.polar:
-            lu = _polar_newton_lu(v, spec, dt, config, fixed_first)
-            delta = lu.solve(residual.ravel()).reshape(spec.shape)
-        else:
-            ab = _radial_newton_matrix(spec, v, dt, config, fixed_first)
-            delta = solve_banded((1, 1), ab, residual)
-        # backtracking keeps the first steps on kinked (conical) data stable
+            return v
+        lu = _polar_newton_lu(v, spec, dt, config, fixed_first)
+        delta = lu.solve(residual.ravel()).reshape(spec.shape)
         lam = 1.0
         for _ in range(5):
             v_try = v - lam * delta
             r_try = v_try - u.values - dt * _rhs_values(GridFunction(spec, v_try), config)
-            if spec.polar:
-                r_try[-1, :] = v_try[-1, :] - outer
-                if inner is not None:
-                    r_try[0, :] = v_try[0, :] - inner
-            else:
-                r_try[-1] = v_try[-1] - outer
-                if inner is not None:
-                    r_try[0] = v_try[0] - inner
+            r_try[-1, :] = v_try[-1, :] - outer
+            if inner is not None:
+                r_try[0, :] = v_try[0, :] - inner
             if float(np.max(np.abs(r_try))) < res_norm or lam < 0.2:
                 break
             lam *= 0.5
         v = v - lam * delta
-    raise NewtonError(f"Newton stalled at residual {history[-1]:.3e} after "
-                      f"{config.newton_max_iter} iterations", residuals=history)
+    raise _stalled(config, history)
 
 
 @dataclass
@@ -386,8 +420,6 @@ class FlowRun:
     sup_u_minus_U: list = field(default_factory=list)
     min_H: list = field(default_factory=list)
     max_H: list = field(default_factory=list)
-    ut_mass: list = field(default_factory=list)
-    first_step_min_H: float | None = None
 
     def record_snapshot(self, t: float, u: GridFunction):
         if self.snapshot_times and t <= self.snapshot_times[-1]:
@@ -410,18 +442,16 @@ class FlowRun:
         return self.snapshots[idx]
 
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
-
-def _diagnose(run: FlowRun, t, dt, iters, u_new, u_old, cone, profile):
+def _diagnose(run: FlowRun, t, dt, iters, u_new, derivatives, cone_vals, profile):
+    """Append one step's diagnostics; H comes from the step's (u_r, u_rr) on
+    radial grids."""
     vals = u_new.values
     run.step_times.append(float(t))
     run.step_sizes.append(float(dt))
     run.newton_iters.append(int(iters))
     spec = u_new.spec
-    if cone is not None:
-        kv = cone.on_grid(spec).values
-        run.sup_u_minus_k.append(float(np.max(np.abs(vals - kv))))
+    if cone_vals is not None:
+        run.sup_u_minus_k.append(float(np.max(np.abs(vals - cone_vals))))
     else:
         run.sup_u_minus_k.append(np.nan)
     if profile is not None and not spec.polar:
@@ -429,17 +459,12 @@ def _diagnose(run: FlowRun, t, dt, iters, u_new, u_old, cone, profile):
         run.sup_u_minus_U.append(float(np.max(np.abs(vals - Uv))))
     else:
         run.sup_u_minus_U.append(np.nan)
-    H = mean_curvature(u_new).values
+    if derivatives is not None:
+        H = _radial_curvatures(spec, *derivatives)[-1]
+    else:
+        H = mean_curvature(u_new).values
     run.min_H.append(float(np.min(H)))
     run.max_H.append(float(np.max(H)))
-    ut = np.abs(vals - u_old.values) / dt
-    if spec.polar:
-        ring = np.sum(ut * spec.nodes[:, None], axis=1) * 2 * np.pi / spec.ntheta
-        run.ut_mass.append(float(_trapz(ring, spec.nodes)))
-    else:
-        run.ut_mass.append(float(_trapz(ut * spec.nodes ** (spec.n - 1), spec.nodes)))
-    if run.first_step_min_H is None:
-        run.first_step_min_H = run.min_H[-1]
 
 
 def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
@@ -454,6 +479,7 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
     if T <= 0:
         raise ParameterError("evolution horizon T must be positive")
     boundary = boundary_values_for(u0, config, cone, profile, t_start)
+    cone_vals = cone.on_grid(u0.spec).values if cone is not None else None
     run = FlowRun()
     t_end = t_start + T
     t = t_start
@@ -476,7 +502,8 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
             dt = max(dt_try / 2.0, config.dt_min)
             continue
         t = t + dt_try
-        _diagnose(run, t, dt_try, stats.get("iters", 0), u_new, u, cone, profile)
+        _diagnose(run, t, dt_try, stats["iters"], u_new, stats.get("derivatives"),
+                  cone_vals, profile)
         u = u_new
         if abs(t - next_snap) < 1e-10:
             run.record_snapshot(t, u)

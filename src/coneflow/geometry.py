@@ -21,6 +21,8 @@ theta+pi) across the innermost ring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -294,15 +296,68 @@ def _d1_d2(x: np.ndarray, y: np.ndarray):
     return d1, d2
 
 
+class _RadialOperator(NamedTuple):
+    """Three-point derivative table of one radial grid.
+
+    Row i of the derivatives reads the nodes ``rows[:, i]`` = (a, b, c):
+    u_r = w[0]*u_a + w[1]*u_b + w[2]*u_c and
+    u_rr = 2*(u_a/D[0] + u_b/D[1] + u_c/D[2]).  Interior rows (and an r = 0
+    row, whose ghost node u(-r_1) = u(r_1) is read as node 1) use
+    (a, b, c) = (i-1, i, i+1); the ends use the one-sided rows of
+    :func:`_d1_d2`, with (0, 1, 2) first and (N-1, N-2, N-3) last.  Signs are
+    folded into ``w`` and ``D`` and the second derivative keeps the division
+    form of :func:`_d1_d2` (multiplying by a reciprocal rounds differently),
+    so the results are bit-identical to it.
+    """
+
+    rows: np.ndarray
+    w: np.ndarray
+    D: np.ndarray
+
+
+@lru_cache(maxsize=128)
+def _radial_operator(spec: GridSpec) -> _RadialOperator:
+    """The derivative table of a radial grid, cached per GridSpec (by identity)."""
+    r = spec.nodes
+    N = r.size
+    x = np.concatenate(([-r[1]], r)) if r[0] == 0.0 else r
+    hm = x[1:-1] - x[:-2]
+    hp = x[2:] - x[1:-1]
+    rows = np.empty((3, N), dtype=np.intp)
+    w = np.empty((3, N))
+    D = np.empty((3, N))
+    # centered rows; on an r = 0 grid they start at node 0 with the ghost
+    lo = 0 if r[0] == 0.0 else 1
+    i = np.arange(lo, N - 1)
+    rows[:, lo:-1] = (i - 1, i, i + 1)
+    w[:, lo:-1] = (-hp / (hm * (hm + hp)), (hp - hm) / (hm * hp), hm / (hp * (hm + hp)))
+    D[:, lo:-1] = (hm * (hm + hp), -(hm * hp), hp * (hm + hp))
+    if lo == 0:
+        rows[0, 0] = 1
+    else:
+        h1, h2 = r[1] - r[0], r[2] - r[1]
+        rows[:, 0] = (0, 1, 2)
+        w[:, 0] = (-(2 * h1 + h2) / (h1 * (h1 + h2)), (h1 + h2) / (h1 * h2),
+                   -(h1 / (h2 * (h1 + h2))))
+        D[:, 0] = (h1 * (h1 + h2), -(h1 * h2), h2 * (h1 + h2))
+    g1, g2 = r[-1] - r[-2], r[-2] - r[-3]
+    rows[:, -1] = (N - 1, N - 2, N - 3)
+    w[:, -1] = ((2 * g1 + g2) / (g1 * (g1 + g2)), -((g1 + g2) / (g1 * g2)),
+                g1 / (g2 * (g1 + g2)))
+    D[:, -1] = (g1 * (g1 + g2), -(g1 * g2), g2 * (g1 + g2))
+    for arr in (rows, w, D):
+        arr.setflags(write=False)
+    return _RadialOperator(rows, w, D)
+
+
 def _radial_derivatives(spec: GridSpec, vals: np.ndarray):
     """(u_r, u_rr) on a radial grid, using the even extension when r_min = 0."""
-    r = spec.nodes
-    if r[0] == 0.0:
-        re = np.concatenate(([-r[1]], r))
-        ve = np.concatenate(([vals[1]], vals))
-        p, q = _d1_d2(re, ve)
-        return p[1:], q[1:]
-    return _d1_d2(r, vals)
+    op = _radial_operator(spec)
+    ya, yb, yc = vals[op.rows]
+    w, D = op.w, op.D
+    p = w[0] * ya + w[1] * yb + w[2] * yc
+    q = 2.0 * (ya / D[0] + yb / D[1] + yc / D[2])
+    return p, q
 
 
 def _theta_derivatives(spec: GridSpec, vals: np.ndarray):
@@ -338,20 +393,35 @@ def _polar_derivatives(spec: GridSpec, vals: np.ndarray):
 # curvature operators
 
 
-def _radial_quantities(u: GridFunction):
-    spec = u.spec
+def _radial_curvatures(spec: GridSpec, p: np.ndarray, q: np.ndarray):
+    """(W, profile curvature, rotational curvature, H) from (u_r, u_rr)."""
     r = spec.nodes
-    p, q = _radial_derivatives(spec, u.values)
     W = np.sqrt(1.0 + p * p)
     kprof = q / W ** 3
     if r[0] == 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            krot = np.where(r > 0, p / (np.where(r > 0, r, 1.0) * W), 0.0)
+        krot = np.empty_like(p)
+        krot[1:] = p[1:] / (r[1:] * W[1:])
         krot[0] = q[0]  # L'Hopital limit u_r/r -> u_rr at the axis
     else:
         krot = p / (r * W)
     H = kprof + (spec.n - 1) * krot
-    return p, q, W, kprof, krot, H
+    return W, kprof, krot, H
+
+
+def _radial_speed(spec: GridSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """u_rr/(1+u_r^2) + (n-1) u_r/r from (u_r, u_rr); n*u_rr at an r = 0 node."""
+    r = spec.nodes
+    if r[0] == 0.0:
+        rhs = np.empty_like(p)
+        rhs[1:] = q[1:] / (1.0 + p[1:] ** 2) + (spec.n - 1) * p[1:] / r[1:]
+        rhs[0] = spec.n * q[0]
+        return rhs
+    return q / (1.0 + p * p) + (spec.n - 1) * p / r
+
+
+def _radial_quantities(u: GridFunction):
+    p, q = _radial_derivatives(u.spec, u.values)
+    return (p, q) + _radial_curvatures(u.spec, p, q)
 
 
 def _polar_quantities(u: GridFunction):
@@ -439,19 +509,13 @@ def radial_rhs(u: GridFunction, check_origin: bool = False,
     spec = u.spec
     if spec.polar:
         raise GridError("radial_rhs requires a radial grid; use graph_rhs for polar mode")
-    r = spec.nodes
+    if check_origin and spec.nodes[0] == 0.0:
+        slope = (u.values[1] - u.values[0]) / spec.nodes[1]
+        if abs(slope) > origin_slope_tol:
+            raise GridError(
+                f"axis slope {slope:.3e} exceeds {origin_slope_tol:.1e}; data not smooth at r=0")
     p, q = _radial_derivatives(spec, u.values)
-    if r[0] == 0.0:
-        if check_origin:
-            slope = (u.values[1] - u.values[0]) / r[1]
-            if abs(slope) > origin_slope_tol:
-                raise GridError(
-                    f"axis slope {slope:.3e} exceeds {origin_slope_tol:.1e}; data not smooth at r=0")
-        rhs = np.empty_like(p)
-        rhs[1:] = q[1:] / (1.0 + p[1:] ** 2) + (spec.n - 1) * p[1:] / r[1:]
-        rhs[0] = spec.n * q[0]
-        return GridFunction(spec, rhs)
-    return GridFunction(spec, q / (1.0 + p * p) + (spec.n - 1) * p / r)
+    return GridFunction(spec, _radial_speed(spec, p, q))
 
 
 def graph_rhs(u: GridFunction) -> GridFunction:

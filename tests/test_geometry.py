@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coneflow.errors import GridError
 from coneflow.geometry import (GridFunction, GridSpec, geometric_state,
-                               grids_match, mean_curvature)
+                               grids_match, mean_curvature, _d1_d2,
+                               _radial_derivatives)
 
 
 def test_uniform_spec_basics():
@@ -122,3 +124,30 @@ def test_state_normal_is_unit(beta, n):
     state = geometric_state(GridFunction(spec, beta * spec.nodes))
     norms = np.sqrt(np.sum(state.nu ** 2, axis=-1))
     assert np.allclose(norms, 1.0, atol=1e-12)
+
+
+_ORACLE_GRIDS = {
+    "uniform-origin": GridSpec.uniform(2, 0.0, 5.0, 33),
+    "geometric": GridSpec.geometric(3, 0.05, 4.0),
+    "annulus": GridSpec.uniform(2, 0.5, 5.0, 33),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_ORACLE_GRIDS))
+@given(data=st.data())
+def test_radial_operator_matches_d1_d2(grid, data):
+    # the cached operator must reproduce _d1_d2 on the even extension bit
+    # for bit, so switching to it moves no result
+    spec = _ORACLE_GRIDS[grid]
+    r = spec.nodes
+    v = data.draw(hnp.arrays(np.float64, r.size,
+                             elements=st.floats(-1e3, 1e3)))
+    p, q = _radial_derivatives(spec, v)
+    if r[0] == 0.0:
+        ref_p, ref_q = _d1_d2(np.concatenate(([-r[1]], r)),
+                              np.concatenate(([v[1]], v)))
+        ref_p, ref_q = ref_p[1:], ref_q[1:]
+    else:
+        ref_p, ref_q = _d1_d2(r, v)
+    assert np.array_equal(p, ref_p)
+    assert np.array_equal(q, ref_q)
