@@ -18,8 +18,7 @@ from .barriers import (HeatSupersolution, ScaledBarrier, StaticBarrier,
                        static_barrier_w, wk_difference_fit)
 from .cones import ConeProfile
 from .errors import (CertificationError, DomainError, GridError, NewtonError,
-                     ParameterError, ResolutionError, ShootingError,
-                     StepFailureError)
+                     ParameterError, ShootingError, StepFailureError)
 from .expander import (ExpanderProfile, ShootingConfig, evaluate_U,
                        expander_time_derivative, solve_expander_profile)
 from .experiments import (SCENARIOS, Scenario, run_family_uniform,
@@ -36,7 +35,7 @@ __all__ = [
     "Ball", "C1Function", "CertificationError", "ComparisonReport",
     "ConeProfile", "DecayFit", "DomainError", "ExpanderProfile", "FlowRun",
     "GridError", "GridFunction", "GridSpec", "HeatSupersolution",
-    "NewtonError", "ParameterError", "ResolutionError", "SCENARIOS",
+    "NewtonError", "ParameterError", "SCENARIOS",
     "ScaledBarrier", "Scenario", "ShootingConfig", "ShootingError",
     "SolverConfig", "StaticBarrier", "StepFailureError", "Subsolution",
     "assemble_subsolution", "bv_norm", "clearing_out_experiment",

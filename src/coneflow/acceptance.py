@@ -8,7 +8,9 @@ refinement studies in the test suite, not aspirations.
 
 Criterion functions take a ``quick`` flag.  Quick mode shrinks grids and
 horizons for smoke runs (CLI ``suite --quick``); the recorded verdict of the
-package is always the full mode, which is what the tests execute.
+package is always the full mode, which is what the tests execute.  Criteria
+5, 11 and 14 run the experiment scenarios and take their quick settings from
+``experiments.SCENARIOS``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from .barriers import (evolution_equation_residuals, half_space_experiment,
                        static_barrier_w, wk_difference_fit)
 from .cones import ConeProfile
 from .expander import evaluate_U, solve_expander_profile
-from .experiments import (run_family_uniform, run_main_theorem,
-                          subsolution_dominance_experiment)
+from .experiments import SCENARIOS
 from .flow import FlowRun, SolverConfig, evolve
 from .geometry import GridFunction, GridSpec
 
@@ -39,16 +40,11 @@ def _profile(n: int, beta: float):
     return solve_expander_profile(ConeProfile.radial(n, beta))
 
 
-_BARRIER_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _barrier(points: int, lag_points: int, lag_steps: int):
-    key = (points, lag_points, lag_steps)
-    if key not in _BARRIER_CACHE:
-        _BARRIER_CACHE[key] = lemma_barrier_flow(
-            ConeProfile.radial(3, 1.0), points=points,
-            lagrangian_points=lag_points, lagrangian_steps=lag_steps)
-    return _BARRIER_CACHE[key]
+    return lemma_barrier_flow(ConeProfile.radial(3, 1.0), points=points,
+                              lagrangian_points=lag_points,
+                              lagrangian_steps=lag_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +118,7 @@ def sup_decay_rate(quick: bool = False):
 
 def two_sided_convergence(quick: bool = False):
     """Bump perturbations of either sign converge to U inside the sandwich."""
-    if quick:
-        rep = run_main_theorem(horizon=10.0, nodes=601, r_max=40.0,
-                               dt_max=0.05, threshold=0.25)
-    else:
-        rep = run_main_theorem()
+    rep = SCENARIOS["main-theorem"].run(quick)
     flats = {s: rep.sides[s].t_flat for s in (+1, -1)}
     checks = all(bool(rep.sides[s].upper) and bool(rep.sides[s].lower)
                  for s in (+1, -1))
@@ -136,7 +128,7 @@ def two_sided_convergence(quick: bool = False):
 
 
 def hyperplane_stability(quick: bool = False):
-    """A compact bump over the flat cone decays under its heat majorant."""
+    """A bump over the flat cone drains; its heat majorant stays above it."""
     if quick:
         rep = half_space_experiment(horizon=15.0, threshold=0.2)
     else:
@@ -228,10 +220,7 @@ def psi_identity(quick: bool = False):
 
 def subsolution_dominance(quick: bool = False):
     """Flows started above the glued subsolution stay above it."""
-    if quick:
-        rep = subsolution_dominance_experiment(nodes=751, horizon=1.0)
-    else:
-        rep = subsolution_dominance_experiment()
+    rep = SCENARIOS["subsolution"].run(quick)
     t_delta = "none" if rep.t_delta is None else f"{rep.t_delta:.2f}"
     return rep.passed, (f"min(u - B) {rep.dominance_margin:+.2e} "
                         f"(floor -1e-06), t_delta = {t_delta} (finite)")
@@ -274,10 +263,7 @@ def clearing_out(quick: bool = False):
 
 def family_uniformity(quick: bool = False):
     """A five-member family under one envelope converges at a shared time."""
-    if quick:
-        rep = run_family_uniform(horizon=8.0, nodes=401)
-    else:
-        rep = run_family_uniform()
+    rep = SCENARIOS["family-uniform"].run(quick)
     t_u = "none" if rep.t_uniform is None else f"{rep.t_uniform:.1f}"
     return rep.passed, (f"family sup <= {rep.threshold} at t = {t_u}, "
                         f"sandwich {rep.sandwich_ok}, rail bound {rep.bound_ok}")

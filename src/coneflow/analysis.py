@@ -9,7 +9,7 @@ implementation bug, not through quadrature mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .errors import ParameterError
 from .geometry import GridFunction, GridSpec, grids_match, _radial_derivatives
 
 __all__ = [
+    "bump",
     "sup_diff",
     "DecayFit",
     "decay_fit",
@@ -31,6 +32,15 @@ __all__ = [
 ]
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
+
+
+def bump(r: np.ndarray, amplitude: float, radius: float) -> np.ndarray:
+    """C^1 compact bump amplitude*cos^2(pi r / (2 radius)) inside r < radius."""
+    s = np.asarray(r, dtype=float) / radius
+    out = np.zeros_like(s)
+    inside = s < 1.0
+    out[inside] = amplitude * np.cos(np.pi * s[inside] / 2.0) ** 2
+    return out
 
 
 def _region_mask(spec: GridSpec, region) -> np.ndarray:
@@ -298,20 +308,12 @@ class ClearingOutReport:
     center_trace: np.ndarray
 
 
-def _spike_bump(s: np.ndarray) -> np.ndarray:
-    """C^1 compact bump on s in [0,1): cos^2(pi s/2)."""
-    out = np.zeros_like(s)
-    inside = s < 1.0
-    out[inside] = np.cos(np.pi * s[inside] / 2.0) ** 2
-    return out
-
-
 def clearing_out_experiment(k, height: float, rho: float, G: float | None = None,
                             t_cap: float | None = None, spec: GridSpec | None = None,
                             n_snapshots: int = 400) -> ClearingOutReport:
     """Time for a spike of width rho to clear the level k + rho*(2+G).
 
-    Evolves u0 = k + height*bump(r/rho) with the boundary pinned to the cone
+    Evolves u0 = k + bump(r, height, rho) with the boundary pinned to the cone
     and reads the first time the center height drops below the threshold
     (linear interpolation between snapshots).  The cap defaults to 10*rho^2,
     the diffusive scale of the spike.
@@ -336,8 +338,7 @@ def clearing_out_experiment(k, height: float, rho: float, G: float | None = None
     snap_dt = t_cap / n_snapshots
     cfg = SolverConfig(dt_init=snap_dt / 8, dt_max=snap_dt, boundary="pin-to-cone",
                        snapshot_dt=snap_dt)
-    u0 = GridFunction(spec, k.beta * spec.nodes
-                      + height * _spike_bump(spec.nodes / rho))
+    u0 = GridFunction(spec, k.beta * spec.nodes + bump(spec.nodes, height, rho))
     run = evolve(u0, t_cap, cfg, cone=k)
     trace = np.array([s.values[0] for s in run.snapshots])
     times = run.times

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .analysis import DecayFit, decay_fit
+from .analysis import DecayFit, bump, decay_fit
 from .cones import ConeProfile
 from .errors import CertificationError, DomainError, ParameterError
 from .expander import ExpanderProfile, evaluate_U, expander_time_derivative
@@ -36,7 +36,6 @@ from .geometry import (
     GridSpec,
     _d1_d2,
     _radial_derivatives,
-    geometric_state,
     mean_curvature,
     radial_rhs,
 )
@@ -90,9 +89,6 @@ class StaticBarrier:
     @property
     def certified(self) -> bool:
         return self.r0 is not None
-
-    def as_grid_function(self) -> GridFunction:
-        return GridFunction(GridSpec(self.cone.n, self.r), self.w.copy())
 
 
 def static_barrier_w(k: ConeProfile, alpha: float, r_lo: float = 1.0,
@@ -182,12 +178,6 @@ class BarrierFlowPath:
 
     def b(self, j: int) -> GridFunction:
         return GridFunction(self.spec, self.levels[j].copy())
-
-    def state(self, j: int) -> dict:
-        bf = self.b(j)
-        return {"t": float(self.times[j]), "b": bf,
-                "F": _speed(self.spec.nodes, bf.values, self.alpha, self.f_scale),
-                "geometry": geometric_state(bf)}
 
 
 @dataclass(eq=False)
@@ -751,8 +741,7 @@ def half_space_experiment(bump_height: float = 1.0, bump_radius: float = 5.0,
         config = SolverConfig(dt_init=1e-3, dt_max=0.1, snapshot_dt=0.1,
                               boundary="pin-to-initial")
     r = spec.nodes
-    u0 = GridFunction(spec, bump_height
-                      * _half_space_bump(r / bump_radius))
+    u0 = GridFunction(spec, bump(r, bump_height, bump_radius))
     if u0.values[-1] > epsilon:
         raise ParameterError("initial bump must sit below epsilon at the far edge")
     flat = ConeProfile.radial(n, 0.0)
@@ -783,9 +772,3 @@ def half_space_experiment(bump_height: float = 1.0, bump_radius: float = 5.0,
     return HalfSpaceReport(hs, times, sup_trace, margins, times[i0:],
                            ordering_ok, first_below, threshold, passed, run)
 
-
-def _half_space_bump(s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
-    inside = s < 1.0
-    out[inside] = np.cos(np.pi * s[inside] / 2.0) ** 2
-    return out

@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 a property verdict failed, 2 usage error, 3
 numerical breakdown (shooting, Newton, or step-size failure).  Artifacts are
 written atomically (temp file in the target directory, then rename), CSVs are
 comma-separated UTF-8 with LF endings and a header row naming columns and
-units.  Re-running with the same config, seed, and thread count reproduces
-the artifacts byte for byte.
+units.  Re-running with the same config and seed reproduces the artifacts
+byte for byte.
 """
 
 from __future__ import annotations
@@ -22,15 +22,15 @@ import tempfile
 
 import numpy as np
 
+from .analysis import bump
 from .barriers import (ScaledBarrier, assemble_subsolution,
                        lemma_barrier_flow, static_barrier_w,
                        wk_difference_fit)
 from .cones import ConeProfile
 from .errors import (CertificationError, DomainError, GridError, NewtonError,
-                     ParameterError, ResolutionError, ShootingError,
-                     StepFailureError)
+                     ParameterError, ShootingError, StepFailureError)
 from .expander import evaluate_U, solve_expander_profile
-from .experiments import SCENARIOS, bump
+from .experiments import SCENARIOS
 from .flow import SolverConfig, evolve
 from .geometry import GridFunction, GridSpec
 
@@ -40,7 +40,7 @@ ENV_OUT = "CONEFLOW_OUT"
 
 # defaults double as the config schema: keys and value types are checked
 DEFAULTS = {
-    "run": {"seed": 0, "threads": 0, "quick": False},
+    "run": {"seed": 0, "quick": False},
     "expander": {"n": 2, "beta": 1.0},
     "evolve": {"n": 2, "beta": 1.0, "bump_amp": 1.0, "bump_radius": 5.0,
                "r_max": 75.0, "nodes": 1501, "horizon": 10.0,
@@ -312,19 +312,10 @@ def _cmd_verify(cfg: dict, out: str) -> int:
     return 0 if report["passed"] else 1
 
 
-_SCENARIO_RUNNERS = {"main-theorem": "run_main_theorem",
-                     "one-sided": "run_one_sided",
-                     "family-uniform": "run_family_uniform",
-                     "subsolution": "subsolution_dominance_experiment"}
-
-
 def _scenario_overrides(scenario, pairs) -> tuple:
     """Type-check key=value pairs against the runner's signature."""
-    from . import experiments
-
-    fn = getattr(experiments, _SCENARIO_RUNNERS[scenario.kind])
     schema = {name: p.default for name, p in
-              inspect.signature(fn).parameters.items()
+              inspect.signature(scenario.function()).parameters.items()
               if p.default is not inspect.Parameter.empty}
     merged = dict(scenario.overrides)
     for pair in pairs or ():
@@ -433,8 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
                              f"{ENV_OUT} or ./results)")
     parser.add_argument("--seed", type=int, metavar="N",
                         help="random seed for randomized checks")
-    parser.add_argument("--threads", type=int, metavar="N",
-                        help="BLAS/OpenMP thread cap (0 leaves defaults)")
     parser.add_argument("--quick", action="store_true", default=None,
                         help="smaller grids and horizons for smoke runs")
     parser.add_argument("--print-config", action="store_true",
@@ -471,8 +460,6 @@ def dispatch(argv) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["run"]["seed"] = args.seed
-        if args.threads is not None:
-            cfg["run"]["threads"] = args.threads
         if args.quick is not None:
             cfg["run"]["quick"] = args.quick
         if getattr(args, "name", None):
@@ -484,11 +471,6 @@ def dispatch(argv) -> int:
         if args.subcommand is None:
             parser.print_usage(sys.stderr)
             return 2
-
-        if cfg["run"]["threads"] > 0:
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                        "MKL_NUM_THREADS"):
-                os.environ[var] = str(cfg["run"]["threads"])
 
         sets = getattr(args, "sets", None)
         if args.subcommand != "experiment":
@@ -506,7 +488,7 @@ def dispatch(argv) -> int:
         if args.subcommand == "experiment":
             return _cmd_experiment(cfg, out, sets)
         return _cmd_suite(cfg, out)
-    except (ParameterError, DomainError, GridError, ResolutionError) as exc:
+    except (ParameterError, DomainError, GridError) as exc:
         print(f"coneflow: usage error: {exc}", file=sys.stderr)
         return 2
     except CertificationError as exc:

@@ -1,4 +1,4 @@
-"""Cone graphs: one-homogeneous height functions and their admissibility checks.
+"""Cone graphs: one-homogeneous height functions.
 
 A cone is the graph of k(x) = |x| * gamma(x/|x|).  Two kinds are supported:
 rotationally symmetric cones (gamma constant, equal to the slope beta, any
@@ -6,10 +6,10 @@ dimension) and planar cones with an angular profile gamma(theta) given by
 samples on a uniform circle grid (n = 2 only, interpolated with a periodic
 cubic spline).
 
-The admissible class consists of cones that are smooth away from the origin,
-mean convex, bounded below by a hyperplane, and (for n >= 3) satisfy a strict
-|A|^2 bound at points of vanishing mean curvature.  ``validate_admissible``
-checks each condition numerically and reports witnesses.
+The profile exposes what the solvers and barriers need: values and angular
+derivatives of gamma, sampling on radial and polar grids, the slope bound
+sup |Dk|, the scale-invariant mean curvature r*H[k] (mean convexity is
+H[k] >= 0) and the far-field expander tail coefficient.
 """
 
 from __future__ import annotations
@@ -18,21 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import linprog
 
-from .errors import CertificationError, ParameterError, ResolutionError
+from .errors import ParameterError
 from .geometry import GridFunction, GridSpec
 
-__all__ = [
-    "ConeProfile",
-    "AdmissibilityTolerances",
-    "AdmissibilityReport",
-    "SupportingPlane",
-    "eval_cone",
-    "validate_admissible",
-    "check_stability_condition",
-    "supporting_hyperplane",
-]
+__all__ = ["ConeProfile"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,13 +144,6 @@ class ConeProfile:
         W2 = 1.0 + g ** 2 + gp ** 2
         return (1.0 + g ** 2) * (g + gpp) / W2 ** 1.5
 
-    def scaled_a2(self, theta=None):
-        """r^2 * |A|^2, constant along rays (cones have a flat ruling direction)."""
-        if self.kind == "radial":
-            value = (self.n - 1) * self.beta ** 2 / (1.0 + self.beta ** 2)
-            return value if theta is None else np.full_like(np.asarray(theta, float), value)
-        return self.scaled_mean_curvature(theta) ** 2
-
     def tail_coefficient(self, theta=None):
         """Coefficient c of the far-field expander correction U ~ k + c/rho.
 
@@ -175,206 +158,3 @@ class ConeProfile:
         gp = self.gamma_prime(theta)
         gpp = self.gamma_second(theta)
         return (g + gpp) * (1.0 + g ** 2) / (1.0 + g ** 2 + gp ** 2)
-
-
-def eval_cone(k: ConeProfile, x):
-    """Height of the cone graph at point(s) x; k(0) = 0 exactly."""
-    return k.evaluate(x)
-
-
-@dataclass(frozen=True)
-class AdmissibilityTolerances:
-    """Thresholds for the admissibility checks.
-
-    ``h_tol`` decides which samples count as mean-curvature zeros for the
-    stability condition, in the scale-invariant quantity |p|*H; it stands in
-    for the unquantified neighborhood in which the |A|^2 bound must hold, so
-    keep it configurable rather than baked in.
-    """
-
-    h_tol: float = 1e-3
-    mean_convexity_tol: float = 1e-10
-    support_tol: float = 1e-8
-    angular_samples: int = 720
-
-
-@dataclass(eq=False)
-class SupportingPlane:
-    """Linear lower bound l(x) = <slope, x> with its sampled certificate."""
-
-    slope: np.ndarray
-    margin: float
-    direction: np.ndarray | None = None
-
-    def __call__(self, x):
-        return np.asarray(x, dtype=float) @ self.slope
-
-
-@dataclass
-class AdmissibilityReport:
-    """Per-condition verdicts with witness data.
-
-    Conditions: homogeneity, smoothness, mean_convexity, lower_plane,
-    stability.  Each verdict is 'pass', 'fail', or 'not-applicable'
-    (stability is vacuous below n = 3).
-    """
-
-    verdicts: dict
-    min_scaled_H: float
-    plane: SupportingPlane | None
-    stability_margin: float | None
-    h_tol: float
-
-    @property
-    def admissible(self) -> bool:
-        return all(v in ("pass", "not-applicable") for v in self.verdicts.values())
-
-    def summary(self) -> str:
-        parts = [f"{name}={v}" for name, v in self.verdicts.items()]
-        return ", ".join(parts)
-
-
-def _homogeneity_defect(k: ConeProfile) -> float:
-    rng = np.random.default_rng(7)
-    pts = rng.standard_normal((16, k.n))
-    worst = 0.0
-    for lam in (2.0, 0.5, 8.0):
-        a = np.atleast_1d(k.evaluate(lam * pts))
-        b = lam * np.atleast_1d(k.evaluate(pts))
-        scale = np.maximum(1.0, np.abs(b))
-        worst = max(worst, float(np.max(np.abs(a - b) / scale)))
-    return worst
-
-
-def _best_lower_plane(k: ConeProfile, samples: int) -> SupportingPlane:
-    """Maximize s subject to <v, omega_i> + s <= gamma_i over sampled directions."""
-    if k.kind == "radial":
-        return SupportingPlane(np.zeros(k.n), float(k.beta))
-    th = 2.0 * np.pi * np.arange(samples) / samples
-    omega = np.stack([np.cos(th), np.sin(th)], axis=1)
-    gam = np.asarray(k.gamma(th), dtype=float)
-    A_ub = np.hstack([omega, np.ones((samples, 1))])
-    c = np.zeros(3)
-    c[2] = -1.0
-    res = linprog(c, A_ub=A_ub, b_ub=gam, bounds=[(None, None)] * 3, method="highs")
-    if not res.success:
-        raise CertificationError("lower-plane search failed to solve",
-                                 witness={"status": res.status, "message": res.message})
-    return SupportingPlane(res.x[:2].copy(), float(res.x[2]))
-
-
-def check_stability_condition(samples, n: int, h_tol: float = 1e-3):
-    """Strict |A|^2 < ((n-2)/2)^2 / |p|^2 at near-zeros of H.
-
-    ``samples`` is an iterable of (|p|, H, A2) triples; only those with
-    |p|*|H| < h_tol are checked.  Returns (verdict, margin) where margin is
-    the worst value of bound - A2 over checked samples (None when vacuous or
-    not applicable).  Monotone: raising any A2 can only shrink the margin.
-    """
-    if n < 3:
-        return "not-applicable", None
-    bound_coeff = ((n - 2) / 2.0) ** 2
-    margin = None
-    for p_norm, H, A2 in samples:
-        if p_norm <= 0:
-            raise ParameterError("stability samples need |p| > 0")
-        if p_norm * abs(H) >= h_tol:
-            continue
-        m = bound_coeff / p_norm ** 2 - A2
-        margin = m if margin is None else min(margin, m)
-    if margin is None:
-        return "pass", None
-    return ("pass" if margin > 0 else "fail"), float(margin)
-
-
-def validate_admissible(k: ConeProfile,
-                        tolerances: AdmissibilityTolerances | None = None) -> AdmissibilityReport:
-    """Check the admissible-cone conditions and report witnesses.
-
-    Mean convexity and the |A|^2 bound are scale invariant, so they are
-    evaluated on the unit sphere only and extend along rays by homogeneity.
-    The lower bounding plane is found by a small linear program over sampled
-    directions (the best uniform margin of gamma above a linear function).
-    """
-    tol = tolerances or AdmissibilityTolerances()
-    verdicts = {}
-
-    if k.kind == "angular" and k.gamma_samples.size < 16:
-        raise ResolutionError(
-            f"angular profile has {k.gamma_samples.size} samples; need >= 16 to validate",
-            suggestion="resample the profile at >= 16 angles")
-
-    hom = _homogeneity_defect(k)
-    verdicts["homogeneity"] = "pass" if hom < 1e-12 else "fail"
-
-    if k.kind == "radial":
-        verdicts["smoothness"] = "pass"
-        theta = None
-    else:
-        theta = 2.0 * np.pi * np.arange(tol.angular_samples) / tol.angular_samples
-        smooth = np.all(np.isfinite(k.gamma(theta))) \
-            and np.all(np.isfinite(k.gamma_prime(theta))) \
-            and np.all(np.isfinite(k.gamma_second(theta)))
-        verdicts["smoothness"] = "pass" if smooth else "fail"
-
-    rH = np.atleast_1d(k.scaled_mean_curvature(theta))
-    min_rH = float(np.min(rH))
-    verdicts["mean_convexity"] = "pass" if min_rH >= -tol.mean_convexity_tol else "fail"
-
-    plane = _best_lower_plane(k, tol.angular_samples if k.kind == "angular" else 0)
-    verdicts["lower_plane"] = "pass" if plane.margin >= -tol.support_tol else "fail"
-
-    if k.n < 3:
-        verdicts["stability"] = "not-applicable"
-        stab_margin = None
-    else:
-        a2 = np.atleast_1d(k.scaled_a2(theta))
-        samples = [(1.0, float(h), float(a)) for h, a in zip(rH, a2)]
-        verdict, stab_margin = check_stability_condition(samples, k.n, tol.h_tol)
-        verdicts["stability"] = verdict
-
-    return AdmissibilityReport(verdicts, min_rH, plane, stab_margin, tol.h_tol)
-
-
-def supporting_hyperplane(k: ConeProfile, direction, tol: float = 1e-10,
-                          samples: int = 720) -> SupportingPlane:
-    """Tangent plane of the cone graph along a ray, certified as a lower bound.
-
-    Returns l(x) = <Dk(direction), x>.  The certificate is the minimum of
-    gamma - l over a dense direction sample; a convex cone certifies with
-    margin >= 0 (zero along the touching ray).  Non-convex profiles raise a
-    certification failure carrying the violating direction.
-    """
-    w = np.asarray(direction, dtype=float)
-    if w.shape != (k.n,):
-        raise ParameterError(f"direction must be a vector with {k.n} components")
-    norm = np.sqrt(np.sum(w ** 2))
-    if norm == 0:
-        raise ParameterError("direction must be nonzero")
-    w = w / norm
-
-    if k.kind == "radial":
-        slope = k.beta * w
-        # gamma - <slope, omega> = beta*(1 - cos psi); the extremes are psi = 0, pi.
-        margin = min(0.0, 2.0 * k.beta)
-        if margin < -tol:
-            raise CertificationError(
-                f"cone with slope {k.beta} has no supporting plane along the ray",
-                witness={"direction": (-w).tolist(), "margin": margin})
-        return SupportingPlane(slope, float(margin), w)
-
-    theta0 = float(np.arctan2(w[1], w[0]))
-    g0 = float(k.gamma(theta0))
-    gp0 = float(k.gamma_prime(theta0))
-    slope = np.array([g0 * np.cos(theta0) - gp0 * np.sin(theta0),
-                      g0 * np.sin(theta0) + gp0 * np.cos(theta0)])
-    th = 2.0 * np.pi * np.arange(samples) / samples
-    gap = np.asarray(k.gamma(th)) - (g0 * np.cos(th - theta0) + gp0 * np.sin(th - theta0))
-    i_min = int(np.argmin(gap))
-    margin = float(gap[i_min])
-    if margin < -tol:
-        raise CertificationError(
-            "tangent plane fails to support the cone (profile not convex)",
-            witness={"direction": [float(np.cos(th[i_min])), float(np.sin(th[i_min]))],
-                     "margin": margin})
-    return SupportingPlane(slope, margin, w)

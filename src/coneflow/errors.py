@@ -13,14 +13,6 @@ class ParameterError(ValueError):
     """Parameters violate a documented precondition."""
 
 
-class ResolutionError(ValueError):
-    """Sampling or grid too coarse for the requested computation."""
-
-    def __init__(self, message, suggestion=None):
-        super().__init__(message)
-        self.suggestion = suggestion
-
-
 class CertificationError(RuntimeError):
     """A numerical certificate could not be established."""
 

@@ -12,11 +12,12 @@ to CSV without recomputation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import DecayFit, decay_fit, sup_diff
+from .analysis import DecayFit, bump, decay_fit
 from .barriers import assemble_subsolution, lemma_barrier_flow
 from .cones import ConeProfile
 from .errors import ParameterError
@@ -32,7 +33,6 @@ from .flow import (
 from .geometry import GridFunction, GridSpec
 
 __all__ = [
-    "bump",
     "synthetic_expander_run",
     "restrict_run",
     "SideReport",
@@ -47,15 +47,6 @@ __all__ = [
     "Scenario",
     "SCENARIOS",
 ]
-
-
-def bump(r: np.ndarray, amplitude: float, radius: float) -> np.ndarray:
-    """C^1 compact bump amplitude*cos^2(pi r / (2 radius)) inside r < radius."""
-    s = np.asarray(r, dtype=float) / radius
-    out = np.zeros_like(s)
-    inside = s < 1.0
-    out[inside] = amplitude * np.cos(np.pi * s[inside] / 2.0) ** 2
-    return out
 
 
 def synthetic_expander_run(profile: ExpanderProfile, spec: GridSpec, times,
@@ -376,63 +367,57 @@ def subsolution_dominance_experiment(n: int = 3, beta: float = 1.0,
 
 @dataclass(frozen=True)
 class Scenario:
-    """Named experiment configuration with a one-line claim tag."""
+    """Named experiment configuration with a one-line claim tag.
+
+    ``runner`` names the experiment function in this module.  It is looked up
+    at call time, so a rebound module attribute (a profiler's wrapper, say)
+    is what runs.  ``quick_overrides`` holds the (key, value) settings of quick
+    mode; explicit ``overrides`` win over them.
+    """
 
     name: str
-    kind: str
+    runner: str
     claim: str
+    quick_overrides: tuple = ()
     n: int = 2
     beta: float = 1.0
     seed: int = 0
     overrides: tuple = ()
 
+    def function(self):
+        """The runner, read from this module's namespace at call time."""
+        return globals()[self.runner]
+
     def run(self, quick: bool = False):
+        fn = self.function()
         kw = dict(self.overrides)
         kw.setdefault("n", self.n)
         kw.setdefault("beta", self.beta)
-        if self.kind == "main-theorem":
-            if quick:
-                kw.setdefault("horizon", 10.0)
-                kw.setdefault("nodes", 601)
-                kw.setdefault("r_max", 40.0)
-                kw.setdefault("dt_max", 0.05)
-                kw.setdefault("threshold", 0.25)
-            return run_main_theorem(**kw)
-        if self.kind == "one-sided":
-            if quick:
-                kw.setdefault("horizon", 12.0)
-                kw.setdefault("nodes", 601)
-                kw.setdefault("r_max", 40.0)
-                kw.setdefault("dt_max", 0.05)
-                kw.setdefault("fit_window", (1.0, 12.0))
-            return run_one_sided(**kw)
-        if self.kind == "family-uniform":
+        if "seed" in inspect.signature(fn).parameters:
             kw.setdefault("seed", self.seed)
-            if quick:
-                kw.setdefault("horizon", 8.0)
-                kw.setdefault("nodes", 401)
-            return run_family_uniform(**kw)
-        if self.kind == "subsolution":
-            kw.pop("seed", None)
-            if quick:
-                kw.setdefault("nodes", 751)
-                kw.setdefault("horizon", 1.0)
-            return subsolution_dominance_experiment(**kw)
-        raise ParameterError(f"unknown scenario kind {self.kind!r}")
+        if quick:
+            for key, value in self.quick_overrides:
+                kw.setdefault(key, value)
+        return fn(**kw)
 
 
 SCENARIOS = {
     "main-theorem": Scenario(
-        "main-theorem", "main-theorem",
-        "two-sided bump perturbations settle onto the expander"),
+        "main-theorem", "run_main_theorem",
+        "two-sided bump perturbations settle onto the expander",
+        quick_overrides=(("horizon", 10.0), ("nodes", 601), ("r_max", 40.0),
+                         ("dt_max", 0.05), ("threshold", 0.25))),
     "one-sided": Scenario(
-        "one-sided", "one-sided",
-        "one-sided data decays onto the expander at the diffusive rate"),
+        "one-sided", "run_one_sided",
+        "one-sided data decays onto the expander at the diffusive rate",
+        quick_overrides=(("horizon", 12.0), ("nodes", 601), ("r_max", 40.0),
+                         ("dt_max", 0.05), ("fit_window", (1.0, 12.0)))),
     "family-uniform": Scenario(
-        "family-uniform", "family-uniform",
-        "a family under one envelope converges uniformly"),
+        "family-uniform", "run_family_uniform",
+        "a family under one envelope converges uniformly",
+        quick_overrides=(("horizon", 8.0), ("nodes", 401))),
     "subsolution": Scenario(
-        "subsolution", "subsolution",
+        "subsolution", "subsolution_dominance_experiment",
         "the glued subsolution is dominated while the flow recovers the cone",
-        n=3),
+        quick_overrides=(("nodes", 751), ("horizon", 1.0)), n=3),
 }

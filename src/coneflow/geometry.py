@@ -11,16 +11,16 @@ particular H[beta*|x|] = (n-1)*beta/(r*sqrt(1+beta^2)) > 0 for beta > 0, and a
 lower hemisphere of radius R has H = n/R.
 
 Derivatives are second-order centered differences on possibly non-uniform
-grids; boundary nodes fall back to one-sided stencils and are lower accuracy
-(see :func:`interior_mask`).  A radial grid whose first node sits at r = 0
-uses the even extension u(-r) = u(r), and polar grids flagged as passing
-through the origin use the antipodal continuation u(-r, theta) = u(r,
-theta+pi) across the innermost ring.
+grids; boundary nodes fall back to one-sided stencils and are lower accuracy.
+A radial grid whose first node sits at r = 0 uses the even extension
+u(-r) = u(r), and polar grids flagged as passing through the origin use the
+antipodal continuation u(-r, theta) = u(r, theta+pi) across the innermost
+ring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -34,11 +34,9 @@ __all__ = [
     "GeometricState",
     "grids_match",
     "mean_curvature",
-    "divergence_form_rhs",
     "geometric_state",
     "graph_rhs",
     "radial_rhs",
-    "interior_mask",
 ]
 
 _MIN_NODES = 8
@@ -152,13 +150,6 @@ class GridSpec:
         thetas = 2.0 * np.pi * np.arange(ntheta) / ntheta
         return cls(2, radii, thetas, through_origin=True)
 
-    @classmethod
-    def polar_annulus(cls, r_min: float, r_max: float, nr: int, ntheta: int = 32) -> "GridSpec":
-        if r_min <= 0:
-            raise GridError("annulus needs r_min > 0")
-        thetas = 2.0 * np.pi * np.arange(ntheta) / ntheta
-        return cls(2, np.linspace(r_min, r_max, nr), thetas)
-
 
 @dataclass(eq=False)
 class GridFunction:
@@ -174,17 +165,6 @@ class GridFunction:
         if not np.all(np.isfinite(vals)):
             raise GridError("grid function values must be finite")
         self.values = vals
-
-    @classmethod
-    def from_callable(cls, spec: GridSpec, f) -> "GridFunction":
-        if spec.polar:
-            r = spec.nodes[:, None]
-            th = spec.thetas[None, :]
-            return cls(spec, np.broadcast_to(f(r, th), spec.shape).copy())
-        return cls(spec, np.broadcast_to(f(spec.nodes), spec.shape).copy())
-
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.spec, values)
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.spec, self.values.copy())
@@ -213,10 +193,6 @@ class GeometricState:
     W: np.ndarray
     X_dot_nu: np.ndarray
     kappa: np.ndarray | None = None
-
-    @property
-    def X_norm(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.X ** 2, axis=-1))
 
     def invariant_violations(self) -> dict:
         """Largest deviation from each structural invariant (all should be ~0)."""
@@ -460,60 +436,15 @@ def mean_curvature(u: GridFunction) -> GridFunction:
     return GridFunction(u.spec, H)
 
 
-def divergence_form_rhs(u: GridFunction) -> GridFunction:
-    """sqrt(1+|Du|^2) * H[u] computed by differencing the flux Du/sqrt(1+|Du|^2).
-
-    Deliberately a different discrete operator from :func:`graph_rhs` (which
-    expands the derivatives analytically before discretizing); the two agree
-    to second order and serve as mutual cross-checks.
-    """
-    spec = u.spec
-    if spec.polar:
-        r = spec.nodes[:, None]
-        ur, ut, *_ = _polar_derivatives(spec, u.values)
-        W = np.sqrt(1.0 + ur ** 2 + (ut / r) ** 2)
-        re, fre = _polar_extended(spec, r * ur / W)
-        dflux_r = _d1_d2(re, fre)[0]
-        if spec.through_origin:
-            dflux_r = dflux_r[1:]
-        dflux_t = _theta_derivatives(spec, ut / W)[0]
-        H = dflux_r / r + dflux_t / r ** 2
-        return GridFunction(spec, W * H)
-    r = spec.nodes
-    p, _ = _radial_derivatives(spec, u.values)
-    W = np.sqrt(1.0 + p * p)
-    f = p / W
-    if r[0] == 0.0:
-        re = np.concatenate(([-r[1]], r))
-        fe = np.concatenate(([-f[1]], f))  # the flux is odd in r
-        df = _d1_d2(re, fe)[0][1:]
-        frac = np.empty_like(f)
-        frac[1:] = f[1:] / r[1:]
-        frac[0] = df[0]
-        H = df + (spec.n - 1) * frac
-    else:
-        H = _d1_d2(r, f)[0] + (spec.n - 1) * f / r
-    return GridFunction(spec, W * H)
-
-
-def radial_rhs(u: GridFunction, check_origin: bool = False,
-               origin_slope_tol: float = 1e-6) -> GridFunction:
+def radial_rhs(u: GridFunction) -> GridFunction:
     """Full flow speed sqrt(1+|Du|^2)*H[u] in the radial reduction.
 
     Equals u_rr/(1+u_r^2) + (n-1) u_r/r, with the regularized limit
-    n*u_rr(0) at an r = 0 node.  ``check_origin`` additionally requires the
-    one-sided slope at the axis to vanish within ``origin_slope_tol``, which
-    is the smoothness contract for data meant to be C^1 at the tip; leave it
-    off for Lipschitz (conical) data, which the first implicit step smooths.
+    n*u_rr(0) at an r = 0 node.
     """
     spec = u.spec
     if spec.polar:
         raise GridError("radial_rhs requires a radial grid; use graph_rhs for polar mode")
-    if check_origin and spec.nodes[0] == 0.0:
-        slope = (u.values[1] - u.values[0]) / spec.nodes[1]
-        if abs(slope) > origin_slope_tol:
-            raise GridError(
-                f"axis slope {slope:.3e} exceeds {origin_slope_tol:.1e}; data not smooth at r=0")
     p, q = _radial_derivatives(spec, u.values)
     return GridFunction(spec, _radial_speed(spec, p, q))
 
@@ -559,22 +490,3 @@ def geometric_state(u: GridFunction) -> GeometricState:
                                kappa=np.stack([kprof, krot], axis=-1))
     state.check()
     return state
-
-
-def interior_mask(spec: GridSpec) -> np.ndarray:
-    """Nodes where stencils are centered (full second-order accuracy).
-
-    An r = 0 radial node counts as interior (even extension), as does the
-    innermost ring of a through-origin polar grid (antipodal extension).
-    """
-    if spec.polar:
-        mask = np.ones(spec.shape, dtype=bool)
-        mask[-1, :] = False
-        if not spec.through_origin:
-            mask[0, :] = False
-        return mask
-    mask = np.ones(spec.shape, dtype=bool)
-    mask[-1] = False
-    if spec.nodes[0] != 0.0:
-        mask[0] = False
-    return mask

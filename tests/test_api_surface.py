@@ -1,0 +1,63 @@
+"""Every public function has a caller or a test.
+
+A function listed in a module's ``__all__`` must be referenced from another
+package module (the package ``__init__`` re-exports names and does not
+count) or from a test.  A reference is a ``Name``, an ``Attribute`` or an
+import alias.  Classes are out of scope: report types are built by their
+producers and read field by field.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "coneflow"
+TESTS = ROOT / "tests"
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _exported_functions(tree: ast.Module) -> set:
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            exported = {ast.literal_eval(e) for e in node.value.elts}
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in exported}
+
+
+def _references(tree: ast.Module) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+            if node.asname:
+                names.add(node.asname)
+    return names
+
+
+MODULES = {p.stem: _parse(p) for p in sorted(PACKAGE.glob("*.py"))
+           if p.name != "__init__.py"}
+TEST_REFERENCES = set().union(*(_references(_parse(p))
+                                for p in sorted(TESTS.glob("test_*.py"))))
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_public_functions_are_referenced(module):
+    others = set().union(*(_references(tree) for name, tree in MODULES.items()
+                           if name != module))
+    unreferenced = sorted(_exported_functions(MODULES[module])
+                          - others - TEST_REFERENCES)
+    assert not unreferenced, (
+        f"{module}.__all__ lists functions nothing calls or tests: "
+        f"{', '.join(unreferenced)}")

@@ -81,6 +81,13 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert run_cli(["--config", str(cfg), "expander"], tmp_path) == 2
 
 
+def test_threads_flag_and_key_rejected(tmp_path, capsys):
+    assert run_cli(["--threads", "2", "expander"], tmp_path) == 2
+    cfg = tmp_path / "threads.ini"
+    cfg.write_text("[run]\nthreads = 2\n")
+    assert run_cli(["--config", str(cfg), "expander"], tmp_path) == 2
+
+
 def test_config_unknown_section_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[nonsense]\nx = 1\n")

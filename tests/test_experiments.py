@@ -1,9 +1,15 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from coneflow import experiments
+from coneflow.analysis import bump
 from coneflow.errors import ParameterError
-from coneflow.experiments import (SCENARIOS, Scenario, bump, restrict_run,
-                                  run_family_uniform, run_one_sided,
+from coneflow.experiments import (SCENARIOS, Scenario, restrict_run,
+                                  run_family_uniform, run_main_theorem,
+                                  run_one_sided,
+                                  subsolution_dominance_experiment,
                                   synthetic_expander_run)
 from coneflow.geometry import GridSpec
 
@@ -43,12 +49,31 @@ def test_restrict_run(profile21):
 
 
 def test_scenario_registry_complete():
-    assert set(SCENARIOS) == {"main-theorem", "one-sided", "family-uniform",
-                              "subsolution"}
+    runners = {name: sc.function() for name, sc in SCENARIOS.items()}
+    assert runners == {"main-theorem": run_main_theorem,
+                       "one-sided": run_one_sided,
+                       "family-uniform": run_family_uniform,
+                       "subsolution": subsolution_dominance_experiment}
     for name, sc in SCENARIOS.items():
         assert isinstance(sc, Scenario)
         assert sc.name == name
         assert sc.claim
+        params = inspect.signature(runners[name]).parameters
+        for key, _ in sc.quick_overrides:
+            assert key in params, (name, key)
+
+
+def test_scenario_runner_looked_up_at_call_time(monkeypatch):
+    calls = []
+
+    def stub(seed=None, **kw):
+        calls.append(dict(kw, seed=seed))
+        return "stub report"
+
+    monkeypatch.setattr(experiments, "run_family_uniform", stub)
+    assert SCENARIOS["family-uniform"].run(quick=True) == "stub report"
+    assert calls == [{"n": 2, "beta": 1.0, "seed": 0, "horizon": 8.0,
+                      "nodes": 401}]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
