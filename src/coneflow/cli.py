@@ -300,7 +300,8 @@ def _cmd_verify(cfg: dict, out: str) -> int:
         report["evolution_equations"] = {"passed": ok, "detail": detail}
         verdicts.append(ok)
     if which in ("area", "all"):
-        ok, detail = area_bv_bound(quick or sec["trials"] <= 25)
+        trials = min(sec["trials"], 25) if quick else sec["trials"]
+        ok, detail = area_bv_bound(quick, trials)
         report["area_bound"] = {"passed": ok, "detail": detail}
         verdicts.append(ok)
     report["passed"] = all(verdicts)
@@ -411,6 +412,9 @@ def _cmd_suite(cfg: dict, out: str) -> int:
 # ---------------------------------------------------------------------------
 # dispatch
 
+# subcommands whose runs have cheaper quick settings
+_QUICK_COMMANDS = ("verify", "experiment", "suite")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -425,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, metavar="N",
                         help="random seed for randomized checks")
     parser.add_argument("--quick", action="store_true", default=None,
-                        help="smaller grids and horizons for smoke runs")
+                        help="smaller grids and horizons for smoke runs "
+                             "(verify, experiment, suite only)")
     parser.add_argument("--print-config", action="store_true",
                         help="print the merged configuration and exit")
     parser.add_argument("-v", "--verbose", action="count", default=0)
@@ -471,6 +476,12 @@ def dispatch(argv) -> int:
         if args.subcommand is None:
             parser.print_usage(sys.stderr)
             return 2
+
+        if cfg["run"]["quick"] and args.subcommand not in _QUICK_COMMANDS:
+            raise ParameterError(
+                f"--quick (or [run] quick) has no effect on "
+                f"{args.subcommand!r}; it applies to "
+                f"{', '.join(_QUICK_COMMANDS)}")
 
         sets = getattr(args, "sets", None)
         if args.subcommand != "experiment":

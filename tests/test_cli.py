@@ -88,6 +88,29 @@ def test_threads_flag_and_key_rejected(tmp_path, capsys):
     assert run_cli(["--config", str(cfg), "expander"], tmp_path) == 2
 
 
+@pytest.mark.parametrize("subcommand", ["expander", "evolve", "barrier"])
+def test_quick_rejected_where_it_does_nothing(tmp_path, capsys, subcommand):
+    out = tmp_path / "art"
+    assert run_cli(["--quick", "--out", str(out), subcommand], tmp_path) == 2
+    assert "no effect on" in capsys.readouterr().err
+    cfg = tmp_path / "quick.ini"
+    cfg.write_text("[run]\nquick = true\n")
+    assert run_cli(["--config", str(cfg), "--out", str(out), subcommand],
+                   tmp_path) == 2
+    assert not out.exists()  # rejected before any artifact
+
+
+def test_verify_area_trials(tmp_path, capsys):
+    out = tmp_path / "art"
+    rc = run_cli(["--out", str(out), "verify", "--set", "which=area",
+                  "--set", "trials=50"], tmp_path)
+    assert rc == 0
+    report = json.loads((out / "verify_report.json").read_text())
+    assert report["area_bound"]["detail"].startswith("50/50 bound checks pass")
+    assert run_cli(["--out", str(out), "verify", "--set", "which=area",
+                    "--set", "trials=0"], tmp_path) == 2
+
+
 def test_config_unknown_section_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[nonsense]\nx = 1\n")

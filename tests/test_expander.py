@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from coneflow import acceptance, expander
 from coneflow.cones import ConeProfile
-from coneflow.errors import DomainError
-from coneflow.expander import (evaluate_U, expander_time_derivative,
+from coneflow.errors import DomainError, ShootingError
+from coneflow.expander import (ShootingConfig, evaluate_U,
+                               expander_time_derivative,
                                relax_angular_expander, solve_expander_profile)
 from coneflow.geometry import GridSpec
 
@@ -125,3 +128,103 @@ def test_angular_relaxation_consistent_with_radial():
     assert ang.center_height() == pytest.approx(1.7090957539, abs=0.05)
     above = ang.solution.values - k.on_grid(ang.solution.spec).values
     assert np.min(above) > -1e-8
+
+
+# ---------------------------------------------------------------------------
+# shooting: the bare LSODA loop against solve_ivp with a terminal event
+
+
+def _miss_via_solve_ivp(a, n, beta, cfg):
+    """The shot as solve_ivp computes it: t_eval at rho_max, blow-up event."""
+    rho0, y0 = expander._series_start(a, n)
+
+    def blow_up(rho, y, *_args):
+        return cfg.slope_cap - abs(y[1])
+
+    blow_up.terminal = True
+    sol = solve_ivp(expander._ode_rhs, (rho0, cfg.rho_max), y0, args=(n,),
+                    method="LSODA", rtol=cfg.ode_rtol, atol=cfg.ode_atol,
+                    t_eval=[cfg.rho_max], events=blow_up)
+    if sol.status == 1:
+        return np.inf if sol.y_events[0][0][1] > 0 else -np.inf
+    if not sol.success:
+        raise ShootingError(sol.message, scanned=[a])
+    return float(sol.y[0][-1] - expander._tail_value(n, beta, cfg.rho_max))
+
+
+@pytest.mark.parametrize("n,beta", [(2, 0.5), (2, 1.0), (3, 1.0), (3, 2.0)])
+def test_miss_bit_identical_to_solve_ivp(n, beta):
+    cfg = ShootingConfig()
+    for a in np.geomspace(0.05, 50.0, 9):
+        assert expander._miss(a, n, beta, cfg) == _miss_via_solve_ivp(a, n, beta, cfg)
+
+
+def test_miss_blow_up_bit_identical_to_solve_ivp():
+    # with a slope cap of 2, shots of the (2, 1) profile (root a ~ 1.709)
+    # blow up upward far above the root and downward for a << 0; the rest
+    # land finite
+    cfg = ShootingConfig(slope_cap=2.0)
+    got = []
+    for a in (-20.0, -5.0, -2.0, 0.5, 1.8, 5.0, 20.0):
+        want = _miss_via_solve_ivp(a, 2, 1.0, cfg)
+        assert expander._miss(a, 2, 1.0, cfg) == want
+        got.append(want)
+    assert np.inf in got and -np.inf in got
+    assert np.isfinite(got).any()
+
+
+@pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small",
+                            "ignore:.*Excess accuracy requested")
+def test_failed_shot_raises_with_scanned():
+    # rtol below the floor with atol = 0 makes LSODA stop with a bad istate
+    cfg = ShootingConfig(ode_rtol=1e-20, ode_atol=0.0)
+    with pytest.raises(ShootingError):
+        _miss_via_solve_ivp(1.0, 2, 1.0, cfg)
+    with pytest.raises(ShootingError, match="integration failed at a=1.0") as info:
+        expander._miss(1.0, 2, 1.0, cfg)
+    assert info.value.scanned == [1.0]
+    with pytest.raises(ShootingError) as info:
+        solve_expander_profile(ConeProfile.radial(2, 1.0), cfg)
+    assert info.value.scanned == [1.0]
+
+
+# ---------------------------------------------------------------------------
+# the shared profile cache
+
+
+def test_profile_cache_returns_same_object():
+    prof = solve_expander_profile(ConeProfile.radial(2, 1.0))
+    assert solve_expander_profile(ConeProfile.radial(2, 1)) is prof
+    assert solve_expander_profile(ConeProfile.radial(2, 1.0),
+                                  ShootingConfig()) is prof
+
+
+def test_profile_cache_keys_on_config():
+    prof = solve_expander_profile(ConeProfile.radial(2, 1.0))
+    other = solve_expander_profile(ConeProfile.radial(2, 1.0),
+                                   ShootingConfig(asym_tol=2e-4))
+    assert other is not prof
+    # asym_tol only gates the postcondition; the shots are the same
+    assert other.a == prof.a
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_profile_arrays_read_only(beta):
+    prof = solve_expander_profile(ConeProfile.radial(2, beta))
+    for arr in (prof.rho, prof.phi, prof.phi_prime, prof.node_residual):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        prof.phi[0] = 0.0
+
+
+def test_criteria_share_one_solve_per_profile():
+    # criteria 1, 5 and 14 all use the (2, 1) expander: one uncached solve
+    expander._shoot_profile.cache_clear()
+    for criterion in (acceptance.expander_self_similarity,
+                      acceptance.two_sided_convergence,
+                      acceptance.family_uniformity):
+        ok, detail = criterion(quick=True)
+        assert ok, detail
+    info = expander._shoot_profile.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert info.hits >= 2
