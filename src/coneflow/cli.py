@@ -5,7 +5,9 @@ numerical breakdown (shooting, Newton, or step-size failure).  Artifacts are
 written atomically (temp file in the target directory, then rename), CSVs are
 comma-separated UTF-8 with LF endings and a header row naming columns and
 units.  Re-running with the same config and seed reproduces the artifacts
-byte for byte.
+byte for byte, except for wall-clock timings: the ``seconds`` field of
+``acceptance.csv`` and ``acceptance.json``, and the solve time that
+criterion 1 reports in its ``detail`` (its 60 s cap is part of the verdict).
 """
 
 from __future__ import annotations

@@ -365,13 +365,19 @@ def expander_time_derivative(profile: ExpanderProfile, r, t: float) -> np.ndarra
 
 @dataclass
 class AngularExpander:
-    """Stationary similarity-variable solution for an anisotropic planar cone."""
+    """Stationary similarity-variable solution for an anisotropic planar cone.
+
+    ``newton_iters`` and ``lu_factorizations`` total the Newton updates and
+    sparse LU factorizations over all ``steps`` implicit steps.
+    """
 
     cone: ConeProfile
     solution: GridFunction
     stationary_rate: float
     steps: int
     converged: bool
+    newton_iters: int
+    lu_factorizations: int
 
     def center_height(self) -> float:
         """phi(0) estimate: mean of the innermost ring (second-order accurate)."""
@@ -401,12 +407,15 @@ def relax_angular_expander(k: ConeProfile, rho_max: float = 12.0, nr: int = 72,
                             similarity_drift=True)
     bv = flow.boundary_values_for(u, cfg)
     rate = np.inf
-    steps = 0
+    steps = iters = 0
     while steps * dtau < tau_max:
-        u_new = flow.step(u, dtau, cfg, bv, (steps + 1) * dtau)
+        stats = {}
+        u_new = flow.step(u, dtau, cfg, bv, (steps + 1) * dtau, stats=stats)
+        iters += stats["iters"]
         rate = float(np.max(np.abs(u_new.values - u.values))) / dtau
         u = u_new
         steps += 1
         if rate <= stationary_tol:
             break
-    return AngularExpander(k, u, rate, steps, rate <= stationary_tol)
+    # every Newton update factors one sparse LU of the probed Jacobian
+    return AngularExpander(k, u, rate, steps, rate <= stationary_tol, iters, iters)

@@ -11,11 +11,13 @@ colored finite differences (the stencil is local, so a handful of probe
 vectors recovers every column) and solves with a sparse LU.
 
 Radial residual, Jacobian and per-step diagnostics share one cached
-three-point operator per grid (``geometry._radial_operator``).  The radial
-Newton loop runs on raw arrays: each residual evaluation also returns
-(v_r, v_rr), which the Jacobian and the curvature diagnostics reuse, and the
-accepted backtracking trial's residual starts the next iteration.  A
-non-finite residual raises NewtonError at once.
+three-point operator per grid (``geometry._radial_operator``).  The polar
+column coloring and its scatter indices are cached per grid, and the base
+state and every probe go through one stacked speed evaluation.  Both modes
+run one Newton loop on raw arrays: the accepted backtracking trial's
+residual starts the next iteration (on radial grids its (v_r, v_rr) also
+feed the Jacobian and the curvature diagnostics), and a non-finite residual
+raises NewtonError at once.
 
 Dirichlet data at the truncation radius comes in three flavors: pinned to the
 initial values, pinned to a cone, or pinned to the moving expander (needed for
@@ -30,6 +32,8 @@ expander module uses it for anisotropic profiles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -38,7 +42,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import GridError, NewtonError, ParameterError, StepFailureError
 from .geometry import (GridFunction, GridSpec, grids_match, mean_curvature,
-                       _polar_derivatives, _radial_curvatures, _radial_derivatives,
+                       _polar_speed, _radial_curvatures, _radial_derivatives,
                        _radial_operator, _radial_speed)
 
 __all__ = [
@@ -194,106 +198,110 @@ def _radial_newton_matrix(spec: GridSpec, p: np.ndarray, q: np.ndarray, dt: floa
     return ab
 
 
-def _rhs_values(u: GridFunction, config: SolverConfig) -> np.ndarray:
-    """Flow speed (plus optional similarity drift) at every node of a polar grid."""
-    spec = u.spec
-    from .geometry import graph_rhs
-    vals = graph_rhs(u).values
-    if config.similarity_drift:
-        ur = _polar_derivatives(spec, u.values)[0]
-        vals = vals + 0.5 * (spec.nodes[:, None] * ur - u.values)
-    return vals
+# ---------------------------------------------------------------------------
+# polar residual and colored finite-difference Jacobian
 
 
-def _pick_theta_colors(ntheta: int) -> int:
-    """Smallest angular color count whose classes have disjoint stencil rows.
+def _polar_residual(spec: GridSpec, v: np.ndarray, u_prev: np.ndarray, dt: float,
+                    config: SolverConfig, outer, inner) -> np.ndarray:
+    """Implicit Euler residual at v with Dirichlet rings."""
+    res = v - u_prev - dt * _polar_speed(spec, v, config.similarity_drift)
+    res[-1, :] = v[-1, :] - outer
+    if inner is not None:
+        res[0, :] = v[0, :] - inner
+    return res
 
-    Row footprints extend one angular node each way, plus the antipodal image
-    (another one-node window around j + ntheta/2) for the ghost ring, so two
-    same-color unknowns must keep circular distance > 2 from both 0 and
-    ntheta/2.
+
+class _PolarColoring(NamedTuple):
+    """Probe masks and scatter indices of the polar Jacobian of one grid.
+
+    ``masks[c]`` marks the unknowns probed together by color c.  Pair k of
+    the sparsity couples row ``rows[k]`` to column ``cols[k]``, and its
+    difference quotient sits at flat index ``gather[k]`` of the stacked
+    (color, row) quotients.
     """
-    half = ntheta // 2
-    forbidden = set()
-    for e in (-2, -1, 0, 1, 2):
-        forbidden.add(e % ntheta)
-        forbidden.add((half + e) % ntheta)
-    for L in range(5, ntheta + 1):
-        ok = True
-        for c in range(L):
-            members = [j for j in range(ntheta) if j % L == c]
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    if (members[b] - members[a]) % ntheta in forbidden \
-                            or (members[a] - members[b]) % ntheta in forbidden:
-                        ok = False
-            if not ok:
-                break
-        if ok:
-            return L
-    return ntheta
+
+    masks: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    gather: np.ndarray
 
 
-def _polar_rows_for(spec: GridSpec, i: int, j: int, fixed_inner: bool):
-    """Residual rows that can depend on unknown (i, j)."""
+@lru_cache(maxsize=32)
+def _polar_coloring(spec: GridSpec, fixed_inner: bool) -> _PolarColoring:
+    """Greedy column coloring of the polar Jacobian, cached per (grid, inner
+    pinning); GridSpec hashes by identity.
+
+    Unknowns are all nodes off the Dirichlet rings.  The residual row of node
+    (i, j) reads the 3x3 block around it and, on the innermost ring of a
+    through-origin grid, the antipodal ghost nodes (0, j + ntheta/2 +- 1), so
+    unknown (i, j) reaches the rows of that block off the Dirichlet rings,
+    plus the antipodal rows when i = 0.  Columns are colored in natural
+    order with the smallest color no earlier column sharing a row holds
+    (Coleman-More sequential coloring); one probe per color then recovers
+    every column exactly (Curtis-Powell-Reid).
+    """
     nr, nt = spec.nr, spec.ntheta
-    rows = []
+    first = 1 if fixed_inner else 0
+    i, j = np.divmod(np.arange(first * nt, (nr - 1) * nt), nt)
+    reach = []
     for di in (-1, 0, 1):
         ii = i + di
-        if ii < 0 or ii >= nr - 1:  # outer ring rows are Dirichlet
-            continue
-        if fixed_inner and ii == 0:
-            continue
+        live = (ii >= first) & (ii < nr - 1)
         for dj in (-1, 0, 1):
-            rows.append(ii * nt + (j + dj) % nt)
-    if i == 0 and spec.through_origin:
-        jj = (j + nt // 2) % nt
+            reach.append(np.where(live, ii * nt + (j + dj) % nt, -1))
+    if spec.through_origin:
         for dj in (-1, 0, 1):
-            rows.append(0 * nt + (jj + dj) % nt)
-    return rows
+            reach.append(np.where(i == 0, (j + nt // 2 + dj) % nt, -1))
+    reach = np.stack(reach, axis=1)
+    cols = i * nt + j
+    colors = np.empty(cols.size, dtype=np.intp)
+    held = [set() for _ in range(nr * nt)]  # colors already reaching each row
+    for k, rows_k in enumerate(reach.tolist()):
+        rows_k = [row for row in rows_k if row >= 0]
+        taken = set().union(*(held[row] for row in rows_k))
+        c = 0
+        while c in taken:
+            c += 1
+        colors[k] = c
+        for row in rows_k:
+            held[row].add(c)
+    masks = np.zeros((int(colors.max()) + 1, nr * nt), dtype=bool)
+    masks[colors, cols] = True
+    pairs = reach >= 0
+    rows = reach[pairs]
+    pair_colors = np.broadcast_to(colors[:, None], reach.shape)[pairs]
+    out = _PolarColoring(masks.reshape((-1,) + spec.shape), rows,
+                         np.broadcast_to(cols[:, None], reach.shape)[pairs],
+                         pair_colors * (nr * nt) + rows)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def _polar_newton_lu(u_vals: np.ndarray, spec: GridSpec, dt: float,
                      config: SolverConfig, fixed_inner: bool):
     """Sparse LU of (I - dt*J) at state u_vals, J probed by colored differences.
 
-    Dirichlet unknowns stay clamped (their Newton update is zero), so columns
-    coupling interior rows to boundary unknowns can be dropped safely.
+    The base state and one probe per color go through one stacked speed
+    evaluation.  Dirichlet unknowns stay clamped (their Newton update is
+    zero), so columns coupling interior rows to boundary unknowns are
+    dropped; Dirichlet rows keep the identity.
     """
-    nr, nt = spec.nr, spec.ntheta
-    ntot = nr * nt
-    L = _pick_theta_colors(nt)
-    base = _rhs_values(GridFunction(spec, u_vals), config)
+    coloring = _polar_coloring(spec, fixed_inner)
+    ntot = u_vals.size
     eps = 1e-7 * (1.0 + float(np.max(np.abs(u_vals))))
-    rows_idx, cols_idx, data = [], [], []
-
-    for ci in range(3):
-        for cj in range(L):
-            mask = np.zeros((nr, nt), dtype=bool)
-            mask[ci::3, cj::L] = True
-            mask[-1, :] = False
-            if fixed_inner:
-                mask[0, :] = False
-            if not mask.any():
-                continue
-            pert = u_vals + eps * mask
-            dr = (_rhs_values(GridFunction(spec, pert), config) - base) / eps
-            dr_flat = dr.ravel()
-            for i, j in zip(*np.nonzero(mask)):
-                col = i * nt + j
-                for row in _polar_rows_for(spec, int(i), int(j), fixed_inner):
-                    val = dr_flat[row]
-                    if val != 0.0:
-                        rows_idx.append(row)
-                        cols_idx.append(col)
-                        data.append(-dt * val)
-    # identity part, including Dirichlet rows
-    for idx in range(ntot):
-        rows_idx.append(idx)
-        cols_idx.append(idx)
-        data.append(1.0)
-    M = csc_matrix((data, (rows_idx, cols_idx)), shape=(ntot, ntot))
-    return splu(M)
+    states = np.empty((1 + len(coloring.masks),) + spec.shape)
+    states[0] = u_vals
+    states[1:] = u_vals + eps * coloring.masks
+    speed = _polar_speed(spec, states, config.similarity_drift)
+    vals = ((speed[1:] - speed[0]) / eps).ravel()[coloring.gather]
+    keep = vals != 0.0
+    diag = np.arange(ntot)
+    data = np.concatenate((-dt * vals[keep], np.ones(ntot)))
+    rows = np.concatenate((coloring.rows[keep], diag))
+    cols = np.concatenate((coloring.cols[keep], diag))
+    return splu(csc_matrix((data, (rows, cols)), shape=(ntot, ntot)))
 
 
 def _apply_boundary(vals: np.ndarray, spec: GridSpec, outer, inner):
@@ -328,13 +336,23 @@ def step(u: GridFunction, dt: float, config: SolverConfig,
 
     v = _apply_boundary(u.values, spec, outer, inner)
     scale = 1.0 + float(np.max(np.abs(u.values)))
-    history = []
     if spec.polar:
-        v = _polar_newton(u, v, dt, config, outer, inner, fixed_first, scale, history)
-        derivatives = None
+        def residual(w):
+            return _polar_residual(spec, w, u.values, dt, config, outer, inner), None
+
+        def solve(w, _, res):
+            lu = _polar_newton_lu(w, spec, dt, config, fixed_first)
+            return lu.solve(res.ravel()).reshape(spec.shape)
     else:
-        v, derivatives = _radial_newton(u, v, dt, config, outer, inner, fixed_first,
-                                        scale, history)
+        def residual(w):
+            res, p, q = _radial_residual(spec, w, u.values, dt, config, outer, inner)
+            return res, (p, q)
+
+        def solve(w, pq, res):
+            ab = _radial_newton_matrix(spec, *pq, dt, config, fixed_first)
+            return solve_banded((1, 1), ab, res)
+    history = []
+    v, derivatives = _newton(v, residual, solve, config, scale, history)
     if stats is not None:
         stats["iters"] = len(history) - 1
         stats["residuals"] = history
@@ -343,19 +361,16 @@ def step(u: GridFunction, dt: float, config: SolverConfig,
     return GridFunction(spec, v)
 
 
-def _stalled(config: SolverConfig, history: list) -> NewtonError:
-    return NewtonError(f"Newton stalled at residual {history[-1]:.3e} after "
-                       f"{config.newton_max_iter} iterations", residuals=history)
+def _newton(v, residual, solve, config, scale, history):
+    """Damped Newton on raw arrays; returns the converged v and the extra
+    output of ``residual`` at it.
 
-
-def _radial_newton(u, v, dt, config, outer, inner, fixed_first, scale, history):
-    """Newton on raw arrays; returns the converged v and its (v_r, v_rr).
-
-    The accepted backtracking trial is the next iterate, so its residual is
-    reused rather than evaluated again.
+    ``residual(w)`` returns (residual, extra) and ``solve(w, extra, res)``
+    the Newton update.  The accepted backtracking trial is the next iterate,
+    so its residual is reused rather than evaluated again.  Each residual
+    norm goes to ``history``; a non-finite one raises NewtonError.
     """
-    spec = u.spec
-    res, p, q = _radial_residual(spec, v, u.values, dt, config, outer, inner)
+    res, extra = residual(v)
     for _ in range(config.newton_max_iter):
         res_norm = float(np.max(np.abs(res)))
         history.append(res_norm)
@@ -363,48 +378,20 @@ def _radial_newton(u, v, dt, config, outer, inner, fixed_first, scale, history):
             raise NewtonError(f"non-finite Newton residual after {len(history) - 1} "
                               "iterations", residuals=history)
         if res_norm <= config.newton_tol * scale:
-            return v, (p, q)
-        ab = _radial_newton_matrix(spec, p, q, dt, config, fixed_first)
-        delta = solve_banded((1, 1), ab, res)
+            return v, extra
+        delta = solve(v, extra, res)
         # backtracking keeps the first steps on kinked (conical) data stable;
         # lam < 0.2 accepts the fourth trial at the latest
         lam = 1.0
         while True:
             v_try = v - lam * delta
-            r_try, p, q = _radial_residual(spec, v_try, u.values, dt, config, outer, inner)
+            r_try, extra = residual(v_try)
             if float(np.max(np.abs(r_try))) < res_norm or lam < 0.2:
                 break
             lam *= 0.5
         v, res = v_try, r_try
-    raise _stalled(config, history)
-
-
-def _polar_newton(u, v, dt, config, outer, inner, fixed_first, scale, history):
-    """Newton with a colored finite-difference Jacobian; returns the converged v."""
-    spec = u.spec
-    for _ in range(config.newton_max_iter):
-        residual = v - u.values - dt * _rhs_values(GridFunction(spec, v), config)
-        residual[-1, :] = v[-1, :] - outer
-        if inner is not None:
-            residual[0, :] = v[0, :] - inner
-        res_norm = float(np.max(np.abs(residual)))
-        history.append(res_norm)
-        if res_norm <= config.newton_tol * scale:
-            return v
-        lu = _polar_newton_lu(v, spec, dt, config, fixed_first)
-        delta = lu.solve(residual.ravel()).reshape(spec.shape)
-        lam = 1.0
-        for _ in range(5):
-            v_try = v - lam * delta
-            r_try = v_try - u.values - dt * _rhs_values(GridFunction(spec, v_try), config)
-            r_try[-1, :] = v_try[-1, :] - outer
-            if inner is not None:
-                r_try[0, :] = v_try[0, :] - inner
-            if float(np.max(np.abs(r_try))) < res_norm or lam < 0.2:
-                break
-            lam *= 0.5
-        v = v - lam * delta
-    raise _stalled(config, history)
+    raise NewtonError(f"Newton stalled at residual {history[-1]:.3e} after "
+                      f"{config.newton_max_iter} iterations", residuals=history)
 
 
 @dataclass

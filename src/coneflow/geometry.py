@@ -336,33 +336,34 @@ def _radial_derivatives(spec: GridSpec, vals: np.ndarray):
     return p, q
 
 
-def _theta_derivatives(spec: GridSpec, vals: np.ndarray):
-    dtheta = 2.0 * np.pi / spec.ntheta
-    up = np.roll(vals, -1, axis=1)
-    um = np.roll(vals, 1, axis=1)
-    ut = (up - um) / (2.0 * dtheta)
-    utt = (up - 2.0 * vals + um) / dtheta ** 2
-    return ut, utt
-
-
-def _polar_extended(spec: GridSpec, vals: np.ndarray):
-    """Radial node/value arrays with the antipodal ghost ring prepended."""
-    if not spec.through_origin:
-        return spec.nodes, vals
-    ghost = np.roll(vals[0], spec.ntheta // 2)
-    return np.concatenate(([-spec.nodes[0]], spec.nodes)), np.vstack([ghost, vals])
-
-
 def _polar_derivatives(spec: GridSpec, vals: np.ndarray):
-    """(u_r, u_theta, u_rr, u_thth, u_rth) on a polar grid."""
-    re, ve = _polar_extended(spec, vals)
-    ur, urr = _d1_d2(re, ve)
-    ut, utt = _theta_derivatives(spec, vals)
-    ute = np.vstack([np.roll(ut[0], spec.ntheta // 2), ut]) if spec.through_origin else ut
+    """(u_r, u_theta, u_rr, u_thth, u_rth) on a polar grid.
+
+    ``vals`` is one state (nr, ntheta) or a stack (K, nr, ntheta) of states;
+    the radial axis is the second to last and the angular axis the last.
+    Every entry is an elementwise function of its own state's stencil, so a
+    state differentiates to the same bits alone or inside a stack.  A
+    through-origin grid prepends the antipodal ghost ring.
+    """
+    nt = spec.ntheta
+    v = np.moveaxis(vals, -2, 0)  # radial axis first, as _d1_d2 expects
+    dtheta = 2.0 * np.pi / nt
+    up = np.roll(v, -1, axis=-1)
+    um = np.roll(v, 1, axis=-1)
+    ut = (up - um) / (2.0 * dtheta)
+    utt = (up - 2.0 * v + um) / dtheta ** 2
+    re = spec.nodes
+    if spec.through_origin:
+        re = np.concatenate(([-spec.nodes[0]], spec.nodes))
+        v = np.concatenate((np.roll(v[:1], nt // 2, axis=-1), v))
+        ute = np.concatenate((np.roll(ut[:1], nt // 2, axis=-1), ut))
+    else:
+        ute = ut
+    ur, urr = _d1_d2(re, v)
     urt, _ = _d1_d2(re, ute)
     if spec.through_origin:
-        return ur[1:], ut, urr[1:], utt, urt[1:]
-    return ur, ut, urr, utt, urt
+        ur, urr, urt = ur[1:], urr[1:], urt[1:]
+    return tuple(np.moveaxis(d, 0, -2) for d in (ur, ut, urr, utt, urt))
 
 
 # ---------------------------------------------------------------------------
@@ -400,24 +401,32 @@ def _radial_quantities(u: GridFunction):
     return (p, q) + _radial_curvatures(u.spec, p, q)
 
 
-def _polar_quantities(u: GridFunction):
-    spec = u.spec
+def _polar_quantities(spec: GridSpec, vals: np.ndarray):
+    """Derivatives, W, the entries (g00, g01, g11) of the metric and
+    (h00, h01, h11) of the second fundamental form, det g and H on a polar
+    grid; ``vals`` may be a stack, as in :func:`_polar_derivatives`."""
     r = spec.nodes[:, None]
-    ur, ut, urr, utt, urt = _polar_derivatives(spec, u.values)
-    W2 = 1.0 + ur ** 2 + (ut / r) ** 2
-    W = np.sqrt(W2)
-    g = np.empty(spec.shape + (2, 2))
-    g[..., 0, 0] = 1.0 + ur ** 2
-    g[..., 0, 1] = g[..., 1, 0] = ur * ut
-    g[..., 1, 1] = r ** 2 + ut ** 2
-    h = np.empty_like(g)
-    h[..., 0, 0] = urr / W
-    h[..., 0, 1] = h[..., 1, 0] = (urt - ut / r) / W
-    h[..., 1, 1] = (r * ur + utt) / W
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-    H = (g[..., 1, 1] * h[..., 0, 0] - 2.0 * g[..., 0, 1] * h[..., 0, 1]
-         + g[..., 0, 0] * h[..., 1, 1]) / det
+    ur, ut, urr, utt, urt = _polar_derivatives(spec, vals)
+    W = np.sqrt(1.0 + ur ** 2 + (ut / r) ** 2)
+    g = (1.0 + ur ** 2, ur * ut, r ** 2 + ut ** 2)
+    h = (urr / W, (urt - ut / r) / W, (r * ur + utt) / W)
+    det = g[0] * g[2] - g[1] ** 2
+    H = (g[2] * h[0] - 2.0 * g[1] * h[1] + g[0] * h[2]) / det
     return ur, ut, urr, utt, urt, W, g, h, det, H
+
+
+def _polar_speed(spec: GridSpec, vals: np.ndarray, drift: bool = False) -> np.ndarray:
+    """Flow speed sqrt(1+|Du|^2)*H on a polar grid, plus the similarity drift
+    (r u_r - u)/2 when ``drift``, for one state or a stack (K, nr, ntheta).
+
+    Only elementwise IEEE operations follow the stencil gathers, so each
+    state of a stack gets the bits it gets alone.
+    """
+    ur, _, _, _, _, W, _, _, _, H = _polar_quantities(spec, vals)
+    speed = W * H
+    if drift:
+        speed = speed + 0.5 * (spec.nodes[:, None] * ur - vals)
+    return speed
 
 
 def mean_curvature(u: GridFunction) -> GridFunction:
@@ -430,7 +439,7 @@ def mean_curvature(u: GridFunction) -> GridFunction:
     use one-sided stencils and carry lower accuracy.
     """
     if u.spec.polar:
-        H = _polar_quantities(u)[-1]
+        H = _polar_quantities(u.spec, u.values)[-1]
     else:
         H = _radial_quantities(u)[-1]
     return GridFunction(u.spec, H)
@@ -453,8 +462,7 @@ def graph_rhs(u: GridFunction) -> GridFunction:
     """Flow speed sqrt(1+|Du|^2)*H[u] on either grid mode (compact stencil)."""
     if not u.spec.polar:
         return radial_rhs(u)
-    _, _, _, _, _, W, _, _, _, H = _polar_quantities(u)
-    return GridFunction(u.spec, W * H)
+    return GridFunction(u.spec, _polar_speed(u.spec, u.values))
 
 
 def geometric_state(u: GridFunction) -> GeometricState:
@@ -463,19 +471,22 @@ def geometric_state(u: GridFunction) -> GeometricState:
     if spec.polar:
         r = spec.nodes[:, None]
         th = spec.thetas[None, :]
-        ur, ut, urr, utt, urt, W, g, h, det, H = _polar_quantities(u)
+        ur, ut, urr, utt, urt, W, (g00, g01, g11), (h00, h01, h11), det, H = \
+            _polar_quantities(spec, u.values)
         gx = ur * np.cos(th) - (ut / r) * np.sin(th)
         gy = ur * np.sin(th) + (ut / r) * np.cos(th)
         rc = np.broadcast_to(r * np.cos(th), spec.shape)
         rs = np.broadcast_to(r * np.sin(th), spec.shape)
         X = np.stack([rc, rs, u.values], axis=-1)
         nu = np.stack([gx / W, gy / W, -1.0 / W], axis=-1)
-        ginv_h00 = (g[..., 1, 1] * h[..., 0, 0] - g[..., 0, 1] * h[..., 0, 1]) / det
-        ginv_h01 = (g[..., 1, 1] * h[..., 0, 1] - g[..., 0, 1] * h[..., 1, 1]) / det
-        ginv_h10 = (g[..., 0, 0] * h[..., 0, 1] - g[..., 0, 1] * h[..., 0, 0]) / det
-        ginv_h11 = (g[..., 0, 0] * h[..., 1, 1] - g[..., 0, 1] * h[..., 0, 1]) / det
+        ginv_h00 = (g11 * h00 - g01 * h01) / det
+        ginv_h01 = (g11 * h01 - g01 * h11) / det
+        ginv_h10 = (g00 * h01 - g01 * h00) / det
+        ginv_h11 = (g00 * h11 - g01 * h01) / det
         A2 = ginv_h00 ** 2 + ginv_h11 ** 2 + 2.0 * ginv_h01 * ginv_h10
         Xnu = (r * ur - u.values) / W
+        g = np.stack([np.stack([g00, g01], -1), np.stack([g01, g11], -1)], -2)
+        h = np.stack([np.stack([h00, h01], -1), np.stack([h01, h11], -1)], -2)
         state = GeometricState(spec, X, nu, g, h, H, A2, W, Xnu)
     else:
         r = spec.nodes

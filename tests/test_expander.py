@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from coneflow import acceptance, expander
+from coneflow import acceptance, expander, flow
 from coneflow.cones import ConeProfile
 from coneflow.errors import DomainError, ShootingError
 from coneflow.expander import (ShootingConfig, evaluate_U,
@@ -118,13 +118,20 @@ def test_cone_roundtrip(profile21):
     assert k.n == 2 and k.beta == 1.0
 
 
-def test_angular_relaxation_consistent_with_radial():
+def test_angular_relaxation_consistent_with_radial(monkeypatch):
     # the 2-d relaxation solved over an isotropic cone must reproduce the
     # 1-d shooting value at the axis, up to the coarse-grid error
+    factorizations = []
+    factor = flow.splu
+    monkeypatch.setattr(flow, "splu",
+                        lambda M: factorizations.append(M.shape) or factor(M))
     k = ConeProfile.angular(lambda th: np.ones_like(th), m=16)
     ang = relax_angular_expander(k, rho_max=8.0, nr=40, ntheta=16,
                                  tau_max=20.0)
     assert ang.converged
+    # the run reports its solver work
+    assert ang.lu_factorizations == len(factorizations) >= ang.steps
+    assert ang.newton_iters == ang.lu_factorizations
     assert ang.center_height() == pytest.approx(1.7090957539, abs=0.05)
     above = ang.solution.values - k.on_grid(ang.solution.spec).values
     assert np.min(above) > -1e-8

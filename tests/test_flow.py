@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.sparse import csc_matrix
 
 from coneflow import flow
 from coneflow.cones import ConeProfile
@@ -10,8 +11,9 @@ from coneflow.expander import evaluate_U
 from coneflow.flow import (FlowRun, SolverConfig, boundary_values_for,
                            comparison_check, detect_t_delta, evolve, step,
                            _radial_newton_matrix, _radial_residual)
-from coneflow.geometry import (GridFunction, GridSpec, mean_curvature,
-                               radial_rhs, _radial_derivatives)
+from coneflow.geometry import (GridFunction, GridSpec, graph_rhs,
+                               mean_curvature, radial_rhs, _polar_derivatives,
+                               _radial_derivatives)
 
 
 def _uniform(n, r_max, count):
@@ -383,3 +385,221 @@ def test_radial_flow_bit_identical_to_reference(case, cone21, profile21):
     for key in ("newton_iters", "min_H", "max_H", "sup_u_minus_k",
                 "sup_u_minus_U"):
         assert np.array_equal(getattr(run, key), ref[key], equal_nan=True), key
+
+
+# -- polar Newton matrix: exact oracles.  The reference assembly below is the
+# polar Jacobian as first written: a hand-derived angular coloring times
+# three radial classes, one rhs evaluation per color through graph_rhs, and
+# the sparsity rows listed per unknown.
+
+
+def _reference_rhs(spec, vals, drift):
+    speed = graph_rhs(GridFunction(spec, vals)).values
+    if drift:
+        ur = _polar_derivatives(spec, vals)[0]
+        speed = speed + 0.5 * (spec.nodes[:, None] * ur - vals)
+    return speed
+
+
+def _reference_theta_colors(ntheta):
+    half = ntheta // 2
+    forbidden = set()
+    for e in (-2, -1, 0, 1, 2):
+        forbidden.add(e % ntheta)
+        forbidden.add((half + e) % ntheta)
+    for L in range(5, ntheta + 1):
+        ok = True
+        for c in range(L):
+            members = [j for j in range(ntheta) if j % L == c]
+            for a in range(len(members)):
+                for b in range(a + 1, len(members)):
+                    if (members[b] - members[a]) % ntheta in forbidden \
+                            or (members[a] - members[b]) % ntheta in forbidden:
+                        ok = False
+            if not ok:
+                break
+        if ok:
+            return L
+    return ntheta
+
+
+def _reference_rows_for(spec, i, j, fixed_inner):
+    nr, nt = spec.nr, spec.ntheta
+    rows = []
+    for di in (-1, 0, 1):
+        ii = i + di
+        if ii < 0 or ii >= nr - 1 or (fixed_inner and ii == 0):
+            continue
+        for dj in (-1, 0, 1):
+            rows.append(ii * nt + (j + dj) % nt)
+    if i == 0 and spec.through_origin:
+        jj = (j + nt // 2) % nt
+        for dj in (-1, 0, 1):
+            rows.append((jj + dj) % nt)
+    return rows
+
+
+def _reference_polar_matrix(u_vals, spec, dt, drift, fixed_inner):
+    nr, nt = spec.nr, spec.ntheta
+    ntot = nr * nt
+    L = _reference_theta_colors(nt)
+    base = _reference_rhs(spec, u_vals, drift)
+    eps = 1e-7 * (1.0 + float(np.max(np.abs(u_vals))))
+    rows_idx, cols_idx, data = [], [], []
+    for ci in range(3):
+        for cj in range(L):
+            mask = np.zeros((nr, nt), dtype=bool)
+            mask[ci::3, cj::L] = True
+            mask[-1, :] = False
+            if fixed_inner:
+                mask[0, :] = False
+            if not mask.any():
+                continue
+            pert = u_vals + eps * mask
+            dr_flat = ((_reference_rhs(spec, pert, drift) - base) / eps).ravel()
+            for i, j in zip(*np.nonzero(mask)):
+                for row in _reference_rows_for(spec, int(i), int(j), fixed_inner):
+                    if dr_flat[row] != 0.0:
+                        rows_idx.append(row)
+                        cols_idx.append(i * nt + j)
+                        data.append(-dt * dr_flat[row])
+    for idx in range(ntot):
+        rows_idx.append(idx)
+        cols_idx.append(idx)
+        data.append(1.0)
+    return csc_matrix((data, (rows_idx, cols_idx)), shape=(ntot, ntot))
+
+
+def _polar_case(kind):
+    """(initial state, fixed_inner) on a through-origin disk or on an annulus
+    whose inner ring is pinned."""
+    if kind == "disk":
+        spec = GridSpec.polar_disk(4.0, 10, 16)
+    else:
+        spec = GridSpec(2, np.linspace(0.8, 4.0, 10),
+                        2.0 * np.pi * np.arange(16) / 16)
+    r, th = spec.nodes[:, None], spec.thetas[None, :]
+    vals = r * (1.0 + 0.1 * np.cos(2 * th)) \
+        + 0.3 * np.exp(-r ** 2) * np.cos(3 * th) + 0.5
+    return GridFunction(spec, vals), kind == "annulus"
+
+
+def _captured_newton_matrices(monkeypatch, u0, cfg, steps):
+    """Every (state, matrix) pair the polar Newton loop factors while taking
+    ``steps`` fixed implicit steps from u0."""
+    seen = []
+    build = flow._polar_newton_lu
+    factor = flow.splu
+
+    def capture_state(u_vals, *args):
+        seen.append([u_vals.copy()])
+        return build(u_vals, *args)
+
+    def capture_matrix(M):
+        seen[-1].append(M)
+        return factor(M)
+
+    monkeypatch.setattr(flow, "_polar_newton_lu", capture_state)
+    monkeypatch.setattr(flow, "splu", capture_matrix)
+    bv = boundary_values_for(u0, cfg)
+    u = u0
+    for k in range(steps):
+        u = step(u, cfg.dt_init, cfg, bv, (k + 1) * cfg.dt_init)
+    return seen
+
+
+@pytest.mark.parametrize("drift", [False, True])
+@pytest.mark.parametrize("kind", ["disk", "annulus"])
+def test_polar_newton_matrix_matches_dense_jacobian(monkeypatch, kind, drift):
+    # I - dt*J with J built one column at a time, Dirichlet rows and columns
+    # left to the identity: same entries to the last bit and the same nnz
+    u0, fixed_inner = _polar_case(kind)
+    spec = u0.spec
+    cfg = SolverConfig(dt_init=0.05, similarity_drift=drift)
+    (v, M), *_ = _captured_newton_matrices(monkeypatch, u0, cfg, 1)
+    ntot = v.size
+    base = _reference_rhs(spec, v, drift)
+    eps = 1e-7 * (1.0 + float(np.max(np.abs(v))))
+    unknown = np.ones(spec.shape, dtype=bool)
+    unknown[-1] = False
+    if fixed_inner:
+        unknown[0] = False
+    J = np.zeros((ntot, ntot))
+    for col in np.flatnonzero(unknown):
+        w = v.ravel().copy()
+        w[col] += eps
+        J[:, col] = ((_reference_rhs(spec, w.reshape(spec.shape), drift)
+                      - base) / eps).ravel()
+    J[~unknown.ravel()] = 0.0
+    dense = np.eye(ntot) - 0.05 * J
+    assert np.array_equal(M.toarray(), dense)
+    assert M.nnz == np.count_nonzero(dense)
+
+
+@pytest.mark.parametrize("drift", [False, True])
+@pytest.mark.parametrize("kind", ["disk", "annulus"])
+def test_polar_newton_matrix_bit_identical_to_reference(monkeypatch, kind, drift):
+    u0, fixed_inner = _polar_case(kind)
+    cfg = SolverConfig(dt_init=0.05, similarity_drift=drift)
+    seen = _captured_newton_matrices(monkeypatch, u0, cfg, 3)
+    assert len(seen) >= 3
+    for v, M in seen:
+        ref = _reference_polar_matrix(v, u0.spec, 0.05, drift, fixed_inner)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(M, attr), getattr(ref, attr)), attr
+
+
+@pytest.mark.parametrize("kind, shape, colors", [
+    ("disk", (24, 16), 13), ("disk", (72, 32), 14), ("disk", (10, 8), None),
+    ("annulus", (10, 16), None)])
+def test_polar_coloring_is_valid(kind, shape, colors):
+    nr, nt = shape
+    if kind == "disk":
+        spec = GridSpec.polar_disk(4.0, nr, nt)
+    else:
+        spec = GridSpec(2, np.linspace(0.8, 4.0, nr), 2.0 * np.pi * np.arange(nt) / nt)
+    fixed_inner = kind == "annulus"
+    col = flow._polar_coloring(spec, fixed_inner)
+    assert col is flow._polar_coloring(spec, fixed_inner)
+    if colors is not None:
+        assert len(col.masks) == colors
+    # every unknown in exactly one color, Dirichlet rings in none
+    unknown = np.ones(spec.shape, dtype=bool)
+    unknown[-1] = False
+    if fixed_inner:
+        unknown[0] = False
+    assert np.array_equal(col.masks.sum(axis=0), unknown.astype(int))
+    # the pairs are the stencil rule, and no two columns of a color share a row
+    expected = {(row, i * nt + j) for i, j in zip(*np.nonzero(unknown))
+                for row in _reference_rows_for(spec, int(i), int(j), fixed_inner)}
+    assert set(zip(col.rows.tolist(), col.cols.tolist())) == expected
+    assert len(expected) == col.rows.size
+    ntot = nr * nt
+    pair_colors, pair_rows = np.divmod(col.gather, ntot)
+    assert np.array_equal(pair_rows, col.rows)
+    assert np.all(col.masks.reshape(len(col.masks), -1)[pair_colors, col.cols])
+    assert np.unique(col.gather).size == col.gather.size
+
+
+def test_nonfinite_polar_newton_update_raises(monkeypatch):
+    u0, _ = _polar_case("disk")
+    cfg = SolverConfig(dt_init=1e-2, dt_max=1e-2, snapshot_dt=0.1, adaptive=False)
+
+    class NaNLU:
+        def solve(self, b):
+            return np.full_like(b, np.nan)
+
+    monkeypatch.setattr(flow, "splu", lambda M: NaNLU())
+    with pytest.raises(NewtonError) as err:
+        step(u0, 1e-2, cfg, boundary_values_for(u0, cfg), 1e-2)
+    history = err.value.residuals
+    assert len(history) == 2
+    assert np.isfinite(history[0]) and not np.isfinite(history[1])
+    with pytest.raises(StepFailureError) as failure:
+        evolve(u0, 0.1, cfg)
+    assert failure.value.residuals
+    # adaptive runs halve dt down to dt_min before giving up
+    halving = SolverConfig(dt_init=1e-2, dt_max=1e-2, dt_min=2.5e-3, snapshot_dt=0.1)
+    with pytest.raises(StepFailureError) as failure:
+        evolve(u0, 0.1, halving)
+    assert failure.value.dt == pytest.approx(2.5e-3)
