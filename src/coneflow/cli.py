@@ -210,7 +210,8 @@ def _cmd_evolve(cfg: dict, out: str) -> int:
     solver = SolverConfig(dt_init=1e-3, dt_max=sec["dt_max"],
                           snapshot_dt=sec["snapshot_dt"],
                           boundary=sec["boundary"])
-    run = evolve(u0, sec["horizon"], solver, cone=k, profile=prof)
+    run = evolve(u0, sec["horizon"], solver, cone=k, profile=prof,
+                 diagnostics=True)
     write_csv(os.path.join(out, "flow_trace.csv"),
               [("t", "time"), ("dt", "time"), ("sup_u_minus_k", "height"),
                ("sup_u_minus_U", "height"), ("min_H", "1/length"),

@@ -6,12 +6,17 @@ radial mode the Jacobian of the reduced operator
 
     rhs(v) = v_rr/(1+v_r^2) + (n-1) v_r/r        (+ (r v_r - v)/2 with drift)
 
-is tridiagonal and assembled analytically; polar mode probes the Jacobian by
-colored finite differences (the stencil is local, so a handful of probe
-vectors recovers every column) and solves with a sparse LU.
+is tridiagonal, assembled analytically as its three diagonals and solved
+directly by LAPACK ``gtsv``; polar mode probes the Jacobian by colored
+finite differences (the stencil is local, so a handful of probe vectors
+recovers every column) and solves with a sparse LU.
 
 Radial residual, Jacobian and per-step diagnostics share one cached
-three-point operator per grid (``geometry._radial_operator``).  The polar
+three-point operator per grid (``geometry._radial_operator``), which also
+holds the grid-constant parts of the Jacobian.  Per-step diagnostics
+(distance to the cone and to the expander, extremes of H) are opt-in:
+``evolve`` records them only when asked, and always records step times,
+step sizes and Newton counts.  The polar
 column coloring and its scatter indices are cached per grid, and the base
 state and every probe go through one stacked speed evaluation.  Both modes
 run one Newton loop on raw arrays: the accepted backtracking trial's
@@ -36,7 +41,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
@@ -100,7 +105,7 @@ class BoundaryValues:
 
 
 def boundary_values_for(u0: GridFunction, config: SolverConfig, cone=None,
-                        profile=None, t_start: float = 0.0) -> BoundaryValues:
+                        profile=None) -> BoundaryValues:
     """Build boundary data for a run from the configured mode.
 
     pin-to-cone needs ``cone`` (a ConeProfile); pin-to-expander needs
@@ -159,9 +164,11 @@ def _radial_residual(spec: GridSpec, v: np.ndarray, u_prev: np.ndarray, dt: floa
 
 
 def _radial_newton_matrix(spec: GridSpec, p: np.ndarray, q: np.ndarray, dt: float,
-                          config: SolverConfig, fixed_first: bool) -> np.ndarray:
-    """Banded (I - dt*J) for the radial reduced operator at a state with
-    derivatives (p, q) = (v_r, v_rr).
+                          config: SolverConfig, fixed_first: bool):
+    """Sub-, main and superdiagonal (lower, diag, upper) of (I - dt*J) for
+    the radial reduced operator at a state with derivatives (p, q) =
+    (v_r, v_rr); ``lower[i]`` couples row i+1 to v_i, ``upper[i]`` row i to
+    v_{i+1}.
 
     Column i of J (stored as ``J[:, i]``, like the operator table) couples
     row i to (v_{i-1}, v_i, v_{i+1}).  The table's one-sided end rows read
@@ -170,32 +177,41 @@ def _radial_newton_matrix(spec: GridSpec, p: np.ndarray, q: np.ndarray, dt: floa
     replaced.
     """
     op = _radial_operator(spec)
-    c = op.w
-    d = 2.0 / op.D
-    r = spec.nodes
-    N = r.size
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
+    c, d = op.w, op.d
     one_p2 = 1.0 + p * p
-    J = d / one_p2 - 2.0 * p * q * c / one_p2 ** 2 + (spec.n - 1) * c * inv_r
-    if r[0] == 0.0:
+    J = d / one_p2 - 2.0 * p * q * c / one_p2 ** 2 + op.w_over_r
+    if spec.nodes[0] == 0.0:
         # n*v_rr(0), with the ghost node v_{-1} = v_1 folded into column v_1
         J[:, 0] = (0.0, spec.n * d[1, 0], spec.n * (d[0, 0] + d[2, 0]))
     if config.similarity_drift:
         # drift (r*v_r - v)/2; at an r=0 node only the -v/2 part survives
-        J += 0.5 * r * c
+        J += 0.5 * spec.nodes * c
         J[1] -= 0.5
-    ab = np.zeros((3, N))
-    ab[1, :] = 1.0 - dt * J[1]
-    ab[0, 1:] = -dt * J[2, :-1]
-    ab[2, :-1] = -dt * J[0, 1:]
+    lower = -dt * J[0, 1:]
+    diag = 1.0 - dt * J[1]
+    upper = -dt * J[2, :-1]
     # Dirichlet rows
-    ab[1, -1] = 1.0
-    ab[2, -2] = 0.0
+    diag[-1] = 1.0
+    lower[-1] = 0.0
     if fixed_first:
-        ab[1, 0] = 1.0
-        ab[0, 1] = 0.0
-    return ab
+        diag[0] = 1.0
+        upper[0] = 0.0
+    return lower, diag, upper
+
+
+def solve_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                 b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with diagonals (lower, diag, upper) by
+    LAPACK ``gtsv``.
+
+    This is the routine ``scipy.linalg.solve_banded((1, 1), ...)`` calls,
+    without its validating wrapper, so the solution has the same bits.  A
+    zero pivot or a non-finite solution raises NewtonError.
+    """
+    *_, x, info = dgtsv(lower, diag, upper, b)
+    if info != 0 or not np.isfinite(x).all():
+        raise NewtonError(f"tridiagonal Newton solve failed (gtsv info {info})")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +365,8 @@ def step(u: GridFunction, dt: float, config: SolverConfig,
             return res, (p, q)
 
         def solve(w, pq, res):
-            ab = _radial_newton_matrix(spec, *pq, dt, config, fixed_first)
-            return solve_banded((1, 1), ab, res)
+            return solve_banded(*_radial_newton_matrix(spec, *pq, dt, config, fixed_first),
+                                res)
     history = []
     v, derivatives = _newton(v, residual, solve, config, scale, history)
     if stats is not None:
@@ -367,36 +383,48 @@ def _newton(v, residual, solve, config, scale, history):
 
     ``residual(w)`` returns (residual, extra) and ``solve(w, extra, res)``
     the Newton update.  The accepted backtracking trial is the next iterate,
-    so its residual is reused rather than evaluated again.  Each residual
-    norm goes to ``history``; a non-finite one raises NewtonError.
+    so its residual and its norm are reused rather than evaluated again.
+    Each residual norm goes to ``history``; a non-finite one raises
+    NewtonError, and so does a failed solve, with the history attached.
     """
     res, extra = residual(v)
+    res_norm = float(np.max(np.abs(res)))
     for _ in range(config.newton_max_iter):
-        res_norm = float(np.max(np.abs(res)))
         history.append(res_norm)
         if not np.isfinite(res_norm):
             raise NewtonError(f"non-finite Newton residual after {len(history) - 1} "
                               "iterations", residuals=history)
         if res_norm <= config.newton_tol * scale:
             return v, extra
-        delta = solve(v, extra, res)
+        try:
+            delta = solve(v, extra, res)
+        except NewtonError as err:
+            err.residuals = list(history)
+            raise
         # backtracking keeps the first steps on kinked (conical) data stable;
         # lam < 0.2 accepts the fourth trial at the latest
         lam = 1.0
         while True:
             v_try = v - lam * delta
             r_try, extra = residual(v_try)
-            if float(np.max(np.abs(r_try))) < res_norm or lam < 0.2:
+            try_norm = float(np.max(np.abs(r_try)))
+            if try_norm < res_norm or lam < 0.2:
                 break
             lam *= 0.5
-        v, res = v_try, r_try
+        v, res, res_norm = v_try, r_try, try_norm
     raise NewtonError(f"Newton stalled at residual {history[-1]:.3e} after "
                       f"{config.newton_max_iter} iterations", residuals=history)
 
 
 @dataclass
 class FlowRun:
-    """Snapshots plus per-step diagnostics of one evolution."""
+    """Snapshots and per-step records of one evolution.
+
+    ``step_times``, ``step_sizes`` and ``newton_iters`` get one entry per
+    accepted step.  The diagnostics ``sup_u_minus_k``, ``sup_u_minus_U``,
+    ``min_H`` and ``max_H`` do too when ``evolve`` ran with
+    ``diagnostics=True``, and stay empty otherwise.
+    """
 
     snapshots: list = field(default_factory=list)
     snapshot_times: list = field(default_factory=list)
@@ -429,13 +457,10 @@ class FlowRun:
         return self.snapshots[idx]
 
 
-def _diagnose(run: FlowRun, t, dt, iters, u_new, derivatives, cone_vals, profile):
+def _diagnose(run: FlowRun, t, u_new, derivatives, cone_vals, profile):
     """Append one step's diagnostics; H comes from the step's (u_r, u_rr) on
     radial grids."""
     vals = u_new.values
-    run.step_times.append(float(t))
-    run.step_sizes.append(float(dt))
-    run.newton_iters.append(int(iters))
     spec = u_new.spec
     if cone_vals is not None:
         run.sup_u_minus_k.append(float(np.max(np.abs(vals - cone_vals))))
@@ -455,18 +480,23 @@ def _diagnose(run: FlowRun, t, dt, iters, u_new, derivatives, cone_vals, profile
 
 
 def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
-           profile=None, t_start: float = 0.0) -> FlowRun:
+           profile=None, t_start: float = 0.0,
+           diagnostics: bool = False) -> FlowRun:
     """Advance u0 by T, snapshotting on the exact cadence grid.
 
     Steps are clipped to land precisely on multiples of ``snapshot_dt`` (past
     t_start), so runs with equal cadence produce comparable snapshot times.
     Adaptive stepping targets the configured Newton-iteration band; failed
     steps retry with halved dt down to dt_min, then raise StepFailureError.
+    Step times, step sizes and Newton counts are always recorded; the
+    per-step diagnostics (sup|u - k|, sup|u - U|, min and max H) only with
+    ``diagnostics=True``.  They do not feed back into the stepping, so the
+    snapshots are the same either way.
     """
     if T <= 0:
         raise ParameterError("evolution horizon T must be positive")
-    boundary = boundary_values_for(u0, config, cone, profile, t_start)
-    cone_vals = cone.on_grid(u0.spec).values if cone is not None else None
+    boundary = boundary_values_for(u0, config, cone, profile)
+    cone_vals = cone.on_grid(u0.spec).values if diagnostics and cone is not None else None
     run = FlowRun()
     t_end = t_start + T
     t = t_start
@@ -489,8 +519,11 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
             dt = max(dt_try / 2.0, config.dt_min)
             continue
         t = t + dt_try
-        _diagnose(run, t, dt_try, stats["iters"], u_new, stats.get("derivatives"),
-                  cone_vals, profile)
+        run.step_times.append(float(t))
+        run.step_sizes.append(float(dt_try))
+        run.newton_iters.append(int(stats["iters"]))
+        if diagnostics:
+            _diagnose(run, t, u_new, stats.get("derivatives"), cone_vals, profile)
         u = u_new
         if abs(t - next_snap) < 1e-10:
             run.record_snapshot(t, u)

@@ -284,11 +284,16 @@ class _RadialOperator(NamedTuple):
     folded into ``w`` and ``D`` and the second derivative keeps the division
     form of :func:`_d1_d2` (multiplying by a reciprocal rounds differently),
     so the results are bit-identical to it.
+
+    ``d`` = 2/D and ``w_over_r`` = (n-1) w/r (zero in an r = 0 column) are
+    the grid-constant parts of the radial Newton Jacobian.
     """
 
     rows: np.ndarray
     w: np.ndarray
     D: np.ndarray
+    d: np.ndarray
+    w_over_r: np.ndarray
 
 
 @lru_cache(maxsize=128)
@@ -321,9 +326,11 @@ def _radial_operator(spec: GridSpec) -> _RadialOperator:
     w[:, -1] = ((2 * g1 + g2) / (g1 * (g1 + g2)), -((g1 + g2) / (g1 * g2)),
                 g1 / (g2 * (g1 + g2)))
     D[:, -1] = (g1 * (g1 + g2), -(g1 * g2), g2 * (g1 + g2))
-    for arr in (rows, w, D):
+    inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
+    op = _RadialOperator(rows, w, D, 2.0 / D, (spec.n - 1) * w * inv_r)
+    for arr in op:
         arr.setflags(write=False)
-    return _RadialOperator(rows, w, D)
+    return op
 
 
 def _radial_derivatives(spec: GridSpec, vals: np.ndarray):

@@ -1,4 +1,5 @@
-"""Every public function has a caller or a test.
+"""Every public function has a caller or a test, and every seam the
+benchmark tracer wraps by name still exists.
 
 A function listed in a module's ``__all__`` must be referenced from another
 package module (the package ``__init__`` re-exports names and does not
@@ -8,6 +9,9 @@ producers and read field by field.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +65,17 @@ def test_public_functions_are_referenced(module):
     assert not unreferenced, (
         f"{module}.__all__ lists functions nothing calls or tests: "
         f"{', '.join(unreferenced)}")
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracing.py wraps module attributes by name (flow.step,
+    # flow.solve_banded, flow.splu, ...) and raises when one is bound
+    # nowhere; install it in a fresh interpreter against this source tree
+    path = [str(ROOT / "src"), str(ROOT / "perfbench"),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import tracing; tracing.install(tracing.Recorder())"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,9 @@
 import configparser
+import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from coneflow import cli
@@ -62,6 +64,26 @@ def test_expander_deterministic_rerun(tmp_path, capsys):
     first = (out / "expander_profile.csv").read_bytes()
     assert run_cli(["--out", str(out), "expander"], tmp_path) == 0
     assert (out / "expander_profile.csv").read_bytes() == first
+
+
+def test_evolve_artifacts(tmp_path, capsys):
+    # evolve opts in to the flow's per-step diagnostics: every column of the
+    # trace is a number, one row per accepted step
+    out = tmp_path / "art"
+    rc = run_cli(["--out", str(out), "evolve", "--set", "horizon=0.5",
+                  "--set", "r_max=20.0", "--set", "nodes=201"], tmp_path)
+    assert rc == 0
+    with open(out / "flow_trace.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert [h.split(" ")[0] for h in header] == [
+        "t", "dt", "sup_u_minus_k", "sup_u_minus_U", "min_H", "max_H"]
+    values = np.array(rows, dtype=float)
+    assert values.shape == (len(rows), 6)
+    assert np.all(np.isfinite(values))
+    report = json.loads((out / "flow_report.json").read_text())
+    assert report["steps"] == len(rows) > 1
+    assert values[-1, 0] == pytest.approx(report["final_time"])
+    assert report["final_sup_u_minus_U"] == values[-1, 3]
 
 
 def test_config_file_overrides(tmp_path, capsys):

@@ -66,7 +66,7 @@ def test_cone_flow_lifts_origin(cone21, profile21):
     cfg = SolverConfig(dt_init=1e-4, dt_max=5e-3, snapshot_dt=0.25,
                        boundary="pin-to-expander")
     run = evolve(cone21.on_grid(spec), 1.0, cfg, cone=cone21,
-                 profile=profile21)
+                 profile=profile21, diagnostics=True)
     center = run.final().values[0]
     assert center > 0.5 * profile21.a  # solver lag keeps it below a exactly
     assert center < 1.05 * profile21.a
@@ -108,10 +108,29 @@ def test_diagnostics_track_profile(cone21, profile21):
     spec = _uniform(2, 20.0, 201)
     cfg = SolverConfig(dt_init=1e-3, dt_max=0.01, snapshot_dt=0.2)
     run = evolve(cone21.on_grid(spec), 0.4, cfg, cone=cone21,
-                 profile=profile21)
+                 profile=profile21, diagnostics=True)
     assert len(run.step_times) == len(run.sup_u_minus_U)
     assert np.all(np.isfinite(run.sup_u_minus_U))
     assert np.all(np.isfinite(run.sup_u_minus_k))
+
+
+def test_diagnostics_are_opt_in(cone21, profile21):
+    # the diagnostics only observe the run: switching them off changes no
+    # snapshot and no step, and leaves their four lists empty
+    spec = GridSpec.geometric(2, 0.05, 20.0)
+    u0 = GridFunction(spec, cone21.on_grid(spec).values + _bump(spec, 0.5))
+    cfg = SolverConfig(dt_init=1e-3, dt_max=0.05, snapshot_dt=0.1,
+                       boundary="pin-to-expander")
+    on = evolve(u0, 0.3, cfg, cone=cone21, profile=profile21, diagnostics=True)
+    off = evolve(u0, 0.3, cfg, cone=cone21, profile=profile21)
+    assert np.array_equal(np.array([s.values for s in on.snapshots]),
+                          np.array([s.values for s in off.snapshots]))
+    for key in ("snapshot_times", "step_times", "step_sizes", "newton_iters"):
+        assert getattr(on, key) == getattr(off, key), key
+    assert len(on.step_times) > 1
+    for key in ("sup_u_minus_k", "sup_u_minus_U", "min_H", "max_H"):
+        assert len(getattr(on, key)) == len(on.step_times), key
+        assert getattr(off, key) == [], key
 
 
 def test_comparison_check_ordered_pair(cone21):
@@ -195,8 +214,9 @@ def test_radial_newton_matrix_matches_fd_jacobian(drift, r_min):
         return _radial_residual(spec, w, u_prev, dt, cfg, outer, inner)
 
     res, p, q = residual(v)
-    ab = _radial_newton_matrix(spec, p, q, dt, cfg, fixed_first=r_min > 0)
-    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+    lower, diag, upper = _radial_newton_matrix(spec, p, q, dt, cfg,
+                                               fixed_first=r_min > 0)
+    dense = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
     eps = 1e-7
     fd = np.empty_like(dense)
     for j in range(r.size):
@@ -212,7 +232,7 @@ def test_nonfinite_newton_update_raises(monkeypatch, cone21):
     cfg = SolverConfig(dt_init=1e-2, dt_max=1e-2, snapshot_dt=0.1,
                        boundary="pin-to-cone", adaptive=False)
     monkeypatch.setattr(flow, "solve_banded",
-                        lambda l_and_u, ab, b: np.full_like(b, np.nan))
+                        lambda lower, diag, upper, b: np.full_like(b, np.nan))
     bv = boundary_values_for(u0, cfg, cone=cone21)
     with pytest.raises(NewtonError) as err:
         step(u0, 1e-2, cfg, bv, 1e-2)
@@ -223,6 +243,63 @@ def test_nonfinite_newton_update_raises(monkeypatch, cone21):
     with pytest.raises(StepFailureError) as failure:
         evolve(u0, 0.1, cfg, cone=cone21)
     assert failure.value.residuals
+
+
+@pytest.mark.parametrize("N", [8, 9, 50, 201, 401])
+@pytest.mark.parametrize("dirichlet", [False, True])
+def test_solve_banded_matches_scipy(N, dirichlet):
+    # the direct gtsv call gives scipy.linalg.solve_banded's bits
+    rng = np.random.default_rng(N + 1000 * dirichlet)
+    for _ in range(5):
+        lower, upper = rng.normal(size=(2, N - 1))
+        diag = rng.normal(size=N) + 2.5 * rng.choice((-1.0, 1.0), size=N)
+        if dirichlet:
+            diag[[0, -1]] = 1.0
+            upper[0] = lower[-1] = 0.0
+        b = rng.normal(size=N)
+        ab = np.zeros((3, N))
+        ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+        inputs = [a.copy() for a in (lower, diag, upper, b)]
+        x = flow.solve_banded(lower, diag, upper, b)
+        assert np.array_equal(x, solve_banded((1, 1), ab, b))
+        for before, after in zip(inputs, (lower, diag, upper, b)):
+            assert np.array_equal(before, after)  # inputs left untouched
+
+
+def test_singular_tridiagonal_solve_raises():
+    # a zero first column leaves gtsv a zero pivot whatever it swaps
+    N = 12
+    lower, upper, diag = np.ones(N - 1), np.ones(N - 1), np.full(N, 3.0)
+    diag[0] = lower[0] = 0.0
+    with pytest.raises(NewtonError, match="info 1"):
+        flow.solve_banded(lower, diag, upper, np.ones(N))
+    with pytest.raises(NewtonError):
+        flow.solve_banded(np.zeros(N - 1), np.zeros(N), np.zeros(N - 1), np.ones(N))
+
+
+def test_singular_newton_matrix_fails_the_step(monkeypatch, cone21):
+    # a singular Newton matrix is a failed step: NewtonError with the
+    # residual history, StepFailureError from evolve after dt halving
+    spec = _uniform(2, 10.0, 41)
+    u0 = cone21.on_grid(spec)
+    cfg = SolverConfig(dt_init=1e-2, dt_max=1e-2, snapshot_dt=0.1,
+                       boundary="pin-to-cone", adaptive=False)
+    monkeypatch.setattr(flow, "_radial_newton_matrix",
+                        lambda spec, *args: (np.zeros(spec.nr - 1),
+                                             np.zeros(spec.nr),
+                                             np.zeros(spec.nr - 1)))
+    with pytest.raises(NewtonError) as err:
+        step(u0, 1e-2, cfg, boundary_values_for(u0, cfg, cone=cone21), 1e-2)
+    history = err.value.residuals
+    assert len(history) == 1 and np.isfinite(history[0])
+    with pytest.raises(StepFailureError) as failure:
+        evolve(u0, 0.1, cfg, cone=cone21)
+    assert failure.value.residuals == history
+    halving = SolverConfig(dt_init=1e-2, dt_max=1e-2, dt_min=2.5e-3,
+                           snapshot_dt=0.1, boundary="pin-to-cone")
+    with pytest.raises(StepFailureError) as failure:
+        evolve(u0, 0.1, halving, cone=cone21)
+    assert failure.value.dt == pytest.approx(2.5e-3)
 
 
 # -- reference: the radial step and diagnostics as first written, before the
@@ -313,7 +390,7 @@ def _reference_step(u, dt, config, boundary, t_new):
 
 
 def _reference_evolve(u0, T, config, cone, profile, t_start=0.0):
-    boundary = boundary_values_for(u0, config, cone, profile, t_start)
+    boundary = boundary_values_for(u0, config, cone, profile)
     spec = u0.spec
     out = {"snapshots": [u0.values.copy()], "newton_iters": [], "min_H": [],
            "max_H": [], "sup_u_minus_k": [], "sup_u_minus_U": []}
@@ -379,7 +456,8 @@ def test_radial_flow_bit_identical_to_reference(case, cone21, profile21):
                            boundary="pin-to-expander", adaptive=False)
         args = (u0, 0.2, cfg, cone21, profile21)
     ref = _reference_evolve(*args, t_start=1.0 if case == "annulus" else 0.0)
-    run = evolve(*args, t_start=1.0 if case == "annulus" else 0.0)
+    run = evolve(*args, t_start=1.0 if case == "annulus" else 0.0,
+                 diagnostics=True)
     assert np.array_equal(np.array([s.values for s in run.snapshots]),
                           np.array(ref["snapshots"]))
     for key in ("newton_iters", "min_H", "max_H", "sup_u_minus_k",
