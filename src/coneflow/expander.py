@@ -29,10 +29,16 @@ Bisection is kept over Brent's method on purpose: near the root the miss is
 noisy at the level of the LSODA tolerance, and brentq on the same bracket
 moved a by up to 1.9e-11 relative on six (n, beta) pairs while still taking
 9 to 22 shots.
-Each shot instead steps LSODA directly (:func:`_miss`), which takes the same
-steps as ``solve_ivp`` without its per-step event search, about three times
-cheaper.  Profiles are cached per ``(n, beta, ShootingConfig)``, so every
-caller in a process shares one solve; their arrays are read-only.
+Each shot (:func:`_miss`) builds scipy's ``LSODA`` object for its tolerance
+checks and work arrays, then runs that object's own LSODA integrator
+one step at a time (itask 5, never past rho_max) with the float-level
+:func:`_ode_rhs`.  These are the steps ``solve_ivp`` takes, bit for bit,
+without its event search, wrapper closures and array conversions, four to
+five times cheaper; the slope cap is checked after every accepted step.  One
+integrator call to rho_max would be faster still, but it hides the accepted
+states that the exact blow-up check reads, so it was not taken.  Profiles
+are cached per ``(n, beta, ShootingConfig)``, so every caller in a process
+shares one solve; their arrays are read-only.
 
 Anisotropic planar cones have no ODE reduction; for those
 :func:`relax_angular_expander` marches the flow in similarity variables
@@ -41,8 +47,9 @@ Anisotropic planar cones have no ODE reduction; for those
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import LSODA, solve_ivp
@@ -101,7 +108,9 @@ def _tail_slope(n: int, beta: float, rho):
 
 
 def _ode_rhs(rho, y, n):
-    phi, p = y
+    # Python floats run the same IEEE double operations as numpy scalars,
+    # without their per-operation dispatch
+    phi, p = y.tolist()
     return [p, (1.0 + p * p) * (0.5 * (phi - rho * p) - (n - 1) * p / rho)]
 
 
@@ -130,25 +139,41 @@ def _integrate(a: float, n: int, cfg: ShootingConfig, t_eval: np.ndarray):
 def _miss(a: float, n: int, beta: float, cfg: ShootingConfig) -> float:
     """Signed distance of phi(rho_max) from the refined tail; +/-inf on blow-up.
 
-    Drives the LSODA stepper that ``solve_ivp`` would run, step for step,
-    and returns bit for bit what solve_ivp with ``t_eval=[rho_max]`` and a
-    terminal slope event gives: the end state is the stepper's own (solve_ivp's
-    dense output at the final step's end reproduces it exactly), and a slope
-    past ``slope_cap`` is caught after the same step the terminal event would
-    catch it.  Skipping solve_ivp's per-step event search and t_eval
-    bookkeeping makes a shot about three times cheaper.
+    Returns bit for bit what solve_ivp with ``t_eval=[rho_max]`` and a
+    terminal slope event gives.  The public ``LSODA`` object is built only
+    for its set-up: tolerance validation (including the rtol floor), the
+    work arrays and ``rho_max`` as the critical time.  Its own integrator is
+    then run with itask 5 (one step, never past the critical time), exactly
+    as ``LSODA.step`` runs it, but with :func:`_ode_rhs` passed straight to
+    the C stepper.  Its floats are the doubles scipy's wrappers would have
+    converted, so the stepper takes the same steps.  Skipping the wrapper
+    closures, the ``np.asarray`` of every RHS value and the per-step state
+    copy about halves the cost of a shot.
+
+    The end state is the stepper's own (solve_ivp's dense output at the
+    final step's end reproduces it exactly), and a slope past ``slope_cap``
+    is caught after the same accepted step the terminal event would catch
+    it.  Integrating to rho_max in a single C call would be faster still,
+    but it hides the accepted states, so that check could no longer be
+    exact.
     """
     rho0, y0 = _series_start(a, n)
-    solver = LSODA(lambda rho, y: _ode_rhs(rho, y, n), rho0, y0, cfg.rho_max,
-                   rtol=cfg.ode_rtol, atol=cfg.ode_atol)
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise ShootingError(f"profile integration failed at a={a}: {message}",
-                                scanned=[a])
-        if cfg.slope_cap - abs(solver.y[1]) <= 0:
-            return np.inf if solver.y[1] > 0 else -np.inf
-    return float(solver.y[0] - _tail_value(n, beta, cfg.rho_max))
+    rho_max, slope_cap = cfg.rho_max, cfg.slope_cap
+    ode = LSODA(lambda rho, y: _ode_rhs(rho, y, n), rho0, y0, rho_max,
+                rtol=cfg.ode_rtol, atol=cfg.ode_atol)._lsoda_solver
+    integrator = ode._integrator
+    integrator.call_args[2] = 5
+    y, rho, args = ode._y, rho0, (n,)
+    while rho < rho_max:
+        y, rho = integrator.run(_ode_rhs, None, y, rho, rho_max, args, ())
+        if not integrator.success:
+            istate = integrator.istate
+            raise ShootingError(
+                f"profile integration failed at a={a}: LSODA istate {istate} "
+                f"({integrator.messages.get(istate, 'unknown istate')})", scanned=[a])
+        if slope_cap - abs(y[1]) <= 0:
+            return np.inf if y[1] > 0 else -np.inf
+    return float(y[0] - _tail_value(n, beta, rho_max))
 
 
 def _rk4_defect(rho: np.ndarray, phi: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
@@ -189,7 +214,7 @@ class ExpanderProfile:
     rho_max evaluation falls back to the refined tail (see
     :meth:`extrapolated`).  ``a`` is the shooting parameter phi(0) and
     ``report`` carries the solve diagnostics (defect sup, far-field gap,
-    bracket, bisection count).
+    bracket, bisection and shot counts).
     """
 
     n: int
@@ -222,6 +247,29 @@ class ExpanderProfile:
         if np.any(~inside):
             out[~inside] = _tail_value(self.n, self.beta, rho[~inside])
         return out
+
+    @cached_property
+    def _pieces(self) -> tuple:
+        """Spline knots and the four coefficient rows as memoryviews: they
+        index to Python floats without copying the arrays."""
+        return memoryview(self._spline.x), tuple(map(memoryview, self._spline.c))
+
+    def value_at(self, rho: float) -> float:
+        """phi at one radius as a float, bit for bit ``evaluate([rho])[0]``.
+
+        Inside [0, rho_max] it replays scipy's piecewise-polynomial
+        evaluation (interval x_i <= rho < x_i+1, the last one closed, and
+        the power sum c3 + c2*s + c1*s^2 + c0*s^3 in that order) on floats.
+        The tail keeps numpy's power ufunc, which differs from libm's pow
+        in the last bit on some inputs.
+        """
+        if not rho <= self.rho_max:
+            return float(_tail_value(self.n, self.beta, np.array([rho]))[0])
+        knots, (c0, c1, c2, c3) = self._pieces
+        i = min(max(bisect_right(knots, rho) - 1, 0), len(knots) - 2)
+        s = rho - knots[i]
+        z = s * s
+        return (0.0 + c3[i]) + c2[i] * s + c1[i] * z + c0[i] * (z * s)
 
     def evaluate_prime(self, rho) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
@@ -283,17 +331,26 @@ def _shoot_profile(n: int, beta: float, cfg: ShootingConfig) -> ExpanderProfile:
         return ExpanderProfile(n, 0.0, nodes, zeros, zeros, 0.0,
                                report={"ode_residual": 0.0, "asym_gap": 0.0,
                                        "bracket": (0.0, 0.0), "bisections": 0,
+                                       "shots": 0,
                                        "above_cone_min": 0.0, "udot_min": 0.0},
                                node_residual=zeros)
+
+    scanned = []  # every shot's a, in order
+
+    def shoot(a_try: float) -> float:
+        miss = _miss(a_try, n, beta, cfg)
+        scanned.append(a_try)
+        if np.isnan(miss):
+            raise ShootingError(f"shot at a={a_try} missed by NaN (n={n}, beta={beta})",
+                                scanned=list(scanned))
+        return miss
 
     # bracket: a = 0 undershoots (the zero profile is below the tail), then
     # grow until the shot lands above the tail
     a_lo, f_lo = 0.0, -_tail_value(n, beta, cfg.rho_max)
     a_hi = max(beta, cfg.bracket_start)
-    scanned = []
     for _ in range(cfg.bracket_max_tries):
-        f_hi = _miss(a_hi, n, beta, cfg)
-        scanned.append(a_hi)
+        f_hi = shoot(a_hi)
         if f_hi > 0:
             break
         a_lo, f_lo = a_hi, f_hi
@@ -306,7 +363,7 @@ def _shoot_profile(n: int, beta: float, cfg: ShootingConfig) -> ExpanderProfile:
         a_mid = 0.5 * (a_lo + a_hi)
         if a_mid == a_lo or a_mid == a_hi:
             break
-        f_mid = _miss(a_mid, n, beta, cfg)
+        f_mid = shoot(a_mid)
         if f_mid > 0:
             a_hi = a_mid
         else:
@@ -331,6 +388,7 @@ def _shoot_profile(n: int, beta: float, cfg: ShootingConfig) -> ExpanderProfile:
         "asym_gap": asym_gap,
         "bracket": (a_lo, a_hi),
         "bisections": i + 1,
+        "shots": len(scanned),
         "above_cone_min": float(np.min(phi - beta * nodes)),
         "udot_min": float(np.min(0.5 * (phi - nodes * phi_p))),
     }

@@ -36,6 +36,7 @@ expander module uses it for anisotropic profiles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -109,7 +110,8 @@ def boundary_values_for(u0: GridFunction, config: SolverConfig, cone=None,
     """Build boundary data for a run from the configured mode.
 
     pin-to-cone needs ``cone`` (a ConeProfile); pin-to-expander needs
-    ``profile`` (an object with ``evaluate(rho)``) and is radial only.
+    ``profile`` (an ExpanderProfile, read one radius at a time through
+    ``value_at``) and is radial only.
     """
     spec = u0.spec
     needs_inner = (not spec.polar and spec.r_min > 0) or (spec.polar and not spec.through_origin)
@@ -134,15 +136,13 @@ def boundary_values_for(u0: GridFunction, config: SolverConfig, cone=None,
     if spec.polar:
         raise ParameterError("pin-to-expander boundary is radial-only")
 
-    def outer_at(t):
-        return float(np.sqrt(t) * profile.evaluate(np.array([spec.r_max / np.sqrt(t)]))[0])
+    def pinned_at(r):
+        def value(t):
+            s = math.sqrt(t)
+            return s * profile.value_at(r / s)
+        return value
 
-    inner = None
-    if needs_inner:
-        def inner_at(t):
-            return float(np.sqrt(t) * profile.evaluate(np.array([spec.r_min / np.sqrt(t)]))[0])
-        inner = inner_at
-    return BoundaryValues(outer_at, inner)
+    return BoundaryValues(pinned_at(spec.r_max), pinned_at(spec.r_min) if needs_inner else None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import LSODA, solve_ivp
 
 from coneflow import acceptance, expander, flow
 from coneflow.cones import ConeProfile
@@ -138,7 +138,29 @@ def test_angular_relaxation_consistent_with_radial(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# shooting: the bare LSODA loop against solve_ivp with a terminal event
+# shooting: the direct LSODA stepping against frozen oracles.  The RHS and the
+# step loop below are the package's earlier forms, kept here verbatim so the
+# oracles do not move with the code under test.
+
+
+def _seed_ode_rhs(rho, y, n):
+    """The profile ODE on numpy scalars, as first written."""
+    phi, p = y
+    return [p, (1.0 + p * p) * (0.5 * (phi - rho * p) - (n - 1) * p / rho)]
+
+
+def _seed_miss(a, n, beta, cfg):
+    """The shot as the public LSODA class steps it, one ``step()`` a time."""
+    rho0, y0 = expander._series_start(a, n)
+    solver = LSODA(lambda rho, y: _seed_ode_rhs(rho, y, n), rho0, y0, cfg.rho_max,
+                   rtol=cfg.ode_rtol, atol=cfg.ode_atol)
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise ShootingError(message, scanned=[a])
+        if cfg.slope_cap - abs(solver.y[1]) <= 0:
+            return np.inf if solver.y[1] > 0 else -np.inf
+    return float(solver.y[0] - expander._tail_value(n, beta, cfg.rho_max))
 
 
 def _miss_via_solve_ivp(a, n, beta, cfg):
@@ -149,7 +171,7 @@ def _miss_via_solve_ivp(a, n, beta, cfg):
         return cfg.slope_cap - abs(y[1])
 
     blow_up.terminal = True
-    sol = solve_ivp(expander._ode_rhs, (rho0, cfg.rho_max), y0, args=(n,),
+    sol = solve_ivp(_seed_ode_rhs, (rho0, cfg.rho_max), y0, args=(n,),
                     method="LSODA", rtol=cfg.ode_rtol, atol=cfg.ode_atol,
                     t_eval=[cfg.rho_max], events=blow_up)
     if sol.status == 1:
@@ -159,11 +181,29 @@ def _miss_via_solve_ivp(a, n, beta, cfg):
     return float(sol.y[0][-1] - expander._tail_value(n, beta, cfg.rho_max))
 
 
+def test_ode_rhs_bit_identical_to_numpy_scalars():
+    rng = np.random.default_rng(20)
+    rho = np.geomspace(1e-6, 40.0, 400)
+    phi = rng.uniform(-50.0, 50.0, rho.size)
+    p = rng.choice([-1.0, 1.0], rho.size) * 10.0 ** rng.uniform(-12.0, 7.0, rho.size)
+    for n in (2, 3, 4):
+        for r, y in zip(rho.tolist(), np.stack([phi, p], axis=1)):
+            got = expander._ode_rhs(r, y, n)
+            want = _seed_ode_rhs(r, y, n)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 @pytest.mark.parametrize("n,beta", [(2, 0.5), (2, 1.0), (3, 1.0), (3, 2.0)])
 def test_miss_bit_identical_to_solve_ivp(n, beta):
-    cfg = ShootingConfig()
-    for a in np.geomspace(0.05, 50.0, 9):
-        assert expander._miss(a, n, beta, cfg) == _miss_via_solve_ivp(a, n, beta, cfg)
+    # positive and negative axis heights; with a slope cap of 2 the shots far
+    # from the root blow up, with the default cap they all land finite
+    grid = np.geomspace(0.05, 50.0, 9)
+    for cap in (1e7, 2.0):
+        cfg = ShootingConfig(slope_cap=cap)
+        for a in np.concatenate([grid, -grid]).tolist():
+            want = _miss_via_solve_ivp(a, n, beta, cfg)
+            assert _seed_miss(a, n, beta, cfg) == want
+            assert expander._miss(a, n, beta, cfg) == want
 
 
 def test_miss_blow_up_bit_identical_to_solve_ivp():
@@ -180,6 +220,18 @@ def test_miss_blow_up_bit_identical_to_solve_ivp():
     assert np.isfinite(got).any()
 
 
+@pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
+def test_miss_below_rtol_floor_matches_clamped_oracles():
+    # LSODA's constructor raises an rtol under 100*eps to that floor; the
+    # direct stepping must inherit the clamp, not pass 1e-15 to the stepper
+    cfg = ShootingConfig(ode_rtol=1e-15)
+    for a in (0.5, 1.0, 1.709, 3.0):
+        want = _miss_via_solve_ivp(a, 2, 1.0, cfg)
+        assert np.isfinite(want)
+        assert _seed_miss(a, 2, 1.0, cfg) == want
+        assert expander._miss(a, 2, 1.0, cfg) == want
+
+
 @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small",
                             "ignore:.*Excess accuracy requested")
 def test_failed_shot_raises_with_scanned():
@@ -187,12 +239,65 @@ def test_failed_shot_raises_with_scanned():
     cfg = ShootingConfig(ode_rtol=1e-20, ode_atol=0.0)
     with pytest.raises(ShootingError):
         _miss_via_solve_ivp(1.0, 2, 1.0, cfg)
-    with pytest.raises(ShootingError, match="integration failed at a=1.0") as info:
+    with pytest.raises(ShootingError,
+                       match=r"integration failed at a=1.0: LSODA istate -2 "
+                             r"\(Excess accuracy requested") as info:
         expander._miss(1.0, 2, 1.0, cfg)
     assert info.value.scanned == [1.0]
-    with pytest.raises(ShootingError) as info:
+    with pytest.raises(ShootingError, match="Excess accuracy") as info:
         solve_expander_profile(ConeProfile.radial(2, 1.0), cfg)
     assert info.value.scanned == [1.0]
+
+
+def test_nan_miss_raises_with_scanned(monkeypatch):
+    # a NaN miss compares false with 0 and used to count as an undershoot
+    expander._shoot_profile.cache_clear()
+    calls = []
+
+    def fake_miss(a, n, beta, cfg):
+        calls.append(a)
+        return np.nan if abs(a - 1.7) < 0.05 else a - 1.7
+
+    monkeypatch.setattr(expander, "_miss", fake_miss)
+    # bracket 1.0, 1.5, 2.25; bisection 1.875, then 1.6875 lands in the hole
+    with pytest.raises(ShootingError, match="NaN") as info:
+        solve_expander_profile(ConeProfile.radial(2, 1.0))
+    assert info.value.scanned == calls == [1.0, 1.5, 2.25, 1.875, 1.6875]
+    # a NaN while bracketing stops the scan at once
+    calls.clear()
+    monkeypatch.setattr(expander, "_miss", lambda a, *_: calls.append(a) or np.nan)
+    with pytest.raises(ShootingError, match="NaN") as info:
+        solve_expander_profile(ConeProfile.radial(2, 1.0))
+    assert info.value.scanned == calls == [1.0]
+    assert expander._shoot_profile.cache_info().currsize == 0
+
+
+def test_report_counts_shots(monkeypatch):
+    expander._shoot_profile.cache_clear()
+    calls = []
+    shot = expander._miss
+    monkeypatch.setattr(expander, "_miss",
+                        lambda *args: calls.append(args[0]) or shot(*args))
+    prof = solve_expander_profile(ConeProfile.radial(2, 1.0))
+    assert prof.report["shots"] == len(calls) == 52
+    assert solve_expander_profile(ConeProfile.radial(2, 0.0)).report["shots"] == 0
+
+
+def test_value_at_bit_identical_to_evaluate(profile21):
+    # spline branch: random radii, every knot, both ends; tail branch past
+    # rho_max, where numpy's power ufunc must be kept
+    rm = profile21.rho_max
+    rng = np.random.default_rng(21)
+    inside = np.concatenate([rng.uniform(0.0, rm, 2000), profile21.rho,
+                             [0.0, np.nextafter(rm, 0.0), rm]])
+    outside = np.concatenate([[np.nextafter(rm, np.inf)],
+                              rng.uniform(rm, 1e4, 2000), np.geomspace(rm, 1e8, 200)[1:]])
+    for rho in (inside, outside):
+        want = profile21.evaluate(rho)
+        got = np.array([profile21.value_at(r) for r in rho.tolist()])
+        assert got.tobytes() == want.tobytes()
+    assert type(profile21.value_at(1.0)) is float
+    assert type(profile21.value_at(2 * rm)) is float
 
 
 # ---------------------------------------------------------------------------

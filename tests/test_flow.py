@@ -89,6 +89,25 @@ def test_boundary_modes_pin_last_node(cone21, profile21):
                                                        rel=1e-9)
 
 
+def test_expander_boundary_values_bit_identical_to_evaluate(profile21):
+    # the scalar pin-to-expander path gives the float the array path gives;
+    # small t puts r/sqrt(t) past rho_max, on the tail
+    spec = GridSpec.uniform(2, 0.5, 30.0, 60)
+    cfg = SolverConfig(dt_init=1e-3, dt_max=0.01, snapshot_dt=0.2,
+                       boundary="pin-to-expander")
+    bv = boundary_values_for(GridFunction(spec, np.zeros(60)), cfg,
+                             profile=profile21)
+    ts = np.concatenate([np.geomspace(1e-3, 0.5, 40), np.linspace(0.5, 9.0, 200)])
+    tail = 0
+    for t in ts.tolist():
+        got = bv.resolve(t)
+        for r, value in zip((spec.r_max, spec.r_min), got):
+            tail += r / np.sqrt(t) > profile21.rho_max
+            want = float(np.sqrt(t) * profile21.evaluate(np.array([r / np.sqrt(t)]))[0])
+            assert type(value) is float and value == want
+    assert 0 < tail < len(ts)
+
+
 def test_unknown_boundary_rejected():
     with pytest.raises(ParameterError):
         SolverConfig(dt_init=1e-3, dt_max=0.01, snapshot_dt=0.1,
