@@ -12,8 +12,7 @@ from .analysis import (Ball, C1Function, DecayFit, bv_norm,
                        clearing_out_experiment, clearing_out_scaling,
                        decay_fit, graph_area_bound_check, sup_diff)
 from .barriers import (HeatSupersolution, ScaledBarrier, StaticBarrier,
-                       Subsolution, assemble_subsolution,
-                       evolution_equation_residuals, half_space_experiment,
+                       Subsolution, evolution_equation_residuals, half_space_experiment,
                        lemma_barrier_flow, psi_identity_residual,
                        static_barrier_w, wk_difference_fit)
 from .cones import ConeProfile
@@ -38,7 +37,7 @@ __all__ = [
     "NewtonError", "ParameterError", "SCENARIOS",
     "ScaledBarrier", "Scenario", "ShootingConfig", "ShootingError",
     "SolverConfig", "StaticBarrier", "StepFailureError", "Subsolution",
-    "assemble_subsolution", "bv_norm", "clearing_out_experiment",
+    "bv_norm", "clearing_out_experiment",
     "clearing_out_scaling", "comparison_check", "decay_fit", "detect_t_delta",
     "evaluate_U", "evolution_equation_residuals", "evolve",
     "expander_time_derivative", "GeometricState", "geometric_state",

@@ -52,7 +52,6 @@ __all__ = [
     "scale_barrier",
     "ScaledBarrier",
     "Subsolution",
-    "assemble_subsolution",
     "HeatSupersolution",
     "PsiIdentityReport",
     "psi_identity_residual",
@@ -176,9 +175,6 @@ class BarrierFlowPath:
     times: np.ndarray
     levels: np.ndarray
 
-    def b(self, j: int) -> GridFunction:
-        return GridFunction(self.spec, self.levels[j].copy())
-
 
 @dataclass(eq=False)
 class LagrangianPath:
@@ -194,8 +190,7 @@ class LagrangianPath:
 
 
 def _lagrangian_velocity(s, R, Z, alpha, f_scale):
-    Rs, _ = _d1_d2(s, R)
-    Zs, _ = _d1_d2(s, Z)
+    Rs, Zs = _d1_d2(s, np.stack((R, Z), axis=1))[0].T
     q = np.sqrt(Rs * Rs + Zs * Zs)
     Fmag = f_scale * (R * R + Z * Z) ** (-alpha)
     # velocity -F nu = |F| nu with nu = (Z_s, -R_s)/q the downward normal
@@ -351,8 +346,8 @@ def _profile_geometry(s, R, Z, n, alpha, f_scale):
     Derivatives of the speed F = -f_scale * (R^2+Z^2)^(-alpha) are exact chain
     rules in the stored coordinates, not finite differences.
     """
-    Rs, Rss = _d1_d2(s, R)
-    Zs, Zss = _d1_d2(s, Z)
+    d1, d2 = _d1_d2(s, np.stack((R, Z), axis=1))
+    (Rs, Zs), (Rss, Zss) = d1.T, d2.T
     q2 = Rs * Rs + Zs * Zs
     q = np.sqrt(q2)
     nu_r = Zs / q
@@ -543,38 +538,34 @@ class Subsolution:
         if pc.n != bc.n or abs(pc.beta - bc.beta) > 1e-12:
             raise ParameterError("expander and barrier belong to different cones")
 
-    def _expander_branch(self, r: np.ndarray, t: float) -> np.ndarray:
-        # U extends continuously to t = 0 as the cone itself
+    def _branches(self, r, t: float):
+        """(U - m, b_lam - delta/2) at r; the barrier branch is -inf off its
+        domain."""
         if t < 0:
             raise DomainError("subsolution defined for t >= 0")
-        if t == 0:
-            return self.barrier.cone.beta * r - self.m
-        return evaluate_U(self.profile, r, t) - self.m
-
-    def evaluate(self, r, t: float) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        B = self._expander_branch(r, t)
+        # U extends continuously to t = 0 as the cone itself
+        if t == 0:
+            ub = self.barrier.cone.beta * r - self.m
+        else:
+            ub = evaluate_U(self.profile, r, t) - self.m
+        bb = np.full(r.shape, -np.inf)
         lo, hi = self.barrier.domain
         inside = (r >= lo) & (r <= hi)
         if inside.any():
-            B[inside] = np.maximum(B[inside],
-                                   self.barrier.evaluate(r[inside]) - self.delta / 2)
-        return B
+            bb[inside] = self.barrier.evaluate(r[inside]) - self.delta / 2
+        return ub, bb
+
+    def evaluate(self, r, t: float) -> np.ndarray:
+        return np.maximum(*self._branches(r, t))
 
     def on_grid(self, spec: GridSpec, t: float) -> GridFunction:
         return GridFunction(spec, self.evaluate(spec.nodes, t))
 
     def branch(self, r, t: float) -> np.ndarray:
         """0 where the expander branch is active, 1 where the barrier wins."""
-        r = np.asarray(r, dtype=float)
-        ub = self._expander_branch(r, t)
-        out = np.zeros(r.shape, dtype=int)
-        lo, hi = self.barrier.domain
-        inside = (r >= lo) & (r <= hi)
-        if inside.any():
-            bb = self.barrier.evaluate(r[inside]) - self.delta / 2
-            out[inside] = (bb > ub[inside]).astype(int)
-        return out
+        ub, bb = self._branches(r, t)
+        return (bb > ub).astype(int)
 
     def residual_report(self, spec: GridSpec, times, crease_margin: int = 2) -> dict:
         """Branch-wise flow residuals away from the gluing crease.
@@ -608,12 +599,6 @@ class Subsolution:
         return {"expander_residual": exp_res,
                 "barrier_min_H": None if math.isinf(bar_min_H) else bar_min_H,
                 "subsolution_ok": math.isinf(bar_min_H) or bar_min_H > -1e-10}
-
-
-def assemble_subsolution(profile: ExpanderProfile, barrier: ScaledBarrier,
-                         m: float, delta: float, R: float) -> Subsolution:
-    """Glue the shifted expander and the scaled static barrier branch."""
-    return Subsolution(profile, barrier, m, delta, R)
 
 
 # ---------------------------------------------------------------------------
@@ -679,10 +664,7 @@ def psi_identity_residual(run: FlowRun, outer_margin: int = 3) -> PsiIdentityRep
         raise ParameterError("implemented for radial runs")
     n = spec.n
     r = spec.nodes
-
-    def psi_values(u, t):
-        return -(n / 2.0) * np.log(t) - (r * r + u * u) / (4.0 * t)
-
+    psi = HeatSupersolution(n, 1.0, 0.0).psi  # reads n only
     sups = []
     for j in range(1, times.size - 1):
         tm, t0, tp = times[j - 1], times[j], times[j + 1]
@@ -691,8 +673,8 @@ def psi_identity_residual(run: FlowRun, outer_margin: int = 3) -> PsiIdentityRep
         um = run.snapshots[j - 1].values
         u0 = run.snapshots[j].values
         up = run.snapshots[j + 1].values
-        f0 = psi_values(u0, t0)
-        dpsi_graph = (psi_values(up, tp) - psi_values(um, tm)) / (tp - tm)
+        f0 = psi(r, u0, t0)
+        dpsi_graph = (psi(r, up, tp) - psi(r, um, tm)) / (tp - tm)
         udot = (up - um) / (tp - tm)
         p, q = _radial_derivatives(spec, u0)
         W2 = 1.0 + p * p

@@ -25,8 +25,7 @@ import tempfile
 import numpy as np
 
 from .analysis import bump
-from .barriers import (ScaledBarrier, assemble_subsolution,
-                       lemma_barrier_flow, static_barrier_w,
+from .barriers import (Subsolution, lemma_barrier_flow, static_barrier_w,
                        wk_difference_fit)
 from .cones import ConeProfile
 from .errors import (CertificationError, DomainError, GridError, NewtonError,
@@ -158,7 +157,10 @@ def print_config(cfg: dict, stream=None) -> None:
         print(file=stream)
 
 
-def _apply_sets(section: dict, pairs, label: str) -> None:
+def _apply_sets(section: dict, pairs, label: str) -> dict:
+    """Coerce key=value pairs to the types of ``section``'s values, write
+    them into it and return the pairs applied."""
+    applied = {}
     for pair in pairs or ():
         if "=" not in pair:
             raise ParameterError(f"--set wants key=value, got {pair!r}")
@@ -167,7 +169,8 @@ def _apply_sets(section: dict, pairs, label: str) -> None:
         if key not in section:
             raise ParameterError(f"unknown key {key!r} for {label} "
                                  f"(known: {', '.join(sorted(section))})")
-        section[key] = _coerce(key, section[key], raw)
+        applied[key] = section[key] = _coerce(key, section[key], raw)
+    return applied
 
 
 def _resolve_out(arg_out: str | None) -> str:
@@ -268,12 +271,9 @@ def _cmd_barrier(cfg: dict, out: str) -> int:
         if which != "subsolution":
             verdicts.append(bool(lemma_res.passed))
     if which in ("subsolution", "all"):
-        if not lemma_res.passed:
-            raise CertificationError("lemma barrier failed; cannot glue")
-        prof = solve_expander_profile(k)
-        scaled = ScaledBarrier.from_result(lemma_res, 1.0)
-        sub = assemble_subsolution(prof, scaled, sec["m"], sec["delta"],
-                                   sec["barrier_radius"])
+        scaled = lemma_res.scaled(1.0)
+        sub = Subsolution(solve_expander_profile(k), scaled, sec["m"],
+                          sec["delta"], sec["barrier_radius"])
         spec = GridSpec.uniform(sec["n"], 0.0, 0.8 * scaled.domain[1], 1001)
         res = sub.residual_report(spec, np.linspace(0.05, 1.0, 8))
         report["subsolution"] = res
@@ -317,22 +317,14 @@ def _cmd_verify(cfg: dict, out: str) -> int:
 
 
 def _scenario_overrides(scenario, pairs) -> tuple:
-    """Type-check key=value pairs against the runner's signature."""
+    """Type-check key=value pairs against the runner's scalar defaults; a
+    parameter whose default is not a bool, int, float or str (a tuple, a
+    profile) cannot be typed from text and is not offered."""
     schema = {name: p.default for name, p in
               inspect.signature(scenario.function()).parameters.items()
-              if p.default is not inspect.Parameter.empty}
+              if isinstance(p.default, (bool, int, float, str))}
     merged = dict(scenario.overrides)
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise ParameterError(f"--set wants key=value, got {pair!r}")
-        key, raw = pair.split("=", 1)
-        key = key.strip()
-        if key not in schema:
-            raise ParameterError(f"unknown parameter {key!r} for scenario "
-                                 f"{scenario.name!r}")
-        default = schema[key]
-        merged[key] = (_coerce(key, default, raw) if default is not None
-                       else float(raw))
+    merged.update(_apply_sets(schema, pairs, f"scenario {scenario.name!r}"))
     return tuple(merged.items())
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import DecayFit, bump, decay_fit
-from .barriers import assemble_subsolution, lemma_barrier_flow
+from .barriers import Subsolution, lemma_barrier_flow
 from .cones import ConeProfile
 from .errors import ParameterError
 from .expander import ExpanderProfile, evaluate_U, solve_expander_profile
@@ -71,6 +71,13 @@ def restrict_run(run: FlowRun, t_from: float) -> FlowRun:
     if not out.snapshots:
         raise ParameterError(f"no snapshots at or after t={t_from}")
     return out
+
+
+def _expander_gap(run: FlowRun, profile: ExpanderProfile) -> np.ndarray:
+    """sup|u - U(., t)| at every snapshot of ``run``."""
+    return np.array([float(np.max(np.abs(
+        s.values - evaluate_U(profile, s.spec.nodes, max(t, 1e-12)))))
+        for t, s in zip(run.times, run.snapshots)])
 
 
 def _bisect_upper_shift(profile: ExpanderProfile, u0: GridFunction,
@@ -150,9 +157,7 @@ def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,
                           + sign * bump(spec.nodes, amplitude, radius))
         run = evolve(u0, horizon, cfg, cone=k, profile=profile)
         times = run.times
-        trace = np.array([float(np.max(np.abs(
-            s.values - evaluate_U(profile, spec.nodes, max(t, 1e-12)))))
-            for t, s in zip(times, run.snapshots)])
+        trace = _expander_gap(run, profile)
         hit = np.nonzero(trace <= threshold)[0]
         t_flat = float(times[hit[0]]) if hit.size else None
 
@@ -219,9 +224,7 @@ def run_one_sided(n: int = 2, beta: float = 1.0, t_offset: float = 0.5,
                        boundary="pin-to-expander")
     run = evolve(GridFunction(spec, vals), horizon, cfg, cone=k, profile=profile)
     times = run.times
-    trace = np.array([float(np.max(np.abs(
-        s.values - evaluate_U(profile, r, max(t, 1e-12)))))
-        for t, s in zip(times, run.snapshots)])
+    trace = _expander_gap(run, profile)
     sel = (times >= fit_window[0]) & (times <= fit_window[1]) & (trace > 0)
     fit = decay_fit(times[sel], trace[sel])
     passed = exponent_band[0] <= fit.exponent <= exponent_band[1]
@@ -284,12 +287,7 @@ def run_family_uniform(n: int = 2, beta: float = 1.0, count: int = 5,
                     cone=k, profile=profile)
     times = run_hi.times
 
-    def dev(run):
-        return np.array([float(np.max(np.abs(
-            s.values - evaluate_U(profile, r, max(t, 1e-12)))))
-            for t, s in zip(run.times, run.snapshots)])
-
-    rail = dev(run_hi) + dev(run_lo)
+    rail = _expander_gap(run_hi, profile) + _expander_gap(run_lo, profile)
     family = np.zeros_like(rail)
     sandwich_ok = True
     for omega, phase in members:
@@ -297,7 +295,7 @@ def run_family_uniform(n: int = 2, beta: float = 1.0, count: int = 5,
                        cfg, cone=k, profile=profile)
         sandwich_ok &= bool(comparison_check(run_hi, run_i, tol, c_scheme))
         sandwich_ok &= bool(comparison_check(run_i, run_lo, tol, c_scheme))
-        family = np.maximum(family, dev(run_i))
+        family = np.maximum(family, _expander_gap(run_i, profile))
 
     allow = tol + c_scheme * (times - times[0]) * spec.max_spacing() ** 2
     bound_ok = bool(np.all(family <= rail + 2.0 * allow))
@@ -343,7 +341,7 @@ def subsolution_dominance_experiment(n: int = 3, beta: float = 1.0,
     if not (0 < clearance < m):
         raise ParameterError("need 0 < clearance < m")
     barrier = lemma_barrier_flow(k).scaled(lam)
-    sub = assemble_subsolution(profile, barrier, m, delta, R)
+    sub = Subsolution(profile, barrier, m, delta, R)
     spec = GridSpec.uniform(n, 0.0, r_max, nodes)
     r = spec.nodes
     u0 = GridFunction(spec, k.beta * r - bump(r, m - clearance, R))

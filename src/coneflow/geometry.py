@@ -10,12 +10,15 @@ is used throughout, so convex graphs have positive mean curvature.  In
 particular H[beta*|x|] = (n-1)*beta/(r*sqrt(1+beta^2)) > 0 for beta > 0, and a
 lower hemisphere of radius R has H = n/R.
 
-Derivatives are second-order centered differences on possibly non-uniform
-grids; boundary nodes fall back to one-sided stencils and are lower accuracy.
-A radial grid whose first node sits at r = 0 uses the even extension
-u(-r) = u(r), and polar grids flagged as passing through the origin use the
-antipodal continuation u(-r, theta) = u(r, theta+pi) across the innermost
-ring.
+Every radial derivative reads one three-point weight table, built by
+``_stencil`` for any node vector: centered differences inside (second order
+on non-uniform grids) and one-sided rows, of lower accuracy, at the ends.
+``_d1_d2`` applies it along axis 0 of any stack (polar radial derivatives,
+the barrier profile curves), and ``_radial_operator`` caches it per radial
+grid.  A radial grid whose first node sits at r = 0 uses the even extension
+u(-r) = u(r), folded into its table; polar grids flagged as passing through
+the origin use the antipodal continuation u(-r, theta) = u(r, theta+pi)
+across the innermost ring (angular derivatives are periodic differences).
 """
 
 from __future__ import annotations
@@ -243,50 +246,63 @@ def grids_match(a: GridSpec, b: GridSpec) -> bool:
 # finite differences
 
 
-def _d1_d2(x: np.ndarray, y: np.ndarray):
-    """First and second derivative of y(x), centered inside, one-sided at ends.
+def _stencil(x: np.ndarray):
+    """The three-point derivative table (rows, w, D) of strictly increasing
+    nodes ``x``.
 
-    Works along axis 0 for 2-d ``y``.  The one-sided first derivative is
-    second order; the one-sided second derivative is the parabola through the
-    outermost three nodes (first order on non-uniform grids).
+    Row i reads the nodes ``rows[:, i]`` = (a, b, c):
+    y'_i = w[0]*y_a + w[1]*y_b + w[2]*y_c and
+    y''_i = 2*(y_a/D[0] + y_b/D[1] + y_c/D[2]).  Interior rows are centered,
+    (a, b, c) = (i-1, i, i+1); the ends are one-sided, (0, 1, 2) first and
+    (N-1, N-2, N-3) last.  The one-sided first derivative is second order;
+    the one-sided second derivative is the parabola through the outermost
+    three nodes (first order on non-uniform grids).  Signs are folded into
+    ``w`` and ``D``, and the second derivative keeps the division form
+    (multiplying by a reciprocal would round differently).
     """
-    x = x.reshape((-1,) + (1,) * (y.ndim - 1))
-    d1 = np.empty_like(y)
-    d2 = np.empty_like(y)
+    N = x.size
     hm = x[1:-1] - x[:-2]
     hp = x[2:] - x[1:-1]
-    d1[1:-1] = (-hp / (hm * (hm + hp))) * y[:-2] \
-        + ((hp - hm) / (hm * hp)) * y[1:-1] \
-        + (hm / (hp * (hm + hp))) * y[2:]
-    d2[1:-1] = 2.0 * (y[:-2] / (hm * (hm + hp))
-                      - y[1:-1] / (hm * hp)
-                      + y[2:] / (hp * (hm + hp)))
-    h1, h2 = x[1] - x[0], x[2] - x[1]
-    d1[0] = (-(2 * h1 + h2) / (h1 * (h1 + h2))) * y[0] \
-        + ((h1 + h2) / (h1 * h2)) * y[1] - (h1 / (h2 * (h1 + h2))) * y[2]
-    d2[0] = 2.0 * (y[0] / (h1 * (h1 + h2)) - y[1] / (h1 * h2) + y[2] / (h2 * (h1 + h2)))
-    g1, g2 = x[-1] - x[-2], x[-2] - x[-3]
-    d1[-1] = ((2 * g1 + g2) / (g1 * (g1 + g2))) * y[-1] \
-        - ((g1 + g2) / (g1 * g2)) * y[-2] + (g1 / (g2 * (g1 + g2))) * y[-3]
-    d2[-1] = 2.0 * (y[-1] / (g1 * (g1 + g2)) - y[-2] / (g1 * g2) + y[-3] / (g2 * (g1 + g2)))
-    return d1, d2
+    i = np.arange(1, N - 1)
+    rows = np.empty((3, N), dtype=np.intp)
+    w = np.empty((3, N))
+    D = np.empty((3, N))
+    rows[:, 1:-1] = (i - 1, i, i + 1)
+    w[:, 1:-1] = (-hp / (hm * (hm + hp)), (hp - hm) / (hm * hp), hm / (hp * (hm + hp)))
+    D[:, 1:-1] = (hm * (hm + hp), -(hm * hp), hp * (hm + hp))
+    # one-sided ends: spacings (a, b) walk inward from end node j in steps
+    # of k, and the first-derivative weights change sign with k
+    for j, k, a, b in ((0, 1, hm[0], hp[0]), (N - 1, -1, hp[-1], hm[-1])):
+        rows[:, j] = (j, j + k, j + 2 * k)
+        w[:, j] = (-k * (2 * a + b) / (a * (a + b)), k * ((a + b) / (a * b)),
+                   -k * (a / (b * (a + b))))
+        D[:, j] = (a * (a + b), -(a * b), b * (a + b))
+    return rows, w, D
+
+
+def _apply_stencil(rows: np.ndarray, w: np.ndarray, D: np.ndarray, y: np.ndarray):
+    """(y', y'') along axis 0 of ``y`` from a table of :func:`_stencil`."""
+    if y.ndim > 1:
+        w = w.reshape(w.shape + (1,) * (y.ndim - 1))
+        D = D.reshape(D.shape + (1,) * (y.ndim - 1))
+    ya, yb, yc = y[rows]
+    return (w[0] * ya + w[1] * yb + w[2] * yc,
+            2.0 * (ya / D[0] + yb / D[1] + yc / D[2]))
+
+
+def _d1_d2(x: np.ndarray, y: np.ndarray):
+    """First and second derivative of y(x) along axis 0 (:func:`_stencil`)."""
+    return _apply_stencil(*_stencil(x), y)
 
 
 class _RadialOperator(NamedTuple):
-    """Three-point derivative table of one radial grid.
+    """The :func:`_stencil` table of one radial grid, plus Jacobian parts.
 
-    Row i of the derivatives reads the nodes ``rows[:, i]`` = (a, b, c):
-    u_r = w[0]*u_a + w[1]*u_b + w[2]*u_c and
-    u_rr = 2*(u_a/D[0] + u_b/D[1] + u_c/D[2]).  Interior rows (and an r = 0
-    row, whose ghost node u(-r_1) = u(r_1) is read as node 1) use
-    (a, b, c) = (i-1, i, i+1); the ends use the one-sided rows of
-    :func:`_d1_d2`, with (0, 1, 2) first and (N-1, N-2, N-3) last.  Signs are
-    folded into ``w`` and ``D`` and the second derivative keeps the division
-    form of :func:`_d1_d2` (multiplying by a reciprocal rounds differently),
-    so the results are bit-identical to it.
-
-    ``d`` = 2/D and ``w_over_r`` = (n-1) w/r (zero in an r = 0 column) are
-    the grid-constant parts of the radial Newton Jacobian.
+    On an r = 0 grid the table is that of the even extension [-r_1, r...]
+    with the ghost row dropped and the ghost node u(-r_1) = u(r_1) read as
+    node 1, so the r = 0 row is the centered (1, 0, 1).  ``d`` = 2/D and
+    ``w_over_r`` = (n-1) w/r (zero in an r = 0 column) are the grid-constant
+    parts of the radial Newton Jacobian.
     """
 
     rows: np.ndarray
@@ -300,32 +316,11 @@ class _RadialOperator(NamedTuple):
 def _radial_operator(spec: GridSpec) -> _RadialOperator:
     """The derivative table of a radial grid, cached per GridSpec (by identity)."""
     r = spec.nodes
-    N = r.size
-    x = np.concatenate(([-r[1]], r)) if r[0] == 0.0 else r
-    hm = x[1:-1] - x[:-2]
-    hp = x[2:] - x[1:-1]
-    rows = np.empty((3, N), dtype=np.intp)
-    w = np.empty((3, N))
-    D = np.empty((3, N))
-    # centered rows; on an r = 0 grid they start at node 0 with the ghost
-    lo = 0 if r[0] == 0.0 else 1
-    i = np.arange(lo, N - 1)
-    rows[:, lo:-1] = (i - 1, i, i + 1)
-    w[:, lo:-1] = (-hp / (hm * (hm + hp)), (hp - hm) / (hm * hp), hm / (hp * (hm + hp)))
-    D[:, lo:-1] = (hm * (hm + hp), -(hm * hp), hp * (hm + hp))
-    if lo == 0:
-        rows[0, 0] = 1
+    if r[0] == 0.0:
+        rows, w, D = _stencil(np.concatenate(([-r[1]], r)))
+        rows, w, D = np.abs(rows[:, 1:] - 1), w[:, 1:], D[:, 1:]
     else:
-        h1, h2 = r[1] - r[0], r[2] - r[1]
-        rows[:, 0] = (0, 1, 2)
-        w[:, 0] = (-(2 * h1 + h2) / (h1 * (h1 + h2)), (h1 + h2) / (h1 * h2),
-                   -(h1 / (h2 * (h1 + h2))))
-        D[:, 0] = (h1 * (h1 + h2), -(h1 * h2), h2 * (h1 + h2))
-    g1, g2 = r[-1] - r[-2], r[-2] - r[-3]
-    rows[:, -1] = (N - 1, N - 2, N - 3)
-    w[:, -1] = ((2 * g1 + g2) / (g1 * (g1 + g2)), -((g1 + g2) / (g1 * g2)),
-                g1 / (g2 * (g1 + g2)))
-    D[:, -1] = (g1 * (g1 + g2), -(g1 * g2), g2 * (g1 + g2))
+        rows, w, D = _stencil(r)
     inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
     op = _RadialOperator(rows, w, D, 2.0 / D, (spec.n - 1) * w * inv_r)
     for arr in op:
@@ -335,12 +330,7 @@ def _radial_operator(spec: GridSpec) -> _RadialOperator:
 
 def _radial_derivatives(spec: GridSpec, vals: np.ndarray):
     """(u_r, u_rr) on a radial grid, using the even extension when r_min = 0."""
-    op = _radial_operator(spec)
-    ya, yb, yc = vals[op.rows]
-    w, D = op.w, op.D
-    p = w[0] * ya + w[1] * yb + w[2] * yc
-    q = 2.0 * (ya / D[0] + yb / D[1] + yc / D[2])
-    return p, q
+    return _apply_stencil(*_radial_operator(spec)[:3], vals)
 
 
 def _polar_derivatives(spec: GridSpec, vals: np.ndarray):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from coneflow.barriers import (HeatSupersolution, ScaledBarrier, Subsolution,
-                               assemble_subsolution,
                                evolution_equation_residuals,
                                half_space_experiment, lemma_barrier_flow,
                                psi_identity_residual, scale_barrier,
                                static_barrier_w, wk_difference_fit)
 from coneflow.cones import ConeProfile
 from coneflow.errors import (CertificationError, DomainError, ParameterError)
+from coneflow.expander import evaluate_U
 from coneflow.flow import FlowRun
 from coneflow.geometry import GridFunction, GridSpec
 
@@ -142,16 +142,15 @@ def test_scaled_barrier_homogeneity(lemma_result):
 def test_subsolution_invariants(lemma_result, profile31):
     sc = ScaledBarrier.from_result(lemma_result, 1.0)
     with pytest.raises(ParameterError):
-        assemble_subsolution(profile31, sc, m=sc.m1 * 1.5, delta=0.1, R=5.0)
+        Subsolution(profile31, sc, m=sc.m1 * 1.5, delta=0.1, R=5.0)
     with pytest.raises(ParameterError):
-        assemble_subsolution(profile31, sc, m=0.2, delta=0.1,
-                             R=sc.R1 * 1.5)
+        Subsolution(profile31, sc, m=0.2, delta=0.1, R=sc.R1 * 1.5)
     with pytest.raises(ParameterError):
-        assemble_subsolution(profile31, sc, m=0.2, delta=-0.1, R=5.0)
+        Subsolution(profile31, sc, m=0.2, delta=-0.1, R=5.0)
 
 
 def test_subsolution_time_zero_is_shifted_cone(lemma_result, profile31):
-    sub = assemble_subsolution(profile31, ScaledBarrier.from_result(
+    sub = Subsolution(profile31, ScaledBarrier.from_result(
         lemma_result, 1.0), m=0.2, delta=0.1, R=5.0)
     r = np.linspace(0.0, 30.0, 61)
     vals = sub.evaluate(r, 0.0)
@@ -163,19 +162,38 @@ def test_subsolution_time_zero_is_shifted_cone(lemma_result, profile31):
 
 
 def test_subsolution_is_pointwise_max(lemma_result, profile31):
-    sub = assemble_subsolution(profile31, ScaledBarrier.from_result(
+    sub = Subsolution(profile31, ScaledBarrier.from_result(
         lemma_result, 1.0), m=0.2, delta=0.1, R=5.0)
     lo, hi = sub.barrier.domain
     r = np.linspace(lo * 1.1, hi * 0.9, 101)
     t = 0.25
     vals = sub.evaluate(r, t)
-    expander_branch = sub._expander_branch(r, t)
+    expander_branch = evaluate_U(profile31, r, t) - sub.m
     barrier_branch = sub.barrier.evaluate(r) - sub.delta / 2.0
     assert np.allclose(vals, np.maximum(expander_branch, barrier_branch))
 
 
+def test_subsolution_branches_off_the_barrier_domain(lemma_result, profile31):
+    # off its domain the barrier branch is absent: B = U - m, branch 0
+    sub = Subsolution(profile31, ScaledBarrier.from_result(
+        lemma_result, 1.0), m=0.2, delta=0.1, R=5.0)
+    lo, hi = sub.barrier.domain
+    r = np.linspace(0.0, 1.2 * hi, 301)
+    t = 0.25
+    inside = (r >= lo) & (r <= hi)
+    assert inside.any() and not inside.all()
+    ub = evaluate_U(profile31, r, t) - sub.m
+    bb = sub.barrier.evaluate(r[inside]) - sub.delta / 2.0
+    want_B = ub.copy()
+    want_B[inside] = np.maximum(ub[inside], bb)
+    want_branch = np.zeros(r.size, dtype=int)
+    want_branch[inside] = bb > ub[inside]
+    assert np.array_equal(sub.evaluate(r, t), want_B)
+    assert np.array_equal(sub.branch(r, t), want_branch)
+
+
 def test_subsolution_residual_report(lemma_result, profile31):
-    sub = assemble_subsolution(profile31, ScaledBarrier.from_result(
+    sub = Subsolution(profile31, ScaledBarrier.from_result(
         lemma_result, 1.0), m=0.2, delta=0.1, R=5.0)
     spec = GridSpec.uniform(3, 0.0, 0.8 * sub.barrier.domain[1], 501)
     rep = sub.residual_report(spec, np.linspace(0.1, 1.0, 4))

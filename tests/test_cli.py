@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from coneflow import cli
+from coneflow import cli, experiments
 from coneflow.errors import CertificationError, NewtonError
 
 
@@ -184,6 +184,20 @@ def test_experiment_unknown_scenario(tmp_path, capsys):
 def test_experiment_unknown_override(tmp_path, capsys):
     assert run_cli(["--quick", "experiment", "--name", "family-uniform",
                     "--set", "bogus=1"], tmp_path) == 2
+
+
+@pytest.mark.parametrize("pair", ["fit_window=1,12", "profile=1.0"])
+def test_experiment_untypeable_override_rejected(tmp_path, capsys,
+                                                 monkeypatch, pair):
+    # a tuple or profile default cannot be typed from text: usage error
+    # before any flow runs
+    calls = []
+    monkeypatch.setattr(experiments, "evolve",
+                        lambda *args, **kw: calls.append(args))
+    assert run_cli(["--quick", "experiment", "--name", "one-sided",
+                    "--set", pair], tmp_path) == 2
+    assert calls == []
+    assert f"unknown key {pair.split('=')[0]!r}" in capsys.readouterr().err
 
 
 def test_numerical_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from coneflow import geometry
 from coneflow.errors import GridError
 from coneflow.geometry import (GridFunction, GridSpec, geometric_state,
                                grids_match, mean_curvature, _d1_d2,
-                               _radial_derivatives)
+                               _polar_derivatives, _radial_derivatives)
 
 
 def test_uniform_spec_basics():
@@ -126,6 +127,47 @@ def test_state_normal_is_unit(beta, n):
     assert np.allclose(norms, 1.0, atol=1e-12)
 
 
+def _frozen_d1_d2(x, y):
+    """The nonuniform three-point formulas written out, as a reference that
+    does not read geometry's weight table."""
+    x = x.reshape((-1,) + (1,) * (y.ndim - 1))
+    d1 = np.empty_like(y)
+    d2 = np.empty_like(y)
+    hm = x[1:-1] - x[:-2]
+    hp = x[2:] - x[1:-1]
+    d1[1:-1] = (-hp / (hm * (hm + hp))) * y[:-2] \
+        + ((hp - hm) / (hm * hp)) * y[1:-1] \
+        + (hm / (hp * (hm + hp))) * y[2:]
+    d2[1:-1] = 2.0 * (y[:-2] / (hm * (hm + hp))
+                      - y[1:-1] / (hm * hp)
+                      + y[2:] / (hp * (hm + hp)))
+    h1, h2 = x[1] - x[0], x[2] - x[1]
+    d1[0] = (-(2 * h1 + h2) / (h1 * (h1 + h2))) * y[0] \
+        + ((h1 + h2) / (h1 * h2)) * y[1] - (h1 / (h2 * (h1 + h2))) * y[2]
+    d2[0] = 2.0 * (y[0] / (h1 * (h1 + h2)) - y[1] / (h1 * h2) + y[2] / (h2 * (h1 + h2)))
+    g1, g2 = x[-1] - x[-2], x[-2] - x[-3]
+    d1[-1] = ((2 * g1 + g2) / (g1 * (g1 + g2))) * y[-1] \
+        - ((g1 + g2) / (g1 * g2)) * y[-2] + (g1 / (g2 * (g1 + g2))) * y[-3]
+    d2[-1] = 2.0 * (y[-1] / (g1 * (g1 + g2)) - y[-2] / (g1 * g2) + y[-3] / (g2 * (g1 + g2)))
+    return d1, d2
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_d1_d2_matches_frozen_formulas(ndim):
+    rng = np.random.default_rng(ndim)
+    for _ in range(25):
+        N = int(rng.integers(8, 60))
+        x = np.cumsum(rng.uniform(0.01, 2.0, N)) - rng.uniform(0.0, 5.0)
+        y = rng.normal(size=(N, 3, 4)[:ndim]) * 10.0 ** rng.uniform(-3, 3)
+        _assert_same_bits(_d1_d2(x, y), _frozen_d1_d2(x, y))
+
+
 _ORACLE_GRIDS = {
     "uniform-origin": GridSpec.uniform(2, 0.0, 5.0, 33),
     "geometric": GridSpec.geometric(3, 0.05, 4.0),
@@ -136,18 +178,27 @@ _ORACLE_GRIDS = {
 @pytest.mark.parametrize("grid", sorted(_ORACLE_GRIDS))
 @given(data=st.data())
 def test_radial_operator_matches_d1_d2(grid, data):
-    # the cached operator must reproduce _d1_d2 on the even extension bit
-    # for bit, so switching to it moves no result
+    # the cached operator reproduces the frozen formulas (on the even
+    # extension at r = 0) bit for bit
     spec = _ORACLE_GRIDS[grid]
     r = spec.nodes
     v = data.draw(hnp.arrays(np.float64, r.size,
                              elements=st.floats(-1e3, 1e3)))
-    p, q = _radial_derivatives(spec, v)
     if r[0] == 0.0:
-        ref_p, ref_q = _d1_d2(np.concatenate(([-r[1]], r)),
-                              np.concatenate(([v[1]], v)))
-        ref_p, ref_q = ref_p[1:], ref_q[1:]
+        want = _frozen_d1_d2(np.concatenate(([-r[1]], r)),
+                             np.concatenate(([v[1]], v)))
+        want = tuple(d[1:] for d in want)
     else:
-        ref_p, ref_q = _d1_d2(r, v)
-    assert np.array_equal(p, ref_p)
-    assert np.array_equal(q, ref_q)
+        want = _frozen_d1_d2(r, v)
+    _assert_same_bits(_radial_derivatives(spec, v), want)
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec.polar_disk(1.0, 12, 16),
+    GridSpec(2, np.geomspace(0.3, 2.0, 10), 2.0 * np.pi * np.arange(12) / 12),
+], ids=["disk", "annulus"])
+def test_polar_derivatives_match_frozen_formulas(spec, monkeypatch):
+    vals = np.random.default_rng(7).normal(size=(3,) + spec.shape)
+    got = _polar_derivatives(spec, vals)
+    monkeypatch.setattr(geometry, "_d1_d2", _frozen_d1_d2)
+    _assert_same_bits(got, _polar_derivatives(spec, vals))
