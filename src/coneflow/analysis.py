@@ -278,8 +278,8 @@ def graph_area_bound_check(u0: C1Function, k, x, rho: float, G: float,
     ball = Ball(tuple(x), 1.0)
     pts, w = ball.quadrature(m_r, m_phi)
     v = u0.value(pts) - kf.value(pts)
-    dv = u0.gradient(pts) - kf.gradient(pts)
     du0 = u0.gradient(pts)
+    dv = du0 - kf.gradient(pts)
     in_rho = np.sum((pts - x) ** 2, axis=-1) <= rho * rho
     area_set = in_rho & (v > rho)
     area = float(np.sum(w[area_set] * np.sqrt(1.0 + np.sum(du0[area_set] ** 2, axis=-1))))

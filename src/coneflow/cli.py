@@ -318,8 +318,8 @@ def _cmd_verify(cfg: dict, out: str) -> int:
 
 def _scenario_overrides(scenario, pairs) -> tuple:
     """Type-check key=value pairs against the runner's scalar defaults; a
-    parameter whose default is not a bool, int, float or str (a tuple, a
-    profile) cannot be typed from text and is not offered."""
+    parameter whose default is not a bool, int, float or str (a tuple)
+    cannot be typed from text and is not offered."""
     schema = {name: p.default for name, p in
               inspect.signature(scenario.function()).parameters.items()
               if isinstance(p.default, (bool, int, float, str))}

@@ -89,6 +89,8 @@ class ShootingConfig:
             raise ParameterError("rho_max too small to reach the far-field regime")
         if self.node_spacing <= 0 or self.node_spacing > self.rho_max / 100:
             raise ParameterError("node_spacing must be positive and resolve the profile")
+        if self.bracket_max_tries < 1 or self.bisect_iters < 1:
+            raise ParameterError("bracket_max_tries and bisect_iters must be at least 1")
 
 
 def _tail_coeffs(n: int, beta: float) -> tuple:

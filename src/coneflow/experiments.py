@@ -132,8 +132,7 @@ def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,
                      radius: float = 5.0, delta: float = 0.2,
                      r_max: float = 75.0, nodes: int = 1501,
                      horizon: float = 50.0, snapshot_dt: float = 0.5,
-                     dt_max: float = 0.025, threshold: float = 0.05,
-                     profile: ExpanderProfile | None = None) -> MainTheoremReport:
+                     dt_max: float = 0.025, threshold: float = 0.05) -> MainTheoremReport:
     """Two-sided bump perturbations settle onto the expanding soliton.
 
     For each sign the run is sandwiched between synthetic soliton runs:
@@ -144,8 +143,7 @@ def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,
     within the horizon.
     """
     k = ConeProfile.radial(n, beta)
-    if profile is None:
-        profile = solve_expander_profile(k)
+    profile = solve_expander_profile(k)
     spec = GridSpec.uniform(n, 0.0, r_max, nodes)
     cfg = SolverConfig(dt_init=1e-3, dt_max=dt_max, snapshot_dt=snapshot_dt,
                        boundary="pin-to-expander")
@@ -196,8 +194,7 @@ def run_one_sided(n: int = 2, beta: float = 1.0, t_offset: float = 0.5,
                   mode: str = "shifted", r_max: float = 75.0, nodes: int = 1501,
                   horizon: float = 50.0, snapshot_dt: float = 0.5,
                   dt_max: float = 0.025, fit_window: tuple = (5.0, 50.0),
-                  exponent_band: tuple = (-0.65, -0.35),
-                  profile: ExpanderProfile | None = None) -> OneSidedReport:
+                  exponent_band: tuple = (-0.65, -0.35)) -> OneSidedReport:
     """One-sided data between the cone and the soliton decays diffusively.
 
     u0 is U(., t_offset) ("shifted") or the midpoint (k + U(., t_offset))/2
@@ -206,8 +203,7 @@ def run_one_sided(n: int = 2, beta: float = 1.0, t_offset: float = 0.5,
     exponent must land in the band around -1/2.
     """
     k = ConeProfile.radial(n, beta)
-    if profile is None:
-        profile = solve_expander_profile(k)
+    profile = solve_expander_profile(k)
     spec = GridSpec.uniform(n, 0.0, r_max, nodes)
     r = spec.nodes
     top = evaluate_U(profile, r, t_offset)
@@ -250,8 +246,7 @@ def run_family_uniform(n: int = 2, beta: float = 1.0, count: int = 5,
                        r_max: float = 40.0, nodes: int = 801,
                        horizon: float = 12.0, snapshot_dt: float = 0.5,
                        dt_max: float = 0.05, threshold: float = 0.05,
-                       tol: float = 1e-8, c_scheme: float = 1.0,
-                       profile: ExpanderProfile | None = None) -> FamilyUniformReport:
+                       tol: float = 1e-8, c_scheme: float = 1.0) -> FamilyUniformReport:
     """A family under one decaying envelope converges uniformly.
 
     Members are k + envelope * sin(omega_i r + phase_i) with the envelope
@@ -263,8 +258,7 @@ def run_family_uniform(n: int = 2, beta: float = 1.0, count: int = 5,
     if count < 5:
         raise ParameterError("family experiments need at least 5 members")
     k = ConeProfile.radial(n, beta)
-    if profile is None:
-        profile = solve_expander_profile(k)
+    profile = solve_expander_profile(k)
     spec = GridSpec.uniform(n, 0.0, r_max, nodes)
     r = spec.nodes
     envelope = envelope_amp * np.exp(-r)
@@ -323,8 +317,7 @@ def subsolution_dominance_experiment(n: int = 3, beta: float = 1.0,
                                      r_max: float = 150.0, nodes: int = 1501,
                                      horizon: float = 2.0,
                                      snapshot_dt: float = 0.05,
-                                     slack: float = 1e-6,
-                                     profile: ExpanderProfile | None = None) -> SubsolutionReport:
+                                     slack: float = 1e-6) -> SubsolutionReport:
     """The glued subsolution stays below the flow while it recovers the cone.
 
     u0 = k - (m - clearance) * bump(r/R) dips only inside the barrier's hole
@@ -336,8 +329,7 @@ def subsolution_dominance_experiment(n: int = 3, beta: float = 1.0,
     time to u >= k - delta must be finite.
     """
     k = ConeProfile.radial(n, beta)
-    if profile is None:
-        profile = solve_expander_profile(k)
+    profile = solve_expander_profile(k)
     if not (0 < clearance < m):
         raise ParameterError("need 0 < clearance < m")
     barrier = lemma_barrier_flow(k).scaled(lam)

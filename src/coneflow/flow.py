@@ -11,23 +11,25 @@ directly by LAPACK ``gtsv``; polar mode probes the Jacobian by colored
 finite differences (the stencil is local, so a handful of probe vectors
 recovers every column) and solves with a sparse LU.
 
-Radial residual, Jacobian and per-step diagnostics share one cached
-three-point operator per grid (``geometry._radial_operator``), which also
-holds the grid-constant parts of the Jacobian.  Per-step diagnostics
-(distance to the cone and to the expander, extremes of H) are opt-in:
-``evolve`` records them only when asked, and always records step times,
-step sizes and Newton counts.  The polar
-column coloring and its scatter indices are cached per grid, and the base
-state and every probe go through one stacked speed evaluation.  Both modes
-run one Newton loop on raw arrays: the accepted backtracking trial's
-residual starts the next iteration (on radial grids its (v_r, v_rr) also
-feed the Jacobian and the curvature diagnostics), and a non-finite residual
-raises NewtonError at once.
+Both grid modes read one cached three-point operator per grid
+(``geometry._radial_operator``), which on radial grids also holds the
+grid-constant parts of the Jacobian, and share one residual, one Newton loop
+and one rule for the inner Dirichlet ring: the grid's own
+``GridSpec.inner_ring``.  Per-step diagnostics (distance to the cone and to
+the expander, extremes of H) are opt-in: ``evolve`` records them only when
+asked, and always records step times, step sizes and Newton counts.  The
+polar column coloring and its scatter indices are cached per grid, and the
+base state and every probe go through one stacked speed evaluation.  Newton
+runs on raw arrays: the accepted backtracking trial's residual starts the
+next iteration (on radial grids its (v_r, v_rr) also feed the Jacobian and
+the curvature diagnostics), and a non-finite residual raises NewtonError at
+once.
 
-Dirichlet data at the truncation radius comes in three flavors: pinned to the
-initial values, pinned to a cone, or pinned to the moving expander (needed for
-long runs, where a frozen cone value at r_max lags the true solution by
-O(t/r_max) and would dominate the far-field error).
+Dirichlet data at the truncation radius (and at the inner ring, when the
+grid has one) comes in three flavors: pinned to the initial values, pinned
+to a cone, or pinned to the moving expander (needed for long runs, where a
+frozen cone value at r_max lags the true solution by O(t/r_max) and would
+dominate the far-field error).
 
 The optional similarity drift term turns the stepper into a solver for the
 flow written in self-similar variables, where expanders are stationary; the
@@ -86,6 +88,8 @@ class SolverConfig:
             raise ParameterError("time steps must be positive")
         if not (0.0 < self.newton_tol <= 1e-4):
             raise ParameterError("newton_tol must lie in (0, 1e-4]")
+        if self.newton_max_iter < 1:
+            raise ParameterError("newton_max_iter must be at least 1")
         if self.boundary not in _BOUNDARY_MODES:
             raise ParameterError(f"boundary mode must be one of {_BOUNDARY_MODES}")
         if self.snapshot_dt <= 0:
@@ -114,57 +118,54 @@ def boundary_values_for(u0: GridFunction, config: SolverConfig, cone=None,
     ``value_at``) and is radial only.
     """
     spec = u0.spec
-    needs_inner = (not spec.polar and spec.r_min > 0) or (spec.polar and not spec.through_origin)
-    if config.boundary == "pin-to-initial":
-        outer = u0.values[-1].copy() if spec.polar else float(u0.values[-1])
-        inner = (u0.values[0].copy() if spec.polar else float(u0.values[0])) if needs_inner else None
-        return BoundaryValues(outer, inner)
-    if config.boundary == "pin-to-cone":
-        if cone is None:
-            raise ParameterError("pin-to-cone boundary needs the cone")
+    if config.boundary == "pin-to-expander":
+        if profile is None:
+            raise ParameterError("pin-to-expander boundary needs an expander profile")
         if spec.polar:
-            outer = spec.r_max * np.asarray(cone.gamma(spec.thetas), dtype=float)
-            inner = spec.r_min * np.asarray(cone.gamma(spec.thetas), dtype=float) \
-                if needs_inner else None
-        else:
-            outer = float(cone.beta * spec.r_max)
-            inner = float(cone.beta * spec.r_min) if needs_inner else None
-        return BoundaryValues(outer, inner)
-    # pin-to-expander
-    if profile is None:
-        raise ParameterError("pin-to-expander boundary needs an expander profile")
-    if spec.polar:
-        raise ParameterError("pin-to-expander boundary is radial-only")
+            raise ParameterError("pin-to-expander boundary is radial-only")
 
-    def pinned_at(r):
-        def value(t):
-            s = math.sqrt(t)
-            return s * profile.value_at(r / s)
-        return value
+        def pinned_at(r):
+            def value(t):
+                s = math.sqrt(t)
+                return s * profile.value_at(r / s)
+            return value
 
-    return BoundaryValues(pinned_at(spec.r_max), pinned_at(spec.r_min) if needs_inner else None)
+        return BoundaryValues(pinned_at(spec.r_max),
+                              pinned_at(spec.r_min) if spec.inner_ring else None)
+    if config.boundary == "pin-to-initial":
+        vals = u0.values
+    elif cone is None:
+        raise ParameterError("pin-to-cone boundary needs the cone")
+    else:
+        vals = cone.on_grid(spec).values
+    return BoundaryValues(vals[-1].copy(), vals[0].copy() if spec.inner_ring else None)
 
 
 # ---------------------------------------------------------------------------
-# radial residual and Jacobian, both read from geometry's cached operator
+# the Newton residual, and the radial Jacobian from geometry's cached operator
 
 
-def _radial_residual(spec: GridSpec, v: np.ndarray, u_prev: np.ndarray, dt: float,
-                     config: SolverConfig, outer, inner):
-    """Implicit Euler residual at v with Dirichlet rows, plus (v_r, v_rr)."""
-    p, q = _radial_derivatives(spec, v)
-    rhs = _radial_speed(spec, p, q)
-    if config.similarity_drift:
-        rhs = rhs + 0.5 * (spec.nodes * p - v)
+def _residual(spec: GridSpec, v: np.ndarray, u_prev: np.ndarray, dt: float,
+              config: SolverConfig, outer, inner):
+    """Implicit Euler residual at v with Dirichlet rows (the outer ring, and
+    the inner one when the grid has it), plus (v_r, v_rr) on radial grids
+    (None on polar grids)."""
+    if spec.polar:
+        rhs, pq = _polar_speed(spec, v, config.similarity_drift), None
+    else:
+        p, q = pq = _radial_derivatives(spec, v)
+        rhs = _radial_speed(spec, p, q)
+        if config.similarity_drift:
+            rhs = rhs + 0.5 * (spec.nodes * p - v)
     res = v - u_prev - dt * rhs
     res[-1] = v[-1] - outer
-    if inner is not None:
+    if spec.inner_ring:
         res[0] = v[0] - inner
-    return res, p, q
+    return res, pq
 
 
 def _radial_newton_matrix(spec: GridSpec, p: np.ndarray, q: np.ndarray, dt: float,
-                          config: SolverConfig, fixed_first: bool):
+                          config: SolverConfig):
     """Sub-, main and superdiagonal (lower, diag, upper) of (I - dt*J) for
     the radial reduced operator at a state with derivatives (p, q) =
     (v_r, v_rr); ``lower[i]`` couples row i+1 to v_i, ``upper[i]`` row i to
@@ -180,7 +181,7 @@ def _radial_newton_matrix(spec: GridSpec, p: np.ndarray, q: np.ndarray, dt: floa
     c, d = op.w, op.d
     one_p2 = 1.0 + p * p
     J = d / one_p2 - 2.0 * p * q * c / one_p2 ** 2 + op.w_over_r
-    if spec.nodes[0] == 0.0:
+    if not spec.inner_ring:
         # n*v_rr(0), with the ghost node v_{-1} = v_1 folded into column v_1
         J[:, 0] = (0.0, spec.n * d[1, 0], spec.n * (d[0, 0] + d[2, 0]))
     if config.similarity_drift:
@@ -193,7 +194,7 @@ def _radial_newton_matrix(spec: GridSpec, p: np.ndarray, q: np.ndarray, dt: floa
     # Dirichlet rows
     diag[-1] = 1.0
     lower[-1] = 0.0
-    if fixed_first:
+    if spec.inner_ring:
         diag[0] = 1.0
         upper[0] = 0.0
     return lower, diag, upper
@@ -218,16 +219,6 @@ def solve_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
 # polar residual and colored finite-difference Jacobian
 
 
-def _polar_residual(spec: GridSpec, v: np.ndarray, u_prev: np.ndarray, dt: float,
-                    config: SolverConfig, outer, inner) -> np.ndarray:
-    """Implicit Euler residual at v with Dirichlet rings."""
-    res = v - u_prev - dt * _polar_speed(spec, v, config.similarity_drift)
-    res[-1, :] = v[-1, :] - outer
-    if inner is not None:
-        res[0, :] = v[0, :] - inner
-    return res
-
-
 class _PolarColoring(NamedTuple):
     """Probe masks and scatter indices of the polar Jacobian of one grid.
 
@@ -244,9 +235,9 @@ class _PolarColoring(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def _polar_coloring(spec: GridSpec, fixed_inner: bool) -> _PolarColoring:
-    """Greedy column coloring of the polar Jacobian, cached per (grid, inner
-    pinning); GridSpec hashes by identity.
+def _polar_coloring(spec: GridSpec) -> _PolarColoring:
+    """Greedy column coloring of the polar Jacobian, cached per grid
+    (GridSpec hashes by identity).
 
     Unknowns are all nodes off the Dirichlet rings.  The residual row of node
     (i, j) reads the 3x3 block around it and, on the innermost ring of a
@@ -258,7 +249,7 @@ def _polar_coloring(spec: GridSpec, fixed_inner: bool) -> _PolarColoring:
     every column exactly (Curtis-Powell-Reid).
     """
     nr, nt = spec.nr, spec.ntheta
-    first = 1 if fixed_inner else 0
+    first = 1 if spec.inner_ring else 0
     i, j = np.divmod(np.arange(first * nt, (nr - 1) * nt), nt)
     reach = []
     for di in (-1, 0, 1):
@@ -296,7 +287,7 @@ def _polar_coloring(spec: GridSpec, fixed_inner: bool) -> _PolarColoring:
 
 
 def _polar_newton_lu(u_vals: np.ndarray, spec: GridSpec, dt: float,
-                     config: SolverConfig, fixed_inner: bool):
+                     config: SolverConfig):
     """Sparse LU of (I - dt*J) at state u_vals, J probed by colored differences.
 
     The base state and one probe per color go through one stacked speed
@@ -304,7 +295,7 @@ def _polar_newton_lu(u_vals: np.ndarray, spec: GridSpec, dt: float,
     zero), so columns coupling interior rows to boundary unknowns are
     dropped; Dirichlet rows keep the identity.
     """
-    coloring = _polar_coloring(spec, fixed_inner)
+    coloring = _polar_coloring(spec)
     ntot = u_vals.size
     eps = 1e-7 * (1.0 + float(np.max(np.abs(u_vals))))
     states = np.empty((1 + len(coloring.masks),) + spec.shape)
@@ -322,14 +313,9 @@ def _polar_newton_lu(u_vals: np.ndarray, spec: GridSpec, dt: float,
 
 def _apply_boundary(vals: np.ndarray, spec: GridSpec, outer, inner):
     vals = vals.copy()
-    if spec.polar:
-        vals[-1, :] = outer
-        if inner is not None:
-            vals[0, :] = inner
-    else:
-        vals[-1] = outer
-        if inner is not None:
-            vals[0] = inner
+    vals[-1] = outer
+    if spec.inner_ring:
+        vals[0] = inner
     return vals
 
 
@@ -346,27 +332,22 @@ def step(u: GridFunction, dt: float, config: SolverConfig,
     """
     spec = u.spec
     outer, inner = boundary.resolve(t_new)
-    fixed_first = (not spec.polar and spec.r_min > 0) or (spec.polar and not spec.through_origin)
-    if fixed_first and inner is None:
+    if spec.inner_ring and inner is None:
         raise ParameterError("grid has an inner boundary ring but no inner boundary value")
 
     v = _apply_boundary(u.values, spec, outer, inner)
     scale = 1.0 + float(np.max(np.abs(u.values)))
-    if spec.polar:
-        def residual(w):
-            return _polar_residual(spec, w, u.values, dt, config, outer, inner), None
 
+    def residual(w):
+        return _residual(spec, w, u.values, dt, config, outer, inner)
+
+    if spec.polar:
         def solve(w, _, res):
-            lu = _polar_newton_lu(w, spec, dt, config, fixed_first)
+            lu = _polar_newton_lu(w, spec, dt, config)
             return lu.solve(res.ravel()).reshape(spec.shape)
     else:
-        def residual(w):
-            res, p, q = _radial_residual(spec, w, u.values, dt, config, outer, inner)
-            return res, (p, q)
-
         def solve(w, pq, res):
-            return solve_banded(*_radial_newton_matrix(spec, *pq, dt, config, fixed_first),
-                                res)
+            return solve_banded(*_radial_newton_matrix(spec, *pq, dt, config), res)
     history = []
     v, derivatives = _newton(v, residual, solve, config, scale, history)
     if stats is not None:

@@ -13,17 +13,19 @@ lower hemisphere of radius R has H = n/R.
 Every radial derivative reads one three-point weight table, built by
 ``_stencil`` for any node vector: centered differences inside (second order
 on non-uniform grids) and one-sided rows, of lower accuracy, at the ends.
-``_d1_d2`` applies it along axis 0 of any stack (polar radial derivatives,
-the barrier profile curves), and ``_radial_operator`` caches it per radial
-grid.  A radial grid whose first node sits at r = 0 uses the even extension
-u(-r) = u(r), folded into its table; polar grids flagged as passing through
-the origin use the antipodal continuation u(-r, theta) = u(r, theta+pi)
-across the innermost ring (angular derivatives are periodic differences).
+``_radial_operator`` caches it per grid of either mode, and ``_d1_d2``
+applies it along axis 0 of any stack (the barrier profile curves).  The grid
+decides whether its innermost ring is a Dirichlet boundary
+(``GridSpec.inner_ring``); if not, the table continues across the origin: a
+radial grid whose first node sits at r = 0 by the even extension
+u(-r) = u(r), a polar grid flagged as passing through the origin by the
+antipodal continuation u(-r, theta) = u(r, theta+pi) across the innermost
+ring (angular derivatives are periodic differences).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -57,12 +59,17 @@ class GridSpec:
     uniformly.  ``through_origin`` marks a polar grid whose innermost ring is
     meant to continue across r = 0 (antipodal ghost ring); it requires an even
     number of angular nodes.
+
+    ``inner_ring``, derived from the layout, says whether the innermost ring
+    is a Dirichlet boundary: it is, unless the grid continues across the
+    origin (a radial grid with a node at r = 0, a through-origin polar grid).
     """
 
     n: int
     nodes: np.ndarray
     thetas: np.ndarray | None = None
     through_origin: bool = False
+    inner_ring: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if int(self.n) < 1:
@@ -97,6 +104,8 @@ class GridSpec:
                     raise GridError("through-origin polar grids must not contain r = 0")
         elif self.through_origin:
             raise GridError("through_origin applies to polar grids only")
+        object.__setattr__(self, "inner_ring", not self.through_origin
+                           if self.thetas is not None else bool(nodes[0] > 0))
 
     # -- conveniences -------------------------------------------------------
 
@@ -280,29 +289,33 @@ def _stencil(x: np.ndarray):
     return rows, w, D
 
 
-def _apply_stencil(rows: np.ndarray, w: np.ndarray, D: np.ndarray, y: np.ndarray):
-    """(y', y'') along axis 0 of ``y`` from a table of :func:`_stencil`."""
-    if y.ndim > 1:
-        w = w.reshape(w.shape + (1,) * (y.ndim - 1))
-        D = D.reshape(D.shape + (1,) * (y.ndim - 1))
-    ya, yb, yc = y[rows]
+def _apply_stencil(w: np.ndarray, D: np.ndarray, ya, yb, yc):
+    """(y', y'') from the weights of a :func:`_stencil` table and the values
+    (ya, yb, yc) its rows gather."""
     return (w[0] * ya + w[1] * yb + w[2] * yc,
             2.0 * (ya / D[0] + yb / D[1] + yc / D[2]))
 
 
 def _d1_d2(x: np.ndarray, y: np.ndarray):
     """First and second derivative of y(x) along axis 0 (:func:`_stencil`)."""
-    return _apply_stencil(*_stencil(x), y)
+    rows, w, D = _stencil(x)
+    if y.ndim > 1:
+        w = w.reshape(w.shape + (1,) * (y.ndim - 1))
+        D = D.reshape(D.shape + (1,) * (y.ndim - 1))
+    return _apply_stencil(w, D, *y[rows])
 
 
 class _RadialOperator(NamedTuple):
-    """The :func:`_stencil` table of one radial grid, plus Jacobian parts.
+    """The :func:`_stencil` table of one grid's radii, plus Jacobian parts.
 
-    On an r = 0 grid the table is that of the even extension [-r_1, r...]
-    with the ghost row dropped and the ghost node u(-r_1) = u(r_1) read as
-    node 1, so the r = 0 row is the centered (1, 0, 1).  ``d`` = 2/D and
-    ``w_over_r`` = (n-1) w/r (zero in an r = 0 column) are the grid-constant
-    parts of the radial Newton Jacobian.
+    A grid without an inner ring continues across the origin: its table is
+    that of [-r_g, r...] with the ghost row dropped, so the innermost row is
+    the centered (ghost, 0, 1).  On a radial grid (r_g = r_1) the ghost node
+    u(-r_1) = u(r_1) is read as node 1; on a polar grid (r_g = r_0) it is
+    ring 0 turned by pi.  Polar ``rows`` have shape (3, nr, ntheta) and
+    index the flattened (nr, ntheta) state.  ``d`` = 2/D and ``w_over_r`` =
+    (n-1) w/r (zero in an r = 0 column) are the grid-constant parts of the
+    radial Newton Jacobian.
     """
 
     rows: np.ndarray
@@ -314,13 +327,19 @@ class _RadialOperator(NamedTuple):
 
 @lru_cache(maxsize=128)
 def _radial_operator(spec: GridSpec) -> _RadialOperator:
-    """The derivative table of a radial grid, cached per GridSpec (by identity)."""
+    """The radial derivative table of a grid, cached per GridSpec (by identity)."""
     r = spec.nodes
-    if r[0] == 0.0:
-        rows, w, D = _stencil(np.concatenate(([-r[1]], r)))
-        rows, w, D = np.abs(rows[:, 1:] - 1), w[:, 1:], D[:, 1:]
-    else:
+    if spec.inner_ring:
         rows, w, D = _stencil(r)
+    else:
+        rows, w, D = _stencil(np.concatenate(([-r[0] if spec.polar else -r[1]], r)))
+        rows, w, D = rows[:, 1:] - 1, w[:, 1:], D[:, 1:]  # the ghost is -1
+    if spec.polar:
+        nt = spec.ntheta
+        j = np.arange(nt)
+        rows = np.where(rows[..., None] < 0, (j + nt // 2) % nt, rows[..., None] * nt + j)
+    else:
+        rows = np.abs(rows)
     inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
     op = _RadialOperator(rows, w, D, 2.0 / D, (spec.n - 1) * w * inv_r)
     for arr in op:
@@ -330,7 +349,8 @@ def _radial_operator(spec: GridSpec) -> _RadialOperator:
 
 def _radial_derivatives(spec: GridSpec, vals: np.ndarray):
     """(u_r, u_rr) on a radial grid, using the even extension when r_min = 0."""
-    return _apply_stencil(*_radial_operator(spec)[:3], vals)
+    op = _radial_operator(spec)
+    return _apply_stencil(op.w, op.D, *vals[op.rows])
 
 
 def _polar_derivatives(spec: GridSpec, vals: np.ndarray):
@@ -338,29 +358,22 @@ def _polar_derivatives(spec: GridSpec, vals: np.ndarray):
 
     ``vals`` is one state (nr, ntheta) or a stack (K, nr, ntheta) of states;
     the radial axis is the second to last and the angular axis the last.
-    Every entry is an elementwise function of its own state's stencil, so a
-    state differentiates to the same bits alone or inside a stack.  A
-    through-origin grid prepends the antipodal ghost ring.
+    Radial derivatives gather through the cached table's flat indices (the
+    antipodal ghost ring of a through-origin grid included), so every entry
+    is an elementwise function of its own state's stencil and a state
+    differentiates to the same bits alone or inside a stack.
     """
-    nt = spec.ntheta
-    v = np.moveaxis(vals, -2, 0)  # radial axis first, as _d1_d2 expects
-    dtheta = 2.0 * np.pi / nt
-    up = np.roll(v, -1, axis=-1)
-    um = np.roll(v, 1, axis=-1)
+    op = _radial_operator(spec)
+    w, D = op.w[..., None], op.D[..., None]
+    flat = vals.shape[:-2] + (-1,)
+    dtheta = 2.0 * np.pi / spec.ntheta
+    up = np.roll(vals, -1, axis=-1)
+    um = np.roll(vals, 1, axis=-1)
     ut = (up - um) / (2.0 * dtheta)
-    utt = (up - 2.0 * v + um) / dtheta ** 2
-    re = spec.nodes
-    if spec.through_origin:
-        re = np.concatenate(([-spec.nodes[0]], spec.nodes))
-        v = np.concatenate((np.roll(v[:1], nt // 2, axis=-1), v))
-        ute = np.concatenate((np.roll(ut[:1], nt // 2, axis=-1), ut))
-    else:
-        ute = ut
-    ur, urr = _d1_d2(re, v)
-    urt, _ = _d1_d2(re, ute)
-    if spec.through_origin:
-        ur, urr, urt = ur[1:], urr[1:], urt[1:]
-    return tuple(np.moveaxis(d, 0, -2) for d in (ur, ut, urr, utt, urt))
+    utt = (up - 2.0 * vals + um) / dtheta ** 2
+    ur, urr = _apply_stencil(w, D, *(vals.reshape(flat)[..., k] for k in op.rows))
+    urt, _ = _apply_stencil(w, D, *(ut.reshape(flat)[..., k] for k in op.rows))
+    return ur, ut, urr, utt, urt
 
 
 # ---------------------------------------------------------------------------

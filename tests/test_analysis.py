@@ -141,6 +141,23 @@ def test_area_bound_pass_with_large_bump():
     assert rep.area <= rep.bound * (1 + 1e-9)
 
 
+def test_area_bound_evaluates_the_gradient_once():
+    k = ConeProfile.radial(2, 1.0)
+    u0 = C1Function.from_cone(k) + C1Function.gaussian_bumps(
+        2, [[3.0, 0.0]], [2.0], [0.8])
+    calls = []
+
+    def grad(p):
+        calls.append(len(p))
+        return u0.gradient(p)
+
+    counted = C1Function(2, u0.value, grad)
+    x = np.array([3.0, 0.0])
+    rep = graph_area_bound_check(counted, k, x, 0.5, 1.0)
+    assert len(calls) == 1
+    assert rep == graph_area_bound_check(u0, k, x, 0.5, 1.0)
+
+
 def test_area_bound_trivial_when_no_excess():
     k = ConeProfile.radial(2, 1.0)
     rep = graph_area_bound_check(C1Function.from_cone(k), k,

@@ -189,8 +189,8 @@ def test_experiment_unknown_override(tmp_path, capsys):
 @pytest.mark.parametrize("pair", ["fit_window=1,12", "profile=1.0"])
 def test_experiment_untypeable_override_rejected(tmp_path, capsys,
                                                  monkeypatch, pair):
-    # a tuple or profile default cannot be typed from text: usage error
-    # before any flow runs
+    # a tuple default cannot be typed from text, and the runners take no
+    # profile: usage error before any flow runs
     calls = []
     monkeypatch.setattr(experiments, "evolve",
                         lambda *args, **kw: calls.append(args))

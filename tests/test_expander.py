@@ -4,7 +4,7 @@ from scipy.integrate import LSODA, solve_ivp
 
 from coneflow import acceptance, expander, flow
 from coneflow.cones import ConeProfile
-from coneflow.errors import DomainError, ShootingError
+from coneflow.errors import DomainError, ParameterError, ShootingError
 from coneflow.expander import (ShootingConfig, evaluate_U,
                                expander_time_derivative,
                                relax_angular_expander, solve_expander_profile)
@@ -302,6 +302,14 @@ def test_value_at_bit_identical_to_evaluate(profile21):
 
 # ---------------------------------------------------------------------------
 # the shared profile cache
+
+
+@pytest.mark.parametrize("field", ["bisect_iters", "bracket_max_tries"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_shooting_loop_counts_must_be_positive(field, value):
+    # bisect_iters=0 used to die with UnboundLocalError in the shot report
+    with pytest.raises(ParameterError, match=field):
+        ShootingConfig(**{field: value})
 
 
 def test_profile_cache_returns_same_object():

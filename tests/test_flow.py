@@ -3,14 +3,14 @@ import pytest
 from scipy.linalg import solve_banded
 from scipy.sparse import csc_matrix
 
-from coneflow import flow
+from coneflow import flow, geometry
 from coneflow.cones import ConeProfile
 from coneflow.errors import (GridError, NewtonError, ParameterError,
                              StepFailureError)
 from coneflow.expander import evaluate_U
 from coneflow.flow import (FlowRun, SolverConfig, boundary_values_for,
                            comparison_check, detect_t_delta, evolve, step,
-                           _radial_newton_matrix, _radial_residual)
+                           _radial_newton_matrix, _residual)
 from coneflow.geometry import (GridFunction, GridSpec, graph_rhs,
                                mean_curvature, radial_rhs, _polar_derivatives,
                                _radial_derivatives)
@@ -112,6 +112,57 @@ def test_unknown_boundary_rejected():
     with pytest.raises(ParameterError):
         SolverConfig(dt_init=1e-3, dt_max=0.01, snapshot_dt=0.1,
                      boundary="clamp")
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_newton_max_iter_must_be_positive(max_iter):
+    # zero Newton iterations used to die with IndexError in the stall report
+    with pytest.raises(ParameterError, match="newton_max_iter"):
+        SolverConfig(newton_max_iter=max_iter)
+
+
+@pytest.mark.parametrize("mode", ["pin-to-initial", "pin-to-cone"])
+@pytest.mark.parametrize("spec", [
+    GridSpec.uniform(2, 0.0, 5.0, 21), GridSpec.uniform(2, 0.5, 5.0, 21),
+    GridSpec.polar_disk(4.0, 10, 16),
+    GridSpec(2, np.linspace(0.8, 4.0, 10), 2.0 * np.pi * np.arange(16) / 16)],
+    ids=["radial-origin", "radial-annulus", "disk", "annulus"])
+def test_boundary_values_match_per_mode_formulas(spec, mode):
+    # the ring values equal the per-mode expressions they replaced, bit for bit
+    cone = ConeProfile.radial(2, 1.3) if not spec.polar else \
+        ConeProfile.angular(lambda th: 1.0 + 0.2 * np.cos(2 * th))
+    u0 = GridFunction(spec, cone.on_grid(spec).values + 0.1)
+    bv = boundary_values_for(u0, SolverConfig(boundary=mode), cone=cone)
+    if mode == "pin-to-initial":
+        want = [u0.values[-1], u0.values[0]]
+    elif spec.polar:
+        want = [r * np.asarray(cone.gamma(spec.thetas), dtype=float)
+                for r in (spec.r_max, spec.r_min)]
+    else:
+        want = [float(cone.beta * r) for r in (spec.r_max, spec.r_min)]
+    assert np.array_equal(bv.outer, want[0])
+    if spec.inner_ring:
+        assert np.array_equal(bv.inner, want[1])
+    else:
+        assert bv.inner is None
+
+
+@pytest.mark.parametrize("kind", ["disk", "annulus"])
+def test_polar_evolve_builds_the_stencil_once(monkeypatch, kind):
+    # every residual and probe of the run reads one cached table per grid
+    geometry._radial_operator.cache_clear()
+    built = []
+    stencil = geometry._stencil
+
+    def counted(x):
+        built.append(x.size)
+        return stencil(x)
+
+    monkeypatch.setattr(geometry, "_stencil", counted)
+    u0, _ = _polar_case(kind)
+    run = evolve(u0, 0.05, SolverConfig(dt_init=1e-2, dt_max=1e-2, snapshot_dt=0.05))
+    assert len(run.step_times) == 5 and sum(run.newton_iters) >= 5
+    assert built == [u0.spec.nr + (kind == "disk")]
 
 
 def test_newton_breakdown_raises():
@@ -219,8 +270,8 @@ def test_polar_evolution_smoke():
 @pytest.mark.parametrize("drift", [False, True])
 @pytest.mark.parametrize("r_min", [0.0, 0.5])
 def test_radial_newton_matrix_matches_fd_jacobian(drift, r_min):
-    # r_min > 0 pins the first node (fixed_first); r_min = 0 uses the even
-    # extension there
+    # r_min > 0 pins the first node (the grid's inner ring); r_min = 0 uses
+    # the even extension there
     spec = GridSpec.uniform(2, r_min, 6.0, 25)
     r = spec.nodes
     v = np.sqrt(1.0 + r ** 2) + 0.1 * np.cos(r)
@@ -230,11 +281,10 @@ def test_radial_newton_matrix_matches_fd_jacobian(drift, r_min):
     inner = float(v[0]) if r_min > 0 else None
 
     def residual(w):
-        return _radial_residual(spec, w, u_prev, dt, cfg, outer, inner)
+        return _residual(spec, w, u_prev, dt, cfg, outer, inner)
 
-    res, p, q = residual(v)
-    lower, diag, upper = _radial_newton_matrix(spec, p, q, dt, cfg,
-                                               fixed_first=r_min > 0)
+    res, (p, q) = residual(v)
+    lower, diag, upper = _radial_newton_matrix(spec, p, q, dt, cfg)
     dense = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
     eps = 1e-7
     fd = np.empty_like(dense)
@@ -656,8 +706,8 @@ def test_polar_coloring_is_valid(kind, shape, colors):
     else:
         spec = GridSpec(2, np.linspace(0.8, 4.0, nr), 2.0 * np.pi * np.arange(nt) / nt)
     fixed_inner = kind == "annulus"
-    col = flow._polar_coloring(spec, fixed_inner)
-    assert col is flow._polar_coloring(spec, fixed_inner)
+    col = flow._polar_coloring(spec)
+    assert col is flow._polar_coloring(spec)
     if colors is not None:
         assert len(col.masks) == colors
     # every unknown in exactly one color, Dirichlet rings in none
