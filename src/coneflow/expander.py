@@ -30,15 +30,15 @@ noisy at the level of the LSODA tolerance, and brentq on the same bracket
 moved a by up to 1.9e-11 relative on six (n, beta) pairs while still taking
 9 to 22 shots.
 Each shot (:func:`_miss`) builds scipy's ``LSODA`` object for its tolerance
-checks and work arrays, then runs that object's own LSODA integrator
-one step at a time (itask 5, never past rho_max) with the float-level
-:func:`_ode_rhs`.  These are the steps ``solve_ivp`` takes, bit for bit,
-without its event search, wrapper closures and array conversions, four to
-five times cheaper; the slope cap is checked after every accepted step.  One
-integrator call to rho_max would be faster still, but it hides the accepted
-states that the exact blow-up check reads, so it was not taken.  Profiles
-are cached per ``(n, beta, ShootingConfig)``, so every caller in a process
-shares one solve; their arrays are read-only.
+checks and work arrays, then runs that object's own LSODA integrator in one
+call to rho_max (itask 4, never past it) on a float-level RHS that stops the
+call once a slope reaches half the cap.  These are the steps ``solve_ivp``
+takes, bit for bit, without its per-step event search, wrapper closures and
+array conversions.  A shot that trips the guard is run again through
+:func:`_integrate`, the ``solve_ivp`` event path, which decides exactly
+whether an accepted step met the cap.  Profiles are cached per
+``(n, beta, ShootingConfig)``, so every caller in a process shares one
+solve; their arrays are read-only.
 
 Anisotropic planar cones have no ODE reduction; for those
 :func:`relax_angular_expander` marches the flow in similarity variables
@@ -91,6 +91,8 @@ class ShootingConfig:
             raise ParameterError("node_spacing must be positive and resolve the profile")
         if self.bracket_max_tries < 1 or self.bisect_iters < 1:
             raise ParameterError("bracket_max_tries and bisect_iters must be at least 1")
+        if not self.slope_cap > 0:
+            raise ParameterError("slope_cap must be positive")
 
 
 def _tail_coeffs(n: int, beta: float) -> tuple:
@@ -127,7 +129,9 @@ def _series_start(a: float, n: int):
 
 def _integrate(a: float, n: int, cfg: ShootingConfig, t_eval: np.ndarray):
     """Integrate outward from the axis to the nodes ``t_eval``; returns the
-    solve_ivp result (status 1 if the slope passed ``slope_cap``)."""
+    solve_ivp result (status 1 if the slope passed ``slope_cap``).  Serves
+    the stored profile and, with ``t_eval=[rho_max]``, the exact re-run of a
+    shot whose slope guard tripped."""
     rho0, y0 = _series_start(a, n)
 
     def blow_up(rho, y, *_args):
@@ -138,6 +142,18 @@ def _integrate(a: float, n: int, cfg: ShootingConfig, t_eval: np.ndarray):
                      rtol=cfg.ode_rtol, atol=cfg.ode_atol, t_eval=t_eval, events=blow_up)
 
 
+class _SlopeGuard(Exception):
+    """Raised by :func:`_guarded_rhs` to stop a shot near the slope cap."""
+
+
+def _guarded_rhs(rho, y, n, half_cap):
+    # not abs(p) < half_cap also trips on a NaN slope
+    f = _ode_rhs(rho, y, n)
+    if not abs(f[0]) < half_cap:
+        raise _SlopeGuard
+    return f
+
+
 def _miss(a: float, n: int, beta: float, cfg: ShootingConfig) -> float:
     """Signed distance of phi(rho_max) from the refined tail; +/-inf on blow-up.
 
@@ -145,36 +161,49 @@ def _miss(a: float, n: int, beta: float, cfg: ShootingConfig) -> float:
     terminal slope event gives.  The public ``LSODA`` object is built only
     for its set-up: tolerance validation (including the rtol floor), the
     work arrays and ``rho_max`` as the critical time.  Its own integrator is
-    then run with itask 5 (one step, never past the critical time), exactly
-    as ``LSODA.step`` runs it, but with :func:`_ode_rhs` passed straight to
-    the C stepper.  Its floats are the doubles scipy's wrappers would have
-    converted, so the stepper takes the same steps.  Skipping the wrapper
-    closures, the ``np.asarray`` of every RHS value and the per-step state
-    copy about halves the cost of a shot.
+    then run once, with itask 4 (to tout = rho_max, never past the critical
+    time) and no step limit, on :func:`_guarded_rhs`, which raises as soon
+    as the stepper evaluates a slope |p| that is not below ``slope_cap/2``.
 
-    The end state is the stepper's own (solve_ivp's dense output at the
-    final step's end reproduces it exactly), and a slope past ``slope_cap``
-    is caught after the same accepted step the terminal event would catch
-    it.  Integrating to rho_max in a single C call would be faster still,
-    but it hides the accepted states, so that check could no longer be
-    exact.
+    Same steps: LSODA applies the same critical-time clamp after every
+    step, whether itask 4 goes on or itask 5 returns, so the single call
+    takes the steps solve_ivp's one-step loop takes and ends on the same
+    Nordsieck state at rho_max, which its dense output reproduces exactly.
+
+    The guard catches every cap crossing: every accepted state is one
+    corrector update away from a state the RHS was evaluated at, and the
+    convergence test bounds that update on the rtol*|p| + atol scale.  So,
+    with rtol far below 1/2 and the cap far above atol, an accepted
+    |p| >= slope_cap implies an evaluated |p| >= slope_cap/2.
+    A shot that never trips the guard therefore never met the terminal
+    event; one that trips it (or meets a NaN slope) is run again through
+    :func:`_integrate`, the solve_ivp event path itself, which decides
+    between blow-up and a finite landing.
     """
     rho0, y0 = _series_start(a, n)
-    rho_max, slope_cap = cfg.rho_max, cfg.slope_cap
+    rho_max = cfg.rho_max
     ode = LSODA(lambda rho, y: _ode_rhs(rho, y, n), rho0, y0, rho_max,
                 rtol=cfg.ode_rtol, atol=cfg.ode_atol)._lsoda_solver
     integrator = ode._integrator
-    integrator.call_args[2] = 5
-    y, rho, args = ode._y, rho0, (n,)
-    while rho < rho_max:
-        y, rho = integrator.run(_ode_rhs, None, y, rho, rho_max, args, ())
+    integrator.call_args[2] = 4  # itask 4: to tout, never past tcrit
+    integrator.iwork[5] = np.iinfo(np.int32).max  # mxstep: no limit in the one call
+    try:
+        y, _ = integrator.run(_guarded_rhs, None, ode._y, rho0, rho_max,
+                              (n, cfg.slope_cap / 2), ())
+    except _SlopeGuard:
+        sol = _integrate(a, n, cfg, t_eval=[rho_max])
+        if sol.status == 1:
+            return np.inf if sol.y_events[0][0][1] > 0 else -np.inf
+        if not sol.success:
+            raise ShootingError(f"profile integration failed at a={a}: {sol.message}",
+                                scanned=[a]) from None
+        y = sol.y[:, -1]
+    else:
         if not integrator.success:
             istate = integrator.istate
             raise ShootingError(
                 f"profile integration failed at a={a}: LSODA istate {istate} "
                 f"({integrator.messages.get(istate, 'unknown istate')})", scanned=[a])
-        if slope_cap - abs(y[1]) <= 0:
-            return np.inf if y[1] > 0 else -np.inf
     return float(y[0] - _tail_value(n, beta, rho_max))
 
 
@@ -394,11 +423,12 @@ def _shoot_profile(n: int, beta: float, cfg: ShootingConfig) -> ExpanderProfile:
         "above_cone_min": float(np.min(phi - beta * nodes)),
         "udot_min": float(np.min(0.5 * (phi - nodes * phi_p))),
     }
-    if ode_residual > cfg.ode_tol:
+    # written so that a NaN residual or gap fails them too
+    if not ode_residual <= cfg.ode_tol:
         raise ShootingError(
             f"profile ODE defect {ode_residual:.2e} exceeds {cfg.ode_tol:.1e}; "
             "reduce node_spacing or tighten ode_rtol", scanned=[a])
-    if asym_gap > cfg.asym_tol:
+    if not asym_gap <= cfg.asym_tol:
         raise ShootingError(
             f"far-field gap {asym_gap:.2e} exceeds {cfg.asym_tol:.1e} on "
             f"[{cfg.rho_max / 2:.0f}, {cfg.rho_max:.0f}]; increase rho_max", scanned=[a])

@@ -289,11 +289,15 @@ def _stencil(x: np.ndarray):
     return rows, w, D
 
 
+def _apply_d1(w: np.ndarray, ya, yb, yc):
+    """y' alone from the weights of a :func:`_stencil` table."""
+    return w[0] * ya + w[1] * yb + w[2] * yc
+
+
 def _apply_stencil(w: np.ndarray, D: np.ndarray, ya, yb, yc):
     """(y', y'') from the weights of a :func:`_stencil` table and the values
     (ya, yb, yc) its rows gather."""
-    return (w[0] * ya + w[1] * yb + w[2] * yc,
-            2.0 * (ya / D[0] + yb / D[1] + yc / D[2]))
+    return _apply_d1(w, ya, yb, yc), 2.0 * (ya / D[0] + yb / D[1] + yc / D[2])
 
 
 def _d1_d2(x: np.ndarray, y: np.ndarray):
@@ -372,7 +376,7 @@ def _polar_derivatives(spec: GridSpec, vals: np.ndarray):
     ut = (up - um) / (2.0 * dtheta)
     utt = (up - 2.0 * vals + um) / dtheta ** 2
     ur, urr = _apply_stencil(w, D, *(vals.reshape(flat)[..., k] for k in op.rows))
-    urt, _ = _apply_stencil(w, D, *(ut.reshape(flat)[..., k] for k in op.rows))
+    urt = _apply_d1(w, *(ut.reshape(flat)[..., k] for k in op.rows))
     return ur, ut, urr, utt, urt
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import LSODA, solve_ivp
@@ -193,12 +195,12 @@ def test_ode_rhs_bit_identical_to_numpy_scalars():
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
-@pytest.mark.parametrize("n,beta", [(2, 0.5), (2, 1.0), (3, 1.0), (3, 2.0)])
+@pytest.mark.parametrize("n,beta", [(2, 0.5), (2, 1.0), (3, 1.0), (3, 2.0), (4, 1.0)])
 def test_miss_bit_identical_to_solve_ivp(n, beta):
-    # positive and negative axis heights; with a slope cap of 2 the shots far
-    # from the root blow up, with the default cap they all land finite
+    # positive and negative axis heights; with a slope cap of 2 or 5 the shots
+    # far from the root blow up, with the default cap they all land finite
     grid = np.geomspace(0.05, 50.0, 9)
-    for cap in (1e7, 2.0):
+    for cap in (1e7, 2.0, 5.0):
         cfg = ShootingConfig(slope_cap=cap)
         for a in np.concatenate([grid, -grid]).tolist():
             want = _miss_via_solve_ivp(a, n, beta, cfg)
@@ -218,6 +220,88 @@ def test_miss_blow_up_bit_identical_to_solve_ivp():
         got.append(want)
     assert np.inf in got and -np.inf in got
     assert np.isfinite(got).any()
+
+
+def _max_accepted_slope(a, n, cfg):
+    """max |phi'| over the accepted steps of a shot, as ``LSODA.step`` takes them."""
+    rho0, y0 = expander._series_start(a, n)
+    solver = LSODA(lambda rho, y: _seed_ode_rhs(rho, y, n), rho0, y0, cfg.rho_max,
+                   rtol=cfg.ode_rtol, atol=cfg.ode_atol)
+    top = 0.0
+    while solver.status == "running":
+        solver.step()
+        top = max(top, abs(solver.y[1]))
+    return top
+
+
+def _count_solve_ivp(monkeypatch):
+    """Record the ``t_eval`` of every ``expander.solve_ivp`` call."""
+    calls = []
+    real = expander.solve_ivp
+    monkeypatch.setattr(expander, "solve_ivp",
+                        lambda *args, **kw: calls.append(kw["t_eval"]) or real(*args, **kw))
+    return calls
+
+
+def test_guard_trips_at_half_cap_and_on_nan():
+    rhs = expander._guarded_rhs
+    assert rhs(1.0, np.array([2.0, 0.99]), 2, 1.0) == expander._ode_rhs(
+        1.0, np.array([2.0, 0.99]), 2)
+    for p in (1.0, -1.0, 5.0, np.inf, np.nan):
+        with pytest.raises(expander._SlopeGuard):
+            rhs(1.0, np.array([2.0, p]), 2, 1.0)
+
+
+def test_guard_margin_shot_lands_finite(monkeypatch):
+    # a cap between max|p| and 2 max|p| of a landing shot: the half-cap guard
+    # trips, the fallback finds no accepted step at the cap, the miss is finite
+    a, n, beta = 1.709, 2, 1.0
+    top = _max_accepted_slope(a, n, ShootingConfig())
+    cfg = ShootingConfig(slope_cap=1.5 * top)
+    calls = _count_solve_ivp(monkeypatch)
+    got = expander._miss(a, n, beta, cfg)
+    assert calls == [[cfg.rho_max]]
+    assert np.isfinite(got)
+    assert got == _seed_miss(a, n, beta, cfg) == _miss_via_solve_ivp(a, n, beta, cfg)
+
+
+def test_shots_fall_back_only_when_the_guard_trips(monkeypatch):
+    calls = _count_solve_ivp(monkeypatch)
+    shots = []
+    shot = expander._miss
+
+    def counted_shot(*args):
+        before = len(calls)
+        miss = shot(*args)
+        shots.append((miss, len(calls) - before))
+        return miss
+
+    monkeypatch.setattr(expander, "_miss", counted_shot)
+    # at the default cap no shot falls back: the one call is _integrate
+    expander._shoot_profile.cache_clear()
+    prof = solve_expander_profile(ConeProfile.radial(2, 1.0))
+    assert len(calls) == 1 and len(calls[0]) == prof.rho.size - 1
+    assert len(shots) == 52 and all(k == 0 for _, k in shots)
+    # with a cap of 2 and a bracket opening at a = 5 some shots blow up;
+    # each falls back once, and so may a shot that nears the cap and lands
+    calls.clear()
+    shots.clear()
+    solve_expander_profile(ConeProfile.radial(2, 1.0),
+                           ShootingConfig(slope_cap=2.0, bracket_start=5.0))
+    blown = [k for miss, k in shots if np.isinf(miss)]
+    assert blown and all(k == 1 for k in blown)
+    assert all(k in (0, 1) for _, k in shots)
+    assert len(calls) == 1 + sum(k for _, k in shots)
+
+
+def test_fallback_failure_raises_with_scanned(monkeypatch):
+    # the guard trips on a shot that blows up; a failed fallback integration
+    # is reported, not read as a landing
+    failed = SimpleNamespace(status=-1, success=False, message="boom")
+    monkeypatch.setattr(expander, "solve_ivp", lambda *args, **kw: failed)
+    with pytest.raises(ShootingError, match="integration failed at a=20.0: boom") as info:
+        expander._miss(20.0, 2, 1.0, ShootingConfig(slope_cap=2.0))
+    assert info.value.scanned == [20.0]
 
 
 @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
@@ -272,6 +356,25 @@ def test_nan_miss_raises_with_scanned(monkeypatch):
     assert expander._shoot_profile.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("component", [0, 1])
+def test_nan_profile_node_raises_shooting_error(monkeypatch, component):
+    # a NaN node compares false with both postcondition tolerances and used
+    # to escape as an untyped ValueError from the spline
+    expander._shoot_profile.cache_clear()
+    real = expander.solve_ivp
+
+    def poisoned(*args, **kw):
+        sol = real(*args, **kw)
+        sol.y[component, 500] = np.nan
+        return sol
+
+    monkeypatch.setattr(expander, "solve_ivp", poisoned)
+    with pytest.raises(ShootingError, match="ODE defect nan") as info:
+        solve_expander_profile(ConeProfile.radial(2, 1.0))
+    assert info.value.scanned == [pytest.approx(1.7090957539, abs=5e-9)]
+    assert expander._shoot_profile.cache_info().currsize == 0
+
+
 def test_report_counts_shots(monkeypatch):
     expander._shoot_profile.cache_clear()
     calls = []
@@ -310,6 +413,14 @@ def test_shooting_loop_counts_must_be_positive(field, value):
     # bisect_iters=0 used to die with UnboundLocalError in the shot report
     with pytest.raises(ParameterError, match=field):
         ShootingConfig(**{field: value})
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, np.nan])
+def test_slope_cap_must_be_positive(cap):
+    # 0 or -1 made every shot blow up and failed as a far-field gap; NaN
+    # switched the cap off
+    with pytest.raises(ParameterError, match="slope_cap"):
+        ShootingConfig(slope_cap=cap)
 
 
 def test_profile_cache_returns_same_object():
