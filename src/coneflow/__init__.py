@@ -8,9 +8,8 @@ rails.  ``acceptance.run_acceptance`` executes the full battery of shipped
 claims; the ``coneflow`` console script fronts everything.
 """
 
-from .analysis import (Ball, C1Function, DecayFit, bv_norm,
-                       clearing_out_experiment, clearing_out_scaling,
-                       decay_fit, graph_area_bound_check, sup_diff)
+from .analysis import (Ball, C1Function, DecayFit, clearing_out_experiment,
+                       clearing_out_scaling, decay_fit, graph_area_bound_check)
 from .barriers import (HeatSupersolution, ScaledBarrier, StaticBarrier,
                        Subsolution, evolution_equation_residuals, half_space_experiment,
                        lemma_barrier_flow, psi_identity_residual,
@@ -25,8 +24,7 @@ from .experiments import (SCENARIOS, Scenario, run_family_uniform,
                           subsolution_dominance_experiment)
 from .flow import (ComparisonReport, FlowRun, SolverConfig, comparison_check,
                    detect_t_delta, evolve)
-from .geometry import (GeometricState, GridFunction, GridSpec,
-                       geometric_state, mean_curvature)
+from .geometry import GridFunction, GridSpec, mean_curvature
 
 __version__ = "0.1.0"
 
@@ -37,13 +35,11 @@ __all__ = [
     "NewtonError", "ParameterError", "SCENARIOS",
     "ScaledBarrier", "Scenario", "ShootingConfig", "ShootingError",
     "SolverConfig", "StaticBarrier", "StepFailureError", "Subsolution",
-    "bv_norm", "clearing_out_experiment",
-    "clearing_out_scaling", "comparison_check", "decay_fit", "detect_t_delta",
+    "clearing_out_experiment", "clearing_out_scaling", "comparison_check", "decay_fit", "detect_t_delta",
     "evaluate_U", "evolution_equation_residuals", "evolve",
-    "expander_time_derivative", "GeometricState", "geometric_state",
-    "graph_area_bound_check",
+    "expander_time_derivative", "graph_area_bound_check",
     "half_space_experiment", "lemma_barrier_flow", "mean_curvature",
     "psi_identity_residual", "run_family_uniform", "run_main_theorem",
     "run_one_sided", "solve_expander_profile", "static_barrier_w",
-    "subsolution_dominance_experiment", "sup_diff", "wk_difference_fit",
+    "subsolution_dominance_experiment", "wk_difference_fit",
 ]

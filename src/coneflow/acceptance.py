@@ -7,10 +7,10 @@ all criteria do.  Tolerances are calibration results confirmed by the
 refinement studies in the test suite, not aspirations.
 
 Criterion functions take a ``quick`` flag.  Quick mode shrinks grids and
-horizons for smoke runs (CLI ``suite --quick``); the recorded verdict of the
-package is always the full mode, which is what the tests execute.  Criteria
-5, 11 and 14 run the experiment scenarios and take their quick settings from
-``experiments.SCENARIOS``.
+horizons for smoke runs (CLI ``coneflow --quick suite``); the recorded
+verdict of the package is always the full mode, which is what the tests
+execute.  Criteria 5, 11 and 14 run the experiment scenarios and take their
+quick settings from ``experiments.SCENARIOS``.
 """
 
 from __future__ import annotations

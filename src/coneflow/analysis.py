@@ -1,4 +1,4 @@
-"""Measurement tools: sup metrics, decay-rate fits, BV norms, area bounds.
+"""Measurement tools: decay-rate fits, the graph-area bound, clearing-out times.
 
 The area-bound and clearing-out checks follow a fixed discretization
 principle: when an inequality chains pointwise estimates (as the graph-area
@@ -14,14 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import GridFunction, GridSpec, grids_match, _radial_derivatives
+from .geometry import GridFunction, GridSpec
 
 __all__ = [
     "bump",
-    "sup_diff",
     "DecayFit",
     "decay_fit",
-    "bv_norm",
     "C1Function",
     "Ball",
     "AreaBoundReport",
@@ -31,40 +29,16 @@ __all__ = [
     "clearing_out_scaling",
 ]
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 
 def bump(r: np.ndarray, amplitude: float, radius: float) -> np.ndarray:
     """C^1 compact bump amplitude*cos^2(pi r / (2 radius)) inside r < radius."""
+    if not radius > 0:
+        raise ParameterError("bump radius must be positive")
     s = np.asarray(r, dtype=float) / radius
     out = np.zeros_like(s)
     inside = s < 1.0
     out[inside] = amplitude * np.cos(np.pi * s[inside] / 2.0) ** 2
     return out
-
-
-def _region_mask(spec: GridSpec, region) -> np.ndarray:
-    if region is None:
-        return np.ones(spec.shape, dtype=bool)
-    if isinstance(region, tuple) and len(region) == 2:
-        mask = (spec.nodes >= region[0]) & (spec.nodes <= region[1])
-        if spec.polar:
-            mask = np.broadcast_to(mask[:, None], spec.shape)
-        return mask
-    mask = np.asarray(region, dtype=bool)
-    if mask.shape != spec.shape:
-        raise ParameterError("region mask shape does not match the grid")
-    return mask
-
-
-def sup_diff(u: GridFunction, v: GridFunction, region=None) -> float:
-    """max |u - v| over the region (a radius interval or boolean mask)."""
-    if not grids_match(u.spec, v.spec):
-        raise ParameterError("sup_diff needs a common grid")
-    mask = _region_mask(u.spec, region)
-    if not mask.any():
-        raise ParameterError("empty region")
-    return float(np.max(np.abs(u.values - v.values)[mask]))
 
 
 @dataclass
@@ -107,7 +81,7 @@ def decay_fit(t, d) -> DecayFit:
 
 
 # ---------------------------------------------------------------------------
-# BV norms and the graph-area bound
+# the graph-area bound
 
 
 @dataclass(eq=False)
@@ -135,19 +109,6 @@ class C1Function:
         return C1Function(self.n,
                           lambda p: self.value(p) + other.value(p),
                           lambda p: self.gradient(p) + other.gradient(p))
-
-    def __sub__(self, other: "C1Function") -> "C1Function":
-        if self.n != other.n:
-            raise ParameterError("dimension mismatch")
-        return C1Function(self.n,
-                          lambda p: self.value(p) - other.value(p),
-                          lambda p: self.gradient(p) - other.gradient(p))
-
-    def __mul__(self, scalar: float) -> "C1Function":
-        return C1Function(self.n, lambda p: scalar * self.value(p),
-                          lambda p: scalar * self.gradient(p))
-
-    __rmul__ = __mul__
 
     @classmethod
     def from_cone(cls, k) -> "C1Function":
@@ -208,31 +169,6 @@ class Ball:
         pts = np.stack([c[0] + S * np.cos(PHI), c[1] + S * np.sin(PHI)], axis=-1)
         w = S * (self.radius / m_r) * (2.0 * np.pi / m_phi)
         return pts.reshape(-1, 2), w.ravel()
-
-
-def bv_norm(u, region, m_r: int = 160, m_phi: int = 96) -> float:
-    """integral of |u| + |Du| over the region.
-
-    Two input forms: a radial/1-d GridFunction with a (lo, hi) radius interval
-    or mask (trapezoid along the coordinate slice, second-order), or a
-    C1Function with a Ball region (midpoint polar quadrature).
-    """
-    if isinstance(u, GridFunction):
-        spec = u.spec
-        if spec.polar:
-            raise ParameterError("slice BV norm is for radial grids")
-        mask = _region_mask(spec, region)
-        if mask.sum() < 2:
-            raise ParameterError("empty region")
-        r = spec.nodes[mask]
-        p = _radial_derivatives(spec, u.values)[0][mask]
-        return float(_trapz(np.abs(u.values[mask]) + np.abs(p), r))
-    if isinstance(region, Ball):
-        pts, w = region.quadrature(m_r, m_phi)
-        vals = u.value(pts)
-        grads = u.gradient(pts)
-        return float(np.sum(w * (np.abs(vals) + np.sqrt(np.sum(grads ** 2, axis=-1)))))
-    raise ParameterError("unsupported input combination for bv_norm")
 
 
 def default_threshold(r: float) -> float:

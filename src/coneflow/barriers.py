@@ -445,27 +445,15 @@ def evolution_equation_residuals(path: LagrangianPath, t_stride: int = 10,
 # scaling and the max-type subsolution
 
 
-def scale_barrier(b: GridFunction, lam: float,
-                  target: GridSpec | None = None) -> GridFunction:
-    """Parabolic rescaling b_lam(x) = lam * b(x / lam).
-
-    Without a target grid the result lives on the scaled nodes (exact, no
-    interpolation).  With one, cubic interpolation is used and every target
-    node must map back inside b's domain.
-    """
+def scale_barrier(b: GridFunction, lam: float) -> GridFunction:
+    """Parabolic rescaling b_lam(x) = lam * b(x / lam), exact on the scaled
+    nodes (no interpolation)."""
     if lam <= 0:
         raise ParameterError("lam must be positive")
     spec = b.spec
     if spec.polar:
         raise ParameterError("scaling is implemented for radial grids")
-    if target is None:
-        return GridFunction(GridSpec(spec.n, lam * spec.nodes), lam * b.values)
-    back = target.nodes / lam
-    if back.min() < spec.nodes[0] - 1e-12 or back.max() > spec.nodes[-1] + 1e-12:
-        raise DomainError("target grid maps outside the barrier's domain "
-                          f"(needs [{spec.nodes[0]:.3g}, {spec.nodes[-1]:.3g}] "
-                          f"after dividing by lam={lam:.3g})")
-    return GridFunction(target, lam * CubicSpline(spec.nodes, b.values)(back))
+    return GridFunction(GridSpec(spec.n, lam * spec.nodes), lam * b.values)
 
 
 @dataclass(eq=False)
@@ -558,9 +546,6 @@ class Subsolution:
 
     def evaluate(self, r, t: float) -> np.ndarray:
         return np.maximum(*self._branches(r, t))
-
-    def on_grid(self, spec: GridSpec, t: float) -> GridFunction:
-        return GridFunction(spec, self.evaluate(spec.nodes, t))
 
     def branch(self, r, t: float) -> np.ndarray:
         """0 where the expander branch is active, 1 where the barrier wins."""

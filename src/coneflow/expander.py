@@ -242,10 +242,9 @@ class ExpanderProfile:
     """Solved self-similar profile phi with evaluation helpers.
 
     ``rho``/``phi``/``phi_prime`` sample the profile on [0, rho_max]; beyond
-    rho_max evaluation falls back to the refined tail (see
-    :meth:`extrapolated`).  ``a`` is the shooting parameter phi(0) and
-    ``report`` carries the solve diagnostics (defect sup, far-field gap,
-    bracket, bisection and shot counts).
+    rho_max evaluation falls back to the refined tail.  ``a`` is the
+    shooting parameter phi(0) and ``report`` carries the solve diagnostics
+    (defect sup, far-field gap, bracket, bisection and shot counts).
     """
 
     n: int
@@ -265,10 +264,6 @@ class ExpanderProfile:
     @property
     def rho_max(self) -> float:
         return float(self.rho[-1])
-
-    def extrapolated(self, rho) -> np.ndarray:
-        """True where evaluation uses the far-field tail instead of the spline."""
-        return np.asarray(rho, dtype=float) > self.rho_max
 
     def evaluate(self, rho) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)

@@ -191,31 +191,23 @@ class OneSidedReport:
 
 
 def run_one_sided(n: int = 2, beta: float = 1.0, t_offset: float = 0.5,
-                  mode: str = "shifted", r_max: float = 75.0, nodes: int = 1501,
+                  r_max: float = 75.0, nodes: int = 1501,
                   horizon: float = 50.0, snapshot_dt: float = 0.5,
                   dt_max: float = 0.025, fit_window: tuple = (5.0, 50.0),
                   exponent_band: tuple = (-0.65, -0.35)) -> OneSidedReport:
     """One-sided data between the cone and the soliton decays diffusively.
 
-    u0 is U(., t_offset) ("shifted") or the midpoint (k + U(., t_offset))/2
-    ("midway"); both satisfy k <= u0 <= U(., t_offset).  The measured
-    sup|u - U(., t)| is fitted over the window (a decade by default) and the
-    exponent must land in the band around -1/2.
+    u0 is the shifted soliton U(., t_offset), checked to lie above the cone
+    k.  The measured sup|u - U(., t)| is fitted over the window (a decade by
+    default) and the exponent must land in the band around -1/2.
     """
     k = ConeProfile.radial(n, beta)
     profile = solve_expander_profile(k)
     spec = GridSpec.uniform(n, 0.0, r_max, nodes)
     r = spec.nodes
-    top = evaluate_U(profile, r, t_offset)
-    if mode == "shifted":
-        vals = top.copy()
-    elif mode == "midway":
-        vals = 0.5 * (k.beta * r + top)
-    else:
-        raise ParameterError(f"unknown mode {mode!r}")
-    if np.any(vals < k.beta * r - 1e-12) or np.any(vals > top + 1e-12):
-        raise ParameterError("initial data must sit between the cone and the "
-                             "shifted soliton")
+    vals = evaluate_U(profile, r, t_offset)
+    if np.any(vals < k.beta * r - 1e-12):
+        raise ParameterError("initial data must sit above the cone")
     cfg = SolverConfig(dt_init=1e-3, dt_max=dt_max, snapshot_dt=snapshot_dt,
                        boundary="pin-to-expander")
     run = evolve(GridFunction(spec, vals), horizon, cfg, cone=k, profile=profile)

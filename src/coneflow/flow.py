@@ -84,7 +84,7 @@ class SolverConfig:
     similarity_drift: bool = False
 
     def __post_init__(self):
-        if self.dt_init <= 0 or self.dt_max <= 0 or self.dt_min <= 0:
+        if not (self.dt_init > 0 and self.dt_max > 0 and self.dt_min > 0):
             raise ParameterError("time steps must be positive")
         if not (0.0 < self.newton_tol <= 1e-4):
             raise ParameterError("newton_tol must lie in (0, 1e-4]")
@@ -92,7 +92,7 @@ class SolverConfig:
             raise ParameterError("newton_max_iter must be at least 1")
         if self.boundary not in _BOUNDARY_MODES:
             raise ParameterError(f"boundary mode must be one of {_BOUNDARY_MODES}")
-        if self.snapshot_dt <= 0:
+        if not self.snapshot_dt > 0:
             raise ParameterError("snapshot_dt must be positive")
 
 
@@ -240,47 +240,43 @@ def _polar_coloring(spec: GridSpec) -> _PolarColoring:
     (GridSpec hashes by identity).
 
     Unknowns are all nodes off the Dirichlet rings.  The residual row of node
-    (i, j) reads the 3x3 block around it and, on the innermost ring of a
-    through-origin grid, the antipodal ghost nodes (0, j + ntheta/2 +- 1), so
-    unknown (i, j) reaches the rows of that block off the Dirichlet rings,
-    plus the antipodal rows when i = 0.  Columns are colored in natural
-    order with the smallest color no earlier column sharing a row holds
-    (Coleman-More sequential coloring); one probe per color then recovers
-    every column exactly (Curtis-Powell-Reid).
+    (i, j) reads the nodes its row of the radial table lists
+    (``_radial_operator(spec).rows``, the antipodal ghost of a through-origin
+    grid included) and the two angular neighbours of each, through the
+    angular and mixed derivatives; the unknowns among them are the row's
+    sparsity.  Columns are colored in natural order with the smallest color
+    no earlier column sharing a row holds (Coleman-More sequential
+    coloring); one probe per color then recovers every column exactly
+    (Curtis-Powell-Reid).
     """
     nr, nt = spec.nr, spec.ntheta
+    size = nr * nt
     first = 1 if spec.inner_ring else 0
-    i, j = np.divmod(np.arange(first * nt, (nr - 1) * nt), nt)
-    reach = []
-    for di in (-1, 0, 1):
-        ii = i + di
-        live = (ii >= first) & (ii < nr - 1)
-        for dj in (-1, 0, 1):
-            reach.append(np.where(live, ii * nt + (j + dj) % nt, -1))
-    if spec.through_origin:
-        for dj in (-1, 0, 1):
-            reach.append(np.where(i == 0, (j + nt // 2 + dj) % nt, -1))
-    reach = np.stack(reach, axis=1)
-    cols = i * nt + j
-    colors = np.empty(cols.size, dtype=np.intp)
-    held = [set() for _ in range(nr * nt)]  # colors already reaching each row
-    for k, rows_k in enumerate(reach.tolist()):
-        rows_k = [row for row in rows_k if row >= 0]
-        taken = set().union(*(held[row] for row in rows_k))
+    unknown = np.zeros(size, dtype=bool)
+    unknown[first * nt:(nr - 1) * nt] = True
+    ring, j = np.divmod(_radial_operator(spec).rows.reshape(3, size), nt)
+    reads = np.concatenate([ring * nt + (j + dj) % nt for dj in (-1, 0, 1)])
+    row = np.broadcast_to(np.arange(size), reads.shape)
+    live = unknown[row] & unknown[reads]
+    # the (row, col) pairs, ordered by column and then row
+    cols, rows = np.divmod(np.unique(reads[live] * size + row[live]), size)
+    starts = np.flatnonzero(np.diff(cols, prepend=-1))
+    colors = np.zeros(size, dtype=np.intp)
+    held = [set() for _ in range(size)]  # colors already reaching each row
+    for col, rows_c in zip(cols[starts].tolist(), np.split(rows, starts[1:])):
+        rows_c = rows_c.tolist()
+        taken = set().union(*(held[r] for r in rows_c))
         c = 0
         while c in taken:
             c += 1
-        colors[k] = c
-        for row in rows_k:
-            held[row].add(c)
-    masks = np.zeros((int(colors.max()) + 1, nr * nt), dtype=bool)
-    masks[colors, cols] = True
-    pairs = reach >= 0
-    rows = reach[pairs]
-    pair_colors = np.broadcast_to(colors[:, None], reach.shape)[pairs]
-    out = _PolarColoring(masks.reshape((-1,) + spec.shape), rows,
-                         np.broadcast_to(cols[:, None], reach.shape)[pairs],
-                         pair_colors * (nr * nt) + rows)
+        colors[col] = c
+        for r in rows_c:
+            held[r].add(c)
+    pair_colors = colors[cols]
+    masks = np.zeros((int(pair_colors.max()) + 1, size), dtype=bool)
+    masks[pair_colors, cols] = True
+    out = _PolarColoring(masks.reshape((-1,) + spec.shape), rows, cols,
+                         pair_colors * size + rows)
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -430,13 +426,6 @@ class FlowRun:
     def times(self) -> np.ndarray:
         return np.asarray(self.snapshot_times)
 
-    def at_time(self, t: float, tol: float = 1e-9) -> GridFunction:
-        times = self.times
-        idx = int(np.argmin(np.abs(times - t)))
-        if abs(times[idx] - t) > tol:
-            raise ParameterError(f"no snapshot at t={t} (nearest {times[idx]})")
-        return self.snapshots[idx]
-
 
 def _diagnose(run: FlowRun, t, u_new, derivatives, cone_vals, profile):
     """Append one step's diagnostics; H comes from the step's (u_r, u_rr) on
@@ -474,7 +463,7 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
     ``diagnostics=True``.  They do not feed back into the stepping, so the
     snapshots are the same either way.
     """
-    if T <= 0:
+    if not T > 0:
         raise ParameterError("evolution horizon T must be positive")
     boundary = boundary_values_for(u0, config, cone, profile)
     cone_vals = cone.on_grid(u0.spec).values if diagnostics and cone is not None else None

@@ -20,7 +20,9 @@ decides whether its innermost ring is a Dirichlet boundary
 radial grid whose first node sits at r = 0 by the even extension
 u(-r) = u(r), a polar grid flagged as passing through the origin by the
 antipodal continuation u(-r, theta) = u(r, theta+pi) across the innermost
-ring (angular derivatives are periodic differences).
+ring (angular derivatives are periodic differences).  The flow's polar
+Jacobian coloring reads its sparsity from the same table, so these rules
+are written here only.
 """
 
 from __future__ import annotations
@@ -36,10 +38,8 @@ from .errors import GridError
 __all__ = [
     "GridSpec",
     "GridFunction",
-    "GeometricState",
     "grids_match",
     "mean_curvature",
-    "geometric_state",
     "graph_rhs",
     "radial_rhs",
 ]
@@ -180,62 +180,6 @@ class GridFunction:
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.spec, self.values.copy())
-
-
-@dataclass(eq=False)
-class GeometricState:
-    """Pointwise geometric data of a graph.
-
-    Radial mode stores profile-plane quantities: ``X`` and ``nu`` have
-    components (distance from axis, height); ``g`` and ``h`` hold the radial
-    entry and the coefficient of the round angular block, i.e.
-    g = diag(g[...,0], g[...,1]*sigma) on (radial, sphere) directions; and
-    ``kappa`` holds the two distinct principal curvatures (profile,
-    rotational).  Polar mode stores the full 3-vector ``X``/``nu`` and 2x2
-    ``g``/``h`` in (r, theta) coordinates.
-    """
-
-    spec: GridSpec
-    X: np.ndarray
-    nu: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
-    H: np.ndarray
-    A2: np.ndarray
-    W: np.ndarray
-    X_dot_nu: np.ndarray
-    kappa: np.ndarray | None = None
-
-    def invariant_violations(self) -> dict:
-        """Largest deviation from each structural invariant (all should be ~0)."""
-        dev = {}
-        dev["unit_normal"] = float(np.max(np.abs(np.sqrt(np.sum(self.nu ** 2, axis=-1)) - 1.0)))
-        scale = np.maximum(1.0, np.abs(self.H))
-        if self.spec.polar:
-            det = self.g[..., 0, 0] * self.g[..., 1, 1] - self.g[..., 0, 1] ** 2
-            tr = (self.g[..., 1, 1] * self.h[..., 0, 0]
-                  - 2.0 * self.g[..., 0, 1] * self.h[..., 0, 1]
-                  + self.g[..., 0, 0] * self.h[..., 1, 1]) / det
-            dev["trace"] = float(np.max(np.abs(tr - self.H) / scale))
-        else:
-            r = self.spec.nodes
-            pos = r > 0
-            tr = (self.h[pos, 0] / self.g[pos, 0]
-                  + (self.spec.n - 1) * self.h[pos, 1] / np.where(self.g[pos, 1] > 0, self.g[pos, 1], 1.0))
-            dev["trace"] = float(np.max(np.abs(tr - self.H[pos]) / scale[pos])) if pos.any() else 0.0
-        a2_scale = np.maximum(1.0, self.A2)
-        dev["cauchy_schwarz"] = float(np.max((self.H ** 2 / self.spec.n - self.A2) / a2_scale))
-        dev["a2_nonneg"] = float(np.max(-self.A2 / a2_scale))
-        return dev
-
-    def check(self) -> None:
-        dev = self.invariant_violations()
-        if dev["unit_normal"] > 1e-12:
-            raise GridError(f"normal not unit length (off by {dev['unit_normal']:.2e})")
-        if dev["trace"] > 1e-10:
-            raise GridError(f"H differs from trace of h against g (off by {dev['trace']:.2e})")
-        if dev["cauchy_schwarz"] > 1e-10 or dev["a2_nonneg"] > 1e-12:
-            raise GridError("second fundamental form inconsistent (|A|^2 bounds violated)")
 
 
 def grids_match(a: GridSpec, b: GridSpec) -> bool:
@@ -410,15 +354,10 @@ def _radial_speed(spec: GridSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return q / (1.0 + p * p) + (spec.n - 1) * p / r
 
 
-def _radial_quantities(u: GridFunction):
-    p, q = _radial_derivatives(u.spec, u.values)
-    return (p, q) + _radial_curvatures(u.spec, p, q)
-
-
 def _polar_quantities(spec: GridSpec, vals: np.ndarray):
-    """Derivatives, W, the entries (g00, g01, g11) of the metric and
-    (h00, h01, h11) of the second fundamental form, det g and H on a polar
-    grid; ``vals`` may be a stack, as in :func:`_polar_derivatives`."""
+    """(u_r, W, H) on a polar grid, H contracting the second fundamental
+    form h against the metric g; ``vals`` may be a stack, as in
+    :func:`_polar_derivatives`."""
     r = spec.nodes[:, None]
     ur, ut, urr, utt, urt = _polar_derivatives(spec, vals)
     W = np.sqrt(1.0 + ur ** 2 + (ut / r) ** 2)
@@ -426,7 +365,7 @@ def _polar_quantities(spec: GridSpec, vals: np.ndarray):
     h = (urr / W, (urt - ut / r) / W, (r * ur + utt) / W)
     det = g[0] * g[2] - g[1] ** 2
     H = (g[2] * h[0] - 2.0 * g[1] * h[1] + g[0] * h[2]) / det
-    return ur, ut, urr, utt, urt, W, g, h, det, H
+    return ur, W, H
 
 
 def _polar_speed(spec: GridSpec, vals: np.ndarray, drift: bool = False) -> np.ndarray:
@@ -436,7 +375,7 @@ def _polar_speed(spec: GridSpec, vals: np.ndarray, drift: bool = False) -> np.nd
     Only elementwise IEEE operations follow the stencil gathers, so each
     state of a stack gets the bits it gets alone.
     """
-    ur, _, _, _, _, W, _, _, _, H = _polar_quantities(spec, vals)
+    ur, W, H = _polar_quantities(spec, vals)
     speed = W * H
     if drift:
         speed = speed + 0.5 * (spec.nodes[:, None] * ur - vals)
@@ -452,11 +391,12 @@ def mean_curvature(u: GridFunction) -> GridFunction:
     full second fundamental form against the inverse metric.  Boundary nodes
     use one-sided stencils and carry lower accuracy.
     """
-    if u.spec.polar:
-        H = _polar_quantities(u.spec, u.values)[-1]
+    spec = u.spec
+    if spec.polar:
+        H = _polar_quantities(spec, u.values)[-1]
     else:
-        H = _radial_quantities(u)[-1]
-    return GridFunction(u.spec, H)
+        H = _radial_curvatures(spec, *_radial_derivatives(spec, u.values))[-1]
+    return GridFunction(spec, H)
 
 
 def radial_rhs(u: GridFunction) -> GridFunction:
@@ -478,40 +418,3 @@ def graph_rhs(u: GridFunction) -> GridFunction:
         return radial_rhs(u)
     return GridFunction(u.spec, _polar_speed(u.spec, u.values))
 
-
-def geometric_state(u: GridFunction) -> GeometricState:
-    """Full first/second fundamental data of the graph of ``u``."""
-    spec = u.spec
-    if spec.polar:
-        r = spec.nodes[:, None]
-        th = spec.thetas[None, :]
-        ur, ut, urr, utt, urt, W, (g00, g01, g11), (h00, h01, h11), det, H = \
-            _polar_quantities(spec, u.values)
-        gx = ur * np.cos(th) - (ut / r) * np.sin(th)
-        gy = ur * np.sin(th) + (ut / r) * np.cos(th)
-        rc = np.broadcast_to(r * np.cos(th), spec.shape)
-        rs = np.broadcast_to(r * np.sin(th), spec.shape)
-        X = np.stack([rc, rs, u.values], axis=-1)
-        nu = np.stack([gx / W, gy / W, -1.0 / W], axis=-1)
-        ginv_h00 = (g11 * h00 - g01 * h01) / det
-        ginv_h01 = (g11 * h01 - g01 * h11) / det
-        ginv_h10 = (g00 * h01 - g01 * h00) / det
-        ginv_h11 = (g00 * h11 - g01 * h01) / det
-        A2 = ginv_h00 ** 2 + ginv_h11 ** 2 + 2.0 * ginv_h01 * ginv_h10
-        Xnu = (r * ur - u.values) / W
-        g = np.stack([np.stack([g00, g01], -1), np.stack([g01, g11], -1)], -2)
-        h = np.stack([np.stack([h00, h01], -1), np.stack([h01, h11], -1)], -2)
-        state = GeometricState(spec, X, nu, g, h, H, A2, W, Xnu)
-    else:
-        r = spec.nodes
-        p, q, W, kprof, krot, H = _radial_quantities(u)
-        A2 = kprof ** 2 + (spec.n - 1) * krot ** 2
-        X = np.stack([r, u.values], axis=-1)
-        nu = np.stack([p / W, -1.0 / W], axis=-1)
-        g = np.stack([1.0 + p * p, r ** 2], axis=-1)
-        h = np.stack([q / W, r * p / W], axis=-1)
-        Xnu = (r * p - u.values) / W
-        state = GeometricState(spec, X, nu, g, h, H, A2, W, Xnu,
-                               kappa=np.stack([kprof, krot], axis=-1))
-    state.check()
-    return state

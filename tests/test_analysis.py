@@ -2,53 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from coneflow.analysis import (Ball, C1Function, bv_norm,
-                               clearing_out_experiment, clearing_out_scaling,
-                               decay_fit, default_threshold,
-                               graph_area_bound_check, sup_diff)
+from coneflow.analysis import (Ball, C1Function, clearing_out_experiment,
+                               clearing_out_scaling, decay_fit,
+                               default_threshold, graph_area_bound_check)
 from coneflow.cones import ConeProfile
 from coneflow.errors import ParameterError
-from coneflow.geometry import GridFunction, GridSpec
-
-
-def _gf(values, r_max=1.0):
-    spec = GridSpec.uniform(2, 0.0, r_max, len(values))
-    return GridFunction(spec, np.asarray(values, dtype=float))
-
-
-# -- sup_diff ----------------------------------------------------------------
-
-def test_sup_diff_basic():
-    u = _gf(np.linspace(0.0, 2.0, 9))
-    v = _gf(np.full(9, 0.5))
-    assert sup_diff(u, v) == pytest.approx(1.5)
-
-
-def test_sup_diff_region_interval():
-    spec = GridSpec.uniform(2, 0.0, 10.0, 101)
-    u = GridFunction(spec, spec.nodes.copy())
-    z = GridFunction(spec, np.zeros(101))
-    assert sup_diff(u, z, region=(0.0, 5.0)) == pytest.approx(5.0)
-    with pytest.raises(ParameterError):
-        sup_diff(u, z, region=(20.0, 30.0))  # empty region
-
-
-def test_sup_diff_grid_mismatch():
-    with pytest.raises(ParameterError):
-        sup_diff(_gf(np.zeros(9)), _gf(np.zeros(10)))
-
-
-finite_vecs = st.lists(st.floats(-100.0, 100.0), min_size=8, max_size=8)
-
-
-@given(finite_vecs, finite_vecs, finite_vecs)
-def test_sup_diff_metric_properties(a, b, c):
-    ua, ub, uc = _gf(a), _gf(b), _gf(c)
-    dab = sup_diff(ua, ub)
-    assert dab >= 0.0
-    assert dab == pytest.approx(sup_diff(ub, ua))
-    assert sup_diff(ua, ua) == 0.0
-    assert dab <= sup_diff(ua, uc) + sup_diff(uc, ub) + 1e-12
 
 
 # -- decay_fit ---------------------------------------------------------------
@@ -82,16 +40,7 @@ def test_decay_fit_rejects_nonpositive():
         decay_fit(t, d)
 
 
-# -- BV norm and the area bound ----------------------------------------------
-
-def test_bv_norm_linear_slice():
-    # integral of |u| + |u'| for u = x on [0,1] is 1.5; the origin stencil
-    # clamps u'(0) = 0 (even extension), costing half a cell
-    for count in (101, 401, 1601):
-        spec = GridSpec.uniform(2, 0.0, 1.0, count)
-        val = bv_norm(GridFunction(spec, spec.nodes.copy()), (0.0, 1.0))
-        assert val == pytest.approx(1.5, abs=0.6 / count)
-
+# -- the area bound ----------------------------------------------------------
 
 def test_ball_quadrature_weights():
     ball = Ball(np.array([2.0, -1.0]), 0.7)

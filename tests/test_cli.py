@@ -186,11 +186,12 @@ def test_experiment_unknown_override(tmp_path, capsys):
                     "--set", "bogus=1"], tmp_path) == 2
 
 
-@pytest.mark.parametrize("pair", ["fit_window=1,12", "profile=1.0"])
+@pytest.mark.parametrize("pair", ["fit_window=1,12", "profile=1.0",
+                                  "mode=midway"])
 def test_experiment_untypeable_override_rejected(tmp_path, capsys,
                                                  monkeypatch, pair):
     # a tuple default cannot be typed from text, and the runners take no
-    # profile: usage error before any flow runs
+    # profile and no mode: usage error before any flow runs
     calls = []
     monkeypatch.setattr(experiments, "evolve",
                         lambda *args, **kw: calls.append(args))
@@ -198,6 +199,17 @@ def test_experiment_untypeable_override_rejected(tmp_path, capsys,
                     "--set", pair], tmp_path) == 2
     assert calls == []
     assert f"unknown key {pair.split('=')[0]!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pair", ["horizon=nan", "dt_max=nan",
+                                  "snapshot_dt=nan", "bump_radius=0"])
+def test_evolve_rejects_nan_and_nonpositive_inputs(tmp_path, capsys, pair):
+    # NaN slips through an `x <= 0` guard; each value is a usage error
+    # raised before any artifact is written
+    out = tmp_path / "art"
+    assert run_cli(["--out", str(out), "evolve", "--set", pair], tmp_path) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_numerical_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):

@@ -31,7 +31,8 @@ def test_synthetic_run_values(profile21):
     times = [0.5, 1.0, 1.5]
     run = synthetic_expander_run(profile21, spec, times, lambda t: t + 1.0,
                                  offset=0.25)
-    snap = run.at_time(1.0)
+    assert run.times[1] == 1.0
+    snap = run.snapshots[1]
     want = np.sqrt(2.0) * profile21.evaluate(spec.nodes / np.sqrt(2.0)) + 0.25
     assert np.allclose(snap.values, want)
     with pytest.raises(ParameterError):
@@ -80,11 +81,6 @@ def test_scenario_runner_looked_up_at_call_time(monkeypatch):
 def test_scenarios_pass_in_quick_mode(name):
     rep = SCENARIOS[name].run(quick=True)
     assert rep.passed
-
-
-def test_one_sided_mode_validation():
-    with pytest.raises(ParameterError):
-        run_one_sided(mode="bogus", nodes=101, r_max=20.0, horizon=1.0)
 
 
 def test_family_needs_five_members():

@@ -242,16 +242,6 @@ def test_detect_t_delta_semantics(cone21):
     assert detect_t_delta(run, cone21, 0.001) is None
 
 
-def test_at_time_lookup(cone21):
-    spec = _uniform(2, 10.0, 101)
-    cfg = SolverConfig(dt_init=1e-2, dt_max=0.05, snapshot_dt=0.5)
-    run = evolve(cone21.on_grid(spec), 1.0, cfg, cone=cone21)
-    snap = run.at_time(0.5)
-    assert snap.spec.nodes.size == 101
-    with pytest.raises(ParameterError):
-        run.at_time(0.31)
-
-
 def test_polar_evolution_smoke():
     spec = GridSpec.polar_disk(4.0, 24, 16)
     bump = 0.2 * np.cos(2 * spec.thetas)[None, :] * np.exp(-spec.nodes[:, None] ** 2)

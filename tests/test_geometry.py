@@ -5,9 +5,9 @@ from hypothesis.extra import numpy as hnp
 
 from coneflow import geometry
 from coneflow.errors import GridError
-from coneflow.geometry import (GridFunction, GridSpec, geometric_state,
-                               grids_match, mean_curvature, _d1_d2,
-                               _polar_derivatives, _radial_derivatives)
+from coneflow.geometry import (GridFunction, GridSpec, grids_match,
+                               mean_curvature, _d1_d2, _polar_derivatives,
+                               _radial_derivatives)
 
 
 def test_uniform_spec_basics():
@@ -72,26 +72,6 @@ def test_paraboloid_curvature_exact(n):
     assert H[0] == pytest.approx(n, rel=1e-10)
 
 
-def test_geometric_state_invariants_radial():
-    spec = GridSpec.uniform(3, 0.0, 8.0, 257)
-    r = spec.nodes
-    u = GridFunction(spec, np.sqrt(1.0 + r ** 2))
-    state = geometric_state(u)
-    state.check()
-    assert np.all(state.W >= 1.0)
-
-
-def test_geometric_state_cone_relation():
-    # a cone has vanishing profile curvature, so H^2 = (n-1) |A|^2
-    n, beta = 3, 1.5
-    spec = GridSpec.uniform(n, 0.0, 10.0, 301)
-    u = GridFunction(spec, beta * spec.nodes)
-    state = geometric_state(u)
-    inner = slice(1, -1)
-    assert np.allclose(state.H[inner] ** 2, (n - 1) * state.A2[inner],
-                       rtol=1e-9)
-
-
 def test_polar_grid_validation():
     with pytest.raises(GridError):
         GridSpec.polar_disk(0.0, 8, 16)
@@ -117,14 +97,6 @@ def test_polar_matches_radial_curvature():
     err = np.abs(H_polar - expected[:, None])
     assert np.max(err[4:, :]) < 2e-3
     assert np.max(err) < 2e-2
-
-
-@given(st.floats(0.2, 3.0), st.integers(2, 4))
-def test_state_normal_is_unit(beta, n):
-    spec = GridSpec.uniform(n, 0.0, 5.0, 101)
-    state = geometric_state(GridFunction(spec, beta * spec.nodes))
-    norms = np.sqrt(np.sum(state.nu ** 2, axis=-1))
-    assert np.allclose(norms, 1.0, atol=1e-12)
 
 
 def _frozen_d1_d2(x, y):
