@@ -103,7 +103,7 @@ def static_barrier_w(k: ConeProfile, alpha: float, r_lo: float = 1.0,
     """
     if k.kind != "radial":
         raise ParameterError("static power barriers are built over radial cones")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ParameterError("alpha must be positive")
     if not (0 < r_lo < r_hi) or r_hi < 10 * r_lo:
         raise ParameterError("need 0 < r_lo and r_hi >= 10 r_lo")
@@ -512,7 +512,7 @@ class Subsolution:
     R: float
 
     def __post_init__(self):
-        if self.m <= 0 or self.delta <= 0 or self.R <= 0:
+        if not (self.m > 0 and self.delta > 0 and self.R > 0):
             raise ParameterError("m, delta, R must be positive")
         if self.barrier.lam * self.barrier.m1 <= self.m:
             raise ParameterError(

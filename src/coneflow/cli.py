@@ -243,14 +243,15 @@ def _cmd_barrier(cfg: dict, out: str) -> int:
     k = ConeProfile.radial(sec["n"], sec["beta"])
     report: dict = {"n": sec["n"], "beta": sec["beta"]}
     verdicts = []
+    # every result is computed, and so validated, before the first write
+    tables = []
 
-    lemma_res = None
     if which in ("static", "all"):
         sb = static_barrier_w(k, sec["alpha"])
         fit = wk_difference_fit(k, sec["alpha"])
-        write_csv(os.path.join(out, "static_barrier.csv"),
-                  [("r", "length"), ("w", "height"), ("H", "1/length")],
-                  zip(sb.r, sb.w, sb.H))
+        tables.append(("static_barrier.csv",
+                       [("r", "length"), ("w", "height"), ("H", "1/length")],
+                       zip(sb.r, sb.w, sb.H)))
         report["static"] = {"alpha": sec["alpha"], "r0": sb.r0,
                             "certified": sb.certified,
                             "gap_exponent": fit["fit"].exponent,
@@ -258,10 +259,10 @@ def _cmd_barrier(cfg: dict, out: str) -> int:
         verdicts.append(sb.certified)
     if which in ("lemma", "subsolution", "all"):
         lemma_res = lemma_barrier_flow(k)
-        write_csv(os.path.join(out, "lemma_barrier.csv"),
-                  [("r", "length"), ("b", "height"), ("k_minus_b", "height")],
-                  zip(lemma_res.path.spec.nodes, lemma_res.b_final.values,
-                      lemma_res.k_values - lemma_res.b_final.values))
+        tables.append(("lemma_barrier.csv",
+                       [("r", "length"), ("b", "height"), ("k_minus_b", "height")],
+                       zip(lemma_res.path.spec.nodes, lemma_res.b_final.values,
+                           lemma_res.k_values - lemma_res.b_final.values)))
         report["lemma"] = {"min_gap": lemma_res.min_gap,
                            "H_min": lemma_res.H_min,
                            "r_cut": lemma_res.r_cut,
@@ -280,6 +281,8 @@ def _cmd_barrier(cfg: dict, out: str) -> int:
         verdicts.append(bool(res["subsolution_ok"]))
 
     report["passed"] = all(verdicts)
+    for name, header, rows in tables:
+        write_csv(os.path.join(out, name), header, rows)
     write_json(os.path.join(out, "barrier_report.json"), report)
     return 0 if report["passed"] else 1
 

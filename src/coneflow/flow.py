@@ -1,21 +1,22 @@
-"""Implicit time stepping for graphical mean curvature flow on truncated domains.
+"""Implicit time stepping for graphical mean curvature flow of entire graphs.
 
 The PDE u_t = sqrt(1+|Du|^2) H[u] is advanced with implicit Euler; each step
 solves the nonlinear system v - u - dt*rhs(v) = 0 by Newton iteration.  In
 radial mode the Jacobian of the reduced operator
 
-    rhs(v) = v_rr/(1+v_r^2) + (n-1) v_r/r        (+ (r v_r - v)/2 with drift)
+    rhs(v) = v_rr/(1+v_r^2) + (n-1) v_r/r
 
 is tridiagonal, assembled analytically as its three diagonals and solved
 directly by LAPACK ``gtsv``; polar mode probes the Jacobian by colored
 finite differences (the stencil is local, so a handful of probe vectors
 recovers every column) and solves with a sparse LU.
 
-Both grid modes read one cached three-point operator per grid
-(``geometry._radial_operator``), which on radial grids also holds the
-grid-constant parts of the Jacobian, and share one residual, one Newton loop
-and one rule for the inner Dirichlet ring: the grid's own
-``GridSpec.inner_ring``.  Per-step diagnostics (distance to the cone and to
+Every grid continues across the origin (a radial grid from r = 0, a polar
+grid through its antipodal ring), so the truncation ring r = r_max is the
+only Dirichlet boundary.  Both grid modes read one cached three-point
+operator per grid (``geometry._radial_operator``), which on radial grids
+also holds the grid-constant parts of the Jacobian, and share one residual
+and one Newton loop.  Per-step diagnostics (distance to the cone and to
 the expander, extremes of H) are opt-in: ``evolve`` records them only when
 asked, and always records step times, step sizes and Newton counts.  The
 polar column coloring and its scatter indices are cached per grid, and the
@@ -25,15 +26,15 @@ next iteration (on radial grids its (v_r, v_rr) also feed the Jacobian and
 the curvature diagnostics), and a non-finite residual raises NewtonError at
 once.
 
-Dirichlet data at the truncation radius (and at the inner ring, when the
-grid has one) comes in three flavors: pinned to the initial values, pinned
-to a cone, or pinned to the moving expander (needed for long runs, where a
-frozen cone value at r_max lags the true solution by O(t/r_max) and would
-dominate the far-field error).
+The Dirichlet data comes in three flavors: pinned to the initial values,
+pinned to a cone, or pinned to the moving expander (needed for long runs,
+where a frozen cone value at r_max lags the true solution by O(t/r_max) and
+would dominate the far-field error).
 
-The optional similarity drift term turns the stepper into a solver for the
-flow written in self-similar variables, where expanders are stationary; the
-expander module uses it for anisotropic profiles.
+The optional similarity drift term (r v_r - v)/2, polar only, turns the
+stepper into a solver for the flow in self-similar variables, where
+expanders are stationary; the expander module uses it for anisotropic
+profiles.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .geometry import (GridFunction, GridSpec, grids_match, mean_curvature,
 
 __all__ = [
     "SolverConfig",
-    "BoundaryValues",
     "FlowRun",
     "boundary_values_for",
     "step",
@@ -96,49 +96,39 @@ class SolverConfig:
             raise ParameterError("snapshot_dt must be positive")
 
 
-@dataclass
-class BoundaryValues:
-    """Dirichlet data at the truncation rings; entries may be callables of t."""
-
-    outer: object
-    inner: object = None
-
-    def resolve(self, t: float):
-        outer = self.outer(t) if callable(self.outer) else self.outer
-        inner = self.inner(t) if callable(self.inner) else self.inner
-        return outer, inner
-
-
 def boundary_values_for(u0: GridFunction, config: SolverConfig, cone=None,
-                        profile=None) -> BoundaryValues:
-    """Build boundary data for a run from the configured mode.
+                        profile=None):
+    """The outer ring's Dirichlet data, as a function of t, for a run.
 
     pin-to-cone needs ``cone`` (a ConeProfile); pin-to-expander needs
     ``profile`` (an ExpanderProfile, read one radius at a time through
-    ``value_at``) and is radial only.
+    ``value_at``) and is radial only.  A radial grid must start at r = 0,
+    and the similarity drift is polar only.
     """
     spec = u0.spec
+    if spec.inner_ring:
+        raise ParameterError("radial flow grids must start at r = 0")
+    if config.similarity_drift and not spec.polar:
+        raise ParameterError("the similarity drift runs on polar grids only")
     if config.boundary == "pin-to-expander":
         if profile is None:
             raise ParameterError("pin-to-expander boundary needs an expander profile")
         if spec.polar:
             raise ParameterError("pin-to-expander boundary is radial-only")
+        r = spec.r_max
 
-        def pinned_at(r):
-            def value(t):
-                s = math.sqrt(t)
-                return s * profile.value_at(r / s)
-            return value
-
-        return BoundaryValues(pinned_at(spec.r_max),
-                              pinned_at(spec.r_min) if spec.inner_ring else None)
+        def outer(t):
+            s = math.sqrt(t)
+            return s * profile.value_at(r / s)
+        return outer
     if config.boundary == "pin-to-initial":
         vals = u0.values
     elif cone is None:
         raise ParameterError("pin-to-cone boundary needs the cone")
     else:
         vals = cone.on_grid(spec).values
-    return BoundaryValues(vals[-1].copy(), vals[0].copy() if spec.inner_ring else None)
+    pinned = vals[-1].copy()
+    return lambda t: pinned
 
 
 # ---------------------------------------------------------------------------
@@ -146,26 +136,20 @@ def boundary_values_for(u0: GridFunction, config: SolverConfig, cone=None,
 
 
 def _residual(spec: GridSpec, v: np.ndarray, u_prev: np.ndarray, dt: float,
-              config: SolverConfig, outer, inner):
-    """Implicit Euler residual at v with Dirichlet rows (the outer ring, and
-    the inner one when the grid has it), plus (v_r, v_rr) on radial grids
-    (None on polar grids)."""
+              config: SolverConfig, outer):
+    """Implicit Euler residual at v with the outer ring's Dirichlet rows,
+    plus (v_r, v_rr) on radial grids (None on polar grids)."""
     if spec.polar:
         rhs, pq = _polar_speed(spec, v, config.similarity_drift), None
     else:
-        p, q = pq = _radial_derivatives(spec, v)
-        rhs = _radial_speed(spec, p, q)
-        if config.similarity_drift:
-            rhs = rhs + 0.5 * (spec.nodes * p - v)
+        pq = _radial_derivatives(spec, v)
+        rhs = _radial_speed(spec, *pq)
     res = v - u_prev - dt * rhs
     res[-1] = v[-1] - outer
-    if spec.inner_ring:
-        res[0] = v[0] - inner
     return res, pq
 
 
-def _radial_newton_matrix(spec: GridSpec, p: np.ndarray, q: np.ndarray, dt: float,
-                          config: SolverConfig):
+def _radial_newton_matrix(spec: GridSpec, p: np.ndarray, q: np.ndarray, dt: float):
     """Sub-, main and superdiagonal (lower, diag, upper) of (I - dt*J) for
     the radial reduced operator at a state with derivatives (p, q) =
     (v_r, v_rr); ``lower[i]`` couples row i+1 to v_i, ``upper[i]`` row i to
@@ -174,29 +158,20 @@ def _radial_newton_matrix(spec: GridSpec, p: np.ndarray, q: np.ndarray, dt: floa
     Column i of J (stored as ``J[:, i]``, like the operator table) couples
     row i to (v_{i-1}, v_i, v_{i+1}).  The table's one-sided end rows read
     other nodes, so the end columns computed from them are meaningless, but
-    the end rows are Dirichlet rows (or, at r = 0, set explicitly) and get
-    replaced.
+    both are replaced: by the r = 0 limit and by the Dirichlet row.
     """
     op = _radial_operator(spec)
     c, d = op.w, op.d
     one_p2 = 1.0 + p * p
     J = d / one_p2 - 2.0 * p * q * c / one_p2 ** 2 + op.w_over_r
-    if not spec.inner_ring:
-        # n*v_rr(0), with the ghost node v_{-1} = v_1 folded into column v_1
-        J[:, 0] = (0.0, spec.n * d[1, 0], spec.n * (d[0, 0] + d[2, 0]))
-    if config.similarity_drift:
-        # drift (r*v_r - v)/2; at an r=0 node only the -v/2 part survives
-        J += 0.5 * spec.nodes * c
-        J[1] -= 0.5
+    # n*v_rr(0), with the ghost node v_{-1} = v_1 folded into column v_1
+    J[:, 0] = (0.0, spec.n * d[1, 0], spec.n * (d[0, 0] + d[2, 0]))
     lower = -dt * J[0, 1:]
     diag = 1.0 - dt * J[1]
     upper = -dt * J[2, :-1]
-    # Dirichlet rows
+    # the outer Dirichlet row
     diag[-1] = 1.0
     lower[-1] = 0.0
-    if spec.inner_ring:
-        diag[0] = 1.0
-        upper[0] = 0.0
     return lower, diag, upper
 
 
@@ -239,21 +214,18 @@ def _polar_coloring(spec: GridSpec) -> _PolarColoring:
     """Greedy column coloring of the polar Jacobian, cached per grid
     (GridSpec hashes by identity).
 
-    Unknowns are all nodes off the Dirichlet rings.  The residual row of node
-    (i, j) reads the nodes its row of the radial table lists
-    (``_radial_operator(spec).rows``, the antipodal ghost of a through-origin
-    grid included) and the two angular neighbours of each, through the
-    angular and mixed derivatives; the unknowns among them are the row's
-    sparsity.  Columns are colored in natural order with the smallest color
-    no earlier column sharing a row holds (Coleman-More sequential
-    coloring); one probe per color then recovers every column exactly
-    (Curtis-Powell-Reid).
+    Unknowns are all nodes off the outer Dirichlet ring.  The residual row
+    of node (i, j) reads the nodes its row of the radial table lists
+    (``_radial_operator(spec).rows``, the antipodal ghost included) and the
+    two angular neighbours of each, through the angular and mixed
+    derivatives; the unknowns among them are the row's sparsity.  Columns
+    are colored in natural order with the smallest color no earlier column
+    sharing a row holds (Coleman-More sequential coloring); one probe per
+    color then recovers every column exactly (Curtis-Powell-Reid).
     """
     nr, nt = spec.nr, spec.ntheta
     size = nr * nt
-    first = 1 if spec.inner_ring else 0
-    unknown = np.zeros(size, dtype=bool)
-    unknown[first * nt:(nr - 1) * nt] = True
+    unknown = np.arange(size) < (nr - 1) * nt
     ring, j = np.divmod(_radial_operator(spec).rows.reshape(3, size), nt)
     reads = np.concatenate([ring * nt + (j + dj) % nt for dj in (-1, 0, 1)])
     row = np.broadcast_to(np.arange(size), reads.shape)
@@ -287,9 +259,9 @@ def _polar_newton_lu(u_vals: np.ndarray, spec: GridSpec, dt: float,
     """Sparse LU of (I - dt*J) at state u_vals, J probed by colored differences.
 
     The base state and one probe per color go through one stacked speed
-    evaluation.  Dirichlet unknowns stay clamped (their Newton update is
-    zero), so columns coupling interior rows to boundary unknowns are
-    dropped; Dirichlet rows keep the identity.
+    evaluation.  The outer ring's unknowns stay clamped (their Newton update
+    is zero), so columns coupling interior rows to them are dropped; its
+    Dirichlet rows keep the identity.
     """
     coloring = _polar_coloring(spec)
     ntot = u_vals.size
@@ -307,35 +279,25 @@ def _polar_newton_lu(u_vals: np.ndarray, spec: GridSpec, dt: float,
     return splu(csc_matrix((data, (rows, cols)), shape=(ntot, ntot)))
 
 
-def _apply_boundary(vals: np.ndarray, spec: GridSpec, outer, inner):
-    vals = vals.copy()
-    vals[-1] = outer
-    if spec.inner_ring:
-        vals[0] = inner
-    return vals
-
-
-def step(u: GridFunction, dt: float, config: SolverConfig,
-         boundary: BoundaryValues, t_new: float,
-         stats: dict | None = None) -> GridFunction:
+def step(u: GridFunction, dt: float, config: SolverConfig, boundary,
+         t_new: float, stats: dict | None = None) -> GridFunction:
     """One implicit Euler step of size dt to time ``t_new``.
 
-    Boundary data is evaluated at ``t_new``.  Raises NewtonError, carrying
-    the residual history, on stagnation or on a non-finite residual.
+    ``boundary`` is the outer-ring data of :func:`boundary_values_for`,
+    evaluated at ``t_new``.  Raises NewtonError, carrying the residual
+    history, on stagnation or on a non-finite residual.
     ``stats``, when given, receives the Newton iteration count and residual
     history of the solve and, on radial grids, the derivatives (u_r, u_rr)
     of the returned state under ``"derivatives"``.
     """
     spec = u.spec
-    outer, inner = boundary.resolve(t_new)
-    if spec.inner_ring and inner is None:
-        raise ParameterError("grid has an inner boundary ring but no inner boundary value")
-
-    v = _apply_boundary(u.values, spec, outer, inner)
+    outer = boundary(t_new)
+    v = u.values.copy()
+    v[-1] = outer
     scale = 1.0 + float(np.max(np.abs(u.values)))
 
     def residual(w):
-        return _residual(spec, w, u.values, dt, config, outer, inner)
+        return _residual(spec, w, u.values, dt, config, outer)
 
     if spec.polar:
         def solve(w, _, res):
@@ -343,7 +305,7 @@ def step(u: GridFunction, dt: float, config: SolverConfig,
             return lu.solve(res.ravel()).reshape(spec.shape)
     else:
         def solve(w, pq, res):
-            return solve_banded(*_radial_newton_matrix(spec, *pq, dt, config), res)
+            return solve_banded(*_radial_newton_matrix(spec, *pq, dt), res)
     history = []
     v, derivatives = _newton(v, residual, solve, config, scale, history)
     if stats is not None:
@@ -442,7 +404,7 @@ def _diagnose(run: FlowRun, t, u_new, derivatives, cone_vals, profile):
     else:
         run.sup_u_minus_U.append(np.nan)
     if derivatives is not None:
-        H = _radial_curvatures(spec, *derivatives)[-1]
+        H = _radial_curvatures(spec, *derivatives)
     else:
         H = mean_curvature(u_new).values
     run.min_H.append(float(np.min(H)))
@@ -552,7 +514,7 @@ def comparison_check(run_a: FlowRun, run_b: FlowRun, tol: float = 1e-8,
 
 def detect_t_delta(run: FlowRun, k, delta: float):
     """Earliest snapshot time with u >= k - delta everywhere, else None."""
-    if delta <= 0:
+    if not delta > 0:
         raise ParameterError("delta must be positive")
     spec = run.snapshots[0].spec
     kv = k.on_grid(spec).values if hasattr(k, "on_grid") else np.asarray(k)

@@ -14,15 +14,14 @@ Every radial derivative reads one three-point weight table, built by
 ``_stencil`` for any node vector: centered differences inside (second order
 on non-uniform grids) and one-sided rows, of lower accuracy, at the ends.
 ``_radial_operator`` caches it per grid of either mode, and ``_d1_d2``
-applies it along axis 0 of any stack (the barrier profile curves).  The grid
-decides whether its innermost ring is a Dirichlet boundary
-(``GridSpec.inner_ring``); if not, the table continues across the origin: a
-radial grid whose first node sits at r = 0 by the even extension
-u(-r) = u(r), a polar grid flagged as passing through the origin by the
-antipodal continuation u(-r, theta) = u(r, theta+pi) across the innermost
-ring (angular derivatives are periodic differences).  The flow's polar
-Jacobian coloring reads its sparsity from the same table, so these rules
-are written here only.
+applies it along axis 0 of any stack (the barrier profile curves).  The
+flow solves entire graphs, so its grids continue across the origin: a
+radial grid from r = 0 by the even extension u(-r) = u(r), a polar grid
+by the antipodal continuation u(-r, theta) = u(r, theta+pi) across its
+innermost ring (angular derivatives are periodic differences).  Only a
+radial grid from r > 0 (``GridSpec.inner_ring``, the barrier curves) keeps
+the one-sided inner row.  The flow's polar Jacobian coloring reads its
+sparsity from the same table, so these rules are written here only.
 """
 
 from __future__ import annotations
@@ -56,19 +55,16 @@ class GridSpec:
 
     ``nodes`` holds strictly increasing radii with r_min >= 0.  ``thetas``
     switches the grid to polar mode (n must equal 2) and must sample [0, 2pi)
-    uniformly.  ``through_origin`` marks a polar grid whose innermost ring is
-    meant to continue across r = 0 (antipodal ghost ring); it requires an even
-    number of angular nodes.
+    uniformly.  A polar grid always continues across the origin through the
+    antipodal ghost ring, so it needs an even angular count and r_min > 0.
 
-    ``inner_ring``, derived from the layout, says whether the innermost ring
-    is a Dirichlet boundary: it is, unless the grid continues across the
-    origin (a radial grid with a node at r = 0, a through-origin polar grid).
+    ``inner_ring``, derived from the layout, is true exactly for a radial
+    grid with r_min > 0, whose table keeps the one-sided inner row.
     """
 
     n: int
     nodes: np.ndarray
     thetas: np.ndarray | None = None
-    through_origin: bool = False
     inner_ring: bool = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -97,15 +93,11 @@ class GridSpec:
             expected = 2.0 * np.pi * np.arange(nt) / nt
             if not np.allclose(th, expected, rtol=0, atol=1e-12 * 2 * np.pi):
                 raise GridError("angular nodes must sample [0, 2pi) uniformly from 0")
-            if self.through_origin:
-                if nt % 2:
-                    raise GridError("through-origin polar grids need an even angular count")
-                if nodes[0] <= 0:
-                    raise GridError("through-origin polar grids must not contain r = 0")
-        elif self.through_origin:
-            raise GridError("through_origin applies to polar grids only")
-        object.__setattr__(self, "inner_ring", not self.through_origin
-                           if self.thetas is not None else bool(nodes[0] > 0))
+            if nt % 2 or nodes[0] <= 0:
+                raise GridError("a polar grid crosses the origin through its antipodal "
+                                "ring: it needs an even angular count and r > 0")
+        object.__setattr__(self, "inner_ring",
+                           self.thetas is None and bool(nodes[0] > 0))
 
     # -- conveniences -------------------------------------------------------
 
@@ -141,13 +133,11 @@ class GridSpec:
         return cls(n, np.linspace(r_min, r_max, count))
 
     @classmethod
-    def geometric(cls, n: int, h0: float, r_max: float, ratio: float = 1.03,
-                  include_origin: bool = True) -> "GridSpec":
-        """Geometrically stretched radial grid with first spacing ``h0``."""
+    def geometric(cls, n: int, h0: float, r_max: float, ratio: float = 1.03) -> "GridSpec":
+        """Geometrically stretched radial grid from r = 0, first spacing ``h0``."""
         if h0 <= 0 or ratio <= 1:
             raise GridError("need h0 > 0 and ratio > 1")
-        radii = [0.0] if include_origin else [h0]
-        r, h = radii[-1], h0
+        radii, r, h = [0.0], 0.0, h0
         while r < r_max:
             r += h
             radii.append(min(r, r_max))
@@ -160,7 +150,7 @@ class GridSpec:
         h = r_max / nr
         radii = (np.arange(nr) + 0.5) * h
         thetas = 2.0 * np.pi * np.arange(ntheta) / ntheta
-        return cls(2, radii, thetas, through_origin=True)
+        return cls(2, radii, thetas)
 
 
 @dataclass(eq=False)
@@ -186,7 +176,7 @@ def grids_match(a: GridSpec, b: GridSpec) -> bool:
     """Same dimension and node layout (exact node equality)."""
     if a is b:
         return True
-    if a.n != b.n or a.polar != b.polar or a.through_origin != b.through_origin:
+    if a.n != b.n or a.polar != b.polar:
         return False
     if not np.array_equal(a.nodes, b.nodes):
         return False
@@ -256,14 +246,15 @@ def _d1_d2(x: np.ndarray, y: np.ndarray):
 class _RadialOperator(NamedTuple):
     """The :func:`_stencil` table of one grid's radii, plus Jacobian parts.
 
-    A grid without an inner ring continues across the origin: its table is
-    that of [-r_g, r...] with the ghost row dropped, so the innermost row is
-    the centered (ghost, 0, 1).  On a radial grid (r_g = r_1) the ghost node
-    u(-r_1) = u(r_1) is read as node 1; on a polar grid (r_g = r_0) it is
-    ring 0 turned by pi.  Polar ``rows`` have shape (3, nr, ntheta) and
-    index the flattened (nr, ntheta) state.  ``d`` = 2/D and ``w_over_r`` =
-    (n-1) w/r (zero in an r = 0 column) are the grid-constant parts of the
-    radial Newton Jacobian.
+    Polar grids and radial grids from r = 0 continue across the origin, so
+    the outer ring is their only boundary: the table is that of [-r_g, r...]
+    with the ghost row dropped, and the innermost row is the centered
+    (ghost, 0, 1).  On a radial grid (r_g = r_1) the ghost u(-r_1) = u(r_1)
+    is read as node 1; on a polar grid (r_g = r_0) it is ring 0 turned by
+    pi.  A radial grid with an inner ring keeps the plain table.  Polar
+    ``rows`` have shape (3, nr, ntheta) and index the flattened (nr, ntheta)
+    state.  ``d`` = 2/D and ``w_over_r`` = (n-1) w/r (zero in an r = 0
+    column) are the grid-constant parts of the radial Newton Jacobian.
     """
 
     rows: np.ndarray
@@ -307,9 +298,9 @@ def _polar_derivatives(spec: GridSpec, vals: np.ndarray):
     ``vals`` is one state (nr, ntheta) or a stack (K, nr, ntheta) of states;
     the radial axis is the second to last and the angular axis the last.
     Radial derivatives gather through the cached table's flat indices (the
-    antipodal ghost ring of a through-origin grid included), so every entry
-    is an elementwise function of its own state's stencil and a state
-    differentiates to the same bits alone or inside a stack.
+    antipodal ghost ring included), so every entry is an elementwise
+    function of its own state's stencil and a state differentiates to the
+    same bits alone or inside a stack.
     """
     op = _radial_operator(spec)
     w, D = op.w[..., None], op.D[..., None]
@@ -328,19 +319,18 @@ def _polar_derivatives(spec: GridSpec, vals: np.ndarray):
 # curvature operators
 
 
-def _radial_curvatures(spec: GridSpec, p: np.ndarray, q: np.ndarray):
-    """(W, profile curvature, rotational curvature, H) from (u_r, u_rr)."""
+def _radial_curvatures(spec: GridSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Mean curvature H from (u_r, u_rr): the profile curvature plus (n-1)
+    times the rotational one."""
     r = spec.nodes
     W = np.sqrt(1.0 + p * p)
-    kprof = q / W ** 3
     if r[0] == 0.0:
         krot = np.empty_like(p)
         krot[1:] = p[1:] / (r[1:] * W[1:])
         krot[0] = q[0]  # L'Hopital limit u_r/r -> u_rr at the axis
     else:
         krot = p / (r * W)
-    H = kprof + (spec.n - 1) * krot
-    return W, kprof, krot, H
+    return q / W ** 3 + (spec.n - 1) * krot
 
 
 def _radial_speed(spec: GridSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -395,7 +385,7 @@ def mean_curvature(u: GridFunction) -> GridFunction:
     if spec.polar:
         H = _polar_quantities(spec, u.values)[-1]
     else:
-        H = _radial_curvatures(spec, *_radial_derivatives(spec, u.values))[-1]
+        H = _radial_curvatures(spec, *_radial_derivatives(spec, u.values))
     return GridFunction(spec, H)
 
 

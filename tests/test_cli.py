@@ -212,6 +212,23 @@ def test_evolve_rejects_nan_and_nonpositive_inputs(tmp_path, capsys, pair):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["barrier", "--set", "m=nan"],
+    ["barrier", "--set", "delta=nan"],
+    ["barrier", "--set", "barrier_radius=nan"],
+    ["barrier", "--set", "alpha=nan"],
+    ["--quick", "experiment", "--name", "subsolution", "--set", "delta=nan"],
+], ids=["barrier-m", "barrier-delta", "barrier-radius", "barrier-alpha",
+        "subsolution-delta"])
+def test_nan_barrier_inputs_are_usage_errors_without_artifacts(tmp_path, capsys,
+                                                               argv):
+    # every barrier result is validated before the first artifact is written
+    out = tmp_path / "art"
+    assert run_cli(["--out", str(out), *argv], tmp_path) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_numerical_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     def boom(cfg, out):
         raise NewtonError("synthetic divergence")

@@ -37,6 +37,17 @@ def test_horizon_must_be_positive():
         evolve(GridFunction(spec, np.zeros(51)), 0.0, cfg)
 
 
+@pytest.mark.parametrize("r_min, drift", [(0.5, False), (0.0, True)],
+                         ids=["radial-annulus", "radial-drift"])
+def test_flow_solves_entire_graphs_only(r_min, drift):
+    # a radial grid must reach the axis, and the similarity drift is polar
+    # only: both are rejected before the first step
+    spec = GridSpec.uniform(2, r_min, 5.0, 21)
+    cfg = SolverConfig(dt_init=0.01, similarity_drift=drift)
+    with pytest.raises(ParameterError):
+        evolve(GridFunction(spec, spec.nodes.copy()), 0.1, cfg)
+
+
 def test_snapshot_cadence_exact(cone21):
     spec = _uniform(2, 20.0, 201)
     u0 = cone21.on_grid(spec)
@@ -92,19 +103,19 @@ def test_boundary_modes_pin_last_node(cone21, profile21):
 def test_expander_boundary_values_bit_identical_to_evaluate(profile21):
     # the scalar pin-to-expander path gives the float the array path gives;
     # small t puts r/sqrt(t) past rho_max, on the tail
-    spec = GridSpec.uniform(2, 0.5, 30.0, 60)
+    spec = GridSpec.uniform(2, 0.0, 30.0, 60)
     cfg = SolverConfig(dt_init=1e-3, dt_max=0.01, snapshot_dt=0.2,
                        boundary="pin-to-expander")
-    bv = boundary_values_for(GridFunction(spec, np.zeros(60)), cfg,
-                             profile=profile21)
+    outer = boundary_values_for(GridFunction(spec, np.zeros(60)), cfg,
+                                profile=profile21)
     ts = np.concatenate([np.geomspace(1e-3, 0.5, 40), np.linspace(0.5, 9.0, 200)])
+    r = spec.r_max
     tail = 0
     for t in ts.tolist():
-        got = bv.resolve(t)
-        for r, value in zip((spec.r_max, spec.r_min), got):
-            tail += r / np.sqrt(t) > profile21.rho_max
-            want = float(np.sqrt(t) * profile21.evaluate(np.array([r / np.sqrt(t)]))[0])
-            assert type(value) is float and value == want
+        value = outer(t)
+        tail += r / np.sqrt(t) > profile21.rho_max
+        want = float(np.sqrt(t) * profile21.evaluate(np.array([r / np.sqrt(t)]))[0])
+        assert type(value) is float and value == want
     assert 0 < tail < len(ts)
 
 
@@ -123,32 +134,31 @@ def test_newton_max_iter_must_be_positive(max_iter):
 
 @pytest.mark.parametrize("mode", ["pin-to-initial", "pin-to-cone"])
 @pytest.mark.parametrize("spec", [
-    GridSpec.uniform(2, 0.0, 5.0, 21), GridSpec.uniform(2, 0.5, 5.0, 21),
-    GridSpec.polar_disk(4.0, 10, 16),
-    GridSpec(2, np.linspace(0.8, 4.0, 10), 2.0 * np.pi * np.arange(16) / 16)],
-    ids=["radial-origin", "radial-annulus", "disk", "annulus"])
+    GridSpec.uniform(2, 0.0, 5.0, 21), GridSpec.polar_disk(4.0, 10, 16)],
+    ids=["radial-origin", "disk"])
 def test_boundary_values_match_per_mode_formulas(spec, mode):
-    # the ring values equal the per-mode expressions they replaced, bit for bit
+    # the outer ring's data equals the per-mode expression it replaced, bit
+    # for bit, at every t
     cone = ConeProfile.radial(2, 1.3) if not spec.polar else \
         ConeProfile.angular(lambda th: 1.0 + 0.2 * np.cos(2 * th))
     u0 = GridFunction(spec, cone.on_grid(spec).values + 0.1)
-    bv = boundary_values_for(u0, SolverConfig(boundary=mode), cone=cone)
+    outer = boundary_values_for(u0, SolverConfig(boundary=mode), cone=cone)
     if mode == "pin-to-initial":
-        want = [u0.values[-1], u0.values[0]]
+        want = u0.values[-1]
     elif spec.polar:
-        want = [r * np.asarray(cone.gamma(spec.thetas), dtype=float)
-                for r in (spec.r_max, spec.r_min)]
+        want = spec.r_max * np.asarray(cone.gamma(spec.thetas), dtype=float)
     else:
-        want = [float(cone.beta * r) for r in (spec.r_max, spec.r_min)]
-    assert np.array_equal(bv.outer, want[0])
-    if spec.inner_ring:
-        assert np.array_equal(bv.inner, want[1])
-    else:
-        assert bv.inner is None
+        want = float(cone.beta * spec.r_max)
+    for t in (0.0, 2.5):
+        assert np.array_equal(outer(t), want)
 
 
-@pytest.mark.parametrize("kind", ["disk", "annulus"])
-def test_polar_evolve_builds_the_stencil_once(monkeypatch, kind):
+_DISK = pytest.mark.parametrize("spec", [GridSpec.polar_disk(4.0, 10, 16)],
+                                ids=["disk"])
+
+
+@_DISK
+def test_polar_evolve_builds_the_stencil_once(monkeypatch, spec):
     # every residual and probe of the run reads one cached table per grid
     geometry._radial_operator.cache_clear()
     built = []
@@ -159,10 +169,10 @@ def test_polar_evolve_builds_the_stencil_once(monkeypatch, kind):
         return stencil(x)
 
     monkeypatch.setattr(geometry, "_stencil", counted)
-    u0, _ = _polar_case(kind)
+    u0 = _polar_case(spec)
     run = evolve(u0, 0.05, SolverConfig(dt_init=1e-2, dt_max=1e-2, snapshot_dt=0.05))
     assert len(run.step_times) == 5 and sum(run.newton_iters) >= 5
-    assert built == [u0.spec.nr + (kind == "disk")]
+    assert built == [spec.nr + 1]  # the antipodal ghost ring's node
 
 
 def test_newton_breakdown_raises():
@@ -240,6 +250,9 @@ def test_detect_t_delta_semantics(cone21):
     assert detect_t_delta(run, cone21, 0.05) == pytest.approx(2.0)
     assert detect_t_delta(run, cone21, 0.5) == pytest.approx(0.0)
     assert detect_t_delta(run, cone21, 0.001) is None
+    for delta in (0.0, float("nan")):
+        with pytest.raises(ParameterError):
+            detect_t_delta(run, cone21, delta)
 
 
 def test_polar_evolution_smoke():
@@ -257,24 +270,23 @@ def test_polar_evolution_smoke():
     assert osc1 < osc0
 
 
-@pytest.mark.parametrize("drift", [False, True])
-@pytest.mark.parametrize("r_min", [0.0, 0.5])
-def test_radial_newton_matrix_matches_fd_jacobian(drift, r_min):
-    # r_min > 0 pins the first node (the grid's inner ring); r_min = 0 uses
-    # the even extension there
-    spec = GridSpec.uniform(2, r_min, 6.0, 25)
+@pytest.mark.parametrize("spec", [GridSpec.uniform(2, 0.0, 6.0, 25),
+                                  GridSpec.geometric(2, 0.05, 6.0, ratio=1.2)],
+                         ids=["uniform", "geometric"])
+def test_radial_newton_matrix_matches_fd_jacobian(spec):
+    # the r = 0 row uses the even extension, and the geometric grid's rows
+    # the nonuniform weights
     r = spec.nodes
     v = np.sqrt(1.0 + r ** 2) + 0.1 * np.cos(r)
     u_prev = v - 0.01 * np.exp(-r)
-    cfg = SolverConfig(similarity_drift=drift)
+    cfg = SolverConfig()
     dt, outer = 0.05, float(v[-1])
-    inner = float(v[0]) if r_min > 0 else None
 
     def residual(w):
-        return _residual(spec, w, u_prev, dt, cfg, outer, inner)
+        return _residual(spec, w, u_prev, dt, cfg, outer)
 
     res, (p, q) = residual(v)
-    lower, diag, upper = _radial_newton_matrix(spec, p, q, dt, cfg)
+    lower, diag, upper = _radial_newton_matrix(spec, p, q, dt)
     dense = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
     eps = 1e-7
     fd = np.empty_like(dense)
@@ -368,7 +380,7 @@ def test_singular_newton_matrix_fails_the_step(monkeypatch, cone21):
 # diagnostics from mean_curvature and a fresh cone sample per step.
 
 
-def _reference_matrix(spec, v, dt, drift, fixed_first):
+def _reference_matrix(spec, v, dt):
     r = spec.nodes
     N = r.size
     c = np.zeros((N, 3))
@@ -381,9 +393,8 @@ def _reference_matrix(spec, v, dt, drift, fixed_first):
     d[1:-1, 0] = 2.0 / (hm * (hm + hp))
     d[1:-1, 1] = -2.0 / (hm * hp)
     d[1:-1, 2] = 2.0 / (hp * (hm + hp))
-    if r[0] == 0.0:
-        d[0, 1] = -2.0 / r[1] ** 2
-        d[0, 2] = 2.0 / r[1] ** 2
+    d[0, 1] = -2.0 / r[1] ** 2
+    d[0, 2] = 2.0 / r[1] ** 2
     p, q = _radial_derivatives(spec, v)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
@@ -393,50 +404,34 @@ def _reference_matrix(spec, v, dt, drift, fixed_first):
         J[:, sidx] = d[:, sidx] / one_p2 \
             - 2.0 * p * q * c[:, sidx] / one_p2 ** 2 \
             + (spec.n - 1) * c[:, sidx] * inv_r
-    if r[0] == 0.0:
-        J[0, :] = spec.n * d[0, :]
-    if drift:
-        J += 0.5 * r[:, None] * c
-        J[:, 1] -= 0.5
+    J[0, :] = spec.n * d[0, :]
     ab = np.zeros((3, N))
     ab[1, :] = 1.0 - dt * J[:, 1]
     ab[0, 1:] = -dt * J[:-1, 2]
     ab[2, :-1] = -dt * J[1:, 0]
     ab[1, -1] = 1.0
     ab[2, -2] = 0.0
-    if fixed_first:
-        ab[1, 0] = 1.0
-        ab[0, 1] = 0.0
     return ab
 
 
 def _reference_step(u, dt, config, boundary, t_new):
     spec = u.spec
-    outer, inner = boundary.resolve(t_new)
-    fixed_first = spec.r_min > 0
+    outer = boundary(t_new)
 
     def residual(v):
-        rhs = radial_rhs(GridFunction(spec, v)).values
-        if config.similarity_drift:
-            p = _radial_derivatives(spec, v)[0]
-            rhs = rhs + 0.5 * (spec.nodes * p - v)
-        res = v - u.values - dt * rhs
+        res = v - u.values - dt * radial_rhs(GridFunction(spec, v)).values
         res[-1] = v[-1] - outer
-        if inner is not None:
-            res[0] = v[0] - inner
         return res
 
     v = u.values.copy()
     v[-1] = outer
-    if inner is not None:
-        v[0] = inner
     scale = 1.0 + float(np.max(np.abs(u.values)))
     for it in range(config.newton_max_iter):
         res = residual(v)
         res_norm = float(np.max(np.abs(res)))
         if res_norm <= config.newton_tol * scale:
             return GridFunction(spec, v), it
-        ab = _reference_matrix(spec, v, dt, config.similarity_drift, fixed_first)
+        ab = _reference_matrix(spec, v, dt)
         delta = solve_banded((1, 1), ab, res)
         lam = 1.0
         for _ in range(5):
@@ -493,8 +488,7 @@ def _bump(spec, height):
     return height * np.exp(-(spec.nodes - 1.0) ** 2)
 
 
-@pytest.mark.parametrize("case", ["expander-origin-adaptive", "cone-drift",
-                                  "annulus"])
+@pytest.mark.parametrize("case", ["expander-origin-adaptive", "cone-geometric"])
 def test_radial_flow_bit_identical_to_reference(case, cone21, profile21):
     if case == "expander-origin-adaptive":
         spec = _uniform(2, 20.0, 101)
@@ -502,21 +496,14 @@ def test_radial_flow_bit_identical_to_reference(case, cone21, profile21):
         cfg = SolverConfig(dt_init=1e-3, dt_max=0.05, snapshot_dt=0.1,
                            boundary="pin-to-expander")
         args = (u0, 0.3, cfg, cone21, profile21)
-    elif case == "cone-drift":
+    else:
         spec = GridSpec.geometric(2, 0.05, 8.0)
         u0 = GridFunction(spec, cone21.on_grid(spec).values + _bump(spec, 0.3))
         cfg = SolverConfig(dt_init=1e-2, dt_max=0.1, snapshot_dt=0.25,
-                           boundary="pin-to-cone", similarity_drift=True)
+                           boundary="pin-to-cone")
         args = (u0, 0.5, cfg, cone21, None)
-    else:
-        spec = GridSpec.uniform(2, 0.5, 10.0, 80)
-        u0 = GridFunction(spec, cone21.on_grid(spec).values + _bump(spec, 0.5))
-        cfg = SolverConfig(dt_init=5e-3, dt_max=5e-3, snapshot_dt=0.05,
-                           boundary="pin-to-expander", adaptive=False)
-        args = (u0, 0.2, cfg, cone21, profile21)
-    ref = _reference_evolve(*args, t_start=1.0 if case == "annulus" else 0.0)
-    run = evolve(*args, t_start=1.0 if case == "annulus" else 0.0,
-                 diagnostics=True)
+    ref = _reference_evolve(*args)
+    run = evolve(*args, diagnostics=True)
     assert np.array_equal(np.array([s.values for s in run.snapshots]),
                           np.array(ref["snapshots"]))
     for key in ("newton_iters", "min_H", "max_H", "sup_u_minus_k",
@@ -560,23 +547,23 @@ def _reference_theta_colors(ntheta):
     return ntheta
 
 
-def _reference_rows_for(spec, i, j, fixed_inner):
+def _reference_rows_for(spec, i, j):
     nr, nt = spec.nr, spec.ntheta
     rows = []
     for di in (-1, 0, 1):
         ii = i + di
-        if ii < 0 or ii >= nr - 1 or (fixed_inner and ii == 0):
+        if ii < 0 or ii >= nr - 1:
             continue
         for dj in (-1, 0, 1):
             rows.append(ii * nt + (j + dj) % nt)
-    if i == 0 and spec.through_origin:
+    if i == 0:
         jj = (j + nt // 2) % nt
         for dj in (-1, 0, 1):
             rows.append((jj + dj) % nt)
     return rows
 
 
-def _reference_polar_matrix(u_vals, spec, dt, drift, fixed_inner):
+def _reference_polar_matrix(u_vals, spec, dt, drift):
     nr, nt = spec.nr, spec.ntheta
     ntot = nr * nt
     L = _reference_theta_colors(nt)
@@ -588,14 +575,12 @@ def _reference_polar_matrix(u_vals, spec, dt, drift, fixed_inner):
             mask = np.zeros((nr, nt), dtype=bool)
             mask[ci::3, cj::L] = True
             mask[-1, :] = False
-            if fixed_inner:
-                mask[0, :] = False
             if not mask.any():
                 continue
             pert = u_vals + eps * mask
             dr_flat = ((_reference_rhs(spec, pert, drift) - base) / eps).ravel()
             for i, j in zip(*np.nonzero(mask)):
-                for row in _reference_rows_for(spec, int(i), int(j), fixed_inner):
+                for row in _reference_rows_for(spec, int(i), int(j)):
                     if dr_flat[row] != 0.0:
                         rows_idx.append(row)
                         cols_idx.append(i * nt + j)
@@ -607,18 +592,12 @@ def _reference_polar_matrix(u_vals, spec, dt, drift, fixed_inner):
     return csc_matrix((data, (rows_idx, cols_idx)), shape=(ntot, ntot))
 
 
-def _polar_case(kind):
-    """(initial state, fixed_inner) on a through-origin disk or on an annulus
-    whose inner ring is pinned."""
-    if kind == "disk":
-        spec = GridSpec.polar_disk(4.0, 10, 16)
-    else:
-        spec = GridSpec(2, np.linspace(0.8, 4.0, 10),
-                        2.0 * np.pi * np.arange(16) / 16)
+def _polar_case(spec):
+    """An anisotropic initial state on the polar grid ``spec``."""
     r, th = spec.nodes[:, None], spec.thetas[None, :]
     vals = r * (1.0 + 0.1 * np.cos(2 * th)) \
         + 0.3 * np.exp(-r ** 2) * np.cos(3 * th) + 0.5
-    return GridFunction(spec, vals), kind == "annulus"
+    return GridFunction(spec, vals)
 
 
 def _captured_newton_matrices(monkeypatch, u0, cfg, steps):
@@ -646,12 +625,11 @@ def _captured_newton_matrices(monkeypatch, u0, cfg, steps):
 
 
 @pytest.mark.parametrize("drift", [False, True])
-@pytest.mark.parametrize("kind", ["disk", "annulus"])
-def test_polar_newton_matrix_matches_dense_jacobian(monkeypatch, kind, drift):
+@_DISK
+def test_polar_newton_matrix_matches_dense_jacobian(monkeypatch, spec, drift):
     # I - dt*J with J built one column at a time, Dirichlet rows and columns
     # left to the identity: same entries to the last bit and the same nnz
-    u0, fixed_inner = _polar_case(kind)
-    spec = u0.spec
+    u0 = _polar_case(spec)
     cfg = SolverConfig(dt_init=0.05, similarity_drift=drift)
     (v, M), *_ = _captured_newton_matrices(monkeypatch, u0, cfg, 1)
     ntot = v.size
@@ -659,8 +637,6 @@ def test_polar_newton_matrix_matches_dense_jacobian(monkeypatch, kind, drift):
     eps = 1e-7 * (1.0 + float(np.max(np.abs(v))))
     unknown = np.ones(spec.shape, dtype=bool)
     unknown[-1] = False
-    if fixed_inner:
-        unknown[0] = False
     J = np.zeros((ntot, ntot))
     for col in np.flatnonzero(unknown):
         w = v.ravel().copy()
@@ -674,41 +650,34 @@ def test_polar_newton_matrix_matches_dense_jacobian(monkeypatch, kind, drift):
 
 
 @pytest.mark.parametrize("drift", [False, True])
-@pytest.mark.parametrize("kind", ["disk", "annulus"])
-def test_polar_newton_matrix_bit_identical_to_reference(monkeypatch, kind, drift):
-    u0, fixed_inner = _polar_case(kind)
+@_DISK
+def test_polar_newton_matrix_bit_identical_to_reference(monkeypatch, spec, drift):
+    u0 = _polar_case(spec)
     cfg = SolverConfig(dt_init=0.05, similarity_drift=drift)
     seen = _captured_newton_matrices(monkeypatch, u0, cfg, 3)
     assert len(seen) >= 3
     for v, M in seen:
-        ref = _reference_polar_matrix(v, u0.spec, 0.05, drift, fixed_inner)
+        ref = _reference_polar_matrix(v, spec, 0.05, drift)
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(M, attr), getattr(ref, attr)), attr
 
 
-@pytest.mark.parametrize("kind, shape, colors", [
-    ("disk", (24, 16), 13), ("disk", (72, 32), 14), ("disk", (10, 8), None),
-    ("annulus", (10, 16), None)])
-def test_polar_coloring_is_valid(kind, shape, colors):
+@pytest.mark.parametrize("shape, colors", [
+    ((24, 16), 13), ((72, 32), 14), ((10, 8), None)])
+def test_polar_coloring_is_valid(shape, colors):
     nr, nt = shape
-    if kind == "disk":
-        spec = GridSpec.polar_disk(4.0, nr, nt)
-    else:
-        spec = GridSpec(2, np.linspace(0.8, 4.0, nr), 2.0 * np.pi * np.arange(nt) / nt)
-    fixed_inner = kind == "annulus"
+    spec = GridSpec.polar_disk(4.0, nr, nt)
     col = flow._polar_coloring(spec)
     assert col is flow._polar_coloring(spec)
     if colors is not None:
         assert len(col.masks) == colors
-    # every unknown in exactly one color, Dirichlet rings in none
+    # every unknown in exactly one color, the Dirichlet ring in none
     unknown = np.ones(spec.shape, dtype=bool)
     unknown[-1] = False
-    if fixed_inner:
-        unknown[0] = False
     assert np.array_equal(col.masks.sum(axis=0), unknown.astype(int))
     # the pairs are the stencil rule, and no two columns of a color share a row
     expected = {(row, i * nt + j) for i, j in zip(*np.nonzero(unknown))
-                for row in _reference_rows_for(spec, int(i), int(j), fixed_inner)}
+                for row in _reference_rows_for(spec, int(i), int(j))}
     assert set(zip(col.rows.tolist(), col.cols.tolist())) == expected
     assert len(expected) == col.rows.size
     ntot = nr * nt
@@ -719,7 +688,7 @@ def test_polar_coloring_is_valid(kind, shape, colors):
 
 
 def test_nonfinite_polar_newton_update_raises(monkeypatch):
-    u0, _ = _polar_case("disk")
+    u0 = _polar_case(GridSpec.polar_disk(4.0, 10, 16))
     cfg = SolverConfig(dt_init=1e-2, dt_max=1e-2, snapshot_dt=0.1, adaptive=False)
 
     class NaNLU:
