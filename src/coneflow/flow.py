@@ -9,7 +9,11 @@ radial mode the Jacobian of the reduced operator
 is tridiagonal, assembled analytically as its three diagonals and solved
 directly by LAPACK ``gtsv``; polar mode probes the Jacobian by colored
 finite differences (the stencil is local, so a handful of probe vectors
-recovers every column) and solves with a sparse LU.
+recovers every column) and solves with a sparse LU.  The polar matrix's CSC
+arrays are written straight from the coloring's column-ordered pairs, and
+SuperLU factors it in the natural order: the ring-major numbering is
+already a band ordering (bandwidth about 2*ntheta, from the periodic wrap),
+so no fill-reducing column order is computed per matrix.
 
 Every grid continues across the origin (a radial grid from r = 0, a polar
 grid through its antipodal ring), so the truncation ring r = r_max is the
@@ -41,13 +45,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse.linalg
 from scipy.linalg.lapack import dgtsv
 from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from .errors import GridError, NewtonError, ParameterError, StepFailureError
 from .geometry import (GridFunction, GridSpec, grids_match, mean_curvature,
@@ -66,6 +70,9 @@ __all__ = [
 ]
 
 _BOUNDARY_MODES = ("pin-to-initial", "pin-to-cone", "pin-to-expander")
+
+# the ring-major numbering is already a band ordering, so SuperLU factors in it
+splu = partial(scipy.sparse.linalg.splu, permc_spec="NATURAL")
 
 
 @dataclass(frozen=True)
@@ -200,13 +207,15 @@ class _PolarColoring(NamedTuple):
     ``masks[c]`` marks the unknowns probed together by color c.  Pair k of
     the sparsity couples row ``rows[k]`` to column ``cols[k]``, and its
     difference quotient sits at flat index ``gather[k]`` of the stacked
-    (color, row) quotients.
+    (color, row) quotients.  The pairs are ordered by column and then row,
+    and ``diag`` lists the positions of the unknowns' diagonal pairs.
     """
 
     masks: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     gather: np.ndarray
+    diag: np.ndarray
 
 
 @lru_cache(maxsize=32)
@@ -248,7 +257,7 @@ def _polar_coloring(spec: GridSpec) -> _PolarColoring:
     masks = np.zeros((int(pair_colors.max()) + 1, size), dtype=bool)
     masks[pair_colors, cols] = True
     out = _PolarColoring(masks.reshape((-1,) + spec.shape), rows, cols,
-                         pair_colors * size + rows)
+                         pair_colors * size + rows, np.flatnonzero(rows == cols))
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -262,6 +271,15 @@ def _polar_newton_lu(u_vals: np.ndarray, spec: GridSpec, dt: float,
     evaluation.  The outer ring's unknowns stay clamped (their Newton update
     is zero), so columns coupling interior rows to them are dropped; its
     Dirichlet rows keep the identity.
+
+    The CSC arrays are written directly: the coloring's pairs are already
+    in column-then-row order and hold every unknown's diagonal, and the
+    Dirichlet ring is the last ``ntheta`` columns, identity only.  As in a
+    COO build, off-diagonal exact zeros are dropped and each diagonal entry
+    is -dt*J_ii + 1.  SuperLU then factors in natural order (``splu``): the
+    ring-major numbering is a band ordering of bandwidth about 2*ntheta
+    (the periodic wrap), so a fill-reducing column order computed anew for
+    every matrix only costs time.
     """
     coloring = _polar_coloring(spec)
     ntot = u_vals.size
@@ -271,12 +289,17 @@ def _polar_newton_lu(u_vals: np.ndarray, spec: GridSpec, dt: float,
     states[1:] = u_vals + eps * coloring.masks
     speed = _polar_speed(spec, states, config.similarity_drift)
     vals = ((speed[1:] - speed[0]) / eps).ravel()[coloring.gather]
+    data = -dt * vals
+    data[coloring.diag] += 1.0
     keep = vals != 0.0
-    diag = np.arange(ntot)
-    data = np.concatenate((-dt * vals[keep], np.ones(ntot)))
-    rows = np.concatenate((coloring.rows[keep], diag))
-    cols = np.concatenate((coloring.cols[keep], diag))
-    return splu(csc_matrix((data, (rows, cols)), shape=(ntot, ntot)))
+    keep[coloring.diag] = True
+    ring = np.arange(ntot - spec.ntheta, ntot)
+    counts = np.bincount(coloring.cols[keep], minlength=ntot)
+    counts[ring] = 1
+    data = np.concatenate((data[keep], np.ones(spec.ntheta)))
+    indices = np.concatenate((coloring.rows[keep], ring))
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return splu(csc_matrix((data, indices, indptr), shape=(ntot, ntot)))
 
 
 def step(u: GridFunction, dt: float, config: SolverConfig, boundary,

@@ -229,6 +229,24 @@ def test_nan_barrier_inputs_are_usage_errors_without_artifacts(tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["--name", "main-theorem", "--set", "threshold=nan"],
+    ["--name", "family-uniform", "--set", "threshold=nan"],
+    ["--name", "subsolution", "--set", "slack=nan"],
+], ids=["main-theorem-threshold", "family-threshold", "subsolution-slack"])
+def test_nan_scenario_tolerances_are_usage_errors_without_artifacts(
+        tmp_path, capsys, monkeypatch, argv):
+    # a NaN tolerance is rejected before any flow runs
+    def no_flow(*args, **kwargs):
+        raise AssertionError("the scenario ran a flow")
+    monkeypatch.setattr(experiments, "evolve", no_flow)
+    out = tmp_path / "art"
+    assert run_cli(["--out", str(out), "--quick", "experiment", *argv],
+                   tmp_path) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_numerical_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     def boom(cfg, out):
         raise NewtonError("synthetic divergence")

@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.integrate import LSODA, solve_ivp
 
 from coneflow import acceptance, expander, flow
@@ -137,6 +138,21 @@ def test_angular_relaxation_consistent_with_radial(monkeypatch):
     assert ang.center_height() == pytest.approx(1.7090957539, abs=0.05)
     above = ang.solution.values - k.on_grid(ang.solution.spec).values
     assert np.min(above) > -1e-8
+
+
+def test_angular_relaxation_matches_default_column_order(monkeypatch):
+    # natural and COLAMD column orders round the Newton updates differently,
+    # so the relaxations agree to round-off, with the same solver work
+    k = ConeProfile.angular(lambda th: 1.0 + 0.08 * np.cos(2 * th), m=16)
+    kw = dict(rho_max=6.0, nr=16, ntheta=8, tau_max=2.0)
+    natural = relax_angular_expander(k, **kw)
+    monkeypatch.setattr(flow, "splu", scipy.sparse.linalg.splu)
+    colamd = relax_angular_expander(k, **kw)
+    assert (natural.steps, natural.newton_iters) == (colamd.steps,
+                                                     colamd.newton_iters)
+    ref = colamd.solution.values
+    gap = np.max(np.abs(natural.solution.values - ref))
+    assert gap <= 1e-12 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from coneflow import flow, geometry
 from coneflow.cones import ConeProfile
 from coneflow.errors import (GridError, NewtonError, ParameterError,
                              StepFailureError)
-from coneflow.expander import evaluate_U
+from coneflow.expander import evaluate_U, relax_angular_expander
 from coneflow.flow import (FlowRun, SolverConfig, boundary_values_for,
                            comparison_check, detect_t_delta, evolve, step,
                            _radial_newton_matrix, _residual)
@@ -709,3 +709,65 @@ def test_nonfinite_polar_newton_update_raises(monkeypatch):
     with pytest.raises(StepFailureError) as failure:
         evolve(u0, 0.1, halving)
     assert failure.value.dt == pytest.approx(2.5e-3)
+
+
+@pytest.mark.parametrize("drift", [False, True])
+@pytest.mark.parametrize("shape", [(10, 8), (24, 16)], ids=["10x8", "24x16"])
+def test_polar_newton_factors_in_natural_order(monkeypatch, shape, drift):
+    # the ring-major numbering is the column order, and the factors solve
+    # the assembled system as a dense solve does
+    factor = flow.splu
+    u0 = _polar_case(GridSpec.polar_disk(4.0, *shape))
+    cfg = SolverConfig(dt_init=0.01, similarity_drift=drift)
+    seen = _captured_newton_matrices(monkeypatch, u0, cfg, 3)
+    assert len(seen) >= 3
+    rng = np.random.default_rng(0)
+    for _, M in seen:
+        lu = factor(M)
+        assert np.array_equal(lu.perm_c, np.arange(M.shape[0]))
+        b = rng.standard_normal(M.shape[0])
+        x = np.linalg.solve(M.toarray(), b)
+        assert np.max(np.abs(lu.solve(b) - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def _accepted_steps(monkeypatch):
+    """(bound, stats) of every step that returns, the bound being
+    newton_tol * (1 + max|u|) at the step's starting state u."""
+    accepted = []
+    take = flow.step
+
+    def record(u, dt, config, boundary, t_new, stats=None):
+        stats = {} if stats is None else stats
+        u_new = take(u, dt, config, boundary, t_new, stats=stats)
+        scale = 1.0 + float(np.max(np.abs(u.values)))
+        accepted.append((config.newton_tol * scale, stats))
+        return u_new
+
+    monkeypatch.setattr(flow, "step", record)
+    return accepted
+
+
+def _assert_newton_contract(accepted):
+    assert accepted
+    for bound, stats in accepted:
+        assert stats["residuals"][-1] <= bound
+        assert stats["iters"] == len(stats["residuals"]) - 1
+    assert any(stats["iters"] > 1 for _, stats in accepted)
+
+
+def test_radial_steps_keep_the_newton_contract(monkeypatch, cone21):
+    # every accepted step ends converged, and counts one update per residual
+    spec = _uniform(2, 10.0, 101)
+    u0 = GridFunction(spec, cone21.on_grid(spec).values + _bump(spec, 0.5))
+    cfg = SolverConfig(dt_init=1e-2, snapshot_dt=0.25, boundary="pin-to-cone")
+    accepted = _accepted_steps(monkeypatch)
+    evolve(u0, 0.5, cfg, cone=cone21)
+    _assert_newton_contract(accepted)
+
+
+def test_polar_relaxation_steps_keep_the_newton_contract(monkeypatch):
+    k = ConeProfile.angular(lambda th: 1.0 + 0.08 * np.cos(2 * th), m=16)
+    accepted = _accepted_steps(monkeypatch)
+    relax_angular_expander(k, rho_max=6.0, nr=12, ntheta=8, tau_max=0.5)
+    assert len(accepted) == 10
+    _assert_newton_contract(accepted)
