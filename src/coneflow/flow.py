@@ -26,9 +26,10 @@ asked, and always records step times, step sizes and Newton counts.  The
 polar column coloring and its scatter indices are cached per grid, and the
 base state and every probe go through one stacked speed evaluation.  Newton
 runs on raw arrays: the accepted backtracking trial's residual starts the
-next iteration (on radial grids its (v_r, v_rr) also feed the Jacobian and
-the curvature diagnostics), and a non-finite residual raises NewtonError at
-once.
+next iteration (on radial grids its (v_r, v_rr, 1+v_r^2) also feed the
+Jacobian and the curvature diagnostics), and a non-finite residual raises
+NewtonError at once.  A radial step costs its number of numpy calls, so
+its kernels reuse arrays in place, in the formulas' operation order.
 
 The Dirichlet data comes in three flavors: pinned to the initial values,
 pinned to a cone, or pinned to the moving expander (needed for long runs,
@@ -145,41 +146,43 @@ def boundary_values_for(u0: GridFunction, config: SolverConfig, cone=None,
 def _residual(spec: GridSpec, v: np.ndarray, u_prev: np.ndarray, dt: float,
               config: SolverConfig, outer):
     """Implicit Euler residual at v with the outer ring's Dirichlet rows,
-    plus (v_r, v_rr) on radial grids (None on polar grids)."""
+    plus (v_r, v_rr, 1+v_r^2) on radial grids (None on polar grids)."""
     if spec.polar:
         rhs, pq = _polar_speed(spec, v, config.similarity_drift), None
     else:
         pq = _radial_derivatives(spec, v)
-        rhs = _radial_speed(spec, *pq)
+        rhs, one_p2 = _radial_speed(spec, *pq)
+        pq += (one_p2,)
     res = v - u_prev - dt * rhs
     res[-1] = v[-1] - outer
     return res, pq
 
 
-def _radial_newton_matrix(spec: GridSpec, p: np.ndarray, q: np.ndarray, dt: float):
+def _radial_newton_matrix(spec: GridSpec, p: np.ndarray, q: np.ndarray,
+                          one_p2: np.ndarray, dt: float):
     """Sub-, main and superdiagonal (lower, diag, upper) of (I - dt*J) for
     the radial reduced operator at a state with derivatives (p, q) =
-    (v_r, v_rr); ``lower[i]`` couples row i+1 to v_i, ``upper[i]`` row i to
-    v_{i+1}.
+    (v_r, v_rr) and one_p2 = 1+v_r^2; ``lower[i]`` couples row i+1 to v_i,
+    ``upper[i]`` row i to v_{i+1}.
 
     Column i of J (stored as ``J[:, i]``, like the operator table) couples
     row i to (v_{i-1}, v_i, v_{i+1}).  The table's one-sided end rows read
     other nodes, so the end columns computed from them are meaningless, but
-    both are replaced: by the r = 0 limit and by the Dirichlet row.
+    both are replaced: by the r = 0 limit and by the Dirichlet row.  The
+    diagonals are rows of one (3, N) array A = -dt*J, built in place.
     """
     op = _radial_operator(spec)
-    c, d = op.w, op.d
-    one_p2 = 1.0 + p * p
-    J = d / one_p2 - 2.0 * p * q * c / one_p2 ** 2 + op.w_over_r
-    # n*v_rr(0), with the ghost node v_{-1} = v_1 folded into column v_1
-    J[:, 0] = (0.0, spec.n * d[1, 0], spec.n * (d[0, 0] + d[2, 0]))
-    lower = -dt * J[0, 1:]
-    diag = 1.0 - dt * J[1]
-    upper = -dt * J[2, :-1]
-    # the outer Dirichlet row
-    diag[-1] = 1.0
-    lower[-1] = 0.0
-    return lower, diag, upper
+    curv = op.w * (2.0 * p * q)
+    curv /= one_p2 * one_p2
+    A = op.d / one_p2
+    A -= curv
+    A += op.w_over_r
+    A[:, 0] = op.axis_col
+    A *= -dt
+    diag = A[1]
+    diag += 1.0
+    diag[-1], A[0, -1] = 1.0, 0.0  # the outer Dirichlet row
+    return A[0, 1:], diag, A[2, :-1]
 
 
 def solve_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
@@ -317,7 +320,7 @@ def step(u: GridFunction, dt: float, config: SolverConfig, boundary,
     outer = boundary(t_new)
     v = u.values.copy()
     v[-1] = outer
-    scale = 1.0 + float(np.max(np.abs(u.values)))
+    scale = 1.0 + float(abs(u.values).max())
 
     def residual(w):
         return _residual(spec, w, u.values, dt, config, outer)
@@ -335,7 +338,7 @@ def step(u: GridFunction, dt: float, config: SolverConfig, boundary,
         stats["iters"] = len(history) - 1
         stats["residuals"] = history
         if derivatives is not None:
-            stats["derivatives"] = derivatives
+            stats["derivatives"] = derivatives[:2]
     return GridFunction(spec, v)
 
 
@@ -350,7 +353,7 @@ def _newton(v, residual, solve, config, scale, history):
     NewtonError, and so does a failed solve, with the history attached.
     """
     res, extra = residual(v)
-    res_norm = float(np.max(np.abs(res)))
+    res_norm = float(abs(res).max())
     for _ in range(config.newton_max_iter):
         history.append(res_norm)
         if not np.isfinite(res_norm):
@@ -365,14 +368,14 @@ def _newton(v, residual, solve, config, scale, history):
             raise
         # backtracking keeps the first steps on kinked (conical) data stable;
         # lam < 0.2 accepts the fourth trial at the latest
-        lam = 1.0
+        lam, v_try = 1.0, v - delta
         while True:
-            v_try = v - lam * delta
             r_try, extra = residual(v_try)
-            try_norm = float(np.max(np.abs(r_try)))
+            try_norm = float(abs(r_try).max())
             if try_norm < res_norm or lam < 0.2:
                 break
             lam *= 0.5
+            v_try = v - lam * delta
         v, res, res_norm = v_try, r_try, try_norm
     raise NewtonError(f"Newton stalled at residual {history[-1]:.3e} after "
                       f"{config.newton_max_iter} iterations", residuals=history)

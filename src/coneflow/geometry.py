@@ -14,7 +14,9 @@ Every radial derivative reads one three-point weight table, built by
 ``_stencil`` for any node vector: centered differences inside (second order
 on non-uniform grids) and one-sided rows, of lower accuracy, at the ends.
 ``_radial_operator`` caches it per grid of either mode, and ``_d1_d2``
-applies it along axis 0 of any stack (the barrier profile curves).  The
+applies it along axis 0 of any stack (the barrier profile curves).  One
+gather and a sum along the row's nodes give every state of a stack the
+bits it gets alone.  The
 flow solves entire graphs, so its grids continue across the origin: a
 radial grid from r = 0 by the even extension u(-r) = u(r), a polar grid
 by the antipodal continuation u(-r, theta) = u(r, theta+pi) across its
@@ -164,7 +166,7 @@ class GridFunction:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.spec.shape:
             raise GridError(f"values shape {vals.shape} does not match grid {self.spec.shape}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise GridError("grid function values must be finite")
         self.values = vals
 
@@ -223,24 +225,29 @@ def _stencil(x: np.ndarray):
     return rows, w, D
 
 
-def _apply_d1(w: np.ndarray, ya, yb, yc):
-    """y' alone from the weights of a :func:`_stencil` table."""
-    return w[0] * ya + w[1] * yb + w[2] * yc
+def _apply_d1(w: np.ndarray, Y: np.ndarray):
+    """y' alone from a :func:`_stencil` table's weights and the values ``Y``
+    its rows gather, whose axis -w.ndim holds each row's nodes (a, b, c)."""
+    return np.add.reduce(w * Y, -w.ndim)
 
 
-def _apply_stencil(w: np.ndarray, D: np.ndarray, ya, yb, yc):
-    """(y', y'') from the weights of a :func:`_stencil` table and the values
-    (ya, yb, yc) its rows gather."""
-    return _apply_d1(w, ya, yb, yc), 2.0 * (ya / D[0] + yb / D[1] + yc / D[2])
+def _apply_stencil(w: np.ndarray, D: np.ndarray, Y: np.ndarray):
+    """(y', y'') as in :func:`_apply_d1`, overwriting ``Y``.  The sums run
+    in the order (a, b, c), the bits of the terms written out; the 2 stays
+    outside (halving D would round subnormal quotients differently)."""
+    d1 = _apply_d1(w, Y)
+    return d1, 2.0 * np.add.reduce(np.divide(Y, D, out=Y), -w.ndim)
+
+
+def _trailing(table: np.ndarray, ndim: int) -> np.ndarray:
+    """A (3, N) table with a unit axis per trailing axis of ndim-d data."""
+    return table if ndim == 1 else table.reshape(table.shape + (1,) * (ndim - 1))
 
 
 def _d1_d2(x: np.ndarray, y: np.ndarray):
     """First and second derivative of y(x) along axis 0 (:func:`_stencil`)."""
     rows, w, D = _stencil(x)
-    if y.ndim > 1:
-        w = w.reshape(w.shape + (1,) * (y.ndim - 1))
-        D = D.reshape(D.shape + (1,) * (y.ndim - 1))
-    return _apply_stencil(w, D, *y[rows])
+    return _apply_stencil(_trailing(w, y.ndim), _trailing(D, y.ndim), y[rows])
 
 
 class _RadialOperator(NamedTuple):
@@ -253,8 +260,9 @@ class _RadialOperator(NamedTuple):
     is read as node 1; on a polar grid (r_g = r_0) it is ring 0 turned by
     pi.  A radial grid with an inner ring keeps the plain table.  Polar
     ``rows`` have shape (3, nr, ntheta) and index the flattened (nr, ntheta)
-    state.  ``d`` = 2/D and ``w_over_r`` = (n-1) w/r (zero in an r = 0
-    column) are the grid-constant parts of the radial Newton Jacobian.
+    state.  ``d`` = 2/D, ``w_over_r`` = (n-1) w/r (zero at r = 0) and
+    ``axis_col`` (the r = 0 row n*v_rr(0), ghost folded into v_1) are the
+    radial Newton Jacobian's fixed parts; ``r_safe`` has 1 at r = 0.
     """
 
     rows: np.ndarray
@@ -262,6 +270,8 @@ class _RadialOperator(NamedTuple):
     D: np.ndarray
     d: np.ndarray
     w_over_r: np.ndarray
+    r_safe: np.ndarray
+    axis_col: np.ndarray
 
 
 @lru_cache(maxsize=128)
@@ -279,17 +289,21 @@ def _radial_operator(spec: GridSpec) -> _RadialOperator:
         rows = np.where(rows[..., None] < 0, (j + nt // 2) % nt, rows[..., None] * nt + j)
     else:
         rows = np.abs(rows)
-    inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
-    op = _RadialOperator(rows, w, D, 2.0 / D, (spec.n - 1) * w * inv_r)
+    r_safe = np.where(r > 0, r, 1.0)
+    d = 2.0 / D
+    op = _RadialOperator(rows, w, D, d, (spec.n - 1) * w * np.where(r > 0, 1.0 / r_safe, 0.0),
+                         r_safe, np.array((0.0, spec.n * d[1, 0], spec.n * (d[0, 0] + d[2, 0]))))
     for arr in op:
         arr.setflags(write=False)
     return op
 
 
 def _radial_derivatives(spec: GridSpec, vals: np.ndarray):
-    """(u_r, u_rr) on a radial grid, using the even extension when r_min = 0."""
+    """(u_r, u_rr) on a radial grid, using the even extension when r_min = 0;
+    ``vals`` may carry trailing stack axes."""
     op = _radial_operator(spec)
-    return _apply_stencil(op.w, op.D, *vals[op.rows])
+    return _apply_stencil(_trailing(op.w, vals.ndim), _trailing(op.D, vals.ndim),
+                          vals[op.rows])
 
 
 def _polar_derivatives(spec: GridSpec, vals: np.ndarray):
@@ -298,9 +312,8 @@ def _polar_derivatives(spec: GridSpec, vals: np.ndarray):
     ``vals`` is one state (nr, ntheta) or a stack (K, nr, ntheta) of states;
     the radial axis is the second to last and the angular axis the last.
     Radial derivatives gather through the cached table's flat indices (the
-    antipodal ghost ring included), so every entry is an elementwise
-    function of its own state's stencil and a state differentiates to the
-    same bits alone or inside a stack.
+    antipodal ghost ring included), so a state gets the same bits alone or
+    inside a stack.
     """
     op = _radial_operator(spec)
     w, D = op.w[..., None], op.D[..., None]
@@ -310,8 +323,8 @@ def _polar_derivatives(spec: GridSpec, vals: np.ndarray):
     um = np.roll(vals, 1, axis=-1)
     ut = (up - um) / (2.0 * dtheta)
     utt = (up - 2.0 * vals + um) / dtheta ** 2
-    ur, urr = _apply_stencil(w, D, *(vals.reshape(flat)[..., k] for k in op.rows))
-    urt = _apply_d1(w, *(ut.reshape(flat)[..., k] for k in op.rows))
+    ur, urr = _apply_stencil(w, D, vals.reshape(flat)[..., op.rows])
+    urt = _apply_d1(w, ut.reshape(flat)[..., op.rows])
     return ur, ut, urr, utt, urt
 
 
@@ -322,26 +335,24 @@ def _polar_derivatives(spec: GridSpec, vals: np.ndarray):
 def _radial_curvatures(spec: GridSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Mean curvature H from (u_r, u_rr): the profile curvature plus (n-1)
     times the rotational one."""
-    r = spec.nodes
     W = np.sqrt(1.0 + p * p)
-    if r[0] == 0.0:
-        krot = np.empty_like(p)
-        krot[1:] = p[1:] / (r[1:] * W[1:])
+    krot = p / (_radial_operator(spec).r_safe * W)
+    if spec.r_min == 0.0:
         krot[0] = q[0]  # L'Hopital limit u_r/r -> u_rr at the axis
-    else:
-        krot = p / (r * W)
     return q / W ** 3 + (spec.n - 1) * krot
 
 
-def _radial_speed(spec: GridSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """u_rr/(1+u_r^2) + (n-1) u_r/r from (u_r, u_rr); n*u_rr at an r = 0 node."""
-    r = spec.nodes
-    if r[0] == 0.0:
-        rhs = np.empty_like(p)
-        rhs[1:] = q[1:] / (1.0 + p[1:] ** 2) + (spec.n - 1) * p[1:] / r[1:]
-        rhs[0] = spec.n * q[0]
-        return rhs
-    return q / (1.0 + p * p) + (spec.n - 1) * p / r
+def _radial_speed(spec: GridSpec, p: np.ndarray, q: np.ndarray):
+    """The flow speed u_rr/(1+u_r^2) + (n-1) u_r/r from (u_r, u_rr) on a
+    radial grid from r = 0, where it is n*u_rr, and 1+u_r^2 (which the
+    Newton Jacobian reuses)."""
+    one_p2 = p * p
+    one_p2 += 1.0
+    speed = (spec.n - 1) * p
+    speed /= _radial_operator(spec).r_safe
+    speed += q / one_p2
+    speed[0] = spec.n * q[0]
+    return speed, one_p2
 
 
 def _polar_quantities(spec: GridSpec, vals: np.ndarray):
@@ -393,13 +404,14 @@ def radial_rhs(u: GridFunction) -> GridFunction:
     """Full flow speed sqrt(1+|Du|^2)*H[u] in the radial reduction.
 
     Equals u_rr/(1+u_r^2) + (n-1) u_r/r, with the regularized limit
-    n*u_rr(0) at an r = 0 node.
+    n*u_rr(0) at r = 0, where the grid must start (as flow grids do).
     """
     spec = u.spec
     if spec.polar:
         raise GridError("radial_rhs requires a radial grid; use graph_rhs for polar mode")
-    p, q = _radial_derivatives(spec, u.values)
-    return GridFunction(spec, _radial_speed(spec, p, q))
+    if spec.inner_ring:
+        raise GridError("radial_rhs requires a radial grid from r = 0")
+    return GridFunction(spec, _radial_speed(spec, *_radial_derivatives(spec, u.values))[0])
 
 
 def graph_rhs(u: GridFunction) -> GridFunction:

@@ -11,8 +11,8 @@ from coneflow.barriers import (HeatSupersolution, ScaledBarrier, Subsolution,
 from coneflow.cones import ConeProfile
 from coneflow.errors import (CertificationError, DomainError, ParameterError)
 from coneflow.expander import evaluate_U
-from coneflow.flow import FlowRun
-from coneflow.geometry import GridFunction, GridSpec
+from coneflow.flow import FlowRun, SolverConfig, evolve
+from coneflow.geometry import GridFunction, GridSpec, _radial_derivatives
 
 K3 = ConeProfile.radial(3, 1.0)
 
@@ -214,7 +214,7 @@ def test_heat_supersolution_shapes():
     u = GridFunction(spec, np.zeros(11))
     assert np.all(sup.majorant(u, 1.0) >= 0.05)
     with pytest.raises(DomainError):
-        sup.psi(x, z, 0.0)
+        sup.phi(x, z, 0.0)
 
 
 def _constant_run(c, spec, times):
@@ -240,6 +240,68 @@ def test_psi_identity_input_validation():
         psi_identity_residual(_constant_run(1.0, spec, [0.0, 0.5, 1.0]))
     with pytest.raises(ParameterError):
         psi_identity_residual(_constant_run(1.0, spec, [1.0, 1.3, 1.4]))
+    late = np.arange(1.0, 1.03 + 1e-12, 1e-3)  # past the first stacked block
+    late[20] += 3e-4
+    with pytest.raises(ParameterError, match="cadence"):
+        psi_identity_residual(_constant_run(1.0, spec, late))
+
+
+def test_psi_identity_outer_margin_bounds():
+    spec = GridSpec.uniform(2, 0.0, 10.0, 101)
+    run = _constant_run(3.0, spec, np.arange(1.0, 1.01 + 1e-12, 1e-3))
+    every = psi_identity_residual(run, outer_margin=0)
+    assert every.per_time.shape == (9,)
+    assert np.all(every.per_time >= psi_identity_residual(run).per_time)
+    for bad in (-1, spec.nr):
+        with pytest.raises(ParameterError, match="outer_margin"):
+            psi_identity_residual(run, outer_margin=bad)
+
+
+def _frozen_psi_per_time(run, outer_margin):
+    """psi_identity_residual's per-time residuals as first written: one
+    snapshot at a time, psi as HeatSupersolution.psi computed it."""
+    times = run.times
+    spec = run.snapshots[0].spec
+    n, r = spec.n, spec.nodes
+
+    def psi(z, t):
+        return -(n / 2.0) * np.log(t) - (r * r + z * z) / (4.0 * t)
+    sups = []
+    for j in range(1, times.size - 1):
+        tm, t0, tp = times[j - 1], times[j], times[j + 1]
+        um, u0, up = (run.snapshots[i].values for i in (j - 1, j, j + 1))
+        f0 = psi(u0, t0)
+        dpsi_graph = (psi(up, tp) - psi(um, tm)) / (tp - tm)
+        udot = (up - um) / (tp - tm)
+        p, q = _radial_derivatives(spec, u0)
+        W2 = 1.0 + p * p
+        fr, frr = _radial_derivatives(spec, f0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fr_over_r = np.where(r > 0, fr / np.where(r > 0, r, 1.0), frr)
+        lap = (frr - (p * q / W2) * fr) / W2 + (n - 1) * fr_over_r / W2
+        grad2 = fr * fr / W2
+        dpsi_normal = dpsi_graph - udot * p * fr / W2
+        Xnu = (r * p - u0) / np.sqrt(W2)
+        resid = np.abs(dpsi_normal - lap - grad2 - Xnu ** 2 / (4.0 * t0 * t0))
+        sups.append(float(np.max(resid[:resid.size - outer_margin])))
+    return np.asarray(sups)
+
+
+def test_psi_identity_blocks_bit_identical_to_per_snapshot(profile21):
+    # the criterion-10 run pattern on a small grid; 21 interior snapshots
+    # leave a partial last block
+    spec = GridSpec.uniform(2, 0.0, 20.0, 101)
+    cfg = SolverConfig(dt_init=1e-3, dt_max=1e-3, snapshot_dt=1e-3,
+                       boundary="pin-to-expander", newton_tol=1e-12,
+                       adaptive=False)
+    run = evolve(profile21.on_grid(spec, 1.0), 0.022, cfg,
+                 profile=profile21, t_start=1.0)
+    assert run.times.size == 23
+    for margin in (0, 3, 10):
+        rep = psi_identity_residual(run, outer_margin=margin)
+        want = _frozen_psi_per_time(run, margin)
+        assert np.array_equal(rep.per_time, want)
+        assert rep.sup_residual == float(np.max(want))
 
 
 def test_half_space_majorant_quick():

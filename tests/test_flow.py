@@ -285,8 +285,8 @@ def test_radial_newton_matrix_matches_fd_jacobian(spec):
     def residual(w):
         return _residual(spec, w, u_prev, dt, cfg, outer)
 
-    res, (p, q) = residual(v)
-    lower, diag, upper = _radial_newton_matrix(spec, p, q, dt)
+    res, derivatives = residual(v)
+    lower, diag, upper = _radial_newton_matrix(spec, *derivatives, dt)
     dense = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
     eps = 1e-7
     fd = np.empty_like(dense)

@@ -5,9 +5,9 @@ from hypothesis.extra import numpy as hnp
 
 from coneflow import geometry
 from coneflow.errors import GridError
-from coneflow.geometry import (GridFunction, GridSpec, grids_match,
-                               mean_curvature, _d1_d2, _polar_derivatives,
-                               _radial_derivatives)
+from coneflow.geometry import (GridFunction, GridSpec, graph_rhs, grids_match,
+                               mean_curvature, radial_rhs, _d1_d2,
+                               _polar_derivatives, _radial_derivatives)
 
 
 def test_uniform_spec_basics():
@@ -167,6 +167,77 @@ def test_radial_operator_matches_d1_d2(grid, data):
     else:
         want = _frozen_d1_d2(r, v)
     _assert_same_bits(_radial_derivatives(spec, v), want)
+
+
+@pytest.mark.parametrize("grid", sorted(_ORACLE_GRIDS))
+def test_radial_derivatives_of_a_stack_match_its_columns(grid):
+    # trailing stack axes, here a strided view as psi_identity_residual
+    # passes, give every column the bits it gets alone
+    spec = _ORACLE_GRIDS[grid]
+    rng = np.random.default_rng(11)
+    stack = rng.normal(size=(spec.nr, 7)) * 10.0 ** rng.uniform(-3, 3, 7)
+    got = _radial_derivatives(spec, stack[:, 1:-1])
+    for k in range(5):
+        _assert_same_bits(tuple(d[:, k] for d in got),
+                          _radial_derivatives(spec, stack[:, k + 1].copy()))
+
+
+# -- exact oracle of the radial flow speed.  The three-point stencil is exact
+# on quadratics, so u = r^2/2 has u_r = r and u_rr = 1 up to round-off, and
+# the speed is n at r = 0 and 1/(1+r^2) + (n-1) elsewhere.  Each defect row
+# below is a monkeypatched _radial_speed that the oracle must catch.
+
+_QUADRATIC_GRIDS = {
+    "uniform": lambda n: GridSpec.uniform(n, 0.0, 5.0, 41),
+    "geometric": lambda n: GridSpec.geometric(n, 0.05, 5.0),
+}
+
+
+def _quadratic_speed_error(spec):
+    r = spec.nodes
+    got = radial_rhs(GridFunction(spec, 0.5 * r * r)).values
+    want = np.where(r > 0, 1.0 / (1.0 + r * r) + (spec.n - 1), float(spec.n))
+    return float(np.max(np.abs(got - want)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("grid", sorted(_QUADRATIC_GRIDS))
+def test_radial_speed_exact_on_quadratics(grid, n):
+    assert _quadratic_speed_error(_QUADRATIC_GRIDS[grid](n)) <= 1e-12
+
+
+def _wrong_dimension(speed):
+    # (n-1) u_r/r becomes (n-2) u_r/r off the axis
+    def mutant(spec, p, q):
+        s, one_p2 = speed(spec, p, q)
+        s[1:] -= p[1:] / spec.nodes[1:]
+        return s, one_p2
+    return mutant
+
+
+def _slowed(speed):
+    def mutant(spec, p, q):
+        s, one_p2 = speed(spec, p, q)
+        return 0.99 * s, one_p2
+    return mutant
+
+
+@pytest.mark.parametrize("defect", [_wrong_dimension, _slowed],
+                         ids=["n-2", "speed-x0.99"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("grid", sorted(_QUADRATIC_GRIDS))
+def test_quadratic_oracle_catches_speed_defects(monkeypatch, grid, n, defect):
+    monkeypatch.setattr(geometry, "_radial_speed", defect(geometry._radial_speed))
+    assert _quadratic_speed_error(_QUADRATIC_GRIDS[grid](n)) > 1e-3
+
+
+def test_radial_rhs_needs_a_grid_from_the_axis():
+    # only a flow grid's speed is defined: it continues across r = 0
+    spec = GridSpec.uniform(2, 0.5, 5.0, 33)
+    u = GridFunction(spec, 0.5 * spec.nodes ** 2)
+    for rhs in (radial_rhs, graph_rhs):
+        with pytest.raises(GridError, match="r = 0"):
+            rhs(u)
 
 
 def _frozen_polar_derivatives(spec, vals):
