@@ -112,7 +112,11 @@ class C1Function:
 
     @classmethod
     def from_cone(cls, k) -> "C1Function":
-        """Cone graph and its gradient (undefined at 0; clamped to 0 there)."""
+        """Radial cone graph and its gradient (undefined at 0; clamped to 0
+        there)."""
+        if k.kind != "radial":
+            raise ParameterError("C1Function.from_cone takes radial cones")
+
         def val(pts):
             return np.atleast_1d(k.evaluate(pts))
 
@@ -120,13 +124,7 @@ class C1Function:
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
             r = np.sqrt(np.sum(pts ** 2, axis=-1))
             safe = np.where(r > 0, r, 1.0)
-            if k.kind == "radial":
-                return k.beta * pts / safe[:, None] * (r > 0)[:, None]
-            th = np.arctan2(pts[:, 1], pts[:, 0])
-            g, gp = k.gamma(th), k.gamma_prime(th)
-            ex = pts / safe[:, None]
-            eperp = np.stack([-ex[:, 1], ex[:, 0]], axis=1)
-            return (g[:, None] * ex + gp[:, None] * eperp) * (r > 0)[:, None]
+            return k.beta * pts / safe[:, None] * (r > 0)[:, None]
 
         return cls(k.n, val, grad)
 
@@ -156,12 +154,14 @@ class C1Function:
 
 @dataclass(frozen=True)
 class Ball:
-    """Disk B_radius(center) with a midpoint polar quadrature rule."""
+    """Disk B_radius(center) with a midpoint polar quadrature rule of 240
+    radial by 128 angular cells."""
 
     center: tuple
     radius: float
 
-    def quadrature(self, m_r: int = 160, m_phi: int = 96):
+    def quadrature(self):
+        m_r, m_phi = 240, 128
         c = np.asarray(self.center, dtype=float)
         s = (np.arange(m_r) + 0.5) * (self.radius / m_r)
         phi = 2.0 * np.pi * (np.arange(m_phi) + 0.5) / m_phi
@@ -169,11 +169,6 @@ class Ball:
         pts = np.stack([c[0] + S * np.cos(PHI), c[1] + S * np.sin(PHI)], axis=-1)
         w = S * (self.radius / m_r) * (2.0 * np.pi / m_phi)
         return pts.reshape(-1, 2), w.ravel()
-
-
-def default_threshold(r: float) -> float:
-    """Far-field closeness threshold eps(r) = 1/(1+r), decaying as required."""
-    return 1.0 / (1.0 + r)
 
 
 @dataclass
@@ -186,14 +181,15 @@ class AreaBoundReport:
     passed: bool
 
 
-def graph_area_bound_check(u0: C1Function, k, x, rho: float, G: float,
-                           eps_fn=default_threshold, m_r: int = 240,
-                           m_phi: int = 128) -> AreaBoundReport:
-    """Graph area above the raised cone vs the BV bound, on one shared grid.
+def graph_area_bound_check(u0: C1Function, k, x, rho: float,
+                           G: float) -> AreaBoundReport:
+    """Graph area above the raised radial cone k vs the BV bound, on one
+    shared grid.
 
     area  = integral of sqrt(1+|Du0|^2) over {y in B_rho(x) : u0 > k + rho},
-    bound = (4 + 3G/rho) * ||u0 - k||_BV over B_1(x) cut to {|u0-k| > eps(|x|)}.
+    bound = (4 + 3G/rho) * ||u0 - k||_BV over B_1(x) cut to {|u0-k| > eps(|x|)},
 
+    with the far-field closeness threshold eps(r) = 1/(1+r).
     Both sides use the same midpoint quadrature on B_1(x), so the pointwise
     chain (sqrt(1+|Du0|^2) <= (1+G) + |D(u0-k)| and |set| <= integral |u0-k|/rho)
     carries over node by node.  The chain needs eps(|x|) <= rho (otherwise the
@@ -206,13 +202,12 @@ def graph_area_bound_check(u0: C1Function, k, x, rho: float, G: float,
     if u0.n != 2:
         raise ParameterError("area-bound quadrature is implemented for n = 2")
     x = np.asarray(x, dtype=float)
-    kf = C1Function.from_cone(k) if hasattr(k, "evaluate") else k
-    slope = k.slope_bound() if hasattr(k, "slope_bound") else None
-    if slope is not None and slope > G * (1 + 1e-12):
+    kf = C1Function.from_cone(k)
+    slope = k.slope_bound()
+    if slope > G * (1 + 1e-12):
         raise ParameterError(f"cone slope {slope:.3g} exceeds the declared bound G={G}")
 
-    ball = Ball(tuple(x), 1.0)
-    pts, w = ball.quadrature(m_r, m_phi)
+    pts, w = Ball(tuple(x), 1.0).quadrature()
     v = u0.value(pts) - kf.value(pts)
     du0 = u0.gradient(pts)
     dv = du0 - kf.gradient(pts)
@@ -220,7 +215,7 @@ def graph_area_bound_check(u0: C1Function, k, x, rho: float, G: float,
     area_set = in_rho & (v > rho)
     area = float(np.sum(w[area_set] * np.sqrt(1.0 + np.sum(du0[area_set] ** 2, axis=-1))))
 
-    eps = float(eps_fn(float(np.sqrt(np.sum(x ** 2)))))
+    eps = 1.0 / (1.0 + float(np.sqrt(np.sum(x ** 2))))
     bv_set = np.abs(v) > eps
     bv = float(np.sum(w[bv_set] * (np.abs(v[bv_set])
                                    + np.sqrt(np.sum(dv[bv_set] ** 2, axis=-1)))))
@@ -244,34 +239,28 @@ class ClearingOutReport:
     center_trace: np.ndarray
 
 
-def clearing_out_experiment(k, height: float, rho: float, G: float | None = None,
-                            t_cap: float | None = None, spec: GridSpec | None = None,
-                            n_snapshots: int = 400) -> ClearingOutReport:
-    """Time for a spike of width rho to clear the level k + rho*(2+G).
+def clearing_out_experiment(k, height: float, rho: float) -> ClearingOutReport:
+    """Time for a spike of width rho to clear the level k + rho*(2+G), with
+    G = max(1, slope of k).
 
     Evolves u0 = k + bump(r, height, rho) with the boundary pinned to the cone
     and reads the first time the center height drops below the threshold
-    (linear interpolation between snapshots).  The cap defaults to 10*rho^2,
-    the diffusive scale of the spike.
+    (linear interpolation between 400 snapshots).  The cap is 10*rho^2, the
+    diffusive scale of the spike.
     """
     from .flow import SolverConfig, evolve
 
     if k.kind != "radial":
         raise ParameterError("clearing-out experiment is radial")
-    if G is None:
-        G = max(1.0, k.slope_bound())
-    t_cap = 10.0 * rho * rho if t_cap is None else t_cap
+    G = max(1.0, k.slope_bound())
+    t_cap = 10.0 * rho * rho
     threshold = float(k.evaluate(np.zeros(k.n))) + rho * (2.0 + G)
-    if height <= 0:
-        return ClearingOutReport(rho, threshold, 0.0, t_cap, True,
-                                 np.array([0.0]), np.array([0.0]))
     if height <= rho * (2.0 + G):
         raise ParameterError("spike must start above the clearing threshold")
 
-    if spec is None:
-        spec = GridSpec.geometric(k.n, h0=rho / 24.0, r_max=max(20.0 * rho, 4.0),
-                                  ratio=1.04)
-    snap_dt = t_cap / n_snapshots
+    spec = GridSpec.geometric(k.n, h0=rho / 24.0, r_max=max(20.0 * rho, 4.0),
+                              ratio=1.04)
+    snap_dt = t_cap / 400
     cfg = SolverConfig(dt_init=snap_dt / 8, dt_max=snap_dt, boundary="pin-to-cone",
                        snapshot_dt=snap_dt)
     u0 = GridFunction(spec, k.beta * spec.nodes + bump(spec.nodes, height, rho))
@@ -290,11 +279,10 @@ def clearing_out_experiment(k, height: float, rho: float, G: float | None = None
     return ClearingOutReport(rho, threshold, t0, t_cap, t0 <= t_cap, times, trace)
 
 
-def clearing_out_scaling(k, height_factor: float = 6.0,
-                         rhos=(0.05, 0.1, 0.2)) -> dict:
+def clearing_out_scaling(k, rhos=(0.05, 0.1, 0.2)) -> dict:
     """Fit t0(rho) ~ rho^p across spike widths; diffusive scaling gives p ~ 2.
 
-    Each member uses spike height ``height_factor * rho``, so the family is
+    Each member uses spike height 6 * rho, so the family is
     self-similar under the parabolic rescaling u -> u(lam x, lam^2 t) / lam
     (the cone background is invariant too).  In the continuum the clearing
     times then satisfy t0(rho) = rho^2 t0(1) exactly; the measured exponent
@@ -305,11 +293,10 @@ def clearing_out_scaling(k, height_factor: float = 6.0,
     The window is narrower than a decade by design (three binary-spaced
     widths), so the fit bypasses the decade gate of decay_fit.
     """
-    reports = [clearing_out_experiment(k, height_factor * float(r), float(r))
-               for r in rhos]
+    reports = [clearing_out_experiment(k, 6.0 * float(r), float(r)) for r in rhos]
     if any(rep.t0 is None or rep.t0 <= 0 for rep in reports):
-        raise ParameterError("clearing time not reached for some width; "
-                             "raise t_cap or the spike height")
+        raise ParameterError("clearing time not reached within 10 rho^2 "
+                             "for some width")
     fit = _fit_loglog(np.asarray([rep.rho for rep in reports]),
                       np.asarray([rep.t0 for rep in reports]))
     return {"exponent": fit.exponent, "constant": fit.constant,

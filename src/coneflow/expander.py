@@ -255,11 +255,10 @@ class ExpanderProfile:
     a: float
     report: dict = field(default_factory=dict)
     node_residual: np.ndarray | None = None
-    _spline: CubicHermiteSpline | None = field(default=None, repr=False, compare=False)
+    _spline: CubicHermiteSpline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._spline is None:
-            self._spline = CubicHermiteSpline(self.rho, self.phi, self.phi_prime)
+        self._spline = CubicHermiteSpline(self.rho, self.phi, self.phi_prime)
 
     @property
     def rho_max(self) -> float:
@@ -452,8 +451,8 @@ def expander_time_derivative(profile: ExpanderProfile, r, t: float) -> np.ndarra
 class AngularExpander:
     """Stationary similarity-variable solution for an anisotropic planar cone.
 
-    ``newton_iters`` and ``lu_factorizations`` total the Newton updates and
-    sparse LU factorizations over all ``steps`` implicit steps.
+    ``newton_iters`` totals the Newton updates over all ``steps`` implicit
+    steps; each update factors one sparse LU.
     """
 
     cone: ConeProfile
@@ -462,7 +461,6 @@ class AngularExpander:
     steps: int
     converged: bool
     newton_iters: int
-    lu_factorizations: int
 
     def center_height(self) -> float:
         """phi(0) estimate: mean of the innermost ring (second-order accurate)."""
@@ -502,5 +500,4 @@ def relax_angular_expander(k: ConeProfile, rho_max: float = 12.0, nr: int = 72,
         steps += 1
         if rate <= stationary_tol:
             break
-    # every Newton update factors one sparse LU of the probed Jacobian
-    return AngularExpander(k, u, rate, steps, rate <= stationary_tol, iters, iters)
+    return AngularExpander(k, u, rate, steps, rate <= stationary_tol, iters)

@@ -80,21 +80,21 @@ def _expander_gap(run: FlowRun, profile: ExpanderProfile) -> np.ndarray:
         for t, s in zip(run.times, run.snapshots)])
 
 
-def _bisect_upper_shift(profile: ExpanderProfile, u0: GridFunction,
-                        t_hi: float = 64.0, iters: int = 60) -> float:
-    """Smallest T with U(., T) >= u0 on the grid, by bisection in T."""
+def _bisect_upper_shift(profile: ExpanderProfile, u0: GridFunction) -> float:
+    """Smallest T in (1e-6, 64] with U(., T) >= u0 on the grid, by 60
+    bisection steps in T."""
     r = u0.spec.nodes
 
     def clearance(T):
         return float(np.min(evaluate_U(profile, r, T) - u0.values))
 
-    lo, hi = 1e-6, t_hi
+    lo, hi = 1e-6, 64.0
     if clearance(hi) < 0:
-        raise ParameterError("expander does not cover the data by T="
-                             f"{t_hi}; the perturbation is too large")
+        raise ParameterError("expander does not cover the data by T=64.0; "
+                             "the perturbation is too large")
     if clearance(lo) >= 0:
         return lo
-    for _ in range(iters):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         if clearance(mid) >= 0:
             hi = mid
@@ -367,8 +367,6 @@ class Scenario:
     runner: str
     claim: str
     quick_overrides: tuple = ()
-    n: int = 2
-    beta: float = 1.0
     seed: int = 0
     overrides: tuple = ()
 
@@ -379,8 +377,6 @@ class Scenario:
     def run(self, quick: bool = False):
         fn = self.function()
         kw = dict(self.overrides)
-        kw.setdefault("n", self.n)
-        kw.setdefault("beta", self.beta)
         if "seed" in inspect.signature(fn).parameters:
             kw.setdefault("seed", self.seed)
         if quick:
@@ -407,5 +403,5 @@ SCENARIOS = {
     "subsolution": Scenario(
         "subsolution", "subsolution_dominance_experiment",
         "the glued subsolution is dominated while the flow recovers the cone",
-        quick_overrides=(("nodes", 751), ("horizon", 1.0)), n=3),
+        quick_overrides=(("nodes", 751), ("horizon", 1.0))),
 }

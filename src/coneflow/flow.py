@@ -27,9 +27,9 @@ polar column coloring and its scatter indices are cached per grid, and the
 base state and every probe go through one stacked speed evaluation.  Newton
 runs on raw arrays: the accepted backtracking trial's residual starts the
 next iteration (on radial grids its (v_r, v_rr, 1+v_r^2) also feed the
-Jacobian and the curvature diagnostics), and a non-finite residual raises
-NewtonError at once.  A radial step costs its number of numpy calls, so
-its kernels reuse arrays in place, in the formulas' operation order.
+Jacobian), and a non-finite residual raises NewtonError at once.  A radial
+step costs its number of numpy calls, so its kernels reuse arrays in place,
+in the formulas' operation order.
 
 The Dirichlet data comes in three flavors: pinned to the initial values,
 pinned to a cone, or pinned to the moving expander (needed for long runs,
@@ -56,8 +56,8 @@ from scipy.sparse import csc_matrix
 
 from .errors import GridError, NewtonError, ParameterError, StepFailureError
 from .geometry import (GridFunction, GridSpec, grids_match, mean_curvature,
-                       _polar_speed, _radial_curvatures, _radial_derivatives,
-                       _radial_operator, _radial_speed)
+                       _polar_speed, _radial_derivatives, _radial_operator,
+                       _radial_speed)
 
 __all__ = [
     "SolverConfig",
@@ -313,8 +313,7 @@ def step(u: GridFunction, dt: float, config: SolverConfig, boundary,
     evaluated at ``t_new``.  Raises NewtonError, carrying the residual
     history, on stagnation or on a non-finite residual.
     ``stats``, when given, receives the Newton iteration count and residual
-    history of the solve and, on radial grids, the derivatives (u_r, u_rr)
-    of the returned state under ``"derivatives"``.
+    history of the solve.
     """
     spec = u.spec
     outer = boundary(t_new)
@@ -333,18 +332,15 @@ def step(u: GridFunction, dt: float, config: SolverConfig, boundary,
         def solve(w, pq, res):
             return solve_banded(*_radial_newton_matrix(spec, *pq, dt), res)
     history = []
-    v, derivatives = _newton(v, residual, solve, config, scale, history)
+    v = _newton(v, residual, solve, config, scale, history)
     if stats is not None:
         stats["iters"] = len(history) - 1
         stats["residuals"] = history
-        if derivatives is not None:
-            stats["derivatives"] = derivatives[:2]
     return GridFunction(spec, v)
 
 
 def _newton(v, residual, solve, config, scale, history):
-    """Damped Newton on raw arrays; returns the converged v and the extra
-    output of ``residual`` at it.
+    """Damped Newton on raw arrays; returns the converged v.
 
     ``residual(w)`` returns (residual, extra) and ``solve(w, extra, res)``
     the Newton update.  The accepted backtracking trial is the next iterate,
@@ -360,7 +356,7 @@ def _newton(v, residual, solve, config, scale, history):
             raise NewtonError(f"non-finite Newton residual after {len(history) - 1} "
                               "iterations", residuals=history)
         if res_norm <= config.newton_tol * scale:
-            return v, extra
+            return v
         try:
             delta = solve(v, extra, res)
         except NewtonError as err:
@@ -415,9 +411,8 @@ class FlowRun:
         return np.asarray(self.snapshot_times)
 
 
-def _diagnose(run: FlowRun, t, u_new, derivatives, cone_vals, profile):
-    """Append one step's diagnostics; H comes from the step's (u_r, u_rr) on
-    radial grids."""
+def _diagnose(run: FlowRun, t, u_new, cone_vals, profile):
+    """Append one step's diagnostics."""
     vals = u_new.values
     spec = u_new.spec
     if cone_vals is not None:
@@ -429,10 +424,7 @@ def _diagnose(run: FlowRun, t, u_new, derivatives, cone_vals, profile):
         run.sup_u_minus_U.append(float(np.max(np.abs(vals - Uv))))
     else:
         run.sup_u_minus_U.append(np.nan)
-    if derivatives is not None:
-        H = _radial_curvatures(spec, *derivatives)
-    else:
-        H = mean_curvature(u_new).values
+    H = mean_curvature(u_new).values
     run.min_H.append(float(np.min(H)))
     run.max_H.append(float(np.max(H)))
 
@@ -451,8 +443,8 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
     ``diagnostics=True``.  They do not feed back into the stepping, so the
     snapshots are the same either way.
     """
-    if not T > 0:
-        raise ParameterError("evolution horizon T must be positive")
+    if not 0 < T < math.inf:
+        raise ParameterError(f"evolution horizon T must be positive and finite, got {T}")
     boundary = boundary_values_for(u0, config, cone, profile)
     cone_vals = cone.on_grid(u0.spec).values if diagnostics and cone is not None else None
     run = FlowRun()
@@ -481,7 +473,7 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
         run.step_sizes.append(float(dt_try))
         run.newton_iters.append(int(stats["iters"]))
         if diagnostics:
-            _diagnose(run, t, u_new, stats.get("derivatives"), cone_vals, profile)
+            _diagnose(run, t, u_new, cone_vals, profile)
         u = u_new
         if abs(t - next_snap) < 1e-10:
             run.record_snapshot(t, u)
@@ -539,11 +531,11 @@ def comparison_check(run_a: FlowRun, run_b: FlowRun, tol: float = 1e-8,
 
 
 def detect_t_delta(run: FlowRun, k, delta: float):
-    """Earliest snapshot time with u >= k - delta everywhere, else None."""
+    """Earliest snapshot time with u >= k - delta everywhere (k a cone),
+    else None."""
     if not delta > 0:
         raise ParameterError("delta must be positive")
-    spec = run.snapshots[0].spec
-    kv = k.on_grid(spec).values if hasattr(k, "on_grid") else np.asarray(k)
+    kv = k.on_grid(run.snapshots[0].spec).values
     for t, snap in zip(run.snapshot_times, run.snapshots):
         if float(np.min(snap.values - kv)) >= -delta:
             return float(t)

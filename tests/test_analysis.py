@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from coneflow.analysis import (Ball, C1Function, clearing_out_experiment,
                                clearing_out_scaling, decay_fit,
-                               default_threshold, graph_area_bound_check)
+                               graph_area_bound_check)
 from coneflow.cones import ConeProfile
 from coneflow.errors import ParameterError
 
@@ -64,9 +64,10 @@ def test_c1_function_algebra_and_gradient():
         assert s.gradient(pt)[0, d] == pytest.approx(fd, abs=1e-6)
 
 
-def test_default_threshold_decays():
-    assert default_threshold(0.0) == pytest.approx(1.0)
-    assert default_threshold(3.0) == pytest.approx(0.25)
+def test_c1_function_from_cone_takes_radial_cones_only():
+    k = ConeProfile.angular(lambda th: 1.0 + 0.1 * np.cos(2 * th), m=16)
+    with pytest.raises(ParameterError, match="radial"):
+        C1Function.from_cone(k)
 
 
 def test_area_bound_validation():

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from coneflow import cli, experiments
+from coneflow import cli, experiments, flow
 from coneflow.errors import CertificationError, NewtonError
 
 
@@ -213,13 +213,33 @@ def test_evolve_rejects_nan_and_nonpositive_inputs(tmp_path, capsys, pair):
 
 
 @pytest.mark.parametrize("argv", [
+    ["evolve", "--set", "horizon=inf"],
+    ["--quick", "experiment", "--name", "main-theorem", "--set", "horizon=inf"],
+], ids=["evolve", "main-theorem"])
+def test_infinite_horizon_is_usage_error_without_a_step(tmp_path, capsys,
+                                                        monkeypatch, argv):
+    # an infinite horizon never ends; it is rejected before the first step
+    def no_step(*args, **kwargs):
+        raise AssertionError("the flow took a step")
+    monkeypatch.setattr(flow, "step", no_step)
+    out = tmp_path / "art"
+    assert run_cli(["--out", str(out), *argv], tmp_path) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
     ["barrier", "--set", "m=nan"],
     ["barrier", "--set", "delta=nan"],
     ["barrier", "--set", "barrier_radius=nan"],
     ["barrier", "--set", "alpha=nan"],
     ["--quick", "experiment", "--name", "subsolution", "--set", "delta=nan"],
+    ["barrier", "--set", "which=subsolution", "--set", "delta=inf"],
+    ["barrier", "--set", "which=static", "--set", "alpha=inf"],
+    ["--quick", "experiment", "--name", "subsolution", "--set", "delta=inf"],
 ], ids=["barrier-m", "barrier-delta", "barrier-radius", "barrier-alpha",
-        "subsolution-delta"])
+        "subsolution-delta", "barrier-delta-inf", "barrier-alpha-inf",
+        "subsolution-delta-inf"])
 def test_nan_barrier_inputs_are_usage_errors_without_artifacts(tmp_path, capsys,
                                                                argv):
     # every barrier result is validated before the first artifact is written

@@ -133,8 +133,7 @@ def test_angular_relaxation_consistent_with_radial(monkeypatch):
                                  tau_max=20.0)
     assert ang.converged
     # the run reports its solver work
-    assert ang.lu_factorizations == len(factorizations) >= ang.steps
-    assert ang.newton_iters == ang.lu_factorizations
+    assert ang.newton_iters == len(factorizations) >= ang.steps
     assert ang.center_height() == pytest.approx(1.7090957539, abs=0.05)
     above = ang.solution.values - k.on_grid(ang.solution.spec).values
     assert np.min(above) > -1e-8

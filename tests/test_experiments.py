@@ -73,8 +73,7 @@ def test_scenario_runner_looked_up_at_call_time(monkeypatch):
 
     monkeypatch.setattr(experiments, "run_family_uniform", stub)
     assert SCENARIOS["family-uniform"].run(quick=True) == "stub report"
-    assert calls == [{"n": 2, "beta": 1.0, "seed": 0, "horizon": 8.0,
-                      "nodes": 401}]
+    assert calls == [{"seed": 0, "horizon": 8.0, "nodes": 401}]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
