@@ -115,11 +115,12 @@ def sup_decay_rate(quick: bool = False):
 def two_sided_convergence(quick: bool = False):
     """Bump perturbations of either sign converge to U inside the sandwich."""
     rep = SCENARIOS["main-theorem"].run(quick)
-    flats = {s: rep.sides[s].t_flat for s in (+1, -1)}
+    flats = {s: "none" if rep.sides[s].t_flat is None else f"{rep.sides[s].t_flat:.1f}"
+             for s in (+1, -1)}
     checks = all(bool(rep.sides[s].upper) and bool(rep.sides[s].lower)
                  for s in (+1, -1))
     return rep.passed, (f"sup|u-U| <= {rep.threshold} at t = "
-                        f"{flats[+1]:.1f} (+) / {flats[-1]:.1f} (-), "
+                        f"{flats[+1]} (+) / {flats[-1]} (-), "
                         f"sandwich checks {'pass' if checks else 'FAIL'}")
 
 

@@ -34,9 +34,13 @@ checks and work arrays, then runs that object's own LSODA integrator in one
 call to rho_max (itask 4, never past it) on a float-level RHS that stops the
 call once a slope reaches half the cap.  These are the steps ``solve_ivp``
 takes, bit for bit, without its per-step event search, wrapper closures and
-array conversions.  A shot that trips the guard is run again through
-:func:`_integrate`, the ``solve_ivp`` event path, which decides exactly
-whether an accepted step met the cap.  Profiles are cached per
+array conversions.  The stored profile (:func:`_node_values`) drives the same
+integrator one step per call and evaluates the nodes each step passes
+with scipy's own LSODA dense-output arithmetic, bit for bit the
+``solve_ivp(t_eval=nodes)`` result.  A shot or node solve that trips the
+guard is run again through :func:`_integrate`, the ``solve_ivp`` event
+path, which decides exactly whether an accepted step met the cap; that
+re-run is the only use of ``solve_ivp``.  Profiles are cached per
 ``(n, beta, ShootingConfig)``, so every caller in a process shares one
 solve; their arrays are read-only.
 
@@ -47,6 +51,7 @@ Anisotropic planar cones have no ODE reduction; for those
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -85,10 +90,14 @@ class ShootingConfig:
     slope_cap: float = 1e7
 
     def __post_init__(self):
-        if self.rho_max <= 4.0:
-            raise ParameterError("rho_max too small to reach the far-field regime")
-        if self.node_spacing <= 0 or self.node_spacing > self.rho_max / 100:
+        # written so that NaN fails them too
+        if not 4.0 < self.rho_max < math.inf:
+            raise ParameterError("rho_max must be finite and large enough to reach "
+                                 "the far-field regime")
+        if not 0 < self.node_spacing <= self.rho_max / 100:
             raise ParameterError("node_spacing must be positive and resolve the profile")
+        if not (math.isfinite(self.ode_rtol) and math.isfinite(self.ode_atol)):
+            raise ParameterError("ode_rtol and ode_atol must be finite")
         if self.bracket_max_tries < 1 or self.bisect_iters < 1:
             raise ParameterError("bracket_max_tries and bisect_iters must be at least 1")
         if not self.slope_cap > 0:
@@ -111,10 +120,22 @@ def _tail_slope(n: int, beta: float, rho):
     return beta - c1 / rho ** 2 - 3.0 * c3 / rho ** 4
 
 
-def _ode_rhs(rho, y, n):
+class _SlopeGuard(Exception):
+    """Raised by :func:`_ode_rhs` to stop a solve near the slope cap."""
+
+
+def _ode_rhs(rho, y, n, half_cap=None):
+    """The profile ODE as a first-order system in (phi, phi').
+
+    With ``half_cap`` it raises :class:`_SlopeGuard` as soon as it is asked
+    for a slope |p| that is not below ``half_cap`` (a NaN slope included);
+    without it, it never raises.
+    """
     # Python floats run the same IEEE double operations as numpy scalars,
     # without their per-operation dispatch
     phi, p = y.tolist()
+    if half_cap is not None and not abs(p) < half_cap:
+        raise _SlopeGuard
     return [p, (1.0 + p * p) * (0.5 * (phi - rho * p) - (n - 1) * p / rho)]
 
 
@@ -128,10 +149,11 @@ def _series_start(a: float, n: int):
 
 
 def _integrate(a: float, n: int, cfg: ShootingConfig, t_eval: np.ndarray):
-    """Integrate outward from the axis to the nodes ``t_eval``; returns the
-    solve_ivp result (status 1 if the slope passed ``slope_cap``).  Serves
-    the stored profile and, with ``t_eval=[rho_max]``, the exact re-run of a
-    shot whose slope guard tripped."""
+    """Integrate outward from the axis to the nodes ``t_eval`` through
+    solve_ivp; returns its result (status 1 if the slope passed
+    ``slope_cap``).  Only a solve whose slope guard tripped comes here, for
+    the exact re-run: a shot with ``t_eval=[rho_max]``, the node solve with
+    the profile nodes."""
     rho0, y0 = _series_start(a, n)
 
     def blow_up(rho, y, *_args):
@@ -142,28 +164,27 @@ def _integrate(a: float, n: int, cfg: ShootingConfig, t_eval: np.ndarray):
                      rtol=cfg.ode_rtol, atol=cfg.ode_atol, t_eval=t_eval, events=blow_up)
 
 
-class _SlopeGuard(Exception):
-    """Raised by :func:`_guarded_rhs` to stop a shot near the slope cap."""
+def _lsoda(a: float, n: int, cfg: ShootingConfig):
+    """scipy's LSODA integrator set up for a solve from the axis, with the
+    start (y0, rho0).
 
-
-def _guarded_rhs(rho, y, n, half_cap):
-    # not abs(p) < half_cap also trips on a NaN slope
-    f = _ode_rhs(rho, y, n)
-    if not abs(f[0]) < half_cap:
-        raise _SlopeGuard
-    return f
+    The public ``LSODA`` object is built only for its set-up: tolerance
+    validation (including the rtol floor), the work arrays and ``rho_max``
+    as the critical time.
+    """
+    rho0, y0 = _series_start(a, n)
+    ode = LSODA(lambda rho, y: _ode_rhs(rho, y, n), rho0, y0, cfg.rho_max,
+                rtol=cfg.ode_rtol, atol=cfg.ode_atol)._lsoda_solver
+    return ode._integrator, ode._y, rho0
 
 
 def _miss(a: float, n: int, beta: float, cfg: ShootingConfig) -> float:
     """Signed distance of phi(rho_max) from the refined tail; +/-inf on blow-up.
 
     Returns bit for bit what solve_ivp with ``t_eval=[rho_max]`` and a
-    terminal slope event gives.  The public ``LSODA`` object is built only
-    for its set-up: tolerance validation (including the rtol floor), the
-    work arrays and ``rho_max`` as the critical time.  Its own integrator is
-    then run once, with itask 4 (to tout = rho_max, never past the critical
-    time) and no step limit, on :func:`_guarded_rhs`, which raises as soon
-    as the stepper evaluates a slope |p| that is not below ``slope_cap/2``.
+    terminal slope event gives.  The :func:`_lsoda` integrator is run once,
+    with itask 4 (to tout = rho_max, never past the critical time) and no
+    step limit, on :func:`_ode_rhs` with the guard at ``slope_cap/2``.
 
     Same steps: LSODA applies the same critical-time clamp after every
     step, whether itask 4 goes on or itask 5 returns, so the single call
@@ -180,18 +201,14 @@ def _miss(a: float, n: int, beta: float, cfg: ShootingConfig) -> float:
     :func:`_integrate`, the solve_ivp event path itself, which decides
     between blow-up and a finite landing.
     """
-    rho0, y0 = _series_start(a, n)
-    rho_max = cfg.rho_max
-    ode = LSODA(lambda rho, y: _ode_rhs(rho, y, n), rho0, y0, rho_max,
-                rtol=cfg.ode_rtol, atol=cfg.ode_atol)._lsoda_solver
-    integrator = ode._integrator
+    integrator, y, rho0 = _lsoda(a, n, cfg)
     integrator.call_args[2] = 4  # itask 4: to tout, never past tcrit
     integrator.iwork[5] = np.iinfo(np.int32).max  # mxstep: no limit in the one call
     try:
-        y, _ = integrator.run(_guarded_rhs, None, ode._y, rho0, rho_max,
+        y, _ = integrator.run(_ode_rhs, None, y, rho0, cfg.rho_max,
                               (n, cfg.slope_cap / 2), ())
     except _SlopeGuard:
-        sol = _integrate(a, n, cfg, t_eval=[rho_max])
+        sol = _integrate(a, n, cfg, t_eval=[cfg.rho_max])
         if sol.status == 1:
             return np.inf if sol.y_events[0][0][1] > 0 else -np.inf
         if not sol.success:
@@ -204,7 +221,58 @@ def _miss(a: float, n: int, beta: float, cfg: ShootingConfig) -> float:
             raise ShootingError(
                 f"profile integration failed at a={a}: LSODA istate {istate} "
                 f"({integrator.messages.get(istate, 'unknown istate')})", scanned=[a])
-    return float(y[0] - _tail_value(n, beta, rho_max))
+    return float(y[0] - _tail_value(n, beta, cfg.rho_max))
+
+
+# exponents 0..q of scipy's LsodaDenseOutput for each LSODA order q <= 12
+_POWERS = [np.arange(q + 1)[:, None] for q in range(13)]
+
+
+def _node_values(a: float, n: int, cfg: ShootingConfig, nodes: np.ndarray) -> np.ndarray:
+    """(phi, phi') at ``nodes[1:]`` for the axis height a, as a (2, N-1) array.
+
+    Returns bit for bit the ``y`` of :func:`_integrate` with
+    ``t_eval=nodes[1:]``.  The :func:`_miss` integrator takes one step per
+    call (itask 5, never past rho_max), as solve_ivp's stepper does, on the
+    same slope guard.  After each step the nodes in (rho_old, rho] (found
+    as solve_ivp finds them, bisecting to the right) are evaluated with
+    scipy's ``LsodaDenseOutput`` arithmetic in its shapes: the Nordsieck
+    array of the last step's order, its last column rescaled to the next
+    step size when the order is set to drop, and one ``np.dot`` per step.
+    A tripped guard or a bad istate re-runs the solve through
+    :func:`_integrate`, which raises on a blow-up or a failed integration.
+    """
+    t_eval = nodes[1:]
+    integrator, y, rho = _lsoda(a, n, cfg)
+    integrator.call_args[2] = 5  # itask 5: one step, never past tcrit
+    rwork, iwork = integrator.rwork, integrator.iwork
+    args = (n, cfg.slope_cap / 2)
+    knots = t_eval.tolist()
+    out = np.empty((2, t_eval.size))
+    i = 0
+    try:
+        while rho < cfg.rho_max:
+            y, rho = integrator.run(_ode_rhs, None, y, rho, cfg.rho_max, args, ())
+            if not integrator.success:
+                break
+            j = bisect_right(knots, rho)
+            if j > i:
+                order, h = iwork[13], rwork[11]
+                yh = np.reshape(rwork[20:20 + (order + 1) * 2], (2, order + 1),
+                                order="F").copy()
+                if iwork[14] < order:
+                    yh[:, -1] *= (h / rwork[10]) ** order
+                out[:, i:j] = np.dot(yh, ((t_eval[i:j] - rho) / h) ** _POWERS[order])
+                i = j
+        else:
+            return out
+    except _SlopeGuard:
+        pass
+    sol = _integrate(a, n, cfg, t_eval=t_eval)
+    if not sol.success or sol.status == 1:
+        where = sol.t[-1] if sol.t.size else 0.0
+        raise ShootingError(f"converged shot blew up at rho={where:.3g}", scanned=[a])
+    return sol.y
 
 
 def _rk4_defect(rho: np.ndarray, phi: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
@@ -397,12 +465,9 @@ def _shoot_profile(n: int, beta: float, cfg: ShootingConfig) -> ExpanderProfile:
             break
     a = 0.5 * (a_lo + a_hi)
 
-    sol = _integrate(a, n, cfg, t_eval=nodes[1:])
-    if not sol.success or sol.status == 1:
-        where = sol.t[-1] if sol.t.size else 0.0
-        raise ShootingError(f"converged shot blew up at rho={where:.3g}", scanned=[a])
-    phi = np.concatenate([[a], sol.y[0]])
-    phi_p = np.concatenate([[0.0], sol.y[1]])
+    y = _node_values(a, n, cfg, nodes)
+    phi = np.concatenate([[a], y[0]])
+    phi_p = np.concatenate([[0.0], y[1]])
 
     node_res = _rk4_defect(nodes, phi, phi_p, n)
     ode_residual = float(np.max(node_res[:-1]))  # last node is one-sided anyway

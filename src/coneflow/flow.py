@@ -92,16 +92,16 @@ class SolverConfig:
     similarity_drift: bool = False
 
     def __post_init__(self):
-        if not (self.dt_init > 0 and self.dt_max > 0 and self.dt_min > 0):
-            raise ParameterError("time steps must be positive")
+        if not all(0 < dt < math.inf for dt in (self.dt_init, self.dt_max, self.dt_min)):
+            raise ParameterError("time steps must be positive and finite")
         if not (0.0 < self.newton_tol <= 1e-4):
             raise ParameterError("newton_tol must lie in (0, 1e-4]")
         if self.newton_max_iter < 1:
             raise ParameterError("newton_max_iter must be at least 1")
         if self.boundary not in _BOUNDARY_MODES:
             raise ParameterError(f"boundary mode must be one of {_BOUNDARY_MODES}")
-        if not self.snapshot_dt > 0:
-            raise ParameterError("snapshot_dt must be positive")
+        if not 0 < self.snapshot_dt < math.inf:
+            raise ParameterError("snapshot_dt must be positive and finite")
 
 
 def boundary_values_for(u0: GridFunction, config: SolverConfig, cone=None,
@@ -506,6 +506,8 @@ def comparison_check(run_a: FlowRun, run_b: FlowRun, tol: float = 1e-8,
     The allowance grows like tol + c_scheme*(t - t0)*dx^2, reflecting the
     accumulation of truncation error in the discrete comparison principle.
     """
+    if not (0 <= tol < math.inf and 0 <= c_scheme < math.inf):
+        raise ParameterError("tol and c_scheme must be finite and non-negative")
     spec_a = run_a.snapshots[0].spec
     spec_b = run_b.snapshots[0].spec
     if not grids_match(spec_a, spec_b):

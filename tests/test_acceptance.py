@@ -5,8 +5,11 @@ carries the measured number against its tolerance.  These execute the full
 (non-quick) settings, so this module is the slow part of the suite.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
+from coneflow import acceptance
 from coneflow.acceptance import CRITERIA, run_acceptance
 
 IDS = [f"{number:02d}-{name}" for number, name, _ in CRITERIA]
@@ -28,3 +31,19 @@ def test_run_acceptance_aggregates(capsys):
     assert "[ 3/14] PASS profile-monotonicity" in out
     assert "[ 4/14] PASS sup-decay-rate" in out
     assert "acceptance PASS: 2/2" in out
+
+
+def test_unflattened_side_fails_with_a_detail_line(monkeypatch, capsys):
+    # a side that never drops under the threshold reports "none", as
+    # criteria 6 and 14 do, instead of crashing on the format
+    sides = {+1: SimpleNamespace(t_flat=30.0, upper=True, lower=True),
+             -1: SimpleNamespace(t_flat=None, upper=True, lower=True)}
+    fake = SimpleNamespace(run=lambda quick: SimpleNamespace(
+        passed=False, threshold=0.05, sides=sides))
+    monkeypatch.setitem(acceptance.SCENARIOS, "main-theorem", fake)
+    report = run_acceptance(quick=True, numbers={5})
+    line = capsys.readouterr().out.splitlines()[0]
+    assert not report.passed
+    assert "error:" not in line
+    assert line.startswith("[ 5/14] FAIL two-sided-convergence: sup|u-U| <= 0.05 "
+                           "at t = 30.0 (+) / none (-), sandwich checks pass [")

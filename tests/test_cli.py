@@ -215,10 +215,14 @@ def test_evolve_rejects_nan_and_nonpositive_inputs(tmp_path, capsys, pair):
 @pytest.mark.parametrize("argv", [
     ["evolve", "--set", "horizon=inf"],
     ["--quick", "experiment", "--name", "main-theorem", "--set", "horizon=inf"],
-], ids=["evolve", "main-theorem"])
+    ["--quick", "experiment", "--name", "main-theorem", "--set", "snapshot_dt=inf"],
+    ["--quick", "experiment", "--name", "main-theorem", "--set", "dt_max=inf"],
+], ids=["evolve", "main-theorem", "main-theorem-snapshot-dt", "main-theorem-dt-max"])
 def test_infinite_horizon_is_usage_error_without_a_step(tmp_path, capsys,
                                                         monkeypatch, argv):
-    # an infinite horizon never ends; it is rejected before the first step
+    # an infinite horizon never ends, and an infinite step or snapshot
+    # interval would check the run at its end points only; each is rejected
+    # before the first step
     def no_step(*args, **kwargs):
         raise AssertionError("the flow took a step")
     monkeypatch.setattr(flow, "step", no_step)
@@ -263,6 +267,18 @@ def test_nan_scenario_tolerances_are_usage_errors_without_artifacts(
     out = tmp_path / "art"
     assert run_cli(["--out", str(out), "--quick", "experiment", *argv],
                    tmp_path) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("pair", ["tol=inf", "c_scheme=inf"])
+def test_infinite_comparison_allowances_are_usage_errors_without_artifacts(
+        tmp_path, capsys, pair):
+    # an infinite allowance passes every sandwich comparison vacuously (and
+    # c_scheme = inf makes the first allowance inf*0 = NaN)
+    out = tmp_path / "art"
+    assert run_cli(["--out", str(out), "--quick", "experiment",
+                    "--name", "family-uniform", "--set", pair], tmp_path) == 2
     assert "usage error" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 

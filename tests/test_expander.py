@@ -259,12 +259,13 @@ def _count_solve_ivp(monkeypatch):
 
 
 def test_guard_trips_at_half_cap_and_on_nan():
-    rhs = expander._guarded_rhs
-    assert rhs(1.0, np.array([2.0, 0.99]), 2, 1.0) == expander._ode_rhs(
-        1.0, np.array([2.0, 0.99]), 2)
+    rhs = expander._ode_rhs
+    assert rhs(1.0, np.array([2.0, 0.99]), 2, 1.0) == rhs(1.0, np.array([2.0, 0.99]), 2)
     for p in (1.0, -1.0, 5.0, np.inf, np.nan):
         with pytest.raises(expander._SlopeGuard):
             rhs(1.0, np.array([2.0, p]), 2, 1.0)
+        # without a cap (the solve_ivp path) it never raises
+        assert len(rhs(1.0, np.array([2.0, p]), 2)) == 2
 
 
 def test_guard_margin_shot_lands_finite(monkeypatch):
@@ -292,21 +293,23 @@ def test_shots_fall_back_only_when_the_guard_trips(monkeypatch):
         return miss
 
     monkeypatch.setattr(expander, "_miss", counted_shot)
-    # at the default cap no shot falls back: the one call is _integrate
+    # at the default cap neither a shot nor the node solve falls back
     expander._shoot_profile.cache_clear()
-    prof = solve_expander_profile(ConeProfile.radial(2, 1.0))
-    assert len(calls) == 1 and len(calls[0]) == prof.rho.size - 1
+    solve_expander_profile(ConeProfile.radial(2, 1.0))
+    assert calls == []
     assert len(shots) == 52 and all(k == 0 for _, k in shots)
     # with a cap of 2 and a bracket opening at a = 5 some shots blow up;
-    # each falls back once, and so may a shot that nears the cap and lands
+    # each falls back once, and so may a shot that nears the cap and lands.
+    # The profile's slopes stay below 1, so the node solve never falls back
     calls.clear()
     shots.clear()
-    solve_expander_profile(ConeProfile.radial(2, 1.0),
-                           ShootingConfig(slope_cap=2.0, bracket_start=5.0))
+    cfg = ShootingConfig(slope_cap=2.0, bracket_start=5.0)
+    solve_expander_profile(ConeProfile.radial(2, 1.0), cfg)
     blown = [k for miss, k in shots if np.isinf(miss)]
     assert blown and all(k == 1 for k in blown)
     assert all(k in (0, 1) for _, k in shots)
-    assert len(calls) == 1 + sum(k for _, k in shots)
+    assert len(calls) == sum(k for _, k in shots)
+    assert all(t_eval == [cfg.rho_max] for t_eval in calls)
 
 
 def test_fallback_failure_raises_with_scanned(monkeypatch):
@@ -376,18 +379,70 @@ def test_nan_profile_node_raises_shooting_error(monkeypatch, component):
     # a NaN node compares false with both postcondition tolerances and used
     # to escape as an untyped ValueError from the spline
     expander._shoot_profile.cache_clear()
-    real = expander.solve_ivp
+    real = expander._node_values
 
-    def poisoned(*args, **kw):
-        sol = real(*args, **kw)
-        sol.y[component, 500] = np.nan
-        return sol
+    def poisoned(*args):
+        y = real(*args)
+        y[component, 500] = np.nan
+        return y
 
-    monkeypatch.setattr(expander, "solve_ivp", poisoned)
+    monkeypatch.setattr(expander, "_node_values", poisoned)
     with pytest.raises(ShootingError, match="ODE defect nan") as info:
         solve_expander_profile(ConeProfile.radial(2, 1.0))
     assert info.value.scanned == [pytest.approx(1.7090957539, abs=5e-9)]
     assert expander._shoot_profile.cache_info().currsize == 0
+
+
+def _nodes_via_solve_ivp(a, n, cfg):
+    """The node solve as solve_ivp computes it: t_eval at the profile nodes,
+    blow-up event.  Returns the profile nodes and the solve_ivp result."""
+    nodes = np.round(np.arange(0.0, cfg.rho_max + cfg.node_spacing / 2,
+                               cfg.node_spacing), 12)
+    nodes[-1] = cfg.rho_max
+    rho0, y0 = expander._series_start(a, n)
+
+    def blow_up(rho, y, *_args):
+        return cfg.slope_cap - abs(y[1])
+
+    blow_up.terminal = True
+    return nodes, solve_ivp(_seed_ode_rhs, (rho0, cfg.rho_max), y0, args=(n,),
+                            method="LSODA", rtol=cfg.ode_rtol, atol=cfg.ode_atol,
+                            t_eval=nodes[1:], events=blow_up)
+
+
+@pytest.mark.parametrize("n,a,cap", [
+    (2, 1.7090957539, 1e7),
+    (2, 1.5, 1e7),
+    (2, 0.8762797460, 1e7),
+    (3, 2.20568655, 1e7),
+    (3, 4.28042808, 1e7),
+    (4, 2.6151274846, 1e7),
+    (4, 4.0, 1e7),
+    (2, 1.7090957539, 1.5),
+], ids=["2-1-root", "2-1-off-root", "2-0.5-root", "3-1-root", "3-2-root",
+        "4-1-root", "4-1-off-root", "2-1-cap-fallback"])
+def test_node_values_bit_identical_to_solve_ivp(monkeypatch, n, a, cap):
+    # the stepper loop against solve_ivp's t_eval output at the profile
+    # roots of the (n, beta) in each id and off them; with a cap of 1.5 the
+    # half-cap guard trips (max |phi'| is 0.9994) and the solve_ivp re-run
+    # lands finite
+    cfg = ShootingConfig(slope_cap=cap)
+    nodes, want = _nodes_via_solve_ivp(a, n, cfg)
+    assert want.status == 0
+    calls = _count_solve_ivp(monkeypatch)
+    got = expander._node_values(a, n, cfg, nodes)
+    assert len(calls) == (cap < 2.0)
+    assert got.shape == want.y.shape and got.tobytes() == want.y.tobytes()
+
+
+def test_node_values_blow_up_raises_as_solve_ivp_stops():
+    cfg = ShootingConfig(slope_cap=2.0)
+    nodes, want = _nodes_via_solve_ivp(5.0, 2, cfg)
+    assert want.status == 1
+    with pytest.raises(ShootingError,
+                       match=rf"converged shot blew up at rho={want.t[-1]:.3g}$") as info:
+        expander._node_values(5.0, 2, cfg, nodes)
+    assert info.value.scanned == [5.0]
 
 
 def test_report_counts_shots(monkeypatch):
@@ -426,6 +481,15 @@ def test_value_at_bit_identical_to_evaluate(profile21):
 @pytest.mark.parametrize("value", [0, -1])
 def test_shooting_loop_counts_must_be_positive(field, value):
     # bisect_iters=0 used to die with UnboundLocalError in the shot report
+    with pytest.raises(ParameterError, match=field):
+        ShootingConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["rho_max", "node_spacing", "ode_rtol", "ode_atol"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_shooting_config_rejects_non_finite_values(field, value):
+    # NaN rho_max or node_spacing died in np.arange, NaN ode_rtol in the
+    # bisection's sign test and NaN ode_atol only after every shot had run
     with pytest.raises(ParameterError, match=field):
         ShootingConfig(**{field: value})
 

@@ -103,6 +103,32 @@ def test_polar_matches_radial_curvature():
     assert np.max(err) < 2e-2
 
 
+# -- exact oracle of the polar curvature.  Scherk's minimal graph
+# u = log(cos y / cos x) has H = 0, and u = xy has the Cartesian mean
+# curvature ((1+u_y^2)u_xx - 2u_x u_y u_xy + (1+u_x^2)u_yy)/W^3 = -2xy/W^3.
+# On the unit disk the interior error (all but the one-sided outer ring)
+# falls at second order; the cross term h[1] enters both graphs at first
+# order, so a wrong sign there is off by O(1).
+
+def _polar_curvature_errors(nr, ntheta):
+    spec = GridSpec.polar_disk(1.0, nr, ntheta)
+    r, th = spec.nodes[:, None], spec.thetas[None, :]
+    x, y = r * np.cos(th), r * np.sin(th)
+    scherk = mean_curvature(GridFunction(spec, np.log(np.cos(y) / np.cos(x)))).values
+    saddle = mean_curvature(GridFunction(spec, x * y)).values
+    want = -2.0 * x * y / np.sqrt(1.0 + x * x + y * y) ** 3
+    return (float(np.max(np.abs(scherk[:-1]))),
+            float(np.max(np.abs(saddle[:-1] - want[:-1]))))
+
+
+def test_polar_curvature_converges_on_exact_graphs():
+    coarse = _polar_curvature_errors(41, 64)
+    fine = _polar_curvature_errors(81, 128)
+    for e_coarse, e_fine in zip(coarse, fine):
+        assert e_fine <= 2e-3
+        assert np.log2(e_coarse / e_fine) >= 1.8
+
+
 def _frozen_d1_d2(x, y):
     """The nonuniform three-point formulas written out, as a reference that
     does not read geometry's weight table."""
