@@ -16,7 +16,6 @@ quick settings from ``experiments.SCENARIOS``.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -321,10 +320,8 @@ class AcceptanceReport:
                 f"in {total_s:.0f}s")
 
 
-def run_acceptance(quick: bool = False, numbers=None,
-                   stream=None) -> AcceptanceReport:
+def run_acceptance(quick: bool = False, numbers=None) -> AcceptanceReport:
     """Run the criteria (all by default) and print one verdict line each."""
-    stream = sys.stdout if stream is None else stream
     report = AcceptanceReport()
     for number, name, fn in CRITERIA:
         if numbers is not None and number not in numbers:
@@ -337,7 +334,6 @@ def run_acceptance(quick: bool = False, numbers=None,
         res = CriterionResult(number, name, bool(ok), detail,
                               time.perf_counter() - started)
         report.results.append(res)
-        print(res.line(), file=stream)
-        stream.flush()
-    print(report.summary(), file=stream)
+        print(res.line(), flush=True)
+    print(report.summary())
     return report

@@ -148,13 +148,12 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def print_config(cfg: dict, stream=None) -> None:
-    stream = sys.stdout if stream is None else stream
+def print_config(cfg: dict) -> None:
     for section, values in cfg.items():
-        print(f"[{section}]", file=stream)
+        print(f"[{section}]")
         for key, val in values.items():
-            print(f"{key} = {val}", file=stream)
-        print(file=stream)
+            print(f"{key} = {val}")
+        print()
 
 
 def _apply_sets(section: dict, pairs, label: str) -> dict:

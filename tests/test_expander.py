@@ -297,7 +297,7 @@ def test_shots_fall_back_only_when_the_guard_trips(monkeypatch):
     expander._shoot_profile.cache_clear()
     solve_expander_profile(ConeProfile.radial(2, 1.0))
     assert calls == []
-    assert len(shots) == 52 and all(k == 0 for _, k in shots)
+    assert len(shots) == 34 and all(k == 0 for _, k in shots)
     # with a cap of 2 and a bracket opening at a = 5 some shots blow up;
     # each falls back once, and so may a shot that nears the cap and lands.
     # The profile's slopes stay below 1, so the node solve never falls back
@@ -361,10 +361,10 @@ def test_nan_miss_raises_with_scanned(monkeypatch):
         return np.nan if abs(a - 1.7) < 0.05 else a - 1.7
 
     monkeypatch.setattr(expander, "_miss", fake_miss)
-    # bracket 1.0, 1.5, 2.25; bisection 1.875, then 1.6875 lands in the hole
+    # bracket 1.0, 1.5, 2.25; the first secant shot, 1.7, lands in the hole
     with pytest.raises(ShootingError, match="NaN") as info:
         solve_expander_profile(ConeProfile.radial(2, 1.0))
-    assert info.value.scanned == calls == [1.0, 1.5, 2.25, 1.875, 1.6875]
+    assert info.value.scanned == calls == [1.0, 1.5, 2.25, 1.7]
     # a NaN while bracketing stops the scan at once
     calls.clear()
     monkeypatch.setattr(expander, "_miss", lambda a, *_: calls.append(a) or np.nan)
@@ -445,6 +445,87 @@ def test_node_values_blow_up_raises_as_solve_ivp_stops():
     assert info.value.scanned == [5.0]
 
 
+def _seed_shoot_profile(n, beta, cfg):
+    """The profile solve with plain bisection, every midpoint shot, as
+    first written: the bracket grows from a = 0 until a shot overshoots,
+    then bisection runs to ``bisect_iters`` or a width of 1e-15."""
+    misses = []
+
+    def shoot(a):
+        misses.append(expander._miss(a, n, beta, cfg))
+        return misses[-1]
+
+    a_lo, a_hi = 0.0, max(beta, cfg.bracket_start)
+    for _ in range(cfg.bracket_max_tries):
+        if shoot(a_hi) > 0:
+            break
+        a_lo, a_hi = a_hi, a_hi * cfg.bracket_growth
+    for i in range(cfg.bisect_iters):
+        a_mid = 0.5 * (a_lo + a_hi)
+        if a_mid == a_lo or a_mid == a_hi:
+            break
+        if shoot(a_mid) > 0:
+            a_hi = a_mid
+        else:
+            a_lo = a_mid
+        if a_hi - a_lo <= 1e-15 * max(1.0, a_hi):
+            break
+    a = 0.5 * (a_lo + a_hi)
+    nodes = np.round(np.arange(0.0, cfg.rho_max + cfg.node_spacing / 2,
+                               cfg.node_spacing), 12)
+    nodes[-1] = cfg.rho_max
+    y = expander._node_values(a, n, cfg, nodes)
+    phi = np.concatenate([[a], y[0]])
+    phi_p = np.concatenate([[0.0], y[1]])
+    return SimpleNamespace(a=a, bracket=(a_lo, a_hi), bisections=i + 1, misses=misses,
+                           arrays=(nodes, phi, phi_p,
+                                   expander._rk4_defect(nodes, phi, phi_p, n)))
+
+
+# the six pairs of the seed-0 expander sweep, then the slope-capped config
+# whose first bracket shot blows up
+_SWEEP_PAIRS = [(2, 0.5273923374642908), (2, 1.353957342752774), (2, 2.2081947047872386),
+                (3, 0.40330552710570583), (3, 1.4626540478400545), (3, 2.382551115455544)]
+
+
+@pytest.mark.parametrize("n,beta,capped", [(n, b, False) for n, b in _SWEEP_PAIRS]
+                         + [(2, 1.0, True)])
+def test_certified_bisection_bit_identical_to_plain_bisection(n, beta, capped):
+    cfg = ShootingConfig(slope_cap=2.0, bracket_start=5.0) if capped else ShootingConfig()
+    want = _seed_shoot_profile(n, beta, cfg)
+    expander._shoot_profile.cache_clear()
+    prof = solve_expander_profile(ConeProfile.radial(n, beta), cfg)
+    assert prof.a == want.a
+    assert prof.report["bracket"] == want.bracket
+    assert prof.report["bisections"] == want.bisections
+    got = (prof.rho, prof.phi, prof.phi_prime, prof.node_residual)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want.arrays]
+    if capped:
+        # an infinite bracket end skips the locate phase: no shot is saved
+        assert want.misses[0] == np.inf
+        assert prof.report["shots"] == len(want.misses)
+    else:
+        assert prof.report["shots"] <= 40 < len(want.misses)
+
+
+@pytest.mark.parametrize("n,beta", sorted(REGRESSION_A))
+def test_computed_miss_increasing_outside_margin(n, beta):
+    # the premise of the certified signs: a shot with |miss| >= margin
+    # fixes the sign of every shot beyond it on its side
+    cfg = ShootingConfig()
+    root = solve_expander_profile(ConeProfile.radial(n, beta)).a
+    margin = expander._certify_margin(n, beta, cfg)
+    offsets = np.geomspace(1e-13, 1e-2, 23)
+    grid = np.concatenate([root * (1.0 - offsets[::-1]), root * (1.0 + offsets)])
+    miss = np.array([expander._miss(a, n, beta, cfg) for a in grid.tolist()])
+    sure = np.abs(miss) >= margin
+    assert np.all(np.diff(miss[sure]) > 0)
+    assert np.any(miss[sure] < 0) and np.any(miss[sure] > 0) and not np.all(sure)
+    for i in np.flatnonzero(sure):
+        beyond = miss[:i] if miss[i] < 0 else miss[i + 1:]
+        assert np.all((beyond <= 0) if miss[i] < 0 else (beyond > 0))
+
+
 def test_report_counts_shots(monkeypatch):
     expander._shoot_profile.cache_clear()
     calls = []
@@ -452,7 +533,7 @@ def test_report_counts_shots(monkeypatch):
     monkeypatch.setattr(expander, "_miss",
                         lambda *args: calls.append(args[0]) or shot(*args))
     prof = solve_expander_profile(ConeProfile.radial(2, 1.0))
-    assert prof.report["shots"] == len(calls) == 52
+    assert prof.report["shots"] == len(calls) == 34
     assert solve_expander_profile(ConeProfile.radial(2, 0.0)).report["shots"] == 0
 
 

@@ -103,9 +103,11 @@ def test_polar_matches_radial_curvature():
     assert np.max(err) < 2e-2
 
 
-# -- exact oracle of the polar curvature.  Scherk's minimal graph
-# u = log(cos y / cos x) has H = 0, and u = xy has the Cartesian mean
-# curvature ((1+u_y^2)u_xx - 2u_x u_y u_xy + (1+u_x^2)u_yy)/W^3 = -2xy/W^3.
+# -- exact oracle of the polar curvature and flow speed.  Scherk's minimal
+# graph u = log(cos y / cos x) has H = 0, and u = xy has the Cartesian mean
+# curvature ((1+u_y^2)u_xx - 2u_x u_y u_xy + (1+u_x^2)u_yy)/W^3 = -2xy/W^3
+# with W = sqrt(1 + x^2 + y^2), so its speed W*H is -2xy/W^2; u = xy is
+# homogeneous of degree 2, so the similarity drift (r u_r - u)/2 adds xy/2.
 # On the unit disk the interior error (all but the one-sided outer ring)
 # falls at second order; the cross term h[1] enters both graphs at first
 # order, so a wrong sign there is off by O(1).
@@ -114,18 +116,25 @@ def _polar_curvature_errors(nr, ntheta):
     spec = GridSpec.polar_disk(1.0, nr, ntheta)
     r, th = spec.nodes[:, None], spec.thetas[None, :]
     x, y = r * np.cos(th), r * np.sin(th)
-    scherk = mean_curvature(GridFunction(spec, np.log(np.cos(y) / np.cos(x)))).values
-    saddle = mean_curvature(GridFunction(spec, x * y)).values
-    want = -2.0 * x * y / np.sqrt(1.0 + x * x + y * y) ** 3
-    return (float(np.max(np.abs(scherk[:-1]))),
-            float(np.max(np.abs(saddle[:-1] - want[:-1]))))
+    scherk, saddle = np.log(np.cos(y) / np.cos(x)), x * y
+    W2 = 1.0 + x * x + y * y
+    got_want = [
+        (mean_curvature(GridFunction(spec, scherk)).values, 0.0),
+        (mean_curvature(GridFunction(spec, saddle)).values, -2.0 * x * y / W2 ** 1.5),
+        (geometry._polar_speed(spec, scherk), 0.0),
+        (geometry._polar_speed(spec, saddle), -2.0 * x * y / W2),
+        (geometry._polar_speed(spec, saddle, drift=True), -2.0 * x * y / W2 + x * y / 2),
+    ]
+    return [float(np.max(np.abs(got - want)[:-1])) for got, want in got_want]
 
 
 def test_polar_curvature_converges_on_exact_graphs():
     coarse = _polar_curvature_errors(41, 64)
     fine = _polar_curvature_errors(81, 128)
-    for e_coarse, e_fine in zip(coarse, fine):
-        assert e_fine <= 2e-3
+    # W reaches 1.6 on Scherk's disk and scales its speed error
+    bounds = (2e-3, 2e-3, 4e-3, 2e-3, 2e-3)
+    for e_coarse, e_fine, bound in zip(coarse, fine, bounds):
+        assert e_fine <= bound
         assert np.log2(e_coarse / e_fine) >= 1.8
 
 
