@@ -17,8 +17,8 @@ from .barriers import (HeatSupersolution, ScaledBarrier, StaticBarrier,
 from .cones import ConeProfile
 from .errors import (CertificationError, DomainError, GridError, NewtonError,
                      ParameterError, ShootingError, StepFailureError)
-from .expander import (ExpanderProfile, ShootingConfig, evaluate_U,
-                       expander_time_derivative, solve_expander_profile)
+from .expander import (ExpanderProfile, evaluate_U, expander_time_derivative,
+                       solve_expander_profile)
 from .experiments import (SCENARIOS, Scenario, run_family_uniform,
                           run_main_theorem, run_one_sided,
                           subsolution_dominance_experiment)
@@ -33,7 +33,7 @@ __all__ = [
     "ConeProfile", "DecayFit", "DomainError", "ExpanderProfile", "FlowRun",
     "GridError", "GridFunction", "GridSpec", "HeatSupersolution",
     "NewtonError", "ParameterError", "SCENARIOS",
-    "ScaledBarrier", "Scenario", "ShootingConfig", "ShootingError",
+    "ScaledBarrier", "Scenario", "ShootingError",
     "SolverConfig", "StaticBarrier", "StepFailureError", "Subsolution",
     "clearing_out_experiment", "clearing_out_scaling", "comparison_check", "decay_fit", "detect_t_delta",
     "evaluate_U", "evolution_equation_residuals", "evolve",

@@ -122,27 +122,18 @@ class ConeProfile:
 
     # -- derived scalars -----------------------------------------------------
 
-    def slope_bound(self, samples: int = 720) -> float:
-        """sup |Dk|, exact for radial cones, sampled for angular ones."""
+    def slope_bound(self) -> float:
+        """sup |Dk|, exact for radial cones, sampled at 720 angles for angular
+        ones."""
         if self.kind == "radial":
             return abs(self.beta)
-        th = 2.0 * np.pi * np.arange(samples) / samples
+        th = 2.0 * np.pi * np.arange(720) / 720
         return float(np.max(np.sqrt(self.gamma(th) ** 2 + self.gamma_prime(th) ** 2)))
 
-    def scaled_mean_curvature(self, theta=None):
-        """r * H[k], constant along rays.
-
-        Radial cones give (n-1)*beta/sqrt(1+beta^2).  Planar angular cones
-        give (1+g^2)(g+g'')/W^3 with W^2 = 1+g^2+g'^2, g = gamma(theta).
-        """
-        if self.kind == "radial":
-            value = (self.n - 1) * self.beta / np.sqrt(1.0 + self.beta ** 2)
-            return value if theta is None else np.full_like(np.asarray(theta, float), value)
-        g = self.gamma(theta)
-        gp = self.gamma_prime(theta)
-        gpp = self.gamma_second(theta)
-        W2 = 1.0 + g ** 2 + gp ** 2
-        return (1.0 + g ** 2) * (g + gpp) / W2 ** 1.5
+    def scaled_mean_curvature(self) -> float:
+        """r * H[k] of a radial cone, (n-1)*beta/sqrt(1+beta^2), the same on
+        every ray; its callers take radial cones only."""
+        return (self.n - 1) * self.beta / np.sqrt(1.0 + self.beta ** 2)
 
     def tail_coefficient(self, theta=None):
         """Coefficient c of the far-field expander correction U ~ k + c/rho.

@@ -38,9 +38,9 @@ Differential Equations, sec. 10) the exact phi(rho_max; a) is strictly
 increasing in a, up to blow-up.  So once LSODA's error is below half a
 margin M, a shot whose computed miss is at most -M (at least +M) fixes an
 undershoot (overshoot) for every a below (above) it.  M is derived from the
-tolerances, 1e3*(rtol*|tail(rho_max)| + atol) with rtol at LSODA's floor of
-100 eps at least; over 21 (n, beta) pairs the largest |miss| at and next to
-the root was 6.1 times that scale at rtol 1e-11 and 2.4 times at 1e-9.
+tolerances, 1e3*(rtol*|tail(rho_max)| + atol); over 21 (n, beta) pairs
+the largest |miss| at and next to the root was 6.1 times that scale at rtol
+1e-11 and 2.4 times at 1e-9.
 After the bracket, secant shots from its ends and one probe 2M/slope either
 side of the root estimate certify a narrow pair (lo, hi); a midpoint at or
 below lo undershoots and one at or above hi overshoots without a shot.  The
@@ -56,12 +56,16 @@ takes, bit for bit, without its per-step event search, wrapper closures and
 array conversions.  The stored profile (:func:`_node_values`) drives the same
 integrator one step per call and evaluates the nodes each step passes
 with scipy's own LSODA dense-output arithmetic, bit for bit the
-``solve_ivp(t_eval=nodes)`` result.  A shot or node solve that trips the
-guard is run again through :func:`_integrate`, the ``solve_ivp`` event
-path, which decides exactly whether an accepted step met the cap; that
-re-run is the only use of ``solve_ivp``.  Profiles are cached per
-``(n, beta, ShootingConfig)``, so every caller in a process shares one
-solve; their arrays are read-only.
+``solve_ivp(t_eval=nodes)`` result.  Both stop with a :class:`ShootingError`
+after ``_MAX_STEPS`` steps: a shot whose step size collapses would
+otherwise run on for minutes.  Only a shot or node solve that stops at the
+slope guard is run again through :func:`_integrate`, the ``solve_ivp``
+event path, which decides exactly whether an accepted step met the cap;
+that re-run is the only use of ``solve_ivp``.
+
+The numerics are fixed: the module constants below are the one setting
+every profile is solved with.  Profiles are cached per ``(n, beta)``, so
+every caller in a process shares one solve; their arrays are read-only.
 
 Anisotropic planar cones have no ODE reduction; for those
 :func:`relax_angular_expander` marches the flow in similarity variables
@@ -84,7 +88,6 @@ from .errors import DomainError, ParameterError, ShootingError
 from .geometry import GridFunction, GridSpec
 
 __all__ = [
-    "ShootingConfig",
     "ExpanderProfile",
     "solve_expander_profile",
     "evaluate_U",
@@ -94,33 +97,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShootingConfig:
-    rho_max: float = 40.0
-    node_spacing: float = 0.01
-    ode_rtol: float = 1e-11
-    ode_atol: float = 1e-12
-    ode_tol: float = 1e-8
-    asym_tol: float = 1e-4
-    bracket_start: float = 0.5
-    bracket_growth: float = 1.5
-    bracket_max_tries: int = 60
-    bisect_iters: int = 80
-    slope_cap: float = 1e7
-
-    def __post_init__(self):
-        # written so that NaN fails them too
-        if not 4.0 < self.rho_max < math.inf:
-            raise ParameterError("rho_max must be finite and large enough to reach "
-                                 "the far-field regime")
-        if not 0 < self.node_spacing <= self.rho_max / 100:
-            raise ParameterError("node_spacing must be positive and resolve the profile")
-        if not (math.isfinite(self.ode_rtol) and math.isfinite(self.ode_atol)):
-            raise ParameterError("ode_rtol and ode_atol must be finite")
-        if self.bracket_max_tries < 1 or self.bisect_iters < 1:
-            raise ParameterError("bracket_max_tries and bisect_iters must be at least 1")
-        if not self.slope_cap > 0:
-            raise ParameterError("slope_cap must be positive")
+# The fixed numerics: the nodes 0, 0.01, ..., rho_max; LSODA's tolerances
+# (rtol above its floor of 100 eps); the bounds on the ODE defect and the
+# far-field gap; a bracket opening at max(beta, 0.5) and growing by 1.5 per
+# undershoot; the slope |phi'| at which a shot has blown up.
+_RHO_MAX, _NODE_SPACING = 40.0, 0.01
+_ODE_RTOL, _ODE_ATOL = 1e-11, 1e-12
+_ODE_TOL, _ASYM_TOL = 1e-8, 1e-4
+_BRACKET_START, _BRACKET_GROWTH, _BRACKET_MAX_TRIES, _BISECT_ITERS = 0.5, 1.5, 60, 80
+_SLOPE_CAP = 1e7
+# LSODA steps per shot or node solve: the longest shot of the battery and
+# benchmark profiles takes 840, so 10,000 leaves a factor of 12 (at n = 30
+# the a = 1.5 shot holds h at 7.9e-7; 2 million steps reach rho = 1.57)
+_MAX_STEPS = 10_000
+# the largest h*|dF/dp| of one RK4 substep of the defect check: the
+# battery's profiles reach 2.00005 per node interval (n = 3, rho = 0.01)
+# and keep two substeps; the (2, 10) profile reaches 20.2 at rho_max
+_RK4_SUBSTEP_HL = 1.25
 
 
 def _tail_coeffs(n: int, beta: float) -> tuple:
@@ -158,52 +151,44 @@ def _ode_rhs(rho, y, n, half_cap=None):
     return [p, (1.0 + p * p) * (0.5 * (phi - rho * p) - (n - 1) * p / rho)]
 
 
-_SERIES_RHO = 1e-6
-
-
 def _series_start(a: float, n: int):
-    # phi = a + a*rho^2/(4n) + O(rho^4) near the axis
-    rho0 = _SERIES_RHO
+    # phi = a + a*rho^2/(4n) + O(rho^4) near the axis, started at rho = 1e-6
+    rho0 = 1e-6
     return rho0, [a + a * rho0 ** 2 / (4.0 * n), a * rho0 / (2.0 * n)]
 
 
-def _integrate(a: float, n: int, cfg: ShootingConfig, t_eval: np.ndarray):
-    """Integrate outward from the axis to the nodes ``t_eval`` through
-    solve_ivp; returns its result (status 1 if the slope passed
-    ``slope_cap``).  Only a solve whose slope guard tripped comes here, for
-    the exact re-run: a shot with ``t_eval=[rho_max]``, the node solve with
-    the profile nodes."""
+def _integrate(a: float, n: int, t_eval: np.ndarray):
+    """solve_ivp from the axis to the nodes ``t_eval`` (status 1 if the slope
+    passed the cap): the exact re-run of a shot (``t_eval=[rho_max]``) or of
+    the node solve (the profile nodes) whose slope guard tripped."""
     rho0, y0 = _series_start(a, n)
 
     def blow_up(rho, y, *_args):
-        return cfg.slope_cap - abs(y[1])
+        return _SLOPE_CAP - abs(y[1])
 
     blow_up.terminal = True
-    return solve_ivp(_ode_rhs, (rho0, cfg.rho_max), y0, args=(n,), method="LSODA",
-                     rtol=cfg.ode_rtol, atol=cfg.ode_atol, t_eval=t_eval, events=blow_up)
+    return solve_ivp(_ode_rhs, (rho0, _RHO_MAX), y0, args=(n,), method="LSODA",
+                     rtol=_ODE_RTOL, atol=_ODE_ATOL, t_eval=t_eval, events=blow_up)
 
 
-def _lsoda(a: float, n: int, cfg: ShootingConfig):
+def _lsoda(a: float, n: int):
     """scipy's LSODA integrator set up for a solve from the axis, with the
-    start (y0, rho0).
-
-    The public ``LSODA`` object is built only for its set-up: tolerance
-    validation (including the rtol floor), the work arrays and ``rho_max``
-    as the critical time.
-    """
+    start (y0, rho0).  The public ``LSODA`` object is built only for its
+    set-up: tolerance validation, the work arrays and the critical time."""
     rho0, y0 = _series_start(a, n)
-    ode = LSODA(lambda rho, y: _ode_rhs(rho, y, n), rho0, y0, cfg.rho_max,
-                rtol=cfg.ode_rtol, atol=cfg.ode_atol)._lsoda_solver
+    ode = LSODA(lambda rho, y: _ode_rhs(rho, y, n), rho0, y0, _RHO_MAX,
+                rtol=_ODE_RTOL, atol=_ODE_ATOL)._lsoda_solver
     return ode._integrator, ode._y, rho0
 
 
-def _miss(a: float, n: int, beta: float, cfg: ShootingConfig) -> float:
+def _miss(a: float, n: int, beta: float) -> float:
     """Signed distance of phi(rho_max) from the refined tail; +/-inf on blow-up.
 
     Returns bit for bit what solve_ivp with ``t_eval=[rho_max]`` and a
     terminal slope event gives.  The :func:`_lsoda` integrator is run once,
-    with itask 4 (to tout = rho_max, never past the critical time) and no
-    step limit, on :func:`_ode_rhs` with the guard at ``slope_cap/2``.
+    with itask 4 (to tout = rho_max, never past the critical time) and at
+    most ``_MAX_STEPS`` steps, on :func:`_ode_rhs` with the guard at half
+    the slope cap; a shot that needs more steps raises with LSODA's istate.
 
     Same steps: LSODA applies the same critical-time clamp after every
     step, whether itask 4 goes on or itask 5 returns, so the single call
@@ -214,64 +199,67 @@ def _miss(a: float, n: int, beta: float, cfg: ShootingConfig) -> float:
     corrector update away from a state the RHS was evaluated at, and the
     convergence test bounds that update on the rtol*|p| + atol scale.  So,
     with rtol far below 1/2 and the cap far above atol, an accepted
-    |p| >= slope_cap implies an evaluated |p| >= slope_cap/2.
+    |p| >= cap implies an evaluated |p| >= cap/2.
     A shot that never trips the guard therefore never met the terminal
     event; one that trips it (or meets a NaN slope) is run again through
     :func:`_integrate`, the solve_ivp event path itself, which decides
     between blow-up and a finite landing.
     """
-    integrator, y, rho0 = _lsoda(a, n, cfg)
+    integrator, y, rho0 = _lsoda(a, n)
     integrator.call_args[2] = 4  # itask 4: to tout, never past tcrit
-    integrator.iwork[5] = np.iinfo(np.int32).max  # mxstep: no limit in the one call
+    integrator.iwork[5] = _MAX_STEPS  # mxstep: the step bound of the one call
     try:
-        y, _ = integrator.run(_ode_rhs, None, y, rho0, cfg.rho_max,
-                              (n, cfg.slope_cap / 2), ())
+        y, rho = integrator.run(_ode_rhs, None, y, rho0, _RHO_MAX,
+                                (n, _SLOPE_CAP / 2), ())
     except _SlopeGuard:
-        sol = _integrate(a, n, cfg, t_eval=[cfg.rho_max])
+        sol = _integrate(a, n, t_eval=[_RHO_MAX])
         if sol.status == 1:
             return np.inf if sol.y_events[0][0][1] > 0 else -np.inf
         if not sol.success:
-            raise ShootingError(f"profile integration failed at a={a}: {sol.message}",
-                                scanned=[a]) from None
+            raise ShootingError(f"profile integration failed at a={a}: {sol.message} "
+                                f"(n={n}, beta={beta})", scanned=[a]) from None
         y = sol.y[:, -1]
     else:
         if not integrator.success:
             istate = integrator.istate
             raise ShootingError(
                 f"profile integration failed at a={a}: LSODA istate {istate} "
-                f"({integrator.messages.get(istate, 'unknown istate')})", scanned=[a])
-    return float(y[0] - _tail_value(n, beta, cfg.rho_max))
+                f"({integrator.messages.get(istate, 'unknown istate')}) at "
+                f"rho={rho:.3g} after {integrator.iwork[10]} steps "
+                f"(n={n}, beta={beta})", scanned=[a])
+    return float(y[0] - _tail_value(n, beta, _RHO_MAX))
 
 
 # exponents 0..q of scipy's LsodaDenseOutput for each LSODA order q <= 12
 _POWERS = [np.arange(q + 1)[:, None] for q in range(13)]
 
 
-def _node_values(a: float, n: int, cfg: ShootingConfig, nodes: np.ndarray) -> np.ndarray:
+def _node_values(a: float, n: int, nodes: np.ndarray) -> np.ndarray:
     """(phi, phi') at ``nodes[1:]`` for the axis height a, as a (2, N-1) array.
 
     Returns bit for bit the ``y`` of :func:`_integrate` with
     ``t_eval=nodes[1:]``.  The :func:`_miss` integrator takes one step per
     call (itask 5, never past rho_max), as solve_ivp's stepper does, on the
-    same slope guard.  After each step the nodes in (rho_old, rho] (found
-    as solve_ivp finds them, bisecting to the right) are evaluated with
-    scipy's ``LsodaDenseOutput`` arithmetic in its shapes: the Nordsieck
-    array of the last step's order, its last column rescaled to the next
-    step size when the order is set to drop, and one ``np.dot`` per step.
-    A tripped guard or a bad istate re-runs the solve through
-    :func:`_integrate`, which raises on a blow-up or a failed integration.
+    same slope guard, for at most ``_MAX_STEPS`` steps.  After each step
+    the nodes in (rho_old, rho] (found as solve_ivp finds them, bisecting
+    to the right) are evaluated with scipy's ``LsodaDenseOutput`` arithmetic
+    in its shapes: the Nordsieck array of the last step's order, its last
+    column rescaled to the next step size when the order is set to drop,
+    and one ``np.dot`` per step.  A tripped guard or a bad istate re-runs
+    the solve through :func:`_integrate`, which raises on a blow-up or a
+    failed integration.
     """
     t_eval = nodes[1:]
-    integrator, y, rho = _lsoda(a, n, cfg)
+    integrator, y, rho = _lsoda(a, n)
     integrator.call_args[2] = 5  # itask 5: one step, never past tcrit
     rwork, iwork = integrator.rwork, integrator.iwork
-    args = (n, cfg.slope_cap / 2)
+    args = (n, _SLOPE_CAP / 2)
     knots = t_eval.tolist()
     out = np.empty((2, t_eval.size))
     i = 0
     try:
-        while rho < cfg.rho_max:
-            y, rho = integrator.run(_ode_rhs, None, y, rho, cfg.rho_max, args, ())
+        for _ in range(_MAX_STEPS):
+            y, rho = integrator.run(_ode_rhs, None, y, rho, _RHO_MAX, args, ())
             if not integrator.success:
                 break
             j = bisect_right(knots, rho)
@@ -283,37 +271,55 @@ def _node_values(a: float, n: int, cfg: ShootingConfig, nodes: np.ndarray) -> np
                     yh[:, -1] *= (h / rwork[10]) ** order
                 out[:, i:j] = np.dot(yh, ((t_eval[i:j] - rho) / h) ** _POWERS[order])
                 i = j
+            if not rho < _RHO_MAX:
+                return out
         else:
-            return out
+            raise ShootingError(f"profile integration failed at a={a}: {_MAX_STEPS} "
+                                f"LSODA steps reached only rho={rho:.3g} (n={n})",
+                                scanned=[a])
     except _SlopeGuard:
         pass
-    sol = _integrate(a, n, cfg, t_eval=t_eval)
+    sol = _integrate(a, n, t_eval=t_eval)
     if not sol.success or sol.status == 1:
         where = sol.t[-1] if sol.t.size else 0.0
         raise ShootingError(f"converged shot blew up at rho={where:.3g}", scanned=[a])
     return sol.y
 
 
-def _rk4_defect(rho: np.ndarray, phi: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
+def _rk4_substeps(rho: np.ndarray, phi: np.ndarray, p: np.ndarray, n: int) -> int:
+    """RK4 substeps per node interval for :func:`_rk4_defect`: two, or enough
+    to keep each substep's h*|dF/dp| at most ``_RK4_SUBSTEP_HL``.  Past about
+    2.8 RK4 is unstable and measures its own growth, not the profile's
+    defect; dF/dp reaches -(n-1)/rho at the axis, -(1+beta^2)*rho/2 far out.
+    """
+    x, phi, p = rho[1:], phi[1:], p[1:]
+    dfdp = np.abs(p * (phi - x * p - 2 * (n - 1) * p / x)
+                  - (1.0 + p * p) * (0.5 * x + (n - 1) / x))
+    hl = float(np.max(np.diff(x) * np.maximum(dfdp[:-1], dfdp[1:])))
+    # a NaN node compares false and keeps two; the defect then reads NaN
+    return math.ceil(hl / _RK4_SUBSTEP_HL) if 2 * _RK4_SUBSTEP_HL < hl < math.inf else 2
+
+
+def _rk4_defect(rho: np.ndarray, phi: np.ndarray, p: np.ndarray, n: int,
+                substeps: int) -> np.ndarray:
     """Per-interval re-integration defect of the stored profile.
 
     Each interval [rho_i, rho_i+1] is re-integrated from the stored left state
-    with two RK4 substeps; the defect against the stored right state measures
-    how well the nodes satisfy the ODE, at an accuracy (O(h^5) per interval)
-    far below the defect sizes of interest.  The first interval is excluded:
-    it touches the coordinate singularity at the axis.
+    with ``substeps`` RK4 substeps; the defect against the stored right state
+    measures how well the nodes satisfy the ODE, at an accuracy (O(h^5) per
+    interval) far below the defect sizes of interest.  The first interval is
+    excluded: it touches the coordinate singularity at the axis.
     """
     y = np.stack([phi[1:-1], p[1:-1]])
     x = rho[1:-1].copy()
-    h_full = rho[2:] - rho[1:-1]
+    h = (rho[2:] - rho[1:-1]) / substeps
 
     def f(x_, y_):
         with np.errstate(divide="ignore"):
             drift = 0.5 * (y_[0] - x_ * y_[1]) - (n - 1) * y_[1] / x_
         return np.stack([y_[1], (1.0 + y_[1] ** 2) * drift])
 
-    for _ in range(2):
-        h = h_full / 2.0
+    for _ in range(substeps):
         k1 = f(x, y)
         k2 = f(x + h / 2, y + (h / 2) * k1)
         k3 = f(x + h / 2, y + (h / 2) * k2)
@@ -404,16 +410,17 @@ class ExpanderProfile:
         return ConeProfile.radial(self.n, self.beta)
 
 
-def solve_expander_profile(k: ConeProfile, config: ShootingConfig | None = None) -> ExpanderProfile:
+def solve_expander_profile(k: ConeProfile) -> ExpanderProfile:
     """Shoot for the expanding profile out of a rotationally symmetric cone.
 
     Bisects the axis height a = phi(0) on the sign of phi(rho_max) minus the
-    refined tail.  Postconditions checked here: the per-interval ODE defect
-    stays below ``ode_tol`` and the far-field gap |phi - tail| over
-    [rho_max/2, rho_max] stays below ``asym_tol``; violations raise with a
-    suggested remedy rather than returning a dubious profile.
+    refined tail, with the fixed numerics of the module constants.
+    Postconditions: the per-interval ODE defect stays below 1e-8 and the
+    far-field gap |phi - tail| over [rho_max/2, rho_max] below 1e-4.  A
+    violation, or a shot that stops, raises :class:`ShootingError` naming
+    (n, beta) and what was measured, rather than return a dubious profile.
 
-    Profiles are cached per ``(n, beta, config)``: equal keys return the same
+    Profiles are cached per ``(n, beta)``: equal keys return the same
     object, whose ``rho``, ``phi``, ``phi_prime`` and ``node_residual`` arrays
     are read-only because every caller shares them.
     """
@@ -423,19 +430,16 @@ def solve_expander_profile(k: ConeProfile, config: ShootingConfig | None = None)
     beta, n = float(k.beta), int(k.n)
     if beta < 0:
         raise ParameterError("expander profiles are computed for slopes beta >= 0")
-    return _shoot_profile(n, beta, config or ShootingConfig())
+    return _shoot_profile(n, beta)
 
 
-# LSODA runs at rtol >= 100*eps: scipy raises a smaller one to that floor
-_RTOL_FLOOR = 100 * np.finfo(float).eps
 _SECANT_SHOTS = 4  # at most; they stop once one lands inside the margin
 
 
-def _certify_margin(n: int, beta: float, cfg: ShootingConfig) -> float:
+def _certify_margin(n: int, beta: float) -> float:
     """The |miss| from which a computed shot certifies its sign: 1e3 times
     the tolerance scale rtol*|tail(rho_max)| + atol of phi(rho_max)."""
-    rtol = max(cfg.ode_rtol, _RTOL_FLOOR)
-    return 1e3 * (rtol * abs(_tail_value(n, beta, cfg.rho_max)) + cfg.ode_atol)
+    return 1e3 * (_ODE_RTOL * abs(_tail_value(n, beta, _RHO_MAX)) + _ODE_ATOL)
 
 
 def _secant(x0: float, f0: float, x1: float, f1: float):
@@ -453,10 +457,10 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 
 @lru_cache(maxsize=32)
-def _shoot_profile(n: int, beta: float, cfg: ShootingConfig) -> ExpanderProfile:
+def _shoot_profile(n: int, beta: float) -> ExpanderProfile:
     """The solve behind :func:`solve_expander_profile`, memoized per key."""
-    nodes = np.round(np.arange(0.0, cfg.rho_max + cfg.node_spacing / 2, cfg.node_spacing), 12)
-    nodes[-1] = cfg.rho_max
+    nodes = np.round(np.arange(0.0, _RHO_MAX + _NODE_SPACING / 2, _NODE_SPACING), 12)
+    nodes[-1] = _RHO_MAX
 
     if beta == 0.0:
         zeros = np.zeros_like(nodes)
@@ -471,12 +475,12 @@ def _shoot_profile(n: int, beta: float, cfg: ShootingConfig) -> ExpanderProfile:
     scanned = []  # every shot's a, in order
     # the certified pair: every a <= lo_cert undershoots and every
     # a >= hi_cert overshoots (a = 0 is the exact zero profile, below the tail)
-    margin = _certify_margin(n, beta, cfg)
+    margin = _certify_margin(n, beta)
     lo_cert, hi_cert = 0.0, math.inf
 
     def shoot(a_try: float) -> float:
         nonlocal lo_cert, hi_cert
-        miss = _miss(a_try, n, beta, cfg)
+        miss = _miss(a_try, n, beta)
         scanned.append(a_try)
         if np.isnan(miss):
             raise ShootingError(f"shot at a={a_try} missed by NaN (n={n}, beta={beta})",
@@ -489,14 +493,14 @@ def _shoot_profile(n: int, beta: float, cfg: ShootingConfig) -> ExpanderProfile:
 
     # bracket: a = 0 undershoots (the zero profile is below the tail), then
     # grow until the shot lands above the tail
-    a_lo, f_lo = 0.0, -_tail_value(n, beta, cfg.rho_max)
-    a_hi = max(beta, cfg.bracket_start)
-    for _ in range(cfg.bracket_max_tries):
+    a_lo, f_lo = 0.0, -_tail_value(n, beta, _RHO_MAX)
+    a_hi = max(beta, _BRACKET_START)
+    for _ in range(_BRACKET_MAX_TRIES):
         f_hi = shoot(a_hi)
         if f_hi > 0:
             break
         a_lo, f_lo = a_hi, f_hi
-        a_hi *= cfg.bracket_growth
+        a_hi *= _BRACKET_GROWTH
     else:
         raise ShootingError(
             f"no overshoot found up to a={a_hi:.3g} (n={n}, beta={beta})", scanned=scanned)
@@ -521,7 +525,7 @@ def _shoot_profile(n: int, beta: float, cfg: ShootingConfig) -> ExpanderProfile:
                     shoot(probe)
 
     # bisection; a midpoint whose sign is certified is not shot
-    for i in range(cfg.bisect_iters):
+    for i in range(_BISECT_ITERS):
         a_mid = 0.5 * (a_lo + a_hi)
         if a_mid == a_lo or a_mid == a_hi:
             break
@@ -539,13 +543,13 @@ def _shoot_profile(n: int, beta: float, cfg: ShootingConfig) -> ExpanderProfile:
             break
     a = 0.5 * (a_lo + a_hi)
 
-    y = _node_values(a, n, cfg, nodes)
+    y = _node_values(a, n, nodes)
     phi = np.concatenate([[a], y[0]])
     phi_p = np.concatenate([[0.0], y[1]])
 
-    node_res = _rk4_defect(nodes, phi, phi_p, n)
+    node_res = _rk4_defect(nodes, phi, phi_p, n, _rk4_substeps(nodes, phi, phi_p, n))
     ode_residual = float(np.max(node_res[:-1]))  # last node is one-sided anyway
-    far = nodes >= cfg.rho_max / 2
+    far = nodes >= _RHO_MAX / 2
     asym_gap = float(np.max(np.abs(phi[far] - _tail_value(n, beta, nodes[far]))))
     report = {
         "ode_residual": ode_residual,
@@ -557,14 +561,14 @@ def _shoot_profile(n: int, beta: float, cfg: ShootingConfig) -> ExpanderProfile:
         "udot_min": float(np.min(0.5 * (phi - nodes * phi_p))),
     }
     # written so that a NaN residual or gap fails them too
-    if not ode_residual <= cfg.ode_tol:
+    if not ode_residual <= _ODE_TOL:
         raise ShootingError(
-            f"profile ODE defect {ode_residual:.2e} exceeds {cfg.ode_tol:.1e}; "
-            "reduce node_spacing or tighten ode_rtol", scanned=[a])
-    if not asym_gap <= cfg.asym_tol:
+            f"profile ODE defect {ode_residual:.2e} exceeds {_ODE_TOL:.1e} "
+            f"(n={n}, beta={beta})", scanned=[a])
+    if not asym_gap <= _ASYM_TOL:
         raise ShootingError(
-            f"far-field gap {asym_gap:.2e} exceeds {cfg.asym_tol:.1e} on "
-            f"[{cfg.rho_max / 2:.0f}, {cfg.rho_max:.0f}]; increase rho_max", scanned=[a])
+            f"far-field gap {asym_gap:.2e} exceeds {_ASYM_TOL:.1e} on "
+            f"[{_RHO_MAX / 2:.0f}, {_RHO_MAX:.0f}] (n={n}, beta={beta})", scanned=[a])
     _read_only(nodes, phi, phi_p, node_res)
     return ExpanderProfile(n, beta, nodes, phi, phi_p, a, report=report, node_residual=node_res)
 
@@ -606,16 +610,18 @@ class AngularExpander:
         return float(np.mean(self.solution.values[0]))
 
 
+_RELAX_TAU_MAX = 40.0  # similarity time at which the relaxation gives up
+
+
 def relax_angular_expander(k: ConeProfile, rho_max: float = 12.0, nr: int = 72,
-                           ntheta: int = 32, tau_max: float = 40.0, dtau: float = 0.05,
-                           stationary_tol: float = 1e-5) -> AngularExpander:
+                           ntheta: int = 32) -> AngularExpander:
     """Relax the flow in similarity variables to the expanding profile.
 
     In the variables v(rho,theta) = U/sqrt(t), rho = x/sqrt(t), tau = log t,
     the graph flow becomes v_tau = sqrt(1+|Dv|^2) H[v] + (rho v_rho - v)/2 and
     expanders are its stationary states.  The outer ring is pinned to the
-    refined cone tail gamma*rho_max + c(theta)/rho_max, and implicit steps are
-    taken until the update rate drops below ``stationary_tol``.
+    refined cone tail gamma*rho_max + c(theta)/rho_max, and implicit steps of
+    dtau = 0.05 are taken until the update rate drops to 1e-5, or tau = 40.
     """
     from . import flow
 
@@ -625,18 +631,19 @@ def relax_angular_expander(k: ConeProfile, rho_max: float = 12.0, nr: int = 72,
     v = k.on_grid(spec).values.copy()
     v[-1, :] = k.gamma(spec.thetas) * rho_max + k.tail_coefficient(spec.thetas) / rho_max
     u = GridFunction(spec, v)
+    dtau = 0.05
     cfg = flow.SolverConfig(boundary="pin-to-initial", adaptive=False, dt_init=dtau,
                             similarity_drift=True)
     bv = flow.boundary_values_for(u, cfg)
     rate = np.inf
     steps = iters = 0
-    while steps * dtau < tau_max:
+    while steps * dtau < _RELAX_TAU_MAX:
         stats = {}
         u_new = flow.step(u, dtau, cfg, bv, (steps + 1) * dtau, stats=stats)
         iters += stats["iters"]
         rate = float(np.max(np.abs(u_new.values - u.values))) / dtau
         u = u_new
         steps += 1
-        if rate <= stationary_tol:
+        if rate <= 1e-5:
             break
-    return AngularExpander(k, u, rate, steps, rate <= stationary_tol, iters)
+    return AngularExpander(k, u, rate, steps, rate <= 1e-5, iters)

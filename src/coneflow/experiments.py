@@ -195,13 +195,13 @@ class OneSidedReport:
 def run_one_sided(n: int = 2, beta: float = 1.0, t_offset: float = 0.5,
                   r_max: float = 75.0, nodes: int = 1501,
                   horizon: float = 50.0, snapshot_dt: float = 0.5,
-                  dt_max: float = 0.025, fit_window: tuple = (5.0, 50.0),
-                  exponent_band: tuple = (-0.65, -0.35)) -> OneSidedReport:
+                  dt_max: float = 0.025,
+                  fit_window: tuple = (5.0, 50.0)) -> OneSidedReport:
     """One-sided data between the cone and the soliton decays diffusively.
 
     u0 is the shifted soliton U(., t_offset), checked to lie above the cone
     k.  The measured sup|u - U(., t)| is fitted over the window (a decade by
-    default) and the exponent must land in the band around -1/2.
+    default) and the exponent must land in [-0.65, -0.35], around -1/2.
     """
     k = ConeProfile.radial(n, beta)
     profile = solve_expander_profile(k)
@@ -217,7 +217,7 @@ def run_one_sided(n: int = 2, beta: float = 1.0, t_offset: float = 0.5,
     trace = _expander_gap(run, profile)
     sel = (times >= fit_window[0]) & (times <= fit_window[1]) & (trace > 0)
     fit = decay_fit(times[sel], trace[sel])
-    passed = exponent_band[0] <= fit.exponent <= exponent_band[1]
+    passed = -0.65 <= fit.exponent <= -0.35
     return OneSidedReport(run, times, trace, fit, bool(passed))
 
 

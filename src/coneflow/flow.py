@@ -75,6 +75,10 @@ _BOUNDARY_MODES = ("pin-to-initial", "pin-to-cone", "pin-to-expander")
 # the ring-major numbering is already a band ordering, so SuperLU factors in it
 splu = partial(scipy.sparse.linalg.splu, permc_spec="NATURAL")
 
+# Newton iterations before a step fails, the per-step Newton counts adaptive
+# runs steer between, and the floor of dt when failed steps halve it
+_NEWTON_MAX_ITER, _TARGET_NEWTON, _DT_MIN = 14, (3, 5), 1e-9
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -82,22 +86,17 @@ class SolverConfig:
 
     dt_init: float = 1e-3
     dt_max: float = 0.1
-    dt_min: float = 1e-9
     adaptive: bool = True
-    target_newton: tuple = (3, 5)
     newton_tol: float = 1e-10
-    newton_max_iter: int = 14
     boundary: str = "pin-to-initial"
     snapshot_dt: float = 0.5
     similarity_drift: bool = False
 
     def __post_init__(self):
-        if not all(0 < dt < math.inf for dt in (self.dt_init, self.dt_max, self.dt_min)):
+        if not all(0 < dt < math.inf for dt in (self.dt_init, self.dt_max)):
             raise ParameterError("time steps must be positive and finite")
         if not (0.0 < self.newton_tol <= 1e-4):
             raise ParameterError("newton_tol must lie in (0, 1e-4]")
-        if self.newton_max_iter < 1:
-            raise ParameterError("newton_max_iter must be at least 1")
         if self.boundary not in _BOUNDARY_MODES:
             raise ParameterError(f"boundary mode must be one of {_BOUNDARY_MODES}")
         if not 0 < self.snapshot_dt < math.inf:
@@ -350,7 +349,7 @@ def _newton(v, residual, solve, config, scale, history):
     """
     res, extra = residual(v)
     res_norm = float(abs(res).max())
-    for _ in range(config.newton_max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         history.append(res_norm)
         if not np.isfinite(res_norm):
             raise NewtonError(f"non-finite Newton residual after {len(history) - 1} "
@@ -374,7 +373,7 @@ def _newton(v, residual, solve, config, scale, history):
             v_try = v - lam * delta
         v, res, res_norm = v_try, r_try, try_norm
     raise NewtonError(f"Newton stalled at residual {history[-1]:.3e} after "
-                      f"{config.newton_max_iter} iterations", residuals=history)
+                      f"{_NEWTON_MAX_ITER} iterations", residuals=history)
 
 
 @dataclass
@@ -436,8 +435,8 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
 
     Steps are clipped to land precisely on multiples of ``snapshot_dt`` (past
     t_start), so runs with equal cadence produce comparable snapshot times.
-    Adaptive stepping targets the configured Newton-iteration band; failed
-    steps retry with halved dt down to dt_min, then raise StepFailureError.
+    Adaptive stepping targets 3 to 5 Newton iterations per step; failed
+    steps retry with halved dt down to 1e-9, then raise StepFailureError.
     Step times, step sizes and Newton counts are always recorded; the
     per-step diagnostics (sup|u - k|, sup|u - U|, min and max H) only with
     ``diagnostics=True``.  They do not feed back into the stepping, so the
@@ -454,7 +453,7 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
     run.record_snapshot(t, u)
     dt = min(config.dt_init, config.dt_max)
     next_snap = t_start + config.snapshot_dt
-    lo, hi = config.target_newton
+    lo, hi = _TARGET_NEWTON
 
     while t < t_end - 1e-12:
         dt_try = min(dt, t_end - t, max(next_snap - t, 1e-13))
@@ -462,11 +461,11 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
         try:
             u_new = step(u, dt_try, config, boundary, t_new=t + dt_try, stats=stats)
         except NewtonError as err:
-            if not config.adaptive or dt_try <= config.dt_min * 1.0000001:
+            if not config.adaptive or dt_try <= _DT_MIN * 1.0000001:
                 raise StepFailureError(
                     f"step failed at t={t:.6g} with dt={dt_try:.3e}",
                     t=t, dt=dt_try, residuals=err.residuals) from err
-            dt = max(dt_try / 2.0, config.dt_min)
+            dt = max(dt_try / 2.0, _DT_MIN)
             continue
         t = t + dt_try
         run.step_times.append(float(t))
@@ -485,7 +484,7 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
             if its < lo:
                 dt = min(dt * 1.4, config.dt_max)
             elif its > hi:
-                dt = max(dt * 0.7, config.dt_min)
+                dt = max(dt * 0.7, _DT_MIN)
     return run
 
 

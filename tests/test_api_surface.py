@@ -1,5 +1,6 @@
-"""Every public function and class has a product caller, and every seam the
-benchmark tracer wraps by name still exists.
+"""Every public function and class has a product caller, every seam the
+benchmark tracer wraps by name still exists, and every defaulted parameter
+no caller sets has a stated reason to stay a parameter.
 
 A function or class listed in a module's ``__all__`` must be referenced by
 package code outside its own definition (the package ``__init__`` re-exports
@@ -12,12 +13,15 @@ up; the strings of ``__all__`` itself do not count.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from coneflow.experiments import SCENARIOS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "coneflow"
@@ -100,3 +104,104 @@ def test_benchmark_tracer_installs():
          "import tracing; tracing.install(tracing.Recorder())"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# -- defaulted parameters that no caller sets ---------------------------------
+# A parameter with a default that no call site in src/ or perfbench/*.py
+# passes, by keyword or by position, is an option nothing varies: it becomes
+# a constant unless this list keeps it.  Tests do not count as callers.  An
+# entry is (file, callee, parameter); "*" stands for every callee of the file
+# or every parameter of the callee.
+UNSET_KEEP = {
+    # the scenario runners: Scenario.run(**kw) hands them the quick settings
+    # and `experiment --set` every scalar parameter, through ** where the scan
+    # sees no parameter (checked in the test below)
+    ("experiments.py", "run_main_theorem", "*"),
+    ("experiments.py", "run_one_sided", "*"),
+    ("experiments.py", "run_family_uniform", "*"),
+    ("experiments.py", "subsolution_dominance_experiment", "*"),
+    # each criterion's quick flag, which run_acceptance passes positionally
+    # to the functions of its CRITERIA table
+    ("acceptance.py", "*", "quick"),
+    # record fields that the producers fill by appends
+    ("flow.py", "FlowRun", "*"),
+    ("acceptance.py", "AcceptanceReport", "results"),
+    # passed positionally through LSODA's argument tuple
+    ("expander.py", "_ode_rhs", "half_cap"),
+    # a negative control: the flat cone, which is not strictly mean convex
+    ("barriers.py", "static_barrier_w", "require_mean_convex"),
+    # the block oracle keeps every node with outer_margin=0
+    ("barriers.py", "psi_identity_residual", "outer_margin"),
+}
+
+
+def _scoped(path: Path):
+    """(enclosing top-level class or None, node) for every node of a file."""
+    for top in _parse(path).body:
+        owner = top.name if isinstance(top, ast.ClassDef) else None
+        yield from ((owner, node) for node in ast.walk(top))
+
+
+def _unset_defaults() -> tuple:
+    """(unset, settable): the (file, callee, parameter) triples of the
+    package's defaulted parameters and dataclass init fields that no call
+    site passes, and the number of all of them.  Callees are matched by name
+    only, and a field counts as set by any ``replace(..., field=...)``."""
+    src = sorted(PACKAGE.glob("*.py"))
+    callers = src + [p for p in sorted(PERFBENCH.glob("*.py"))
+                     if not p.name.startswith("test_")]
+    settable = {}  # (file, callee, parameter) -> (positional index, field?)
+    for path in src:
+        for owner, node in _scoped(path):
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                fn = owner if node.name == "__init__" else node.name
+                pos = [p.arg for p in a.posonlyargs + a.args if p.arg not in ("self", "cls")]
+                for i in range(len(pos) - len(a.defaults), len(pos)):
+                    settable[path.name, fn, pos[i]] = (i, False)
+                settable.update({(path.name, fn, p.arg): (None, False)
+                                 for p, d in zip(a.kwonlyargs, a.kw_defaults) if d})
+            elif isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields = [s for s in node.body if isinstance(s, ast.AnnAssign)
+                          and "init=False" not in ast.unparse(s)]
+                for i, s in enumerate(fields):
+                    if s.value is not None:
+                        settable[path.name, node.name, s.target.id] = (i, True)
+    passed = set()  # (callee, keyword or positional index) of every call
+    for path in callers:
+        for owner, call in _scoped(path):
+            if isinstance(call, ast.Call):
+                f = call.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                callee = owner if callee == "cls" else callee
+                passed |= {(callee, kw.arg) for kw in call.keywords}
+                passed |= {(callee, i) for i in range(len(call.args))}
+    unset = {(file, fn, name) for (file, fn, name), (i, field) in settable.items()
+             if not {(fn, name), (fn, i)} & passed
+             and not (field and ("replace", name) in passed)}
+    return unset, len(settable)
+
+
+def _keys(file, fn, name) -> set:
+    """The keep entries that would cover one parameter."""
+    return {(file, fn, name), (file, fn, "*"), (file, "*", name)}
+
+
+def test_every_unset_default_has_a_keep_reason():
+    unset, settable = _unset_defaults()
+    loose = sorted(f"{file} {fn}({name}=...)" for file, fn, name in unset
+                   if not _keys(file, fn, name) & UNSET_KEEP)
+    assert not loose, (
+        f"{len(unset)} of {settable} defaulted parameters are set by no call "
+        f"site; make these constants or keep them with a reason: {', '.join(loose)}")
+    # no keep entry outlives what it kept
+    stale = UNSET_KEEP - set().union(*(_keys(*p) for p in unset))
+    assert not stale, f"keep entries that match no unset parameter: {stale}"
+    # a runner keeps only what --set (a scalar) or a quick setting reaches
+    for scenario in SCENARIOS.values():
+        quick = {key for key, _ in scenario.quick_overrides}
+        for name, par in inspect.signature(scenario.function()).parameters.items():
+            assert isinstance(par.default, (bool, int, float, str)) or name in quick, (
+                f"{scenario.runner}({name}=...) is reached by neither --set nor "
+                "a quick setting")

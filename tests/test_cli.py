@@ -290,6 +290,19 @@ def test_numerical_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     assert run_cli(["expander"], tmp_path) == 3
 
 
+def test_failed_profile_names_its_cone_and_bound(tmp_path, capsys):
+    # at n = 12 the profile stays 1.6e-4 off the refined tail on [20, 40],
+    # over its 1e-4 bound: a real failure, reported by the cone and the
+    # bound it missed, not by a setting nobody can change
+    assert run_cli(["--out", str(tmp_path / "art"), "expander", "--set", "n=12"],
+                   tmp_path) == 3
+    err = capsys.readouterr().err
+    assert "far-field gap 1.60e-04 exceeds 1.0e-04 on [20, 40] (n=12, beta=1.0)" in err
+    for knob in ("rho_max", "node_spacing", "ode_rtol", "ode_tol", "asym_tol",
+                 "slope_cap", "increase", "reduce", "tighten"):
+        assert knob not in err
+
+
 def test_certification_failure_maps_to_exit_1(tmp_path, capsys, monkeypatch):
     def boom(cfg, out):
         raise CertificationError("synthetic refusal")

@@ -1,3 +1,4 @@
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,9 +8,8 @@ from scipy.integrate import LSODA, solve_ivp
 
 from coneflow import acceptance, expander, flow
 from coneflow.cones import ConeProfile
-from coneflow.errors import DomainError, ParameterError, ShootingError
-from coneflow.expander import (ShootingConfig, evaluate_U,
-                               expander_time_derivative,
+from coneflow.errors import DomainError, ShootingError
+from coneflow.expander import (evaluate_U, expander_time_derivative,
                                relax_angular_expander, solve_expander_profile)
 from coneflow.geometry import GridSpec
 
@@ -124,13 +124,13 @@ def test_cone_roundtrip(profile21):
 def test_angular_relaxation_consistent_with_radial(monkeypatch):
     # the 2-d relaxation solved over an isotropic cone must reproduce the
     # 1-d shooting value at the axis, up to the coarse-grid error
+    monkeypatch.setattr(expander, "_RELAX_TAU_MAX", 20.0)
     factorizations = []
     factor = flow.splu
     monkeypatch.setattr(flow, "splu",
                         lambda M: factorizations.append(M.shape) or factor(M))
     k = ConeProfile.angular(lambda th: np.ones_like(th), m=16)
-    ang = relax_angular_expander(k, rho_max=8.0, nr=40, ntheta=16,
-                                 tau_max=20.0)
+    ang = relax_angular_expander(k, rho_max=8.0, nr=40, ntheta=16)
     assert ang.converged
     # the run reports its solver work
     assert ang.newton_iters == len(factorizations) >= ang.steps
@@ -142,8 +142,9 @@ def test_angular_relaxation_consistent_with_radial(monkeypatch):
 def test_angular_relaxation_matches_default_column_order(monkeypatch):
     # natural and COLAMD column orders round the Newton updates differently,
     # so the relaxations agree to round-off, with the same solver work
+    monkeypatch.setattr(expander, "_RELAX_TAU_MAX", 2.0)
     k = ConeProfile.angular(lambda th: 1.0 + 0.08 * np.cos(2 * th), m=16)
-    kw = dict(rho_max=6.0, nr=16, ntheta=8, tau_max=2.0)
+    kw = dict(rho_max=6.0, nr=16, ntheta=8)
     natural = relax_angular_expander(k, **kw)
     monkeypatch.setattr(flow, "splu", scipy.sparse.linalg.splu)
     colamd = relax_angular_expander(k, **kw)
@@ -157,7 +158,41 @@ def test_angular_relaxation_matches_default_column_order(monkeypatch):
 # ---------------------------------------------------------------------------
 # shooting: the direct LSODA stepping against frozen oracles.  The RHS and the
 # step loop below are the package's earlier forms, kept here verbatim so the
-# oracles do not move with the code under test.
+# oracles do not move with the code under test, and so are the shooting
+# values they run with.
+
+_SEED_VALUES = dict(rho_max=40.0, node_spacing=0.01, ode_rtol=1e-11, ode_atol=1e-12,
+                    bracket_start=0.5, bracket_growth=1.5, bracket_max_tries=60,
+                    bisect_iters=80, slope_cap=1e7)
+
+
+def _seed_config(**values):
+    return SimpleNamespace(**{**_SEED_VALUES, **values})
+
+
+def _seed_nodes(cfg):
+    """The profile nodes 0, node_spacing, ..., rho_max."""
+    nodes = np.round(np.arange(0.0, cfg.rho_max + cfg.node_spacing / 2,
+                               cfg.node_spacing), 12)
+    nodes[-1] = cfg.rho_max
+    return nodes
+
+
+@pytest.fixture
+def shooting(monkeypatch):
+    """``shooting(**values)`` sets expander's shooting constants, named in
+    lower case (``slope_cap`` sets ``_SLOPE_CAP``), for the rest of the test
+    and returns the whole setting for the frozen oracles.  The profile cache
+    is keyed by (n, beta) alone, so each call and the teardown empty it."""
+
+    def use(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(expander, f"_{name.upper()}", value)
+        expander._shoot_profile.cache_clear()
+        return _seed_config(**values)
+
+    yield use
+    expander._shoot_profile.cache_clear()
 
 
 def _seed_ode_rhs(rho, y, n):
@@ -211,27 +246,27 @@ def test_ode_rhs_bit_identical_to_numpy_scalars():
 
 
 @pytest.mark.parametrize("n,beta", [(2, 0.5), (2, 1.0), (3, 1.0), (3, 2.0), (4, 1.0)])
-def test_miss_bit_identical_to_solve_ivp(n, beta):
+def test_miss_bit_identical_to_solve_ivp(shooting, n, beta):
     # positive and negative axis heights; with a slope cap of 2 or 5 the shots
     # far from the root blow up, with the default cap they all land finite
     grid = np.geomspace(0.05, 50.0, 9)
     for cap in (1e7, 2.0, 5.0):
-        cfg = ShootingConfig(slope_cap=cap)
+        cfg = shooting(slope_cap=cap)
         for a in np.concatenate([grid, -grid]).tolist():
             want = _miss_via_solve_ivp(a, n, beta, cfg)
             assert _seed_miss(a, n, beta, cfg) == want
-            assert expander._miss(a, n, beta, cfg) == want
+            assert expander._miss(a, n, beta) == want
 
 
-def test_miss_blow_up_bit_identical_to_solve_ivp():
+def test_miss_blow_up_bit_identical_to_solve_ivp(shooting):
     # with a slope cap of 2, shots of the (2, 1) profile (root a ~ 1.709)
     # blow up upward far above the root and downward for a << 0; the rest
     # land finite
-    cfg = ShootingConfig(slope_cap=2.0)
+    cfg = shooting(slope_cap=2.0)
     got = []
     for a in (-20.0, -5.0, -2.0, 0.5, 1.8, 5.0, 20.0):
         want = _miss_via_solve_ivp(a, 2, 1.0, cfg)
-        assert expander._miss(a, 2, 1.0, cfg) == want
+        assert expander._miss(a, 2, 1.0) == want
         got.append(want)
     assert np.inf in got and -np.inf in got
     assert np.isfinite(got).any()
@@ -268,20 +303,20 @@ def test_guard_trips_at_half_cap_and_on_nan():
         assert len(rhs(1.0, np.array([2.0, p]), 2)) == 2
 
 
-def test_guard_margin_shot_lands_finite(monkeypatch):
+def test_guard_margin_shot_lands_finite(monkeypatch, shooting):
     # a cap between max|p| and 2 max|p| of a landing shot: the half-cap guard
     # trips, the fallback finds no accepted step at the cap, the miss is finite
     a, n, beta = 1.709, 2, 1.0
-    top = _max_accepted_slope(a, n, ShootingConfig())
-    cfg = ShootingConfig(slope_cap=1.5 * top)
+    top = _max_accepted_slope(a, n, _seed_config())
+    cfg = shooting(slope_cap=1.5 * top)
     calls = _count_solve_ivp(monkeypatch)
-    got = expander._miss(a, n, beta, cfg)
+    got = expander._miss(a, n, beta)
     assert calls == [[cfg.rho_max]]
     assert np.isfinite(got)
     assert got == _seed_miss(a, n, beta, cfg) == _miss_via_solve_ivp(a, n, beta, cfg)
 
 
-def test_shots_fall_back_only_when_the_guard_trips(monkeypatch):
+def test_shots_fall_back_only_when_the_guard_trips(monkeypatch, shooting):
     calls = _count_solve_ivp(monkeypatch)
     shots = []
     shot = expander._miss
@@ -303,8 +338,8 @@ def test_shots_fall_back_only_when_the_guard_trips(monkeypatch):
     # The profile's slopes stay below 1, so the node solve never falls back
     calls.clear()
     shots.clear()
-    cfg = ShootingConfig(slope_cap=2.0, bracket_start=5.0)
-    solve_expander_profile(ConeProfile.radial(2, 1.0), cfg)
+    cfg = shooting(slope_cap=2.0, bracket_start=5.0)
+    solve_expander_profile(ConeProfile.radial(2, 1.0))
     blown = [k for miss, k in shots if np.isinf(miss)]
     assert blown and all(k == 1 for k in blown)
     assert all(k in (0, 1) for _, k in shots)
@@ -312,42 +347,43 @@ def test_shots_fall_back_only_when_the_guard_trips(monkeypatch):
     assert all(t_eval == [cfg.rho_max] for t_eval in calls)
 
 
-def test_fallback_failure_raises_with_scanned(monkeypatch):
+def test_fallback_failure_raises_with_scanned(monkeypatch, shooting):
     # the guard trips on a shot that blows up; a failed fallback integration
     # is reported, not read as a landing
     failed = SimpleNamespace(status=-1, success=False, message="boom")
     monkeypatch.setattr(expander, "solve_ivp", lambda *args, **kw: failed)
+    shooting(slope_cap=2.0)
     with pytest.raises(ShootingError, match="integration failed at a=20.0: boom") as info:
-        expander._miss(20.0, 2, 1.0, ShootingConfig(slope_cap=2.0))
+        expander._miss(20.0, 2, 1.0)
     assert info.value.scanned == [20.0]
 
 
 @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
-def test_miss_below_rtol_floor_matches_clamped_oracles():
+def test_miss_below_rtol_floor_matches_clamped_oracles(shooting):
     # LSODA's constructor raises an rtol under 100*eps to that floor; the
     # direct stepping must inherit the clamp, not pass 1e-15 to the stepper
-    cfg = ShootingConfig(ode_rtol=1e-15)
+    cfg = shooting(ode_rtol=1e-15)
     for a in (0.5, 1.0, 1.709, 3.0):
         want = _miss_via_solve_ivp(a, 2, 1.0, cfg)
         assert np.isfinite(want)
         assert _seed_miss(a, 2, 1.0, cfg) == want
-        assert expander._miss(a, 2, 1.0, cfg) == want
+        assert expander._miss(a, 2, 1.0) == want
 
 
 @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small",
                             "ignore:.*Excess accuracy requested")
-def test_failed_shot_raises_with_scanned():
+def test_failed_shot_raises_with_scanned(shooting):
     # rtol below the floor with atol = 0 makes LSODA stop with a bad istate
-    cfg = ShootingConfig(ode_rtol=1e-20, ode_atol=0.0)
+    cfg = shooting(ode_rtol=1e-20, ode_atol=0.0)
     with pytest.raises(ShootingError):
         _miss_via_solve_ivp(1.0, 2, 1.0, cfg)
     with pytest.raises(ShootingError,
                        match=r"integration failed at a=1.0: LSODA istate -2 "
                              r"\(Excess accuracy requested") as info:
-        expander._miss(1.0, 2, 1.0, cfg)
+        expander._miss(1.0, 2, 1.0)
     assert info.value.scanned == [1.0]
     with pytest.raises(ShootingError, match="Excess accuracy") as info:
-        solve_expander_profile(ConeProfile.radial(2, 1.0), cfg)
+        solve_expander_profile(ConeProfile.radial(2, 1.0))
     assert info.value.scanned == [1.0]
 
 
@@ -356,7 +392,7 @@ def test_nan_miss_raises_with_scanned(monkeypatch):
     expander._shoot_profile.cache_clear()
     calls = []
 
-    def fake_miss(a, n, beta, cfg):
+    def fake_miss(a, n, beta):
         calls.append(a)
         return np.nan if abs(a - 1.7) < 0.05 else a - 1.7
 
@@ -396,9 +432,7 @@ def test_nan_profile_node_raises_shooting_error(monkeypatch, component):
 def _nodes_via_solve_ivp(a, n, cfg):
     """The node solve as solve_ivp computes it: t_eval at the profile nodes,
     blow-up event.  Returns the profile nodes and the solve_ivp result."""
-    nodes = np.round(np.arange(0.0, cfg.rho_max + cfg.node_spacing / 2,
-                               cfg.node_spacing), 12)
-    nodes[-1] = cfg.rho_max
+    nodes = _seed_nodes(cfg)
     rho0, y0 = expander._series_start(a, n)
 
     def blow_up(rho, y, *_args):
@@ -421,38 +455,39 @@ def _nodes_via_solve_ivp(a, n, cfg):
     (2, 1.7090957539, 1.5),
 ], ids=["2-1-root", "2-1-off-root", "2-0.5-root", "3-1-root", "3-2-root",
         "4-1-root", "4-1-off-root", "2-1-cap-fallback"])
-def test_node_values_bit_identical_to_solve_ivp(monkeypatch, n, a, cap):
+def test_node_values_bit_identical_to_solve_ivp(monkeypatch, shooting, n, a, cap):
     # the stepper loop against solve_ivp's t_eval output at the profile
     # roots of the (n, beta) in each id and off them; with a cap of 1.5 the
     # half-cap guard trips (max |phi'| is 0.9994) and the solve_ivp re-run
     # lands finite
-    cfg = ShootingConfig(slope_cap=cap)
+    cfg = shooting(slope_cap=cap)
     nodes, want = _nodes_via_solve_ivp(a, n, cfg)
     assert want.status == 0
     calls = _count_solve_ivp(monkeypatch)
-    got = expander._node_values(a, n, cfg, nodes)
+    got = expander._node_values(a, n, nodes)
     assert len(calls) == (cap < 2.0)
     assert got.shape == want.y.shape and got.tobytes() == want.y.tobytes()
 
 
-def test_node_values_blow_up_raises_as_solve_ivp_stops():
-    cfg = ShootingConfig(slope_cap=2.0)
+def test_node_values_blow_up_raises_as_solve_ivp_stops(shooting):
+    cfg = shooting(slope_cap=2.0)
     nodes, want = _nodes_via_solve_ivp(5.0, 2, cfg)
     assert want.status == 1
     with pytest.raises(ShootingError,
                        match=rf"converged shot blew up at rho={want.t[-1]:.3g}$") as info:
-        expander._node_values(5.0, 2, cfg, nodes)
+        expander._node_values(5.0, 2, nodes)
     assert info.value.scanned == [5.0]
 
 
 def _seed_shoot_profile(n, beta, cfg):
     """The profile solve with plain bisection, every midpoint shot, as
     first written: the bracket grows from a = 0 until a shot overshoots,
-    then bisection runs to ``bisect_iters`` or a width of 1e-15."""
+    then bisection runs to ``bisect_iters`` or a width of 1e-15.  The
+    defect takes two RK4 substeps per interval."""
     misses = []
 
     def shoot(a):
-        misses.append(expander._miss(a, n, beta, cfg))
+        misses.append(expander._miss(a, n, beta))
         return misses[-1]
 
     a_lo, a_hi = 0.0, max(beta, cfg.bracket_start)
@@ -471,15 +506,13 @@ def _seed_shoot_profile(n, beta, cfg):
         if a_hi - a_lo <= 1e-15 * max(1.0, a_hi):
             break
     a = 0.5 * (a_lo + a_hi)
-    nodes = np.round(np.arange(0.0, cfg.rho_max + cfg.node_spacing / 2,
-                               cfg.node_spacing), 12)
-    nodes[-1] = cfg.rho_max
-    y = expander._node_values(a, n, cfg, nodes)
+    nodes = _seed_nodes(cfg)
+    y = expander._node_values(a, n, nodes)
     phi = np.concatenate([[a], y[0]])
     phi_p = np.concatenate([[0.0], y[1]])
     return SimpleNamespace(a=a, bracket=(a_lo, a_hi), bisections=i + 1, misses=misses,
                            arrays=(nodes, phi, phi_p,
-                                   expander._rk4_defect(nodes, phi, phi_p, n)))
+                                   expander._rk4_defect(nodes, phi, phi_p, n, 2)))
 
 
 # the six pairs of the seed-0 expander sweep, then the slope-capped config
@@ -490,11 +523,11 @@ _SWEEP_PAIRS = [(2, 0.5273923374642908), (2, 1.353957342752774), (2, 2.208194704
 
 @pytest.mark.parametrize("n,beta,capped", [(n, b, False) for n, b in _SWEEP_PAIRS]
                          + [(2, 1.0, True)])
-def test_certified_bisection_bit_identical_to_plain_bisection(n, beta, capped):
-    cfg = ShootingConfig(slope_cap=2.0, bracket_start=5.0) if capped else ShootingConfig()
+def test_certified_bisection_bit_identical_to_plain_bisection(shooting, n, beta, capped):
+    cfg = shooting(slope_cap=2.0, bracket_start=5.0) if capped else shooting()
     want = _seed_shoot_profile(n, beta, cfg)
     expander._shoot_profile.cache_clear()
-    prof = solve_expander_profile(ConeProfile.radial(n, beta), cfg)
+    prof = solve_expander_profile(ConeProfile.radial(n, beta))
     assert prof.a == want.a
     assert prof.report["bracket"] == want.bracket
     assert prof.report["bisections"] == want.bisections
@@ -512,12 +545,11 @@ def test_certified_bisection_bit_identical_to_plain_bisection(n, beta, capped):
 def test_computed_miss_increasing_outside_margin(n, beta):
     # the premise of the certified signs: a shot with |miss| >= margin
     # fixes the sign of every shot beyond it on its side
-    cfg = ShootingConfig()
     root = solve_expander_profile(ConeProfile.radial(n, beta)).a
-    margin = expander._certify_margin(n, beta, cfg)
+    margin = expander._certify_margin(n, beta)
     offsets = np.geomspace(1e-13, 1e-2, 23)
     grid = np.concatenate([root * (1.0 - offsets[::-1]), root * (1.0 + offsets)])
-    miss = np.array([expander._miss(a, n, beta, cfg) for a in grid.tolist()])
+    miss = np.array([expander._miss(a, n, beta) for a in grid.tolist()])
     sure = np.abs(miss) >= margin
     assert np.all(np.diff(miss[sure]) > 0)
     assert np.any(miss[sure] < 0) and np.any(miss[sure] > 0) and not np.all(sure)
@@ -535,6 +567,52 @@ def test_report_counts_shots(monkeypatch):
     prof = solve_expander_profile(ConeProfile.radial(2, 1.0))
     assert prof.report["shots"] == len(calls) == 34
     assert solve_expander_profile(ConeProfile.radial(2, 0.0)).report["shots"] == 0
+
+
+@pytest.mark.filterwarnings("ignore:lsoda. Excess work done")
+def test_stalled_shot_raises_at_the_step_bound(monkeypatch):
+    # at n = 30 the a = 1.5 bracket shot holds h at 7.9e-7, so it would take
+    # some 50 million steps to reach rho_max; the step bound stops it with
+    # LSODA's istate, and no solve_ivp re-run stalls the same way
+    calls = _count_solve_ivp(monkeypatch)
+    started = time.perf_counter()
+    with pytest.raises(ShootingError, match=r"a=1.5: LSODA istate -1 \(Excess work done.*"
+                                            r"after 10000 steps \(n=30, beta=1.0\)") as info:
+        solve_expander_profile(ConeProfile.radial(30, 1.0))
+    assert time.perf_counter() - started < 2.0
+    assert info.value.scanned == [1.5]
+    assert calls == []
+
+
+@pytest.mark.filterwarnings("ignore:lsoda. Excess work done")
+def test_node_solve_stops_at_the_step_bound(monkeypatch, shooting):
+    # the (2, 1) node solve takes 665 steps; under a bound of 100 it raises
+    # instead of falling back to solve_ivp, and so does a shot
+    nodes = _seed_nodes(shooting(max_steps=100))
+    calls = _count_solve_ivp(monkeypatch)
+    with pytest.raises(ShootingError, match=r"100 LSODA steps reached only rho=") as info:
+        expander._node_values(1.7090957539, 2, nodes)
+    assert info.value.scanned == [1.7090957539]
+    with pytest.raises(ShootingError, match=r"istate -1 .* after 100 steps"):
+        expander._miss(1.7090957539, 2, 1.0)
+    assert calls == []
+
+
+def test_steep_profile_defect_is_converged():
+    # at beta = 10, h*|dF/dp| reaches 20.2 at rho_max, where two RK4
+    # substeps grow a false defect of 6.8e-6; the derived count measures
+    # the profile's own, and doubling it moves that by less than 1e-10
+    prof = solve_expander_profile(ConeProfile.radial(2, 10.0))
+    args = (prof.rho, prof.phi, prof.phi_prime, 2)
+    substeps = expander._rk4_substeps(*args)
+    assert substeps > 2
+    doubled = float(np.max(expander._rk4_defect(*args, 2 * substeps)[:-1]))
+    assert prof.report["ode_residual"] <= 1e-8
+    assert abs(doubled - prof.report["ode_residual"]) < 1e-10
+    # every battery profile keeps two substeps, so its node residual stays
+    for n, beta in acceptance._COMBOS:
+        other = solve_expander_profile(ConeProfile.radial(n, beta))
+        assert expander._rk4_substeps(other.rho, other.phi, other.phi_prime, n) == 2
 
 
 def test_value_at_bit_identical_to_evaluate(profile21):
@@ -558,45 +636,9 @@ def test_value_at_bit_identical_to_evaluate(profile21):
 # the shared profile cache
 
 
-@pytest.mark.parametrize("field", ["bisect_iters", "bracket_max_tries"])
-@pytest.mark.parametrize("value", [0, -1])
-def test_shooting_loop_counts_must_be_positive(field, value):
-    # bisect_iters=0 used to die with UnboundLocalError in the shot report
-    with pytest.raises(ParameterError, match=field):
-        ShootingConfig(**{field: value})
-
-
-@pytest.mark.parametrize("field", ["rho_max", "node_spacing", "ode_rtol", "ode_atol"])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_shooting_config_rejects_non_finite_values(field, value):
-    # NaN rho_max or node_spacing died in np.arange, NaN ode_rtol in the
-    # bisection's sign test and NaN ode_atol only after every shot had run
-    with pytest.raises(ParameterError, match=field):
-        ShootingConfig(**{field: value})
-
-
-@pytest.mark.parametrize("cap", [0.0, -1.0, np.nan])
-def test_slope_cap_must_be_positive(cap):
-    # 0 or -1 made every shot blow up and failed as a far-field gap; NaN
-    # switched the cap off
-    with pytest.raises(ParameterError, match="slope_cap"):
-        ShootingConfig(slope_cap=cap)
-
-
 def test_profile_cache_returns_same_object():
     prof = solve_expander_profile(ConeProfile.radial(2, 1.0))
     assert solve_expander_profile(ConeProfile.radial(2, 1)) is prof
-    assert solve_expander_profile(ConeProfile.radial(2, 1.0),
-                                  ShootingConfig()) is prof
-
-
-def test_profile_cache_keys_on_config():
-    prof = solve_expander_profile(ConeProfile.radial(2, 1.0))
-    other = solve_expander_profile(ConeProfile.radial(2, 1.0),
-                                   ShootingConfig(asym_tol=2e-4))
-    assert other is not prof
-    # asym_tol only gates the postcondition; the shots are the same
-    assert other.a == prof.a
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
