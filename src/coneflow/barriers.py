@@ -7,10 +7,11 @@ Three families live here, plus the measurement tools that certify them:
   roundoff otherwise);
 * the inverse-power normal-speed flow db/dt = -|F| * sqrt(1 + |Db|^2) with
   |F| = (r^2 + b^2)^(-(n-2)/4), run for unit time from r = 10 to r = 400 and
-  realized twice: as a graphical upwind march (for sup/curvature
-  certificates on a fixed grid) and as a Lagrangian
-  particle flow of the profile curve (for residual checks of the evolution
-  equations of g, h, H, |A|^2 and nu);
+  realized twice: as a graphical upwind march of the curve (r, b) (for
+  sup/curvature certificates; its H is geometry's radial formula on the
+  per-call stencil ``_d1_d2``) and as a Lagrangian particle flow of the
+  profile curve (for residual checks of the evolution equations of g, h, H,
+  |A|^2 and nu);
 * max-type subsolutions B = max(U - m, b_scaled - delta/2) glued from an
   expanding soliton and a scaled flow barrier.
 
@@ -36,6 +37,7 @@ from .geometry import (
     GridFunction,
     GridSpec,
     _d1_d2,
+    _radial_curvatures,
     _radial_derivatives,
     mean_curvature,
     radial_rhs,
@@ -49,7 +51,6 @@ __all__ = [
     "LemmaBarrierResult",
     "lemma_barrier_flow",
     "evolution_equation_residuals",
-    "scale_barrier",
     "ScaledBarrier",
     "Subsolution",
     "HeatSupersolution",
@@ -211,12 +212,17 @@ def _integrate_lagrangian(k: ConeProfile, s: np.ndarray, steps: int,
 
 @dataclass(eq=False)
 class LemmaBarrierResult:
-    """Graphical + Lagrangian realizations of the flow barrier, certified."""
+    """Graphical + Lagrangian realizations of the flow barrier, certified.
+
+    The graphical barrier at unit time is the curve (``r``, ``b``) over
+    r in [10, 400]; ``k_values`` is the cone on the same radii.
+    """
 
     cone: ConeProfile
     alpha: float
     lagrangian: LagrangianPath
-    b_final: GridFunction
+    r: np.ndarray
+    b: np.ndarray
     k_values: np.ndarray
     r_cut: float
     certified: tuple
@@ -229,10 +235,18 @@ class LemmaBarrierResult:
     passed: bool
 
     def scaled(self, lam: float) -> "ScaledBarrier":
+        """The parabolic rescaling b_lam(x) = lam * b(x / lam), exact on the
+        scaled radii lam * r (no interpolation)."""
         if not self.passed:
             raise CertificationError("cannot scale an uncertified barrier",
                                      witness={"passed": self.passed})
-        return ScaledBarrier.from_result(self, lam)
+        if not (0 < lam * float(self.r[-1]) < math.inf
+                and np.all(np.diff(lam * self.r) > 0)):
+            raise ParameterError(f"lam must be positive and finite, with lam * r distinct "
+                                 f"and finite; got {lam}")
+        lo, hi = self.certified
+        return ScaledBarrier(self.cone, lam, self.m1, self.R1, lam * self.r, lam * self.b,
+                             (lam * lo, lam * hi), self.H_min / lam)
 
 
 def lemma_barrier_flow(k: ConeProfile, points: int = 600,
@@ -257,7 +271,6 @@ def lemma_barrier_flow(k: ConeProfile, points: int = 600,
 
     alpha = (k.n - 2) / 4.0
     r = np.geomspace(_R_INNER, _R_OUTER, points)
-    spec = GridSpec(k.n, r)
     kv = k.beta * r
     f0 = _speed(_R_INNER, k.beta * _R_INNER, alpha)
     hmin = float(np.min(np.diff(r)))
@@ -273,7 +286,6 @@ def lemma_barrier_flow(k: ConeProfile, points: int = 600,
         rate2, F2 = _upwind_rate(r, b1, alpha)
         b = b + 0.5 * dt * (rate1 + rate2)
         f_run_max = max(f_run_max, float(np.max(F1)), float(np.max(F2)))
-    b_final = GridFunction(spec, b)
 
     s = np.geomspace(_R_INNER, _R_OUTER, lagrangian_points)
     lagr = _integrate_lagrangian(k, s, lagrangian_steps, alpha)
@@ -285,7 +297,7 @@ def lemma_barrier_flow(k: ConeProfile, points: int = 600,
         raise CertificationError("certified window too small after the "
                                  "pollution cut", witness={"r_cut": r_cut})
     gap = kv - b
-    H = mean_curvature(b_final).values
+    H = _radial_curvatures(k.n, r, *_d1_d2(r, b))
     min_gap = float(np.min(gap[il:iu]))
     H_min = float(np.min(H[il:iu]))
     mono = bool(np.all(np.diff(gap[il:iu]) <= 1e-12 * np.max(gap)))
@@ -296,7 +308,7 @@ def lemma_barrier_flow(k: ConeProfile, points: int = 600,
     want = -(k.n - 2) / 2.0
     passed = (min_gap > 0 and H_min > 0 and mono
               and abs(fit.exponent - want) <= 0.2 * abs(want))
-    return LemmaBarrierResult(k, alpha, lagr, b_final, kv,
+    return LemmaBarrierResult(k, alpha, lagr, r, b, kv,
                               r_cut, (float(r[il]), float(r[iu - 1])), min_gap,
                               H_min, float(gap[il]), float(r[il]), fit, mono,
                               bool(passed))
@@ -414,43 +426,29 @@ def evolution_equation_residuals(path: LagrangianPath, t_stride: int = 10) -> di
 # scaling and the max-type subsolution
 
 
-def scale_barrier(b: GridFunction, lam: float) -> GridFunction:
-    """Parabolic rescaling b_lam(x) = lam * b(x / lam), exact on the scaled
-    nodes (no interpolation)."""
-    if lam <= 0:
-        raise ParameterError("lam must be positive")
-    spec = b.spec
-    if spec.polar:
-        raise ParameterError("scaling is implemented for radial grids")
-    return GridFunction(GridSpec(spec.n, lam * spec.nodes), lam * b.values)
-
-
 @dataclass(eq=False)
 class ScaledBarrier:
-    """A certified flow barrier after parabolic rescaling by lam."""
+    """A certified flow barrier after parabolic rescaling by lam
+    (:meth:`LemmaBarrierResult.scaled`): the curve (``r``, ``b``), its
+    certified window and curvature floor, read between the nodes through a
+    cubic spline."""
 
     cone: ConeProfile
     lam: float
     m1: float
     R1: float
-    grid: GridFunction
+    r: np.ndarray
+    b: np.ndarray
     certified: tuple
     H_min: float
     _spline: CubicSpline = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._spline = CubicSpline(self.grid.spec.nodes, self.grid.values)
-
-    @classmethod
-    def from_result(cls, result: LemmaBarrierResult, lam: float) -> "ScaledBarrier":
-        gf = scale_barrier(result.b_final, lam)
-        lo, hi = result.certified
-        return cls(result.cone, lam, result.m1, result.R1, gf,
-                   (lam * lo, lam * hi), result.H_min / lam)
+        self._spline = CubicSpline(self.r, self.b)
 
     @property
     def domain(self) -> tuple:
-        return (float(self.grid.spec.nodes[0]), float(self.grid.spec.nodes[-1]))
+        return (float(self.r[0]), float(self.r[-1]))
 
     def evaluate(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)

@@ -260,8 +260,7 @@ def _cmd_barrier(cfg: dict, out: str) -> int:
         lemma_res = lemma_barrier_flow(k)
         tables.append(("lemma_barrier.csv",
                        [("r", "length"), ("b", "height"), ("k_minus_b", "height")],
-                       zip(lemma_res.b_final.spec.nodes, lemma_res.b_final.values,
-                           lemma_res.k_values - lemma_res.b_final.values)))
+                       zip(lemma_res.r, lemma_res.b, lemma_res.k_values - lemma_res.b)))
         report["lemma"] = {"min_gap": lemma_res.min_gap,
                            "H_min": lemma_res.H_min,
                            "r_cut": lemma_res.r_cut,

@@ -75,7 +75,9 @@ Anisotropic planar cones have no ODE reduction; for those
 from __future__ import annotations
 
 import math
+import warnings
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -181,6 +183,16 @@ def _lsoda(a: float, n: int):
     return ode._integrator, ode._y, rho0
 
 
+@contextmanager
+def _istate_unwarned():
+    """Keeps scipy's warning on a bad LSODA istate from being shown: the
+    ShootingError of a failed solve states the same istate."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "lsoda: ", UserWarning)
+        yield
+
+
+@_istate_unwarned()
 def _miss(a: float, n: int, beta: float) -> float:
     """Signed distance of phi(rho_max) from the refined tail; +/-inf on blow-up.
 
@@ -234,6 +246,7 @@ def _miss(a: float, n: int, beta: float) -> float:
 _POWERS = [np.arange(q + 1)[:, None] for q in range(13)]
 
 
+@_istate_unwarned()
 def _node_values(a: float, n: int, nodes: np.ndarray) -> np.ndarray:
     """(phi, phi') at ``nodes[1:]`` for the axis height a, as a (2, N-1) array.
 

@@ -13,6 +13,7 @@ to CSV without recomputation.
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,8 +143,8 @@ def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,
     half a delta clear).  The sup|u - U| trace must drop under the threshold
     within the horizon.
     """
-    if not threshold > 0:
-        raise ParameterError("threshold must be positive")
+    if not 0 < threshold < math.inf:
+        raise ParameterError("threshold must be positive and finite")
     k = ConeProfile.radial(n, beta)
     profile = solve_expander_profile(k)
     spec = GridSpec.uniform(n, 0.0, r_max, nodes)
@@ -251,8 +252,8 @@ def run_family_uniform(n: int = 2, beta: float = 1.0, count: int = 5,
     """
     if count < 5:
         raise ParameterError("family experiments need at least 5 members")
-    if not threshold > 0:
-        raise ParameterError("threshold must be positive")
+    if not 0 < threshold < math.inf:
+        raise ParameterError("threshold must be positive and finite")
     k = ConeProfile.radial(n, beta)
     profile = solve_expander_profile(k)
     spec = GridSpec.uniform(n, 0.0, r_max, nodes)
@@ -324,8 +325,8 @@ def subsolution_dominance_experiment(n: int = 3, beta: float = 1.0,
     dominate B(., t) at every snapshot within the slack, and the recovery
     time to u >= k - delta must be finite.
     """
-    if not slack >= 0:
-        raise ParameterError("slack must be non-negative")
+    if not 0 <= slack < math.inf:
+        raise ParameterError("slack must be non-negative and finite")
     k = ConeProfile.radial(n, beta)
     profile = solve_expander_profile(k)
     if not (0 < clearance < m):

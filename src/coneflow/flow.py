@@ -109,12 +109,11 @@ def boundary_values_for(u0: GridFunction, config: SolverConfig, cone=None,
 
     pin-to-cone needs ``cone`` (a ConeProfile); pin-to-expander needs
     ``profile`` (an ExpanderProfile, read one radius at a time through
-    ``value_at``) and is radial only.  A radial grid must start at r = 0,
-    and the similarity drift is polar only.
+    ``value_at``) and is radial only.  Every grid continues across the
+    origin (``GridSpec`` admits no other layout), so the outer ring is the
+    only boundary.  The similarity drift is polar only.
     """
     spec = u0.spec
-    if spec.inner_ring:
-        raise ParameterError("radial flow grids must start at r = 0")
     if config.similarity_drift and not spec.polar:
         raise ParameterError("the similarity drift runs on polar grids only")
     if config.boundary == "pin-to-expander":

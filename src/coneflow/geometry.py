@@ -13,22 +13,22 @@ lower hemisphere of radius R has H = n/R.
 Every radial derivative reads one three-point weight table, built by
 ``_stencil`` for any node vector: centered differences inside (second order
 on non-uniform grids) and one-sided rows, of lower accuracy, at the ends.
-``_radial_operator`` caches it per grid of either mode, and ``_d1_d2``
-applies it along axis 0 of any stack (the barrier profile curves).  One
-gather and a sum along the row's nodes give every state of a stack the
-bits it gets alone.  The
-flow solves entire graphs, so its grids continue across the origin: a
-radial grid from r = 0 by the even extension u(-r) = u(r), a polar grid
+``_radial_operator`` caches it per grid for the flow, and ``_d1_d2``
+applies it per call along axis 0 of any stack (the barrier profile curves,
+which keep plain arrays).  One gather and a sum along the row's nodes give
+every state of a stack the bits it gets alone.  The flow solves entire
+graphs, so every grid continues across the origin: a radial grid starts at
+r = 0 and reads its ghost by the even extension u(-r) = u(r), a polar grid
 by the antipodal continuation u(-r, theta) = u(r, theta+pi) across its
-innermost ring (angular derivatives are periodic differences).  Only a
-radial grid from r > 0 (``GridSpec.inner_ring``, the barrier curves) keeps
-the one-sided inner row.  The flow's polar Jacobian coloring reads its
-sparsity from the same table, so these rules are written here only.
+innermost ring (angular derivatives are periodic differences).  The outer
+ring is a grid's only one-sided row.  The flow's polar Jacobian coloring
+reads its sparsity from the same table, so these rules are written here
+only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -55,19 +55,16 @@ class GridSpec:
     Instances hash and compare by identity (the node arrays make value
     equality ill-defined); use :func:`grids_match` to compare layouts.
 
-    ``nodes`` holds strictly increasing radii with r_min >= 0.  ``thetas``
-    switches the grid to polar mode (n must equal 2) and must sample [0, 2pi)
-    uniformly.  A polar grid always continues across the origin through the
-    antipodal ghost ring, so it needs an even angular count and r_min > 0.
-
-    ``inner_ring``, derived from the layout, is true exactly for a radial
-    grid with r_min > 0, whose table keeps the one-sided inner row.
+    ``nodes`` holds strictly increasing radii.  Every grid continues across
+    the origin, so its one boundary is the outer ring: a radial grid starts
+    at r = 0, and a polar grid (``thetas`` given, n = 2, sampling [0, 2pi)
+    uniformly) starts at r > 0 and crosses the origin through the antipodal
+    ghost ring, so it needs an even angular count.
     """
 
     n: int
     nodes: np.ndarray
     thetas: np.ndarray | None = None
-    inner_ring: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if int(self.n) < 1:
@@ -79,11 +76,13 @@ class GridSpec:
             raise GridError(f"need at least {_MIN_NODES} radial nodes, got {nodes.size}")
         if not np.all(np.isfinite(nodes)):
             raise GridError("radial nodes must be finite")
-        if nodes[0] < 0:
-            raise GridError("radial nodes must satisfy r >= 0")
         if np.any(np.diff(nodes) <= 0):
             raise GridError("radial nodes must be strictly increasing (no duplicates)")
-        if self.thetas is not None:
+        if self.thetas is None:
+            if nodes[0] != 0:
+                raise GridError("a radial grid continues across the axis: "
+                                "its first node must be r = 0")
+        else:
             if self.n != 2:
                 raise GridError("polar grids are only supported for n = 2")
             th = np.asarray(self.thetas, dtype=float)
@@ -98,8 +97,6 @@ class GridSpec:
             if nt % 2 or nodes[0] <= 0:
                 raise GridError("a polar grid crosses the origin through its antipodal "
                                 "ring: it needs an even angular count and r > 0")
-        object.__setattr__(self, "inner_ring",
-                           self.thetas is None and bool(nodes[0] > 0))
 
     # -- conveniences -------------------------------------------------------
 
@@ -114,10 +111,6 @@ class GridSpec:
     @property
     def ntheta(self) -> int:
         return 0 if self.thetas is None else self.thetas.size
-
-    @property
-    def r_min(self) -> float:
-        return float(self.nodes[0])
 
     @property
     def r_max(self) -> float:
@@ -253,16 +246,15 @@ def _d1_d2(x: np.ndarray, y: np.ndarray):
 class _RadialOperator(NamedTuple):
     """The :func:`_stencil` table of one grid's radii, plus Jacobian parts.
 
-    Polar grids and radial grids from r = 0 continue across the origin, so
-    the outer ring is their only boundary: the table is that of [-r_g, r...]
-    with the ghost row dropped, and the innermost row is the centered
-    (ghost, 0, 1).  On a radial grid (r_g = r_1) the ghost u(-r_1) = u(r_1)
-    is read as node 1; on a polar grid (r_g = r_0) it is ring 0 turned by
-    pi.  A radial grid with an inner ring keeps the plain table.  Polar
-    ``rows`` have shape (3, nr, ntheta) and index the flattened (nr, ntheta)
-    state.  ``d`` = 2/D, ``w_over_r`` = (n-1) w/r (zero at r = 0) and
-    ``axis_col`` (the r = 0 row n*v_rr(0), ghost folded into v_1) are the
-    radial Newton Jacobian's fixed parts; ``r_safe`` has 1 at r = 0.
+    Every grid continues across the origin, so the outer ring is its only
+    boundary: the table is that of [-r_g, r...] with the ghost row dropped,
+    and the innermost row is the centered (ghost, 0, 1).  On a radial grid
+    (r_g = r_1) the ghost u(-r_1) = u(r_1) is read as node 1; on a polar
+    grid (r_g = r_0) it is ring 0 turned by pi.  Polar ``rows`` have shape
+    (3, nr, ntheta) and index the flattened (nr, ntheta) state.  ``d`` =
+    2/D, ``w_over_r`` = (n-1) w/r (zero at r = 0) and ``axis_col`` (the
+    r = 0 row n*v_rr(0), ghost folded into v_1) are the radial Newton
+    Jacobian's fixed parts; ``r_safe`` has 1 at r = 0.
     """
 
     rows: np.ndarray
@@ -278,11 +270,8 @@ class _RadialOperator(NamedTuple):
 def _radial_operator(spec: GridSpec) -> _RadialOperator:
     """The radial derivative table of a grid, cached per GridSpec (by identity)."""
     r = spec.nodes
-    if spec.inner_ring:
-        rows, w, D = _stencil(r)
-    else:
-        rows, w, D = _stencil(np.concatenate(([-r[0] if spec.polar else -r[1]], r)))
-        rows, w, D = rows[:, 1:] - 1, w[:, 1:], D[:, 1:]  # the ghost is -1
+    rows, w, D = _stencil(np.concatenate(([-r[0] if spec.polar else -r[1]], r)))
+    rows, w, D = rows[:, 1:] - 1, w[:, 1:], D[:, 1:]  # the ghost is -1
     if spec.polar:
         nt = spec.ntheta
         j = np.arange(nt)
@@ -299,7 +288,7 @@ def _radial_operator(spec: GridSpec) -> _RadialOperator:
 
 
 def _radial_derivatives(spec: GridSpec, vals: np.ndarray):
-    """(u_r, u_rr) on a radial grid, using the even extension when r_min = 0;
+    """(u_r, u_rr) on a radial grid, by the even extension at r = 0;
     ``vals`` may carry trailing stack axes."""
     op = _radial_operator(spec)
     return _apply_stencil(_trailing(op.w, vals.ndim), _trailing(op.D, vals.ndim),
@@ -332,14 +321,15 @@ def _polar_derivatives(spec: GridSpec, vals: np.ndarray):
 # curvature operators
 
 
-def _radial_curvatures(spec: GridSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Mean curvature H from (u_r, u_rr): the profile curvature plus (n-1)
-    times the rotational one."""
+def _radial_curvatures(n: int, r: np.ndarray, p: np.ndarray,
+                       q: np.ndarray) -> np.ndarray:
+    """Mean curvature H of a rotation graph in R^{n+1} from (u_r, u_rr) at
+    the radii ``r``: the profile curvature plus (n-1) times the rotational
+    one, whose limit u_r/r -> u_rr (L'Hopital) is taken where r = 0."""
     W = np.sqrt(1.0 + p * p)
-    krot = p / (_radial_operator(spec).r_safe * W)
-    if spec.r_min == 0.0:
-        krot[0] = q[0]  # L'Hopital limit u_r/r -> u_rr at the axis
-    return q / W ** 3 + (spec.n - 1) * krot
+    axis = r == 0.0
+    krot = np.where(axis, q, p / (np.where(axis, 1.0, r) * W))
+    return q / W ** 3 + (n - 1) * krot
 
 
 def _radial_speed(spec: GridSpec, p: np.ndarray, q: np.ndarray):
@@ -388,15 +378,16 @@ def mean_curvature(u: GridFunction) -> GridFunction:
 
     Radial mode evaluates the rotationally reduced divergence form
     H = u_rr/(1+u_r^2)^{3/2} + (n-1) u_r/(r sqrt(1+u_r^2)), with the
-    regularized limit n*u_rr(0) at an r = 0 node.  Polar mode contracts the
-    full second fundamental form against the inverse metric.  Boundary nodes
-    use one-sided stencils and carry lower accuracy.
+    regularized limit n*u_rr(0) at the axis node r = 0.  Polar mode
+    contracts the full second fundamental form against the inverse metric.
+    The outer ring uses one-sided stencils and carries lower accuracy.
     """
     spec = u.spec
     if spec.polar:
         H = _polar_quantities(spec, u.values)[-1]
     else:
-        H = _radial_curvatures(spec, *_radial_derivatives(spec, u.values))
+        H = _radial_curvatures(spec.n, spec.nodes,
+                               *_radial_derivatives(spec, u.values))
     return GridFunction(spec, H)
 
 
@@ -404,13 +395,11 @@ def radial_rhs(u: GridFunction) -> GridFunction:
     """Full flow speed sqrt(1+|Du|^2)*H[u] in the radial reduction.
 
     Equals u_rr/(1+u_r^2) + (n-1) u_r/r, with the regularized limit
-    n*u_rr(0) at r = 0, where the grid must start (as flow grids do).
+    n*u_rr(0) at r = 0, where every radial grid starts.
     """
     spec = u.spec
     if spec.polar:
         raise GridError("radial_rhs requires a radial grid; use graph_rhs for polar mode")
-    if spec.inner_ring:
-        raise GridError("radial_rhs requires a radial grid from r = 0")
     return GridFunction(spec, _radial_speed(spec, *_radial_derivatives(spec, u.values))[0])
 
 

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from coneflow.barriers import (HeatSupersolution, ScaledBarrier, Subsolution,
+from coneflow.barriers import (HeatSupersolution, Subsolution,
                                evolution_equation_residuals,
                                half_space_experiment, lemma_barrier_flow,
-                               psi_identity_residual, scale_barrier,
-                               static_barrier_w, wk_difference_fit)
+                               psi_identity_residual, static_barrier_w,
+                               wk_difference_fit)
 from coneflow.cones import ConeProfile
 from coneflow.errors import (CertificationError, DomainError, ParameterError)
 from coneflow.expander import evaluate_U
@@ -108,15 +108,21 @@ def test_evolution_residuals_shrink_under_refinement(lemma_result):
 # -- rescaling and the glued subsolution ---------------------------------------
 
 def test_scale_barrier_exact_homothety(lemma_result):
-    b = lemma_result.b_final
     lam = 2.5
-    scaled = scale_barrier(b, lam)
-    assert np.allclose(scaled.spec.nodes, lam * b.spec.nodes)
-    assert np.allclose(scaled.values, lam * b.values)
+    scaled = lemma_result.scaled(lam)
+    assert np.allclose(scaled.r, lam * lemma_result.r)
+    assert np.allclose(scaled.b, lam * lemma_result.b)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan, 1e308, 5e-324])
+def test_scaling_needs_a_positive_finite_factor(lemma_result, lam):
+    # the last two overflow the radii and round them together
+    with pytest.raises(ParameterError):
+        lemma_result.scaled(lam)
 
 
 def test_scaled_barrier_domain_guard(lemma_result):
-    sc = ScaledBarrier.from_result(lemma_result, 2.0)
+    sc = lemma_result.scaled(2.0)
     lo, hi = sc.domain
     mid = 0.5 * (lo + hi)
     inside = sc.evaluate(np.array([mid]))
@@ -126,15 +132,15 @@ def test_scaled_barrier_domain_guard(lemma_result):
 
 
 def test_scaled_barrier_homogeneity(lemma_result):
-    one = ScaledBarrier.from_result(lemma_result, 1.0)
-    two = ScaledBarrier.from_result(lemma_result, 2.0)
+    one = lemma_result.scaled(1.0)
+    two = lemma_result.scaled(2.0)
     r = np.linspace(one.domain[0] * 1.05, one.domain[1] * 0.95, 40)
     assert np.allclose(two.evaluate(2.0 * r), 2.0 * one.evaluate(r),
                        rtol=1e-10, atol=1e-12)
 
 
 def test_subsolution_invariants(lemma_result, profile31):
-    sc = ScaledBarrier.from_result(lemma_result, 1.0)
+    sc = lemma_result.scaled(1.0)
     with pytest.raises(ParameterError):
         Subsolution(profile31, sc, m=sc.m1 * 1.5, delta=0.1, R=5.0)
     with pytest.raises(ParameterError):
@@ -144,8 +150,7 @@ def test_subsolution_invariants(lemma_result, profile31):
 
 
 def test_subsolution_time_zero_is_shifted_cone(lemma_result, profile31):
-    sub = Subsolution(profile31, ScaledBarrier.from_result(
-        lemma_result, 1.0), m=0.2, delta=0.1, R=5.0)
+    sub = Subsolution(profile31, lemma_result.scaled(1.0), m=0.2, delta=0.1, R=5.0)
     r = np.linspace(0.0, 30.0, 61)
     vals = sub.evaluate(r, 0.0)
     shifted_cone = r - 0.2
@@ -156,8 +161,7 @@ def test_subsolution_time_zero_is_shifted_cone(lemma_result, profile31):
 
 
 def test_subsolution_is_pointwise_max(lemma_result, profile31):
-    sub = Subsolution(profile31, ScaledBarrier.from_result(
-        lemma_result, 1.0), m=0.2, delta=0.1, R=5.0)
+    sub = Subsolution(profile31, lemma_result.scaled(1.0), m=0.2, delta=0.1, R=5.0)
     lo, hi = sub.barrier.domain
     r = np.linspace(lo * 1.1, hi * 0.9, 101)
     t = 0.25
@@ -169,8 +173,7 @@ def test_subsolution_is_pointwise_max(lemma_result, profile31):
 
 def test_subsolution_branches_off_the_barrier_domain(lemma_result, profile31):
     # off its domain the barrier branch is absent: B = U - m, branch 0
-    sub = Subsolution(profile31, ScaledBarrier.from_result(
-        lemma_result, 1.0), m=0.2, delta=0.1, R=5.0)
+    sub = Subsolution(profile31, lemma_result.scaled(1.0), m=0.2, delta=0.1, R=5.0)
     lo, hi = sub.barrier.domain
     r = np.linspace(0.0, 1.2 * hi, 301)
     t = 0.25
@@ -187,8 +190,7 @@ def test_subsolution_branches_off_the_barrier_domain(lemma_result, profile31):
 
 
 def test_subsolution_residual_report(lemma_result, profile31):
-    sub = Subsolution(profile31, ScaledBarrier.from_result(
-        lemma_result, 1.0), m=0.2, delta=0.1, R=5.0)
+    sub = Subsolution(profile31, lemma_result.scaled(1.0), m=0.2, delta=0.1, R=5.0)
     spec = GridSpec.uniform(3, 0.0, 0.8 * sub.barrier.domain[1], 501)
     rep = sub.residual_report(spec, np.linspace(0.1, 1.0, 4))
     assert rep["subsolution_ok"]

@@ -2,6 +2,9 @@ import configparser
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,9 +244,10 @@ def test_infinite_horizon_is_usage_error_without_a_step(tmp_path, capsys,
     ["barrier", "--set", "which=subsolution", "--set", "delta=inf"],
     ["barrier", "--set", "which=static", "--set", "alpha=inf"],
     ["--quick", "experiment", "--name", "subsolution", "--set", "delta=inf"],
+    ["--quick", "experiment", "--name", "subsolution", "--set", "lam=inf"],
 ], ids=["barrier-m", "barrier-delta", "barrier-radius", "barrier-alpha",
         "subsolution-delta", "barrier-delta-inf", "barrier-alpha-inf",
-        "subsolution-delta-inf"])
+        "subsolution-delta-inf", "subsolution-lam-inf"])
 def test_nan_barrier_inputs_are_usage_errors_without_artifacts(tmp_path, capsys,
                                                                argv):
     # every barrier result is validated before the first artifact is written
@@ -261,6 +265,22 @@ def test_nan_barrier_inputs_are_usage_errors_without_artifacts(tmp_path, capsys,
 def test_nan_scenario_tolerances_are_usage_errors_without_artifacts(
         tmp_path, capsys, monkeypatch, argv):
     # a NaN tolerance is rejected before any flow runs
+    _assert_rejected_before_a_flow(tmp_path, capsys, monkeypatch, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--name", "main-theorem", "--set", "threshold=inf"],
+    ["--name", "family-uniform", "--set", "threshold=inf"],
+    ["--name", "subsolution", "--set", "slack=inf"],
+], ids=["main-theorem-threshold", "family-threshold", "subsolution-slack"])
+def test_infinite_scenario_tolerances_are_usage_errors_without_artifacts(
+        tmp_path, capsys, monkeypatch, argv):
+    # an infinite threshold is met at the first snapshot, and an infinite
+    # slack forgives any margin: both would pass vacuously
+    _assert_rejected_before_a_flow(tmp_path, capsys, monkeypatch, argv)
+
+
+def _assert_rejected_before_a_flow(tmp_path, capsys, monkeypatch, argv):
     def no_flow(*args, **kwargs):
         raise AssertionError("the scenario ran a flow")
     monkeypatch.setattr(experiments, "evolve", no_flow)
@@ -281,6 +301,22 @@ def test_infinite_comparison_allowances_are_usage_errors_without_artifacts(
                     "--name", "family-uniform", "--set", pair], tmp_path) == 2
     assert "usage error" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_stalled_shot_reports_its_istate_once(tmp_path):
+    # the step bound's ShootingError states LSODA's istate; scipy's warning
+    # of the same istate stays inside the shot
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coneflow.cli", "--out", str(tmp_path / "art"),
+         "expander", "--set", "n=30"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("coneflow: numerical failure: ")
+    assert "LSODA istate -1 (Excess work done" in proc.stderr
 
 
 def test_numerical_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):

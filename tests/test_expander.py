@@ -569,7 +569,6 @@ def test_report_counts_shots(monkeypatch):
     assert solve_expander_profile(ConeProfile.radial(2, 0.0)).report["shots"] == 0
 
 
-@pytest.mark.filterwarnings("ignore:lsoda. Excess work done")
 def test_stalled_shot_raises_at_the_step_bound(monkeypatch):
     # at n = 30 the a = 1.5 bracket shot holds h at 7.9e-7, so it would take
     # some 50 million steps to reach rho_max; the step bound stops it with
@@ -584,7 +583,6 @@ def test_stalled_shot_raises_at_the_step_bound(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.filterwarnings("ignore:lsoda. Excess work done")
 def test_node_solve_stops_at_the_step_bound(monkeypatch, shooting):
     # the (2, 1) node solve takes 665 steps; under a bound of 100 it raises
     # instead of falling back to solve_ivp, and so does a shot

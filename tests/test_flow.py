@@ -37,14 +37,16 @@ def test_horizon_must_be_positive():
         evolve(GridFunction(spec, np.zeros(51)), 0.0, cfg)
 
 
-@pytest.mark.parametrize("r_min, drift", [(0.5, False), (0.0, True)],
+@pytest.mark.parametrize("r_min, drift, error", [(0.5, False, GridError),
+                                                 (0.0, True, ParameterError)],
                          ids=["radial-annulus", "radial-drift"])
-def test_flow_solves_entire_graphs_only(r_min, drift):
-    # a radial grid must reach the axis, and the similarity drift is polar
-    # only: both are rejected before the first step
-    spec = GridSpec.uniform(2, r_min, 5.0, 21)
+def test_flow_solves_entire_graphs_only(r_min, drift, error):
+    # a radial grid must reach the axis (the grid rejects any other layout
+    # when it is built), and the similarity drift is polar only (rejected
+    # before the first step)
     cfg = SolverConfig(dt_init=0.01, similarity_drift=drift)
-    with pytest.raises(ParameterError):
+    with pytest.raises(error):
+        spec = GridSpec.uniform(2, r_min, 5.0, 21)
         evolve(GridFunction(spec, spec.nodes.copy()), 0.1, cfg)
 
 

@@ -4,10 +4,13 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from coneflow import geometry
+from coneflow.barriers import lemma_barrier_flow
+from coneflow.cones import ConeProfile
 from coneflow.errors import GridError
-from coneflow.geometry import (GridFunction, GridSpec, graph_rhs, grids_match,
+from coneflow.geometry import (GridFunction, GridSpec, grids_match,
                                mean_curvature, radial_rhs, _d1_d2,
-                               _polar_derivatives, _radial_derivatives)
+                               _polar_derivatives, _radial_curvatures,
+                               _radial_derivatives)
 
 
 def test_uniform_spec_basics():
@@ -182,7 +185,6 @@ def test_d1_d2_matches_frozen_formulas(ndim):
 _ORACLE_GRIDS = {
     "uniform-origin": GridSpec.uniform(2, 0.0, 5.0, 33),
     "geometric": GridSpec.geometric(3, 0.05, 4.0),
-    "annulus": GridSpec.uniform(2, 0.5, 5.0, 33),
 }
 
 
@@ -195,12 +197,9 @@ def test_radial_operator_matches_d1_d2(grid, data):
     r = spec.nodes
     v = data.draw(hnp.arrays(np.float64, r.size,
                              elements=st.floats(-1e3, 1e3)))
-    if r[0] == 0.0:
-        want = _frozen_d1_d2(np.concatenate(([-r[1]], r)),
-                             np.concatenate(([v[1]], v)))
-        want = tuple(d[1:] for d in want)
-    else:
-        want = _frozen_d1_d2(r, v)
+    want = _frozen_d1_d2(np.concatenate(([-r[1]], r)),
+                         np.concatenate(([v[1]], v)))
+    want = tuple(d[1:] for d in want)
     _assert_same_bits(_radial_derivatives(spec, v), want)
 
 
@@ -267,12 +266,24 @@ def test_quadratic_oracle_catches_speed_defects(monkeypatch, grid, n, defect):
 
 
 def test_radial_rhs_needs_a_grid_from_the_axis():
-    # only a flow grid's speed is defined: it continues across r = 0
-    spec = GridSpec.uniform(2, 0.5, 5.0, 33)
-    u = GridFunction(spec, 0.5 * spec.nodes ** 2)
-    for rhs in (radial_rhs, graph_rhs):
-        with pytest.raises(GridError, match="r = 0"):
-            rhs(u)
+    # the speed continues across r = 0, and so does every radial grid: one
+    # that stops short of the axis is rejected when it is built
+    with pytest.raises(GridError, match="r = 0"):
+        GridSpec.uniform(2, 0.5, 5.0, 33)
+
+
+def test_barrier_curvature_matches_frozen_formulas():
+    # the barrier curve's H is the frozen three-point table followed by the
+    # written-out H = q/W^3 + (n-1) p/(r W), bit for bit, and H_min is its
+    # minimum over the certified window
+    res = lemma_barrier_flow(ConeProfile.radial(3, 1.0), 300, 120, 100)
+    r, b = res.r, res.b
+    p, q = _frozen_d1_d2(r, b)
+    W = np.sqrt(1.0 + p * p)
+    want = q / W ** 3 + (3 - 1) * (p / (r * W))
+    assert np.array_equal(_radial_curvatures(3, r, *_d1_d2(r, b)), want)
+    lo, hi = res.certified
+    assert res.H_min == float(np.min(want[(r >= lo) & (r <= hi)]))
 
 
 def _frozen_polar_derivatives(spec, vals):
@@ -313,12 +324,17 @@ def test_polar_derivatives_match_frozen_formulas_unstacked(spec):
                       _frozen_polar_derivatives(spec, vals))
 
 
-@pytest.mark.parametrize("spec", [
-    GridSpec.uniform(2, 0.0, 5.0, 33),
-    GridSpec.uniform(3, 0.5, 5.0, 33),
-    GridSpec.polar_disk(1.0, 12, 16),
+@pytest.mark.parametrize("n, r0, thetas, builds", [
+    (2, 0.0, None, True),
+    (3, 0.5, None, False),
+    (2, 1.0 / 24, 2.0 * np.pi * np.arange(16) / 16, True),
 ], ids=["radial-origin", "radial-annulus", "disk"])
-def test_inner_ring_matches_the_flow_predicate(spec):
-    # only a radial grid that stops short of the axis has an inner ring;
-    # the flow rejects such grids
-    assert spec.inner_ring is (not spec.polar and spec.r_min > 0)
+def test_grids_continue_across_the_origin(n, r0, thetas, builds):
+    # a radial grid reads its ghost node across the axis, so it starts at
+    # r = 0; a polar grid crosses the origin through its antipodal ring
+    nodes = np.linspace(r0, 1.0, 12)
+    if builds:
+        assert GridSpec(n, nodes, thetas).nodes[0] == r0
+    else:
+        with pytest.raises(GridError, match="r = 0"):
+            GridSpec(n, nodes, thetas)
