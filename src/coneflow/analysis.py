@@ -118,7 +118,8 @@ class C1Function:
             raise ParameterError("C1Function.from_cone takes radial cones")
 
         def val(pts):
-            return np.atleast_1d(k.evaluate(pts))
+            pts = np.atleast_2d(np.asarray(pts, dtype=float))
+            return k.beta * np.sqrt(np.sum(pts ** 2, axis=-1))
 
         def grad(pts):
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -203,7 +204,7 @@ def graph_area_bound_check(u0: C1Function, k, x, rho: float,
         raise ParameterError("area-bound quadrature is implemented for n = 2")
     x = np.asarray(x, dtype=float)
     kf = C1Function.from_cone(k)
-    slope = k.slope_bound()
+    slope = abs(k.beta)
     if slope > G * (1 + 1e-12):
         raise ParameterError(f"cone slope {slope:.3g} exceeds the declared bound G={G}")
 
@@ -252,10 +253,10 @@ def clearing_out_experiment(k, height: float, rho: float) -> ClearingOutReport:
 
     if k.kind != "radial":
         raise ParameterError("clearing-out experiment is radial")
-    G = max(1.0, k.slope_bound())
+    G = max(1.0, abs(k.beta))
     t_cap = 10.0 * rho * rho
-    threshold = float(k.evaluate(np.zeros(k.n))) + rho * (2.0 + G)
-    if height <= rho * (2.0 + G):
+    threshold = rho * (2.0 + G)  # k(0) = 0
+    if height <= threshold:
         raise ParameterError("spike must start above the clearing threshold")
 
     spec = GridSpec.geometric(k.n, h0=rho / 24.0, r_max=max(20.0 * rho, 4.0),

@@ -9,9 +9,9 @@ Three families live here, plus the measurement tools that certify them:
   |F| = (r^2 + b^2)^(-(n-2)/4), run for unit time from r = 10 to r = 400 and
   realized twice: as a graphical upwind march of the curve (r, b) (for
   sup/curvature certificates; its H is geometry's radial formula on the
-  per-call stencil ``_d1_d2``) and as a Lagrangian particle flow of the
-  profile curve (for residual checks of the evolution equations of g, h, H,
-  |A|^2 and nu);
+  per-call stencil ``_d1_d2``) and, for the residual checks of the
+  evolution equations of g, h, H, |A|^2 and nu, as a Lagrangian particle
+  flow of the profile curve that only those checks integrate;
 * max-type subsolutions B = max(U - m, b_scaled - delta/2) glued from an
   expanding soliton and a scaled flow barrier.
 
@@ -47,7 +47,6 @@ __all__ = [
     "StaticBarrier",
     "static_barrier_w",
     "wk_difference_fit",
-    "LagrangianPath",
     "LemmaBarrierResult",
     "lemma_barrier_flow",
     "evolution_equation_residuals",
@@ -168,18 +167,6 @@ def _upwind_rate(r: np.ndarray, b: np.ndarray, alpha: float):
     return -F * np.sqrt(1.0 + grad2), F
 
 
-@dataclass(eq=False)
-class LagrangianPath:
-    """Particle trajectories (R, Z)(s, t) of the profile curve."""
-
-    n: int
-    alpha: float
-    s: np.ndarray
-    times: np.ndarray
-    R: np.ndarray
-    Z: np.ndarray
-
-
 def _lagrangian_velocity(s, R, Z, alpha):
     Rs, Zs = _d1_d2(s, np.stack((R, Z), axis=1))[0].T
     q = np.sqrt(Rs * Rs + Zs * Zs)
@@ -189,7 +176,9 @@ def _lagrangian_velocity(s, R, Z, alpha):
 
 
 def _integrate_lagrangian(k: ConeProfile, s: np.ndarray, steps: int,
-                          alpha: float) -> LagrangianPath:
+                          alpha: float) -> tuple:
+    """Particle trajectories (R, Z)(s, t) of the profile curve at the
+    ``steps + 1`` levels t = j * _HORIZON / steps, by classical RK4."""
     nt = steps
     dt = _HORIZON / nt
     R = np.empty((nt + 1, s.size))
@@ -206,13 +195,24 @@ def _integrate_lagrangian(k: ConeProfile, s: np.ndarray, steps: int,
         k4 = _lagrangian_velocity(s, r0 + dt * k3[0], z0 + dt * k3[1], alpha)
         R[j + 1] = r0 + dt * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
         Z[j + 1] = z0 + dt * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
-    times = dt * np.arange(nt + 1)
-    return LagrangianPath(k.n, alpha, s, times, R, Z)
+    return R, Z
+
+
+def _flow_exponent(k: ConeProfile) -> float:
+    """alpha = (n-2)/4 of the speed |F| = (r^2 + b^2)^(-alpha) over ``k``,
+    after the checks both realizations of the flow share."""
+    if k.kind != "radial":
+        raise ParameterError("the flow barrier is built over radial cones")
+    if k.n < 3:
+        raise ParameterError("the inverse-power speed needs n >= 3")
+    if k.scaled_mean_curvature() <= 0:
+        raise ParameterError("cone must be strictly mean convex")
+    return (k.n - 2) / 4.0
 
 
 @dataclass(eq=False)
 class LemmaBarrierResult:
-    """Graphical + Lagrangian realizations of the flow barrier, certified.
+    """The graphical realization of the flow barrier, certified.
 
     The graphical barrier at unit time is the curve (``r``, ``b``) over
     r in [10, 400]; ``k_values`` is the cone on the same radii.
@@ -220,7 +220,6 @@ class LemmaBarrierResult:
 
     cone: ConeProfile
     alpha: float
-    lagrangian: LagrangianPath
     r: np.ndarray
     b: np.ndarray
     k_values: np.ndarray
@@ -246,12 +245,10 @@ class LemmaBarrierResult:
                                  f"and finite; got {lam}")
         lo, hi = self.certified
         return ScaledBarrier(self.cone, lam, self.m1, self.R1, lam * self.r, lam * self.b,
-                             (lam * lo, lam * hi), self.H_min / lam)
+                             (lam * lo, lam * hi))
 
 
-def lemma_barrier_flow(k: ConeProfile, points: int = 600,
-                       lagrangian_points: int = 240,
-                       lagrangian_steps: int = 200) -> LemmaBarrierResult:
+def lemma_barrier_flow(k: ConeProfile, points: int = 600) -> LemmaBarrierResult:
     """March the inverse-power speed flow from the cone for unit time over
     r in [10, 400].
 
@@ -259,17 +256,8 @@ def lemma_barrier_flow(k: ConeProfile, points: int = 600,
     under a CFL cap.  The inner edge is an inflow boundary for the truncated
     domain, so a pollution collar of width 2 * max|F| is excluded from
     every certificate (b < k, H[b] > 0, deficit decay and monotonicity).
-    The Lagrangian twin integrates the same motion particle-wise for the
-    evolution-equation residual checks.
     """
-    if k.kind != "radial":
-        raise ParameterError("the flow barrier is built over radial cones")
-    if k.n < 3:
-        raise ParameterError("the inverse-power speed needs n >= 3")
-    if k.scaled_mean_curvature() <= 0:
-        raise ParameterError("cone must be strictly mean convex")
-
-    alpha = (k.n - 2) / 4.0
+    alpha = _flow_exponent(k)
     r = np.geomspace(_R_INNER, _R_OUTER, points)
     kv = k.beta * r
     f0 = _speed(_R_INNER, k.beta * _R_INNER, alpha)
@@ -286,9 +274,6 @@ def lemma_barrier_flow(k: ConeProfile, points: int = 600,
         rate2, F2 = _upwind_rate(r, b1, alpha)
         b = b + 0.5 * dt * (rate1 + rate2)
         f_run_max = max(f_run_max, float(np.max(F1)), float(np.max(F2)))
-
-    s = np.geomspace(_R_INNER, _R_OUTER, lagrangian_points)
-    lagr = _integrate_lagrangian(k, s, lagrangian_steps, alpha)
 
     r_cut = _R_INNER + 2.0 * f_run_max * _HORIZON
     il = int(np.searchsorted(r, r_cut))
@@ -308,7 +293,7 @@ def lemma_barrier_flow(k: ConeProfile, points: int = 600,
     want = -(k.n - 2) / 2.0
     passed = (min_gap > 0 and H_min > 0 and mono
               and abs(fit.exponent - want) <= 0.2 * abs(want))
-    return LemmaBarrierResult(k, alpha, lagr, r, b, kv,
+    return LemmaBarrierResult(k, alpha, r, b, kv,
                               r_cut, (float(r[il]), float(r[iu - 1])), min_gap,
                               H_min, float(gap[il]), float(r[il]), fit, mono,
                               bool(passed))
@@ -357,36 +342,40 @@ def _profile_geometry(s, R, Z, n, alpha):
             "nu_r": nu_r, "nu_z": nu_z, "Rs": Rs, "Zs": Zs, "X2": X2}
 
 
-def evolution_equation_residuals(path: LagrangianPath, t_stride: int = 10) -> dict:
-    """Check the five evolution equations along the particle flow.
+def evolution_equation_residuals(k: ConeProfile, points: int, steps: int,
+                                 t_stride: int) -> dict:
+    """Check the five evolution equations along the particle flow of the
+    lemma barrier over ``k``.
 
-    Time derivatives at fixed particle label come from centered differences
-    of the stored levels; the right-hand sides are evaluated analytically at
-    the middle level.  Each residual is the sup over sampled interior nodes
+    The profile curve starts as the cone on ``points`` geometric labels over
+    r in [10, 400] and takes ``steps`` RK4 steps to unit time; every
+    ``t_stride``-th interior level is sampled.  Time derivatives at fixed
+    particle label come from centered differences of the stored levels; the
+    right-hand sides are evaluated analytically at the middle level.  Each residual is the sup over sampled interior nodes
     and times, normalized by the larger of the two sides' sup scales, so a
     value of 1e-2 means one percent of the equation's own size.  The three
     nodes at either end of the curve feel the one-sided stencil and are
     left out.
     """
-    nt = path.times.size
-    if nt < 3:
+    alpha = _flow_exponent(k)
+    if steps < 2:
         raise ParameterError("need at least three stored levels")
-    dt = float(path.times[1] - path.times[0])
-    n, alpha = path.n, path.alpha
-    sl = slice(3, path.s.size - 3)
+    s = np.geomspace(_R_INNER, _R_OUTER, points)
+    R, Z = _integrate_lagrangian(k, s, steps, alpha)
+    n, dt = k.n, _HORIZON / steps
+    sl = slice(3, points - 3)
 
     keys = ["g_ss", "g_th", "h_ss", "h_th", "H", "A2", "nu_r", "nu_z"]
-    num = {k: 0.0 for k in ["metric", "second_form", "mean_curvature",
-                            "a_squared", "normal"]}
+    num = {key: 0.0 for key in ["metric", "second_form", "mean_curvature",
+                                "a_squared", "normal"]}
     den = dict(num)
     a_ratio = 0.0
     samples = 0
-    js = range(1, nt - 1, max(1, t_stride))
-    for j in js:
-        gm = _profile_geometry(path.s, path.R[j - 1], path.Z[j - 1], n, alpha)
-        g0 = _profile_geometry(path.s, path.R[j], path.Z[j], n, alpha)
-        gp = _profile_geometry(path.s, path.R[j + 1], path.Z[j + 1], n, alpha)
-        lhs = {k: (gp[k] - gm[k]) / (2.0 * dt) for k in keys}
+    for j in range(1, steps, max(1, t_stride)):
+        gm = _profile_geometry(s, R[j - 1], Z[j - 1], n, alpha)
+        g0 = _profile_geometry(s, R[j], Z[j], n, alpha)
+        gp = _profile_geometry(s, R[j + 1], Z[j + 1], n, alpha)
+        lhs = {key: (gp[key] - gm[key]) / (2.0 * dt) for key in keys}
         rhs = {
             "g_ss": -2.0 * g0["F"] * g0["h_ss"],
             "g_th": -2.0 * g0["F"] * g0["h_th"],
@@ -413,9 +402,9 @@ def evolution_equation_residuals(path: LagrangianPath, t_stride: int = 10) -> di
         a_ratio = max(a_ratio, float(np.max(ratio)))
         samples += 1
 
-    out = {k: (num[k] / den[k] if den[k] > 0 else 0.0) for k in num}
+    out = {key: (num[key] / den[key] if den[key] > 0 else 0.0) for key in num}
     out["a_evolution_ratio"] = a_ratio
-    out["max"] = max(out[k] for k in
+    out["max"] = max(out[key] for key in
                      ["metric", "second_form", "mean_curvature", "a_squared",
                       "normal"])
     out["levels_sampled"] = samples
@@ -429,9 +418,8 @@ def evolution_equation_residuals(path: LagrangianPath, t_stride: int = 10) -> di
 @dataclass(eq=False)
 class ScaledBarrier:
     """A certified flow barrier after parabolic rescaling by lam
-    (:meth:`LemmaBarrierResult.scaled`): the curve (``r``, ``b``), its
-    certified window and curvature floor, read between the nodes through a
-    cubic spline."""
+    (:meth:`LemmaBarrierResult.scaled`): the curve (``r``, ``b``) and its
+    certified window, read between the nodes through a cubic spline."""
 
     cone: ConeProfile
     lam: float
@@ -440,7 +428,6 @@ class ScaledBarrier:
     r: np.ndarray
     b: np.ndarray
     certified: tuple
-    H_min: float
     _spline: CubicSpline = field(init=False, repr=False)
 
     def __post_init__(self):

@@ -317,16 +317,17 @@ def _cmd_verify(cfg: dict, out: str) -> int:
     return 0 if report["passed"] else 1
 
 
-def _scenario_overrides(scenario, pairs) -> tuple:
-    """Type-check key=value pairs against the runner's scalar defaults; a
-    parameter whose default is not a bool, int, float or str (a tuple)
-    cannot be typed from text and is not offered."""
+def _scenario_settings(scenario, seed: int, pairs) -> dict:
+    """The runner's settings: ``seed`` where it takes one, then key=value
+    pairs type-checked against its scalar defaults; a parameter whose
+    default is not a bool, int, float or str (a tuple) cannot be typed from
+    text and is not offered."""
     schema = {name: p.default for name, p in
               inspect.signature(scenario.function()).parameters.items()
               if isinstance(p.default, (bool, int, float, str))}
-    merged = dict(scenario.overrides)
-    merged.update(_apply_sets(schema, pairs, f"scenario {scenario.name!r}"))
-    return tuple(merged.items())
+    settings = {"seed": seed} if "seed" in schema else {}
+    settings.update(_apply_sets(schema, pairs, f"scenario {scenario.name!r}"))
+    return settings
 
 
 def _experiment_summary(name: str, rep) -> dict:
@@ -371,10 +372,8 @@ def _cmd_experiment(cfg: dict, out: str, sets) -> int:
         raise ParameterError(f"unknown scenario {name!r} "
                              f"(known: {', '.join(sorted(SCENARIOS))})")
     scenario = SCENARIOS[name]
-    overrides = _scenario_overrides(scenario, sets)
-    scenario = dataclasses.replace(scenario, seed=cfg["run"]["seed"],
-                                   overrides=overrides)
-    rep = scenario.run(quick=cfg["run"]["quick"])
+    rep = scenario.run(cfg["run"]["quick"],
+                       **_scenario_settings(scenario, cfg["run"]["seed"], sets))
     summary = _experiment_summary(name, rep)
     summary["claim"] = scenario.claim
     write_json(os.path.join(out, f"experiment_{name}.json"), summary)
@@ -423,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"artifact directory (default $"
                              f"{ENV_OUT} or ./results)")
     parser.add_argument("--seed", type=int, metavar="N",
-                        help="random seed for randomized checks")
+                        help="seed of the family-uniform scenario's "
+                             "random family")
     parser.add_argument("--quick", action="store_true", default=None,
                         help="smaller grids and horizons for smoke runs "
                              "(verify, experiment, suite only)")

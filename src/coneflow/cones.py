@@ -6,10 +6,11 @@ dimension) and planar cones with an angular profile gamma(theta) given by
 samples on a uniform circle grid (n = 2 only, interpolated with a periodic
 cubic spline).
 
-The profile exposes what the solvers and barriers need: values and angular
-derivatives of gamma, sampling on radial and polar grids, the slope bound
-sup |Dk|, the scale-invariant mean curvature r*H[k] (mean convexity is
-H[k] >= 0) and the far-field expander tail coefficient.
+The profile exposes what the solvers and barriers need: gamma on a set of
+angles, sampling on radial and polar grids, the scale-invariant mean
+curvature r*H[k] of a radial cone (mean convexity is H[k] >= 0) and the
+far-field expander tail coefficient of a planar one.  The radial callers read
+``beta`` directly: k = beta * |x| and sup |Dk| = |beta|.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ __all__ = ["ConeProfile"]
 class ConeProfile:
     """One-homogeneous cone k(x) = |x| * gamma(x/|x|).
 
-    ``kind`` is 'radial' (gamma identically ``beta``) or 'angular' (``gamma_samples``
-    on the uniform grid theta_j = 2*pi*j/m, n = 2 only).
+    Radial (gamma identically ``beta``, any n) unless ``gamma_samples`` is
+    given: then angular, with the samples on the uniform grid
+    theta_j = 2*pi*j/m and n = 2.
     """
 
     n: int
-    kind: str
     beta: float = 0.0
     gamma_samples: np.ndarray | None = None
     _spline: CubicSpline | None = field(default=None, init=False, repr=False, compare=False)
@@ -42,33 +43,29 @@ class ConeProfile:
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError(f"dimension must be >= 1, got {self.n}")
-        if self.kind == "radial":
+        if self.gamma_samples is None:
             if not np.isfinite(self.beta):
                 raise ParameterError("radial cone slope must be finite")
-        elif self.kind == "angular":
-            if self.n != 2:
-                raise ParameterError("angular cones are only supported for n = 2")
-            if self.gamma_samples is None:
-                raise ParameterError("angular cone needs gamma_samples")
-            samples = np.asarray(self.gamma_samples, dtype=float)
-            if samples.ndim != 1 or samples.size < 8:
-                raise ParameterError("angular profile needs at least 8 samples")
-            if not np.all(np.isfinite(samples)):
-                raise ParameterError("angular samples must be finite")
-            samples.setflags(write=False)
-            object.__setattr__(self, "gamma_samples", samples)
-            m = samples.size
-            th = 2.0 * np.pi * np.arange(m + 1) / m
-            vals = np.concatenate([samples, samples[:1]])
-            object.__setattr__(self, "_spline", CubicSpline(th, vals, bc_type="periodic"))
-        else:
-            raise ParameterError(f"unknown cone kind {self.kind!r}")
+            return
+        if self.n != 2:
+            raise ParameterError("angular cones are only supported for n = 2")
+        samples = np.asarray(self.gamma_samples, dtype=float)
+        if samples.ndim != 1 or samples.size < 8:
+            raise ParameterError("angular profile needs at least 8 samples")
+        if not np.all(np.isfinite(samples)):
+            raise ParameterError("angular samples must be finite")
+        samples.setflags(write=False)
+        object.__setattr__(self, "gamma_samples", samples)
+        m = samples.size
+        th = 2.0 * np.pi * np.arange(m + 1) / m
+        vals = np.concatenate([samples, samples[:1]])
+        object.__setattr__(self, "_spline", CubicSpline(th, vals, bc_type="periodic"))
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def radial(cls, n: int, beta: float) -> "ConeProfile":
-        return cls(n, "radial", beta=float(beta))
+        return cls(n, float(beta))
 
     @classmethod
     def angular(cls, gamma, m: int = 64) -> "ConeProfile":
@@ -77,39 +74,20 @@ class ConeProfile:
             samples = np.asarray(gamma(2.0 * np.pi * np.arange(m) / m), dtype=float)
         else:
             samples = np.asarray(gamma, dtype=float)
-        return cls(2, "angular", gamma_samples=samples)
+        return cls(2, gamma_samples=samples)
 
-    # -- profile values ------------------------------------------------------
+    @property
+    def kind(self) -> str:
+        """'radial' or 'angular', read off ``gamma_samples``."""
+        return "radial" if self.gamma_samples is None else "angular"
 
-    def gamma(self, theta=None):
+    # -- values --------------------------------------------------------------
+
+    def gamma(self, theta):
+        """gamma at the angles ``theta``."""
         if self.kind == "radial":
-            return self.beta if theta is None else np.full_like(np.asarray(theta, float), self.beta)
+            return np.full_like(np.asarray(theta, float), self.beta)
         return self._spline(np.mod(theta, 2.0 * np.pi))
-
-    def gamma_prime(self, theta):
-        if self.kind == "radial":
-            return np.zeros_like(np.asarray(theta, float))
-        return self._spline(np.mod(theta, 2.0 * np.pi), 1)
-
-    def gamma_second(self, theta):
-        if self.kind == "radial":
-            return np.zeros_like(np.asarray(theta, float))
-        return self._spline(np.mod(theta, 2.0 * np.pi), 2)
-
-    # -- evaluation ----------------------------------------------------------
-
-    def evaluate(self, x) -> np.ndarray | float:
-        """k at Cartesian point(s) x of shape (n,) or (m, n)."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        if pts.shape[-1] != self.n:
-            raise ParameterError(f"points must have {self.n} components")
-        r = np.sqrt(np.sum(pts ** 2, axis=-1))
-        if self.kind == "radial":
-            out = self.beta * r
-        else:
-            theta = np.arctan2(pts[..., 1], pts[..., 0])
-            out = np.where(r > 0, r * self._spline(np.mod(theta, 2.0 * np.pi)), 0.0)
-        return out if np.asarray(x).ndim > 1 else float(out[0])
 
     def on_grid(self, spec: GridSpec) -> GridFunction:
         """Sample k on a radial or polar grid."""
@@ -122,30 +100,21 @@ class ConeProfile:
 
     # -- derived scalars -----------------------------------------------------
 
-    def slope_bound(self) -> float:
-        """sup |Dk|, exact for radial cones, sampled at 720 angles for angular
-        ones."""
-        if self.kind == "radial":
-            return abs(self.beta)
-        th = 2.0 * np.pi * np.arange(720) / 720
-        return float(np.max(np.sqrt(self.gamma(th) ** 2 + self.gamma_prime(th) ** 2)))
-
     def scaled_mean_curvature(self) -> float:
         """r * H[k] of a radial cone, (n-1)*beta/sqrt(1+beta^2), the same on
         every ray; its callers take radial cones only."""
         return (self.n - 1) * self.beta / np.sqrt(1.0 + self.beta ** 2)
 
-    def tail_coefficient(self, theta=None):
-        """Coefficient c of the far-field expander correction U ~ k + c/rho.
+    def tail_coefficient(self, theta):
+        """Coefficient c(theta) of the far-field expander correction
+        U ~ k + c/rho of a planar cone.
 
         Determined by balancing sqrt(1+|Dv|^2) H[v] against (v - rho v_rho)/2
-        for v = gamma*rho + c/rho; equals (n-1)*beta for radial cones and
-        (g+g'')(1+g^2)/(1+g^2+g'^2) for planar profiles.
+        for v = gamma*rho + c/rho: c = (g+g'')(1+g^2)/(1+g^2+g'^2).  A radial
+        cone's tail is ``expander._tail_coeffs``.
         """
         if self.kind == "radial":
-            value = (self.n - 1) * self.beta
-            return value if theta is None else np.full_like(np.asarray(theta, float), value)
-        g = self.gamma(theta)
-        gp = self.gamma_prime(theta)
-        gpp = self.gamma_second(theta)
+            raise ParameterError("radial cones take their tail from the expander profile")
+        th = np.mod(theta, 2.0 * np.pi)
+        g, gp, gpp = self._spline(th), self._spline(th, 1), self._spline(th, 2)
         return (g + gpp) * (1.0 + g ** 2) / (1.0 + g ** 2 + gp ** 2)

@@ -12,7 +12,6 @@ to CSV without recomputation.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 
@@ -361,29 +360,22 @@ class Scenario:
     ``runner`` names the experiment function in this module.  It is looked up
     at call time, so a rebound module attribute (a profiler's wrapper, say)
     is what runs.  ``quick_overrides`` holds the (key, value) settings of quick
-    mode; explicit ``overrides`` win over them.
+    mode; the settings passed to :meth:`run` win over them.
     """
 
     name: str
     runner: str
     claim: str
     quick_overrides: tuple = ()
-    seed: int = 0
-    overrides: tuple = ()
 
     def function(self):
         """The runner, read from this module's namespace at call time."""
         return globals()[self.runner]
 
-    def run(self, quick: bool = False):
-        fn = self.function()
-        kw = dict(self.overrides)
-        if "seed" in inspect.signature(fn).parameters:
-            kw.setdefault("seed", self.seed)
-        if quick:
-            for key, value in self.quick_overrides:
-                kw.setdefault(key, value)
-        return fn(**kw)
+    def run(self, quick: bool = False, **settings):
+        kw = dict(self.quick_overrides) if quick else {}
+        kw.update(settings)
+        return self.function()(**kw)
 
 
 SCENARIOS = {

@@ -113,9 +113,9 @@ def test_benchmark_tracer_installs():
 # entry is (file, callee, parameter); "*" stands for every callee of the file
 # or every parameter of the callee.
 UNSET_KEEP = {
-    # the scenario runners: Scenario.run(**kw) hands them the quick settings
-    # and `experiment --set` every scalar parameter, through ** where the scan
-    # sees no parameter (checked in the test below)
+    # the scenario runners: Scenario.run(quick, **settings) hands them the
+    # quick settings and `experiment --set` every scalar parameter, through
+    # ** where the scan sees no parameter (checked in the test below)
     ("experiments.py", "run_main_theorem", "*"),
     ("experiments.py", "run_one_sided", "*"),
     ("experiments.py", "run_family_uniform", "*"),

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from coneflow import acceptance, barriers, cli
 from coneflow.barriers import (HeatSupersolution, Subsolution,
                                evolution_equation_residuals,
                                half_space_experiment, lemma_barrier_flow,
@@ -12,6 +13,7 @@ from coneflow.barriers import (HeatSupersolution, Subsolution,
 from coneflow.cones import ConeProfile
 from coneflow.errors import (CertificationError, DomainError, ParameterError)
 from coneflow.expander import evaluate_U
+from coneflow.experiments import SCENARIOS
 from coneflow.flow import FlowRun, SolverConfig, evolve
 from coneflow.geometry import GridFunction, GridSpec, _radial_derivatives
 
@@ -20,8 +22,7 @@ K3 = ConeProfile.radial(3, 1.0)
 
 @pytest.fixture(scope="module")
 def lemma_result():
-    return lemma_barrier_flow(K3, points=300, lagrangian_points=120,
-                              lagrangian_steps=100)
+    return lemma_barrier_flow(K3, points=300)
 
 
 # -- static power-law barrier --------------------------------------------------
@@ -75,10 +76,36 @@ def test_lemma_barrier_certificates(lemma_result):
 
 
 def test_lemma_barrier_rejects_bad_setups():
-    with pytest.raises(ParameterError):
-        lemma_barrier_flow(ConeProfile.radial(2, 1.0))  # needs n >= 3
-    with pytest.raises(ParameterError):
-        lemma_barrier_flow(ConeProfile.radial(3, 0.0))  # not mean convex
+    # the graphical barrier and the particle flow share the cone checks
+    for cone in (ConeProfile.radial(2, 1.0),   # needs n >= 3
+                 ConeProfile.radial(3, 0.0)):  # not mean convex
+        with pytest.raises(ParameterError):
+            lemma_barrier_flow(cone)
+        with pytest.raises(ParameterError):
+            evolution_equation_residuals(cone, 120, 100, 10)
+    with pytest.raises(ParameterError):  # fewer than three levels
+        evolution_equation_residuals(K3, 120, 1, 10)
+
+
+def test_only_the_residual_checks_integrate_the_particle_flow(monkeypatch, tmp_path):
+    # the Lagrangian path has one reader, the evolution-equation residuals:
+    # the graphical barrier, the subsolution built on it and the barrier
+    # command integrate none, and criterion 9 integrates its two paths
+    calls = []
+    integrate = barriers._integrate_lagrangian
+
+    def counted(k, s, steps, alpha):
+        calls.append((s.size, steps))
+        return integrate(k, s, steps, alpha)
+
+    monkeypatch.setattr(barriers, "_integrate_lagrangian", counted)
+    lemma_barrier_flow(K3, points=300)
+    assert SCENARIOS["subsolution"].run(quick=True).passed
+    assert cli.dispatch(["--out", str(tmp_path), "barrier"]) == 0
+    assert calls == []
+    ok, _ = acceptance.evolution_equations(quick=True)
+    assert ok
+    assert calls == [(120, 100), (240, 200)]
 
 
 def test_uncertified_barrier_cannot_be_scaled(lemma_result):
@@ -86,8 +113,8 @@ def test_uncertified_barrier_cannot_be_scaled(lemma_result):
         dataclasses.replace(lemma_result, passed=False).scaled(1.0)
 
 
-def test_evolution_equations_against_lagrangian(lemma_result):
-    out = evolution_equation_residuals(lemma_result.lagrangian, t_stride=10)
+def test_evolution_equations_against_lagrangian():
+    out = evolution_equation_residuals(K3, 120, 100, 10)
     for group in ("metric", "second_form", "mean_curvature", "a_squared",
                   "normal"):
         assert out[group] <= 1e-2
@@ -96,12 +123,9 @@ def test_evolution_equations_against_lagrangian(lemma_result):
     assert out["levels_sampled"] >= 3
 
 
-def test_evolution_residuals_shrink_under_refinement(lemma_result):
-    coarse = evolution_equation_residuals(lemma_result.lagrangian,
-                                          t_stride=10)
-    fine_run = lemma_barrier_flow(K3, points=600, lagrangian_points=240,
-                                  lagrangian_steps=200)
-    fine = evolution_equation_residuals(fine_run.lagrangian, t_stride=20)
+def test_evolution_residuals_shrink_under_refinement():
+    coarse = evolution_equation_residuals(K3, 120, 100, 10)
+    fine = evolution_equation_residuals(K3, 240, 200, 20)
     assert fine["max"] < coarse["max"] / 2.0
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,32 @@ def test_experiment_unknown_scenario(tmp_path, capsys):
 def test_experiment_unknown_override(tmp_path, capsys):
     assert run_cli(["--quick", "experiment", "--name", "family-uniform",
                     "--set", "bogus=1"], tmp_path) == 2
+
+
+def test_experiment_settings_precedence(tmp_path, capsys, monkeypatch):
+    # --set wins over --seed, which wins over the quick settings; a runner
+    # without a seed parameter gets none
+    calls = []
+
+    def family(horizon: float = 50.0, nodes: int = 1001, seed: int = 0):
+        calls.append({"horizon": horizon, "nodes": nodes, "seed": seed})
+        return types.SimpleNamespace(passed=True)
+
+    def theorem(horizon: float = 50.0, nodes: int = 1001):
+        calls.append({"horizon": horizon, "nodes": nodes})
+        return types.SimpleNamespace(passed=True)
+
+    monkeypatch.setattr(experiments, "run_family_uniform", family)
+    monkeypatch.setattr(experiments, "run_main_theorem", theorem)
+    fam = ["--quick", "experiment", "--name", "family-uniform"]
+    assert run_cli(["--seed", "5", *fam], tmp_path) == 0
+    assert run_cli(["--seed", "5", *fam, "--set", "seed=9",
+                    "--set", "nodes=33"], tmp_path) == 0
+    assert run_cli(["--seed", "5", "experiment", "--name", "main-theorem",
+                    "--set", "nodes=33"], tmp_path) == 0
+    assert calls == [{"horizon": 8.0, "nodes": 401, "seed": 5},
+                     {"horizon": 8.0, "nodes": 33, "seed": 9},
+                     {"horizon": 50.0, "nodes": 33}]
 
 
 @pytest.mark.parametrize("pair", ["fit_window=1,12", "profile=1.0",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
+from coneflow.analysis import C1Function
 from coneflow.cones import ConeProfile
 from coneflow.errors import ParameterError
 from coneflow.geometry import GridSpec
@@ -12,60 +12,39 @@ def test_radial_constructor_validation():
         ConeProfile.radial(0, 1.0)
     with pytest.raises(ParameterError):
         ConeProfile.radial(2, float("nan"))
-    with pytest.raises(ParameterError):
-        ConeProfile(2, "diagonal", 1.0)
+    assert ConeProfile.radial(3, 1.5).kind == "radial"
 
 
 def test_angular_constructor_validation():
     with pytest.raises(ParameterError):
         ConeProfile.angular(lambda th: np.ones_like(th), m=4)
     with pytest.raises(ParameterError):
-        ConeProfile(3, "angular",
-                    gamma_samples=np.ones(16))
+        ConeProfile(3, gamma_samples=np.ones(16))
+    with pytest.raises(ParameterError):
+        ConeProfile.angular(np.r_[np.ones(15), np.nan])
+    assert ConeProfile.angular(np.ones(16)).kind == "angular"
 
 
 def test_radial_evaluate_matches_formula():
+    # a radial cone's Cartesian values are beta * |x|, the origin included
     k = ConeProfile.radial(3, 1.5)
-    pts = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 1.0]])
+    pts = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 1.0],
+                    [0.0, 0.0, 0.0]])
     want = 1.5 * np.sqrt(np.sum(pts ** 2, axis=1))
-    assert np.allclose(k.evaluate(pts), want)
-    assert k.evaluate(np.zeros(3)) == 0.0
-
-
-@given(st.floats(0.1, 10.0), st.floats(0.2, 2.0))
-def test_one_homogeneity(lam, beta):
-    k = ConeProfile.radial(2, beta)
-    x = np.array([0.7, -1.3])
-    assert k.evaluate(lam * x) == pytest.approx(lam * float(k.evaluate(x)),
-                                                rel=1e-12)
-
-
-def test_angular_one_homogeneity():
-    k = ConeProfile.angular(lambda th: 1.0 + 0.3 * np.cos(2 * th), m=64)
-    x = np.array([1.2, 0.8])
-    for lam in (0.5, 2.0, 7.0):
-        assert k.evaluate(lam * x) == pytest.approx(lam * float(k.evaluate(x)),
-                                                    rel=1e-10)
+    assert np.allclose(C1Function.from_cone(k).value(pts), want)
 
 
 def test_angular_matches_profile_samples():
     gamma = lambda th: 1.0 + 0.3 * np.cos(2 * th)
     k = ConeProfile.angular(gamma, m=64)
     th = 2.0 * np.pi * np.arange(64) / 64
-    pts = np.stack([np.cos(th), np.sin(th)], axis=1) * 3.0
-    assert np.allclose(k.evaluate(pts), 3.0 * gamma(th), rtol=1e-10)
-
-
-def test_slope_bound_radial_is_beta():
-    assert ConeProfile.radial(2, 1.25).slope_bound() == pytest.approx(1.25)
-    assert ConeProfile.radial(3, 0.0).slope_bound() == pytest.approx(0.0)
-
-
-def test_slope_bound_angular_exceeds_gamma_max():
-    # the graph gradient of r*gamma(theta) has magnitude
-    # sqrt(gamma^2 + gamma'^2) >= max gamma
-    k = ConeProfile.angular(lambda th: 1.0 + 0.4 * np.cos(3 * th), m=96)
-    assert k.slope_bound() >= 1.4 - 1e-6
+    # the spline interpolates its samples, periodically in theta
+    assert np.allclose(k.gamma(th), gamma(th), rtol=1e-12)
+    assert np.allclose(k.gamma(th + 2.0 * np.pi), gamma(th), rtol=1e-12)
+    # and a polar grid samples k = rho * gamma(theta) ring by ring
+    spec = GridSpec.polar_disk(3.0, 8, 16)
+    vals = k.on_grid(spec).values
+    assert np.allclose(vals, spec.nodes[:, None] * k.gamma(spec.thetas)[None, :])
 
 
 def test_on_grid_matches_evaluate():
@@ -73,3 +52,17 @@ def test_on_grid_matches_evaluate():
     spec = GridSpec.uniform(2, 0.0, 5.0, 51)
     gf = k.on_grid(spec)
     assert np.allclose(gf.values, 0.7 * spec.nodes)
+    with pytest.raises(ParameterError):
+        ConeProfile.angular(np.ones(16)).on_grid(spec)
+
+
+def test_tail_coefficient_is_angular_only():
+    # gamma = 1 + a cos(2 theta): c = (g + g'')(1 + g^2)/(1 + g^2 + g'^2)
+    a = 0.1
+    k = ConeProfile.angular(lambda th: 1.0 + a * np.cos(2 * th), m=256)
+    th = np.linspace(0.0, 2.0 * np.pi, 17)
+    g, gp, gpp = 1.0 + a * np.cos(2 * th), -2 * a * np.sin(2 * th), -4 * a * np.cos(2 * th)
+    want = (g + gpp) * (1.0 + g ** 2) / (1.0 + g ** 2 + gp ** 2)
+    assert np.allclose(k.tail_coefficient(th), want, atol=1e-4)
+    with pytest.raises(ParameterError):
+        ConeProfile.radial(2, 1.0).tail_coefficient(th)

@@ -72,8 +72,14 @@ def test_scenario_runner_looked_up_at_call_time(monkeypatch):
         return "stub report"
 
     monkeypatch.setattr(experiments, "run_family_uniform", stub)
-    assert SCENARIOS["family-uniform"].run(quick=True) == "stub report"
-    assert calls == [{"seed": 0, "horizon": 8.0, "nodes": 401}]
+    sc = SCENARIOS["family-uniform"]
+    assert sc.run(quick=True) == "stub report"
+    # settings pass through as given and win over the quick ones
+    assert sc.run(True, seed=7, nodes=11) == "stub report"
+    assert sc.run(seed=3) == "stub report"
+    assert calls == [{"seed": None, "horizon": 8.0, "nodes": 401},
+                     {"seed": 7, "horizon": 8.0, "nodes": 11},
+                     {"seed": 3}]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -131,14 +131,55 @@ def _polar_curvature_errors(nr, ntheta):
     return [float(np.max(np.abs(got - want)[:-1])) for got, want in got_want]
 
 
-def test_polar_curvature_converges_on_exact_graphs():
+def _polar_rows_within_bounds():
+    """Per oracle row: the fine error within its bound at order >= 1.8."""
     coarse = _polar_curvature_errors(41, 64)
     fine = _polar_curvature_errors(81, 128)
     # W reaches 1.6 on Scherk's disk and scales its speed error
     bounds = (2e-3, 2e-3, 4e-3, 2e-3, 2e-3)
-    for e_coarse, e_fine, bound in zip(coarse, fine, bounds):
-        assert e_fine <= bound
-        assert np.log2(e_coarse / e_fine) >= 1.8
+    return [e_fine <= bound and np.log2(e_coarse / e_fine) >= 1.8
+            for e_coarse, e_fine, bound in zip(coarse, fine, bounds)]
+
+
+def test_polar_curvature_converges_on_exact_graphs():
+    assert all(_polar_rows_within_bounds())
+
+
+def _polar_quantities_copy(cross_sign=1.0, g01=True):
+    """geometry._polar_quantities as written, with the sign of the cross
+    term h[1] and the presence of the metric's g[1] as knobs."""
+    def quantities(spec, vals):
+        r = spec.nodes[:, None]
+        ur, ut, urr, utt, urt = _polar_derivatives(spec, vals)
+        W = np.sqrt(1.0 + ur ** 2 + (ut / r) ** 2)
+        g = (1.0 + ur ** 2, ur * ut if g01 else 0.0, r ** 2 + ut ** 2)
+        h = (urr / W, cross_sign * (urt - ut / r) / W, (r * ur + utt) / W)
+        det = g[0] * g[2] - g[1] ** 2
+        return ur, W, (g[2] * h[0] - 2.0 * g[1] * h[1] + g[0] * h[2]) / det
+    return quantities
+
+
+def test_polar_quantities_copy_is_faithful():
+    spec = GridSpec.polar_disk(1.0, 21, 32)
+    r, th = spec.nodes[:, None], spec.thetas[None, :]
+    vals = np.log(np.cos(r * np.sin(th)) / np.cos(r * np.cos(th)))
+    for got, want in zip(_polar_quantities_copy()(spec, vals),
+                         geometry._polar_quantities(spec, vals)):
+        assert np.array_equal(got, want)
+
+
+# the defect table of the polar oracle: each row is the copy above with one
+# defect, and every oracle row catches it.  The other rows of the table live
+# with their oracles: the radial speed defects fail the u = r^2/2 oracle
+# (test_quadratic_oracle_catches_speed_defects), the one-update Newton
+# defect the Newton contract tests (test_*_keep_the_newton_contract in
+# test_flow.py), and the two expander-ODE defects
+# test_axis_height_against_independent_oracle in test_expander.py.
+@pytest.mark.parametrize("defect", [{"cross_sign": -1.0}, {"g01": False}],
+                         ids=["h01-sign-flipped", "g01-dropped"])
+def test_polar_oracle_catches_defects(monkeypatch, defect):
+    monkeypatch.setattr(geometry, "_polar_quantities", _polar_quantities_copy(**defect))
+    assert not any(_polar_rows_within_bounds())
 
 
 def _frozen_d1_d2(x, y):
@@ -276,7 +317,7 @@ def test_barrier_curvature_matches_frozen_formulas():
     # the barrier curve's H is the frozen three-point table followed by the
     # written-out H = q/W^3 + (n-1) p/(r W), bit for bit, and H_min is its
     # minimum over the certified window
-    res = lemma_barrier_flow(ConeProfile.radial(3, 1.0), 300, 120, 100)
+    res = lemma_barrier_flow(ConeProfile.radial(3, 1.0), 300)
     r, b = res.r, res.b
     p, q = _frozen_d1_d2(r, b)
     W = np.sqrt(1.0 + p * p)
