@@ -64,13 +64,11 @@ __all__ = [
 # static power barriers
 
 
-def _power_barrier_parts(n: int, beta: float, alpha: float, r: np.ndarray):
+def _power_barrier_parts(beta: float, alpha: float, r: np.ndarray):
     w = beta * r - r ** (-alpha)
     wr = beta + alpha * r ** (-alpha - 1.0)
     wrr = -alpha * (alpha + 1.0) * r ** (-alpha - 2.0)
-    W = np.sqrt(1.0 + wr * wr)
-    H = wrr / W ** 3 + (n - 1) * wr / (r * W)
-    return w, wr, wrr, W, H
+    return w, wr, wrr
 
 
 @dataclass(eq=False)
@@ -108,7 +106,8 @@ def static_barrier_w(k: ConeProfile, alpha: float, points: int = 400,
         raise ParameterError("cone is not strictly mean convex; pass "
                              "require_mean_convex=False to sample anyway")
     r = np.geomspace(1.0, 1e4, points)
-    w, wr, _, _, H = _power_barrier_parts(k.n, k.beta, alpha, r)
+    w, wr, wrr = _power_barrier_parts(k.beta, alpha, r)
+    H = _radial_curvatures(k.n, r, wr, wrr)
     pos = H > 0
     if not pos[-1]:
         r0 = None
@@ -132,7 +131,7 @@ def wk_difference_fit(k: ConeProfile, alpha: float, points: int = 160) -> dict:
     if k.kind != "radial":
         raise ParameterError("radial cones only")
     r = np.geomspace(1e3, 1e4, points)
-    _, wr, wrr, _, _ = _power_barrier_parts(k.n, k.beta, alpha, r)
+    _, wr, wrr = _power_barrier_parts(k.beta, alpha, r)
     diff = wrr / (1.0 + wr * wr) + (k.n - 1) * (wr - k.beta) / r
     fit = decay_fit(r, np.abs(diff))
     coef = alpha * ((k.n - 1) - (alpha + 1.0) / (1.0 + k.beta ** 2))
@@ -219,7 +218,6 @@ class LemmaBarrierResult:
     """
 
     cone: ConeProfile
-    alpha: float
     r: np.ndarray
     b: np.ndarray
     k_values: np.ndarray
@@ -230,7 +228,6 @@ class LemmaBarrierResult:
     m1: float
     R1: float
     deficit_fit: DecayFit
-    deficit_monotone: bool
     passed: bool
 
     def scaled(self, lam: float) -> "ScaledBarrier":
@@ -293,9 +290,8 @@ def lemma_barrier_flow(k: ConeProfile, points: int = 600) -> LemmaBarrierResult:
     want = -(k.n - 2) / 2.0
     passed = (min_gap > 0 and H_min > 0 and mono
               and abs(fit.exponent - want) <= 0.2 * abs(want))
-    return LemmaBarrierResult(k, alpha, r, b, kv,
-                              r_cut, (float(r[il]), float(r[iu - 1])), min_gap,
-                              H_min, float(gap[il]), float(r[il]), fit, mono,
+    return LemmaBarrierResult(k, r, b, kv, r_cut, (float(r[il]), float(r[iu - 1])),
+                              min_gap, H_min, float(gap[il]), float(r[il]), fit,
                               bool(passed))
 
 

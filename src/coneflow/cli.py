@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import inspect
 import json
 import logging
@@ -88,21 +87,8 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.bool_):
-        return bool(v)
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if dataclasses.is_dataclass(v) and not isinstance(v, type):
-        return {f.name: getattr(v, f.name) for f in dataclasses.fields(v)}
-    raise TypeError(f"not serializable: {type(v).__name__}")
-
-
 def write_json(path: str, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True,
-                                   default=_jsonable) + "\n")
+    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -51,17 +51,15 @@ last bits.
 Each shot (:func:`_miss`) builds scipy's ``LSODA`` object for its tolerance
 checks and work arrays, then runs that object's own LSODA integrator in one
 call to rho_max (itask 4, never past it) on a float-level RHS that stops the
-call once a slope reaches half the cap.  These are the steps ``solve_ivp``
-takes, bit for bit, without its per-step event search, wrapper closures and
-array conversions.  The stored profile (:func:`_node_values`) drives the same
-integrator one step per call and evaluates the nodes each step passes
-with scipy's own LSODA dense-output arithmetic, bit for bit the
-``solve_ivp(t_eval=nodes)`` result.  Both stop with a :class:`ShootingError`
-after ``_MAX_STEPS`` steps: a shot whose step size collapses would
-otherwise run on for minutes.  Only a shot or node solve that stops at the
-slope guard is run again through :func:`_integrate`, the ``solve_ivp``
-event path, which decides exactly whether an accepted step met the cap;
-that re-run is the only use of ``solve_ivp``.
+call once a slope reaches half the cap.  These are the steps the public
+``LSODA`` object's ``step()`` loop takes, bit for bit, without its per-step
+wrapper closures and array conversions.  The stored profile
+(:func:`_node_values`) drives the same integrator one step per call and
+evaluates the nodes each step passes with scipy's own LSODA dense-output
+arithmetic, bit for bit what that dense output returns.  Both stop with a
+:class:`ShootingError` after ``_MAX_STEPS`` steps: a shot whose step size
+collapses would otherwise run on for minutes.  A slope of half the cap is
+a blow-up: the shot misses by +/-inf, and the node solve raises.
 
 The numerics are fixed: the module constants below are the one setting
 every profile is solved with.  Profiles are cached per ``(n, beta)``, so
@@ -82,7 +80,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import LSODA, solve_ivp
+from scipy.integrate import LSODA
+from scipy.integrate import solve_ivp  # noqa: F401 (perfbench/tracing.py spans it by name)
 from scipy.interpolate import CubicHermiteSpline
 
 from .cones import ConeProfile
@@ -135,21 +134,21 @@ def _tail_slope(n: int, beta: float, rho):
 
 
 class _SlopeGuard(Exception):
-    """Raised by :func:`_ode_rhs` to stop a solve near the slope cap."""
+    """Raised by :func:`_ode_rhs` to stop a solve near the slope cap; its
+    args are the (rho, p) it was asked at."""
 
 
-def _ode_rhs(rho, y, n, half_cap=None):
+def _ode_rhs(rho, y, n, half_cap):
     """The profile ODE as a first-order system in (phi, phi').
 
-    With ``half_cap`` it raises :class:`_SlopeGuard` as soon as it is asked
-    for a slope |p| that is not below ``half_cap`` (a NaN slope included);
-    without it, it never raises.
+    Raises :class:`_SlopeGuard` as soon as it is asked for a slope |p| that
+    is not below ``half_cap`` (a NaN slope included).
     """
     # Python floats run the same IEEE double operations as numpy scalars,
     # without their per-operation dispatch
     phi, p = y.tolist()
-    if half_cap is not None and not abs(p) < half_cap:
-        raise _SlopeGuard
+    if not abs(p) < half_cap:
+        raise _SlopeGuard(rho, p)
     return [p, (1.0 + p * p) * (0.5 * (phi - rho * p) - (n - 1) * p / rho)]
 
 
@@ -159,27 +158,14 @@ def _series_start(a: float, n: int):
     return rho0, [a + a * rho0 ** 2 / (4.0 * n), a * rho0 / (2.0 * n)]
 
 
-def _integrate(a: float, n: int, t_eval: np.ndarray):
-    """solve_ivp from the axis to the nodes ``t_eval`` (status 1 if the slope
-    passed the cap): the exact re-run of a shot (``t_eval=[rho_max]``) or of
-    the node solve (the profile nodes) whose slope guard tripped."""
-    rho0, y0 = _series_start(a, n)
-
-    def blow_up(rho, y, *_args):
-        return _SLOPE_CAP - abs(y[1])
-
-    blow_up.terminal = True
-    return solve_ivp(_ode_rhs, (rho0, _RHO_MAX), y0, args=(n,), method="LSODA",
-                     rtol=_ODE_RTOL, atol=_ODE_ATOL, t_eval=t_eval, events=blow_up)
-
-
 def _lsoda(a: float, n: int):
     """scipy's LSODA integrator set up for a solve from the axis, with the
     start (y0, rho0).  The public ``LSODA`` object is built only for its
-    set-up: tolerance validation, the work arrays and the critical time."""
+    set-up: tolerance validation, the work arrays and the critical time; its
+    constructor never calls the RHS it is given."""
     rho0, y0 = _series_start(a, n)
-    ode = LSODA(lambda rho, y: _ode_rhs(rho, y, n), rho0, y0, _RHO_MAX,
-                rtol=_ODE_RTOL, atol=_ODE_ATOL)._lsoda_solver
+    ode = LSODA(lambda rho, y: _ode_rhs(rho, y, n, _SLOPE_CAP / 2), rho0, y0,
+                _RHO_MAX, rtol=_ODE_RTOL, atol=_ODE_ATOL)._lsoda_solver
     return ode._integrator, ode._y, rho0
 
 
@@ -196,26 +182,24 @@ def _istate_unwarned():
 def _miss(a: float, n: int, beta: float) -> float:
     """Signed distance of phi(rho_max) from the refined tail; +/-inf on blow-up.
 
-    Returns bit for bit what solve_ivp with ``t_eval=[rho_max]`` and a
-    terminal slope event gives.  The :func:`_lsoda` integrator is run once,
-    with itask 4 (to tout = rho_max, never past the critical time) and at
-    most ``_MAX_STEPS`` steps, on :func:`_ode_rhs` with the guard at half
-    the slope cap; a shot that needs more steps raises with LSODA's istate.
+    The :func:`_lsoda` integrator is run once, with itask 4 (to tout =
+    rho_max, never past the critical time) and at most ``_MAX_STEPS``
+    steps, on :func:`_ode_rhs` with the guard at half the slope cap; a shot
+    that needs more steps raises with LSODA's istate.
 
     Same steps: LSODA applies the same critical-time clamp after every
     step, whether itask 4 goes on or itask 5 returns, so the single call
-    takes the steps solve_ivp's one-step loop takes and ends on the same
-    Nordsieck state at rho_max, which its dense output reproduces exactly.
+    takes the steps of the public ``LSODA`` object's ``step()`` loop and
+    ends on the same Nordsieck state at rho_max, which its dense output
+    reproduces exactly.
 
-    The guard catches every cap crossing: every accepted state is one
-    corrector update away from a state the RHS was evaluated at, and the
-    convergence test bounds that update on the rtol*|p| + atol scale.  So,
-    with rtol far below 1/2 and the cap far above atol, an accepted
+    A shot that trips the guard has blown up: it misses by +/-inf, by the
+    sign of the slope that tripped it, or by NaN for a NaN slope.  The
+    guard catches every crossing of the full cap: every accepted state is
+    one corrector update away from a state the RHS was evaluated at, and
+    the convergence test bounds that update on the rtol*|p| + atol scale.
+    So, with rtol far below 1/2 and the cap far above atol, an accepted
     |p| >= cap implies an evaluated |p| >= cap/2.
-    A shot that never trips the guard therefore never met the terminal
-    event; one that trips it (or meets a NaN slope) is run again through
-    :func:`_integrate`, the solve_ivp event path itself, which decides
-    between blow-up and a finite landing.
     """
     integrator, y, rho0 = _lsoda(a, n)
     integrator.call_args[2] = 4  # itask 4: to tout, never past tcrit
@@ -223,22 +207,15 @@ def _miss(a: float, n: int, beta: float) -> float:
     try:
         y, rho = integrator.run(_ode_rhs, None, y, rho0, _RHO_MAX,
                                 (n, _SLOPE_CAP / 2), ())
-    except _SlopeGuard:
-        sol = _integrate(a, n, t_eval=[_RHO_MAX])
-        if sol.status == 1:
-            return np.inf if sol.y_events[0][0][1] > 0 else -np.inf
-        if not sol.success:
-            raise ShootingError(f"profile integration failed at a={a}: {sol.message} "
-                                f"(n={n}, beta={beta})", scanned=[a]) from None
-        y = sol.y[:, -1]
-    else:
-        if not integrator.success:
-            istate = integrator.istate
-            raise ShootingError(
-                f"profile integration failed at a={a}: LSODA istate {istate} "
-                f"({integrator.messages.get(istate, 'unknown istate')}) at "
-                f"rho={rho:.3g} after {integrator.iwork[10]} steps "
-                f"(n={n}, beta={beta})", scanned=[a])
+    except _SlopeGuard as trip:
+        return trip.args[1] * math.inf  # +/-inf by the slope's sign; NaN stays NaN
+    if not integrator.success:
+        istate = integrator.istate
+        raise ShootingError(
+            f"profile integration failed at a={a}: LSODA istate {istate} "
+            f"({integrator.messages.get(istate, 'unknown istate')}) at "
+            f"rho={rho:.3g} after {integrator.iwork[10]} steps "
+            f"(n={n}, beta={beta})", scanned=[a])
     return float(y[0] - _tail_value(n, beta, _RHO_MAX))
 
 
@@ -250,17 +227,14 @@ _POWERS = [np.arange(q + 1)[:, None] for q in range(13)]
 def _node_values(a: float, n: int, nodes: np.ndarray) -> np.ndarray:
     """(phi, phi') at ``nodes[1:]`` for the axis height a, as a (2, N-1) array.
 
-    Returns bit for bit the ``y`` of :func:`_integrate` with
-    ``t_eval=nodes[1:]``.  The :func:`_miss` integrator takes one step per
-    call (itask 5, never past rho_max), as solve_ivp's stepper does, on the
+    The :func:`_miss` integrator takes one step per call (itask 5, never
+    past rho_max), as the public ``LSODA`` object's ``step()`` does, on the
     same slope guard, for at most ``_MAX_STEPS`` steps.  After each step
-    the nodes in (rho_old, rho] (found as solve_ivp finds them, bisecting
-    to the right) are evaluated with scipy's ``LsodaDenseOutput`` arithmetic
-    in its shapes: the Nordsieck array of the last step's order, its last
-    column rescaled to the next step size when the order is set to drop,
-    and one ``np.dot`` per step.  A tripped guard or a bad istate re-runs
-    the solve through :func:`_integrate`, which raises on a blow-up or a
-    failed integration.
+    the nodes in (rho_old, rho] (bisecting to the right) are evaluated with
+    scipy's ``LsodaDenseOutput`` arithmetic in its shapes: the Nordsieck
+    array of the last step's order, its last column rescaled to the next
+    step size when the order is set to drop, and one ``np.dot`` per step.
+    A tripped guard or a bad istate raises :class:`ShootingError`.
     """
     t_eval = nodes[1:]
     integrator, y, rho = _lsoda(a, n)
@@ -274,7 +248,9 @@ def _node_values(a: float, n: int, nodes: np.ndarray) -> np.ndarray:
         for _ in range(_MAX_STEPS):
             y, rho = integrator.run(_ode_rhs, None, y, rho, _RHO_MAX, args, ())
             if not integrator.success:
-                break
+                raise ShootingError(f"node solve failed at a={a}: LSODA istate "
+                                    f"{integrator.istate} at rho={rho:.3g} (n={n})",
+                                    scanned=[a])
             j = bisect_right(knots, rho)
             if j > i:
                 order, h = iwork[13], rwork[11]
@@ -286,17 +262,11 @@ def _node_values(a: float, n: int, nodes: np.ndarray) -> np.ndarray:
                 i = j
             if not rho < _RHO_MAX:
                 return out
-        else:
-            raise ShootingError(f"profile integration failed at a={a}: {_MAX_STEPS} "
-                                f"LSODA steps reached only rho={rho:.3g} (n={n})",
-                                scanned=[a])
-    except _SlopeGuard:
-        pass
-    sol = _integrate(a, n, t_eval=t_eval)
-    if not sol.success or sol.status == 1:
-        where = sol.t[-1] if sol.t.size else 0.0
-        raise ShootingError(f"converged shot blew up at rho={where:.3g}", scanned=[a])
-    return sol.y
+    except _SlopeGuard as trip:
+        raise ShootingError(f"converged shot blew up: |phi'| reached half the slope cap "
+                            f"at rho={trip.args[0]:.3g} (n={n})", scanned=[a]) from None
+    raise ShootingError(f"profile integration failed at a={a}: {_MAX_STEPS} "
+                        f"LSODA steps reached only rho={rho:.3g} (n={n})", scanned=[a])
 
 
 def _rk4_substeps(rho: np.ndarray, phi: np.ndarray, p: np.ndarray, n: int) -> int:

@@ -443,10 +443,13 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
     """
     if not 0 < T < math.inf:
         raise ParameterError(f"evolution horizon T must be positive and finite, got {T}")
+    t_end = t_start + T
+    if not t_start < t_end - 1e-12:
+        raise ParameterError(f"evolution horizon T={T} is within the 1e-12 landing "
+                             f"tolerance of t_start={t_start}: no step would be taken")
     boundary = boundary_values_for(u0, config, cone, profile)
     cone_vals = cone.on_grid(u0.spec).values if diagnostics and cone is not None else None
     run = FlowRun()
-    t_end = t_start + T
     t = t_start
     u = u0.copy()
     run.record_snapshot(t, u)

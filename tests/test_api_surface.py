@@ -126,8 +126,6 @@ UNSET_KEEP = {
     # record fields that the producers fill by appends
     ("flow.py", "FlowRun", "*"),
     ("acceptance.py", "AcceptanceReport", "results"),
-    # passed positionally through LSODA's argument tuple
-    ("expander.py", "_ode_rhs", "half_cap"),
     # a negative control: the flat cone, which is not strictly mean convex
     ("barriers.py", "static_barrier_w", "require_mean_convex"),
     # the block oracle keeps every node with outer_margin=0

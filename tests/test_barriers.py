@@ -71,7 +71,10 @@ def test_lemma_barrier_certificates(lemma_result):
     assert res.min_gap > 0.0            # stays strictly below the cone
     assert res.H_min > 0.0              # mean convex on the certified region
     assert res.deficit_fit.exponent == pytest.approx(-0.5, abs=0.1)
-    assert res.deficit_monotone
+    # the deficit k - b is nonincreasing over the certified window
+    lo, hi = res.certified
+    gap = res.k_values - res.b
+    assert np.all(np.diff(gap[(res.r >= lo) & (res.r <= hi)]) <= 1e-12 * np.max(gap))
     assert res.r_cut >= 10.0            # inflow collar excluded
 
 

@@ -232,10 +232,11 @@ def test_experiment_untypeable_override_rejected(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("pair", ["horizon=nan", "dt_max=nan",
-                                  "snapshot_dt=nan", "bump_radius=0"])
+                                  "snapshot_dt=nan", "bump_radius=0", "horizon=1e-13"])
 def test_evolve_rejects_nan_and_nonpositive_inputs(tmp_path, capsys, pair):
-    # NaN slips through an `x <= 0` guard; each value is a usage error
-    # raised before any artifact is written
+    # NaN slips through an `x <= 0` guard, and a horizon inside the 1e-12
+    # landing tolerance takes no step; each value is a usage error raised
+    # before any artifact is written
     out = tmp_path / "art"
     assert run_cli(["--out", str(out), "evolve", "--set", pair], tmp_path) == 2
     assert "usage error" in capsys.readouterr().err

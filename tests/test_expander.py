@@ -1,3 +1,5 @@
+import math
+import re
 import time
 from types import SimpleNamespace
 
@@ -240,7 +242,7 @@ def test_ode_rhs_bit_identical_to_numpy_scalars():
     p = rng.choice([-1.0, 1.0], rho.size) * 10.0 ** rng.uniform(-12.0, 7.0, rho.size)
     for n in (2, 3, 4):
         for r, y in zip(rho.tolist(), np.stack([phi, p], axis=1)):
-            got = expander._ode_rhs(r, y, n)
+            got = expander._ode_rhs(r, y, n, math.inf)
             want = _seed_ode_rhs(r, y, n)
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
@@ -248,28 +250,33 @@ def test_ode_rhs_bit_identical_to_numpy_scalars():
 @pytest.mark.parametrize("n,beta", [(2, 0.5), (2, 1.0), (3, 1.0), (3, 2.0), (4, 1.0)])
 def test_miss_bit_identical_to_solve_ivp(shooting, n, beta):
     # positive and negative axis heights; with a slope cap of 2 or 5 the shots
-    # far from the root blow up, with the default cap they all land finite
+    # far from the root blow up, with the default cap they all land finite.
+    # A shot that meets half the cap has blown up, even where the oracle's
+    # accepted slopes stay below the full cap; every other miss is the
+    # oracle's, and an oracle blow-up is the same signed inf
     grid = np.geomspace(0.05, 50.0, 9)
     for cap in (1e7, 2.0, 5.0):
         cfg = shooting(slope_cap=cap)
         for a in np.concatenate([grid, -grid]).tolist():
             want = _miss_via_solve_ivp(a, n, beta, cfg)
             assert _seed_miss(a, n, beta, cfg) == want
-            assert expander._miss(a, n, beta) == want
+            got = expander._miss(a, n, beta)
+            assert got == want or (cap < 1e7 and np.isinf(got) and np.isfinite(want))
 
 
 def test_miss_blow_up_bit_identical_to_solve_ivp(shooting):
     # with a slope cap of 2, shots of the (2, 1) profile (root a ~ 1.709)
-    # blow up upward far above the root and downward for a << 0; the rest
-    # land finite
+    # blow up upward far above the root and downward for a << 0, as the
+    # oracle's do; a = -2 and 1.8 land in the oracle at a slope between 1
+    # and 2 and meet half the cap, a blow-up here; a = 0.5 lands in both
     cfg = shooting(slope_cap=2.0)
-    got = []
-    for a in (-20.0, -5.0, -2.0, 0.5, 1.8, 5.0, 20.0):
+    for a in (-20.0, -5.0, 0.5, 5.0, 20.0):
         want = _miss_via_solve_ivp(a, 2, 1.0, cfg)
         assert expander._miss(a, 2, 1.0) == want
-        got.append(want)
-    assert np.inf in got and -np.inf in got
-    assert np.isfinite(got).any()
+        assert np.isinf(want) == (a != 0.5)
+    for a in (-2.0, 1.8):
+        assert np.isfinite(_miss_via_solve_ivp(a, 2, 1.0, cfg))
+        assert expander._miss(a, 2, 1.0) == math.copysign(math.inf, a)
 
 
 def _max_accepted_slope(a, n, cfg):
@@ -284,78 +291,26 @@ def _max_accepted_slope(a, n, cfg):
     return top
 
 
-def _count_solve_ivp(monkeypatch):
-    """Record the ``t_eval`` of every ``expander.solve_ivp`` call."""
-    calls = []
-    real = expander.solve_ivp
-    monkeypatch.setattr(expander, "solve_ivp",
-                        lambda *args, **kw: calls.append(kw["t_eval"]) or real(*args, **kw))
-    return calls
-
-
 def test_guard_trips_at_half_cap_and_on_nan():
     rhs = expander._ode_rhs
-    assert rhs(1.0, np.array([2.0, 0.99]), 2, 1.0) == rhs(1.0, np.array([2.0, 0.99]), 2)
+    assert rhs(1.0, np.array([2.0, 0.99]), 2, 1.0) == rhs(1.0, np.array([2.0, 0.99]), 2,
+                                                          math.inf)
     for p in (1.0, -1.0, 5.0, np.inf, np.nan):
-        with pytest.raises(expander._SlopeGuard):
-            rhs(1.0, np.array([2.0, p]), 2, 1.0)
-        # without a cap (the solve_ivp path) it never raises
-        assert len(rhs(1.0, np.array([2.0, p]), 2)) == 2
+        with pytest.raises(expander._SlopeGuard) as info:
+            rhs(3.0, np.array([2.0, p]), 2, 1.0)
+        rho, slope = info.value.args
+        assert rho == 3.0 and (slope == p or np.isnan(p) and np.isnan(slope))
 
 
-def test_guard_margin_shot_lands_finite(monkeypatch, shooting):
-    # a cap between max|p| and 2 max|p| of a landing shot: the half-cap guard
-    # trips, the fallback finds no accepted step at the cap, the miss is finite
+def test_guard_margin_shot_is_a_blow_up(shooting):
+    # a cap between max|p| and 2 max|p| of a landing shot: both oracles
+    # land finite, but the shot meets half the cap and has blown up upward
     a, n, beta = 1.709, 2, 1.0
     top = _max_accepted_slope(a, n, _seed_config())
     cfg = shooting(slope_cap=1.5 * top)
-    calls = _count_solve_ivp(monkeypatch)
-    got = expander._miss(a, n, beta)
-    assert calls == [[cfg.rho_max]]
-    assert np.isfinite(got)
-    assert got == _seed_miss(a, n, beta, cfg) == _miss_via_solve_ivp(a, n, beta, cfg)
-
-
-def test_shots_fall_back_only_when_the_guard_trips(monkeypatch, shooting):
-    calls = _count_solve_ivp(monkeypatch)
-    shots = []
-    shot = expander._miss
-
-    def counted_shot(*args):
-        before = len(calls)
-        miss = shot(*args)
-        shots.append((miss, len(calls) - before))
-        return miss
-
-    monkeypatch.setattr(expander, "_miss", counted_shot)
-    # at the default cap neither a shot nor the node solve falls back
-    expander._shoot_profile.cache_clear()
-    solve_expander_profile(ConeProfile.radial(2, 1.0))
-    assert calls == []
-    assert len(shots) == 34 and all(k == 0 for _, k in shots)
-    # with a cap of 2 and a bracket opening at a = 5 some shots blow up;
-    # each falls back once, and so may a shot that nears the cap and lands.
-    # The profile's slopes stay below 1, so the node solve never falls back
-    calls.clear()
-    shots.clear()
-    cfg = shooting(slope_cap=2.0, bracket_start=5.0)
-    solve_expander_profile(ConeProfile.radial(2, 1.0))
-    blown = [k for miss, k in shots if np.isinf(miss)]
-    assert blown and all(k == 1 for k in blown)
-    assert all(k in (0, 1) for _, k in shots)
-    assert len(calls) == sum(k for _, k in shots)
-    assert all(t_eval == [cfg.rho_max] for t_eval in calls)
-
-
-def test_fallback_failure_raises_with_scanned(monkeypatch, shooting):
-    # the guard trips on a shot that blows up; a failed fallback integration
-    # is reported, not read as a landing
-    failed = SimpleNamespace(status=-1, success=False, message="boom")
-    monkeypatch.setattr(expander, "solve_ivp", lambda *args, **kw: failed)
-    shooting(slope_cap=2.0)
-    with pytest.raises(ShootingError, match="integration failed at a=20.0: boom") as info:
-        expander._miss(20.0, 2, 1.0)
-    assert info.value.scanned == [20.0]
+    assert np.isfinite(_seed_miss(a, n, beta, cfg))
+    assert np.isfinite(_miss_via_solve_ivp(a, n, beta, cfg))
+    assert expander._miss(a, n, beta) == np.inf
 
 
 @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
@@ -385,11 +340,17 @@ def test_failed_shot_raises_with_scanned(shooting):
     with pytest.raises(ShootingError, match="Excess accuracy") as info:
         solve_expander_profile(ConeProfile.radial(2, 1.0))
     assert info.value.scanned == [1.0]
+    # the node solve raises with its istate too
+    with pytest.raises(ShootingError, match=r"node solve failed at a=1.0: LSODA istate -2 "
+                                            r"at rho=\S+ \(n=2\)$") as info:
+        expander._node_values(1.0, 2, _seed_nodes(cfg))
+    assert info.value.scanned == [1.0]
 
 
 def test_nan_miss_raises_with_scanned(monkeypatch):
     # a NaN miss compares false with 0 and used to count as an undershoot
     expander._shoot_profile.cache_clear()
+    real_miss = expander._miss
     calls = []
 
     def fake_miss(a, n, beta):
@@ -407,6 +368,20 @@ def test_nan_miss_raises_with_scanned(monkeypatch):
     with pytest.raises(ShootingError, match="NaN") as info:
         solve_expander_profile(ConeProfile.radial(2, 1.0))
     assert info.value.scanned == calls == [1.0]
+    assert expander._shoot_profile.cache_info().currsize == 0
+    # a real shot whose slope turns NaN trips the guard and misses by NaN
+    monkeypatch.setattr(expander, "_miss", real_miss)
+    real_rhs = expander._ode_rhs
+
+    def poisoned(rho, y, n, half_cap):
+        dy = real_rhs(rho, y, n, half_cap)
+        return dy if rho < 1.0 else [dy[0], math.nan]
+
+    monkeypatch.setattr(expander, "_ode_rhs", poisoned)
+    assert np.isnan(expander._miss(1.0, 2, 1.0))
+    with pytest.raises(ShootingError, match=r"shot at a=1.0 missed by NaN") as info:
+        solve_expander_profile(ConeProfile.radial(2, 1.0))
+    assert info.value.scanned == [1.0]
     assert expander._shoot_profile.cache_info().currsize == 0
 
 
@@ -455,28 +430,35 @@ def _nodes_via_solve_ivp(a, n, cfg):
     (2, 1.7090957539, 1.5),
 ], ids=["2-1-root", "2-1-off-root", "2-0.5-root", "3-1-root", "3-2-root",
         "4-1-root", "4-1-off-root", "2-1-cap-fallback"])
-def test_node_values_bit_identical_to_solve_ivp(monkeypatch, shooting, n, a, cap):
+def test_node_values_bit_identical_to_solve_ivp(shooting, n, a, cap):
     # the stepper loop against solve_ivp's t_eval output at the profile
-    # roots of the (n, beta) in each id and off them; with a cap of 1.5 the
-    # half-cap guard trips (max |phi'| is 0.9994) and the solve_ivp re-run
-    # lands finite
+    # roots of the (n, beta) in each id and off them; under a cap of 1.5
+    # solve_ivp lands (max |phi'| is 0.9994), but the node solve meets half
+    # the cap, where the solve_ivp fallback used to run, and now raises
     cfg = shooting(slope_cap=cap)
     nodes, want = _nodes_via_solve_ivp(a, n, cfg)
     assert want.status == 0
-    calls = _count_solve_ivp(monkeypatch)
+    if cap < 2.0:
+        with pytest.raises(ShootingError, match="converged shot blew up") as info:
+            expander._node_values(a, n, nodes)
+        assert info.value.scanned == [a]
+        return
     got = expander._node_values(a, n, nodes)
-    assert len(calls) == (cap < 2.0)
     assert got.shape == want.y.shape and got.tobytes() == want.y.tobytes()
 
 
 def test_node_values_blow_up_raises_as_solve_ivp_stops(shooting):
+    # a = 5 under a cap of 2 stops solve_ivp at the cap; the node solve
+    # raises at the first slope of half the cap, before solve_ivp stops
     cfg = shooting(slope_cap=2.0)
     nodes, want = _nodes_via_solve_ivp(5.0, 2, cfg)
     assert want.status == 1
-    with pytest.raises(ShootingError,
-                       match=rf"converged shot blew up at rho={want.t[-1]:.3g}$") as info:
+    with pytest.raises(ShootingError, match=r"converged shot blew up: \|phi'\| reached half "
+                                            r"the slope cap at rho=\S+ \(n=2\)$") as info:
         expander._node_values(5.0, 2, nodes)
     assert info.value.scanned == [5.0]
+    tripped_at = re.search(r"rho=(\S+)", str(info.value)).group(1)
+    assert float(tripped_at) <= want.t_events[0][0]
 
 
 def _seed_shoot_profile(n, beta, cfg):
@@ -569,31 +551,27 @@ def test_report_counts_shots(monkeypatch):
     assert solve_expander_profile(ConeProfile.radial(2, 0.0)).report["shots"] == 0
 
 
-def test_stalled_shot_raises_at_the_step_bound(monkeypatch):
+def test_stalled_shot_raises_at_the_step_bound():
     # at n = 30 the a = 1.5 bracket shot holds h at 7.9e-7, so it would take
     # some 50 million steps to reach rho_max; the step bound stops it with
-    # LSODA's istate, and no solve_ivp re-run stalls the same way
-    calls = _count_solve_ivp(monkeypatch)
+    # LSODA's istate
     started = time.perf_counter()
     with pytest.raises(ShootingError, match=r"a=1.5: LSODA istate -1 \(Excess work done.*"
                                             r"after 10000 steps \(n=30, beta=1.0\)") as info:
         solve_expander_profile(ConeProfile.radial(30, 1.0))
     assert time.perf_counter() - started < 2.0
     assert info.value.scanned == [1.5]
-    assert calls == []
 
 
-def test_node_solve_stops_at_the_step_bound(monkeypatch, shooting):
-    # the (2, 1) node solve takes 665 steps; under a bound of 100 it raises
-    # instead of falling back to solve_ivp, and so does a shot
+def test_node_solve_stops_at_the_step_bound(shooting):
+    # the (2, 1) node solve takes 665 steps; under a bound of 100 it raises,
+    # and so does a shot
     nodes = _seed_nodes(shooting(max_steps=100))
-    calls = _count_solve_ivp(monkeypatch)
     with pytest.raises(ShootingError, match=r"100 LSODA steps reached only rho=") as info:
         expander._node_values(1.7090957539, 2, nodes)
     assert info.value.scanned == [1.7090957539]
     with pytest.raises(ShootingError, match=r"istate -1 .* after 100 steps"):
         expander._miss(1.7090957539, 2, 1.0)
-    assert calls == []
 
 
 def test_steep_profile_defect_is_converged():

@@ -33,8 +33,13 @@ def test_plane_is_stationary():
 def test_horizon_must_be_positive():
     spec = _uniform(2, 5.0, 51)
     cfg = SolverConfig(dt_init=0.01, dt_max=0.1, snapshot_dt=0.5)
-    with pytest.raises(ParameterError):
-        evolve(GridFunction(spec, np.zeros(51)), 0.0, cfg)
+    u0 = GridFunction(spec, np.zeros(51))
+    # a horizon inside the 1e-12 landing tolerance would take no step and
+    # record no snapshot at t_start + T
+    for T, t_start in ((0.0, 0.0), (1e-13, 0.0), (1e-12, 0.0), (1e-11, 1e6)):
+        with pytest.raises(ParameterError):
+            evolve(u0, T, cfg, t_start=t_start)
+    assert evolve(u0, 2e-12, cfg).snapshot_times == [0.0, 2e-12]
 
 
 @pytest.mark.parametrize("r_min, drift, error", [(0.5, False, GridError),
