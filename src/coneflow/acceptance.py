@@ -31,7 +31,7 @@ from .errors import ParameterError
 from .expander import evaluate_U, solve_expander_profile
 from .experiments import SCENARIOS
 from .flow import FlowRun, SolverConfig, evolve
-from .geometry import GridFunction, GridSpec
+from .geometry import GridSpec
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +48,7 @@ def expander_self_similarity(quick: bool = False):
     run = evolve(prof.on_grid(spec, 1.0), 1.0, cfg, cone=prof.cone(),
                  profile=prof, t_start=1.0)
     elapsed = time.perf_counter() - started
-    err = float(np.max(np.abs(run.final().values
-                              - evaluate_U(prof, spec.nodes, 2.0))))
+    err = float(np.max(np.abs(run.values[-1] - evaluate_U(prof, spec.nodes, 2.0))))
     ok = err <= 1e-3 and elapsed <= 60.0
     return ok, f"sup err {err:.2e} (tol 1e-03), solve {elapsed:.1f}s (cap 60s)"
 
@@ -166,15 +165,6 @@ def evolution_equations(quick: bool = False):
                 f"|dA2/dt| |X|^3 / |F| <= {ratio:.2f} (bounded)")
 
 
-def _plane_run(c: float, spec: GridSpec, times) -> FlowRun:
-    """Snapshots of the static plane at height c (exact flow is constant)."""
-    run = FlowRun()
-    for t in times:
-        run.record_snapshot(float(t),
-                            GridFunction(spec, np.full_like(spec.nodes, c)))
-    return run
-
-
 def psi_identity(quick: bool = False):
     """The monotonicity-density identity holds at second order on cone runs."""
     k = ConeProfile.radial(2, 1.0)
@@ -191,10 +181,11 @@ def psi_identity(quick: bool = False):
         sups[nn] = psi_identity_residual(run).sup_residual
     order = math.log2(sups[201] / sups[401])
 
-    c = 3.0
+    # the static plane at height 3, whose exact flow is constant
     spec = GridSpec.uniform(2, 0.0, 10.0, 201)
     times = np.arange(1.0, 2.0 + 1e-12, 1e-3)
-    plane_sup = psi_identity_residual(_plane_run(c, spec, times)).sup_residual
+    plane = FlowRun(spec, times, np.full(times.shape + spec.shape, 3.0))
+    plane_sup = psi_identity_residual(plane).sup_residual
     ok = order >= 1.8 and plane_sup <= 1e-4
     return ok, (f"refinement order {order:.2f} (>= 1.8), "
                 f"plane residual {plane_sup:.1e} (tol 1e-04)")

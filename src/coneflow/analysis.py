@@ -266,7 +266,7 @@ def clearing_out_experiment(k, height: float, rho: float) -> ClearingOutReport:
                        snapshot_dt=snap_dt)
     u0 = GridFunction(spec, k.beta * spec.nodes + bump(spec.nodes, height, rho))
     run = evolve(u0, t_cap, cfg, cone=k)
-    trace = np.array([s.values[0] for s in run.snapshots])
+    trace = run.values[:, 0].copy()
     times = run.times
     below = np.nonzero(trace < threshold)[0]
     if below.size == 0:

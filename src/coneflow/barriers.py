@@ -554,8 +554,8 @@ class HeatSupersolution:
         return (4.0 * np.pi * t) ** (-self.n / 2.0) * np.exp(-(r * r + z * z)
                                                              / (4.0 * t))
 
-    def majorant(self, u: GridFunction, t: float) -> np.ndarray:
-        return self.a * self.phi(u.spec.nodes, u.values, t) + self.epsilon
+    def majorant(self, r, u, t: float) -> np.ndarray:
+        return self.a * self.phi(r, u, t) + self.epsilon
 
 
 @dataclass
@@ -590,7 +590,7 @@ def psi_identity_residual(run: FlowRun, outer_margin: int = 3) -> PsiIdentityRep
         raise ParameterError("need at least three snapshots")
     if times[0] <= 0:
         raise DomainError("identity checks need snapshots at t > 0")
-    spec = run.snapshots[0].spec
+    spec = run.spec
     if spec.polar:
         raise ParameterError("implemented for radial runs")
     if not 0 <= outer_margin < spec.nr:
@@ -605,7 +605,7 @@ def psi_identity_residual(run: FlowRun, outer_margin: int = 3) -> PsiIdentityRep
     per_time = np.empty(times.size - 2)
     for j0 in range(0, times.size - 2, _PSI_BLOCK):
         blk = slice(j0, min(j0 + _PSI_BLOCK, times.size - 2) + 2)
-        U = np.stack([s.values for s in run.snapshots[blk]], axis=1)
+        U = run.values[blk].T
         psi = log_terms[blk] - (r2 + U * U) / (4.0 * times[blk])
         t0, dt2 = times[blk][1:-1], span[j0:blk.stop - 2]
         u0, f0 = U[:, 1:-1], psi[:, 1:-1]
@@ -659,21 +659,16 @@ def half_space_experiment(horizon: float = 50.0,
     times = run.times
     i0 = int(np.argmin(np.abs(times - t0)))
     t_fix = float(times[i0])
-    u_fix = run.snapshots[i0].values
+    u_fix = run.values[i0]
     phi_fix = HeatSupersolution(n, 1.0, epsilon).phi(r, u_fix, t_fix)
     over = u_fix > epsilon
     a = float(np.max((u_fix[over] - epsilon) / phi_fix[over])) if over.any() else 0.0
     hs = HeatSupersolution(n, a, epsilon)
 
-    margins = []
-    for j in range(i0, times.size):
-        t = float(times[j])
-        uj = run.snapshots[j].values
-        margins.append(float(np.min(hs.majorant(run.snapshots[j], t) - uj)))
-    margins = np.asarray(margins)
-    sup_trace = np.asarray([float(np.max(s.values)) for s in run.snapshots])
-    below = np.nonzero(sup_trace <= threshold)[0]
-    first_below = float(times[below[0]]) if below.size else None
+    margins = np.asarray([float(np.min(hs.majorant(r, u, float(t)) - u))
+                          for t, u in zip(times[i0:], run.values[i0:])])
+    sup_trace = run.values.max(axis=1)
+    first_below = run.first_time(sup_trace <= threshold)
     ordering_ok = bool(np.all(margins >= -1e-9))
     passed = ordering_ok and first_below is not None
     return HalfSpaceReport(hs, times, sup_trace, margins, times[i0:],

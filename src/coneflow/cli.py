@@ -209,11 +209,11 @@ def _cmd_evolve(cfg: dict, out: str) -> int:
     t_end = float(run.times[-1])
     write_csv(os.path.join(out, "flow_final.csv"),
               [("r", "length"), ("u", "height"), ("U", "height")],
-              zip(r, run.final().values,
+              zip(r, run.values[-1],
                   evaluate_U(prof, r, max(t_end, 1e-12))))
     write_json(os.path.join(out, "flow_report.json"),
                {"steps": len(run.step_times),
-                "snapshots": len(run.snapshots),
+                "snapshots": len(run.times),
                 "newton_iterations": int(np.sum(run.newton_iters)),
                 "final_sup_u_minus_U": float(run.sup_u_minus_U[-1]),
                 "final_time": t_end})
@@ -278,6 +278,8 @@ def _cmd_verify(cfg: dict, out: str) -> int:
     which = sec["which"]
     if which not in ("psi", "evolution", "area", "all"):
         raise ParameterError(f"unknown verification {which!r}")
+    if sec["trials"] < 1:
+        raise ParameterError(f"trials must be at least 1, got {sec['trials']}")
     quick = cfg["run"]["quick"]
     report = {}
     verdicts = []

@@ -34,7 +34,6 @@ from .geometry import GridFunction, GridSpec
 
 __all__ = [
     "synthetic_expander_run",
-    "restrict_run",
     "SideReport",
     "MainTheoremReport",
     "run_main_theorem",
@@ -52,32 +51,21 @@ __all__ = [
 def synthetic_expander_run(profile: ExpanderProfile, spec: GridSpec, times,
                            time_map, offset: float = 0.0) -> FlowRun:
     """FlowRun whose snapshots are U(., time_map(t)) + offset on the grid."""
-    run = FlowRun()
-    for t in times:
+    times = np.asarray(times, dtype=float)
+    values = np.empty(times.shape + spec.shape)
+    for row, t in zip(values, times):
         s = float(time_map(float(t)))
         if s <= 0:
             raise ParameterError(f"mapped time {s} must be positive")
-        run.record_snapshot(float(t),
-                            GridFunction(spec, evaluate_U(profile, spec.nodes, s)
-                                         + offset))
-    return run
-
-
-def restrict_run(run: FlowRun, t_from: float) -> FlowRun:
-    out = FlowRun()
-    for t, snap in zip(run.snapshot_times, run.snapshots):
-        if t >= t_from - 1e-9:
-            out.record_snapshot(t, snap)
-    if not out.snapshots:
-        raise ParameterError(f"no snapshots at or after t={t_from}")
-    return out
+        row[:] = evaluate_U(profile, spec.nodes, s) + offset
+    return FlowRun(spec, times, values)
 
 
 def _expander_gap(run: FlowRun, profile: ExpanderProfile) -> np.ndarray:
     """sup|u - U(., t)| at every snapshot of ``run``."""
     return np.array([float(np.max(np.abs(
-        s.values - evaluate_U(profile, s.spec.nodes, max(t, 1e-12)))))
-        for t, s in zip(run.times, run.snapshots)])
+        v - evaluate_U(profile, run.spec.nodes, max(t, 1e-12)))))
+        for t, v in zip(run.times, run.values)])
 
 
 def _bisect_upper_shift(profile: ExpanderProfile, u0: GridFunction) -> float:
@@ -144,7 +132,12 @@ def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,
     """
     if not 0 < threshold < math.inf:
         raise ParameterError("threshold must be positive and finite")
+    if not 0 < delta < math.inf:
+        raise ParameterError(f"delta must be positive and finite, got {delta}")
     k = ConeProfile.radial(n, beta)
+    if k.scaled_mean_curvature() <= 0:
+        raise ParameterError(f"the cone (n={n}, beta={beta}) must be strictly "
+                             "mean convex")
     profile = solve_expander_profile(k)
     spec = GridSpec.uniform(n, 0.0, r_max, nodes)
     cfg = SolverConfig(dt_init=1e-3, dt_max=dt_max, snapshot_dt=snapshot_dt,
@@ -158,8 +151,7 @@ def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,
         run = evolve(u0, horizon, cfg, cone=k, profile=profile)
         times = run.times
         trace = _expander_gap(run, profile)
-        hit = np.nonzero(trace <= threshold)[0]
-        t_flat = float(times[hit[0]]) if hit.size else None
+        t_flat = run.first_time(trace <= threshold)
 
         t_up = _bisect_upper_shift(profile, u0)
         upper_rail = synthetic_expander_run(profile, spec, times,
@@ -170,7 +162,8 @@ def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,
         if t_delta is None:
             lower = ComparisonReport(False, (None, None, None), np.array([]))
         else:
-            tail = restrict_run(run, t_delta)
+            keep = times >= t_delta
+            tail = FlowRun(spec, times[keep], run.values[keep])
             lower_rail = synthetic_expander_run(
                 profile, spec, tail.times,
                 lambda t: sigma + (t - t_delta), offset=-eps)
@@ -289,8 +282,7 @@ def run_family_uniform(n: int = 2, beta: float = 1.0, count: int = 5,
 
     allow = tol + c_scheme * (times - times[0]) * spec.max_spacing() ** 2
     bound_ok = bool(np.all(family <= rail + 2.0 * allow))
-    hit = np.nonzero(family <= threshold)[0]
-    t_uniform = float(times[hit[0]]) if hit.size else None
+    t_uniform = run_hi.first_time(family <= threshold)
     passed = sandwich_ok and bound_ok and t_uniform is not None
     return FamilyUniformReport([seed], envelope_amp, times, family, rail,
                                t_uniform, sandwich_ok, bound_ok, threshold,
@@ -341,9 +333,8 @@ def subsolution_dominance_experiment(n: int = 3, beta: float = 1.0,
     cfg = SolverConfig(dt_init=1e-4, dt_max=snapshot_dt, snapshot_dt=snapshot_dt,
                        boundary="pin-to-expander")
     run = evolve(u0, horizon, cfg, cone=k, profile=profile)
-    margin = np.inf
-    for t, snap in zip(run.snapshot_times, run.snapshots):
-        margin = min(margin, float(np.min(snap.values - sub.evaluate(r, float(t)))))
+    margin = min(float(np.min(v - sub.evaluate(r, float(t))))
+                 for t, v in zip(run.times, run.values))
     t_delta = detect_t_delta(run, k, delta)
     passed = margin >= -slack and t_delta is not None
     return SubsolutionReport(run, float(margin), t_delta, delta, bool(passed))

@@ -55,6 +55,7 @@ from scipy.linalg.lapack import dgtsv
 from scipy.sparse import csc_matrix
 
 from .errors import GridError, NewtonError, ParameterError, StepFailureError
+from .expander import evaluate_U
 from .geometry import (GridFunction, GridSpec, grids_match, mean_curvature,
                        _polar_speed, _radial_derivatives, _radial_operator,
                        _radial_speed)
@@ -379,14 +380,18 @@ def _newton(v, residual, solve, config, scale, history):
 class FlowRun:
     """Snapshots and per-step records of one evolution.
 
-    ``step_times``, ``step_sizes`` and ``newton_iters`` get one entry per
-    accepted step.  The diagnostics ``sup_u_minus_k``, ``sup_u_minus_U``,
-    ``min_H`` and ``max_H`` do too when ``evolve`` ran with
-    ``diagnostics=True``, and stay empty otherwise.
+    ``values[j]`` is the state at ``times[j]`` on ``spec``: ``times`` is a
+    strictly increasing 1-D array, ``values`` has shape
+    ``(times.size, *spec.shape)``, and both are checked (finite values
+    included) when the run is built.  ``step_times``, ``step_sizes`` and
+    ``newton_iters`` get one entry per accepted step.  The diagnostics
+    ``sup_u_minus_k``, ``sup_u_minus_U``, ``min_H`` and ``max_H`` do too
+    when ``evolve`` ran with ``diagnostics=True``, and stay empty otherwise.
     """
 
-    snapshots: list = field(default_factory=list)
-    snapshot_times: list = field(default_factory=list)
+    spec: GridSpec
+    times: np.ndarray
+    values: np.ndarray
     step_times: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
     newton_iters: list = field(default_factory=list)
@@ -395,36 +400,34 @@ class FlowRun:
     min_H: list = field(default_factory=list)
     max_H: list = field(default_factory=list)
 
-    def record_snapshot(self, t: float, u: GridFunction):
-        if self.snapshot_times and t <= self.snapshot_times[-1]:
-            raise GridError("snapshot times must increase strictly")
-        self.snapshot_times.append(float(t))
-        self.snapshots.append(u.copy())
+    def __post_init__(self):
+        self.times = np.asarray(self.times, dtype=float)
+        self.values = np.asarray(self.values, dtype=float)
+        if self.times.ndim != 1 or not self.times.size or np.any(np.diff(self.times) <= 0):
+            raise GridError("snapshot times must be nonempty and increase strictly")
+        if self.values.shape != self.times.shape + self.spec.shape:
+            raise GridError(f"snapshot values of shape {self.values.shape} do not fit "
+                            f"{self.times.size} snapshots of grid {self.spec.shape}")
+        # min and max propagate NaN: both are finite only if every value is
+        if not np.isfinite([self.values.min(), self.values.max()]).all():
+            raise GridError("snapshot values must be finite")
 
-    def final(self) -> GridFunction:
-        return self.snapshots[-1]
+    def first_time(self, hits) -> float | None:
+        """The earliest snapshot time where ``hits`` (one flag per snapshot)
+        holds, else None."""
+        hit = np.flatnonzero(hits)
+        return float(self.times[hit[0]]) if hit.size else None
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self.snapshot_times)
 
-
-def _diagnose(run: FlowRun, t, u_new, cone_vals, profile):
-    """Append one step's diagnostics."""
+def _diagnose(t, u_new, cone_vals, profile):
+    """One step's sup|u - k|, sup|u - U|, min H and max H."""
     vals = u_new.values
-    spec = u_new.spec
-    if cone_vals is not None:
-        run.sup_u_minus_k.append(float(np.max(np.abs(vals - cone_vals))))
-    else:
-        run.sup_u_minus_k.append(np.nan)
-    if profile is not None and not spec.polar:
-        Uv = np.sqrt(t) * profile.evaluate(spec.nodes / np.sqrt(t))
-        run.sup_u_minus_U.append(float(np.max(np.abs(vals - Uv))))
-    else:
-        run.sup_u_minus_U.append(np.nan)
+    sup_k = np.nan if cone_vals is None else float(np.max(np.abs(vals - cone_vals)))
+    sup_U = np.nan
+    if profile is not None and not u_new.spec.polar:
+        sup_U = float(np.max(np.abs(vals - evaluate_U(profile, u_new.spec.nodes, t))))
     H = mean_curvature(u_new).values
-    run.min_H.append(float(np.min(H)))
-    run.max_H.append(float(np.max(H)))
+    return sup_k, sup_U, float(np.min(H)), float(np.max(H))
 
 
 def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
@@ -434,6 +437,8 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
 
     Steps are clipped to land precisely on multiples of ``snapshot_dt`` (past
     t_start), so runs with equal cadence produce comparable snapshot times.
+    The snapshots are written as rows of one buffer sized from the cadence,
+    and the run holds the rows filled.
     Adaptive stepping targets 3 to 5 Newton iterations per step; failed
     steps retry with halved dt down to 1e-9, then raise StepFailureError.
     Step times, step sizes and Newton counts are always recorded; the
@@ -449,10 +454,15 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
                              f"tolerance of t_start={t_start}: no step would be taken")
     boundary = boundary_values_for(u0, config, cone, profile)
     cone_vals = cone.on_grid(u0.spec).values if diagnostics and cone is not None else None
-    run = FlowRun()
-    t = t_start
-    u = u0.copy()
-    run.record_snapshot(t, u)
+    # t_start, every cadence time up to t_end (one may land within 1e-10
+    # past it) and t_end itself
+    times = np.empty(int(T / config.snapshot_dt) + 3)
+    values = np.empty(times.shape + u0.spec.shape)
+    times[0], values[0] = t_start, u0.values
+    count = 1
+    step_times, step_sizes, newton_iters = [], [], []
+    diag = ([], [], [], [])
+    t, u = t_start, u0
     dt = min(config.dt_init, config.dt_max)
     next_snap = t_start + config.snapshot_dt
     lo, hi = _TARGET_NEWTON
@@ -470,24 +480,29 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
             dt = max(dt_try / 2.0, _DT_MIN)
             continue
         t = t + dt_try
-        run.step_times.append(float(t))
-        run.step_sizes.append(float(dt_try))
-        run.newton_iters.append(int(stats["iters"]))
+        step_times.append(float(t))
+        step_sizes.append(float(dt_try))
+        newton_iters.append(int(stats["iters"]))
         if diagnostics:
-            _diagnose(run, t, u_new, cone_vals, profile)
+            for trace, x in zip(diag, _diagnose(t, u_new, cone_vals, profile)):
+                trace.append(x)
         u = u_new
-        if abs(t - next_snap) < 1e-10:
-            run.record_snapshot(t, u)
+        on_cadence = abs(t - next_snap) < 1e-10
+        if on_cadence or t >= t_end - 1e-12:
+            times[count], values[count] = t, u.values
+            count += 1
+        if on_cadence:
             next_snap = next_snap + config.snapshot_dt
-        elif t >= t_end - 1e-12:
-            run.record_snapshot(t, u)
         if config.adaptive:
-            its = run.newton_iters[-1]
+            its = newton_iters[-1]
             if its < lo:
                 dt = min(dt * 1.4, config.dt_max)
             elif its > hi:
                 dt = max(dt * 0.7, _DT_MIN)
-    return run
+    sup_k, sup_U, min_H, max_H = diag
+    return FlowRun(u0.spec, times[:count], values[:count], step_times=step_times,
+                   step_sizes=step_sizes, newton_iters=newton_iters, sup_u_minus_k=sup_k,
+                   sup_u_minus_U=sup_U, min_H=min_H, max_H=max_H)
 
 
 @dataclass
@@ -509,28 +524,25 @@ def comparison_check(run_a: FlowRun, run_b: FlowRun, tol: float = 1e-8,
     """
     if not (0 <= tol < math.inf and 0 <= c_scheme < math.inf):
         raise ParameterError("tol and c_scheme must be finite and non-negative")
-    spec_a = run_a.snapshots[0].spec
-    spec_b = run_b.snapshots[0].spec
-    if not grids_match(spec_a, spec_b):
+    spec_a = run_a.spec
+    if not grids_match(spec_a, run_b.spec):
         raise GridError("comparison needs identical grids")
     ta, tb = run_a.times, run_b.times
     if ta.size != tb.size or not np.allclose(ta, tb, atol=1e-9):
         raise GridError("comparison needs identical snapshot times")
-    init_gap = float(np.min(run_a.snapshots[0].values - run_b.snapshots[0].values))
+    init_gap = float(np.min(run_a.values[0] - run_b.values[0]))
     if init_gap < -tol:
         raise ParameterError(f"initial ordering violated by {-init_gap:.3e}")
     dx = spec_a.max_spacing()
-    margins = np.empty(ta.size)
+    allow = tol + c_scheme * (ta - ta[0]) * dx * dx
+    worst = np.array([np.min(a - b) for a, b in zip(run_a.values, run_b.values)])
+    bad = np.flatnonzero(worst < -allow)
     first = None
-    for idx, t in enumerate(ta):
-        allow = tol + c_scheme * (t - ta[0]) * dx * dx
-        gap = run_a.snapshots[idx].values - run_b.snapshots[idx].values
-        worst = float(np.min(gap))
-        margins[idx] = worst + allow
-        if worst < -allow and first is None:
-            where = np.unravel_index(int(np.argmin(gap)), gap.shape)
-            first = (float(t), float(spec_a.nodes[where[0]]), worst)
-    return ComparisonReport(first is None, first, margins)
+    if bad.size:
+        j = bad[0]
+        where = np.unravel_index(np.argmin(run_a.values[j] - run_b.values[j]), spec_a.shape)
+        first = (float(ta[j]), float(spec_a.nodes[where[0]]), float(worst[j]))
+    return ComparisonReport(first is None, first, worst + allow)
 
 
 def detect_t_delta(run: FlowRun, k, delta: float):
@@ -538,8 +550,5 @@ def detect_t_delta(run: FlowRun, k, delta: float):
     else None."""
     if not delta > 0:
         raise ParameterError("delta must be positive")
-    kv = k.on_grid(run.snapshots[0].spec).values
-    for t, snap in zip(run.snapshot_times, run.snapshots):
-        if float(np.min(snap.values - kv)) >= -delta:
-            return float(t)
-    return None
+    kv = k.on_grid(run.spec).values
+    return run.first_time([float(np.min(v - kv)) >= -delta for v in run.values])

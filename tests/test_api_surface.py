@@ -123,8 +123,7 @@ UNSET_KEEP = {
     # each criterion's quick flag, which run_acceptance passes positionally
     # to the functions of its CRITERIA table
     ("acceptance.py", "*", "quick"),
-    # record fields that the producers fill by appends
-    ("flow.py", "FlowRun", "*"),
+    # a record field that run_acceptance fills by appends
     ("acceptance.py", "AcceptanceReport", "results"),
     # a negative control: the flat cone, which is not strictly mean convex
     ("barriers.py", "static_barrier_w", "require_mean_convex"),

@@ -15,7 +15,7 @@ from coneflow.errors import (CertificationError, DomainError, ParameterError)
 from coneflow.expander import evaluate_U
 from coneflow.experiments import SCENARIOS
 from coneflow.flow import FlowRun, SolverConfig, evolve
-from coneflow.geometry import GridFunction, GridSpec, _radial_derivatives
+from coneflow.geometry import GridSpec, _radial_derivatives
 
 K3 = ConeProfile.radial(3, 1.0)
 
@@ -233,19 +233,13 @@ def test_heat_supersolution_shapes():
     phi = sup.phi(x, z, 1.0)
     assert np.all(phi > 0.0)
     assert np.all(np.diff(phi) <= 0.0)  # radially decreasing
-    spec = GridSpec.uniform(2, 0.0, 10.0, 11)
-    u = GridFunction(spec, np.zeros(11))
-    assert np.all(sup.majorant(u, 1.0) >= 0.05)
+    assert np.all(sup.majorant(x, z, 1.0) >= 0.05)
     with pytest.raises(DomainError):
         sup.phi(x, z, 0.0)
 
 
 def _constant_run(c, spec, times):
-    run = FlowRun()
-    for t in times:
-        run.record_snapshot(float(t),
-                            GridFunction(spec, np.full_like(spec.nodes, c)))
-    return run
+    return FlowRun(spec, times, np.full((len(times),) + spec.shape, c))
 
 
 def test_psi_identity_plane_closed_form():
@@ -284,7 +278,7 @@ def _frozen_psi_per_time(run, outer_margin):
     """psi_identity_residual's per-time residuals as first written: one
     snapshot at a time, psi as HeatSupersolution.psi computed it."""
     times = run.times
-    spec = run.snapshots[0].spec
+    spec = run.spec
     n, r = spec.n, spec.nodes
 
     def psi(z, t):
@@ -292,7 +286,7 @@ def _frozen_psi_per_time(run, outer_margin):
     sups = []
     for j in range(1, times.size - 1):
         tm, t0, tp = times[j - 1], times[j], times[j + 1]
-        um, u0, up = (run.snapshots[i].values for i in (j - 1, j, j + 1))
+        um, u0, up = (run.values[i] for i in (j - 1, j, j + 1))
         f0 = psi(u0, t0)
         dpsi_graph = (psi(up, tp) - psi(um, tm)) / (tp - tm)
         udot = (up - um) / (tp - tm)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coneflow import cli, experiments, flow
+from coneflow import acceptance, cli, experiments, flow
 from coneflow.errors import CertificationError, NewtonError
 
 
@@ -135,6 +135,22 @@ def test_verify_area_trials(tmp_path, capsys):
     assert report["area_bound"]["detail"].startswith("50/50 bound checks pass")
     assert run_cli(["--out", str(out), "verify", "--set", "which=area",
                     "--set", "trials=0"], tmp_path) == 2
+
+
+@pytest.mark.parametrize("which", ["psi", "evolution", "area", "all"])
+def test_verify_rejects_trials_below_one_for_every_check(tmp_path, capsys,
+                                                         monkeypatch, which):
+    # trials is checked before any verification runs, not only by the area
+    # check, and no report is written
+    def no_check(*args, **kwargs):
+        raise AssertionError("a verification ran")
+    for name in ("psi_identity", "evolution_equations", "area_bv_bound"):
+        monkeypatch.setattr(acceptance, name, no_check)
+    out = tmp_path / "art"
+    assert run_cli(["--out", str(out), "verify", "--set", f"which={which}",
+                    "--set", "trials=-3"], tmp_path) == 2
+    assert "trials" in capsys.readouterr().err
+    assert not (out / "verify_report.json").exists()
 
 
 def test_config_unknown_section_rejected(tmp_path, capsys):
@@ -306,6 +322,27 @@ def test_infinite_scenario_tolerances_are_usage_errors_without_artifacts(
     # an infinite threshold is met at the first snapshot, and an infinite
     # slack forgives any margin: both would pass vacuously
     _assert_rejected_before_a_flow(tmp_path, capsys, monkeypatch, argv)
+
+
+@pytest.mark.parametrize("pair, name", [("beta=0", "beta"), ("beta=-1", "beta"),
+                                        ("delta=-0.1", "delta"), ("delta=nan", "delta"),
+                                        ("delta=inf", "delta")])
+def test_main_theorem_rejects_flat_cones_and_bad_deltas_before_a_solve(
+        tmp_path, capsys, monkeypatch, pair, name):
+    # a cone that is not strictly mean convex has no expander to settle on
+    # (beta = 0 divided by its axis height a = 0), and a delta <= 0 was
+    # reported as a violated initial ordering; both are rejected before the
+    # expander is solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the scenario solved an expander or ran a flow")
+    monkeypatch.setattr(experiments, "solve_expander_profile", no_solve)
+    monkeypatch.setattr(experiments, "evolve", no_solve)
+    out = tmp_path / "art"
+    assert run_cli(["--out", str(out), "--quick", "experiment", "--name",
+                    "main-theorem", "--set", pair], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and name in err
+    assert list(out.iterdir()) == []
 
 
 def _assert_rejected_before_a_flow(tmp_path, capsys, monkeypatch, argv):

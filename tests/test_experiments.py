@@ -6,7 +6,7 @@ import pytest
 from coneflow import experiments
 from coneflow.analysis import bump
 from coneflow.errors import ParameterError
-from coneflow.experiments import (SCENARIOS, Scenario, restrict_run,
+from coneflow.experiments import (SCENARIOS, Scenario,
                                   run_family_uniform, run_main_theorem,
                                   run_one_sided,
                                   subsolution_dominance_experiment,
@@ -32,21 +32,10 @@ def test_synthetic_run_values(profile21):
     run = synthetic_expander_run(profile21, spec, times, lambda t: t + 1.0,
                                  offset=0.25)
     assert run.times[1] == 1.0
-    snap = run.snapshots[1]
     want = np.sqrt(2.0) * profile21.evaluate(spec.nodes / np.sqrt(2.0)) + 0.25
-    assert np.allclose(snap.values, want)
+    assert np.allclose(run.values[1], want)
     with pytest.raises(ParameterError):
         synthetic_expander_run(profile21, spec, [0.0], lambda t: t)
-
-
-def test_restrict_run(profile21):
-    spec = GridSpec.uniform(2, 0.0, 20.0, 101)
-    run = synthetic_expander_run(profile21, spec, [0.5, 1.0, 1.5, 2.0],
-                                 lambda t: t)
-    cut = restrict_run(run, 1.0)
-    assert np.allclose(cut.times, [1.0, 1.5, 2.0])
-    with pytest.raises(ParameterError):
-        restrict_run(run, 5.0)
 
 
 def test_scenario_registry_complete():

@@ -26,7 +26,7 @@ def test_plane_is_stationary():
     cfg = SolverConfig(dt_init=0.01, dt_max=0.1, snapshot_dt=0.5,
                        boundary="pin-to-initial")
     run = evolve(u0, 2.0, cfg)
-    drift = np.max(np.abs(run.final().values - 3.0))
+    drift = np.max(np.abs(run.values[-1] - 3.0))
     assert drift < 1e-10
 
 
@@ -39,7 +39,39 @@ def test_horizon_must_be_positive():
     for T, t_start in ((0.0, 0.0), (1e-13, 0.0), (1e-12, 0.0), (1e-11, 1e6)):
         with pytest.raises(ParameterError):
             evolve(u0, T, cfg, t_start=t_start)
-    assert evolve(u0, 2e-12, cfg).snapshot_times == [0.0, 2e-12]
+    assert evolve(u0, 2e-12, cfg).times.tolist() == [0.0, 2e-12]
+
+
+@pytest.mark.parametrize("times, values", [
+    ([0.0, 1.0, 1.0], np.zeros((3, 11))),
+    ([0.0, 2.0, 1.0], np.zeros((3, 11))),
+    ([[0.0, 1.0]], np.zeros((2, 11))),
+    ([0.0, 1.0], np.zeros((3, 11))),
+    ([0.0, 1.0], np.zeros((2, 12))),
+    ([0.0, 1.0], np.where(np.arange(11) == 4, np.nan, np.zeros((2, 11)))),
+    ([0.0, 1.0], np.full((2, 11), np.inf)),
+    ([0.0, 1.0], np.where(np.arange(11) == 10, -np.inf, np.zeros((2, 11)))),
+    ([], np.zeros((0, 11))),
+], ids=["repeated-time", "decreasing-time", "2d-times", "row-count",
+        "grid-shape", "nan", "inf", "minus-inf", "empty"])
+def test_flow_run_checks_times_shape_and_values(times, values):
+    # a run's times, shape and values are checked when it is built
+    spec = _uniform(2, 5.0, 11)
+    with pytest.raises(GridError):
+        FlowRun(spec, times, values)
+
+
+def test_evolve_snapshots_the_cadence_and_the_horizon():
+    spec = _uniform(2, 5.0, 51)
+    u0 = GridFunction(spec, 1.0 + np.exp(-spec.nodes ** 2))
+    cfg = SolverConfig(dt_init=0.05, dt_max=0.05, snapshot_dt=0.5)
+    run = evolve(u0, 1.05, cfg)
+    assert np.allclose(run.times, [0.0, 0.5, 1.0, 1.05], rtol=0, atol=1e-12)
+    assert run.values.shape == (4, 51)
+    # the run holds its own copy of the initial data
+    first = u0.values.copy()
+    u0.values[:] = 7.0
+    assert np.array_equal(run.values[0], first)
 
 
 @pytest.mark.parametrize("r_min, drift, error", [(0.5, False, GridError),
@@ -73,7 +105,7 @@ def test_expander_is_self_similar_coarse(cone21, profile21):
     cfg = SolverConfig(dt_init=1e-3, dt_max=5e-3, snapshot_dt=0.25,
                        boundary="pin-to-expander")
     run = evolve(u0, 0.5, cfg, cone=cone21, profile=profile21, t_start=1.0)
-    err = np.max(np.abs(run.final().values
+    err = np.max(np.abs(run.values[-1]
                         - evaluate_U(profile21, spec.nodes, 1.5)))
     assert err < 5e-3
 
@@ -85,7 +117,7 @@ def test_cone_flow_lifts_origin(cone21, profile21):
                        boundary="pin-to-expander")
     run = evolve(cone21.on_grid(spec), 1.0, cfg, cone=cone21,
                  profile=profile21, diagnostics=True)
-    center = run.final().values[0]
+    center = run.values[-1][0]
     assert center > 0.5 * profile21.a  # solver lag keeps it below a exactly
     assert center < 1.05 * profile21.a
     assert np.all(np.asarray(run.min_H) > -1e-10)
@@ -103,8 +135,7 @@ def test_boundary_modes_pin_last_node(cone21, profile21):
                            boundary=boundary)
         run = evolve(u0, 0.4, cfg, cone=cone21, profile=profile21)
         t_end = run.times[-1]
-        assert run.final().values[-1] == pytest.approx(value_at(t_end),
-                                                       rel=1e-9)
+        assert run.values[-1][-1] == pytest.approx(value_at(t_end), rel=1e-9)
 
 
 def test_expander_boundary_values_bit_identical_to_evaluate(profile21):
@@ -205,9 +236,9 @@ def test_diagnostics_are_opt_in(cone21, profile21):
                        boundary="pin-to-expander")
     on = evolve(u0, 0.3, cfg, cone=cone21, profile=profile21, diagnostics=True)
     off = evolve(u0, 0.3, cfg, cone=cone21, profile=profile21)
-    assert np.array_equal(np.array([s.values for s in on.snapshots]),
-                          np.array([s.values for s in off.snapshots]))
-    for key in ("snapshot_times", "step_times", "step_sizes", "newton_iters"):
+    assert np.array_equal(on.values, off.values)
+    assert np.array_equal(on.times, off.times)
+    for key in ("step_times", "step_sizes", "newton_iters"):
         assert getattr(on, key) == getattr(off, key), key
     assert len(on.step_times) > 1
     for key in ("sup_u_minus_k", "sup_u_minus_U", "min_H", "max_H"):
@@ -228,6 +259,20 @@ def test_comparison_check_ordered_pair(cone21):
         comparison_check(lo, hi)  # initial ordering violated
 
 
+def test_comparison_check_reports_the_first_violation():
+    # u_a dips below u_b at one node of the last two snapshots; the first
+    # dip beyond the allowance is reported with its time, radius and depth
+    spec = _uniform(2, 10.0, 101)
+    a = np.zeros((4, 101))
+    a[2, 40], a[3, 60] = -0.5, -0.25
+    rep = comparison_check(FlowRun(spec, [0.0, 1.0, 2.0, 3.0], a),
+                           FlowRun(spec, [0.0, 1.0, 2.0, 3.0], np.zeros((4, 101))),
+                           tol=1e-8, c_scheme=0.0)
+    assert not rep
+    assert rep.first_violation == (2.0, float(spec.nodes[40]), -0.5)
+    assert np.array_equal(rep.margins, [1e-8, 1e-8, -0.5 + 1e-8, -0.25 + 1e-8])
+
+
 def test_comparison_check_grid_mismatch(cone21):
     cfg = SolverConfig(dt_init=1e-2, dt_max=0.05, snapshot_dt=0.5)
     a = evolve(GridFunction(_uniform(2, 10.0, 101),
@@ -243,11 +288,9 @@ def test_comparison_check_grid_mismatch(cone21):
 def test_detect_t_delta_semantics(cone21):
     spec = _uniform(2, 10.0, 101)
     k = cone21.on_grid(spec).values
-    run = FlowRun()
     # dips 0.30, 0.08, 0.02 below the cone at successive snapshots
-    for t, dip in ((0.0, 0.30), (1.0, 0.08), (2.0, 0.02)):
-        vals = k - dip * np.exp(-spec.nodes ** 2)
-        run.record_snapshot(t, GridFunction(spec, vals))
+    dips = np.array([0.30, 0.08, 0.02])[:, None]
+    run = FlowRun(spec, [0.0, 1.0, 2.0], k - dips * np.exp(-spec.nodes ** 2))
     assert detect_t_delta(run, cone21, 0.1) == pytest.approx(1.0)
     assert detect_t_delta(run, cone21, 0.05) == pytest.approx(2.0)
     assert detect_t_delta(run, cone21, 0.5) == pytest.approx(0.0)
@@ -264,7 +307,7 @@ def test_polar_evolution_smoke():
     cfg = SolverConfig(dt_init=1e-3, dt_max=5e-3, snapshot_dt=0.05,
                        boundary="pin-to-initial")
     run = evolve(u0, 0.1, cfg)
-    final = run.final().values
+    final = run.values[-1]
     assert np.all(np.isfinite(final))
     # anisotropy diffuses away: angular oscillation shrinks
     osc0 = np.ptp(u0.values[0])
@@ -513,8 +556,7 @@ def test_radial_flow_bit_identical_to_reference(case, cone21, profile21):
         args = (u0, 0.5, cfg, cone21, None)
     ref = _reference_evolve(*args)
     run = evolve(*args, diagnostics=True)
-    assert np.array_equal(np.array([s.values for s in run.snapshots]),
-                          np.array(ref["snapshots"]))
+    assert np.array_equal(run.values, np.array(ref["snapshots"]))
     for key in ("newton_iters", "min_H", "max_H", "sup_u_minus_k",
                 "sup_u_minus_U"):
         assert np.array_equal(getattr(run, key), ref[key], equal_nan=True), key
