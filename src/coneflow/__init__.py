@@ -8,12 +8,11 @@ rails.  ``acceptance.run_acceptance`` executes the full battery of shipped
 claims; the ``coneflow`` console script fronts everything.
 """
 
-from .analysis import (Ball, C1Function, DecayFit, clearing_out_experiment,
-                       clearing_out_scaling, decay_fit, graph_area_bound_check)
-from .barriers import (HeatSupersolution, ScaledBarrier, StaticBarrier,
-                       Subsolution, evolution_equation_residuals, half_space_experiment,
-                       lemma_barrier_flow, psi_identity_residual,
-                       static_barrier_w, wk_difference_fit)
+from .analysis import (DecayFit, clearing_out_experiment, clearing_out_scaling,
+                       decay_fit, graph_area_bound_check)
+from .barriers import (StaticBarrier, Subsolution, evolution_equation_residuals,
+                       half_space_experiment, lemma_barrier_flow,
+                       psi_identity_residual, static_barrier_w, wk_difference_fit)
 from .cones import ConeProfile
 from .errors import (CertificationError, DomainError, GridError, NewtonError,
                      ParameterError, ShootingError, StepFailureError)
@@ -22,22 +21,19 @@ from .expander import (ExpanderProfile, evaluate_U, expander_time_derivative,
 from .experiments import (SCENARIOS, Scenario, run_family_uniform,
                           run_main_theorem, run_one_sided,
                           subsolution_dominance_experiment)
-from .flow import (ComparisonReport, FlowRun, SolverConfig, comparison_check,
-                   detect_t_delta, evolve)
+from .flow import FlowRun, SolverConfig, comparison_check, detect_t_delta, evolve
 from .geometry import GridFunction, GridSpec, mean_curvature
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ball", "C1Function", "CertificationError", "ComparisonReport",
-    "ConeProfile", "DecayFit", "DomainError", "ExpanderProfile", "FlowRun",
-    "GridError", "GridFunction", "GridSpec", "HeatSupersolution",
-    "NewtonError", "ParameterError", "SCENARIOS",
-    "ScaledBarrier", "Scenario", "ShootingError",
+    "CertificationError", "ConeProfile", "DecayFit", "DomainError",
+    "ExpanderProfile", "FlowRun", "GridError", "GridFunction", "GridSpec",
+    "NewtonError", "ParameterError", "SCENARIOS", "Scenario", "ShootingError",
     "SolverConfig", "StaticBarrier", "StepFailureError", "Subsolution",
-    "clearing_out_experiment", "clearing_out_scaling", "comparison_check", "decay_fit", "detect_t_delta",
-    "evaluate_U", "evolution_equation_residuals", "evolve",
-    "expander_time_derivative", "graph_area_bound_check",
+    "clearing_out_experiment", "clearing_out_scaling", "comparison_check",
+    "decay_fit", "detect_t_delta", "evaluate_U", "evolution_equation_residuals",
+    "evolve", "expander_time_derivative", "graph_area_bound_check",
     "half_space_experiment", "lemma_barrier_flow", "mean_curvature",
     "psi_identity_residual", "run_family_uniform", "run_main_theorem",
     "run_one_sided", "solve_expander_profile", "static_barrier_w",

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import (C1Function, clearing_out_scaling, decay_fit,
-                       graph_area_bound_check)
+from .analysis import clearing_out_scaling, decay_fit, graph_area_bound_check
 from .barriers import (evolution_equation_residuals, half_space_experiment,
                        lemma_barrier_flow, psi_identity_residual,
                        static_barrier_w, wk_difference_fit)
@@ -219,12 +218,10 @@ def area_bv_bound(quick: bool = False, trials: int | None = None):
                                                      np.sin(theta)])
         rho = float(rng.uniform(0.3, 0.9))
         nb = int(rng.integers(1, 4))
-        u0 = (C1Function.from_cone(k)
-              + C1Function.gaussian_bumps(
-                  2, x + rng.uniform(-1.2, 1.2, size=(nb, 2)),
-                  rng.uniform(-2.0, 2.0, size=nb),
-                  rng.uniform(0.25, 1.2, size=nb)))
-        rep = graph_area_bound_check(u0, k, x, rho, max(1.0, beta))
+        bumps = (x + rng.uniform(-1.2, 1.2, size=(nb, 2)),
+                 rng.uniform(-2.0, 2.0, size=nb),
+                 rng.uniform(0.25, 1.2, size=nb))
+        rep = graph_area_bound_check(k, bumps, x, rho, max(1.0, beta))
         passes += rep.passed and rep.hypothesis_ok
         nonempty += rep.area > 0
     ok = passes == trials

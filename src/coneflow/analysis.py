@@ -20,8 +20,6 @@ __all__ = [
     "bump",
     "DecayFit",
     "decay_fit",
-    "C1Function",
-    "Ball",
     "AreaBoundReport",
     "graph_area_bound_check",
     "ClearingOutReport",
@@ -84,92 +82,38 @@ def decay_fit(t, d) -> DecayFit:
 # the graph-area bound
 
 
-@dataclass(eq=False)
-class C1Function:
-    """Function on R^n with an analytically supplied gradient.
-
-    Quadrature-based checks need |Du| without finite-difference noise; keeping
-    the gradient exact makes the BV/area inequalities sharp to machine level
-    on their common grid.
-    """
-
-    n: int
-    value_fn: object
-    grad_fn: object
-
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.value_fn(pts), dtype=float)
-
-    def gradient(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.grad_fn(pts), dtype=float)
-
-    def __add__(self, other: "C1Function") -> "C1Function":
-        if self.n != other.n:
-            raise ParameterError("dimension mismatch")
-        return C1Function(self.n,
-                          lambda p: self.value(p) + other.value(p),
-                          lambda p: self.gradient(p) + other.gradient(p))
-
-    @classmethod
-    def from_cone(cls, k) -> "C1Function":
-        """Radial cone graph and its gradient (undefined at 0; clamped to 0
-        there)."""
-        if k.kind != "radial":
-            raise ParameterError("C1Function.from_cone takes radial cones")
-
-        def val(pts):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            return k.beta * np.sqrt(np.sum(pts ** 2, axis=-1))
-
-        def grad(pts):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            r = np.sqrt(np.sum(pts ** 2, axis=-1))
-            safe = np.where(r > 0, r, 1.0)
-            return k.beta * pts / safe[:, None] * (r > 0)[:, None]
-
-        return cls(k.n, val, grad)
-
-    @classmethod
-    def gaussian_bumps(cls, n: int, centers, amplitudes, widths) -> "C1Function":
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=float))
-        widths = np.atleast_1d(np.asarray(widths, dtype=float))
-
-        def val(pts):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            out = np.zeros(pts.shape[0])
-            for c, a, w in zip(centers, amplitudes, widths):
-                out += a * np.exp(-np.sum((pts - c) ** 2, axis=-1) / (2 * w * w))
-            return out
-
-        def grad(pts):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            out = np.zeros_like(pts)
-            for c, a, w in zip(centers, amplitudes, widths):
-                e = a * np.exp(-np.sum((pts - c) ** 2, axis=-1) / (2 * w * w))
-                out += -e[:, None] * (pts - c) / (w * w)
-            return out
-
-        return cls(n, val, grad)
+def _unit_disk(center) -> tuple:
+    """(points, weights) of the midpoint polar rule on the unit disk about
+    ``center``: 240 radial by 128 angular cells."""
+    m_r, m_phi = 240, 128
+    h = 1.0 / m_r
+    c = np.asarray(center, dtype=float)
+    s = (np.arange(m_r) + 0.5) * h
+    phi = 2.0 * np.pi * (np.arange(m_phi) + 0.5) / m_phi
+    S, PHI = np.meshgrid(s, phi, indexing="ij")
+    pts = np.stack([c[0] + S * np.cos(PHI), c[1] + S * np.sin(PHI)], axis=-1)
+    w = S * h * (2.0 * np.pi / m_phi)
+    return pts.reshape(-1, 2), w.ravel()
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Disk B_radius(center) with a midpoint polar quadrature rule of 240
-    radial by 128 angular cells."""
+def _cone(beta: float, pts: np.ndarray) -> tuple:
+    """beta * |y| and its gradient (0 at the origin) at the rows of ``pts``."""
+    r = np.sqrt(np.sum(pts ** 2, axis=-1))
+    safe = np.where(r > 0, r, 1.0)
+    return beta * r, beta * pts / safe[:, None] * (r > 0)[:, None]
 
-    center: tuple
-    radius: float
 
-    def quadrature(self):
-        m_r, m_phi = 240, 128
-        c = np.asarray(self.center, dtype=float)
-        s = (np.arange(m_r) + 0.5) * (self.radius / m_r)
-        phi = 2.0 * np.pi * (np.arange(m_phi) + 0.5) / m_phi
-        S, PHI = np.meshgrid(s, phi, indexing="ij")
-        pts = np.stack([c[0] + S * np.cos(PHI), c[1] + S * np.sin(PHI)], axis=-1)
-        w = S * (self.radius / m_r) * (2.0 * np.pi / m_phi)
-        return pts.reshape(-1, 2), w.ravel()
+def _gaussian_bumps(pts: np.ndarray, centers, amplitudes, widths) -> tuple:
+    """Sum of a * exp(-|y - c|^2 / (2 w^2)) over the bumps, and its
+    gradient, at the rows of ``pts``."""
+    value = np.zeros(pts.shape[0])
+    grad = np.zeros_like(pts)
+    for c, a, w in zip(np.atleast_2d(centers), np.atleast_1d(amplitudes),
+                       np.atleast_1d(widths)):
+        e = a * np.exp(-np.sum((pts - c) ** 2, axis=-1) / (2 * w * w))
+        value += e
+        grad += -e[:, None] * (pts - c) / (w * w)
+    return value, grad
 
 
 @dataclass
@@ -182,10 +126,12 @@ class AreaBoundReport:
     passed: bool
 
 
-def graph_area_bound_check(u0: C1Function, k, x, rho: float,
-                           G: float) -> AreaBoundReport:
+def graph_area_bound_check(k, bumps, x, rho: float, G: float) -> AreaBoundReport:
     """Graph area above the raised radial cone k vs the BV bound, on one
     shared grid.
+
+    The graph is u0 = k + the Gaussian bumps ``(centers, amplitudes,
+    widths)``, with its exact gradient, and
 
     area  = integral of sqrt(1+|Du0|^2) over {y in B_rho(x) : u0 > k + rho},
     bound = (4 + 3G/rho) * ||u0 - k||_BV over B_1(x) cut to {|u0-k| > eps(|x|)},
@@ -200,18 +146,25 @@ def graph_area_bound_check(u0: C1Function, k, x, rho: float,
         raise ParameterError("rho must lie in (0, 1)")
     if G < 1.0:
         raise ParameterError("gradient bound G must be >= 1")
-    if u0.n != 2:
+    if k.n != 2:
         raise ParameterError("area-bound quadrature is implemented for n = 2")
+    if k.kind != "radial":
+        raise ParameterError("the area bound is checked over radial cones")
     x = np.asarray(x, dtype=float)
-    kf = C1Function.from_cone(k)
     slope = abs(k.beta)
     if slope > G * (1 + 1e-12):
         raise ParameterError(f"cone slope {slope:.3g} exceeds the declared bound G={G}")
 
-    pts, w = Ball(tuple(x), 1.0).quadrature()
-    v = u0.value(pts) - kf.value(pts)
-    du0 = u0.gradient(pts)
-    dv = du0 - kf.gradient(pts)
+    pts, w = _unit_disk(x)
+    bumps_v, bumps_dv = _gaussian_bumps(pts, *bumps)
+    cone, dcone = _cone(k.beta, pts)
+    # u0 = cone + bumps, and u0 - k is taken from u0 as the chain reads it;
+    # each part is dropped once read, which bounds the peak memory
+    v = (cone + bumps_v) - cone
+    du0 = dcone + bumps_dv
+    del bumps_v, bumps_dv, cone
+    dv = du0 - dcone
+    del dcone
     in_rho = np.sum((pts - x) ** 2, axis=-1) <= rho * rho
     area_set = in_rho & (v > rho)
     area = float(np.sum(w[area_set] * np.sqrt(1.0 + np.sum(du0[area_set] ** 2, axis=-1))))

@@ -50,9 +50,7 @@ __all__ = [
     "LemmaBarrierResult",
     "lemma_barrier_flow",
     "evolution_equation_residuals",
-    "ScaledBarrier",
     "Subsolution",
-    "HeatSupersolution",
     "PsiIdentityReport",
     "psi_identity_residual",
     "HalfSpaceReport",
@@ -230,20 +228,6 @@ class LemmaBarrierResult:
     deficit_fit: DecayFit
     passed: bool
 
-    def scaled(self, lam: float) -> "ScaledBarrier":
-        """The parabolic rescaling b_lam(x) = lam * b(x / lam), exact on the
-        scaled radii lam * r (no interpolation)."""
-        if not self.passed:
-            raise CertificationError("cannot scale an uncertified barrier",
-                                     witness={"passed": self.passed})
-        if not (0 < lam * float(self.r[-1]) < math.inf
-                and np.all(np.diff(lam * self.r) > 0)):
-            raise ParameterError(f"lam must be positive and finite, with lam * r distinct "
-                                 f"and finite; got {lam}")
-        lo, hi = self.certified
-        return ScaledBarrier(self.cone, lam, self.m1, self.R1, lam * self.r, lam * self.b,
-                             (lam * lo, lam * hi))
-
 
 def lemma_barrier_flow(k: ConeProfile, points: int = 600) -> LemmaBarrierResult:
     """March the inverse-power speed flow from the cone for unit time over
@@ -412,66 +396,53 @@ def evolution_equation_residuals(k: ConeProfile, points: int, steps: int,
 
 
 @dataclass(eq=False)
-class ScaledBarrier:
-    """A certified flow barrier after parabolic rescaling by lam
-    (:meth:`LemmaBarrierResult.scaled`): the curve (``r``, ``b``) and its
-    certified window, read between the nodes through a cubic spline."""
-
-    cone: ConeProfile
-    lam: float
-    m1: float
-    R1: float
-    r: np.ndarray
-    b: np.ndarray
-    certified: tuple
-    _spline: CubicSpline = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._spline = CubicSpline(self.r, self.b)
-
-    @property
-    def domain(self) -> tuple:
-        return (float(self.r[0]), float(self.r[-1]))
-
-    def evaluate(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        lo, hi = self.domain
-        if np.any(r < lo - 1e-12) or np.any(r > hi + 1e-12):
-            raise DomainError(f"barrier sampled outside [{lo:.3g}, {hi:.3g}]")
-        return np.asarray(self._spline(r), dtype=float)
-
-
-@dataclass(eq=False)
 class Subsolution:
     """B(x, t) = max(U(x, t) - m, b_lam(x) - delta/2).
 
-    The expander branch solves the flow exactly; the barrier branch is static
-    with H >= 0 on its certified region, so each branch is a subsolution and
-    the max inherits it.  Construction enforces the gluing inequalities
-    lam * m1 > m and lam * R1 > R (deficit and hole scales of the barrier
-    strictly dominate those of the perturbation).
+    b_lam(x) = lam * b(x / lam) is the parabolic rescaling of the certified
+    lemma barrier (``lemma``), exact on the scaled radii lam * r and read
+    between them through the cubic spline ``spline``; its certified window
+    scales with it.  The expander branch solves the flow exactly; the
+    barrier branch is static with H >= 0 on its certified region, so each
+    branch is a subsolution and the max inherits it.  Construction enforces
+    the gluing inequalities lam * m1 > m and lam * R1 > R (deficit and hole
+    scales of the barrier strictly dominate those of the perturbation).
     """
 
     profile: ExpanderProfile
-    barrier: ScaledBarrier
+    lemma: LemmaBarrierResult
+    lam: float
     m: float
     delta: float
     R: float
+    spline: CubicSpline = field(init=False, repr=False)
 
     def __post_init__(self):
+        lemma, lam = self.lemma, self.lam
+        if not lemma.passed:
+            raise CertificationError("cannot scale an uncertified barrier",
+                                     witness={"passed": lemma.passed})
+        if not (0 < lam * float(lemma.r[-1]) < math.inf
+                and np.all(np.diff(lam * lemma.r) > 0)):
+            raise ParameterError(f"lam must be positive and finite, with lam * r distinct "
+                                 f"and finite; got {lam}")
         if not all(0 < v < math.inf for v in (self.m, self.delta, self.R)):
             raise ParameterError("m, delta, R must be positive and finite")
-        if self.barrier.lam * self.barrier.m1 <= self.m:
+        if lam * lemma.m1 <= self.m:
             raise ParameterError(
-                f"need lam*m1 > m (got {self.barrier.lam * self.barrier.m1:.4g}"
-                f" <= {self.m:.4g})")
-        if self.barrier.lam * self.barrier.R1 <= self.R:
+                f"need lam*m1 > m (got {lam * lemma.m1:.4g} <= {self.m:.4g})")
+        if lam * lemma.R1 <= self.R:
             raise ParameterError(
-                f"need lam*R1 > R (got {self.barrier.lam * self.barrier.R1:.4g}"
-                f" <= {self.R:.4g})")
-        pc, bc = self.profile.cone(), self.barrier.cone
+                f"need lam*R1 > R (got {lam * lemma.R1:.4g} <= {self.R:.4g})")
+        pc, bc = self.profile.cone(), lemma.cone
         if pc.n != bc.n or abs(pc.beta - bc.beta) > 1e-12:
             raise ParameterError("expander and barrier belong to different cones")
+        self.spline = CubicSpline(lam * lemma.r, lam * lemma.b)
+
+    @property
+    def domain(self) -> tuple:
+        """The scaled barrier's radii (lam * r[0], lam * r[-1])."""
+        return (float(self.spline.x[0]), float(self.spline.x[-1]))
 
     def _branches(self, r, t: float):
         """(U - m, b_lam - delta/2) at r; the barrier branch is -inf off its
@@ -481,14 +452,14 @@ class Subsolution:
         r = np.asarray(r, dtype=float)
         # U extends continuously to t = 0 as the cone itself
         if t == 0:
-            ub = self.barrier.cone.beta * r - self.m
+            ub = self.lemma.cone.beta * r - self.m
         else:
             ub = evaluate_U(self.profile, r, t) - self.m
         bb = np.full(r.shape, -np.inf)
-        lo, hi = self.barrier.domain
+        lo, hi = self.domain
         inside = (r >= lo) & (r <= hi)
         if inside.any():
-            bb[inside] = self.barrier.evaluate(r[inside]) - self.delta / 2
+            bb[inside] = self.spline(r[inside]) - self.delta / 2
         return ub, bb
 
     def evaluate(self, r, t: float) -> np.ndarray:
@@ -510,7 +481,7 @@ class Subsolution:
         """
         r = spec.nodes
         exp_res, bar_min_H = 0.0, np.inf
-        clo, chi = self.barrier.certified
+        clo, chi = (self.lam * c for c in self.lemma.certified)
         for t in times:
             active = self.branch(r, t)
             ub = evaluate_U(self.profile, r, t) - self.m
@@ -526,7 +497,7 @@ class Subsolution:
                 exp_res = max(exp_res, float(np.max(np.abs(udot - rhs)[e_mask])))
             b_mask = (active == 1) & ~crease & (r >= clo) & (r <= chi)
             if b_mask.any():
-                bvals = self.barrier.evaluate(np.clip(r, *self.barrier.domain))
+                bvals = self.spline(np.clip(r, *self.domain))
                 Hb = mean_curvature(GridFunction(spec, bvals)).values
                 bar_min_H = min(bar_min_H, float(np.min(Hb[b_mask])))
         return {"expander_residual": exp_res,
@@ -538,24 +509,11 @@ class Subsolution:
 # log-heat-kernel identity and the half-space experiment
 
 
-@dataclass(frozen=True)
-class HeatSupersolution:
-    """Majorant a * Phi + epsilon built from the ambient Gaussian kernel."""
-
-    n: int
-    a: float
-    epsilon: float
-
-    def phi(self, r, z, t: float) -> np.ndarray:
-        if t <= 0:
-            raise DomainError("kernel needs t > 0")
-        r = np.asarray(r, dtype=float)
-        z = np.asarray(z, dtype=float)
-        return (4.0 * np.pi * t) ** (-self.n / 2.0) * np.exp(-(r * r + z * z)
-                                                             / (4.0 * t))
-
-    def majorant(self, r, u, t: float) -> np.ndarray:
-        return self.a * self.phi(r, u, t) + self.epsilon
+def _heat_kernel(n: int, r, z, t: float) -> np.ndarray:
+    """The ambient Gaussian kernel (4 pi t)^(-n/2) exp(-(r^2 + z^2)/(4t))."""
+    if t <= 0:
+        raise DomainError("kernel needs t > 0")
+    return (4.0 * np.pi * t) ** (-n / 2.0) * np.exp(-(r * r + z * z) / (4.0 * t))
 
 
 @dataclass
@@ -627,7 +585,10 @@ def psi_identity_residual(run: FlowRun, outer_margin: int = 3) -> PsiIdentityRep
 
 @dataclass
 class HalfSpaceReport:
-    supersolution: HeatSupersolution
+    """The half-space experiment; ``a`` is the fitted coefficient of the
+    majorant a * Phi + epsilon."""
+
+    a: float
     times: np.ndarray
     sup_trace: np.ndarray
     margins: np.ndarray
@@ -660,17 +621,16 @@ def half_space_experiment(horizon: float = 50.0,
     i0 = int(np.argmin(np.abs(times - t0)))
     t_fix = float(times[i0])
     u_fix = run.values[i0]
-    phi_fix = HeatSupersolution(n, 1.0, epsilon).phi(r, u_fix, t_fix)
+    phi_fix = _heat_kernel(n, r, u_fix, t_fix)
     over = u_fix > epsilon
     a = float(np.max((u_fix[over] - epsilon) / phi_fix[over])) if over.any() else 0.0
-    hs = HeatSupersolution(n, a, epsilon)
 
-    margins = np.asarray([float(np.min(hs.majorant(r, u, float(t)) - u))
+    margins = np.asarray([float(np.min(a * _heat_kernel(n, r, u, float(t)) + epsilon - u))
                           for t, u in zip(times[i0:], run.values[i0:])])
     sup_trace = run.values.max(axis=1)
     first_below = run.first_time(sup_trace <= threshold)
     ordering_ok = bool(np.all(margins >= -1e-9))
     passed = ordering_ok and first_below is not None
-    return HalfSpaceReport(hs, times, sup_trace, margins, times[i0:],
+    return HalfSpaceReport(a, times, sup_trace, margins, times[i0:],
                            ordering_ok, first_below, threshold, passed, run)
 

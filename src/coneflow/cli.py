@@ -256,10 +256,9 @@ def _cmd_barrier(cfg: dict, out: str) -> int:
         if which != "subsolution":
             verdicts.append(bool(lemma_res.passed))
     if which in ("subsolution", "all"):
-        scaled = lemma_res.scaled(1.0)
-        sub = Subsolution(solve_expander_profile(k), scaled, sec["m"],
+        sub = Subsolution(solve_expander_profile(k), lemma_res, 1.0, sec["m"],
                           sec["delta"], sec["barrier_radius"])
-        spec = GridSpec.uniform(sec["n"], 0.0, 0.8 * scaled.domain[1], 1001)
+        spec = GridSpec.uniform(sec["n"], 0.0, 0.8 * sub.domain[1], 1001)
         res = sub.residual_report(spec, np.linspace(0.05, 1.0, 8))
         report["subsolution"] = res
         verdicts.append(bool(res["subsolution_ok"]))

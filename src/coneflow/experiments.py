@@ -22,18 +22,10 @@ from .barriers import Subsolution, lemma_barrier_flow
 from .cones import ConeProfile
 from .errors import ParameterError
 from .expander import ExpanderProfile, evaluate_U, solve_expander_profile
-from .flow import (
-    ComparisonReport,
-    FlowRun,
-    SolverConfig,
-    comparison_check,
-    detect_t_delta,
-    evolve,
-)
+from .flow import FlowRun, SolverConfig, comparison_check, detect_t_delta, evolve
 from .geometry import GridFunction, GridSpec
 
 __all__ = [
-    "synthetic_expander_run",
     "SideReport",
     "MainTheoremReport",
     "run_main_theorem",
@@ -46,19 +38,6 @@ __all__ = [
     "Scenario",
     "SCENARIOS",
 ]
-
-
-def synthetic_expander_run(profile: ExpanderProfile, spec: GridSpec, times,
-                           time_map, offset: float = 0.0) -> FlowRun:
-    """FlowRun whose snapshots are U(., time_map(t)) + offset on the grid."""
-    times = np.asarray(times, dtype=float)
-    values = np.empty(times.shape + spec.shape)
-    for row, t in zip(values, times):
-        s = float(time_map(float(t)))
-        if s <= 0:
-            raise ParameterError(f"mapped time {s} must be positive")
-        row[:] = evaluate_U(profile, spec.nodes, s) + offset
-    return FlowRun(spec, times, values)
 
 
 def _expander_gap(run: FlowRun, profile: ExpanderProfile) -> np.ndarray:
@@ -102,8 +81,8 @@ class SideReport:
     upper_shift: float
     sigma: float
     epsilon: float
-    upper: ComparisonReport
-    lower: ComparisonReport
+    upper: bool
+    lower: bool
     passed: bool
 
 
@@ -123,12 +102,12 @@ def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,
                      dt_max: float = 0.025, threshold: float = 0.05) -> MainTheoremReport:
     """Two-sided bump perturbations settle onto the expanding soliton.
 
-    For each sign the run is sandwiched between synthetic soliton runs:
-    above by U(., t + T_up) + eps with T_up found by bisection, below by
-    U(., sigma + t - t_delta) - eps once the solution has recovered to
-    k - delta (eps = 2*delta, sigma = (delta/(2a))^2 so the lower rail starts
-    half a delta clear).  The sup|u - U| trace must drop under the threshold
-    within the horizon.
+    For each sign the run is sandwiched between soliton rails sampled at its
+    snapshot times: above by U(., t + T_up) + eps with T_up found by
+    bisection, below by U(., sigma + t - t_delta) - eps once the solution
+    has recovered to k - delta (eps = 2*delta, sigma = (delta/(2a))^2 so the
+    lower rail starts half a delta clear).  The sup|u - U| trace must drop
+    under the threshold within the horizon.
     """
     if not 0 < threshold < math.inf:
         raise ParameterError("threshold must be positive and finite")
@@ -144,6 +123,7 @@ def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,
                        boundary="pin-to-expander")
     eps = 2.0 * delta
     sigma = (delta / (2.0 * profile.a)) ** 2
+    dx = spec.max_spacing()
     sides = {}
     for sign in (+1, -1):
         u0 = GridFunction(spec, k.beta * spec.nodes
@@ -154,22 +134,19 @@ def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,
         t_flat = run.first_time(trace <= threshold)
 
         t_up = _bisect_upper_shift(profile, u0)
-        upper_rail = synthetic_expander_run(profile, spec, times,
-                                            lambda t: t + t_up, offset=eps)
-        upper = comparison_check(upper_rail, run)
+        upper_rail = np.array([evaluate_U(profile, spec.nodes, float(t) + t_up) + eps
+                               for t in times])
+        upper = comparison_check(upper_rail, run.values, times, dx)
 
         t_delta = detect_t_delta(run, k, delta)
-        if t_delta is None:
-            lower = ComparisonReport(False, (None, None, None), np.array([]))
-        else:
-            keep = times >= t_delta
-            tail = FlowRun(spec, times[keep], run.values[keep])
-            lower_rail = synthetic_expander_run(
-                profile, spec, tail.times,
-                lambda t: sigma + (t - t_delta), offset=-eps)
-            lower = comparison_check(tail, lower_rail)
-        passed = (t_flat is not None and bool(upper) and bool(lower)
-                  and t_delta is not None)
+        lower = False
+        if t_delta is not None:
+            tail = slice(int(np.searchsorted(times, t_delta)), None)
+            lower_rail = np.array([
+                evaluate_U(profile, spec.nodes, sigma + (float(t) - t_delta)) - eps
+                for t in times[tail]])
+            lower = comparison_check(run.values[tail], lower_rail, times[tail], dx)
+        passed = t_flat is not None and upper and lower
         sides[sign] = SideReport(sign, run, times, trace, t_flat, t_delta,
                                  t_up, sigma, eps, upper, lower, passed)
     return MainTheoremReport(k, profile, threshold, sides,
@@ -272,15 +249,18 @@ def run_family_uniform(n: int = 2, beta: float = 1.0, count: int = 5,
 
     rail = _expander_gap(run_hi, profile) + _expander_gap(run_lo, profile)
     family = np.zeros_like(rail)
+    dx = spec.max_spacing()
     sandwich_ok = True
     for omega, phase in members:
         run_i = evolve(GridFunction(spec, member_values(omega, phase)), horizon,
                        cfg, cone=k, profile=profile)
-        sandwich_ok &= bool(comparison_check(run_hi, run_i, tol, c_scheme))
-        sandwich_ok &= bool(comparison_check(run_i, run_lo, tol, c_scheme))
+        sandwich_ok &= comparison_check(run_hi.values, run_i.values, times, dx,
+                                        tol, c_scheme)
+        sandwich_ok &= comparison_check(run_i.values, run_lo.values, times, dx,
+                                        tol, c_scheme)
         family = np.maximum(family, _expander_gap(run_i, profile))
 
-    allow = tol + c_scheme * (times - times[0]) * spec.max_spacing() ** 2
+    allow = tol + c_scheme * (times - times[0]) * dx ** 2
     bound_ok = bool(np.all(family <= rail + 2.0 * allow))
     t_uniform = run_hi.first_time(family <= threshold)
     passed = sandwich_ok and bound_ok and t_uniform is not None
@@ -322,8 +302,7 @@ def subsolution_dominance_experiment(n: int = 3, beta: float = 1.0,
     profile = solve_expander_profile(k)
     if not (0 < clearance < m):
         raise ParameterError("need 0 < clearance < m")
-    barrier = lemma_barrier_flow(k).scaled(lam)
-    sub = Subsolution(profile, barrier, m, delta, R)
+    sub = Subsolution(profile, lemma_barrier_flow(k), lam, m, delta, R)
     spec = GridSpec.uniform(n, 0.0, r_max, nodes)
     r = spec.nodes
     u0 = GridFunction(spec, k.beta * r - bump(r, m - clearance, R))

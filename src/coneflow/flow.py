@@ -56,9 +56,8 @@ from scipy.sparse import csc_matrix
 
 from .errors import GridError, NewtonError, ParameterError, StepFailureError
 from .expander import evaluate_U
-from .geometry import (GridFunction, GridSpec, grids_match, mean_curvature,
-                       _polar_speed, _radial_derivatives, _radial_operator,
-                       _radial_speed)
+from .geometry import (GridFunction, GridSpec, mean_curvature, _polar_speed,
+                       _radial_derivatives, _radial_operator, _radial_speed)
 
 __all__ = [
     "SolverConfig",
@@ -67,7 +66,6 @@ __all__ = [
     "step",
     "evolve",
     "comparison_check",
-    "ComparisonReport",
     "detect_t_delta",
 ]
 
@@ -79,6 +77,10 @@ splu = partial(scipy.sparse.linalg.splu, permc_spec="NATURAL")
 # Newton iterations before a step fails, the per-step Newton counts adaptive
 # runs steer between, and the floor of dt when failed steps halve it
 _NEWTON_MAX_ITER, _TARGET_NEWTON, _DT_MIN = 14, (3, 5), 1e-9
+
+# the most snapshots one run holds, 25 times criterion 10's 4,000: a finer
+# cadence for the horizon is a usage error, raised before the buffer exists
+_MAX_SNAPSHOTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -438,7 +440,8 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
     Steps are clipped to land precisely on multiples of ``snapshot_dt`` (past
     t_start), so runs with equal cadence produce comparable snapshot times.
     The snapshots are written as rows of one buffer sized from the cadence,
-    and the run holds the rows filled.
+    and the run holds the rows filled; a horizon of more than 100,000
+    cadence intervals is a ParameterError.
     Adaptive stepping targets 3 to 5 Newton iterations per step; failed
     steps retry with halved dt down to 1e-9, then raise StepFailureError.
     Step times, step sizes and Newton counts are always recorded; the
@@ -452,11 +455,16 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
     if not t_start < t_end - 1e-12:
         raise ParameterError(f"evolution horizon T={T} is within the 1e-12 landing "
                              f"tolerance of t_start={t_start}: no step would be taken")
+    intervals = T / config.snapshot_dt
+    if not intervals <= _MAX_SNAPSHOTS:
+        raise ParameterError(f"horizon {T} at snapshot_dt {config.snapshot_dt} asks for "
+                             f"{intervals:.3g} snapshots, more than the "
+                             f"{_MAX_SNAPSHOTS} a run holds")
     boundary = boundary_values_for(u0, config, cone, profile)
     cone_vals = cone.on_grid(u0.spec).values if diagnostics and cone is not None else None
     # t_start, every cadence time up to t_end (one may land within 1e-10
     # past it) and t_end itself
-    times = np.empty(int(T / config.snapshot_dt) + 3)
+    times = np.empty(int(intervals) + 3)
     values = np.empty(times.shape + u0.spec.shape)
     times[0], values[0] = t_start, u0.values
     count = 1
@@ -505,44 +513,27 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
                    sup_u_minus_U=sup_U, min_H=min_H, max_H=max_H)
 
 
-@dataclass
-class ComparisonReport:
-    passed: bool
-    first_violation: tuple | None
-    margins: np.ndarray
+def comparison_check(upper: np.ndarray, lower: np.ndarray, times, dx: float,
+                     tol: float = 1e-8, c_scheme: float = 1.0) -> bool:
+    """Snapshot-wise ordering upper >= lower within a scheme-error allowance.
 
-    def __bool__(self):
-        return self.passed
-
-
-def comparison_check(run_a: FlowRun, run_b: FlowRun, tol: float = 1e-8,
-                     c_scheme: float = 1.0) -> ComparisonReport:
-    """Snapshot-wise ordering u_a >= u_b within a scheme-error allowance.
-
-    The allowance grows like tol + c_scheme*(t - t0)*dx^2, reflecting the
-    accumulation of truncation error in the discrete comparison principle.
+    ``upper`` and ``lower`` are (T, *shape) stacks of snapshots at the T
+    ``times``, on one grid of largest spacing ``dx``.  The allowance grows
+    like tol + c_scheme*(t - t0)*dx^2, reflecting the accumulation of
+    truncation error in the discrete comparison principle.
     """
     if not (0 <= tol < math.inf and 0 <= c_scheme < math.inf):
         raise ParameterError("tol and c_scheme must be finite and non-negative")
-    spec_a = run_a.spec
-    if not grids_match(spec_a, run_b.spec):
-        raise GridError("comparison needs identical grids")
-    ta, tb = run_a.times, run_b.times
-    if ta.size != tb.size or not np.allclose(ta, tb, atol=1e-9):
-        raise GridError("comparison needs identical snapshot times")
-    init_gap = float(np.min(run_a.values[0] - run_b.values[0]))
+    times = np.asarray(times, dtype=float)
+    if upper.shape != lower.shape or upper.shape[:1] != times.shape:
+        raise GridError(f"comparison needs snapshot stacks of one shape at the "
+                        f"{times.size} times, got {upper.shape} and {lower.shape}")
+    init_gap = float(np.min(upper[0] - lower[0]))
     if init_gap < -tol:
         raise ParameterError(f"initial ordering violated by {-init_gap:.3e}")
-    dx = spec_a.max_spacing()
-    allow = tol + c_scheme * (ta - ta[0]) * dx * dx
-    worst = np.array([np.min(a - b) for a, b in zip(run_a.values, run_b.values)])
-    bad = np.flatnonzero(worst < -allow)
-    first = None
-    if bad.size:
-        j = bad[0]
-        where = np.unravel_index(np.argmin(run_a.values[j] - run_b.values[j]), spec_a.shape)
-        first = (float(ta[j]), float(spec_a.nodes[where[0]]), float(worst[j]))
-    return ComparisonReport(first is None, first, worst + allow)
+    allow = tol + c_scheme * (times - times[0]) * dx * dx
+    worst = np.array([np.min(a - b) for a, b in zip(upper, lower)])
+    return not np.any(worst < -allow)
 
 
 def detect_t_delta(run: FlowRun, k, delta: float):

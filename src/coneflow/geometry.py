@@ -39,7 +39,6 @@ from .errors import GridError
 __all__ = [
     "GridSpec",
     "GridFunction",
-    "grids_match",
     "mean_curvature",
     "graph_rhs",
     "radial_rhs",
@@ -53,7 +52,7 @@ class GridSpec:
     """Radial or polar computational grid.
 
     Instances hash and compare by identity (the node arrays make value
-    equality ill-defined); use :func:`grids_match` to compare layouts.
+    equality ill-defined).
 
     ``nodes`` holds strictly increasing radii.  Every grid continues across
     the origin, so its one boundary is the outer ring: a radial grid starts
@@ -162,22 +161,6 @@ class GridFunction:
         if not np.isfinite(vals).all():
             raise GridError("grid function values must be finite")
         self.values = vals
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.spec, self.values.copy())
-
-
-def grids_match(a: GridSpec, b: GridSpec) -> bool:
-    """Same dimension and node layout (exact node equality)."""
-    if a is b:
-        return True
-    if a.n != b.n or a.polar != b.polar:
-        return False
-    if not np.array_equal(a.nodes, b.nodes):
-        return False
-    if a.polar and not np.array_equal(a.thetas, b.thetas):
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

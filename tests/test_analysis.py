@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from coneflow.analysis import (Ball, C1Function, clearing_out_experiment,
-                               clearing_out_scaling, decay_fit,
-                               graph_area_bound_check)
+from coneflow import analysis
+from coneflow.analysis import (clearing_out_experiment, clearing_out_scaling,
+                               decay_fit, graph_area_bound_check)
 from coneflow.cones import ConeProfile
 from coneflow.errors import ParameterError
 
@@ -42,76 +42,82 @@ def test_decay_fit_rejects_nonpositive():
 
 # -- the area bound ----------------------------------------------------------
 
+# no bumps: u0 is the cone itself
+NO_BUMPS = (np.empty((0, 2)), [], [])
+
+
 def test_ball_quadrature_weights():
-    ball = Ball(np.array([2.0, -1.0]), 0.7)
-    pts, w = ball.quadrature()
-    assert w.sum() == pytest.approx(np.pi * 0.49, rel=1e-6)
-    assert np.all(np.sqrt(np.sum((pts - ball.center) ** 2, axis=1)) <= 0.7)
+    center = np.array([2.0, -1.0])
+    pts, w = analysis._unit_disk(center)
+    assert w.sum() == pytest.approx(np.pi, rel=1e-6)
+    assert np.all(np.sqrt(np.sum((pts - center) ** 2, axis=1)) <= 1.0)
 
 
 def test_c1_function_algebra_and_gradient():
-    f = C1Function.gaussian_bumps(2, [[0.0, 0.0]], [2.0], [1.0])
-    g = C1Function.gaussian_bumps(2, [[1.0, 0.0]], [-1.0], [0.5])
-    s = f + g
+    # two bumps sum their values, and the analytic gradient matches
+    # central differences
+    centers, amps, widths = [[0.0, 0.0], [1.0, 0.0]], [2.0, -1.0], [1.0, 0.5]
     pt = np.array([[0.3, -0.2]])
-    assert s.value(pt)[0] == pytest.approx(f.value(pt)[0] + g.value(pt)[0])
-    # analytic gradient against central differences
+    value, grad = analysis._gaussian_bumps(pt, centers, amps, widths)
+    parts = [analysis._gaussian_bumps(pt, [c], [a], [w])[0][0]
+             for c, a, w in zip(centers, amps, widths)]
+    assert value[0] == pytest.approx(sum(parts))
     eps = 1e-6
     for d in range(2):
         e = np.zeros((1, 2))
         e[0, d] = eps
-        fd = (s.value(pt + e)[0] - s.value(pt - e)[0]) / (2 * eps)
-        assert s.gradient(pt)[0, d] == pytest.approx(fd, abs=1e-6)
+        fd = (analysis._gaussian_bumps(pt + e, centers, amps, widths)[0][0]
+              - analysis._gaussian_bumps(pt - e, centers, amps, widths)[0][0]) / (2 * eps)
+        assert grad[0, d] == pytest.approx(fd, abs=1e-6)
 
 
 def test_c1_function_from_cone_takes_radial_cones_only():
     k = ConeProfile.angular(lambda th: 1.0 + 0.1 * np.cos(2 * th), m=16)
     with pytest.raises(ParameterError, match="radial"):
-        C1Function.from_cone(k)
+        graph_area_bound_check(k, NO_BUMPS, np.array([3.0, 0.0]), 0.5, 2.0)
 
 
 def test_area_bound_validation():
     k = ConeProfile.radial(2, 1.0)
-    u0 = C1Function.from_cone(k)
     x = np.array([3.0, 0.0])
     with pytest.raises(ParameterError):
-        graph_area_bound_check(u0, k, x, 1.5, 2.0)  # rho outside (0,1)
+        graph_area_bound_check(k, NO_BUMPS, x, 1.5, 2.0)  # rho outside (0,1)
     with pytest.raises(ParameterError):
-        graph_area_bound_check(u0, k, x, 0.5, 0.5)  # G below the cone slope
+        graph_area_bound_check(k, NO_BUMPS, x, 0.5, 0.5)  # G below the cone slope
+    with pytest.raises(ParameterError, match="n = 2"):
+        graph_area_bound_check(ConeProfile.radial(3, 1.0), NO_BUMPS, x, 0.5, 2.0)
 
 
 def test_area_bound_pass_with_large_bump():
     k = ConeProfile.radial(2, 1.0)
-    u0 = C1Function.from_cone(k) + C1Function.gaussian_bumps(
-        2, [[3.0, 0.0]], [2.0], [0.8])
-    rep = graph_area_bound_check(u0, k, np.array([3.0, 0.0]), 0.5, 1.0)
+    rep = graph_area_bound_check(k, ([[3.0, 0.0]], [2.0], [0.8]),
+                                 np.array([3.0, 0.0]), 0.5, 1.0)
     assert rep.hypothesis_ok
     assert rep.area > 0.0
     assert rep.passed
     assert rep.area <= rep.bound * (1 + 1e-9)
 
 
-def test_area_bound_evaluates_the_gradient_once():
+def test_area_bound_evaluates_the_gradient_once(monkeypatch):
     k = ConeProfile.radial(2, 1.0)
-    u0 = C1Function.from_cone(k) + C1Function.gaussian_bumps(
-        2, [[3.0, 0.0]], [2.0], [0.8])
-    calls = []
-
-    def grad(p):
-        calls.append(len(p))
-        return u0.gradient(p)
-
-    counted = C1Function(2, u0.value, grad)
+    bumps = ([[3.0, 0.0]], [2.0], [0.8])
     x = np.array([3.0, 0.0])
-    rep = graph_area_bound_check(counted, k, x, 0.5, 1.0)
+    want = graph_area_bound_check(k, bumps, x, 0.5, 1.0)
+    calls = []
+    evaluate = analysis._gaussian_bumps
+
+    def counted(pts, *args):
+        calls.append(len(pts))
+        return evaluate(pts, *args)
+
+    monkeypatch.setattr(analysis, "_gaussian_bumps", counted)
+    assert graph_area_bound_check(k, bumps, x, 0.5, 1.0) == want
     assert len(calls) == 1
-    assert rep == graph_area_bound_check(u0, k, x, 0.5, 1.0)
 
 
 def test_area_bound_trivial_when_no_excess():
     k = ConeProfile.radial(2, 1.0)
-    rep = graph_area_bound_check(C1Function.from_cone(k), k,
-                                 np.array([4.0, 0.0]), 0.6, 1.0)
+    rep = graph_area_bound_check(k, NO_BUMPS, np.array([4.0, 0.0]), 0.6, 1.0)
     assert rep.area == 0.0
     assert rep.passed
 

@@ -1,6 +1,7 @@
-"""Every public function and class has a product caller, every seam the
-benchmark tracer wraps by name still exists, and every defaulted parameter
-no caller sets has a stated reason to stay a parameter.
+"""Every public function and class has a product caller, every ``__all__``
+entry names an attribute, every seam the benchmark tracer wraps by name
+still exists, and every defaulted parameter no caller sets has a stated
+reason to stay a parameter.
 
 A function or class listed in a module's ``__all__`` must be referenced by
 package code outside its own definition (the package ``__init__`` re-exports
@@ -13,6 +14,7 @@ up; the strings of ``__all__`` itself do not count.
 """
 
 import ast
+import importlib
 import inspect
 import os
 import subprocess
@@ -90,6 +92,17 @@ def test_public_functions_are_referenced(module):
     assert not unused, (
         f"{module}.__all__ lists names no product code or benchmark uses: "
         f"{', '.join(unused)}")
+
+
+def test_every_all_entry_exists():
+    # ``import coneflow`` reads no ``__all__`` and the reference scan above
+    # skips names it cannot find, so a stale entry would pass both
+    stale = []
+    for name in ["coneflow", *(f"coneflow.{m}" for m in MODULES)]:
+        module = importlib.import_module(name)
+        stale += [f"{name}.{entry}" for entry in getattr(module, "__all__", ())
+                  if not hasattr(module, entry)]
+    assert not stale, f"__all__ entries naming no attribute: {', '.join(stale)}"
 
 
 def test_benchmark_tracer_installs():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coneflow import acceptance, barriers, cli
-from coneflow.barriers import (HeatSupersolution, Subsolution,
+from coneflow.barriers import (Subsolution, _heat_kernel,
                                evolution_equation_residuals,
                                half_space_experiment, lemma_barrier_flow,
                                psi_identity_residual, static_barrier_w,
@@ -111,9 +111,10 @@ def test_only_the_residual_checks_integrate_the_particle_flow(monkeypatch, tmp_p
     assert calls == [(120, 100), (240, 200)]
 
 
-def test_uncertified_barrier_cannot_be_scaled(lemma_result):
+def test_uncertified_barrier_cannot_be_scaled(lemma_result, profile31):
     with pytest.raises(CertificationError):
-        dataclasses.replace(lemma_result, passed=False).scaled(1.0)
+        Subsolution(profile31, dataclasses.replace(lemma_result, passed=False), 1.0,
+                    m=0.2, delta=0.1, R=5.0)
 
 
 def test_evolution_equations_against_lagrangian():
@@ -134,50 +135,52 @@ def test_evolution_residuals_shrink_under_refinement():
 
 # -- rescaling and the glued subsolution ---------------------------------------
 
-def test_scale_barrier_exact_homothety(lemma_result):
+def _sub(profile, lemma, lam=1.0, m=0.2, delta=0.1, R=5.0):
+    return Subsolution(profile, lemma, lam, m=m, delta=delta, R=R)
+
+
+def test_scale_barrier_exact_homothety(lemma_result, profile31):
     lam = 2.5
-    scaled = lemma_result.scaled(lam)
-    assert np.allclose(scaled.r, lam * lemma_result.r)
-    assert np.allclose(scaled.b, lam * lemma_result.b)
+    spline = _sub(profile31, lemma_result, lam).spline
+    assert np.allclose(spline.x, lam * lemma_result.r)
+    assert np.allclose(spline(spline.x), lam * lemma_result.b)
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan, 1e308, 5e-324])
-def test_scaling_needs_a_positive_finite_factor(lemma_result, lam):
+def test_scaling_needs_a_positive_finite_factor(lemma_result, profile31, lam):
     # the last two overflow the radii and round them together
-    with pytest.raises(ParameterError):
-        lemma_result.scaled(lam)
+    with pytest.raises(ParameterError, match="lam must be positive"):
+        _sub(profile31, lemma_result, lam)
 
 
-def test_scaled_barrier_domain_guard(lemma_result):
-    sc = lemma_result.scaled(2.0)
-    lo, hi = sc.domain
-    mid = 0.5 * (lo + hi)
-    inside = sc.evaluate(np.array([mid]))
-    assert np.isfinite(inside[0])
-    with pytest.raises(DomainError):
-        sc.evaluate(np.array([hi * 1.5]))
+def test_scaled_barrier_domain_guard(lemma_result, profile31):
+    # the barrier branch lives on the scaled radii only: finite there and
+    # -inf (absent from the max) past either end
+    sub = _sub(profile31, lemma_result, 2.0)
+    lo, hi = sub.domain
+    assert (lo, hi) == (2.0 * lemma_result.r[0], 2.0 * lemma_result.r[-1])
+    _, bb = sub._branches(np.array([0.9 * lo, lo, 0.5 * (lo + hi), hi, 1.5 * hi]), 0.25)
+    assert np.array_equal(np.isfinite(bb), [False, True, True, True, False])
 
 
-def test_scaled_barrier_homogeneity(lemma_result):
-    one = lemma_result.scaled(1.0)
-    two = lemma_result.scaled(2.0)
-    r = np.linspace(one.domain[0] * 1.05, one.domain[1] * 0.95, 40)
-    assert np.allclose(two.evaluate(2.0 * r), 2.0 * one.evaluate(r),
-                       rtol=1e-10, atol=1e-12)
+def test_scaled_barrier_homogeneity(lemma_result, profile31):
+    one = _sub(profile31, lemma_result, 1.0).spline
+    two = _sub(profile31, lemma_result, 2.0).spline
+    r = np.linspace(one.x[0] * 1.05, one.x[-1] * 0.95, 40)
+    assert np.allclose(two(2.0 * r), 2.0 * one(r), rtol=1e-10, atol=1e-12)
 
 
 def test_subsolution_invariants(lemma_result, profile31):
-    sc = lemma_result.scaled(1.0)
     with pytest.raises(ParameterError):
-        Subsolution(profile31, sc, m=sc.m1 * 1.5, delta=0.1, R=5.0)
+        _sub(profile31, lemma_result, m=lemma_result.m1 * 1.5)
     with pytest.raises(ParameterError):
-        Subsolution(profile31, sc, m=0.2, delta=0.1, R=sc.R1 * 1.5)
+        _sub(profile31, lemma_result, R=lemma_result.R1 * 1.5)
     with pytest.raises(ParameterError):
-        Subsolution(profile31, sc, m=0.2, delta=-0.1, R=5.0)
+        _sub(profile31, lemma_result, delta=-0.1)
 
 
 def test_subsolution_time_zero_is_shifted_cone(lemma_result, profile31):
-    sub = Subsolution(profile31, lemma_result.scaled(1.0), m=0.2, delta=0.1, R=5.0)
+    sub = _sub(profile31, lemma_result)
     r = np.linspace(0.0, 30.0, 61)
     vals = sub.evaluate(r, 0.0)
     shifted_cone = r - 0.2
@@ -188,26 +191,26 @@ def test_subsolution_time_zero_is_shifted_cone(lemma_result, profile31):
 
 
 def test_subsolution_is_pointwise_max(lemma_result, profile31):
-    sub = Subsolution(profile31, lemma_result.scaled(1.0), m=0.2, delta=0.1, R=5.0)
-    lo, hi = sub.barrier.domain
+    sub = _sub(profile31, lemma_result)
+    lo, hi = sub.domain
     r = np.linspace(lo * 1.1, hi * 0.9, 101)
     t = 0.25
     vals = sub.evaluate(r, t)
     expander_branch = evaluate_U(profile31, r, t) - sub.m
-    barrier_branch = sub.barrier.evaluate(r) - sub.delta / 2.0
+    barrier_branch = sub.spline(r) - sub.delta / 2.0
     assert np.allclose(vals, np.maximum(expander_branch, barrier_branch))
 
 
 def test_subsolution_branches_off_the_barrier_domain(lemma_result, profile31):
     # off its domain the barrier branch is absent: B = U - m, branch 0
-    sub = Subsolution(profile31, lemma_result.scaled(1.0), m=0.2, delta=0.1, R=5.0)
-    lo, hi = sub.barrier.domain
+    sub = _sub(profile31, lemma_result)
+    lo, hi = sub.domain
     r = np.linspace(0.0, 1.2 * hi, 301)
     t = 0.25
     inside = (r >= lo) & (r <= hi)
     assert inside.any() and not inside.all()
     ub = evaluate_U(profile31, r, t) - sub.m
-    bb = sub.barrier.evaluate(r[inside]) - sub.delta / 2.0
+    bb = sub.spline(r[inside]) - sub.delta / 2.0
     want_B = ub.copy()
     want_B[inside] = np.maximum(ub[inside], bb)
     want_branch = np.zeros(r.size, dtype=int)
@@ -217,8 +220,8 @@ def test_subsolution_branches_off_the_barrier_domain(lemma_result, profile31):
 
 
 def test_subsolution_residual_report(lemma_result, profile31):
-    sub = Subsolution(profile31, lemma_result.scaled(1.0), m=0.2, delta=0.1, R=5.0)
-    spec = GridSpec.uniform(3, 0.0, 0.8 * sub.barrier.domain[1], 501)
+    sub = _sub(profile31, lemma_result)
+    spec = GridSpec.uniform(3, 0.0, 0.8 * sub.domain[1], 501)
     rep = sub.residual_report(spec, np.linspace(0.1, 1.0, 4))
     assert rep["subsolution_ok"]
     assert rep["barrier_min_H"] > 0.0
@@ -227,15 +230,14 @@ def test_subsolution_residual_report(lemma_result, profile31):
 # -- heat-kernel majorant and the density identity ------------------------------
 
 def test_heat_supersolution_shapes():
-    sup = HeatSupersolution(n=2, a=3.0, epsilon=0.05)
     x = np.linspace(0.0, 10.0, 11)
     z = np.zeros(11)
-    phi = sup.phi(x, z, 1.0)
+    phi = _heat_kernel(2, x, z, 1.0)
     assert np.all(phi > 0.0)
     assert np.all(np.diff(phi) <= 0.0)  # radially decreasing
-    assert np.all(sup.majorant(x, z, 1.0) >= 0.05)
+    assert phi[0] == pytest.approx(1.0 / (4.0 * np.pi))
     with pytest.raises(DomainError):
-        sup.phi(x, z, 0.0)
+        _heat_kernel(2, x, z, 0.0)
 
 
 def _constant_run(c, spec, times):
@@ -276,7 +278,7 @@ def test_psi_identity_outer_margin_bounds():
 
 def _frozen_psi_per_time(run, outer_margin):
     """psi_identity_residual's per-time residuals as first written: one
-    snapshot at a time, psi as HeatSupersolution.psi computed it."""
+    snapshot at a time, psi written out per snapshot."""
     times = run.times
     spec = run.spec
     n, r = spec.n, spec.nodes
@@ -326,4 +328,14 @@ def test_half_space_majorant_quick():
     assert rep.ordering_ok
     assert rep.first_below is not None and rep.first_below <= 10.0
     assert rep.passed
-    assert rep.supersolution.a > 0.0
+    assert rep.a > 0.0
+
+
+def test_half_space_fails_before_the_bump_drains():
+    # criterion 6's negative control: at horizon 2 sup u is still above the
+    # 0.05 threshold, so the verdict fails while the majorant ordering holds
+    rep = half_space_experiment(horizon=2.0)
+    assert rep.first_below is None
+    assert rep.ordering_ok
+    assert not rep.passed
+    assert rep.sup_trace[-1] > rep.threshold

@@ -280,6 +280,25 @@ def test_infinite_horizon_is_usage_error_without_a_step(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv", [
+    ["evolve", "--set", "snapshot_dt=1e-9"],
+    ["evolve", "--set", "horizon=1e308"],
+    ["--quick", "experiment", "--name", "family-uniform", "--set", "snapshot_dt=1e-12"],
+], ids=["evolve-snapshot-dt", "evolve-horizon", "family-uniform-snapshot-dt"])
+def test_snapshot_cadence_too_fine_for_the_horizon_is_usage_error(tmp_path, capsys,
+                                                                  monkeypatch, argv):
+    # the snapshot buffer is sized from horizon / snapshot_dt: 1e10 rows
+    # (74.5 GiB), an overflow to infinity, and 8e12 rows (58.2 TiB) are
+    # rejected before it is allocated and before the first step
+    def no_step(*args, **kwargs):
+        raise AssertionError("the flow took a step")
+    monkeypatch.setattr(flow, "step", no_step)
+    out = tmp_path / "art"
+    assert run_cli(["--out", str(out), *argv], tmp_path) == 2
+    assert "snapshots, more than the 100000 a run holds" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
     ["barrier", "--set", "m=nan"],
     ["barrier", "--set", "delta=nan"],
     ["barrier", "--set", "barrier_radius=nan"],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coneflow.analysis import C1Function
+from coneflow.analysis import _cone
 from coneflow.cones import ConeProfile
 from coneflow.errors import ParameterError
 from coneflow.geometry import GridSpec
@@ -31,7 +31,7 @@ def test_radial_evaluate_matches_formula():
     pts = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 1.0],
                     [0.0, 0.0, 0.0]])
     want = 1.5 * np.sqrt(np.sum(pts ** 2, axis=1))
-    assert np.allclose(C1Function.from_cone(k).value(pts), want)
+    assert np.allclose(_cone(k.beta, pts)[0], want)
 
 
 def test_angular_matches_profile_samples():

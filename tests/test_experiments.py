@@ -5,13 +5,11 @@ import pytest
 
 from coneflow import experiments
 from coneflow.analysis import bump
-from coneflow.errors import ParameterError
+from coneflow.errors import DomainError, ParameterError
 from coneflow.experiments import (SCENARIOS, Scenario,
                                   run_family_uniform, run_main_theorem,
                                   run_one_sided,
-                                  subsolution_dominance_experiment,
-                                  synthetic_expander_run)
-from coneflow.geometry import GridSpec
+                                  subsolution_dominance_experiment)
 
 
 def test_bump_shape():
@@ -26,16 +24,11 @@ def test_bump_shape():
     assert abs(edge_slope) < 0.05
 
 
-def test_synthetic_run_values(profile21):
-    spec = GridSpec.uniform(2, 0.0, 20.0, 101)
-    times = [0.5, 1.0, 1.5]
-    run = synthetic_expander_run(profile21, spec, times, lambda t: t + 1.0,
-                                 offset=0.25)
-    assert run.times[1] == 1.0
-    want = np.sqrt(2.0) * profile21.evaluate(spec.nodes / np.sqrt(2.0)) + 0.25
-    assert np.allclose(run.values[1], want)
-    with pytest.raises(ParameterError):
-        synthetic_expander_run(profile21, spec, [0.0], lambda t: t)
+def test_main_theorem_lower_rail_starts_after_time_zero():
+    # delta = 1e-300 underflows the lower rail's shift sigma = (delta/2a)^2
+    # to 0, so the rail would start at U(., 0), which evaluate_U rejects
+    with pytest.raises(DomainError, match="t > 0"):
+        SCENARIOS["main-theorem"].run(quick=True, delta=1e-300)
 
 
 def test_scenario_registry_complete():

@@ -251,26 +251,26 @@ def test_comparison_check_ordered_pair(cone21):
     cfg = SolverConfig(dt_init=1e-2, dt_max=0.05, snapshot_dt=0.5)
     lo = evolve(GridFunction(spec, spec.nodes.copy()), 1.0, cfg, cone=cone21)
     hi = evolve(GridFunction(spec, spec.nodes + 0.5), 1.0, cfg, cone=cone21)
-    rep = comparison_check(hi, lo)
-    assert bool(rep)
-    assert rep.first_violation is None
-    assert len(rep.margins) == len(hi.times)
+    dx = spec.max_spacing()
+    assert comparison_check(hi.values, lo.values, hi.times, dx) is True
     with pytest.raises(ParameterError):
-        comparison_check(lo, hi)  # initial ordering violated
+        comparison_check(lo.values, hi.values, hi.times, dx)  # initial ordering violated
 
 
 def test_comparison_check_reports_the_first_violation():
-    # u_a dips below u_b at one node of the last two snapshots; the first
-    # dip beyond the allowance is reported with its time, radius and depth
+    # u_a dips 0.5 below u_b at t = 2 and 0.25 at t = 3; the allowance
+    # tol + c_scheme*(t - t0)*dx^2, dx^2 = 0.01, covers the first dip from
+    # c_scheme = 25 on and the second from 8.34 on
     spec = _uniform(2, 10.0, 101)
     a = np.zeros((4, 101))
     a[2, 40], a[3, 60] = -0.5, -0.25
-    rep = comparison_check(FlowRun(spec, [0.0, 1.0, 2.0, 3.0], a),
-                           FlowRun(spec, [0.0, 1.0, 2.0, 3.0], np.zeros((4, 101))),
-                           tol=1e-8, c_scheme=0.0)
-    assert not rep
-    assert rep.first_violation == (2.0, float(spec.nodes[40]), -0.5)
-    assert np.array_equal(rep.margins, [1e-8, 1e-8, -0.5 + 1e-8, -0.25 + 1e-8])
+    b = np.zeros((4, 101))
+    times, dx = [0.0, 1.0, 2.0, 3.0], spec.max_spacing()
+    for c_scheme, ordered in [(0.0, False), (24.0, False), (25.0, True)]:
+        assert comparison_check(a, b, times, dx, 1e-8, c_scheme) is ordered
+    a[2, 40] = 0.0
+    for c_scheme, ordered in [(8.3, False), (8.34, True)]:
+        assert comparison_check(a, b, times, dx, 1e-8, c_scheme) is ordered
 
 
 def test_comparison_check_grid_mismatch(cone21):
@@ -281,8 +281,11 @@ def test_comparison_check_grid_mismatch(cone21):
     b = evolve(GridFunction(_uniform(2, 10.0, 51),
                             _uniform(2, 10.0, 51).nodes.copy()),
                1.0, cfg, cone=cone21)
+    dx = a.spec.max_spacing()
     with pytest.raises(GridError):
-        comparison_check(a, b)
+        comparison_check(a.values, b.values, a.times, dx)
+    with pytest.raises(GridError):
+        comparison_check(a.values, a.values, a.times[:-1], dx)
 
 
 def test_detect_t_delta_semantics(cone21):
@@ -500,7 +503,7 @@ def _reference_evolve(u0, T, config, cone, profile, t_start=0.0):
     spec = u0.spec
     out = {"snapshots": [u0.values.copy()], "newton_iters": [], "min_H": [],
            "max_H": [], "sup_u_minus_k": [], "sup_u_minus_U": []}
-    t, u = t_start, u0.copy()
+    t, u = t_start, GridFunction(u0.spec, u0.values.copy())
     dt = min(config.dt_init, config.dt_max)
     next_snap = t_start + config.snapshot_dt
     lo, hi = _REF_TARGET_NEWTON

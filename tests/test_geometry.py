@@ -7,10 +7,9 @@ from coneflow import geometry
 from coneflow.barriers import lemma_barrier_flow
 from coneflow.cones import ConeProfile
 from coneflow.errors import GridError
-from coneflow.geometry import (GridFunction, GridSpec, grids_match,
-                               mean_curvature, radial_rhs, _d1_d2,
-                               _polar_derivatives, _radial_curvatures,
-                               _radial_derivatives)
+from coneflow.geometry import (GridFunction, GridSpec, mean_curvature,
+                               radial_rhs, _d1_d2, _polar_derivatives,
+                               _radial_curvatures, _radial_derivatives)
 
 
 def test_uniform_spec_basics():
@@ -35,14 +34,6 @@ def test_grid_function_shape_mismatch():
     spec = GridSpec.uniform(2, 0.0, 1.0, 11)
     with pytest.raises(GridError):
         GridFunction(spec, np.zeros(10))
-
-
-def test_grids_match():
-    a = GridSpec.uniform(2, 0.0, 1.0, 11)
-    b = GridSpec.uniform(2, 0.0, 1.0, 11)
-    c = GridSpec.uniform(2, 0.0, 1.0, 12)
-    assert grids_match(a, b)
-    assert not grids_match(a, c)
 
 
 def test_plane_has_zero_curvature():
