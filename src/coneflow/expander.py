@@ -48,18 +48,20 @@ midpoints, a and every stored array are therefore plain bisection's, bit for
 bit, from about 35 shots instead of 52; those left inside (lo, hi) set a's
 last bits.
 
-Each shot (:func:`_miss`) builds scipy's ``LSODA`` object for its tolerance
-checks and work arrays, then runs that object's own LSODA integrator in one
-call to rho_max (itask 4, never past it) on a float-level RHS that stops the
-call once a slope reaches half the cap.  These are the steps the public
-``LSODA`` object's ``step()`` loop takes, bit for bit, without its per-step
-wrapper closures and array conversions.  The stored profile
-(:func:`_node_values`) drives the same integrator one step per call and
-evaluates the nodes each step passes with scipy's own LSODA dense-output
-arithmetic, bit for bit what that dense output returns.  Both stop with a
-:class:`ShootingError` after ``_MAX_STEPS`` steps: a shot whose step size
-collapses would otherwise run on for minutes.  A slope of half the cap is
-a blow-up: the shot misses by +/-inf, and the node solve raises.
+Scipy's ``LSODA`` object is built once per tolerance pair, for its
+tolerance checks and its integrator; each shot (:func:`_miss`) resets that
+integrator's work arrays and state, as the object's constructor does, then
+runs it in one call to rho_max (itask 4, never past it) on a float-level RHS
+that writes into a per-shot buffer and stops the call once a slope reaches
+half the cap.  These are the steps the public ``LSODA`` object's ``step()``
+loop takes, bit for bit, without its per-step wrapper closures and array
+conversions.  The stored profile (:func:`_node_values`) drives the same
+integrator one step per call and evaluates the nodes each step passes with
+scipy's own LSODA dense-output arithmetic, bit for bit what that dense
+output returns.  Both stop with a :class:`ShootingError` after
+``_MAX_STEPS`` steps: a shot whose step size collapses would otherwise run
+on for minutes.  A slope of half the cap is a blow-up: the shot misses by
++/-inf, and the node solve raises.
 
 The numerics are fixed: the module constants below are the one setting
 every profile is solved with.  Profiles are cached per ``(n, beta)``, so
@@ -115,6 +117,10 @@ _MAX_STEPS = 10_000
 # battery's profiles reach 2.00005 per node interval (n = 3, rho = 0.01)
 # and keep two substeps; the (2, 10) profile reaches 20.2 at rho_max
 _RK4_SUBSTEP_HL = 1.25
+# the most substeps the defect check takes: the count grows like beta^2
+# (17 at beta = 10, 40,001 at beta = 500, 160,001 at beta = 1000), and a
+# steeper profile is refused before its check runs for minutes
+_RK4_MAX_SUBSTEPS = 50_000
 
 
 def _tail_coeffs(n: int, beta: float) -> tuple:
@@ -138,8 +144,10 @@ class _SlopeGuard(Exception):
     args are the (rho, p) it was asked at."""
 
 
-def _ode_rhs(rho, y, n, half_cap):
-    """The profile ODE as a first-order system in (phi, phi').
+def _ode_rhs(rho, y, n, half_cap, out):
+    """The profile ODE as a first-order system in (phi, phi'), written into
+    the float64 buffer ``out`` of length 2, which is returned: LSODA's
+    wrapper reads it as it is, with no new list to convert per call.
 
     Raises :class:`_SlopeGuard` as soon as it is asked for a slope |p| that
     is not below ``half_cap`` (a NaN slope included).
@@ -149,7 +157,9 @@ def _ode_rhs(rho, y, n, half_cap):
     phi, p = y.tolist()
     if not abs(p) < half_cap:
         raise _SlopeGuard(rho, p)
-    return [p, (1.0 + p * p) * (0.5 * (phi - rho * p) - (n - 1) * p / rho)]
+    out[0] = p
+    out[1] = (1.0 + p * p) * (0.5 * (phi - rho * p) - (n - 1) * p / rho)
+    return out
 
 
 def _series_start(a: float, n: int):
@@ -158,15 +168,28 @@ def _series_start(a: float, n: int):
     return rho0, [a + a * rho0 ** 2 / (4.0 * n), a * rho0 / (2.0 * n)]
 
 
+@lru_cache(maxsize=8)
+def _lsoda_integrator(rtol: float, atol: float, rho_max: float):
+    """scipy's LSODA integrator for solves from the axis to ``rho_max``.  The
+    public ``LSODA`` object is built only for its set-up, tolerance
+    validation (an rtol under 100 eps is raised to that floor) included; its
+    constructor never calls the RHS it is given.  Called with the module
+    constants' current values, so a change of tolerance gets its own."""
+    return LSODA(_ode_rhs, 0.0, [0.0, 0.0], rho_max,
+                 rtol=rtol, atol=atol)._lsoda_solver._integrator
+
+
 def _lsoda(a: float, n: int):
-    """scipy's LSODA integrator set up for a solve from the axis, with the
-    start (y0, rho0).  The public ``LSODA`` object is built only for its
-    set-up: tolerance validation, the work arrays and the critical time; its
-    constructor never calls the RHS it is given."""
+    """The shared :func:`_lsoda_integrator` reset for a solve from the axis,
+    with the start (y0, rho0).  The reset is the ``LSODA`` constructor's own:
+    fresh work arrays (which ``call_args`` points at) and zeroed state,
+    istate 1, and the critical time rho_max, so no shot sees what an earlier
+    one left."""
     rho0, y0 = _series_start(a, n)
-    ode = LSODA(lambda rho, y: _ode_rhs(rho, y, n, _SLOPE_CAP / 2), rho0, y0,
-                _RHO_MAX, rtol=_ODE_RTOL, atol=_ODE_ATOL)._lsoda_solver
-    return ode._integrator, ode._y, rho0
+    integrator = _lsoda_integrator(_ODE_RTOL, _ODE_ATOL, _RHO_MAX)
+    integrator.reset(2, False)
+    integrator.rwork[0] = _RHO_MAX
+    return integrator, np.array(y0), rho0
 
 
 @contextmanager
@@ -182,10 +205,11 @@ def _istate_unwarned():
 def _miss(a: float, n: int, beta: float) -> float:
     """Signed distance of phi(rho_max) from the refined tail; +/-inf on blow-up.
 
-    The :func:`_lsoda` integrator is run once, with itask 4 (to tout =
-    rho_max, never past the critical time) and at most ``_MAX_STEPS``
-    steps, on :func:`_ode_rhs` with the guard at half the slope cap; a shot
-    that needs more steps raises with LSODA's istate.
+    The :func:`_lsoda` integrator, reset for this shot, is run once, with
+    itask 4 (to tout = rho_max, never past the critical time) and at most
+    ``_MAX_STEPS`` steps, on :func:`_ode_rhs` with the guard at half the
+    slope cap and one buffer for every RHS call of the shot; a shot that
+    needs more steps raises with LSODA's istate.
 
     Same steps: LSODA applies the same critical-time clamp after every
     step, whether itask 4 goes on or itask 5 returns, so the single call
@@ -206,7 +230,7 @@ def _miss(a: float, n: int, beta: float) -> float:
     integrator.iwork[5] = _MAX_STEPS  # mxstep: the step bound of the one call
     try:
         y, rho = integrator.run(_ode_rhs, None, y, rho0, _RHO_MAX,
-                                (n, _SLOPE_CAP / 2), ())
+                                (n, _SLOPE_CAP / 2, np.empty(2)), ())
     except _SlopeGuard as trip:
         return trip.args[1] * math.inf  # +/-inf by the slope's sign; NaN stays NaN
     if not integrator.success:
@@ -227,22 +251,23 @@ _POWERS = [np.arange(q + 1)[:, None] for q in range(13)]
 def _node_values(a: float, n: int, nodes: np.ndarray) -> np.ndarray:
     """(phi, phi') at ``nodes[1:]`` for the axis height a, as a (2, N-1) array.
 
-    The :func:`_miss` integrator takes one step per call (itask 5, never
-    past rho_max), as the public ``LSODA`` object's ``step()`` does, on the
-    same slope guard, for at most ``_MAX_STEPS`` steps.  After each step
-    the nodes in (rho_old, rho] (bisecting to the right) are evaluated with
-    scipy's ``LsodaDenseOutput`` arithmetic in its shapes: the Nordsieck
-    array of the last step's order, its last column rescaled to the next
-    step size when the order is set to drop, and one ``np.dot`` per step.
+    The :func:`_lsoda` integrator, reset as for a shot, takes one step per
+    call (itask 5, never past rho_max), as the public ``LSODA`` object's
+    ``step()`` does, on the same slope guard and RHS buffer, for at most
+    ``_MAX_STEPS`` steps.  After each step the nodes in (rho_old, rho]
+    (bisecting to the right) are evaluated with scipy's ``LsodaDenseOutput``
+    arithmetic in its shapes: the Nordsieck array of the last step's order,
+    its last column rescaled to the next step size when the order is set to
+    drop, and one ``np.dot`` per step.
     A tripped guard or a bad istate raises :class:`ShootingError`.
     """
     t_eval = nodes[1:]
     integrator, y, rho = _lsoda(a, n)
     integrator.call_args[2] = 5  # itask 5: one step, never past tcrit
     rwork, iwork = integrator.rwork, integrator.iwork
-    args = (n, _SLOPE_CAP / 2)
+    args = (n, _SLOPE_CAP / 2, np.empty(2))
     knots = t_eval.tolist()
-    out = np.empty((2, t_eval.size))
+    values = np.empty((2, t_eval.size))
     i = 0
     try:
         for _ in range(_MAX_STEPS):
@@ -258,10 +283,10 @@ def _node_values(a: float, n: int, nodes: np.ndarray) -> np.ndarray:
                                 order="F").copy()
                 if iwork[14] < order:
                     yh[:, -1] *= (h / rwork[10]) ** order
-                out[:, i:j] = np.dot(yh, ((t_eval[i:j] - rho) / h) ** _POWERS[order])
+                values[:, i:j] = np.dot(yh, ((t_eval[i:j] - rho) / h) ** _POWERS[order])
                 i = j
             if not rho < _RHO_MAX:
-                return out
+                return values
     except _SlopeGuard as trip:
         raise ShootingError(f"converged shot blew up: |phi'| reached half the slope cap "
                             f"at rho={trip.args[0]:.3g} (n={n})", scanned=[a]) from None
@@ -400,8 +425,10 @@ def solve_expander_profile(k: ConeProfile) -> ExpanderProfile:
     refined tail, with the fixed numerics of the module constants.
     Postconditions: the per-interval ODE defect stays below 1e-8 and the
     far-field gap |phi - tail| over [rho_max/2, rho_max] below 1e-4.  A
-    violation, or a shot that stops, raises :class:`ShootingError` naming
-    (n, beta) and what was measured, rather than return a dubious profile.
+    violation, a shot that stops, or a profile so steep that the defect
+    check would take more than ``_RK4_MAX_SUBSTEPS`` RK4 substeps raises
+    :class:`ShootingError` naming (n, beta) and what was measured, rather
+    than return a dubious profile.
 
     Profiles are cached per ``(n, beta)``: equal keys return the same
     object, whose ``rho``, ``phi``, ``phi_prime`` and ``node_residual`` arrays
@@ -530,7 +557,12 @@ def _shoot_profile(n: int, beta: float) -> ExpanderProfile:
     phi = np.concatenate([[a], y[0]])
     phi_p = np.concatenate([[0.0], y[1]])
 
-    node_res = _rk4_defect(nodes, phi, phi_p, n, _rk4_substeps(nodes, phi, phi_p, n))
+    substeps = _rk4_substeps(nodes, phi, phi_p, n)
+    if substeps > _RK4_MAX_SUBSTEPS:
+        raise ShootingError(
+            f"profile defect check needs {substeps} RK4 substeps per node interval, "
+            f"over the bound {_RK4_MAX_SUBSTEPS} (n={n}, beta={beta})", scanned=[a])
+    node_res = _rk4_defect(nodes, phi, phi_p, n, substeps)
     ode_residual = float(np.max(node_res[:-1]))  # last node is one-sided anyway
     far = nodes >= _RHO_MAX / 2
     asym_gap = float(np.max(np.abs(phi[far] - _tail_value(n, beta, nodes[far]))))

@@ -223,6 +223,8 @@ def run_family_uniform(n: int = 2, beta: float = 1.0, count: int = 5,
         raise ParameterError("family experiments need at least 5 members")
     if not 0 < threshold < math.inf:
         raise ParameterError("threshold must be positive and finite")
+    if not (0 <= tol < math.inf and 0 <= c_scheme < math.inf):
+        raise ParameterError("tol and c_scheme must be finite and non-negative")
     k = ConeProfile.radial(n, beta)
     profile = solve_expander_profile(k)
     spec = GridSpec.uniform(n, 0.0, r_max, nodes)

@@ -375,16 +375,23 @@ def _assert_rejected_before_a_flow(tmp_path, capsys, monkeypatch, argv):
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("pair", ["tol=inf", "c_scheme=inf"])
+@pytest.mark.parametrize("pair", ["tol=inf", "c_scheme=inf", "tol=-1"])
 def test_infinite_comparison_allowances_are_usage_errors_without_artifacts(
-        tmp_path, capsys, pair):
+        tmp_path, capsys, monkeypatch, pair):
     # an infinite allowance passes every sandwich comparison vacuously (and
-    # c_scheme = inf makes the first allowance inf*0 = NaN)
+    # c_scheme = inf makes the first allowance inf*0 = NaN), a negative one
+    # fails them all; each is rejected before the expander solve and the flows
+    calls = []
+    for name in ("evolve", "solve_expander_profile"):
+        real = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name, lambda *args, _real=real, _name=name,
+                            **kwargs: calls.append(_name) or _real(*args, **kwargs))
     out = tmp_path / "art"
     assert run_cli(["--out", str(out), "--quick", "experiment",
                     "--name", "family-uniform", "--set", pair], tmp_path) == 2
     assert "usage error" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+    assert calls == []
 
 
 def test_stalled_shot_reports_its_istate_once(tmp_path):

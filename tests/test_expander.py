@@ -240,10 +240,12 @@ def test_ode_rhs_bit_identical_to_numpy_scalars():
     rho = np.geomspace(1e-6, 40.0, 400)
     phi = rng.uniform(-50.0, 50.0, rho.size)
     p = rng.choice([-1.0, 1.0], rho.size) * 10.0 ** rng.uniform(-12.0, 7.0, rho.size)
+    out = np.empty(2)
     for n in (2, 3, 4):
         for r, y in zip(rho.tolist(), np.stack([phi, p], axis=1)):
-            got = expander._ode_rhs(r, y, n, math.inf)
+            got = expander._ode_rhs(r, y, n, math.inf, out)
             want = _seed_ode_rhs(r, y, n)
+            assert got is out
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
@@ -293,11 +295,12 @@ def _max_accepted_slope(a, n, cfg):
 
 def test_guard_trips_at_half_cap_and_on_nan():
     rhs = expander._ode_rhs
-    assert rhs(1.0, np.array([2.0, 0.99]), 2, 1.0) == rhs(1.0, np.array([2.0, 0.99]), 2,
-                                                          math.inf)
+    below = rhs(1.0, np.array([2.0, 0.99]), 2, 1.0, np.empty(2))
+    assert below.tolist() == rhs(1.0, np.array([2.0, 0.99]), 2, math.inf,
+                                 np.empty(2)).tolist()
     for p in (1.0, -1.0, 5.0, np.inf, np.nan):
         with pytest.raises(expander._SlopeGuard) as info:
-            rhs(3.0, np.array([2.0, p]), 2, 1.0)
+            rhs(3.0, np.array([2.0, p]), 2, 1.0, np.empty(2))
         rho, slope = info.value.args
         assert rho == 3.0 and (slope == p or np.isnan(p) and np.isnan(slope))
 
@@ -347,6 +350,37 @@ def test_failed_shot_raises_with_scanned(shooting):
     assert info.value.scanned == [1.0]
 
 
+@pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small",
+                            "ignore:.*Excess accuracy requested")
+def test_shots_share_one_lsoda_setup_without_leaks(shooting):
+    # every shot and node solve resets the one LSODA set-up of its
+    # tolerances; after a shot that trips the guard, one that fails with a
+    # bad istate, one that stops at the step bound and a node solve, the
+    # next shot is still the fresh public LSODA object's, bit for bit
+    a, n, beta = 1.709, 2, 1.0
+    steps = expander._MAX_STEPS
+
+    def next_shot_is_fresh():
+        cfg = shooting(slope_cap=1e7, ode_rtol=1e-11, ode_atol=1e-12, max_steps=steps)
+        assert expander._miss(a, n, beta) == _seed_miss(a, n, beta, cfg)
+
+    next_shot_is_fresh()
+    assert expander._lsoda(a, n)[0] is expander._lsoda(0.5, 3)[0]
+    shooting(slope_cap=2.0)
+    assert expander._miss(5.0, n, beta) == math.inf
+    next_shot_is_fresh()
+    shooting(ode_rtol=1e-20, ode_atol=0.0)
+    with pytest.raises(ShootingError, match="istate -2"):
+        expander._miss(a, n, beta)
+    next_shot_is_fresh()
+    shooting(max_steps=100)
+    with pytest.raises(ShootingError, match="istate -1"):
+        expander._miss(a, n, beta)
+    next_shot_is_fresh()
+    expander._node_values(a, n, _seed_nodes(_seed_config()))
+    next_shot_is_fresh()
+
+
 def test_nan_miss_raises_with_scanned(monkeypatch):
     # a NaN miss compares false with 0 and used to count as an undershoot
     expander._shoot_profile.cache_clear()
@@ -373,9 +407,11 @@ def test_nan_miss_raises_with_scanned(monkeypatch):
     monkeypatch.setattr(expander, "_miss", real_miss)
     real_rhs = expander._ode_rhs
 
-    def poisoned(rho, y, n, half_cap):
-        dy = real_rhs(rho, y, n, half_cap)
-        return dy if rho < 1.0 else [dy[0], math.nan]
+    def poisoned(rho, y, n, half_cap, out):
+        dy = real_rhs(rho, y, n, half_cap, out)
+        if rho >= 1.0:
+            dy[1] = math.nan
+        return dy
 
     monkeypatch.setattr(expander, "_ode_rhs", poisoned)
     assert np.isnan(expander._miss(1.0, 2, 1.0))
@@ -589,6 +625,25 @@ def test_steep_profile_defect_is_converged():
     for n, beta in acceptance._COMBOS:
         other = solve_expander_profile(ConeProfile.radial(n, beta))
         assert expander._rk4_substeps(other.rho, other.phi, other.phi_prime, n) == 2
+
+
+def test_defect_check_substeps_are_bounded(shooting, monkeypatch):
+    # the substep count grows like beta^2 (160,001 at beta = 1000, where the
+    # check ran for 43 s); over the bound the solve raises before the check
+    # runs.  The (2, 10) profile needs 17
+    shooting(rk4_max_substeps=17)
+    prof = solve_expander_profile(ConeProfile.radial(2, 10.0))
+    assert expander._rk4_substeps(prof.rho, prof.phi, prof.phi_prime, 2) == 17
+    shooting(rk4_max_substeps=16)
+
+    def no_check(*args):
+        raise AssertionError("the defect check ran")
+
+    monkeypatch.setattr(expander, "_rk4_defect", no_check)
+    with pytest.raises(ShootingError, match=r"needs 17 RK4 substeps per node interval, "
+                                            r"over the bound 16 \(n=2, beta=10.0\)$") as info:
+        solve_expander_profile(ConeProfile.radial(2, 10.0))
+    assert info.value.scanned == [prof.a]
 
 
 def test_value_at_bit_identical_to_evaluate(profile21):
