@@ -232,8 +232,7 @@ def area_bv_bound(quick: bool = False, trials: int | None = None):
 def clearing_out(quick: bool = False):
     """Clearing times of self-similar spikes scale like the width squared."""
     rhos = (0.1, 0.2) if quick else (0.05, 0.1, 0.2)
-    out = clearing_out_scaling(ConeProfile.radial(2, 1.0), rhos=rhos)
-    exp = out["exponent"]
+    exp = clearing_out_scaling(ConeProfile.radial(2, 1.0), rhos=rhos)
     ok = 1.5 <= exp <= 2.5
     return ok, f"t0(rho) exponent {exp:.3f} (want 1.5 .. 2.5)"
 

@@ -22,7 +22,6 @@ __all__ = [
     "decay_fit",
     "AreaBoundReport",
     "graph_area_bound_check",
-    "ClearingOutReport",
     "clearing_out_experiment",
     "clearing_out_scaling",
 ]
@@ -182,25 +181,14 @@ def graph_area_bound_check(k, bumps, x, rho: float, G: float) -> AreaBoundReport
 # clearing-out
 
 
-@dataclass
-class ClearingOutReport:
-    rho: float
-    threshold: float
-    t0: float | None
-    t_cap: float
-    passed: bool
-    times: np.ndarray
-    center_trace: np.ndarray
-
-
-def clearing_out_experiment(k, height: float, rho: float) -> ClearingOutReport:
+def clearing_out_experiment(k, height: float, rho: float) -> float | None:
     """Time for a spike of width rho to clear the level k + rho*(2+G), with
-    G = max(1, slope of k).
+    G = max(1, slope of k), or None when it stays above it through the cap.
 
-    Evolves u0 = k + bump(r, height, rho) with the boundary pinned to the cone
-    and reads the first time the center height drops below the threshold
-    (linear interpolation between 400 snapshots).  The cap is 10*rho^2, the
-    diffusive scale of the spike.
+    Evolves u0 = k + bump(r, height, rho), whose outer node (past the spike)
+    is the cone's and stays pinned, and reads the first time the center
+    height drops below the threshold (linear interpolation between 400
+    snapshots).  The cap is 10*rho^2, the diffusive scale of the spike.
     """
     from .flow import SolverConfig, evolve
 
@@ -215,25 +203,20 @@ def clearing_out_experiment(k, height: float, rho: float) -> ClearingOutReport:
     spec = GridSpec.geometric(k.n, h0=rho / 24.0, r_max=max(20.0 * rho, 4.0),
                               ratio=1.04)
     snap_dt = t_cap / 400
-    cfg = SolverConfig(dt_init=snap_dt / 8, dt_max=snap_dt, boundary="pin-to-cone",
-                       snapshot_dt=snap_dt)
+    cfg = SolverConfig(dt_init=snap_dt / 8, dt_max=snap_dt, snapshot_dt=snap_dt)
     u0 = GridFunction(spec, k.beta * spec.nodes + bump(spec.nodes, height, rho))
-    run = evolve(u0, t_cap, cfg, cone=k)
-    trace = run.values[:, 0].copy()
-    times = run.times
+    run = evolve(u0, t_cap, cfg)
+    trace, times = run.values[:, 0], run.times
     below = np.nonzero(trace < threshold)[0]
     if below.size == 0:
-        return ClearingOutReport(rho, threshold, None, t_cap, False, times, trace)
+        return None
+    # the spike starts above the threshold, so j >= 1
     j = int(below[0])
-    if j == 0:
-        t0 = 0.0
-    else:
-        f = (trace[j - 1] - threshold) / (trace[j - 1] - trace[j])
-        t0 = float(times[j - 1] + f * (times[j] - times[j - 1]))
-    return ClearingOutReport(rho, threshold, t0, t_cap, t0 <= t_cap, times, trace)
+    f = (trace[j - 1] - threshold) / (trace[j - 1] - trace[j])
+    return float(times[j - 1] + f * (times[j] - times[j - 1]))
 
 
-def clearing_out_scaling(k, rhos=(0.05, 0.1, 0.2)) -> dict:
+def clearing_out_scaling(k, rhos=(0.05, 0.1, 0.2)) -> float:
     """Fit t0(rho) ~ rho^p across spike widths; diffusive scaling gives p ~ 2.
 
     Each member uses spike height 6 * rho, so the family is
@@ -245,13 +228,12 @@ def clearing_out_scaling(k, rhos=(0.05, 0.1, 0.2)) -> dict:
     and the measured exponent drifts toward 1.
 
     The window is narrower than a decade by design (three binary-spaced
-    widths), so the fit bypasses the decade gate of decay_fit.
+    widths), so the fit bypasses the decade gate of decay_fit.  Returns the
+    fitted exponent p.
     """
-    reports = [clearing_out_experiment(k, 6.0 * float(r), float(r)) for r in rhos]
-    if any(rep.t0 is None or rep.t0 <= 0 for rep in reports):
+    rhos = [float(r) for r in rhos]
+    t0 = [clearing_out_experiment(k, 6.0 * r, r) for r in rhos]
+    if None in t0:
         raise ParameterError("clearing time not reached within 10 rho^2 "
                              "for some width")
-    fit = _fit_loglog(np.asarray([rep.rho for rep in reports]),
-                      np.asarray([rep.t0 for rep in reports]))
-    return {"exponent": fit.exponent, "constant": fit.constant,
-            "t0": {rep.rho: rep.t0 for rep in reports}, "reports": reports}
+    return _fit_loglog(np.asarray(rhos), np.asarray(t0)).exponent

@@ -73,8 +73,6 @@ def _power_barrier_parts(beta: float, alpha: float, r: np.ndarray):
 class StaticBarrier:
     """Sampled w = k - r^(-alpha) with exact derivatives and curvature."""
 
-    cone: ConeProfile
-    alpha: float
     r: np.ndarray
     w: np.ndarray
     w_r: np.ndarray
@@ -112,7 +110,7 @@ def static_barrier_w(k: ConeProfile, alpha: float, points: int = 400,
     else:
         bad = np.nonzero(~pos)[0]
         r0 = float(r[bad[-1] + 1]) if bad.size else float(r[0])
-    return StaticBarrier(k, alpha, r, w, wr, H, r0)
+    return StaticBarrier(r, w, wr, H, r0)
 
 
 def wk_difference_fit(k: ConeProfile, alpha: float, points: int = 160) -> dict:
@@ -518,10 +516,11 @@ def _heat_kernel(n: int, r, z, t: float) -> np.ndarray:
 
 @dataclass
 class PsiIdentityReport:
+    """The sup of the identity's defect, and its sup at each interior
+    snapshot."""
+
     sup_residual: float
     per_time: np.ndarray
-    times: np.ndarray
-    spacing: float
 
 
 _PSI_BLOCK = 8  # interior snapshots per stack; 64 cost 5.5 MB more peak RSS, no time
@@ -579,25 +578,22 @@ def psi_identity_residual(run: FlowRun, outer_margin: int = 3) -> PsiIdentityRep
         Xnu = (r * p - u0) / np.sqrt(W2)
         resid = np.abs(dpsi_normal - lap - grad2 - Xnu ** 2 / (4.0 * t0 * t0))
         per_time[j0:blk.stop - 2] = resid[:spec.nr - outer_margin].max(axis=0)
-    return PsiIdentityReport(float(np.max(per_time)), per_time,
-                             times[1:-1], spec.max_spacing())
+    return PsiIdentityReport(float(np.max(per_time)), per_time)
 
 
 @dataclass
 class HalfSpaceReport:
     """The half-space experiment; ``a`` is the fitted coefficient of the
-    majorant a * Phi + epsilon."""
+    majorant a * Phi + epsilon, and ``margins`` its clearance min(a * Phi +
+    epsilon - u) at each snapshot from the one nearest t0 on."""
 
     a: float
-    times: np.ndarray
     sup_trace: np.ndarray
     margins: np.ndarray
-    margin_times: np.ndarray
     ordering_ok: bool
     first_below: float | None
     threshold: float
     passed: bool
-    run: FlowRun
 
 
 def half_space_experiment(horizon: float = 50.0,
@@ -616,7 +612,7 @@ def half_space_experiment(horizon: float = 50.0,
                           boundary="pin-to-initial")
     r = spec.nodes
     u0 = GridFunction(spec, bump(r, 1.0, 5.0))
-    run = evolve(u0, horizon, config, cone=ConeProfile.radial(n, 0.0))
+    run = evolve(u0, horizon, config)
     times = run.times
     i0 = int(np.argmin(np.abs(times - t0)))
     t_fix = float(times[i0])
@@ -631,6 +627,6 @@ def half_space_experiment(horizon: float = 50.0,
     first_below = run.first_time(sup_trace <= threshold)
     ordering_ok = bool(np.all(margins >= -1e-9))
     passed = ordering_ok and first_below is not None
-    return HalfSpaceReport(a, times, sup_trace, margins, times[i0:],
-                           ordering_ok, first_below, threshold, passed, run)
+    return HalfSpaceReport(a, sup_trace, margins, ordering_ok, first_below,
+                           threshold, passed)
 

@@ -15,6 +15,7 @@ far-field expander tail coefficient of a planar one.  The radial callers read
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +45,10 @@ class ConeProfile:
         if self.n < 1:
             raise ParameterError(f"dimension must be >= 1, got {self.n}")
         if self.gamma_samples is None:
-            if not np.isfinite(self.beta):
-                raise ParameterError("radial cone slope must be finite")
+            # beta^2 must be finite too: the curvature and the expander tail read it
+            if not math.isfinite(1.0 + float(self.beta) * float(self.beta)):
+                raise ParameterError(f"radial cone slope must be finite with a finite "
+                                     f"square, got {self.beta}")
             return
         if self.n != 2:
             raise ParameterError("angular cones are only supported for n = 2")

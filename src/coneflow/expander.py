@@ -613,7 +613,6 @@ class AngularExpander:
     steps; each update factors one sparse LU.
     """
 
-    cone: ConeProfile
     solution: GridFunction
     stationary_rate: float
     steps: int
@@ -661,4 +660,4 @@ def relax_angular_expander(k: ConeProfile, rho_max: float = 12.0, nr: int = 72,
         steps += 1
         if rate <= 1e-5:
             break
-    return AngularExpander(k, u, rate, steps, rate <= 1e-5, iters)
+    return AngularExpander(u, rate, steps, rate <= 1e-5, iters)

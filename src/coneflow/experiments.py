@@ -22,7 +22,8 @@ from .barriers import Subsolution, lemma_barrier_flow
 from .cones import ConeProfile
 from .errors import ParameterError
 from .expander import ExpanderProfile, evaluate_U, solve_expander_profile
-from .flow import FlowRun, SolverConfig, comparison_check, detect_t_delta, evolve
+from .flow import (FlowRun, SolverConfig, _allowance, comparison_check,
+                   detect_t_delta, evolve)
 from .geometry import GridFunction, GridSpec
 
 __all__ = [
@@ -38,6 +39,10 @@ __all__ = [
     "Scenario",
     "SCENARIOS",
 ]
+
+# the family's deviation must drop under _FAMILY_THRESHOLD within the
+# horizon, and the flow must dominate the subsolution within _DOMINANCE_SLACK
+_FAMILY_THRESHOLD, _DOMINANCE_SLACK = 0.05, 1e-6
 
 
 def _expander_gap(run: FlowRun, profile: ExpanderProfile) -> np.ndarray:
@@ -72,8 +77,6 @@ def _bisect_upper_shift(profile: ExpanderProfile, u0: GridFunction) -> float:
 
 @dataclass
 class SideReport:
-    sign: int
-    run: FlowRun
     trace_times: np.ndarray
     trace: np.ndarray
     t_flat: float | None
@@ -88,8 +91,6 @@ class SideReport:
 
 @dataclass
 class MainTheoremReport:
-    cone: ConeProfile
-    profile: ExpanderProfile
     threshold: float
     sides: dict
     passed: bool
@@ -147,15 +148,13 @@ def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,
                 for t in times[tail]])
             lower = comparison_check(run.values[tail], lower_rail, times[tail], dx)
         passed = t_flat is not None and upper and lower
-        sides[sign] = SideReport(sign, run, times, trace, t_flat, t_delta,
-                                 t_up, sigma, eps, upper, lower, passed)
-    return MainTheoremReport(k, profile, threshold, sides,
-                             all(s.passed for s in sides.values()))
+        sides[sign] = SideReport(times, trace, t_flat, t_delta, t_up, sigma, eps,
+                                 upper, lower, passed)
+    return MainTheoremReport(threshold, sides, all(s.passed for s in sides.values()))
 
 
 @dataclass
 class OneSidedReport:
-    run: FlowRun
     trace_times: np.ndarray
     trace: np.ndarray
     fit: DecayFit
@@ -188,13 +187,11 @@ def run_one_sided(n: int = 2, beta: float = 1.0, t_offset: float = 0.5,
     sel = (times >= fit_window[0]) & (times <= fit_window[1]) & (trace > 0)
     fit = decay_fit(times[sel], trace[sel])
     passed = -0.65 <= fit.exponent <= -0.35
-    return OneSidedReport(run, times, trace, fit, bool(passed))
+    return OneSidedReport(times, trace, fit, bool(passed))
 
 
 @dataclass
 class FamilyUniformReport:
-    seeds: list
-    envelope_amp: float
     trace_times: np.ndarray
     family_trace: np.ndarray
     rail_trace: np.ndarray
@@ -209,22 +206,19 @@ def run_family_uniform(n: int = 2, beta: float = 1.0, count: int = 5,
                        envelope_amp: float = 0.5, seed: int = 0,
                        r_max: float = 40.0, nodes: int = 801,
                        horizon: float = 12.0, snapshot_dt: float = 0.5,
-                       dt_max: float = 0.05, threshold: float = 0.05,
-                       tol: float = 1e-8, c_scheme: float = 1.0) -> FamilyUniformReport:
+                       dt_max: float = 0.05) -> FamilyUniformReport:
     """A family under one decaying envelope converges uniformly.
 
     Members are k + envelope * sin(omega_i r + phase_i) with the envelope
     amp * exp(-r); the rail runs from k +- envelope must sandwich every member
     at every snapshot, and the family deviation max_i sup|u_i - U| must obey
     the rail bound (sum of rail deviations plus twice the scheme allowance)
-    while dropping under the threshold within the horizon.
+    while dropping under 0.05 within the horizon.
     """
     if count < 5:
         raise ParameterError("family experiments need at least 5 members")
-    if not 0 < threshold < math.inf:
-        raise ParameterError("threshold must be positive and finite")
-    if not (0 <= tol < math.inf and 0 <= c_scheme < math.inf):
-        raise ParameterError("tol and c_scheme must be finite and non-negative")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     k = ConeProfile.radial(n, beta)
     profile = solve_expander_profile(k)
     spec = GridSpec.uniform(n, 0.0, r_max, nodes)
@@ -256,27 +250,21 @@ def run_family_uniform(n: int = 2, beta: float = 1.0, count: int = 5,
     for omega, phase in members:
         run_i = evolve(GridFunction(spec, member_values(omega, phase)), horizon,
                        cfg, cone=k, profile=profile)
-        sandwich_ok &= comparison_check(run_hi.values, run_i.values, times, dx,
-                                        tol, c_scheme)
-        sandwich_ok &= comparison_check(run_i.values, run_lo.values, times, dx,
-                                        tol, c_scheme)
+        sandwich_ok &= comparison_check(run_hi.values, run_i.values, times, dx)
+        sandwich_ok &= comparison_check(run_i.values, run_lo.values, times, dx)
         family = np.maximum(family, _expander_gap(run_i, profile))
 
-    allow = tol + c_scheme * (times - times[0]) * dx ** 2
-    bound_ok = bool(np.all(family <= rail + 2.0 * allow))
-    t_uniform = run_hi.first_time(family <= threshold)
+    bound_ok = bool(np.all(family <= rail + 2.0 * _allowance(times, dx)))
+    t_uniform = run_hi.first_time(family <= _FAMILY_THRESHOLD)
     passed = sandwich_ok and bound_ok and t_uniform is not None
-    return FamilyUniformReport([seed], envelope_amp, times, family, rail,
-                               t_uniform, sandwich_ok, bound_ok, threshold,
-                               bool(passed))
+    return FamilyUniformReport(times, family, rail, t_uniform, sandwich_ok,
+                               bound_ok, _FAMILY_THRESHOLD, bool(passed))
 
 
 @dataclass
 class SubsolutionReport:
-    run: FlowRun
     dominance_margin: float
     t_delta: float | None
-    delta: float
     passed: bool
 
 
@@ -286,8 +274,7 @@ def subsolution_dominance_experiment(n: int = 3, beta: float = 1.0,
                                      clearance: float = 0.05,
                                      r_max: float = 150.0, nodes: int = 1501,
                                      horizon: float = 2.0,
-                                     snapshot_dt: float = 0.05,
-                                     slack: float = 1e-6) -> SubsolutionReport:
+                                     snapshot_dt: float = 0.05) -> SubsolutionReport:
     """The glued subsolution stays below the flow while it recovers the cone.
 
     u0 = k - (m - clearance) * bump(r/R) dips only inside the barrier's hole
@@ -295,11 +282,9 @@ def subsolution_dominance_experiment(n: int = 3, beta: float = 1.0,
     The clearance matters: data touching the subsolution at a point would
     make the dominance check measure nothing but the solver's O(sqrt(dt))
     startup lag along the sqrt(t) rise of the soliton branch.  The flow must
-    dominate B(., t) at every snapshot within the slack, and the recovery
-    time to u >= k - delta must be finite.
+    dominate B(., t) at every snapshot within 1e-6, and the recovery time to
+    u >= k - delta must be finite.
     """
-    if not 0 <= slack < math.inf:
-        raise ParameterError("slack must be non-negative and finite")
     k = ConeProfile.radial(n, beta)
     profile = solve_expander_profile(k)
     if not (0 < clearance < m):
@@ -317,8 +302,8 @@ def subsolution_dominance_experiment(n: int = 3, beta: float = 1.0,
     margin = min(float(np.min(v - sub.evaluate(r, float(t))))
                  for t, v in zip(run.times, run.values))
     t_delta = detect_t_delta(run, k, delta)
-    passed = margin >= -slack and t_delta is not None
-    return SubsolutionReport(run, float(margin), t_delta, delta, bool(passed))
+    passed = margin >= -_DOMINANCE_SLACK and t_delta is not None
+    return SubsolutionReport(float(margin), t_delta, bool(passed))
 
 
 # ---------------------------------------------------------------------------

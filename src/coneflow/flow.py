@@ -31,10 +31,10 @@ Jacobian), and a non-finite residual raises NewtonError at once.  A radial
 step costs its number of numpy calls, so its kernels reuse arrays in place,
 in the formulas' operation order.
 
-The Dirichlet data comes in three flavors: pinned to the initial values,
-pinned to a cone, or pinned to the moving expander (needed for long runs,
-where a frozen cone value at r_max lags the true solution by O(t/r_max) and
-would dominate the far-field error).
+The Dirichlet data comes in two flavors: pinned to the initial values, or
+pinned to the moving expander (needed for long runs, where a frozen cone
+value at r_max lags the true solution by O(t/r_max) and would dominate the
+far-field error).
 
 The optional similarity drift term (r v_r - v)/2, polar only, turns the
 stepper into a solver for the flow in self-similar variables, where
@@ -69,7 +69,7 @@ __all__ = [
     "detect_t_delta",
 ]
 
-_BOUNDARY_MODES = ("pin-to-initial", "pin-to-cone", "pin-to-expander")
+_BOUNDARY_MODES = ("pin-to-initial", "pin-to-expander")
 
 # the ring-major numbering is already a band ordering, so SuperLU factors in it
 splu = partial(scipy.sparse.linalg.splu, permc_spec="NATURAL")
@@ -81,6 +81,13 @@ _NEWTON_MAX_ITER, _TARGET_NEWTON, _DT_MIN = 14, (3, 5), 1e-9
 # the most snapshots one run holds, 25 times criterion 10's 4,000: a finer
 # cadence for the horizon is a usage error, raised before the buffer exists
 _MAX_SNAPSHOTS = 100_000
+
+# the most steps a run may take at its largest step, 100 times criterion
+# 10's 10,000; a smaller step for the horizon is refused before the first one
+_MAX_STEPS = 1_000_000
+
+# the comparison allowance _ALLOW_TOL + _ALLOW_C*(t - t0)*dx^2
+_ALLOW_TOL, _ALLOW_C = 1e-8, 1.0
 
 
 @dataclass(frozen=True)
@@ -106,15 +113,13 @@ class SolverConfig:
             raise ParameterError("snapshot_dt must be positive and finite")
 
 
-def boundary_values_for(u0: GridFunction, config: SolverConfig, cone=None,
-                        profile=None):
+def boundary_values_for(u0: GridFunction, config: SolverConfig, profile=None):
     """The outer ring's Dirichlet data, as a function of t, for a run.
 
-    pin-to-cone needs ``cone`` (a ConeProfile); pin-to-expander needs
-    ``profile`` (an ExpanderProfile, read one radius at a time through
-    ``value_at``) and is radial only.  Every grid continues across the
-    origin (``GridSpec`` admits no other layout), so the outer ring is the
-    only boundary.  The similarity drift is polar only.
+    pin-to-expander needs ``profile`` (an ExpanderProfile, read one radius
+    at a time through ``value_at``) and is radial only.  Every grid
+    continues across the origin (``GridSpec`` admits no other layout), so
+    the outer ring is the only boundary.  The similarity drift is polar only.
     """
     spec = u0.spec
     if config.similarity_drift and not spec.polar:
@@ -130,13 +135,7 @@ def boundary_values_for(u0: GridFunction, config: SolverConfig, cone=None,
             s = math.sqrt(t)
             return s * profile.value_at(r / s)
         return outer
-    if config.boundary == "pin-to-initial":
-        vals = u0.values
-    elif cone is None:
-        raise ParameterError("pin-to-cone boundary needs the cone")
-    else:
-        vals = cone.on_grid(spec).values
-    pinned = vals[-1].copy()
+    pinned = u0.values[-1].copy()
     return lambda t: pinned
 
 
@@ -444,6 +443,8 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
     cadence intervals is a ParameterError.
     Adaptive stepping targets 3 to 5 Newton iterations per step; failed
     steps retry with halved dt down to 1e-9, then raise StepFailureError.
+    A run that needs more than 1,000,000 steps at its largest step (dt_max
+    when adaptive, else min(dt_init, dt_max)) is a ParameterError.
     Step times, step sizes and Newton counts are always recorded; the
     per-step diagnostics (sup|u - k|, sup|u - U|, min and max H) only with
     ``diagnostics=True``.  They do not feed back into the stepping, so the
@@ -460,7 +461,12 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
         raise ParameterError(f"horizon {T} at snapshot_dt {config.snapshot_dt} asks for "
                              f"{intervals:.3g} snapshots, more than the "
                              f"{_MAX_SNAPSHOTS} a run holds")
-    boundary = boundary_values_for(u0, config, cone, profile)
+    dt_top = config.dt_max if config.adaptive else min(config.dt_init, config.dt_max)
+    if not T / dt_top <= _MAX_STEPS:
+        raise ParameterError(f"horizon {T} at steps of at most {dt_top} needs "
+                             f"{T / dt_top:.3g} steps, more than the {_MAX_STEPS} "
+                             "a run may take")
+    boundary = boundary_values_for(u0, config, profile)
     cone_vals = cone.on_grid(u0.spec).values if diagnostics and cone is not None else None
     # t_start, every cadence time up to t_end (one may land within 1e-10
     # past it) and t_end itself
@@ -513,27 +519,28 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
                    sup_u_minus_U=sup_U, min_H=min_H, max_H=max_H)
 
 
-def comparison_check(upper: np.ndarray, lower: np.ndarray, times, dx: float,
-                     tol: float = 1e-8, c_scheme: float = 1.0) -> bool:
-    """Snapshot-wise ordering upper >= lower within a scheme-error allowance.
+def _allowance(times: np.ndarray, dx: float) -> np.ndarray:
+    """The scheme-error allowance 1e-8 + (t - t0)*dx^2 at ``times``: the
+    truncation error the discrete comparison principle accumulates."""
+    return _ALLOW_TOL + _ALLOW_C * (times - times[0]) * dx * dx
+
+
+def comparison_check(upper: np.ndarray, lower: np.ndarray, times, dx: float) -> bool:
+    """Snapshot-wise ordering upper >= lower within the scheme-error
+    allowance ``_allowance``.
 
     ``upper`` and ``lower`` are (T, *shape) stacks of snapshots at the T
-    ``times``, on one grid of largest spacing ``dx``.  The allowance grows
-    like tol + c_scheme*(t - t0)*dx^2, reflecting the accumulation of
-    truncation error in the discrete comparison principle.
+    ``times``, on one grid of largest spacing ``dx``.
     """
-    if not (0 <= tol < math.inf and 0 <= c_scheme < math.inf):
-        raise ParameterError("tol and c_scheme must be finite and non-negative")
     times = np.asarray(times, dtype=float)
     if upper.shape != lower.shape or upper.shape[:1] != times.shape:
         raise GridError(f"comparison needs snapshot stacks of one shape at the "
                         f"{times.size} times, got {upper.shape} and {lower.shape}")
     init_gap = float(np.min(upper[0] - lower[0]))
-    if init_gap < -tol:
+    if init_gap < -_ALLOW_TOL:
         raise ParameterError(f"initial ordering violated by {-init_gap:.3e}")
-    allow = tol + c_scheme * (times - times[0]) * dx * dx
     worst = np.array([np.min(a - b) for a, b in zip(upper, lower)])
-    return not np.any(worst < -allow)
+    return not np.any(worst < -_allowance(times, dx))
 
 
 def detect_t_delta(run: FlowRun, k, delta: float):

@@ -124,6 +124,9 @@ class GridSpec:
 
     @classmethod
     def uniform(cls, n: int, r_min: float, r_max: float, count: int) -> "GridSpec":
+        # checked before np.linspace, which has its own error for a count below 0
+        if count < _MIN_NODES:
+            raise GridError(f"need at least {_MIN_NODES} radial nodes, got {count}")
         return cls(n, np.linspace(r_min, r_max, count))
 
     @classmethod

@@ -131,14 +131,13 @@ def test_clearing_out_validation():
 
 
 def test_clearing_out_single_width():
+    # the spike clears within the cap 10 rho^2
     k = ConeProfile.radial(2, 1.0)
-    rep = clearing_out_experiment(k, height=1.2, rho=0.2)
-    assert rep.t0 is not None
-    assert 0.0 < rep.t0 <= rep.t_cap
-    assert rep.passed
+    t0 = clearing_out_experiment(k, height=1.2, rho=0.2)
+    assert t0 is not None
+    assert 0.0 < t0 <= 10.0 * 0.2 ** 2
 
 
 def test_clearing_out_scaling_quick():
-    out = clearing_out_scaling(ConeProfile.radial(2, 1.0), rhos=(0.1, 0.2))
-    assert 1.5 <= out["exponent"] <= 2.5
-    assert set(out["t0"]) == {0.1, 0.2}
+    exponent = clearing_out_scaling(ConeProfile.radial(2, 1.0), rhos=(0.1, 0.2))
+    assert 1.5 <= exponent <= 2.5

@@ -188,9 +188,10 @@ def test_env_var_output_dir(tmp_path, capsys, monkeypatch):
 
 
 def test_verdict_failure_exit_code(tmp_path, capsys):
+    # half a unit of time is too short for the family to settle
     out = tmp_path / "art"
     rc = run_cli(["--quick", "--out", str(out), "experiment",
-                  "--name", "family-uniform", "--set", "threshold=1e-9"],
+                  "--name", "family-uniform", "--set", "horizon=0.5"],
                  tmp_path)
     assert rc == 1
     report = json.loads((out / "experiment_family-uniform.json").read_text())
@@ -248,11 +249,13 @@ def test_experiment_untypeable_override_rejected(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("pair", ["horizon=nan", "dt_max=nan",
-                                  "snapshot_dt=nan", "bump_radius=0", "horizon=1e-13"])
+                                  "snapshot_dt=nan", "bump_radius=0", "horizon=1e-13",
+                                  "nodes=-5"])
 def test_evolve_rejects_nan_and_nonpositive_inputs(tmp_path, capsys, pair):
-    # NaN slips through an `x <= 0` guard, and a horizon inside the 1e-12
-    # landing tolerance takes no step; each value is a usage error raised
-    # before any artifact is written
+    # NaN slips through an `x <= 0` guard, a horizon inside the 1e-12
+    # landing tolerance takes no step, and a negative node count reached
+    # np.linspace; each value is a usage error raised before any artifact is
+    # written
     out = tmp_path / "art"
     assert run_cli(["--out", str(out), "evolve", "--set", pair], tmp_path) == 2
     assert "usage error" in capsys.readouterr().err
@@ -264,12 +267,17 @@ def test_evolve_rejects_nan_and_nonpositive_inputs(tmp_path, capsys, pair):
     ["--quick", "experiment", "--name", "main-theorem", "--set", "horizon=inf"],
     ["--quick", "experiment", "--name", "main-theorem", "--set", "snapshot_dt=inf"],
     ["--quick", "experiment", "--name", "main-theorem", "--set", "dt_max=inf"],
-], ids=["evolve", "main-theorem", "main-theorem-snapshot-dt", "main-theorem-dt-max"])
+    ["evolve", "--set", "horizon=1", "--set", "dt_max=1e-300"],
+    ["evolve", "--set", "horizon=1", "--set", "dt_max=1e-12"],
+    ["--quick", "experiment", "--name", "main-theorem", "--set", "dt_max=1e-300"],
+], ids=["evolve", "main-theorem", "main-theorem-snapshot-dt", "main-theorem-dt-max",
+        "evolve-dt-max-1e-300", "evolve-dt-max-1e-12", "main-theorem-dt-max-1e-300"])
 def test_infinite_horizon_is_usage_error_without_a_step(tmp_path, capsys,
                                                         monkeypatch, argv):
-    # an infinite horizon never ends, and an infinite step or snapshot
-    # interval would check the run at its end points only; each is rejected
-    # before the first step
+    # an infinite horizon never ends, an infinite step or snapshot interval
+    # would check the run at its end points only, and a step so small that
+    # the horizon takes more than 1,000,000 of them does not end in practice;
+    # each is rejected before the first step
     def no_step(*args, **kwargs):
         raise AssertionError("the flow took a step")
     monkeypatch.setattr(flow, "step", no_step)
@@ -320,27 +328,46 @@ def test_nan_barrier_inputs_are_usage_errors_without_artifacts(tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["--name", "main-theorem", "--set", "threshold=nan"],
-    ["--name", "family-uniform", "--set", "threshold=nan"],
-    ["--name", "subsolution", "--set", "slack=nan"],
+# the main theorem's threshold is a setting (quick mode sets 0.25); the
+# family's threshold and the dominance slack are constants, unknown keys
+_THRESHOLD_GUARD = "threshold must be positive and finite"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--name", "main-theorem", "--set", "threshold=nan"], _THRESHOLD_GUARD),
+    (["--name", "family-uniform", "--set", "threshold=nan"], "unknown key 'threshold'"),
+    (["--name", "subsolution", "--set", "slack=nan"], "unknown key 'slack'"),
 ], ids=["main-theorem-threshold", "family-threshold", "subsolution-slack"])
 def test_nan_scenario_tolerances_are_usage_errors_without_artifacts(
-        tmp_path, capsys, monkeypatch, argv):
+        tmp_path, capsys, monkeypatch, argv, message):
     # a NaN tolerance is rejected before any flow runs
-    _assert_rejected_before_a_flow(tmp_path, capsys, monkeypatch, argv)
+    _assert_rejected_before_a_flow(tmp_path, capsys, monkeypatch, argv, message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--name", "main-theorem", "--set", "threshold=inf"], _THRESHOLD_GUARD),
+    (["--name", "family-uniform", "--set", "threshold=inf"], "unknown key 'threshold'"),
+    (["--name", "subsolution", "--set", "slack=inf"], "unknown key 'slack'"),
+], ids=["main-theorem-threshold", "family-threshold", "subsolution-slack"])
+def test_infinite_scenario_tolerances_are_usage_errors_without_artifacts(
+        tmp_path, capsys, monkeypatch, argv, message):
+    # an infinite threshold is met at the first snapshot, and an infinite
+    # slack forgives any margin: both would pass vacuously
+    _assert_rejected_before_a_flow(tmp_path, capsys, monkeypatch, argv, message)
 
 
 @pytest.mark.parametrize("argv", [
-    ["--name", "main-theorem", "--set", "threshold=inf"],
-    ["--name", "family-uniform", "--set", "threshold=inf"],
-    ["--name", "subsolution", "--set", "slack=inf"],
-], ids=["main-theorem-threshold", "family-threshold", "subsolution-slack"])
-def test_infinite_scenario_tolerances_are_usage_errors_without_artifacts(
-        tmp_path, capsys, monkeypatch, argv):
-    # an infinite threshold is met at the first snapshot, and an infinite
-    # slack forgives any margin: both would pass vacuously
-    _assert_rejected_before_a_flow(tmp_path, capsys, monkeypatch, argv)
+    ["--name", "family-uniform", "--set", "threshold=1e300"],
+    ["--name", "family-uniform", "--set", "tol=1e300"],
+    ["--name", "family-uniform", "--set", "c_scheme=1e300"],
+    ["--name", "subsolution", "--set", "slack=1e300"],
+], ids=["family-threshold", "family-tol", "family-c-scheme", "subsolution-slack"])
+def test_verdict_bounds_are_not_settings(tmp_path, capsys, monkeypatch, argv):
+    # a huge finite bound would pass any run: the bounds are constants, and
+    # their old keys are unknown
+    key = argv[-1].split("=")[0]
+    _assert_rejected_before_a_flow(tmp_path, capsys, monkeypatch, argv,
+                                   f"unknown key {key!r}")
 
 
 @pytest.mark.parametrize("pair, name", [("beta=0", "beta"), ("beta=-1", "beta"),
@@ -364,34 +391,82 @@ def test_main_theorem_rejects_flat_cones_and_bad_deltas_before_a_solve(
     assert list(out.iterdir()) == []
 
 
-def _assert_rejected_before_a_flow(tmp_path, capsys, monkeypatch, argv):
-    def no_flow(*args, **kwargs):
-        raise AssertionError("the scenario ran a flow")
-    monkeypatch.setattr(experiments, "evolve", no_flow)
+def _assert_rejected_before_a_flow(tmp_path, capsys, monkeypatch, argv, message):
+    calls = _count_solves_and_flows(monkeypatch)
     out = tmp_path / "art"
     assert run_cli(["--out", str(out), "--quick", "experiment", *argv],
                    tmp_path) == 2
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error" in err and message in err
     assert list(out.iterdir()) == []
+    assert calls == []
 
 
-@pytest.mark.parametrize("pair", ["tol=inf", "c_scheme=inf", "tol=-1"])
-def test_infinite_comparison_allowances_are_usage_errors_without_artifacts(
-        tmp_path, capsys, monkeypatch, pair):
-    # an infinite allowance passes every sandwich comparison vacuously (and
-    # c_scheme = inf makes the first allowance inf*0 = NaN), a negative one
-    # fails them all; each is rejected before the expander solve and the flows
+def _count_solves_and_flows(monkeypatch) -> list:
+    """The names of the experiments' profile solves and flows, in call order."""
     calls = []
     for name in ("evolve", "solve_expander_profile"):
         real = getattr(experiments, name)
         monkeypatch.setattr(experiments, name, lambda *args, _real=real, _name=name,
                             **kwargs: calls.append(_name) or _real(*args, **kwargs))
+    return calls
+
+
+@pytest.mark.parametrize("pair", ["tol=inf", "c_scheme=inf", "tol=-1"])
+def test_infinite_comparison_allowances_are_usage_errors_without_artifacts(
+        tmp_path, capsys, monkeypatch, pair):
+    # the comparison allowance is a constant: no value of its old keys, an
+    # infinite one that would pass every sandwich or a negative one that
+    # would fail them all, reaches the expander solve or the flows
+    _assert_rejected_before_a_flow(
+        tmp_path, capsys, monkeypatch, ["--name", "family-uniform", "--set", pair],
+        f"unknown key {pair.split('=')[0]!r}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "-1", "--quick", "experiment", "--name", "family-uniform"],
+    ["--quick", "experiment", "--name", "family-uniform", "--set", "seed=-2"],
+], ids=["flag", "set"])
+def test_negative_family_seed_is_usage_error_before_a_solve(tmp_path, capsys,
+                                                            monkeypatch, argv):
+    # np.random.default_rng raised ValueError on a negative seed after the
+    # profile solve; only the family reads the seed
+    calls = _count_solves_and_flows(monkeypatch)
     out = tmp_path / "art"
-    assert run_cli(["--out", str(out), "--quick", "experiment",
-                    "--name", "family-uniform", "--set", pair], tmp_path) == 2
-    assert "usage error" in capsys.readouterr().err
+    assert run_cli(["--out", str(out), *argv], tmp_path) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
     assert list(out.iterdir()) == []
     assert calls == []
+    assert run_cli(["--seed", "-1", "--out", str(out), "expander"], tmp_path) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--quick", "experiment", "--name", "main-theorem", "--set", "nodes=-3"],
+    ["--quick", "experiment", "--name", "subsolution", "--set", "nodes=-1"],
+], ids=["main-theorem", "subsolution"])
+def test_negative_node_count_is_usage_error(tmp_path, capsys, argv):
+    # np.linspace raised ValueError on a negative count
+    out = tmp_path / "art"
+    assert run_cli(["--out", str(out), *argv], tmp_path) == 2
+    count = argv[-1].split("=")[1]
+    assert f"need at least 8 radial nodes, got {count}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["expander", "--set", "beta=1e200"],
+    ["evolve", "--set", "beta=1e200"],
+    ["--quick", "experiment", "--name", "main-theorem", "--set", "beta=1e200"],
+    ["barrier", "--set", "beta=1e200"],
+    ["barrier", "--set", "which=static", "--set", "beta=-1e200"],
+], ids=["expander", "evolve", "main-theorem", "barrier", "barrier-static-negative"])
+def test_cone_slope_with_overflowing_square_is_usage_error(tmp_path, capsys, argv):
+    # 1 + beta^2 overflowed to an OverflowError in the cone's curvature and
+    # in the expander's tail
+    out = tmp_path / "art"
+    assert run_cli(["--out", str(out), *argv], tmp_path) == 2
+    assert "radial cone slope must be finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_stalled_shot_reports_its_istate_once(tmp_path):

@@ -10,9 +10,13 @@ from coneflow.geometry import GridSpec
 def test_radial_constructor_validation():
     with pytest.raises(ParameterError):
         ConeProfile.radial(0, 1.0)
-    with pytest.raises(ParameterError):
-        ConeProfile.radial(2, float("nan"))
+    # a slope whose square overflows is refused too: H and the expander's
+    # tail both read 1 + beta^2
+    for beta in (float("nan"), 1e200, -1e200):
+        with pytest.raises(ParameterError):
+            ConeProfile.radial(2, beta)
     assert ConeProfile.radial(3, 1.5).kind == "radial"
+    assert ConeProfile.radial(2, -1e150).scaled_mean_curvature() < 0
 
 
 def test_angular_constructor_validation():

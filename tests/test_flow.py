@@ -91,7 +91,7 @@ def test_snapshot_cadence_exact(cone21):
     spec = _uniform(2, 20.0, 201)
     u0 = cone21.on_grid(spec)
     cfg = SolverConfig(dt_init=1e-3, dt_max=0.037, snapshot_dt=0.25,
-                       boundary="pin-to-cone")
+                       boundary="pin-to-initial")
     run = evolve(u0, 1.0, cfg, cone=cone21)
     assert np.allclose(run.times, np.arange(0.0, 1.0 + 1e-12, 0.25),
                        atol=1e-12)
@@ -128,7 +128,6 @@ def test_boundary_modes_pin_last_node(cone21, profile21):
     u0 = cone21.on_grid(spec)
     for boundary, value_at in (
             ("pin-to-initial", lambda t: u0.values[-1]),
-            ("pin-to-cone", lambda t: u0.values[-1]),
             ("pin-to-expander",
              lambda t: float(evaluate_U(profile21, spec.nodes[-1:], t)[0]))):
         cfg = SolverConfig(dt_init=1e-3, dt_max=0.01, snapshot_dt=0.2,
@@ -158,30 +157,25 @@ def test_expander_boundary_values_bit_identical_to_evaluate(profile21):
 
 
 def test_unknown_boundary_rejected():
-    with pytest.raises(ParameterError):
-        SolverConfig(dt_init=1e-3, dt_max=0.01, snapshot_dt=0.1,
-                     boundary="clamp")
+    # there is no pin-to-cone mode: data equal to the cone at r_max is
+    # pinned there by pin-to-initial
+    for mode in ("clamp", "pin-to-cone"):
+        with pytest.raises(ParameterError, match="boundary mode must be one of"):
+            SolverConfig(dt_init=1e-3, dt_max=0.01, snapshot_dt=0.1, boundary=mode)
 
 
-@pytest.mark.parametrize("mode", ["pin-to-initial", "pin-to-cone"])
+@pytest.mark.parametrize("mode", ["pin-to-initial"])
 @pytest.mark.parametrize("spec", [
     GridSpec.uniform(2, 0.0, 5.0, 21), GridSpec.polar_disk(4.0, 10, 16)],
     ids=["radial-origin", "disk"])
 def test_boundary_values_match_per_mode_formulas(spec, mode):
-    # the outer ring's data equals the per-mode expression it replaced, bit
-    # for bit, at every t
+    # the outer ring's data equals the initial data's, bit for bit, at every t
     cone = ConeProfile.radial(2, 1.3) if not spec.polar else \
         ConeProfile.angular(lambda th: 1.0 + 0.2 * np.cos(2 * th))
     u0 = GridFunction(spec, cone.on_grid(spec).values + 0.1)
-    outer = boundary_values_for(u0, SolverConfig(boundary=mode), cone=cone)
-    if mode == "pin-to-initial":
-        want = u0.values[-1]
-    elif spec.polar:
-        want = spec.r_max * np.asarray(cone.gamma(spec.thetas), dtype=float)
-    else:
-        want = float(cone.beta * spec.r_max)
+    outer = boundary_values_for(u0, SolverConfig(boundary=mode))
     for t in (0.0, 2.5):
-        assert np.array_equal(outer(t), want)
+        assert np.array_equal(outer(t), u0.values[-1])
 
 
 _DISK = pytest.mark.parametrize("spec", [GridSpec.polar_disk(4.0, 10, 16)],
@@ -259,18 +253,17 @@ def test_comparison_check_ordered_pair(cone21):
 
 def test_comparison_check_reports_the_first_violation():
     # u_a dips 0.5 below u_b at t = 2 and 0.25 at t = 3; the allowance
-    # tol + c_scheme*(t - t0)*dx^2, dx^2 = 0.01, covers the first dip from
-    # c_scheme = 25 on and the second from 8.34 on
-    spec = _uniform(2, 10.0, 101)
+    # 1e-8 + (t - t0)*dx^2 covers the first dip from dx^2 = 0.25 on and the
+    # second from dx^2 = 0.0834 on
     a = np.zeros((4, 101))
     a[2, 40], a[3, 60] = -0.5, -0.25
     b = np.zeros((4, 101))
-    times, dx = [0.0, 1.0, 2.0, 3.0], spec.max_spacing()
-    for c_scheme, ordered in [(0.0, False), (24.0, False), (25.0, True)]:
-        assert comparison_check(a, b, times, dx, 1e-8, c_scheme) is ordered
+    times = [0.0, 1.0, 2.0, 3.0]
+    for dx2, ordered in [(0.0, False), (0.24, False), (0.25, True)]:
+        assert comparison_check(a, b, times, np.sqrt(dx2)) is ordered
     a[2, 40] = 0.0
-    for c_scheme, ordered in [(8.3, False), (8.34, True)]:
-        assert comparison_check(a, b, times, dx, 1e-8, c_scheme) is ordered
+    for dx2, ordered in [(0.083, False), (0.0834, True)]:
+        assert comparison_check(a, b, times, np.sqrt(dx2)) is ordered
 
 
 def test_comparison_check_grid_mismatch(cone21):
@@ -349,10 +342,10 @@ def test_nonfinite_newton_update_raises(monkeypatch, cone21):
     spec = _uniform(2, 10.0, 41)
     u0 = cone21.on_grid(spec)
     cfg = SolverConfig(dt_init=1e-2, dt_max=1e-2, snapshot_dt=0.1,
-                       boundary="pin-to-cone", adaptive=False)
+                       boundary="pin-to-initial", adaptive=False)
     monkeypatch.setattr(flow, "solve_banded",
                         lambda lower, diag, upper, b: np.full_like(b, np.nan))
-    bv = boundary_values_for(u0, cfg, cone=cone21)
+    bv = boundary_values_for(u0, cfg)
     with pytest.raises(NewtonError) as err:
         step(u0, 1e-2, cfg, bv, 1e-2)
     # the first non-finite residual stops the solve
@@ -402,13 +395,13 @@ def test_singular_newton_matrix_fails_the_step(monkeypatch, cone21):
     spec = _uniform(2, 10.0, 41)
     u0 = cone21.on_grid(spec)
     cfg = SolverConfig(dt_init=1e-2, dt_max=1e-2, snapshot_dt=0.1,
-                       boundary="pin-to-cone", adaptive=False)
+                       boundary="pin-to-initial", adaptive=False)
     monkeypatch.setattr(flow, "_radial_newton_matrix",
                         lambda spec, *args: (np.zeros(spec.nr - 1),
                                              np.zeros(spec.nr),
                                              np.zeros(spec.nr - 1)))
     with pytest.raises(NewtonError) as err:
-        step(u0, 1e-2, cfg, boundary_values_for(u0, cfg, cone=cone21), 1e-2)
+        step(u0, 1e-2, cfg, boundary_values_for(u0, cfg), 1e-2)
     history = err.value.residuals
     assert len(history) == 1 and np.isfinite(history[0])
     with pytest.raises(StepFailureError) as failure:
@@ -416,7 +409,7 @@ def test_singular_newton_matrix_fails_the_step(monkeypatch, cone21):
     assert failure.value.residuals == history
     monkeypatch.setattr(flow, "_DT_MIN", 2.5e-3)
     halving = SolverConfig(dt_init=1e-2, dt_max=1e-2, snapshot_dt=0.1,
-                           boundary="pin-to-cone")
+                           boundary="pin-to-initial")
     with pytest.raises(StepFailureError) as failure:
         evolve(u0, 0.1, halving, cone=cone21)
     assert failure.value.dt == pytest.approx(2.5e-3)
@@ -499,7 +492,7 @@ def _reference_step(u, dt, config, boundary, t_new):
 
 
 def _reference_evolve(u0, T, config, cone, profile, t_start=0.0):
-    boundary = boundary_values_for(u0, config, cone, profile)
+    boundary = boundary_values_for(u0, config, profile=profile)
     spec = u0.spec
     out = {"snapshots": [u0.values.copy()], "newton_iters": [], "min_H": [],
            "max_H": [], "sup_u_minus_k": [], "sup_u_minus_U": []}
@@ -552,10 +545,12 @@ def test_radial_flow_bit_identical_to_reference(case, cone21, profile21):
                            boundary="pin-to-expander")
         args = (u0, 0.3, cfg, cone21, profile21)
     else:
+        # the bump is 1e-22 at r_max = 8: the outer value is the cone's
         spec = GridSpec.geometric(2, 0.05, 8.0)
         u0 = GridFunction(spec, cone21.on_grid(spec).values + _bump(spec, 0.3))
+        assert u0.values[-1] == cone21.beta * spec.r_max
         cfg = SolverConfig(dt_init=1e-2, dt_max=0.1, snapshot_dt=0.25,
-                           boundary="pin-to-cone")
+                           boundary="pin-to-initial")
         args = (u0, 0.5, cfg, cone21, None)
     ref = _reference_evolve(*args)
     run = evolve(*args, diagnostics=True)
@@ -814,7 +809,7 @@ def test_radial_steps_keep_the_newton_contract(monkeypatch, cone21):
     # every accepted step ends converged, and counts one update per residual
     spec = _uniform(2, 10.0, 101)
     u0 = GridFunction(spec, cone21.on_grid(spec).values + _bump(spec, 0.5))
-    cfg = SolverConfig(dt_init=1e-2, snapshot_dt=0.25, boundary="pin-to-cone")
+    cfg = SolverConfig(dt_init=1e-2, snapshot_dt=0.25, boundary="pin-to-initial")
     accepted = _accepted_steps(monkeypatch)
     evolve(u0, 0.5, cfg, cone=cone21)
     _assert_newton_contract(accepted)
