@@ -19,8 +19,7 @@ from .errors import (CertificationError, DomainError, GridError, NewtonError,
 from .expander import (ExpanderProfile, evaluate_U, expander_time_derivative,
                        solve_expander_profile)
 from .experiments import (SCENARIOS, Scenario, run_family_uniform,
-                          run_main_theorem, run_one_sided,
-                          subsolution_dominance_experiment)
+                          run_main_theorem, subsolution_dominance_experiment)
 from .flow import FlowRun, SolverConfig, comparison_check, detect_t_delta, evolve
 from .geometry import GridFunction, GridSpec, mean_curvature
 
@@ -36,6 +35,6 @@ __all__ = [
     "evolve", "expander_time_derivative", "graph_area_bound_check",
     "half_space_experiment", "lemma_barrier_flow", "mean_curvature",
     "psi_identity_residual", "run_family_uniform", "run_main_theorem",
-    "run_one_sided", "solve_expander_profile", "static_barrier_w",
+    "solve_expander_profile", "static_barrier_w",
     "subsolution_dominance_experiment", "wk_difference_fit",
 ]

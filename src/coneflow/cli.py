@@ -190,7 +190,6 @@ def _cmd_expander(cfg: dict, out: str) -> int:
 def _cmd_evolve(cfg: dict, out: str) -> int:
     sec = cfg["evolve"]
     k = ConeProfile.radial(sec["n"], sec["beta"])
-    prof = solve_expander_profile(k)
     spec = GridSpec.uniform(sec["n"], 0.0, sec["r_max"], sec["nodes"])
     r = spec.nodes
     u0 = GridFunction(spec, k.beta * r
@@ -198,6 +197,8 @@ def _cmd_evolve(cfg: dict, out: str) -> int:
     solver = SolverConfig(dt_init=1e-3, dt_max=sec["dt_max"],
                           snapshot_dt=sec["snapshot_dt"],
                           boundary=sec["boundary"])
+    # the grid, data and solver settings are checked before the profile solve
+    prof = solve_expander_profile(k)
     run = evolve(u0, sec["horizon"], solver, cone=k, profile=prof,
                  diagnostics=True)
     write_csv(os.path.join(out, "flow_trace.csv"),
@@ -306,12 +307,9 @@ def _cmd_verify(cfg: dict, out: str) -> int:
 
 def _scenario_settings(scenario, seed: int, pairs) -> dict:
     """The runner's settings: ``seed`` where it takes one, then key=value
-    pairs type-checked against its scalar defaults; a parameter whose
-    default is not a bool, int, float or str (a tuple) cannot be typed from
-    text and is not offered."""
+    pairs type-checked against its defaults."""
     schema = {name: p.default for name, p in
-              inspect.signature(scenario.function()).parameters.items()
-              if isinstance(p.default, (bool, int, float, str))}
+              inspect.signature(scenario.function()).parameters.items()}
     settings = {"seed": seed} if "seed" in schema else {}
     settings.update(_apply_sets(schema, pairs, f"scenario {scenario.name!r}"))
     return settings
@@ -326,8 +324,6 @@ def _experiment_summary(name: str, rep) -> dict:
                                      "upper_ok": bool(side.upper),
                                      "lower_ok": bool(side.lower)}
                             for s, side in rep.sides.items()}
-    if hasattr(rep, "fit"):
-        summary["decay_exponent"] = rep.fit.exponent
     if hasattr(rep, "t_uniform"):
         summary.update(t_uniform=rep.t_uniform,
                        sandwich_ok=rep.sandwich_ok, bound_ok=rep.bound_ok)
@@ -343,9 +339,6 @@ def _experiment_trace(rep):
         return ([("t", "time"), ("sup_above", "height"),
                  ("sup_below", "height")],
                 zip(ts, rep.sides[+1].trace, rep.sides[-1].trace))
-    if hasattr(rep, "trace_times") and hasattr(rep, "fit"):
-        return ([("t", "time"), ("sup_u_minus_U", "height")],
-                zip(rep.trace_times, rep.trace))
     if hasattr(rep, "family_trace"):
         return ([("t", "time"), ("family_sup", "height"),
                  ("rail_sup", "height")],

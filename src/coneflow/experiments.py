@@ -2,9 +2,8 @@
 
 Each experiment measures one claim about graphs flowing out of a mean convex
 cone: two-sided perturbations get sandwiched between time-shifted copies of
-the expanding soliton, one-sided data decays onto it at the diffusive rate,
-families under a common envelope converge uniformly, and glued subsolutions
-stay below the flow while it recovers the cone level.
+the expanding soliton, families under a common envelope converge uniformly,
+and glued subsolutions stay below the flow while it recovers the cone level.
 
 Reports carry the raw traces next to the verdicts so the CLI can dump them
 to CSV without recomputation.
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import DecayFit, bump, decay_fit
+from .analysis import bump
 from .barriers import Subsolution, lemma_barrier_flow
 from .cones import ConeProfile
 from .errors import ParameterError
@@ -30,8 +29,6 @@ __all__ = [
     "SideReport",
     "MainTheoremReport",
     "run_main_theorem",
-    "OneSidedReport",
-    "run_one_sided",
     "FamilyUniformReport",
     "run_family_uniform",
     "SubsolutionReport",
@@ -82,8 +79,6 @@ class SideReport:
     t_flat: float | None
     t_delta: float | None
     upper_shift: float
-    sigma: float
-    epsilon: float
     upper: bool
     lower: bool
     passed: bool
@@ -148,46 +143,9 @@ def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,
                 for t in times[tail]])
             lower = comparison_check(run.values[tail], lower_rail, times[tail], dx)
         passed = t_flat is not None and upper and lower
-        sides[sign] = SideReport(times, trace, t_flat, t_delta, t_up, sigma, eps,
-                                 upper, lower, passed)
+        sides[sign] = SideReport(times, trace, t_flat, t_delta, t_up, upper, lower,
+                                 passed)
     return MainTheoremReport(threshold, sides, all(s.passed for s in sides.values()))
-
-
-@dataclass
-class OneSidedReport:
-    trace_times: np.ndarray
-    trace: np.ndarray
-    fit: DecayFit
-    passed: bool
-
-
-def run_one_sided(n: int = 2, beta: float = 1.0, t_offset: float = 0.5,
-                  r_max: float = 75.0, nodes: int = 1501,
-                  horizon: float = 50.0, snapshot_dt: float = 0.5,
-                  dt_max: float = 0.025,
-                  fit_window: tuple = (5.0, 50.0)) -> OneSidedReport:
-    """One-sided data between the cone and the soliton decays diffusively.
-
-    u0 is the shifted soliton U(., t_offset), checked to lie above the cone
-    k.  The measured sup|u - U(., t)| is fitted over the window (a decade by
-    default) and the exponent must land in [-0.65, -0.35], around -1/2.
-    """
-    k = ConeProfile.radial(n, beta)
-    profile = solve_expander_profile(k)
-    spec = GridSpec.uniform(n, 0.0, r_max, nodes)
-    r = spec.nodes
-    vals = evaluate_U(profile, r, t_offset)
-    if np.any(vals < k.beta * r - 1e-12):
-        raise ParameterError("initial data must sit above the cone")
-    cfg = SolverConfig(dt_init=1e-3, dt_max=dt_max, snapshot_dt=snapshot_dt,
-                       boundary="pin-to-expander")
-    run = evolve(GridFunction(spec, vals), horizon, cfg, cone=k, profile=profile)
-    times = run.times
-    trace = _expander_gap(run, profile)
-    sel = (times >= fit_window[0]) & (times <= fit_window[1]) & (trace > 0)
-    fit = decay_fit(times[sel], trace[sel])
-    passed = -0.65 <= fit.exponent <= -0.35
-    return OneSidedReport(times, trace, fit, bool(passed))
 
 
 @dataclass
@@ -341,11 +299,6 @@ SCENARIOS = {
         "two-sided bump perturbations settle onto the expander",
         quick_overrides=(("horizon", 10.0), ("nodes", 601), ("r_max", 40.0),
                          ("dt_max", 0.05), ("threshold", 0.25))),
-    "one-sided": Scenario(
-        "one-sided", "run_one_sided",
-        "one-sided data decays onto the expander at the diffusive rate",
-        quick_overrides=(("horizon", 12.0), ("nodes", 601), ("r_max", 40.0),
-                         ("dt_max", 0.05), ("fit_window", (1.0, 12.0)))),
     "family-uniform": Scenario(
         "family-uniform", "run_family_uniform",
         "a family under one envelope converges uniformly",

@@ -56,8 +56,9 @@ from scipy.sparse import csc_matrix
 
 from .errors import GridError, NewtonError, ParameterError, StepFailureError
 from .expander import evaluate_U
-from .geometry import (GridFunction, GridSpec, mean_curvature, _polar_speed,
-                       _radial_derivatives, _radial_operator, _radial_speed)
+from .geometry import (GridFunction, GridSpec, mean_curvature, _polar_derivatives,
+                       _polar_speed, _radial_derivatives, _radial_operator,
+                       _radial_speed)
 
 __all__ = [
     "SolverConfig",
@@ -444,7 +445,8 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
     Adaptive stepping targets 3 to 5 Newton iterations per step; failed
     steps retry with halved dt down to 1e-9, then raise StepFailureError.
     A run that needs more than 1,000,000 steps at its largest step (dt_max
-    when adaptive, else min(dt_init, dt_max)) is a ParameterError.
+    when adaptive, else min(dt_init, dt_max)) is a ParameterError, and so
+    is initial data whose slope squared is not finite.
     Step times, step sizes and Newton counts are always recorded; the
     per-step diagnostics (sup|u - k|, sup|u - U|, min and max H) only with
     ``diagnostics=True``.  They do not feed back into the stepping, so the
@@ -466,12 +468,22 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
         raise ParameterError(f"horizon {T} at steps of at most {dt_top} needs "
                              f"{T / dt_top:.3g} steps, more than the {_MAX_STEPS} "
                              "a run may take")
+    spec = u0.spec
+    # the speed and the Newton matrix square the slope, so |Du|^2 must be finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.polar:
+            ur, ut = _polar_derivatives(spec, u0.values)[:2]
+            slope2 = ur ** 2 + (ut / spec.nodes[:, None]) ** 2
+        else:
+            slope2 = _radial_derivatives(spec, u0.values)[0] ** 2
+    if not np.isfinite(slope2).all():
+        raise ParameterError("the initial data's slope squared is not finite")
     boundary = boundary_values_for(u0, config, profile)
-    cone_vals = cone.on_grid(u0.spec).values if diagnostics and cone is not None else None
+    cone_vals = cone.on_grid(spec).values if diagnostics and cone is not None else None
     # t_start, every cadence time up to t_end (one may land within 1e-10
     # past it) and t_end itself
     times = np.empty(int(intervals) + 3)
-    values = np.empty(times.shape + u0.spec.shape)
+    values = np.empty(times.shape + spec.shape)
     times[0], values[0] = t_start, u0.values
     count = 1
     step_times, step_sizes, newton_iters = [], [], []
@@ -514,7 +526,7 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
             elif its > hi:
                 dt = max(dt * 0.7, _DT_MIN)
     sup_k, sup_U, min_H, max_H = diag
-    return FlowRun(u0.spec, times[:count], values[:count], step_times=step_times,
+    return FlowRun(spec, times[:count], values[:count], step_times=step_times,
                    step_sizes=step_sizes, newton_iters=newton_iters, sup_u_minus_k=sup_k,
                    sup_u_minus_U=sup_U, min_H=min_H, max_H=max_H)
 

@@ -127,10 +127,9 @@ def test_benchmark_tracer_installs():
 # or every parameter of the callee.
 UNSET_KEEP = {
     # the scenario runners: Scenario.run(quick, **settings) hands them the
-    # quick settings and `experiment --set` every scalar parameter, through
-    # ** where the scan sees no parameter (checked in the test below)
+    # quick settings and `experiment --set` every parameter, through ** where
+    # the scan sees no parameter (each a scalar, checked in the test below)
     ("experiments.py", "run_main_theorem", "*"),
-    ("experiments.py", "run_one_sided", "*"),
     ("experiments.py", "run_family_uniform", "*"),
     ("experiments.py", "subsolution_dominance_experiment", "*"),
     # each criterion's quick flag, which run_acceptance passes positionally
@@ -208,10 +207,10 @@ def test_every_unset_default_has_a_keep_reason():
     # no keep entry outlives what it kept
     stale = UNSET_KEEP - set().union(*(_keys(*p) for p in unset))
     assert not stale, f"keep entries that match no unset parameter: {stale}"
-    # a runner keeps only what --set (a scalar) or a quick setting reaches
+    # --set types a runner's setting from its default, so every parameter
+    # of a runner is a scalar, quick settings included
     for scenario in SCENARIOS.values():
-        quick = {key for key, _ in scenario.quick_overrides}
         for name, par in inspect.signature(scenario.function()).parameters.items():
-            assert isinstance(par.default, (bool, int, float, str)) or name in quick, (
-                f"{scenario.runner}({name}=...) is reached by neither --set nor "
-                "a quick setting")
+            assert isinstance(par.default, (bool, int, float, str)), (
+                f"{scenario.runner}({name}=...) has no scalar default, so "
+                "--set cannot type it")

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from coneflow import acceptance, barriers, cli
 from coneflow.barriers import (Subsolution, _heat_kernel,
@@ -51,6 +52,27 @@ def test_static_barrier_flat_background_fails_far_out():
                           require_mean_convex=False)
     assert sb.r0 is None
     assert not sb.certified
+
+
+def test_static_barrier_r0_matches_the_exact_root():
+    # with s = r^(-alpha-1), r*(1+w_r^2)^(3/2)*H[w] is the cubic
+    # g(s) = (n-1)(beta+alpha*s)(1+(beta+alpha*s)^2) - alpha(alpha+1)s, so
+    # sign H = sign g; at (2, 0.1, 2) H < 0 exactly on r in (1.1752, 3.3810)
+    # and r0 is the first sample past the larger root (a flipped w_rr sign
+    # reads r0 = 1.0)
+    n, beta, alpha = 2, 0.1, 2.0
+    x = np.array([beta, alpha])  # beta + alpha*s, coefficients low to high
+    g = P.polysub((n - 1) * P.polyadd(x, P.polypow(x, 3)), [0.0, alpha * (alpha + 1)])
+    s = P.polyroots(g)
+    s = s.real[(s.imag == 0) & (s.real > 0)]
+    roots = np.sort(s ** (-1.0 / (alpha + 1)))
+    assert roots == pytest.approx([1.17521, 3.38102], abs=1e-5)
+    sb = static_barrier_w(ConeProfile.radial(n, beta), alpha)
+    assert np.array_equal(np.sign(sb.H), np.sign(P.polyval(sb.r ** (-alpha - 1), g)))
+    i = int(np.searchsorted(sb.r, roots[1]))
+    assert sb.r0 == sb.r[i]
+    assert sb.r[i - 1] < roots[1] <= sb.r0
+    assert (sb.r[i - 1], sb.r0) == pytest.approx((3.3213, 3.3988), abs=1e-4)
 
 
 def test_wk_difference_fit_closed_form():

@@ -237,12 +237,12 @@ def test_experiment_settings_precedence(tmp_path, capsys, monkeypatch):
                                   "mode=midway"])
 def test_experiment_untypeable_override_rejected(tmp_path, capsys,
                                                  monkeypatch, pair):
-    # a tuple default cannot be typed from text, and the runners take no
-    # profile and no mode: usage error before any flow runs
+    # the runner takes no fit window, no profile and no mode: usage error
+    # before any flow runs
     calls = []
     monkeypatch.setattr(experiments, "evolve",
                         lambda *args, **kw: calls.append(args))
-    assert run_cli(["--quick", "experiment", "--name", "one-sided",
+    assert run_cli(["--quick", "experiment", "--name", "main-theorem",
                     "--set", pair], tmp_path) == 2
     assert calls == []
     assert f"unknown key {pair.split('=')[0]!r}" in capsys.readouterr().err
@@ -466,6 +466,42 @@ def test_cone_slope_with_overflowing_square_is_usage_error(tmp_path, capsys, arg
     out = tmp_path / "art"
     assert run_cli(["--out", str(out), *argv], tmp_path) == 2
     assert "radial cone slope must be finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("pair", ["boundary=pin-to-cone", "nodes=-5"])
+def test_evolve_settings_are_checked_before_the_profile_solve(tmp_path, capsys,
+                                                              monkeypatch, pair):
+    # the grid, the data and the solver settings are built first, so a bad
+    # one costs no expander solve
+    solves = []
+    real = cli.solve_expander_profile
+    monkeypatch.setattr(cli, "solve_expander_profile",
+                        lambda *args, **kw: solves.append(args) or real(*args, **kw))
+    out = tmp_path / "art"
+    assert run_cli(["--out", str(out), "evolve", "--set", pair], tmp_path) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert solves == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--set", "bump_amp=1e300"],
+    ["--quick", "experiment", "--name", "main-theorem", "--set", "amplitude=1e300"],
+], ids=["evolve", "main-theorem"])
+def test_data_slope_with_overflowing_square_is_usage_error(tmp_path, capsys,
+                                                          monkeypatch, argv):
+    # the squared slope overflowed in the speed and the Newton matrix: numpy
+    # warned, and the run halved dt down to its floor before it failed
+    def no_step(*args, **kwargs):
+        raise AssertionError("the flow took a step")
+    monkeypatch.setattr(flow, "step", no_step)
+    out = tmp_path / "art"
+    assert run_cli(["--out", str(out), *argv], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "usage error: the initial data's slope squared is not finite" in err
     assert list(out.iterdir()) == []
 
 

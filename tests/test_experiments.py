@@ -8,7 +8,6 @@ from coneflow.analysis import bump
 from coneflow.errors import DomainError, ParameterError
 from coneflow.experiments import (SCENARIOS, Scenario,
                                   run_family_uniform, run_main_theorem,
-                                  run_one_sided,
                                   subsolution_dominance_experiment)
 
 
@@ -34,7 +33,6 @@ def test_main_theorem_lower_rail_starts_after_time_zero():
 def test_scenario_registry_complete():
     runners = {name: sc.function() for name, sc in SCENARIOS.items()}
     assert runners == {"main-theorem": run_main_theorem,
-                       "one-sided": run_one_sided,
                        "family-uniform": run_family_uniform,
                        "subsolution": subsolution_dominance_experiment}
     for name, sc in SCENARIOS.items():

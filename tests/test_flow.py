@@ -296,6 +296,23 @@ def test_detect_t_delta_semantics(cone21):
             detect_t_delta(run, cone21, delta)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec", [
+    GridSpec.uniform(2, 0.0, 5.0, 21), GridSpec.polar_disk(4.0, 10, 16)],
+    ids=["radial-origin", "disk"])
+def test_data_slope_with_overflowing_square_is_rejected_before_a_step(monkeypatch,
+                                                                      spec):
+    # a slope of 1e200, radial on the radial grid and angular (u_theta/r) on
+    # the disk, squares to inf without a numpy warning
+    def no_step(*args, **kwargs):
+        raise AssertionError("the flow took a step")
+    monkeypatch.setattr(flow, "step", no_step)
+    x = spec.nodes if not spec.polar else spec.nodes[:, None] * np.cos(spec.thetas)
+    u0 = GridFunction(spec, 1e200 * x)
+    with pytest.raises(ParameterError, match="slope squared is not finite"):
+        evolve(u0, 0.1, SolverConfig(dt_init=1e-3, dt_max=1e-2, snapshot_dt=0.05))
+
+
 def test_polar_evolution_smoke():
     spec = GridSpec.polar_disk(4.0, 24, 16)
     bump = 0.2 * np.cos(2 * spec.thetas)[None, :] * np.exp(-spec.nodes[:, None] ** 2)
