@@ -47,11 +47,6 @@ class DecayFit:
     residual: float
     window: tuple
 
-    def __str__(self):
-        return (f"exponent {self.exponent:+.4f}, constant {self.constant:.4g}, "
-                f"rms residual {self.residual:.2e} on t in [{self.window[0]:.3g}, "
-                f"{self.window[1]:.3g}]")
-
 
 def _fit_loglog(t: np.ndarray, d: np.ndarray) -> DecayFit:
     lt, ld = np.log(t), np.log(d)

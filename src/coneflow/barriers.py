@@ -210,19 +210,18 @@ class LemmaBarrierResult:
     """The graphical realization of the flow barrier, certified.
 
     The graphical barrier at unit time is the curve (``r``, ``b``) over
-    r in [10, 400]; ``k_values`` is the cone on the same radii.
+    r in [10, 400]; ``certified`` is the radius window of the certificates,
+    and ``m1`` the deficit k - b at its inner end.
     """
 
     cone: ConeProfile
     r: np.ndarray
     b: np.ndarray
-    k_values: np.ndarray
     r_cut: float
     certified: tuple
     min_gap: float
     H_min: float
     m1: float
-    R1: float
     deficit_fit: DecayFit
     passed: bool
 
@@ -272,9 +271,8 @@ def lemma_barrier_flow(k: ConeProfile, points: int = 600) -> LemmaBarrierResult:
     want = -(k.n - 2) / 2.0
     passed = (min_gap > 0 and H_min > 0 and mono
               and abs(fit.exponent - want) <= 0.2 * abs(want))
-    return LemmaBarrierResult(k, r, b, kv, r_cut, (float(r[il]), float(r[iu - 1])),
-                              min_gap, H_min, float(gap[il]), float(r[il]), fit,
-                              bool(passed))
+    return LemmaBarrierResult(k, r, b, r_cut, (float(r[il]), float(r[iu - 1])),
+                              min_gap, H_min, float(gap[il]), fit, bool(passed))
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +401,9 @@ class Subsolution:
     scales with it.  The expander branch solves the flow exactly; the
     barrier branch is static with H >= 0 on its certified region, so each
     branch is a subsolution and the max inherits it.  Construction enforces
-    the gluing inequalities lam * m1 > m and lam * R1 > R (deficit and hole
-    scales of the barrier strictly dominate those of the perturbation).
+    the gluing inequalities lam * m1 > m and lam * R1 > R, R1 the inner end
+    of the certified window (deficit and hole scales of the barrier strictly
+    dominate those of the perturbation).
     """
 
     profile: ExpanderProfile
@@ -429,9 +428,9 @@ class Subsolution:
         if lam * lemma.m1 <= self.m:
             raise ParameterError(
                 f"need lam*m1 > m (got {lam * lemma.m1:.4g} <= {self.m:.4g})")
-        if lam * lemma.R1 <= self.R:
-            raise ParameterError(
-                f"need lam*R1 > R (got {lam * lemma.R1:.4g} <= {self.R:.4g})")
+        if lam * lemma.certified[0] <= self.R:
+            raise ParameterError(f"need lam*R1 > R (got {lam * lemma.certified[0]:.4g} "
+                                 f"<= {self.R:.4g})")
         pc, bc = self.profile.cone(), lemma.cone
         if pc.n != bc.n or abs(pc.beta - bc.beta) > 1e-12:
             raise ParameterError("expander and barrier belong to different cones")

@@ -23,6 +23,7 @@ import tempfile
 
 import numpy as np
 
+from . import acceptance
 from .analysis import bump
 from .barriers import (Subsolution, lemma_barrier_flow, static_barrier_w,
                        wk_difference_fit)
@@ -31,7 +32,7 @@ from .errors import (CertificationError, DomainError, GridError, NewtonError,
                      ParameterError, ShootingError, StepFailureError)
 from .expander import evaluate_U, solve_expander_profile
 from .experiments import SCENARIOS
-from .flow import SolverConfig, evolve
+from .flow import SolverConfig, _check_run, evolve
 from .geometry import GridFunction, GridSpec
 
 log = logging.getLogger("coneflow")
@@ -96,26 +97,22 @@ def write_json(path: str, obj) -> None:
 
 
 def _coerce(key: str, default, raw: str):
-    if isinstance(default, bool):
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ParameterError(f"{key}: expected a boolean, got {raw!r}")
     try:
+        if isinstance(default, bool):
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
             return float(raw)
-    except ValueError:
-        raise ParameterError(f"{key}: expected {type(default).__name__}, "
-                             f"got {raw!r}") from None
+    except (KeyError, ValueError):
+        kind = "a boolean" if isinstance(default, bool) else type(default).__name__
+        raise ParameterError(f"{key}: expected {kind}, got {raw!r}") from None
     return raw
 
 
 def load_config(path: str | None) -> dict:
-    """Merge an INI file over the defaults; unknown keys are usage errors."""
+    """Merge an INI file over the defaults; its keys go through
+    ``_apply_sets`` like ``--set`` pairs, so unknown keys are usage errors."""
     cfg = {s: dict(v) for s, v in DEFAULTS.items()}
     if path is None:
         return cfg
@@ -126,20 +123,15 @@ def load_config(path: str | None) -> dict:
     for section in parser.sections():
         if section not in cfg:
             raise ParameterError(f"unknown config section [{section}]")
-        for key, raw in parser[section].items():
-            if key not in cfg[section]:
-                raise ParameterError(f"unknown key {key!r} in [{section}]")
-            cfg[section][key] = _coerce(f"[{section}] {key}",
-                                        cfg[section][key], raw)
+        _apply_sets(cfg[section], [f"{key}={raw}" for key, raw
+                                   in parser[section].items()], f"[{section}]")
     return cfg
 
 
 def print_config(cfg: dict) -> None:
-    for section, values in cfg.items():
-        print(f"[{section}]")
-        for key, val in values.items():
-            print(f"{key} = {val}")
-        print()
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict(cfg)
+    parser.write(sys.stdout)
 
 
 def _apply_sets(section: dict, pairs, label: str) -> dict:
@@ -197,7 +189,9 @@ def _cmd_evolve(cfg: dict, out: str) -> int:
     solver = SolverConfig(dt_init=1e-3, dt_max=sec["dt_max"],
                           snapshot_dt=sec["snapshot_dt"],
                           boundary=sec["boundary"])
-    # the grid, data and solver settings are checked before the profile solve
+    # the grid, data, solver settings and run bounds are checked before the
+    # profile solve
+    _check_run(sec["horizon"], solver, 0.0)
     prof = solve_expander_profile(k)
     run = evolve(u0, sec["horizon"], solver, cone=k, profile=prof,
                  diagnostics=True)
@@ -247,12 +241,12 @@ def _cmd_barrier(cfg: dict, out: str) -> int:
         lemma_res = lemma_barrier_flow(k)
         tables.append(("lemma_barrier.csv",
                        [("r", "length"), ("b", "height"), ("k_minus_b", "height")],
-                       zip(lemma_res.r, lemma_res.b, lemma_res.k_values - lemma_res.b)))
+                       zip(lemma_res.r, lemma_res.b, k.beta * lemma_res.r - lemma_res.b)))
         report["lemma"] = {"min_gap": lemma_res.min_gap,
                            "H_min": lemma_res.H_min,
                            "r_cut": lemma_res.r_cut,
                            "deficit_exponent": lemma_res.deficit_fit.exponent,
-                           "m1": lemma_res.m1, "R1": lemma_res.R1,
+                           "m1": lemma_res.m1, "R1": lemma_res.certified[0],
                            "passed": lemma_res.passed}
         if which != "subsolution":
             verdicts.append(bool(lemma_res.passed))
@@ -272,37 +266,26 @@ def _cmd_barrier(cfg: dict, out: str) -> int:
 
 
 def _cmd_verify(cfg: dict, out: str) -> int:
-    from .acceptance import area_bv_bound, evolution_equations, psi_identity
-
-    sec = cfg["verify"]
+    sec, quick = cfg["verify"], cfg["run"]["quick"]
+    checks = (("psi", "psi_identity", lambda: acceptance.psi_identity(quick)),
+              ("evolution", "evolution_equations",
+               lambda: acceptance.evolution_equations(quick)),
+              ("area", "area_bound", lambda: acceptance.area_bv_bound(quick, sec["trials"])))
     which = sec["which"]
-    if which not in ("psi", "evolution", "area", "all"):
+    if which not in ("all", *(key for key, _, _ in checks)):
         raise ParameterError(f"unknown verification {which!r}")
     if sec["trials"] < 1:
         raise ParameterError(f"trials must be at least 1, got {sec['trials']}")
-    quick = cfg["run"]["quick"]
     report = {}
-    verdicts = []
-    if which in ("psi", "all"):
-        ok, detail = psi_identity(quick)
-        report["psi_identity"] = {"passed": ok, "detail": detail}
-        verdicts.append(ok)
-    if which in ("evolution", "all"):
-        ok, detail = evolution_equations(quick)
-        report["evolution_equations"] = {"passed": ok, "detail": detail}
-        verdicts.append(ok)
-    if which in ("area", "all"):
-        trials = min(sec["trials"], 25) if quick else sec["trials"]
-        ok, detail = area_bv_bound(quick, trials)
-        report["area_bound"] = {"passed": ok, "detail": detail}
-        verdicts.append(ok)
-    report["passed"] = all(verdicts)
-    write_json(os.path.join(out, "verify_report.json"), report)
+    for key, name, check in checks:
+        if which in (key, "all"):
+            ok, detail = check()
+            report[name] = {"passed": ok, "detail": detail}
+    passed = all(entry["passed"] for entry in report.values())
+    write_json(os.path.join(out, "verify_report.json"), {**report, "passed": passed})
     for name, entry in report.items():
-        if isinstance(entry, dict):
-            state = "pass" if entry["passed"] else "FAIL"
-            print(f"{name}: {state} ({entry['detail']})")
-    return 0 if report["passed"] else 1
+        print(f"{name}: {'pass' if entry['passed'] else 'FAIL'} ({entry['detail']})")
+    return 0 if passed else 1
 
 
 def _scenario_settings(scenario, seed: int, pairs) -> dict:
@@ -366,9 +349,7 @@ def _cmd_experiment(cfg: dict, out: str, sets) -> int:
 
 
 def _cmd_suite(cfg: dict, out: str) -> int:
-    from .acceptance import run_acceptance
-
-    report = run_acceptance(quick=cfg["run"]["quick"])
+    report = acceptance.run_acceptance(quick=cfg["run"]["quick"])
     write_csv(os.path.join(out, "acceptance.csv"),
               [("number", "index"), ("name", "text"), ("passed", "0/1"),
                ("seconds", "s"), ("detail", "text")],
@@ -387,8 +368,17 @@ def _cmd_suite(cfg: dict, out: str) -> int:
 # ---------------------------------------------------------------------------
 # dispatch
 
-# subcommands whose runs have cheaper quick settings
-_QUICK_COMMANDS = ("verify", "experiment", "suite")
+# subcommand -> (help line, whether it has quick settings); dispatch calls
+# the handler _cmd_<subcommand>
+_COMMANDS = {
+    "expander": ("solve the self-similar profile", False),
+    "evolve": ("run a single graphical flow", False),
+    "barrier": ("certify static, flowing, and glued barriers", False),
+    "verify": ("identity, evolution-equation, and BV checks", True),
+    "experiment": ("run a named scenario", True),
+    "suite": ("run the acceptance battery", True),
+}
+_QUICK = ", ".join(name for name, (_, quick) in _COMMANDS.items() if quick)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,18 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "random family")
     parser.add_argument("--quick", action="store_true", default=None,
                         help="smaller grids and horizons for smoke runs "
-                             "(verify, experiment, suite only)")
+                             f"({_QUICK} only)")
     parser.add_argument("--print-config", action="store_true",
                         help="print the merged configuration and exit")
     parser.add_argument("-v", "--verbose", action="count", default=0)
     sub = parser.add_subparsers(dest="subcommand")
-    for name, blurb in [
-            ("expander", "solve the self-similar profile"),
-            ("evolve", "run a single graphical flow"),
-            ("barrier", "certify static, flowing, and glued barriers"),
-            ("verify", "identity, evolution-equation, and BV checks"),
-            ("experiment", "run a named scenario"),
-            ("suite", "run the acceptance battery")]:
+    for name, (blurb, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        dest="sets", help="override a config value")
@@ -453,28 +437,18 @@ def dispatch(argv) -> int:
             parser.print_usage(sys.stderr)
             return 2
 
-        if cfg["run"]["quick"] and args.subcommand not in _QUICK_COMMANDS:
+        command = args.subcommand
+        if cfg["run"]["quick"] and not _COMMANDS[command][1]:
             raise ParameterError(
                 f"--quick (or [run] quick) has no effect on "
-                f"{args.subcommand!r}; it applies to "
-                f"{', '.join(_QUICK_COMMANDS)}")
+                f"{command!r}; it applies to {_QUICK}")
 
-        sets = getattr(args, "sets", None)
-        if args.subcommand != "experiment":
-            _apply_sets(cfg[args.subcommand], sets, args.subcommand)
-        out = _resolve_out(args.out)
-
-        if args.subcommand == "expander":
-            return _cmd_expander(cfg, out)
-        if args.subcommand == "evolve":
-            return _cmd_evolve(cfg, out)
-        if args.subcommand == "barrier":
-            return _cmd_barrier(cfg, out)
-        if args.subcommand == "verify":
-            return _cmd_verify(cfg, out)
-        if args.subcommand == "experiment":
-            return _cmd_experiment(cfg, out, sets)
-        return _cmd_suite(cfg, out)
+        # looked up when called, so the handlers can be replaced
+        handler = globals()[f"_cmd_{command}"]
+        if command == "experiment":  # its pairs are typed by the scenario runner
+            return handler(cfg, _resolve_out(args.out), args.sets)
+        _apply_sets(cfg[command], args.sets, command)
+        return handler(cfg, _resolve_out(args.out))
     except (ParameterError, DomainError, GridError) as exc:
         print(f"coneflow: usage error: {exc}", file=sys.stderr)
         return 2

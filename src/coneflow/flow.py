@@ -83,8 +83,9 @@ _NEWTON_MAX_ITER, _TARGET_NEWTON, _DT_MIN = 14, (3, 5), 1e-9
 # cadence for the horizon is a usage error, raised before the buffer exists
 _MAX_SNAPSHOTS = 100_000
 
-# the most steps a run may take at its largest step, 100 times criterion
-# 10's 10,000; a smaller step for the horizon is refused before the first one
+# the most steps a run may take, 100 times criterion 10's 10,000: a smaller
+# largest step for the horizon is refused before the first step, and the
+# attempt past it, failed steps included, raises StepFailureError
 _MAX_STEPS = 1_000_000
 
 # the comparison allowance _ALLOW_TOL + _ALLOW_C*(t - t0)*dx^2
@@ -432,26 +433,11 @@ def _diagnose(t, u_new, cone_vals, profile):
     return sup_k, sup_U, float(np.min(H)), float(np.max(H))
 
 
-def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
-           profile=None, t_start: float = 0.0,
-           diagnostics: bool = False) -> FlowRun:
-    """Advance u0 by T, snapshotting on the exact cadence grid.
-
-    Steps are clipped to land precisely on multiples of ``snapshot_dt`` (past
-    t_start), so runs with equal cadence produce comparable snapshot times.
-    The snapshots are written as rows of one buffer sized from the cadence,
-    and the run holds the rows filled; a horizon of more than 100,000
-    cadence intervals is a ParameterError.
-    Adaptive stepping targets 3 to 5 Newton iterations per step; failed
-    steps retry with halved dt down to 1e-9, then raise StepFailureError.
-    A run that needs more than 1,000,000 steps at its largest step (dt_max
-    when adaptive, else min(dt_init, dt_max)) is a ParameterError, and so
-    is initial data whose slope squared is not finite.
-    Step times, step sizes and Newton counts are always recorded; the
-    per-step diagnostics (sup|u - k|, sup|u - U|, min and max H) only with
-    ``diagnostics=True``.  They do not feed back into the stepping, so the
-    snapshots are the same either way.
-    """
+def _check_run(T: float, config: SolverConfig, t_start: float) -> float:
+    """Refuse a run ``evolve`` would not finish: a horizon that is not
+    positive and finite or is within the landing tolerance of ``t_start``,
+    more snapshots than a run holds, or more steps at the largest step than
+    a run may take.  Returns the number of cadence intervals."""
     if not 0 < T < math.inf:
         raise ParameterError(f"evolution horizon T must be positive and finite, got {T}")
     t_end = t_start + T
@@ -468,6 +454,32 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
         raise ParameterError(f"horizon {T} at steps of at most {dt_top} needs "
                              f"{T / dt_top:.3g} steps, more than the {_MAX_STEPS} "
                              "a run may take")
+    return intervals
+
+
+def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
+           profile=None, t_start: float = 0.0,
+           diagnostics: bool = False) -> FlowRun:
+    """Advance u0 by T, snapshotting on the exact cadence grid.
+
+    Steps are clipped to land precisely on multiples of ``snapshot_dt`` (past
+    t_start), so runs with equal cadence produce comparable snapshot times.
+    The snapshots are written as rows of one buffer sized from the cadence,
+    and the run holds the rows filled; a horizon of more than 100,000
+    cadence intervals is a ParameterError.
+    Adaptive stepping targets 3 to 5 Newton iterations per step; failed
+    steps retry with halved dt down to 1e-9, then raise StepFailureError.
+    A run that needs more than 1,000,000 steps at its largest step (dt_max
+    when adaptive, else min(dt_init, dt_max)) is a ParameterError, and so
+    is initial data whose slope squared is not finite; a run whose step
+    attempts, failed ones included, pass 1,000,000 raises StepFailureError.
+    Step times, step sizes and Newton counts are always recorded; the
+    per-step diagnostics (sup|u - k|, sup|u - U|, min and max H) only with
+    ``diagnostics=True``.  They do not feed back into the stepping, so the
+    snapshots are the same either way.
+    """
+    intervals = _check_run(T, config, t_start)
+    t_end = t_start + T
     spec = u0.spec
     # the speed and the Newton matrix square the slope, so |Du|^2 must be finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -492,9 +504,15 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
     dt = min(config.dt_init, config.dt_max)
     next_snap = t_start + config.snapshot_dt
     lo, hi = _TARGET_NEWTON
+    attempts = 0
 
     while t < t_end - 1e-12:
         dt_try = min(dt, t_end - t, max(next_snap - t, 1e-13))
+        attempts += 1
+        if attempts > _MAX_STEPS:
+            raise StepFailureError(
+                f"{_MAX_STEPS} step attempts, the most a run may take, reached "
+                f"only t={t:.6g} of {t_end:.6g}, at dt={dt_try:.3e}", t=t, dt=dt_try)
         stats = {}
         try:
             u_new = step(u, dt_try, config, boundary, t_new=t + dt_try, stats=stats)

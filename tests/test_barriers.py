@@ -95,7 +95,7 @@ def test_lemma_barrier_certificates(lemma_result):
     assert res.deficit_fit.exponent == pytest.approx(-0.5, abs=0.1)
     # the deficit k - b is nonincreasing over the certified window
     lo, hi = res.certified
-    gap = res.k_values - res.b
+    gap = res.cone.beta * res.r - res.b
     assert np.all(np.diff(gap[(res.r >= lo) & (res.r <= hi)]) <= 1e-12 * np.max(gap))
     assert res.r_cut >= 10.0            # inflow collar excluded
 
@@ -196,7 +196,7 @@ def test_subsolution_invariants(lemma_result, profile31):
     with pytest.raises(ParameterError):
         _sub(profile31, lemma_result, m=lemma_result.m1 * 1.5)
     with pytest.raises(ParameterError):
-        _sub(profile31, lemma_result, R=lemma_result.R1 * 1.5)
+        _sub(profile31, lemma_result, R=lemma_result.certified[0] * 1.5)
     with pytest.raises(ParameterError):
         _sub(profile31, lemma_result, delta=-0.1)
 

@@ -105,6 +105,23 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[expander]\nbogus = 1\n")
     assert run_cli(["--config", str(cfg), "expander"], tmp_path) == 2
+    # the INI keys go through the same check as --set pairs
+    assert "unknown key 'bogus' for [expander] (known: beta, n)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("word, quick", [("on", True), ("no", False), ("1", True)])
+def test_config_booleans_are_read_like_configparser(tmp_path, capsys, word, quick):
+    cfg = tmp_path / "quick.ini"
+    cfg.write_text(f"[run]\nquick = {word}\n")
+    assert run_cli(["--config", str(cfg), "--print-config"], tmp_path) == 0
+    assert f"quick = {quick}\n" in capsys.readouterr().out
+
+
+def test_config_non_boolean_word_rejected(tmp_path, capsys):
+    cfg = tmp_path / "quick.ini"
+    cfg.write_text("[run]\nquick = maybe\n")
+    assert run_cli(["--config", str(cfg), "--print-config"], tmp_path) == 2
+    assert "quick: expected a boolean, got 'maybe'" in capsys.readouterr().err
 
 
 def test_threads_flag_and_key_rejected(tmp_path, capsys):
@@ -118,7 +135,8 @@ def test_threads_flag_and_key_rejected(tmp_path, capsys):
 def test_quick_rejected_where_it_does_nothing(tmp_path, capsys, subcommand):
     out = tmp_path / "art"
     assert run_cli(["--quick", "--out", str(out), subcommand], tmp_path) == 2
-    assert "no effect on" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(
+        f"no effect on {subcommand!r}; it applies to verify, experiment, suite\n")
     cfg = tmp_path / "quick.ini"
     cfg.write_text("[run]\nquick = true\n")
     assert run_cli(["--config", str(cfg), "--out", str(out), subcommand],
@@ -133,6 +151,11 @@ def test_verify_area_trials(tmp_path, capsys):
     assert rc == 0
     report = json.loads((out / "verify_report.json").read_text())
     assert report["area_bound"]["detail"].startswith("50/50 bound checks pass")
+    # quick mode caps the count at 25
+    assert run_cli(["--quick", "--out", str(out), "verify", "--set", "which=area",
+                    "--set", "trials=50"], tmp_path) == 0
+    report = json.loads((out / "verify_report.json").read_text())
+    assert report["area_bound"]["detail"].startswith("25/25 bound checks pass")
     assert run_cli(["--out", str(out), "verify", "--set", "which=area",
                     "--set", "trials=0"], tmp_path) == 2
 
@@ -469,11 +492,12 @@ def test_cone_slope_with_overflowing_square_is_usage_error(tmp_path, capsys, arg
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("pair", ["boundary=pin-to-cone", "nodes=-5"])
+@pytest.mark.parametrize("pair", ["boundary=pin-to-cone", "nodes=-5",
+                                  "snapshot_dt=1e-9", "dt_max=1e-300", "horizon=nan"])
 def test_evolve_settings_are_checked_before_the_profile_solve(tmp_path, capsys,
                                                               monkeypatch, pair):
-    # the grid, the data and the solver settings are built first, so a bad
-    # one costs no expander solve
+    # the grid, the data, the solver settings and the run's horizon, cadence
+    # and step bounds are checked first, so a bad one costs no expander solve
     solves = []
     real = cli.solve_expander_profile
     monkeypatch.setattr(cli, "solve_expander_profile",

@@ -42,6 +42,23 @@ def test_horizon_must_be_positive():
     assert evolve(u0, 2e-12, cfg).times.tolist() == [0.0, 2e-12]
 
 
+def test_step_attempts_past_the_bound_raise(monkeypatch):
+    # the plan, 1 / 0.1 = 10 steps at dt_max, fits under the bound; growing
+    # by 1.4 per step from dt_init = 1e-9 takes some 55 steps to reach dt_max
+    monkeypatch.setattr(flow, "_MAX_STEPS", 20)
+    calls = []
+    real = flow.step
+    monkeypatch.setattr(flow, "step",
+                        lambda *args, **kw: calls.append(args[1]) or real(*args, **kw))
+    spec = _uniform(2, 5.0, 51)
+    cfg = SolverConfig(dt_init=1e-9, dt_max=0.1, snapshot_dt=0.5)
+    with pytest.raises(StepFailureError, match="20 step attempts") as err:
+        evolve(GridFunction(spec, np.zeros(51)), 1.0, cfg)
+    assert len(calls) == 20
+    assert err.value.t == pytest.approx(sum(calls)) and err.value.t < 1e-5
+    assert err.value.dt == pytest.approx(calls[-1] * 1.4)
+
+
 @pytest.mark.parametrize("times, values", [
     ([0.0, 1.0, 1.0], np.zeros((3, 11))),
     ([0.0, 2.0, 1.0], np.zeros((3, 11))),
