@@ -201,7 +201,8 @@ def area_bv_bound(quick: bool = False, trials: int = 100):
     """Randomized graphs obey area <= (4 + 3G/rho) * BV on the shared grid.
 
     ``trials`` draws are checked, at most 25 in quick mode; the draws are one
-    seeded sequence, so a smaller count checks a prefix of the full set.
+    seeded sequence, so a smaller count checks a prefix of the full set.  A
+    count below 1 checks nothing and fails.
     """
     trials = min(trials, 25) if quick else trials
     rng = np.random.default_rng(2026)
@@ -220,7 +221,7 @@ def area_bv_bound(quick: bool = False, trials: int = 100):
         rep = graph_area_bound_check(k, bumps, x, rho, max(1.0, beta))
         passes += rep.passed and rep.hypothesis_ok
         nonempty += rep.area > 0
-    ok = passes == trials
+    ok = passes == trials and trials >= 1
     return ok, (f"{passes}/{trials} bound checks pass "
                 f"({nonempty} with nonempty area set)")
 

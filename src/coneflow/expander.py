@@ -636,6 +636,9 @@ def relax_angular_expander(k: ConeProfile, rho_max: float = 12.0, nr: int = 72,
     expanders are its stationary states.  The outer ring is pinned to the
     refined cone tail gamma*rho_max + c(theta)/rho_max, and implicit steps of
     dtau = 0.05 are taken until the update rate drops to 1e-5, or tau = 40.
+    Each step is handed the state the previous one returned, so it starts
+    from the speed that step's final Newton iterate computed (the pinned
+    ring never moves) and evaluates no speed before its first Newton update.
     """
     from . import flow
 

@@ -24,12 +24,18 @@ and one Newton loop.  Per-step diagnostics (distance to the cone and to
 the expander, extremes of H) are opt-in: ``evolve`` records them only when
 asked, and always records step times, step sizes and Newton counts.  The
 polar column coloring and its scatter indices are cached per grid, and the
-base state and every probe go through one stacked speed evaluation.  Newton
-runs on raw arrays: the accepted backtracking trial's residual starts the
-next iteration (on radial grids its (v_r, v_rr, 1+v_r^2) also feed the
-Jacobian), and a non-finite residual raises NewtonError at once.  A radial
-step costs its number of numpy calls, so its kernels reuse arrays in place,
-in the formulas' operation order.
+probes go through one stacked speed evaluation, the base speed coming from
+the residual.  Newton runs on raw arrays: the accepted backtracking trial's
+residual starts the next iteration (on radial grids its (v_r, v_rr,
+1+v_r^2) also feed the Jacobian), and a non-finite residual raises
+NewtonError at once.  Each iterate's speed is evaluated once: a step starts
+from the speed its predecessor's final iterate computed, which the returned
+state carries (its values made read-only).  On radial grids only row N-2,
+the one interior row that reads the moved outer node, is recomputed; polar
+steps reuse the speed while the outer ring is unchanged bit for bit.
+``evolve``'s slope check of the initial data starts its first radial step.
+A radial step costs its number of numpy calls, so its kernels reuse arrays
+in place, in the formulas' operation order.
 
 The Dirichlet data comes in two flavors: pinned to the initial values, or
 pinned to the moving expander (needed for long runs, where a frozen cone
@@ -145,19 +151,76 @@ def boundary_values_for(u0: GridFunction, config: SolverConfig, profile=None):
 # the Newton residual, and the radial Jacobian from geometry's cached operator
 
 
-def _residual(spec: GridSpec, v: np.ndarray, u_prev: np.ndarray, dt: float,
-              config: SolverConfig, outer):
-    """Implicit Euler residual at v with the outer ring's Dirichlet rows,
-    plus (v_r, v_rr, 1+v_r^2) on radial grids (None on polar grids)."""
+def _speed(spec: GridSpec, v: np.ndarray, drift: bool) -> tuple:
+    """The flow speed at v, last in a tuple with what the radial Newton
+    matrix reads: (v_r, v_rr, 1+v_r^2, speed) on radial grids, (speed,) on
+    polar grids."""
     if spec.polar:
-        rhs, pq = _polar_speed(spec, v, config.similarity_drift), None
-    else:
-        pq = _radial_derivatives(spec, v)
-        rhs, one_p2 = _radial_speed(spec, *pq)
-        pq += (one_p2,)
-    res = v - u_prev - dt * rhs
+        return (_polar_speed(spec, v, drift),)
+    p, q = _radial_derivatives(spec, v)
+    speed, one_p2 = _radial_speed(spec, p, q)
+    return p, q, one_p2, speed
+
+
+def _residual(spec: GridSpec, v: np.ndarray, u_prev: np.ndarray, dt: float,
+              config: SolverConfig, outer, data: tuple | None = None):
+    """Implicit Euler residual at v with the outer ring's Dirichlet rows,
+    and the speed data (:func:`_speed`) at v it was built from; ``data``,
+    when given, is used instead of evaluating it."""
+    if data is None:
+        data = _speed(spec, v, config.similarity_drift)
+    res = v - u_prev - dt * data[-1]
     res[-1] = v[-1] - outer
-    return res, pq
+    return res, data
+
+
+@lru_cache(maxsize=128)
+def _outer_row(spec: GridSpec) -> tuple:
+    """Row N-2 of a radial grid, the one interior row that reads the outer
+    node, as Python floats: its weights w, its divisors D, its radius and
+    n-1."""
+    op = _radial_operator(spec)
+    i = spec.nr - 2
+    return (*op.w[:, i].tolist(), *op.D[:, i].tolist(), float(op.r_safe[i]),
+            float(spec.n - 1))
+
+
+def _carrying(spec: GridSpec, v: np.ndarray, drift: bool, data: tuple) -> GridFunction:
+    """The state v, made read-only, carrying its speed data for the next step."""
+    v.setflags(write=False)
+    u = GridFunction(spec, v)
+    u._speed_data = (v, drift, data)
+    return u
+
+
+def _carried(u: GridFunction, v: np.ndarray, drift: bool) -> tuple | None:
+    """The speed data at v, which is u.values with the outer ring replaced,
+    from what :func:`_carrying` put on u; None when u carries none for its
+    current, still read-only values and this drift.
+
+    On a radial grid row N-2 reads the outer node, so it is recomputed here
+    from v[-3:] on Python floats, in the stencil's order (a, b, c) and
+    ``_radial_speed``'s operation order, which gives the bits of a full
+    evaluation, and written into the carried arrays (every use rewrites it);
+    the Dirichlet row N-1 is overwritten in the residual and the Newton
+    matrix anyway.  On a polar grid every row may read the outer ring, so
+    the data is used only if that ring is unchanged bit for bit.
+    """
+    carried = getattr(u, "_speed_data", None)
+    if (carried is None or carried[0] is not u.values or u.values.flags.writeable
+            or carried[1] != drift):
+        return None
+    data = carried[2]
+    if u.spec.polar:
+        return data if v[-1].tobytes() == u.values[-1].tobytes() else None
+    w0, w1, w2, D0, D1, D2, r, m = _outer_row(u.spec)
+    a, b, c = v[-3:].tolist()
+    p = w0 * a + w1 * b + w2 * c
+    q = 2.0 * (a / D0 + b / D1 + c / D2)
+    one_p2 = p * p + 1.0
+    for arr, x in zip(data, (p, q, one_p2, m * p / r + q / one_p2)):
+        arr[-2] = x
+    return data
 
 
 def _radial_newton_matrix(spec: GridSpec, p: np.ndarray, q: np.ndarray,
@@ -268,14 +331,15 @@ def _polar_coloring(spec: GridSpec) -> _PolarColoring:
     return out
 
 
-def _polar_newton_lu(u_vals: np.ndarray, spec: GridSpec, dt: float,
-                     config: SolverConfig):
+def _polar_newton_lu(u_vals: np.ndarray, speed: np.ndarray, spec: GridSpec,
+                     dt: float, config: SolverConfig):
     """Sparse LU of (I - dt*J) at state u_vals, J probed by colored differences.
 
-    The base state and one probe per color go through one stacked speed
-    evaluation.  The outer ring's unknowns stay clamped (their Newton update
-    is zero), so columns coupling interior rows to them are dropped; its
-    Dirichlet rows keep the identity.
+    ``speed`` is the speed at u_vals, which the residual has just evaluated;
+    one probe per color goes through one stacked speed evaluation (a state
+    gets the same bits alone or in a stack).  The outer ring's unknowns stay
+    clamped (their Newton update is zero), so columns coupling interior rows
+    to them are dropped; its Dirichlet rows keep the identity.
 
     The CSC arrays are written directly: the coloring's pairs are already
     in column-then-row order and hold every unknown's diagonal, and the
@@ -289,11 +353,8 @@ def _polar_newton_lu(u_vals: np.ndarray, spec: GridSpec, dt: float,
     coloring = _polar_coloring(spec)
     ntot = u_vals.size
     eps = 1e-7 * (1.0 + float(np.max(np.abs(u_vals))))
-    states = np.empty((1 + len(coloring.masks),) + spec.shape)
-    states[0] = u_vals
-    states[1:] = u_vals + eps * coloring.masks
-    speed = _polar_speed(spec, states, config.similarity_drift)
-    vals = ((speed[1:] - speed[0]) / eps).ravel()[coloring.gather]
+    probed = _polar_speed(spec, u_vals + eps * coloring.masks, config.similarity_drift)
+    vals = ((probed - speed) / eps).ravel()[coloring.gather]
     data = -dt * vals
     data[coloring.diag] += 1.0
     keep = vals != 0.0
@@ -316,41 +377,52 @@ def step(u: GridFunction, dt: float, config: SolverConfig, boundary,
     history, on stagnation or on a non-finite residual.
     ``stats``, when given, receives the Newton iteration count and residual
     history of the solve.
+
+    The returned state's values are read-only, and it carries the speed of
+    the final Newton iterate, so a step from it starts from that speed
+    instead of evaluating it again: on a radial grid only row N-2, which
+    reads the moved outer node, is recomputed; on a polar grid the speed is
+    reused as it is while the outer ring is unchanged bit for bit, and is
+    evaluated afresh otherwise.  A state that carries nothing, or whose
+    values were replaced since, starts from a full evaluation.
     """
     spec = u.spec
+    drift = config.similarity_drift
     outer = boundary(t_new)
     v = u.values.copy()
     v[-1] = outer
     scale = 1.0 + float(abs(u.values).max())
 
-    def residual(w):
-        return _residual(spec, w, u.values, dt, config, outer)
+    def residual(w, data=None):
+        return _residual(spec, w, u.values, dt, config, outer, data)
 
     if spec.polar:
-        def solve(w, _, res):
-            lu = _polar_newton_lu(w, spec, dt, config)
+        def solve(w, data, res):
+            lu = _polar_newton_lu(w, data[-1], spec, dt, config)
             return lu.solve(res.ravel()).reshape(spec.shape)
     else:
-        def solve(w, pq, res):
-            return solve_banded(*_radial_newton_matrix(spec, *pq, dt), res)
+        def solve(w, data, res):
+            return solve_banded(*_radial_newton_matrix(spec, *data[:3], dt), res)
     history = []
-    v = _newton(v, residual, solve, config, scale, history)
+    v, data = _newton(v, _carried(u, v, drift), residual, solve, config, scale, history)
     if stats is not None:
         stats["iters"] = len(history) - 1
         stats["residuals"] = history
-    return GridFunction(spec, v)
+    return _carrying(spec, v, drift, data)
 
 
-def _newton(v, residual, solve, config, scale, history):
-    """Damped Newton on raw arrays; returns the converged v.
+def _newton(v, extra, residual, solve, config, scale, history):
+    """Damped Newton on raw arrays; returns the converged v and its extra.
 
-    ``residual(w)`` returns (residual, extra) and ``solve(w, extra, res)``
-    the Newton update.  The accepted backtracking trial is the next iterate,
-    so its residual and its norm are reused rather than evaluated again.
+    ``residual(w, extra)`` returns (residual, extra), evaluating extra at w
+    when it is None, and ``solve(w, extra, res)`` the Newton update; the
+    ``extra`` passed in is that of the starting v, or None.  The accepted
+    backtracking trial is the next iterate, so its residual, its norm and
+    its extra are reused rather than evaluated again.
     Each residual norm goes to ``history``; a non-finite one raises
     NewtonError, and so does a failed solve, with the history attached.
     """
-    res, extra = residual(v)
+    res, extra = residual(v, extra)
     res_norm = float(abs(res).max())
     for _ in range(_NEWTON_MAX_ITER):
         history.append(res_norm)
@@ -358,7 +430,7 @@ def _newton(v, residual, solve, config, scale, history):
             raise NewtonError(f"non-finite Newton residual after {len(history) - 1} "
                               "iterations", residuals=history)
         if res_norm <= config.newton_tol * scale:
-            return v
+            return v, extra
         try:
             delta = solve(v, extra, res)
         except NewtonError as err:
@@ -487,10 +559,16 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
             ur, ut = _polar_derivatives(spec, u0.values)[:2]
             slope2 = ur ** 2 + (ut / spec.nodes[:, None]) ** 2
         else:
-            slope2 = _radial_derivatives(spec, u0.values)[0] ** 2
+            pq = _radial_derivatives(spec, u0.values)
+            slope2 = pq[0] ** 2
     if not np.isfinite(slope2).all():
         raise ParameterError("the initial data's slope squared is not finite")
     boundary = boundary_values_for(u0, config, profile)
+    u = u0
+    if not spec.polar:
+        # the check's derivatives start the first step, from a read-only copy
+        speed, one_p2 = _radial_speed(spec, *pq)
+        u = _carrying(spec, u0.values.copy(), False, (*pq, one_p2, speed))
     cone_vals = cone.on_grid(spec).values if diagnostics and cone is not None else None
     # t_start, every cadence time up to t_end (one may land within 1e-10
     # past it) and t_end itself
@@ -500,7 +578,7 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
     count = 1
     step_times, step_sizes, newton_iters = [], [], []
     diag = ([], [], [], [])
-    t, u = t_start, u0
+    t = t_start
     dt = min(config.dt_init, config.dt_max)
     next_snap = t_start + config.snapshot_dt
     lo, hi = _TARGET_NEWTON

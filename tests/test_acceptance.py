@@ -55,3 +55,11 @@ def test_unflattened_side_fails_with_a_detail_line(monkeypatch, capsys):
     assert "error:" not in line
     assert line.startswith("[ 5/14] FAIL two-sided-convergence: sup|u-U| <= 0.05 "
                            "at t = 30.0 (+) / none (-), sandwich checks pass [")
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_area_bound_with_no_trials_fails(trials):
+    # a count below 1 checks nothing, so "0/0 pass" is not a pass
+    for quick in (False, True):
+        assert acceptance.area_bv_bound(quick, trials) == (
+            False, f"0/{trials} bound checks pass (0 with nonempty area set)")

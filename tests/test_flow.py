@@ -360,8 +360,8 @@ def test_radial_newton_matrix_matches_fd_jacobian(spec):
     def residual(w):
         return _residual(spec, w, u_prev, dt, cfg, outer)
 
-    res, derivatives = residual(v)
-    lower, diag, upper = _radial_newton_matrix(spec, *derivatives, dt)
+    res, (p, q, one_p2, _) = residual(v)
+    lower, diag, upper = _radial_newton_matrix(spec, p, q, one_p2, dt)
     dense = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
     eps = 1e-7
     fd = np.empty_like(dense)
@@ -570,15 +570,35 @@ def _bump(spec, height):
     return height * np.exp(-(spec.nodes - 1.0) ** 2)
 
 
-@pytest.mark.parametrize("case", ["expander-origin-adaptive", "cone-geometric"])
-def test_radial_flow_bit_identical_to_reference(case, cone21, profile21):
+def _rejected_steps(monkeypatch):
+    """The step sizes of every step attempt that raises NewtonError."""
+    rejected = []
+    take = flow.step
+
+    def record(u, dt, *args, **kwargs):
+        try:
+            return take(u, dt, *args, **kwargs)
+        except NewtonError:
+            rejected.append(dt)
+            raise
+
+    monkeypatch.setattr(flow, "step", record)
+    return rejected
+
+
+@pytest.mark.parametrize("case", ["expander-origin-adaptive", "cone-geometric",
+                                  "criterion-10", "adaptive-rejecting"])
+def test_radial_flow_bit_identical_to_reference(monkeypatch, case, cone21, profile21):
+    # every step of evolve starts from the speed its predecessor's last
+    # Newton iterate computed (row N-2 recomputed for the moved outer node);
+    # the reference evaluates every residual afresh
     if case == "expander-origin-adaptive":
         spec = _uniform(2, 20.0, 101)
         u0 = cone21.on_grid(spec)
         cfg = SolverConfig(dt_init=1e-3, dt_max=0.05, snapshot_dt=0.1,
                            boundary="pin-to-expander")
         args = (u0, 0.3, cfg, cone21, profile21)
-    else:
+    elif case == "cone-geometric":
         # the bump is 1e-22 at r_max = 8: the outer value is the cone's
         spec = GridSpec.geometric(2, 0.05, 8.0)
         u0 = GridFunction(spec, cone21.on_grid(spec).values + _bump(spec, 0.3))
@@ -586,12 +606,56 @@ def test_radial_flow_bit_identical_to_reference(case, cone21, profile21):
         cfg = SolverConfig(dt_init=1e-2, dt_max=0.1, snapshot_dt=0.25,
                            boundary="pin-to-initial")
         args = (u0, 0.5, cfg, cone21, None)
+    elif case == "criterion-10":
+        # criterion 10's fixed-step run on its coarser grid, shortened
+        spec = _uniform(2, 20.0, 201)
+        cfg = SolverConfig(dt_init=1e-4, dt_max=1e-4, snapshot_dt=2.5e-4,
+                           boundary="pin-to-expander", newton_tol=1e-12,
+                           adaptive=False)
+        args = (profile21.on_grid(spec, 1.0), 2e-3, cfg, cone21, profile21, 1.0)
+    else:
+        # an oscillation the first step of 0.25 cannot take: Newton stalls,
+        # and the retry at half the step starts from the same state
+        spec = _uniform(2, 20.0, 101)
+        wave = 8.0 * np.sin(10.0 * spec.nodes) * np.exp(-(spec.nodes - 3.0) ** 2)
+        u0 = GridFunction(spec, cone21.on_grid(spec).values + wave)
+        cfg = SolverConfig(dt_init=0.5, dt_max=0.5, snapshot_dt=0.25,
+                           boundary="pin-to-initial")
+        args = (u0, 0.5, cfg, cone21, None)
     ref = _reference_evolve(*args)
+    rejected = _rejected_steps(monkeypatch)
     run = evolve(*args, diagnostics=True)
+    assert bool(rejected) == (case == "adaptive-rejecting")
     assert np.array_equal(run.values, np.array(ref["snapshots"]))
     for key in ("newton_iters", "min_H", "max_H", "sup_u_minus_k",
                 "sup_u_minus_U"):
         assert np.array_equal(getattr(run, key), ref[key], equal_nan=True), key
+
+
+def test_step_states_carry_their_speed_safely(cone21, profile21):
+    # a returned state's values are read-only; replacing them drops what it
+    # carries, and a step from it equals a step from a fresh copy
+    spec = _uniform(2, 20.0, 101)
+    cfg = SolverConfig(dt_init=1e-3, boundary="pin-to-expander")
+    bv = boundary_values_for(cone21.on_grid(spec), cfg, profile=profile21)
+    u = step(profile21.on_grid(spec, 1.0), 1e-3, cfg, bv, 1.001)
+    with pytest.raises(ValueError):
+        u.values[3] = 0.0
+    want = step(GridFunction(spec, u.values.copy()), 1e-3, cfg, bv, 1.002)
+    for _ in range(2):  # the carried data is not used up by a step
+        assert np.array_equal(step(u, 1e-3, cfg, bv, 1.002).values, want.values)
+    # values replaced (even by read-only ones), or made writable and
+    # edited, are evaluated afresh
+    replaced = u.values * 1.01
+    replaced.setflags(write=False)
+    u.values = replaced
+    fresh = step(GridFunction(spec, u.values.copy()), 1e-3, cfg, bv, 1.002)
+    assert np.array_equal(step(u, 1e-3, cfg, bv, 1.002).values, fresh.values)
+    u = step(u, 1e-3, cfg, bv, 1.002)
+    u.values.setflags(write=True)
+    u.values[50] += 1e-3
+    fresh = step(GridFunction(spec, u.values.copy()), 1e-3, cfg, bv, 1.003)
+    assert np.array_equal(step(u, 1e-3, cfg, bv, 1.003).values, fresh.values)
 
 
 # -- polar Newton matrix: exact oracles.  The reference assembly below is the
@@ -856,3 +920,79 @@ def test_polar_relaxation_steps_keep_the_newton_contract(monkeypatch):
     relax_angular_expander(k, rho_max=6.0, nr=12, ntheta=8)
     assert len(accepted) == 10
     _assert_newton_contract(accepted)
+
+
+@_DISK
+def test_polar_step_reuses_its_speed_only_for_the_same_ring_and_drift(spec):
+    # a moved outer ring, or a step without the drift the speed was
+    # computed with, evaluates the speed afresh
+    with_drift = SolverConfig(dt_init=1e-2, similarity_drift=True)
+    u0 = _polar_case(spec)
+    bv = boundary_values_for(u0, with_drift)
+    u = step(u0, 1e-2, with_drift, bv, 1e-2)
+    for config, boundary in ((SolverConfig(dt_init=1e-2), bv),
+                             (with_drift, lambda t: bv(t) + 0.01)):
+        got, want = {}, {}
+        fresh = step(GridFunction(spec, u.values.copy()), 1e-2, config, boundary, 2e-2,
+                     stats=want)
+        assert np.array_equal(step(u, 1e-2, config, boundary, 2e-2, stats=got).values,
+                              fresh.values)
+        assert got["residuals"] == want["residuals"]
+
+
+def test_polar_relaxation_bit_identical_without_carried_speed(monkeypatch):
+    # each relaxation step starts from the speed of its predecessor's last
+    # iterate; fed fresh copies, which carry nothing, every step evaluates it
+    k = ConeProfile.angular(lambda th: 1.0 + 0.08 * np.cos(2 * th), m=16)
+    carried = relax_angular_expander(k, rho_max=6.0, nr=10, ntheta=8)
+    take = flow.step
+    monkeypatch.setattr(flow, "step", lambda u, *args, **kwargs: take(
+        GridFunction(u.spec, u.values.copy()), *args, **kwargs))
+    fresh = relax_angular_expander(k, rho_max=6.0, nr=10, ntheta=8)
+    assert carried.converged and carried.steps > 10
+    assert np.array_equal(carried.solution.values, fresh.solution.values)
+    for key in ("stationary_rate", "steps", "newton_iters"):
+        assert getattr(carried, key) == getattr(fresh, key), key
+
+
+def _counted(monkeypatch, name):
+    """Replace flow's binding ``name`` with a wrapper recording the number
+    of states each call evaluates (1 for one state, K for a stack of K)."""
+    calls = []
+    real = getattr(flow, name)
+
+    def counted(spec, vals, *args):
+        calls.append(1 if vals.ndim == len(spec.shape) else len(vals))
+        return real(spec, vals, *args)
+
+    monkeypatch.setattr(flow, name, counted)
+    return calls
+
+
+def test_radial_run_makes_one_stencil_pass_per_newton_iterate(monkeypatch, cone21,
+                                                             profile21):
+    # the slope check's pass starts the first step, and each later step the
+    # speed its predecessor's last trial computed: with no backtracking,
+    # one full pass per Newton iteration plus one
+    passes = _counted(monkeypatch, "_radial_derivatives")
+    spec = _uniform(2, 20.0, 201)
+    cfg = SolverConfig(dt_init=1e-4, dt_max=1e-4, snapshot_dt=2.5e-4,
+                       boundary="pin-to-expander", newton_tol=1e-12, adaptive=False)
+    run = evolve(profile21.on_grid(spec, 1.0), 5e-3, cfg, cone=cone21,
+                 profile=profile21, t_start=1.0)
+    assert len(run.step_times) == 60  # 1e-4, 1e-4, 5e-5 per cadence interval
+    assert len(passes) == sum(run.newton_iters) + 1
+
+
+def test_polar_relaxation_evaluates_each_iterate_once(monkeypatch):
+    # single-state speed evaluations: the first step's start plus one per
+    # Newton trial; stacked ones: one probe stack per factorization, which
+    # no longer holds the base state
+    speeds = _counted(monkeypatch, "_polar_speed")
+    k = ConeProfile.angular(lambda th: 1.0 + 0.08 * np.cos(2 * th), m=16)
+    res = relax_angular_expander(k, rho_max=6.0, nr=10, ntheta=8)
+    colors = len(flow._polar_coloring(res.solution.spec).masks)
+    assert res.converged and res.newton_iters > res.steps
+    assert speeds.count(1) == res.newton_iters + 1
+    assert speeds.count(colors) == res.newton_iters
+    assert len(speeds) == 2 * res.newton_iters + 1
