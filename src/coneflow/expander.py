@@ -610,7 +610,7 @@ class AngularExpander:
     """Stationary similarity-variable solution for an anisotropic planar cone.
 
     ``newton_iters`` totals the Newton updates over all ``steps`` implicit
-    steps; each update factors one sparse LU.
+    steps; each update is one banded LU solve (LAPACK ``gbsv``).
     """
 
     solution: GridFunction
@@ -639,14 +639,24 @@ def relax_angular_expander(k: ConeProfile, rho_max: float = 12.0, nr: int = 72,
     Each step is handed the state the previous one returned, so it starts
     from the speed that step's final Newton iterate computed (the pinned
     ring never moves) and evaluates no speed before its first Newton update.
+
+    The cone must be mean convex: a tail coefficient c(theta) <= 0 at any
+    of the grid's angles (c has the sign of gamma + gamma'') is a
+    ParameterError, raised before the first step.
     """
     from . import flow
 
     if k.kind != "angular":
         raise ParameterError("relaxation targets angular cones; radial cones shoot")
     spec = GridSpec.polar_disk(rho_max, nr, ntheta)
+    tail = k.tail_coefficient(spec.thetas)
+    if not np.all(tail > 0.0):
+        worst = int(np.argmin(tail))
+        raise ParameterError(f"cone is not mean convex: the tail coefficient c(theta), "
+                             f"of the sign of gamma + gamma'', is {tail[worst]:.3g} "
+                             f"at theta = {spec.thetas[worst]:.3g}")
     v = k.on_grid(spec).values.copy()
-    v[-1, :] = k.gamma(spec.thetas) * rho_max + k.tail_coefficient(spec.thetas) / rho_max
+    v[-1, :] = k.gamma(spec.thetas) * rho_max + tail / rho_max
     u = GridFunction(spec, v)
     dtau = 0.05
     cfg = flow.SolverConfig(boundary="pin-to-initial", adaptive=False, dt_init=dtau,

@@ -9,11 +9,11 @@ radial mode the Jacobian of the reduced operator
 is tridiagonal, assembled analytically as its three diagonals and solved
 directly by LAPACK ``gtsv``; polar mode probes the Jacobian by colored
 finite differences (the stencil is local, so a handful of probe vectors
-recovers every column) and solves with a sparse LU.  The polar matrix's CSC
-arrays are written straight from the coloring's column-ordered pairs, and
-SuperLU factors it in the natural order: the ring-major numbering is
-already a band ordering (bandwidth about 2*ntheta, from the periodic wrap),
-so no fill-reducing column order is computed per matrix.
+recovers every column) and solves with a banded LU.  The ring-major
+numbering is already a band ordering (kl = ku = 2*ntheta - 1, from the
+periodic wrap), so the probed entries are scattered straight into LAPACK
+band storage through slots the coloring caches, and ``gbsv`` factors and
+solves in place.
 
 Every grid continues across the origin (a radial grid from r = 0, a polar
 grid through its antipodal ring), so the truncation ring r = r_max is the
@@ -23,12 +23,12 @@ also holds the grid-constant parts of the Jacobian, and share one residual
 and one Newton loop.  Per-step diagnostics (distance to the cone and to
 the expander, extremes of H) are opt-in: ``evolve`` records them only when
 asked, and always records step times, step sizes and Newton counts.  The
-polar column coloring and its scatter indices are cached per grid, and the
-probes go through one stacked speed evaluation, the base speed coming from
-the residual.  Newton runs on raw arrays: the accepted backtracking trial's
-residual starts the next iteration (on radial grids its (v_r, v_rr,
-1+v_r^2) also feed the Jacobian), and a non-finite residual raises
-NewtonError at once.  Each iterate's speed is evaluated once: a step starts
+polar column coloring, its scatter indices and its band layout are cached
+per grid, and the probes go through one stacked speed evaluation, the base
+speed coming from the residual.  Newton runs on raw arrays: the accepted
+backtracking trial's residual starts the next iteration (on radial grids
+its (v_r, v_rr, 1+v_r^2) also feed the Jacobian), and a non-finite
+residual, a zero pivot or a non-finite update raises NewtonError at once.  Each iterate's speed is evaluated once: a step starts
 from the speed its predecessor's final iterate computed, which the returned
 state carries (its values made read-only).  On radial grids only row N-2,
 the one interior row that reads the moved outer node, is recomputed; polar
@@ -52,13 +52,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse.linalg
-from scipy.linalg.lapack import dgtsv
-from scipy.sparse import csc_matrix
+from scipy.linalg.lapack import dgbsv, dgtsv
+from scipy.sparse.linalg import splu  # noqa: F401 (perfbench/tracing.py spans it by name)
 
 from .errors import GridError, NewtonError, ParameterError, StepFailureError
 from .expander import evaluate_U
@@ -77,9 +76,6 @@ __all__ = [
 ]
 
 _BOUNDARY_MODES = ("pin-to-initial", "pin-to-expander")
-
-# the ring-major numbering is already a band ordering, so SuperLU factors in it
-splu = partial(scipy.sparse.linalg.splu, permc_spec="NATURAL")
 
 # Newton iterations before a step fails, the per-step Newton counts adaptive
 # runs steer between, and the floor of dt when failed steps halve it
@@ -270,20 +266,26 @@ def solve_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
 
 
 class _PolarColoring(NamedTuple):
-    """Probe masks and scatter indices of the polar Jacobian of one grid.
+    """Probe masks, scatter indices and band layout of the polar Jacobian of
+    one grid.
 
     ``masks[c]`` marks the unknowns probed together by color c.  Pair k of
-    the sparsity couples row ``rows[k]`` to column ``cols[k]``, and its
+    the sparsity couples row ``rows[k]`` to column ``cols[k]``; its
     difference quotient sits at flat index ``gather[k]`` of the stacked
-    (color, row) quotients.  The pairs are ordered by column and then row,
-    and ``diag`` lists the positions of the unknowns' diagonal pairs.
+    (color, row) quotients, and its matrix entry at flat index ``slots[k]``
+    of the Fortran-ordered LAPACK band array of ``kl`` sub- and ``ku``
+    superdiagonals (entry (i, j) in row kl + ku + i - j of column j, below
+    kl rows left for the LU's fill).  The pairs are ordered by column and
+    then row.
     """
 
     masks: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     gather: np.ndarray
-    diag: np.ndarray
+    slots: np.ndarray
+    kl: int
+    ku: int
 
 
 @lru_cache(maxsize=32)
@@ -298,7 +300,10 @@ def _polar_coloring(spec: GridSpec) -> _PolarColoring:
     derivatives; the unknowns among them are the row's sparsity.  Columns
     are colored in natural order with the smallest color no earlier column
     sharing a row holds (Coleman-More sequential coloring); one probe per
-    color then recovers every column exactly (Curtis-Powell-Reid).
+    color then recovers every column exactly (Curtis-Powell-Reid).  The
+    band widths are the pairs' extreme offsets: the ring-major numbering
+    reaches at most one ring and one periodic wrap away, so
+    kl = ku = 2*ntheta - 1.
     """
     nr, nt = spec.nr, spec.ntheta
     size = nr * nt
@@ -324,16 +329,19 @@ def _polar_coloring(spec: GridSpec) -> _PolarColoring:
     pair_colors = colors[cols]
     masks = np.zeros((int(pair_colors.max()) + 1, size), dtype=bool)
     masks[pair_colors, cols] = True
-    out = _PolarColoring(masks.reshape((-1,) + spec.shape), rows, cols,
-                         pair_colors * size + rows, np.flatnonzero(rows == cols))
-    for arr in out:
+    kl, ku = int(np.max(rows - cols)), int(np.max(cols - rows))
+    slots = (kl + ku + rows - cols) + (2 * kl + ku + 1) * cols
+    arrays = (masks.reshape((-1,) + spec.shape), rows, cols, pair_colors * size + rows,
+              slots)
+    for arr in arrays:
         arr.setflags(write=False)
-    return out
+    return _PolarColoring(*arrays, kl, ku)
 
 
-def _polar_newton_lu(u_vals: np.ndarray, speed: np.ndarray, spec: GridSpec,
-                     dt: float, config: SolverConfig):
-    """Sparse LU of (I - dt*J) at state u_vals, J probed by colored differences.
+def _polar_newton_matrix(u_vals: np.ndarray, speed: np.ndarray, spec: GridSpec,
+                         dt: float, config: SolverConfig) -> tuple:
+    """(kl, ku, ab): (I - dt*J) at state u_vals in LAPACK band storage, J
+    probed by colored differences.
 
     ``speed`` is the speed at u_vals, which the residual has just evaluated;
     one probe per color goes through one stacked speed evaluation (a state
@@ -341,31 +349,35 @@ def _polar_newton_lu(u_vals: np.ndarray, speed: np.ndarray, spec: GridSpec,
     clamped (their Newton update is zero), so columns coupling interior rows
     to them are dropped; its Dirichlet rows keep the identity.
 
-    The CSC arrays are written directly: the coloring's pairs are already
-    in column-then-row order and hold every unknown's diagonal, and the
-    Dirichlet ring is the last ``ntheta`` columns, identity only.  As in a
-    COO build, off-diagonal exact zeros are dropped and each diagonal entry
-    is -dt*J_ii + 1.  SuperLU then factors in natural order (``splu``): the
-    ring-major numbering is a band ordering of bandwidth about 2*ntheta
-    (the periodic wrap), so a fill-reducing column order computed anew for
-    every matrix only costs time.
+    The entries -dt*J are scattered into a zeroed band array through the
+    coloring's slots, and the band's main diagonal gets +1, so each unknown's
+    diagonal is -dt*J_ii + 1 and each Dirichlet row is the identity.  The
+    array is Fortran-ordered, so ``gbsv`` factors it in place: the
+    ring-major numbering is already a band ordering of kl = ku =
+    2*ntheta - 1 (the periodic wrap), so no fill-reducing order is needed.
     """
     coloring = _polar_coloring(spec)
-    ntot = u_vals.size
+    kl, ku = coloring.kl, coloring.ku
     eps = 1e-7 * (1.0 + float(np.max(np.abs(u_vals))))
     probed = _polar_speed(spec, u_vals + eps * coloring.masks, config.similarity_drift)
     vals = ((probed - speed) / eps).ravel()[coloring.gather]
-    data = -dt * vals
-    data[coloring.diag] += 1.0
-    keep = vals != 0.0
-    keep[coloring.diag] = True
-    ring = np.arange(ntot - spec.ntheta, ntot)
-    counts = np.bincount(coloring.cols[keep], minlength=ntot)
-    counts[ring] = 1
-    data = np.concatenate((data[keep], np.ones(spec.ntheta)))
-    indices = np.concatenate((coloring.rows[keep], ring))
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return splu(csc_matrix((data, indices, indptr), shape=(ntot, ntot)))
+    ab = np.zeros((2 * kl + ku + 1, u_vals.size), order="F")
+    ab.ravel(order="F")[coloring.slots] = -dt * vals
+    ab[kl + ku] += 1.0
+    return kl, ku, ab
+
+
+def solve_band(kl: int, ku: int, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the band system whose LAPACK band storage (``kl`` sub- and
+    ``ku`` superdiagonals, over kl zeroed rows for the fill) is ``ab`` by
+    LAPACK ``gbsv``, which factors ab in place.
+
+    A zero pivot or a non-finite solution raises NewtonError.
+    """
+    *_, x, info = dgbsv(kl, ku, ab, b, overwrite_ab=True)
+    if info != 0 or not np.isfinite(x).all():
+        raise NewtonError(f"band Newton solve failed (gbsv info {info})")
+    return x
 
 
 def step(u: GridFunction, dt: float, config: SolverConfig, boundary,
@@ -398,8 +410,8 @@ def step(u: GridFunction, dt: float, config: SolverConfig, boundary,
 
     if spec.polar:
         def solve(w, data, res):
-            lu = _polar_newton_lu(w, data[-1], spec, dt, config)
-            return lu.solve(res.ravel()).reshape(spec.shape)
+            return solve_band(*_polar_newton_matrix(w, data[-1], spec, dt, config),
+                              res.ravel()).reshape(spec.shape)
     else:
         def solve(w, data, res):
             return solve_banded(*_radial_newton_matrix(spec, *data[:3], dt), res)
@@ -420,7 +432,8 @@ def _newton(v, extra, residual, solve, config, scale, history):
     backtracking trial is the next iterate, so its residual, its norm and
     its extra are reused rather than evaluated again.
     Each residual norm goes to ``history``; a non-finite one raises
-    NewtonError, and so does a failed solve, with the history attached.
+    NewtonError, and so does a failed solve (a zero pivot or a non-finite
+    update), with the history attached.
     """
     res, extra = residual(v, extra)
     res_norm = float(abs(res).max())

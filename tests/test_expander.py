@@ -10,7 +10,7 @@ from scipy.integrate import LSODA, solve_ivp
 
 from coneflow import acceptance, expander, flow
 from coneflow.cones import ConeProfile
-from coneflow.errors import DomainError, ShootingError
+from coneflow.errors import DomainError, ParameterError, ShootingError
 from coneflow.expander import (evaluate_U, expander_time_derivative,
                                relax_angular_expander, solve_expander_profile)
 from coneflow.geometry import GridSpec
@@ -127,29 +127,59 @@ def test_angular_relaxation_consistent_with_radial(monkeypatch):
     # the 2-d relaxation solved over an isotropic cone must reproduce the
     # 1-d shooting value at the axis, up to the coarse-grid error
     monkeypatch.setattr(expander, "_RELAX_TAU_MAX", 20.0)
-    factorizations = []
-    factor = flow.splu
-    monkeypatch.setattr(flow, "splu",
-                        lambda M: factorizations.append(M.shape) or factor(M))
+    solves = []
+    solve = flow.solve_band
+    monkeypatch.setattr(flow, "solve_band",
+                        lambda *args: solves.append(args[2].shape) or solve(*args))
     k = ConeProfile.angular(lambda th: np.ones_like(th), m=16)
     ang = relax_angular_expander(k, rho_max=8.0, nr=40, ntheta=16)
     assert ang.converged
     # the run reports its solver work
-    assert ang.newton_iters == len(factorizations) >= ang.steps
+    assert ang.newton_iters == len(solves) >= ang.steps
     assert ang.center_height() == pytest.approx(1.7090957539, abs=0.05)
     above = ang.solution.values - k.on_grid(ang.solution.spec).values
     assert np.min(above) > -1e-8
 
 
+def test_angular_relaxation_rejects_a_cone_that_is_not_mean_convex(monkeypatch):
+    # gamma + gamma'' = 1 - 1.5 cos 2theta < 0 at theta = 0: outside the
+    # theorem, refused before any step; a(m^2 - 1) = 0.8 stays mean convex
+    steps = []
+    take = flow.step
+    monkeypatch.setattr(flow, "step", lambda *a, **kw: steps.append(1) or take(*a, **kw))
+    monkeypatch.setattr(expander, "_RELAX_TAU_MAX", 0.1)
+    k = ConeProfile.angular(lambda th: 1.0 + 0.5 * np.cos(2 * th), m=64)
+    with pytest.raises(ParameterError, match="not mean convex"):
+        relax_angular_expander(k, rho_max=6.0, nr=10, ntheta=8)
+    assert not steps
+    k = ConeProfile.angular(lambda th: 1.0 + 0.1 * np.cos(3 * th), m=64)
+    assert relax_angular_expander(k, rho_max=6.0, nr=10, ntheta=8).steps == 2
+
+
+def _sparse_lu_solve(kl, ku, ab, b):
+    """The band system solved by SuperLU in its default (COLAMD) column
+    order, an independent reference for flow.solve_band."""
+    n = ab.shape[1]
+    i, j = np.indices(ab.shape)
+    rows = i - (kl + ku) + j
+    keep = (ab != 0.0) & (rows >= 0) & (rows < n)
+    M = scipy.sparse.csc_matrix((ab[keep], (rows[keep], j[keep])), shape=(n, n))
+    return scipy.sparse.linalg.splu(M).solve(b)
+
+
 def test_angular_relaxation_matches_default_column_order(monkeypatch):
-    # natural and COLAMD column orders round the Newton updates differently,
-    # so the relaxations agree to round-off, with the same solver work
+    # gbsv's banded LU and SuperLU's COLAMD order round the Newton updates
+    # differently, so the relaxations agree to round-off, with the same
+    # solver work
     monkeypatch.setattr(expander, "_RELAX_TAU_MAX", 2.0)
     k = ConeProfile.angular(lambda th: 1.0 + 0.08 * np.cos(2 * th), m=16)
     kw = dict(rho_max=6.0, nr=16, ntheta=8)
     natural = relax_angular_expander(k, **kw)
-    monkeypatch.setattr(flow, "splu", scipy.sparse.linalg.splu)
+    solves = []
+    monkeypatch.setattr(flow, "solve_band",
+                        lambda *args: solves.append(1) or _sparse_lu_solve(*args))
     colamd = relax_angular_expander(k, **kw)
+    assert len(solves) == colamd.newton_iters
     assert (natural.steps, natural.newton_iters) == (colamd.steps,
                                                      colamd.newton_iters)
     ref = colamd.solution.values

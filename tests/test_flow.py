@@ -747,23 +747,35 @@ def _polar_case(spec):
     return GridFunction(spec, vals)
 
 
+def _band_to_dense(kl, ku, ab):
+    """The matrix whose LAPACK band storage is ``ab``; the kl rows left for
+    the LU's fill must arrive zeroed."""
+    assert not ab[:kl].any()
+    n = ab.shape[1]
+    i, j = np.indices((n, n))
+    band = (i - j <= kl) & (j - i <= ku)
+    M = np.zeros((n, n))
+    M[band] = ab[(kl + ku + i - j)[band], j[band]]
+    return M
+
+
 def _captured_newton_matrices(monkeypatch, u0, cfg, steps):
-    """Every (state, matrix) pair the polar Newton loop factors while taking
-    ``steps`` fixed implicit steps from u0."""
+    """Every (state, dense matrix) pair the polar Newton loop solves with
+    while taking ``steps`` fixed implicit steps from u0."""
     seen = []
-    build = flow._polar_newton_lu
-    factor = flow.splu
+    build = flow._polar_newton_matrix
+    solve = flow.solve_band
 
     def capture_state(u_vals, *args):
         seen.append([u_vals.copy()])
         return build(u_vals, *args)
 
-    def capture_matrix(M):
-        seen[-1].append(M)
-        return factor(M)
+    def capture_matrix(kl, ku, ab, b):
+        seen[-1].append(_band_to_dense(kl, ku, ab))
+        return solve(kl, ku, ab, b)
 
-    monkeypatch.setattr(flow, "_polar_newton_lu", capture_state)
-    monkeypatch.setattr(flow, "splu", capture_matrix)
+    monkeypatch.setattr(flow, "_polar_newton_matrix", capture_state)
+    monkeypatch.setattr(flow, "solve_band", capture_matrix)
     bv = boundary_values_for(u0, cfg)
     u = u0
     for k in range(steps):
@@ -775,7 +787,7 @@ def _captured_newton_matrices(monkeypatch, u0, cfg, steps):
 @_DISK
 def test_polar_newton_matrix_matches_dense_jacobian(monkeypatch, spec, drift):
     # I - dt*J with J built one column at a time, Dirichlet rows and columns
-    # left to the identity: same entries to the last bit and the same nnz
+    # left to the identity: same entries to the last bit
     u0 = _polar_case(spec)
     cfg = SolverConfig(dt_init=0.05, similarity_drift=drift)
     (v, M), *_ = _captured_newton_matrices(monkeypatch, u0, cfg, 1)
@@ -791,9 +803,7 @@ def test_polar_newton_matrix_matches_dense_jacobian(monkeypatch, spec, drift):
         J[:, col] = ((_reference_rhs(spec, w.reshape(spec.shape), drift)
                       - base) / eps).ravel()
     J[~unknown.ravel()] = 0.0
-    dense = np.eye(ntot) - 0.05 * J
-    assert np.array_equal(M.toarray(), dense)
-    assert M.nnz == np.count_nonzero(dense)
+    assert np.array_equal(M, np.eye(ntot) - 0.05 * J)
 
 
 @pytest.mark.parametrize("drift", [False, True])
@@ -804,9 +814,7 @@ def test_polar_newton_matrix_bit_identical_to_reference(monkeypatch, spec, drift
     seen = _captured_newton_matrices(monkeypatch, u0, cfg, 3)
     assert len(seen) >= 3
     for v, M in seen:
-        ref = _reference_polar_matrix(v, spec, 0.05, drift)
-        for attr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(M, attr), getattr(ref, attr)), attr
+        assert np.array_equal(M, _reference_polar_matrix(v, spec, 0.05, drift).toarray())
 
 
 @pytest.mark.parametrize("shape, colors", [
@@ -834,20 +842,47 @@ def test_polar_coloring_is_valid(shape, colors):
     assert np.unique(col.gather).size == col.gather.size
 
 
+@pytest.mark.parametrize("shape", [(10, 8), (24, 16), (72, 32)])
+def test_polar_band_layout(shape):
+    # the ring-major numbering reaches one ring and one periodic wrap away;
+    # each pair has its own slot inside the band, and the Dirichlet ring's
+    # rows and columns are the identity's
+    nr, nt = shape
+    spec = GridSpec.polar_disk(4.0, nr, nt)
+    col = flow._polar_coloring(spec)
+    assert col.kl == col.ku == 2 * nt - 1
+    assert np.unique(col.slots).size == col.slots.size
+    ldab = 2 * col.kl + col.ku + 1
+    band_row, band_col = np.divmod(col.slots, ldab)[::-1]
+    assert np.array_equal(band_col, col.cols)
+    assert np.array_equal(band_row, col.kl + col.ku + col.rows - col.cols)
+    assert band_row.min() >= col.kl and band_row.max() < ldab
+    u = _polar_case(spec).values
+    kl, ku, ab = flow._polar_newton_matrix(
+        u, flow._polar_speed(spec, u, False), spec, 0.01, SolverConfig(dt_init=0.01))
+    assert (kl, ku, ab.shape) == (col.kl, col.ku, (ldab, u.size))
+    assert ab.flags.f_contiguous
+    M = _band_to_dense(kl, ku, ab)
+    ring = slice((nr - 1) * nt, None)
+    assert np.array_equal(M[ring], np.eye(u.size)[ring])
+    assert np.array_equal(M[:, ring], np.eye(u.size)[:, ring])
+
+
 def test_nonfinite_polar_newton_update_raises(monkeypatch):
+    # a non-finite update fails the band solve, before any trial is taken
     u0 = _polar_case(GridSpec.polar_disk(4.0, 10, 16))
     cfg = SolverConfig(dt_init=1e-2, dt_max=1e-2, snapshot_dt=0.1, adaptive=False)
+    gbsv = flow.dgbsv
 
-    class NaNLU:
-        def solve(self, b):
-            return np.full_like(b, np.nan)
+    def nan_solution(*args, **kwargs):
+        lub, piv, x, info = gbsv(*args, **kwargs)
+        return lub, piv, np.full_like(x, np.nan), info
 
-    monkeypatch.setattr(flow, "splu", lambda M: NaNLU())
-    with pytest.raises(NewtonError) as err:
+    monkeypatch.setattr(flow, "dgbsv", nan_solution)
+    with pytest.raises(NewtonError, match="info 0") as err:
         step(u0, 1e-2, cfg, boundary_values_for(u0, cfg), 1e-2)
     history = err.value.residuals
-    assert len(history) == 2
-    assert np.isfinite(history[0]) and not np.isfinite(history[1])
+    assert len(history) == 1 and np.isfinite(history[0])
     with pytest.raises(StepFailureError) as failure:
         evolve(u0, 0.1, cfg)
     assert failure.value.residuals
@@ -862,20 +897,49 @@ def test_nonfinite_polar_newton_update_raises(monkeypatch):
 @pytest.mark.parametrize("drift", [False, True])
 @pytest.mark.parametrize("shape", [(10, 8), (24, 16)], ids=["10x8", "24x16"])
 def test_polar_newton_factors_in_natural_order(monkeypatch, shape, drift):
-    # the ring-major numbering is the column order, and the factors solve
-    # the assembled system as a dense solve does
-    factor = flow.splu
-    u0 = _polar_case(GridSpec.polar_disk(4.0, *shape))
+    # gbsv factors the band in the ring-major numbering, with row pivoting
+    # inside the band only, and solves the system as a dense solve does
+    build, solve = flow._polar_newton_matrix, flow.solve_band
+    spec = GridSpec.polar_disk(4.0, *shape)
+    u0 = _polar_case(spec)
     cfg = SolverConfig(dt_init=0.01, similarity_drift=drift)
     seen = _captured_newton_matrices(monkeypatch, u0, cfg, 3)
     assert len(seen) >= 3
     rng = np.random.default_rng(0)
-    for _, M in seen:
-        lu = factor(M)
-        assert np.array_equal(lu.perm_c, np.arange(M.shape[0]))
+    for v, M in seen:
+        band = build(v, flow._polar_speed(spec, v, drift), spec, 0.01, cfg)
+        assert np.array_equal(_band_to_dense(*band), M)
         b = rng.standard_normal(M.shape[0])
-        x = np.linalg.solve(M.toarray(), b)
-        assert np.max(np.abs(lu.solve(b) - x)) <= 1e-12 * np.max(np.abs(x))
+        x = np.linalg.solve(M, b)
+        assert np.max(np.abs(solve(*band, b) - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_singular_polar_newton_matrix_fails_the_step(monkeypatch):
+    # a singular polar Newton matrix is a failed step, as on radial grids:
+    # NewtonError with the residual history, StepFailureError from evolve
+    # after dt halving
+    u0 = _polar_case(GridSpec.polar_disk(4.0, 10, 16))
+    cfg = SolverConfig(dt_init=1e-2, dt_max=1e-2, snapshot_dt=0.1, adaptive=False)
+    build = flow._polar_newton_matrix
+
+    def singular(*args):
+        kl, ku, ab = build(*args)
+        ab[:] = 0.0
+        return kl, ku, ab
+
+    monkeypatch.setattr(flow, "_polar_newton_matrix", singular)
+    with pytest.raises(NewtonError, match="gbsv info 1") as err:
+        step(u0, 1e-2, cfg, boundary_values_for(u0, cfg), 1e-2)
+    history = err.value.residuals
+    assert len(history) == 1 and np.isfinite(history[0])
+    with pytest.raises(StepFailureError) as failure:
+        evolve(u0, 0.1, cfg)
+    assert failure.value.residuals == history
+    monkeypatch.setattr(flow, "_DT_MIN", 2.5e-3)
+    halving = SolverConfig(dt_init=1e-2, dt_max=1e-2, snapshot_dt=0.1)
+    with pytest.raises(StepFailureError) as failure:
+        evolve(u0, 0.1, halving)
+    assert failure.value.dt == pytest.approx(2.5e-3)
 
 
 def _accepted_steps(monkeypatch):
