@@ -9,11 +9,13 @@ radial mode the Jacobian of the reduced operator
 is tridiagonal, assembled analytically as its three diagonals and solved
 directly by LAPACK ``gtsv``; polar mode probes the Jacobian by colored
 finite differences (the stencil is local, so a handful of probe vectors
-recovers every column) and solves with a banded LU.  The ring-major
-numbering is already a band ordering (kl = ku = 2*ntheta - 1, from the
-periodic wrap), so the probed entries are scattered straight into LAPACK
-band storage through slots the coloring caches, and ``gbsv`` factors and
-solves in place.
+recovers every column) and solves with a banded LU.  The band system keeps
+the rings in order and numbers each ring's angles in zigzag order, which
+keeps the periodic wrap's neighbours close (kl = ku = ntheta + 2, where the
+ring-major numbering needs 2*ntheta - 1); the probed entries are scattered
+straight into LAPACK band storage through slots the coloring caches,
+``gbsv`` factors and solves in place, and the residual and the update are
+gathered into and scattered out of the band numbering.
 
 Every grid continues across the origin (a radial grid from r = 0, a polar
 grid through its antipodal ring), so the truncation ring r = r_max is the
@@ -23,19 +25,20 @@ also holds the grid-constant parts of the Jacobian, and share one residual
 and one Newton loop.  Per-step diagnostics (distance to the cone and to
 the expander, extremes of H) are opt-in: ``evolve`` records them only when
 asked, and always records step times, step sizes and Newton counts.  The
-polar column coloring, its scatter indices and its band layout are cached
-per grid, and the probes go through one stacked speed evaluation, the base
-speed coming from the residual.  Newton runs on raw arrays: the accepted
-backtracking trial's residual starts the next iteration (on radial grids
-its (v_r, v_rr, 1+v_r^2) also feed the Jacobian), and a non-finite
-residual, a zero pivot or a non-finite update raises NewtonError at once.  Each iterate's speed is evaluated once: a step starts
-from the speed its predecessor's final iterate computed, which the returned
-state carries (its values made read-only).  On radial grids only row N-2,
-the one interior row that reads the moved outer node, is recomputed; polar
-steps reuse the speed while the outer ring is unchanged bit for bit.
-``evolve``'s slope check of the initial data starts its first radial step.
-A radial step costs its number of numpy calls, so its kernels reuse arrays
-in place, in the formulas' operation order.
+polar column coloring, its scatter indices and its band numbering and
+layout are cached per grid, and the probes go through one stacked speed
+evaluation, the base speed coming from the residual.  Newton runs on raw
+arrays: the accepted backtracking trial's residual starts the next
+iteration (on radial grids its (v_r, v_rr, 1+v_r^2) also feed the
+Jacobian), and a non-finite residual, a zero pivot or a non-finite update
+raises NewtonError at once.  Each iterate's speed is evaluated once: a step
+starts from the speed its predecessor's final iterate computed, which the
+returned state carries (its values made read-only).  On radial grids only
+row N-2, the one interior row that reads the moved outer node, is
+recomputed; polar steps reuse the speed while the outer ring is unchanged
+bit for bit.  ``evolve``'s slope check of the initial data starts its first
+radial step.  A radial step costs its number of numpy calls, so its kernels
+reuse arrays in place, in the formulas' operation order.
 
 The Dirichlet data comes in two flavors: pinned to the initial values, or
 pinned to the moving expander (needed for long runs, where a frozen cone
@@ -270,22 +273,32 @@ class _PolarColoring(NamedTuple):
     one grid.
 
     ``masks[c]`` marks the unknowns probed together by color c.  Pair k of
-    the sparsity couples row ``rows[k]`` to column ``cols[k]``; its
-    difference quotient sits at flat index ``gather[k]`` of the stacked
-    (color, row) quotients, and its matrix entry at flat index ``slots[k]``
-    of the Fortran-ordered LAPACK band array of ``kl`` sub- and ``ku``
-    superdiagonals (entry (i, j) in row kl + ku + i - j of column j, below
-    kl rows left for the LU's fill).  The pairs are ordered by column and
-    then row.
+    the sparsity couples row ``rows[k]`` to column ``cols[k]`` (flat
+    ring-major nodes); its difference quotient sits at flat index
+    ``gather[k]`` of the stacked (color, row) quotients.  The band system
+    numbers the nodes in ``order`` (band position -> node), and pair k's
+    matrix entry sits at flat index ``slots[k]`` of the Fortran-ordered
+    LAPACK band array of ``kl`` sub- and ``ku`` superdiagonals (entry (a, b)
+    of band positions in row kl + ku + a - b of column b, below kl rows left
+    for the LU's fill).  The pairs are ordered by column and then row.
     """
 
     masks: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     gather: np.ndarray
+    order: np.ndarray
     slots: np.ndarray
     kl: int
     ku: int
+
+
+def _zigzag(nt: int) -> np.ndarray:
+    """The band numbering of one ring's angles: theta_0, theta_{nt-1},
+    theta_1, theta_{nt-2}, ..., so angular neighbours, the periodic wrap
+    included, sit at most two positions apart."""
+    half = nt // 2  # every polar grid has an even angular count
+    return np.column_stack((np.arange(half), np.arange(nt - 1, half - 1, -1))).ravel()
 
 
 @lru_cache(maxsize=32)
@@ -300,10 +313,14 @@ def _polar_coloring(spec: GridSpec) -> _PolarColoring:
     derivatives; the unknowns among them are the row's sparsity.  Columns
     are colored in natural order with the smallest color no earlier column
     sharing a row holds (Coleman-More sequential coloring); one probe per
-    color then recovers every column exactly (Curtis-Powell-Reid).  The
-    band widths are the pairs' extreme offsets: the ring-major numbering
-    reaches at most one ring and one periodic wrap away, so
-    kl = ku = 2*ntheta - 1.
+    color then recovers every column exactly (Curtis-Powell-Reid).
+
+    The band system keeps the rings in order but numbers each ring's angles
+    in zigzag order (:func:`_zigzag`), which brings the periodic wrap's
+    neighbours close (Cuthill-McKee's bandwidth reduction): an angular
+    neighbour sits at most 2 band positions away and a ring neighbour at
+    most ntheta + 2, so kl = ku = ntheta + 2, read off the pairs' extreme
+    offsets, where the ring-major numbering needs 2*ntheta - 1.
     """
     nr, nt = spec.nr, spec.ntheta
     size = nr * nt
@@ -329,10 +346,13 @@ def _polar_coloring(spec: GridSpec) -> _PolarColoring:
     pair_colors = colors[cols]
     masks = np.zeros((int(pair_colors.max()) + 1, size), dtype=bool)
     masks[pair_colors, cols] = True
-    kl, ku = int(np.max(rows - cols)), int(np.max(cols - rows))
-    slots = (kl + ku + rows - cols) + (2 * kl + ku + 1) * cols
+    order = (np.arange(0, size, nt)[:, None] + _zigzag(nt)).ravel()
+    position = np.argsort(order)  # node -> band position
+    a, b = position[rows], position[cols]
+    kl, ku = int(np.max(a - b)), int(np.max(b - a))
+    slots = (kl + ku + a - b) + (2 * kl + ku + 1) * b
     arrays = (masks.reshape((-1,) + spec.shape), rows, cols, pair_colors * size + rows,
-              slots)
+              order, slots)
     for arr in arrays:
         arr.setflags(write=False)
     return _PolarColoring(*arrays, kl, ku)
@@ -352,9 +372,10 @@ def _polar_newton_matrix(u_vals: np.ndarray, speed: np.ndarray, spec: GridSpec,
     The entries -dt*J are scattered into a zeroed band array through the
     coloring's slots, and the band's main diagonal gets +1, so each unknown's
     diagonal is -dt*J_ii + 1 and each Dirichlet row is the identity.  The
-    array is Fortran-ordered, so ``gbsv`` factors it in place: the
-    ring-major numbering is already a band ordering of kl = ku =
-    2*ntheta - 1 (the periodic wrap), so no fill-reducing order is needed.
+    matrix is in the coloring's band numbering (its ``order``, the zigzag
+    angular order of kl = ku = ntheta + 2), so a solve gathers the
+    right-hand side through ``order`` and scatters the solution back.  The
+    array is Fortran-ordered, so ``gbsv`` factors it in place.
     """
     coloring = _polar_coloring(spec)
     kl, ku = coloring.kl, coloring.ku
@@ -372,7 +393,9 @@ def solve_band(kl: int, ku: int, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``ku`` superdiagonals, over kl zeroed rows for the fill) is ``ab`` by
     LAPACK ``gbsv``, which factors ab in place.
 
-    A zero pivot or a non-finite solution raises NewtonError.
+    ``b`` and the solution are in the band's own numbering (for the polar
+    Newton matrix, the coloring's ``order``).  A zero pivot or a non-finite
+    solution raises NewtonError.
     """
     *_, x, info = dgbsv(kl, ku, ab, b, overwrite_ab=True)
     if info != 0 or not np.isfinite(x).all():
@@ -409,9 +432,15 @@ def step(u: GridFunction, dt: float, config: SolverConfig, boundary,
         return _residual(spec, w, u.values, dt, config, outer, data)
 
     if spec.polar:
+        order = _polar_coloring(spec).order
+
         def solve(w, data, res):
-            return solve_band(*_polar_newton_matrix(w, data[-1], spec, dt, config),
-                              res.ravel()).reshape(spec.shape)
+            # the band system is in the coloring's numbering: gather the
+            # residual into it and scatter the update back
+            delta = np.empty(spec.shape)
+            delta.ravel()[order] = solve_band(
+                *_polar_newton_matrix(w, data[-1], spec, dt, config), res.ravel()[order])
+            return delta
     else:
         def solve(w, data, res):
             return solve_banded(*_radial_newton_matrix(spec, *data[:3], dt), res)

@@ -144,6 +144,9 @@ class GridSpec:
     @classmethod
     def polar_disk(cls, r_max: float, nr: int, ntheta: int = 32) -> "GridSpec":
         """Polar grid on a disk; rings staggered at (i+1/2)*h away from r=0."""
+        # checked before the division by nr
+        if nr < _MIN_NODES:
+            raise GridError(f"need at least {_MIN_NODES} radial nodes, got {nr}")
         h = r_max / nr
         radii = (np.arange(nr) + 0.5) * h
         thetas = 2.0 * np.pi * np.arange(ntheta) / ntheta
@@ -294,8 +297,10 @@ def _polar_derivatives(spec: GridSpec, vals: np.ndarray):
     w, D = op.w[..., None], op.D[..., None]
     flat = vals.shape[:-2] + (-1,)
     dtheta = 2.0 * np.pi / spec.ntheta
-    up = np.roll(vals, -1, axis=-1)
-    um = np.roll(vals, 1, axis=-1)
+    # the angular neighbours, as np.roll(vals, -1) and np.roll(vals, 1) along
+    # the last axis but without its per-call set-up
+    up = np.concatenate((vals[..., 1:], vals[..., :1]), axis=-1)
+    um = np.concatenate((vals[..., -1:], vals[..., :-1]), axis=-1)
     ut = (up - um) / (2.0 * dtheta)
     utt = (up - 2.0 * vals + um) / dtheta ** 2
     ur, urr = _apply_stencil(w, D, vals.reshape(flat)[..., op.rows])

@@ -187,6 +187,26 @@ def test_angular_relaxation_matches_default_column_order(monkeypatch):
     assert gap <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_angular_relaxation_matches_ring_major_numbering(monkeypatch):
+    # the band system numbers each ring's angles in zigzag order; numbered
+    # ring-major instead (kl = ku = 2*ntheta - 1), the LU pivots in another
+    # order, so the relaxations agree to round-off, with the same solver work
+    monkeypatch.setattr(expander, "_RELAX_TAU_MAX", 2.0)
+    k = ConeProfile.angular(lambda th: 1.0 + 0.08 * np.cos(2 * th), m=16)
+    kw = dict(rho_max=6.0, nr=16, ntheta=8)
+    zigzag = relax_angular_expander(k, **kw)
+    # each relaxation builds a fresh grid, so its coloring is built anew
+    monkeypatch.setattr(flow, "_zigzag", np.arange)
+    ring_major = relax_angular_expander(k, **kw)
+    coloring = flow._polar_coloring(ring_major.solution.spec)
+    assert np.array_equal(coloring.order, np.arange(16 * 8))
+    assert coloring.kl == coloring.ku == 2 * 8 - 1
+    assert (zigzag.steps, zigzag.newton_iters) == (ring_major.steps,
+                                                   ring_major.newton_iters)
+    ref = ring_major.solution.values
+    assert np.max(np.abs(zigzag.solution.values - ref) / np.abs(ref)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # shooting: the direct LSODA stepping against frozen oracles.  The RHS and the
 # step loop below are the package's earlier forms, kept here verbatim so the

@@ -747,35 +747,49 @@ def _polar_case(spec):
     return GridFunction(spec, vals)
 
 
-def _band_to_dense(kl, ku, ab):
-    """The matrix whose LAPACK band storage is ``ab``; the kl rows left for
-    the LU's fill must arrive zeroed."""
+def _band_to_dense(kl, ku, ab, order):
+    """The matrix whose LAPACK band storage is ``ab``, in the band numbering
+    ``order`` (band position -> node), returned in the natural ring-major
+    numbering; the kl rows left for the LU's fill must arrive zeroed."""
     assert not ab[:kl].any()
     n = ab.shape[1]
     i, j = np.indices((n, n))
     band = (i - j <= kl) & (j - i <= ku)
     M = np.zeros((n, n))
     M[band] = ab[(kl + ku + i - j)[band], j[band]]
-    return M
+    natural = np.empty_like(M)
+    natural[np.ix_(order, order)] = M
+    return natural
 
 
-def _captured_newton_matrices(monkeypatch, u0, cfg, steps):
-    """Every (state, dense matrix) pair the polar Newton loop solves with
-    while taking ``steps`` fixed implicit steps from u0."""
+def _captured_newton_solves(monkeypatch, u0, cfg, steps):
+    """Every (state, matrix, residual, update) of the polar Newton loop's
+    solves while taking ``steps`` fixed implicit steps from u0, all in the
+    natural ring-major numbering: the matrix is the band array the solve
+    received, expanded through the coloring's order, and the residual and
+    the update are what the step's solve received and returned."""
     seen = []
-    build = flow._polar_newton_matrix
-    solve = flow.solve_band
+    order = flow._polar_coloring(u0.spec).order
+    build, solve, newton = flow._polar_newton_matrix, flow.solve_band, flow._newton
 
     def capture_state(u_vals, *args):
         seen.append([u_vals.copy()])
         return build(u_vals, *args)
 
     def capture_matrix(kl, ku, ab, b):
-        seen[-1].append(_band_to_dense(kl, ku, ab))
+        seen[-1].append(_band_to_dense(kl, ku, ab, order))
         return solve(kl, ku, ab, b)
+
+    def capture_update(v, extra, residual, solve_step, *args):
+        def recorded(w, data, res):
+            delta = solve_step(w, data, res)
+            seen[-1] += [res.ravel().copy(), delta.ravel().copy()]
+            return delta
+        return newton(v, extra, residual, recorded, *args)
 
     monkeypatch.setattr(flow, "_polar_newton_matrix", capture_state)
     monkeypatch.setattr(flow, "solve_band", capture_matrix)
+    monkeypatch.setattr(flow, "_newton", capture_update)
     bv = boundary_values_for(u0, cfg)
     u = u0
     for k in range(steps):
@@ -790,7 +804,7 @@ def test_polar_newton_matrix_matches_dense_jacobian(monkeypatch, spec, drift):
     # left to the identity: same entries to the last bit
     u0 = _polar_case(spec)
     cfg = SolverConfig(dt_init=0.05, similarity_drift=drift)
-    (v, M), *_ = _captured_newton_matrices(monkeypatch, u0, cfg, 1)
+    (v, M, *_), *_ = _captured_newton_solves(monkeypatch, u0, cfg, 1)
     ntot = v.size
     base = _reference_rhs(spec, v, drift)
     eps = 1e-7 * (1.0 + float(np.max(np.abs(v))))
@@ -811,9 +825,9 @@ def test_polar_newton_matrix_matches_dense_jacobian(monkeypatch, spec, drift):
 def test_polar_newton_matrix_bit_identical_to_reference(monkeypatch, spec, drift):
     u0 = _polar_case(spec)
     cfg = SolverConfig(dt_init=0.05, similarity_drift=drift)
-    seen = _captured_newton_matrices(monkeypatch, u0, cfg, 3)
+    seen = _captured_newton_solves(monkeypatch, u0, cfg, 3)
     assert len(seen) >= 3
-    for v, M in seen:
+    for v, M, *_ in seen:
         assert np.array_equal(M, _reference_polar_matrix(v, spec, 0.05, drift).toarray())
 
 
@@ -844,25 +858,33 @@ def test_polar_coloring_is_valid(shape, colors):
 
 @pytest.mark.parametrize("shape", [(10, 8), (24, 16), (72, 32)])
 def test_polar_band_layout(shape):
-    # the ring-major numbering reaches one ring and one periodic wrap away;
-    # each pair has its own slot inside the band, and the Dirichlet ring's
-    # rows and columns are the identity's
+    # the band numbering keeps each ring contiguous and numbers its angles in
+    # zigzag order, so angular neighbours (the periodic wrap included) sit at
+    # most 2 positions apart and a ring neighbour at most ntheta + 2; each
+    # pair has its own slot inside the band, and the Dirichlet ring's rows
+    # and columns are the identity's
     nr, nt = shape
     spec = GridSpec.polar_disk(4.0, nr, nt)
     col = flow._polar_coloring(spec)
-    assert col.kl == col.ku == 2 * nt - 1
+    assert col.kl == col.ku == nt + 2
+    assert np.array_equal(np.sort(col.order), np.arange(nr * nt))
+    assert np.array_equal(col.order.reshape(nr, nt) // nt,
+                          np.broadcast_to(np.arange(nr)[:, None], (nr, nt)))
+    position = np.argsort(col.order)
+    angles = position.reshape(nr, nt)
+    assert np.abs(angles - np.roll(angles, 1, axis=1)).max() == 2
     assert np.unique(col.slots).size == col.slots.size
     ldab = 2 * col.kl + col.ku + 1
     band_row, band_col = np.divmod(col.slots, ldab)[::-1]
-    assert np.array_equal(band_col, col.cols)
-    assert np.array_equal(band_row, col.kl + col.ku + col.rows - col.cols)
+    assert np.array_equal(band_col, position[col.cols])
+    assert np.array_equal(band_row, col.kl + col.ku + position[col.rows] - band_col)
     assert band_row.min() >= col.kl and band_row.max() < ldab
     u = _polar_case(spec).values
     kl, ku, ab = flow._polar_newton_matrix(
         u, flow._polar_speed(spec, u, False), spec, 0.01, SolverConfig(dt_init=0.01))
     assert (kl, ku, ab.shape) == (col.kl, col.ku, (ldab, u.size))
     assert ab.flags.f_contiguous
-    M = _band_to_dense(kl, ku, ab)
+    M = _band_to_dense(kl, ku, ab, col.order)
     ring = slice((nr - 1) * nt, None)
     assert np.array_equal(M[ring], np.eye(u.size)[ring])
     assert np.array_equal(M[:, ring], np.eye(u.size)[:, ring])
@@ -896,22 +918,18 @@ def test_nonfinite_polar_newton_update_raises(monkeypatch):
 
 @pytest.mark.parametrize("drift", [False, True])
 @pytest.mark.parametrize("shape", [(10, 8), (24, 16)], ids=["10x8", "24x16"])
-def test_polar_newton_factors_in_natural_order(monkeypatch, shape, drift):
-    # gbsv factors the band in the ring-major numbering, with row pivoting
-    # inside the band only, and solves the system as a dense solve does
-    build, solve = flow._polar_newton_matrix, flow.solve_band
+def test_polar_band_solve_matches_dense_solve(monkeypatch, shape, drift):
+    # gbsv factors the band in the coloring's numbering, with row pivoting
+    # inside the band only; gathered into it and scattered back, each Newton
+    # update solves the natural-numbering system as a dense solve does
     spec = GridSpec.polar_disk(4.0, *shape)
     u0 = _polar_case(spec)
     cfg = SolverConfig(dt_init=0.01, similarity_drift=drift)
-    seen = _captured_newton_matrices(monkeypatch, u0, cfg, 3)
+    seen = _captured_newton_solves(monkeypatch, u0, cfg, 3)
     assert len(seen) >= 3
-    rng = np.random.default_rng(0)
-    for v, M in seen:
-        band = build(v, flow._polar_speed(spec, v, drift), spec, 0.01, cfg)
-        assert np.array_equal(_band_to_dense(*band), M)
-        b = rng.standard_normal(M.shape[0])
-        x = np.linalg.solve(M, b)
-        assert np.max(np.abs(solve(*band, b) - x)) <= 1e-12 * np.max(np.abs(x))
+    for _, M, res, delta in seen:
+        x = np.linalg.solve(M, res)
+        assert np.max(np.abs(delta - x)) <= 1e-12 * np.max(np.abs(x))
 
 
 def test_singular_polar_newton_matrix_fails_the_step(monkeypatch):

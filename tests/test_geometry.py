@@ -7,6 +7,7 @@ from coneflow import geometry
 from coneflow.barriers import lemma_barrier_flow
 from coneflow.cones import ConeProfile
 from coneflow.errors import GridError
+from coneflow.expander import relax_angular_expander
 from coneflow.geometry import (GridFunction, GridSpec, mean_curvature,
                                radial_rhs, _d1_d2, _polar_derivatives,
                                _radial_curvatures, _radial_derivatives)
@@ -76,6 +77,16 @@ def test_polar_grid_validation():
     spec = GridSpec.polar_disk(4.0, 16, 24)
     assert spec.polar
     assert spec.shape == (16, 24)
+
+
+@pytest.mark.parametrize("nr", [0, -3, 7])
+def test_polar_disk_checks_its_radial_count_before_dividing(nr):
+    # the count is checked before r_max / nr, and reported as passed
+    with pytest.raises(GridError, match=f"radial nodes, got {nr}$"):
+        GridSpec.polar_disk(12.0, nr, 16)
+    k = ConeProfile.angular(lambda th: 1.0 + 0.05 * np.cos(2 * th), m=16)
+    with pytest.raises(GridError, match=f"got {nr}$"):
+        relax_angular_expander(k, nr=nr)
 
 
 def test_polar_matches_radial_curvature():
@@ -354,6 +365,23 @@ def test_polar_derivatives_match_frozen_formulas_unstacked(spec):
     vals = np.random.default_rng(7).normal(size=spec.shape)
     _assert_same_bits(_polar_derivatives(spec, vals),
                       _frozen_polar_derivatives(spec, vals))
+
+
+@pytest.mark.parametrize("stack", [(), (13,)], ids=["state", "stack"])
+@pytest.mark.parametrize("shape", [(24, 16), (10, 8)], ids=["24x16", "10x8"])
+def test_polar_angular_shift_matches_roll(shape, stack):
+    # the angular neighbours are copies, so u_theta, u_thth and u_rth have
+    # the bits of the same formulas on np.roll's shifts
+    spec = GridSpec.polar_disk(4.0, *shape)
+    vals = np.random.default_rng(3).normal(size=stack + spec.shape)
+    op = geometry._radial_operator(spec)
+    dtheta = 2.0 * np.pi / spec.ntheta
+    up, um = np.roll(vals, -1, axis=-1), np.roll(vals, 1, axis=-1)
+    ut = (up - um) / (2.0 * dtheta)
+    utt = (up - 2.0 * vals + um) / dtheta ** 2
+    urt = geometry._apply_d1(op.w[..., None], ut.reshape(stack + (-1,))[..., op.rows])
+    _, got_ut, _, got_utt, got_urt = _polar_derivatives(spec, vals)
+    _assert_same_bits((got_ut, got_utt, got_urt), (ut, utt, urt))
 
 
 @pytest.mark.parametrize("n, r0, thetas, builds", [
