@@ -8,8 +8,8 @@ rails.  ``acceptance.run_acceptance`` executes the full battery of shipped
 claims; the ``coneflow`` console script fronts everything.
 """
 
-from .analysis import (DecayFit, clearing_out_experiment, clearing_out_scaling,
-                       decay_fit, graph_area_bound_check)
+from .analysis import (clearing_out_experiment, clearing_out_scaling, decay_fit,
+                       graph_area_bound_check)
 from .barriers import (StaticBarrier, Subsolution, evolution_equation_residuals,
                        half_space_experiment, lemma_barrier_flow,
                        psi_identity_residual, static_barrier_w, wk_difference_fit)
@@ -26,7 +26,7 @@ from .geometry import GridFunction, GridSpec, mean_curvature
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertificationError", "ConeProfile", "DecayFit", "DomainError",
+    "CertificationError", "ConeProfile", "DomainError",
     "ExpanderProfile", "FlowRun", "GridError", "GridFunction", "GridSpec",
     "NewtonError", "ParameterError", "SCENARIOS", "Scenario", "ShootingError",
     "SolverConfig", "StaticBarrier", "StepFailureError", "Subsolution",

@@ -43,8 +43,7 @@ def expander_self_similarity(quick: bool = False):
     cfg = SolverConfig(dt_init=1e-3, dt_max=4e-3 if quick else 2e-3,
                        snapshot_dt=0.25, boundary="pin-to-expander")
     started = time.perf_counter()
-    run = evolve(prof.on_grid(spec, 1.0), 1.0, cfg, cone=prof.cone(),
-                 profile=prof, t_start=1.0)
+    run = evolve(prof.on_grid(spec, 1.0), 1.0, cfg, profile=prof, t_start=1.0)
     elapsed = time.perf_counter() - started
     err = float(np.max(np.abs(run.values[-1] - evaluate_U(prof, spec.nodes, 2.0))))
     ok = err <= 1e-3 and elapsed <= 60.0
@@ -95,9 +94,9 @@ def sup_decay_rate(quick: bool = False):
     d = np.array([float(np.max(np.abs(evaluate_U(prof, r, t + 1.0)
                                       - evaluate_U(prof, r, t))))
                   for t in ts])
-    fit = decay_fit(ts, d)
-    ok = abs(fit.exponent + 0.5) <= 0.1
-    return ok, f"exponent {fit.exponent:+.3f} (want -0.5 +- 0.1)"
+    exponent = decay_fit(ts, d)
+    ok = abs(exponent + 0.5) <= 0.1
+    return ok, f"exponent {exponent:+.3f} (want -0.5 +- 0.1)"
 
 
 def two_sided_convergence(quick: bool = False):
@@ -129,7 +128,7 @@ def static_barrier(quick: bool = False):
     pts = 120 if quick else 400
     sb = static_barrier_w(k, 0.5, points=pts)
     fit = wk_difference_fit(k, 0.5, points=60 if quick else 160)
-    exp = fit["fit"].exponent
+    exp = fit["exponent"]
     ok = sb.r0 is not None and abs(exp + 2.5) <= 0.15
     r0 = "none" if sb.r0 is None else f"{sb.r0:.2f}"
     return ok, (f"r0 = {r0} with H[w] > 0 through 1e4, "
@@ -141,7 +140,7 @@ def lemma_barrier(quick: bool = False):
     res = lemma_barrier_flow(ConeProfile.radial(3, 1.0), 300 if quick else 600)
     return bool(res.passed), (
         f"min(k - b) {res.min_gap:.2e} (> 0), min H {res.H_min:.2e} (> 0), "
-        f"deficit exponent {res.deficit_fit.exponent:+.3f} (want -0.5 +- 0.1)")
+        f"deficit exponent {res.deficit_exponent:+.3f} (want -0.5 +- 0.1)")
 
 
 def evolution_equations(quick: bool = False):
@@ -174,8 +173,8 @@ def psi_identity(quick: bool = False):
         cfg = SolverConfig(dt_init=1e-4, dt_max=1e-4, snapshot_dt=2.5e-4,
                            boundary="pin-to-expander", newton_tol=1e-12,
                            adaptive=False)
-        run = evolve(prof.on_grid(spec, 1.0), horizon, cfg, cone=k,
-                     profile=prof, t_start=1.0)
+        run = evolve(prof.on_grid(spec, 1.0), horizon, cfg, profile=prof,
+                     t_start=1.0)
         sups[nn] = psi_identity_residual(run).sup_residual
     order = math.log2(sups[201] / sups[401])
 

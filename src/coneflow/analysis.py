@@ -18,7 +18,6 @@ from .geometry import GridFunction, GridSpec
 
 __all__ = [
     "bump",
-    "DecayFit",
     "decay_fit",
     "AreaBoundReport",
     "graph_area_bound_check",
@@ -38,26 +37,12 @@ def bump(r: np.ndarray, amplitude: float, radius: float) -> np.ndarray:
     return out
 
 
-@dataclass
-class DecayFit:
-    """Power-law fit d ~ constant * t^exponent from log-log least squares."""
-
-    exponent: float
-    constant: float
-    residual: float
-    window: tuple
+def _fit_loglog(t: np.ndarray, d: np.ndarray) -> float:
+    """The exponent p of the log-log least-squares fit d ~ C * t^p."""
+    return float(np.polyfit(np.log(t), np.log(d), 1)[0])
 
 
-def _fit_loglog(t: np.ndarray, d: np.ndarray) -> DecayFit:
-    lt, ld = np.log(t), np.log(d)
-    coef = np.polyfit(lt, ld, 1)
-    resid = ld - np.polyval(coef, lt)
-    return DecayFit(float(coef[0]), float(np.exp(coef[1])),
-                    float(np.sqrt(np.mean(resid ** 2))),
-                    (float(np.min(t)), float(np.max(t))))
-
-
-def decay_fit(t, d) -> DecayFit:
+def decay_fit(t, d) -> float:
     """Least-squares decay exponent of d(t); requires a full decade window."""
     t = np.asarray(t, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -113,9 +98,6 @@ def _gaussian_bumps(pts: np.ndarray, centers, amplitudes, widths) -> tuple:
 @dataclass
 class AreaBoundReport:
     area: float
-    bound: float
-    bv: float
-    ratio: float
     hypothesis_ok: bool
     passed: bool
 
@@ -168,8 +150,7 @@ def graph_area_bound_check(k, bumps, x, rho: float, G: float) -> AreaBoundReport
     bv = float(np.sum(w[bv_set] * (np.abs(v[bv_set])
                                    + np.sqrt(np.sum(dv[bv_set] ** 2, axis=-1)))))
     bound = (4.0 + 3.0 * G / rho) * bv
-    return AreaBoundReport(area, bound, bv, area / bound if bound > 0 else np.inf,
-                           eps <= rho, area <= bound * (1 + 1e-12) + 1e-15)
+    return AreaBoundReport(area, eps <= rho, area <= bound * (1 + 1e-12) + 1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -231,4 +212,4 @@ def clearing_out_scaling(k, rhos=(0.05, 0.1, 0.2)) -> float:
     if None in t0:
         raise ParameterError("clearing time not reached within 10 rho^2 "
                              "for some width")
-    return _fit_loglog(np.asarray(rhos), np.asarray(t0)).exponent
+    return _fit_loglog(np.asarray(rhos), np.asarray(t0))

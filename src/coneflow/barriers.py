@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .analysis import DecayFit, bump, decay_fit
+from .analysis import bump, decay_fit
 from .cones import ConeProfile
 from .errors import CertificationError, DomainError, ParameterError
 from .expander import ExpanderProfile, evaluate_U, expander_time_derivative
@@ -75,7 +75,6 @@ class StaticBarrier:
 
     r: np.ndarray
     w: np.ndarray
-    w_r: np.ndarray
     H: np.ndarray
     r0: float | None
 
@@ -110,7 +109,7 @@ def static_barrier_w(k: ConeProfile, alpha: float, points: int = 400,
     else:
         bad = np.nonzero(~pos)[0]
         r0 = float(r[bad[-1] + 1]) if bad.size else float(r[0])
-    return StaticBarrier(r, w, wr, H, r0)
+    return StaticBarrier(r, w, H, r0)
 
 
 def wk_difference_fit(k: ConeProfile, alpha: float, points: int = 160) -> dict:
@@ -129,10 +128,7 @@ def wk_difference_fit(k: ConeProfile, alpha: float, points: int = 160) -> dict:
     r = np.geomspace(1e3, 1e4, points)
     _, wr, wrr = _power_barrier_parts(k.beta, alpha, r)
     diff = wrr / (1.0 + wr * wr) + (k.n - 1) * (wr - k.beta) / r
-    fit = decay_fit(r, np.abs(diff))
-    coef = alpha * ((k.n - 1) - (alpha + 1.0) / (1.0 + k.beta ** 2))
-    return {"fit": fit, "predicted_exponent": -(alpha + 2.0),
-            "predicted_coefficient": coef}
+    return {"exponent": decay_fit(r, np.abs(diff)), "predicted_exponent": -(alpha + 2.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +218,7 @@ class LemmaBarrierResult:
     min_gap: float
     H_min: float
     m1: float
-    deficit_fit: DecayFit
+    deficit_exponent: float
     passed: bool
 
 
@@ -267,12 +263,12 @@ def lemma_barrier_flow(k: ConeProfile, points: int = 600) -> LemmaBarrierResult:
     lo = r[il] * 1.3
     hi = r[iu - 1] / 1.05
     sel = (r >= lo) & (r <= hi)
-    fit = decay_fit(r[sel], gap[sel])
+    exponent = decay_fit(r[sel], gap[sel])
     want = -(k.n - 2) / 2.0
     passed = (min_gap > 0 and H_min > 0 and mono
-              and abs(fit.exponent - want) <= 0.2 * abs(want))
+              and abs(exponent - want) <= 0.2 * abs(want))
     return LemmaBarrierResult(k, r, b, r_cut, (float(r[il]), float(r[iu - 1])),
-                              min_gap, H_min, float(gap[il]), fit, bool(passed))
+                              min_gap, H_min, float(gap[il]), exponent, bool(passed))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +342,6 @@ def evolution_equation_residuals(k: ConeProfile, points: int, steps: int,
                                 "a_squared", "normal"]}
     den = dict(num)
     a_ratio = 0.0
-    samples = 0
     for j in range(1, steps, max(1, t_stride)):
         gm = _profile_geometry(s, R[j - 1], Z[j - 1], n, alpha)
         g0 = _profile_geometry(s, R[j], Z[j], n, alpha)
@@ -376,14 +371,12 @@ def evolution_equation_residuals(k: ConeProfile, points: int, steps: int,
                 den[gname] = max(den[gname], float(scale))
         ratio = np.abs(lhs["A2"][sl]) * g0["X2"][sl] ** 1.5 / np.abs(g0["F"][sl])
         a_ratio = max(a_ratio, float(np.max(ratio)))
-        samples += 1
 
     out = {key: (num[key] / den[key] if den[key] > 0 else 0.0) for key in num}
     out["a_evolution_ratio"] = a_ratio
     out["max"] = max(out[key] for key in
                      ["metric", "second_form", "mean_curvature", "a_squared",
                       "normal"])
-    out["levels_sampled"] = samples
     return out
 
 
@@ -582,13 +575,10 @@ def psi_identity_residual(run: FlowRun, outer_margin: int = 3) -> PsiIdentityRep
 
 @dataclass
 class HalfSpaceReport:
-    """The half-space experiment; ``a`` is the fitted coefficient of the
-    majorant a * Phi + epsilon, and ``margins`` its clearance min(a * Phi +
-    epsilon - u) at each snapshot from the one nearest t0 on."""
+    """The half-space experiment: whether the majorant a * Phi + epsilon
+    stays above u from the snapshot nearest t0 on, and the first snapshot
+    time at which sup u is at most ``threshold``."""
 
-    a: float
-    sup_trace: np.ndarray
-    margins: np.ndarray
     ordering_ok: bool
     first_below: float | None
     threshold: float
@@ -626,6 +616,5 @@ def half_space_experiment(horizon: float = 50.0,
     first_below = run.first_time(sup_trace <= threshold)
     ordering_ok = bool(np.all(margins >= -1e-9))
     passed = ordering_ok and first_below is not None
-    return HalfSpaceReport(a, sup_trace, margins, ordering_ok, first_below,
-                           threshold, passed)
+    return HalfSpaceReport(ordering_ok, first_below, threshold, passed)
 

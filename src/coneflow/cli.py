@@ -234,7 +234,7 @@ def _cmd_barrier(cfg: dict, out: str) -> int:
                        zip(sb.r, sb.w, sb.H)))
         report["static"] = {"alpha": sec["alpha"], "r0": sb.r0,
                             "certified": sb.certified,
-                            "gap_exponent": fit["fit"].exponent,
+                            "gap_exponent": fit["exponent"],
                             "predicted_exponent": fit["predicted_exponent"]}
         verdicts.append(sb.certified)
     if which in ("lemma", "subsolution", "all"):
@@ -245,7 +245,7 @@ def _cmd_barrier(cfg: dict, out: str) -> int:
         report["lemma"] = {"min_gap": lemma_res.min_gap,
                            "H_min": lemma_res.H_min,
                            "r_cut": lemma_res.r_cut,
-                           "deficit_exponent": lemma_res.deficit_fit.exponent,
+                           "deficit_exponent": lemma_res.deficit_exponent,
                            "m1": lemma_res.m1, "R1": lemma_res.certified[0],
                            "passed": lemma_res.passed}
         if which != "subsolution":

@@ -355,7 +355,6 @@ class ExpanderProfile:
     phi_prime: np.ndarray
     a: float
     report: dict = field(default_factory=dict)
-    node_residual: np.ndarray | None = None
     _spline: CubicHermiteSpline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -431,8 +430,8 @@ def solve_expander_profile(k: ConeProfile) -> ExpanderProfile:
     than return a dubious profile.
 
     Profiles are cached per ``(n, beta)``: equal keys return the same
-    object, whose ``rho``, ``phi``, ``phi_prime`` and ``node_residual`` arrays
-    are read-only because every caller shares them.
+    object, whose ``rho``, ``phi`` and ``phi_prime`` arrays are read-only
+    because every caller shares them.
     """
     if k.kind != "radial":
         raise ParameterError("shooting needs a rotationally symmetric cone; "
@@ -479,8 +478,7 @@ def _shoot_profile(n: int, beta: float) -> ExpanderProfile:
                                report={"ode_residual": 0.0, "asym_gap": 0.0,
                                        "bracket": (0.0, 0.0), "bisections": 0,
                                        "shots": 0,
-                                       "above_cone_min": 0.0, "udot_min": 0.0},
-                               node_residual=zeros)
+                                       "above_cone_min": 0.0, "udot_min": 0.0})
 
     scanned = []  # every shot's a, in order
     # the certified pair: every a <= lo_cert undershoots and every
@@ -584,8 +582,8 @@ def _shoot_profile(n: int, beta: float) -> ExpanderProfile:
         raise ShootingError(
             f"far-field gap {asym_gap:.2e} exceeds {_ASYM_TOL:.1e} on "
             f"[{_RHO_MAX / 2:.0f}, {_RHO_MAX:.0f}] (n={n}, beta={beta})", scanned=[a])
-    _read_only(nodes, phi, phi_p, node_res)
-    return ExpanderProfile(n, beta, nodes, phi, phi_p, a, report=report, node_residual=node_res)
+    _read_only(nodes, phi, phi_p)
+    return ExpanderProfile(n, beta, nodes, phi, phi_p, a, report=report)
 
 
 def evaluate_U(profile: ExpanderProfile, r, t: float) -> np.ndarray:
@@ -614,13 +612,13 @@ class AngularExpander:
     """
 
     solution: GridFunction
-    stationary_rate: float
     steps: int
     converged: bool
     newton_iters: int
 
     def center_height(self) -> float:
-        """phi(0) estimate: mean of the innermost ring (second-order accurate)."""
+        """phi(0) estimate: mean of the innermost ring, first order in the ring
+        spacing h: the outer ring is pinned at rho_max, not at rho_max - h/2."""
         return float(np.mean(self.solution.values[0]))
 
 
@@ -673,4 +671,4 @@ def relax_angular_expander(k: ConeProfile, rho_max: float = 12.0, nr: int = 72,
         steps += 1
         if rate <= 1e-5:
             break
-    return AngularExpander(u, rate, steps, rate <= 1e-5, iters)
+    return AngularExpander(u, steps, rate <= 1e-5, iters)

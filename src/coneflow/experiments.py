@@ -78,7 +78,6 @@ class SideReport:
     trace: np.ndarray
     t_flat: float | None
     t_delta: float | None
-    upper_shift: float
     upper: bool
     lower: bool
     passed: bool
@@ -124,7 +123,7 @@ def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,
     for sign in (+1, -1):
         u0 = GridFunction(spec, k.beta * spec.nodes
                           + sign * bump(spec.nodes, amplitude, radius))
-        run = evolve(u0, horizon, cfg, cone=k, profile=profile)
+        run = evolve(u0, horizon, cfg, profile=profile)
         times = run.times
         trace = _expander_gap(run, profile)
         t_flat = run.first_time(trace <= threshold)
@@ -143,8 +142,7 @@ def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,
                 for t in times[tail]])
             lower = comparison_check(run.values[tail], lower_rail, times[tail], dx)
         passed = t_flat is not None and upper and lower
-        sides[sign] = SideReport(times, trace, t_flat, t_delta, t_up, upper, lower,
-                                 passed)
+        sides[sign] = SideReport(times, trace, t_flat, t_delta, upper, lower, passed)
     return MainTheoremReport(threshold, sides, all(s.passed for s in sides.values()))
 
 
@@ -196,9 +194,9 @@ def run_family_uniform(n: int = 2, beta: float = 1.0, count: int = 5,
         return k.beta * r + envelope * np.sin(omega * r + phase)
 
     run_hi = evolve(GridFunction(spec, k.beta * r + envelope), horizon, cfg,
-                    cone=k, profile=profile)
+                    profile=profile)
     run_lo = evolve(GridFunction(spec, k.beta * r - envelope), horizon, cfg,
-                    cone=k, profile=profile)
+                    profile=profile)
     times = run_hi.times
 
     rail = _expander_gap(run_hi, profile) + _expander_gap(run_lo, profile)
@@ -207,7 +205,7 @@ def run_family_uniform(n: int = 2, beta: float = 1.0, count: int = 5,
     sandwich_ok = True
     for omega, phase in members:
         run_i = evolve(GridFunction(spec, member_values(omega, phase)), horizon,
-                       cfg, cone=k, profile=profile)
+                       cfg, profile=profile)
         sandwich_ok &= comparison_check(run_hi.values, run_i.values, times, dx)
         sandwich_ok &= comparison_check(run_i.values, run_lo.values, times, dx)
         family = np.maximum(family, _expander_gap(run_i, profile))
@@ -256,7 +254,7 @@ def subsolution_dominance_experiment(n: int = 3, beta: float = 1.0,
         raise ParameterError("initial data fails to dominate the subsolution")
     cfg = SolverConfig(dt_init=1e-4, dt_max=snapshot_dt, snapshot_dt=snapshot_dt,
                        boundary="pin-to-expander")
-    run = evolve(u0, horizon, cfg, cone=k, profile=profile)
+    run = evolve(u0, horizon, cfg, profile=profile)
     margin = min(float(np.min(v - sub.evaluate(r, float(t))))
                  for t, v in zip(run.times, run.values))
     t_delta = detect_t_delta(run, k, delta)

@@ -93,6 +93,10 @@ _MAX_SNAPSHOTS = 100_000
 # attempt past it, failed steps included, raises StepFailureError
 _MAX_STEPS = 1_000_000
 
+# an adaptive run whose last _FLOOR_STREAK accepted steps all took dt <=
+# _FLOOR_DT, below dt_max, cannot progress and raises StepFailureError
+_FLOOR_STREAK, _FLOOR_DT = 1000, 10 * _DT_MIN
+
 # the comparison allowance _ALLOW_TOL + _ALLOW_C*(t - t0)*dx^2
 _ALLOW_TOL, _ALLOW_C = 1e-8, 1.0
 
@@ -273,8 +277,8 @@ class _PolarColoring(NamedTuple):
     one grid.
 
     ``masks[c]`` marks the unknowns probed together by color c.  Pair k of
-    the sparsity couples row ``rows[k]`` to column ``cols[k]`` (flat
-    ring-major nodes); its difference quotient sits at flat index
+    the sparsity couples row ``gather[k] % size`` to a column (flat
+    ring-major nodes), and its difference quotient sits at flat index
     ``gather[k]`` of the stacked (color, row) quotients.  The band system
     numbers the nodes in ``order`` (band position -> node), and pair k's
     matrix entry sits at flat index ``slots[k]`` of the Fortran-ordered
@@ -284,8 +288,6 @@ class _PolarColoring(NamedTuple):
     """
 
     masks: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
     gather: np.ndarray
     order: np.ndarray
     slots: np.ndarray
@@ -351,8 +353,7 @@ def _polar_coloring(spec: GridSpec) -> _PolarColoring:
     a, b = position[rows], position[cols]
     kl, ku = int(np.max(a - b)), int(np.max(b - a))
     slots = (kl + ku + a - b) + (2 * kl + ku + 1) * b
-    arrays = (masks.reshape((-1,) + spec.shape), rows, cols, pair_colors * size + rows,
-              order, slots)
+    arrays = (masks.reshape((-1,) + spec.shape), pair_colors * size + rows, order, slots)
     for arr in arrays:
         arr.setflags(write=False)
     return _PolarColoring(*arrays, kl, ku)
@@ -583,13 +584,16 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
     cadence intervals is a ParameterError.
     Adaptive stepping targets 3 to 5 Newton iterations per step; failed
     steps retry with halved dt down to 1e-9, then raise StepFailureError.
+    An adaptive run whose last 1,000 accepted steps all took dt of at most
+    1e-8, below dt_max, cannot progress and raises StepFailureError too.
     A run that needs more than 1,000,000 steps at its largest step (dt_max
     when adaptive, else min(dt_init, dt_max)) is a ParameterError, and so
     is initial data whose slope squared is not finite; a run whose step
     attempts, failed ones included, pass 1,000,000 raises StepFailureError.
     Step times, step sizes and Newton counts are always recorded; the
-    per-step diagnostics (sup|u - k|, sup|u - U|, min and max H) only with
-    ``diagnostics=True``.  They do not feed back into the stepping, so the
+    per-step diagnostics (sup|u - k|, the one reader of ``cone``, sup|u - U|,
+    min and max H) only with ``diagnostics=True``, so without them ``cone``
+    does nothing.  They do not feed back into the stepping, so the
     snapshots are the same either way.
     """
     intervals = _check_run(T, config, t_start)
@@ -624,7 +628,7 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
     dt = min(config.dt_init, config.dt_max)
     next_snap = t_start + config.snapshot_dt
     lo, hi = _TARGET_NEWTON
-    attempts = 0
+    attempts = floor_streak = 0
 
     while t < t_end - 1e-12:
         dt_try = min(dt, t_end - t, max(next_snap - t, 1e-13))
@@ -644,6 +648,12 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
             dt = max(dt_try / 2.0, _DT_MIN)
             continue
         t = t + dt_try
+        at_floor = config.adaptive and dt_try <= _FLOOR_DT and dt_try < config.dt_max
+        floor_streak = floor_streak + 1 if at_floor else 0
+        if floor_streak >= _FLOOR_STREAK:
+            raise StepFailureError(f"{_FLOOR_STREAK} accepted steps in a row at dt <= "
+                                   f"{_FLOOR_DT:.0e} reached only t={t:.6g} of {t_end:.6g}",
+                                   t=t, dt=dt_try)
         step_times.append(float(t))
         step_sizes.append(float(dt_try))
         newton_iters.append(int(stats["iters"]))

@@ -1,7 +1,7 @@
 """Every public function and class has a product caller, every ``__all__``
 entry names an attribute, every seam the benchmark tracer wraps by name
-still exists, and every defaulted parameter no caller sets has a stated
-reason to stay a parameter.
+still exists, every defaulted parameter no caller sets has a stated reason
+to stay a parameter, and every record field has a reader.
 
 A function or class listed in a module's ``__all__`` must be referenced by
 package code outside its own definition (the package ``__init__`` re-exports
@@ -207,6 +207,10 @@ def test_every_unset_default_has_a_keep_reason():
     # no keep entry outlives what it kept
     stale = UNSET_KEEP - set().union(*(_keys(*p) for p in unset))
     assert not stale, f"keep entries that match no unset parameter: {stale}"
+    # the README states the scan's count
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    claim = f"the scan finds {len(unset)} of {settable} defaulted parameters"
+    assert claim in readme, f"README.md does not say: {claim}"
     # --set types a runner's setting from its default, so every parameter
     # of a runner is a scalar, quick settings included
     for scenario in SCENARIOS.values():
@@ -214,3 +218,48 @@ def test_every_unset_default_has_a_keep_reason():
             assert isinstance(par.default, (bool, int, float, str)), (
                 f"{scenario.runner}({name}=...) has no scalar default, so "
                 "--set cannot type it")
+
+
+# -- record fields that no code reads -----------------------------------------
+# A field of a package record (a dataclass or a NamedTuple) must be read:
+# some attribute load in src/ or perfbench/*.py names it.  Tests do not count
+# as readers, and names are matched alone, so a load of another record's
+# field of the same name counts too.  An entry is (record, field).
+FIELD_KEEP = {
+    # the block oracle compares every snapshot's residual; the record stays
+    # for its sup, which the benchmark reads
+    ("PsiIdentityReport", "per_time"),
+}
+
+
+def _record_fields() -> set:
+    """(record, field) of every annotated field of a package dataclass or
+    NamedTuple."""
+    fields = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ClassDef) and (
+                    any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+                    or any(ast.unparse(b) == "NamedTuple" for b in node.bases)):
+                fields |= {(node.name, s.target.id) for s in node.body
+                           if isinstance(s, ast.AnnAssign)
+                           and isinstance(s.target, ast.Name)}
+    return fields
+
+
+def test_every_record_field_has_a_reader():
+    readers = [*sorted(PACKAGE.glob("*.py")),
+               *(p for p in sorted(PERFBENCH.glob("*.py"))
+                 if not p.name.startswith("test_"))]
+    loaded = {node.attr for path in readers for node in ast.walk(_parse(path))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = _record_fields()
+    unread = sorted(f"{record}.{name}" for record, name in fields - FIELD_KEEP
+                    if name not in loaded)
+    assert not unread, (
+        f"record fields that no code in src/ or perfbench/ reads; delete them "
+        f"or keep them with a reason: {', '.join(unread)}")
+    # no keep entry outlives what it kept
+    stale = {entry for entry in FIELD_KEEP
+             if entry not in fields or entry[1] in loaded}
+    assert not stale, f"keep entries that match no unread field: {stale}"

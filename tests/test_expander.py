@@ -53,9 +53,12 @@ def test_profile_starts_flat(profile21):
 
 
 def test_profile_ode_defect_small(profile21):
-    # the stored node residual is the shooting solver's own defect measure
-    assert profile21.node_residual is not None
-    assert np.max(np.abs(profile21.node_residual)) < 1e-7
+    # the report's residual is the shooting solver's own defect measure
+    nodes, phi, p = profile21.rho, profile21.phi, profile21.phi_prime
+    substeps = expander._rk4_substeps(nodes, phi, p, 2)
+    defect = expander._rk4_defect(nodes, phi, p, 2, substeps)
+    assert profile21.report["ode_residual"] == np.max(defect[:-1])
+    assert np.max(defect) < 1e-7
 
 
 def test_profile_above_cone(profile21):
@@ -578,9 +581,9 @@ def _seed_shoot_profile(n, beta, cfg):
     y = expander._node_values(a, n, nodes)
     phi = np.concatenate([[a], y[0]])
     phi_p = np.concatenate([[0.0], y[1]])
+    defect = expander._rk4_defect(nodes, phi, phi_p, n, 2)
     return SimpleNamespace(a=a, bracket=(a_lo, a_hi), bisections=i + 1, misses=misses,
-                           arrays=(nodes, phi, phi_p,
-                                   expander._rk4_defect(nodes, phi, phi_p, n, 2)))
+                           arrays=(nodes, phi, phi_p), ode_residual=np.max(defect[:-1]))
 
 
 # the six pairs of the seed-0 expander sweep, then the slope-capped config
@@ -599,8 +602,9 @@ def test_certified_bisection_bit_identical_to_plain_bisection(shooting, n, beta,
     assert prof.a == want.a
     assert prof.report["bracket"] == want.bracket
     assert prof.report["bisections"] == want.bisections
-    got = (prof.rho, prof.phi, prof.phi_prime, prof.node_residual)
+    got = (prof.rho, prof.phi, prof.phi_prime)
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want.arrays]
+    assert prof.report["ode_residual"] == want.ode_residual
     if capped:
         # an infinite bracket end skips the locate phase: no shot is saved
         assert want.misses[0] == np.inf
@@ -725,7 +729,7 @@ def test_profile_cache_returns_same_object():
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_profile_arrays_read_only(beta):
     prof = solve_expander_profile(ConeProfile.radial(2, beta))
-    for arr in (prof.rho, prof.phi, prof.phi_prime, prof.node_residual):
+    for arr in (prof.rho, prof.phi, prof.phi_prime):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         prof.phi[0] = 0.0

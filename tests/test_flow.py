@@ -4,6 +4,7 @@ from scipy.linalg import solve_banded
 from scipy.sparse import csc_matrix
 
 from coneflow import expander, flow, geometry
+from coneflow.analysis import bump
 from coneflow.cones import ConeProfile
 from coneflow.errors import (GridError, NewtonError, ParameterError,
                              StepFailureError)
@@ -57,6 +58,33 @@ def test_step_attempts_past_the_bound_raise(monkeypatch):
     assert len(calls) == 20
     assert err.value.t == pytest.approx(sum(calls)) and err.value.t < 1e-5
     assert err.value.dt == pytest.approx(calls[-1] * 1.4)
+
+
+def test_a_run_held_at_the_dt_floor_stops(monkeypatch, profile21):
+    # `evolve --set r_max=0.001`: the data sits a unit above the pinned
+    # expander value one cell from the edge, so Newton converges only at dt
+    # near the floor; the run stops after _FLOOR_STREAK such steps instead
+    # of stepping on until _MAX_STEPS attempts
+    calls = []
+    real = flow.step
+    monkeypatch.setattr(flow, "step",
+                        lambda *args, **kw: calls.append(args[1]) or real(*args, **kw))
+    spec = _uniform(2, 0.001, 1501)
+    u0 = GridFunction(spec, spec.nodes + bump(spec.nodes, 1.0, 5.0))
+    cfg = SolverConfig(dt_init=1e-3, dt_max=0.025, boundary="pin-to-expander")
+    with pytest.raises(StepFailureError, match="1000 accepted steps in a row") as err:
+        evolve(u0, 10.0, cfg, profile=profile21)
+    assert err.value.t < 1e-5 and err.value.dt <= 1e-8
+    assert len(calls) < 2 * flow._FLOOR_STREAK
+
+
+def test_an_adaptive_run_capped_near_the_floor_runs_on():
+    # steps at a dt_max near the floor are the configured step, not a stall
+    spec = _uniform(2, 5.0, 51)
+    cfg = SolverConfig(dt_init=2e-9, dt_max=2e-9, snapshot_dt=1e-6)
+    run = evolve(GridFunction(spec, np.zeros(51)), 3e-6, cfg)
+    assert len(run.step_times) == 1500 > flow._FLOOR_STREAK
+    assert run.times[-1] == pytest.approx(3e-6)
 
 
 @pytest.mark.parametrize("times, values", [
@@ -831,6 +859,12 @@ def test_polar_newton_matrix_bit_identical_to_reference(monkeypatch, spec, drift
         assert np.array_equal(M, _reference_polar_matrix(v, spec, 0.05, drift).toarray())
 
 
+def _pairs(col, size):
+    """(rows, cols) of the coloring's pairs in flat ring-major nodes: the
+    row from the gather index, the column from the band slot."""
+    return col.gather % size, col.order[col.slots // (2 * col.kl + col.ku + 1)]
+
+
 @pytest.mark.parametrize("shape, colors", [
     ((24, 16), 13), ((72, 32), 14), ((10, 8), None)])
 def test_polar_coloring_is_valid(shape, colors):
@@ -847,13 +881,42 @@ def test_polar_coloring_is_valid(shape, colors):
     # the pairs are the stencil rule, and no two columns of a color share a row
     expected = {(row, i * nt + j) for i, j in zip(*np.nonzero(unknown))
                 for row in _reference_rows_for(spec, int(i), int(j))}
-    assert set(zip(col.rows.tolist(), col.cols.tolist())) == expected
-    assert len(expected) == col.rows.size
     ntot = nr * nt
-    pair_colors, pair_rows = np.divmod(col.gather, ntot)
-    assert np.array_equal(pair_rows, col.rows)
-    assert np.all(col.masks.reshape(len(col.masks), -1)[pair_colors, col.cols])
+    rows, cols = _pairs(col, ntot)
+    assert set(zip(rows.tolist(), cols.tolist())) == expected
+    assert len(expected) == rows.size
+    # ordered by column and then row
+    assert np.all(np.diff(cols * ntot + rows) > 0)
+    pair_colors = col.gather // ntot
+    assert np.all(col.masks.reshape(len(col.masks), -1)[pair_colors, cols])
     assert np.unique(col.gather).size == col.gather.size
+
+
+@pytest.mark.parametrize("drift", [False, True])
+@pytest.mark.parametrize("shape", [(10, 8), (24, 16)], ids=["10x8", "24x16"])
+def test_polar_newton_matrix_matches_complex_step_jacobian(shape, drift):
+    # an exact oracle: the speed is analytic in the state, so the imaginary
+    # part of the speed at u + i*h*mask, over h, is the sum of the masked
+    # columns of J to round-off (no difference is taken); read through the
+    # coloring's gather it is J at every pair.  The probed entries, forward
+    # differences, must match it within 1e-5 of their row's largest entry.
+    # The state is a relaxation's: an anisotropic cone on the benchmark's
+    # disk of radius 12, plus a tilted bump.
+    spec = GridSpec.polar_disk(12.0, *shape)
+    r, th = spec.nodes[:, None], spec.thetas[None, :]
+    cone = ConeProfile.angular(lambda t: 1.0 + 0.1 * np.cos(2 * t), m=64)
+    u = cone.on_grid(spec).values + 0.5 * np.exp(-r ** 2 / 4) * (1 + 0.3 * r * np.cos(th))
+    col = flow._polar_coloring(spec)
+    h = 1e-30
+    exact = (flow._polar_speed(spec, u + 1j * h * col.masks, drift).imag / h).ravel()[col.gather]
+    dt = 0.05
+    kl, ku, ab = flow._polar_newton_matrix(u, flow._polar_speed(spec, u, drift), spec, dt,
+                                           SolverConfig(dt_init=dt, similarity_drift=drift))
+    rows, cols = _pairs(col, u.size)
+    probed = (ab.ravel(order="F")[col.slots] - (rows == cols)) / -dt
+    scale = np.zeros(u.size)
+    np.maximum.at(scale, rows, np.abs(exact))
+    assert np.all(np.abs(probed - exact) <= 1e-5 * scale[rows])
 
 
 @pytest.mark.parametrize("shape", [(10, 8), (24, 16), (72, 32)])
@@ -876,8 +939,8 @@ def test_polar_band_layout(shape):
     assert np.unique(col.slots).size == col.slots.size
     ldab = 2 * col.kl + col.ku + 1
     band_row, band_col = np.divmod(col.slots, ldab)[::-1]
-    assert np.array_equal(band_col, position[col.cols])
-    assert np.array_equal(band_row, col.kl + col.ku + position[col.rows] - band_col)
+    rows = _pairs(col, nr * nt)[0]
+    assert np.array_equal(band_row, col.kl + col.ku + position[rows] - band_col)
     assert band_row.min() >= col.kl and band_row.max() < ldab
     u = _polar_case(spec).values
     kl, ku, ab = flow._polar_newton_matrix(
@@ -1033,7 +1096,7 @@ def test_polar_relaxation_bit_identical_without_carried_speed(monkeypatch):
     fresh = relax_angular_expander(k, rho_max=6.0, nr=10, ntheta=8)
     assert carried.converged and carried.steps > 10
     assert np.array_equal(carried.solution.values, fresh.solution.values)
-    for key in ("stationary_rate", "steps", "newton_iters"):
+    for key in ("steps", "newton_iters"):
         assert getattr(carried, key) == getattr(fresh, key), key
 
 
