@@ -7,15 +7,15 @@ radial mode the Jacobian of the reduced operator
     rhs(v) = v_rr/(1+v_r^2) + (n-1) v_r/r
 
 is tridiagonal, assembled analytically as its three diagonals and solved
-directly by LAPACK ``gtsv``; polar mode probes the Jacobian by colored
-finite differences (the stencil is local, so a handful of probe vectors
-recovers every column) and solves with a banded LU.  The band system keeps
-the rings in order and numbers each ring's angles in zigzag order, which
-keeps the periodic wrap's neighbours close (kl = ku = ntheta + 2, where the
-ring-major numbering needs 2*ntheta - 1); the probed entries are scattered
-straight into LAPACK band storage through slots the coloring caches,
-``gbsv`` factors and solves in place, and the residual and the update are
-gathered into and scattered out of the band numbering.
+directly by LAPACK ``gtsv``; polar mode probes the Jacobian by finite
+differences on the 3x3 neighbourhood table of ``geometry._radial_operator``,
+where the antipodal ghost and the periodic wrap are written (nine distinct
+nodes per row, so nine probes recover every column), and solves with a
+banded LU.  The
+band system numbers each ring's angles in zigzag order, which keeps the
+periodic wrap's neighbours close (kl = ku = ntheta + 2, where the ring-major
+numbering needs 2*ntheta - 1); ``gbsv`` factors in place the band array the
+probed entries are scattered into through cached slots.
 
 Every grid continues across the origin (a radial grid from r = 0, a polar
 grid through its antipodal ring), so the truncation ring r = r_max is the
@@ -25,11 +25,10 @@ also holds the grid-constant parts of the Jacobian, and share one residual
 and one Newton loop.  Per-step diagnostics (distance to the cone and to
 the expander, extremes of H) are opt-in: ``evolve`` records them only when
 asked, and always records step times, step sizes and Newton counts.  The
-polar column coloring, its scatter indices and its band numbering and
-layout are cached per grid, and the probes go through one stacked speed
-evaluation, the base speed coming from the residual.  Newton runs on raw
-arrays: the accepted backtracking trial's residual starts the next
-iteration (on radial grids its (v_r, v_rr, 1+v_r^2) also feed the
+polar band layout is cached per grid, and the nine probes go through one
+stacked speed evaluation, the base speed coming from the residual.  Newton
+runs on raw arrays: the accepted backtracking trial's residual starts the
+next iteration (on radial grids its (v_r, v_rr, 1+v_r^2) also feed the
 Jacobian), and a non-finite residual, a zero pivot or a non-finite update
 raises NewtonError at once.  Each iterate's speed is evaluated once: a step
 starts from the speed its predecessor's final iterate computed, which the
@@ -64,9 +63,9 @@ from scipy.sparse.linalg import splu  # noqa: F401 (perfbench/tracing.py spans i
 
 from .errors import GridError, NewtonError, ParameterError, StepFailureError
 from .expander import evaluate_U
-from .geometry import (GridFunction, GridSpec, mean_curvature, _polar_derivatives,
-                       _polar_speed, _radial_derivatives, _radial_operator,
-                       _radial_speed)
+from .geometry import (GridFunction, GridSpec, mean_curvature, _neighbourhood,
+                       _polar_derivatives, _polar_speed, _radial_derivatives,
+                       _radial_operator, _radial_speed)
 
 __all__ = [
     "SolverConfig",
@@ -159,7 +158,7 @@ def _speed(spec: GridSpec, v: np.ndarray, drift: bool) -> tuple:
     matrix reads: (v_r, v_rr, 1+v_r^2, speed) on radial grids, (speed,) on
     polar grids."""
     if spec.polar:
-        return (_polar_speed(spec, v, drift),)
+        return (_polar_speed(spec, _neighbourhood(spec, v), drift),)
     p, q = _radial_derivatives(spec, v)
     speed, one_p2 = _radial_speed(spec, p, q)
     return p, q, one_p2, speed
@@ -269,26 +268,24 @@ def solve_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# polar residual and colored finite-difference Jacobian
+# polar residual and probed finite-difference Jacobian
+
+# probe k perturbs entry divmod(k, 3) of every node's neighbourhood at once
+_PROBES = np.eye(9).reshape(9, 3, 3, 1, 1)
 
 
-class _PolarColoring(NamedTuple):
-    """Probe masks, scatter indices and band layout of the polar Jacobian of
-    one grid.
+class _PolarBand(NamedTuple):
+    """Band layout of the polar Newton matrix of one grid.
 
-    ``masks[c]`` marks the unknowns probed together by color c.  Pair k of
-    the sparsity couples row ``gather[k] % size`` to a column (flat
-    ring-major nodes), and its difference quotient sits at flat index
-    ``gather[k]`` of the stacked (color, row) quotients.  The band system
-    numbers the nodes in ``order`` (band position -> node), and pair k's
-    matrix entry sits at flat index ``slots[k]`` of the Fortran-ordered
-    LAPACK band array of ``kl`` sub- and ``ku`` superdiagonals (entry (a, b)
-    of band positions in row kl + ku + a - b of column b, below kl rows left
-    for the LU's fill).  The pairs are ordered by column and then row.
+    ``live`` lists the flat (probe, row) quotients whose row and table column
+    are both unknowns; live pair k's entry sits at flat index ``slots[k]`` of
+    the Fortran-ordered LAPACK band array of ``kl`` sub- and ``ku``
+    superdiagonals (entry (a, b) of band positions in row kl + ku + a - b of
+    column b, below kl rows left for the LU's fill), whose numbering is
+    ``order`` (band position -> node).
     """
 
-    masks: np.ndarray
-    gather: np.ndarray
+    live: np.ndarray
     order: np.ndarray
     slots: np.ndarray
     kl: int
@@ -304,18 +301,12 @@ def _zigzag(nt: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _polar_coloring(spec: GridSpec) -> _PolarColoring:
-    """Greedy column coloring of the polar Jacobian, cached per grid
-    (GridSpec hashes by identity).
+def _polar_band(spec: GridSpec) -> _PolarBand:
+    """The band layout of the polar Jacobian, cached per grid (GridSpec
+    hashes by identity).
 
-    Unknowns are all nodes off the outer Dirichlet ring.  The residual row
-    of node (i, j) reads the nodes its row of the radial table lists
-    (``_radial_operator(spec).rows``, the antipodal ghost included) and the
-    two angular neighbours of each, through the angular and mixed
-    derivatives; the unknowns among them are the row's sparsity.  Columns
-    are colored in natural order with the smallest color no earlier column
-    sharing a row holds (Coleman-More sequential coloring); one probe per
-    color then recovers every column exactly (Curtis-Powell-Reid).
+    Unknowns are all nodes off the outer Dirichlet ring; those among the
+    nine nodes a row's neighbourhood table lists are its sparsity.
 
     The band system keeps the rings in order but numbers each ring's angles
     in zigzag order (:func:`_zigzag`), which brings the periodic wrap's
@@ -327,64 +318,42 @@ def _polar_coloring(spec: GridSpec) -> _PolarColoring:
     nr, nt = spec.nr, spec.ntheta
     size = nr * nt
     unknown = np.arange(size) < (nr - 1) * nt
-    ring, j = np.divmod(_radial_operator(spec).rows.reshape(3, size), nt)
-    reads = np.concatenate([ring * nt + (j + dj) % nt for dj in (-1, 0, 1)])
-    row = np.broadcast_to(np.arange(size), reads.shape)
-    live = unknown[row] & unknown[reads]
-    # the (row, col) pairs, ordered by column and then row
-    cols, rows = np.divmod(np.unique(reads[live] * size + row[live]), size)
-    starts = np.flatnonzero(np.diff(cols, prepend=-1))
-    colors = np.zeros(size, dtype=np.intp)
-    held = [set() for _ in range(size)]  # colors already reaching each row
-    for col, rows_c in zip(cols[starts].tolist(), np.split(rows, starts[1:])):
-        rows_c = rows_c.tolist()
-        taken = set().union(*(held[r] for r in rows_c))
-        c = 0
-        while c in taken:
-            c += 1
-        colors[col] = c
-        for r in rows_c:
-            held[r].add(c)
-    pair_colors = colors[cols]
-    masks = np.zeros((int(pair_colors.max()) + 1, size), dtype=bool)
-    masks[pair_colors, cols] = True
+    cols = _radial_operator(spec).rows.reshape(9, size)
+    live = np.flatnonzero(unknown & unknown[cols])
+    rows, cols = live % size, cols.ravel()[live]
     order = (np.arange(0, size, nt)[:, None] + _zigzag(nt)).ravel()
     position = np.argsort(order)  # node -> band position
     a, b = position[rows], position[cols]
     kl, ku = int(np.max(a - b)), int(np.max(b - a))
     slots = (kl + ku + a - b) + (2 * kl + ku + 1) * b
-    arrays = (masks.reshape((-1,) + spec.shape), pair_colors * size + rows, order, slots)
-    for arr in arrays:
+    for arr in (live, order, slots):
         arr.setflags(write=False)
-    return _PolarColoring(*arrays, kl, ku)
+    return _PolarBand(live, order, slots, kl, ku)
 
 
 def _polar_newton_matrix(u_vals: np.ndarray, speed: np.ndarray, spec: GridSpec,
-                         dt: float, config: SolverConfig) -> tuple:
+                         dt: float, drift: bool) -> tuple:
     """(kl, ku, ab): (I - dt*J) at state u_vals in LAPACK band storage, J
-    probed by colored differences.
+    (the similarity drift's included when ``drift``) probed by forward
+    differences.
 
     ``speed`` is the speed at u_vals, which the residual has just evaluated;
-    one probe per color goes through one stacked speed evaluation (a state
-    gets the same bits alone or in a stack).  The outer ring's unknowns stay
-    clamped (their Newton update is zero), so columns coupling interior rows
-    to them are dropped; its Dirichlet rows keep the identity.
-
-    The entries -dt*J are scattered into a zeroed band array through the
-    coloring's slots, and the band's main diagonal gets +1, so each unknown's
-    diagonal is -dt*J_ii + 1 and each Dirichlet row is the identity.  The
-    matrix is in the coloring's band numbering (its ``order``, the zigzag
-    angular order of kl = ku = ntheta + 2), so a solve gathers the
-    right-hand side through ``order`` and scatters the solution back.  The
-    array is Fortran-ordered, so ``gbsv`` factors it in place.
+    the nine probes go through one stacked speed evaluation, in which each
+    row sees one entry of its own neighbourhood moved, as a column probe
+    would move it.  The outer ring's unknowns stay clamped (their Newton
+    update is zero), so columns coupling interior rows to them are dropped.
+    The entries -dt*J are scattered into a zeroed band array, and the
+    band's main diagonal gets +1, so each Dirichlet row is the identity.  A
+    solve gathers the right-hand side through the band's ``order`` and
+    scatters the solution back.
     """
-    coloring = _polar_coloring(spec)
-    kl, ku = coloring.kl, coloring.ku
+    band = _polar_band(spec)
+    kl, ku = band.kl, band.ku
     eps = 1e-7 * (1.0 + float(np.max(np.abs(u_vals))))
-    probed = _polar_speed(spec, u_vals + eps * coloring.masks, config.similarity_drift)
-    vals = ((probed - speed) / eps).ravel()[coloring.gather]
+    probed = _polar_speed(spec, _neighbourhood(spec, u_vals) + eps * _PROBES, drift)
+    vals = ((probed - speed) / eps).ravel()[band.live]
     ab = np.zeros((2 * kl + ku + 1, u_vals.size), order="F")
-    ab.ravel(order="F")[coloring.slots] = -dt * vals
+    ab.ravel(order="F")[band.slots] = -dt * vals
     ab[kl + ku] += 1.0
     return kl, ku, ab
 
@@ -395,7 +364,7 @@ def solve_band(kl: int, ku: int, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     LAPACK ``gbsv``, which factors ab in place.
 
     ``b`` and the solution are in the band's own numbering (for the polar
-    Newton matrix, the coloring's ``order``).  A zero pivot or a non-finite
+    Newton matrix, the layout's ``order``).  A zero pivot or a non-finite
     solution raises NewtonError.
     """
     *_, x, info = dgbsv(kl, ku, ab, b, overwrite_ab=True)
@@ -433,14 +402,14 @@ def step(u: GridFunction, dt: float, config: SolverConfig, boundary,
         return _residual(spec, w, u.values, dt, config, outer, data)
 
     if spec.polar:
-        order = _polar_coloring(spec).order
+        order = _polar_band(spec).order
 
         def solve(w, data, res):
-            # the band system is in the coloring's numbering: gather the
-            # residual into it and scatter the update back
+            # the band system is in its own numbering: gather the residual
+            # into it and scatter the update back
             delta = np.empty(spec.shape)
             delta.ravel()[order] = solve_band(
-                *_polar_newton_matrix(w, data[-1], spec, dt, config), res.ravel()[order])
+                *_polar_newton_matrix(w, data[-1], spec, dt, drift), res.ravel()[order])
             return delta
     else:
         def solve(w, data, res):
@@ -602,7 +571,7 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
     # the speed and the Newton matrix square the slope, so |Du|^2 must be finite
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.polar:
-            ur, ut = _polar_derivatives(spec, u0.values)[:2]
+            ur, ut = _polar_derivatives(spec, _neighbourhood(spec, u0.values))[:2]
             slope2 = ur ** 2 + (ut / spec.nodes[:, None]) ** 2
         else:
             pq = _radial_derivatives(spec, u0.values)

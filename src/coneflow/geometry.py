@@ -21,9 +21,9 @@ graphs, so every grid continues across the origin: a radial grid starts at
 r = 0 and reads its ghost by the even extension u(-r) = u(r), a polar grid
 by the antipodal continuation u(-r, theta) = u(r, theta+pi) across its
 innermost ring (angular derivatives are periodic differences).  The outer
-ring is a grid's only one-sided row.  The flow's polar Jacobian coloring
-reads its sparsity from the same table, so these rules are written here
-only.
+ring is a grid's only one-sided row.  A polar grid's table lists each
+node's 3x3 neighbourhood, so the antipodal ghost and the periodic wrap are
+written in ``_radial_operator`` only; the flow's Jacobian probes its entries.
 """
 
 from __future__ import annotations
@@ -239,10 +239,11 @@ class _RadialOperator(NamedTuple):
     boundary: the table is that of [-r_g, r...] with the ghost row dropped,
     and the innermost row is the centered (ghost, 0, 1).  On a radial grid
     (r_g = r_1) the ghost u(-r_1) = u(r_1) is read as node 1; on a polar
-    grid (r_g = r_0) it is ring 0 turned by pi.  Polar ``rows`` have shape
-    (3, nr, ntheta) and index the flattened (nr, ntheta) state.  ``d`` =
-    2/D, ``w_over_r`` = (n-1) w/r (zero at r = 0) and ``axis_col`` (the
-    r = 0 row n*v_rr(0), ghost folded into v_1) are the radial Newton
+    grid (r_g = r_0) it is ring 0 turned by pi.  Polar ``rows`` (3, 3, nr,
+    ntheta) holds a node's stencil node a turned by d - 1 angular steps at
+    [a, d], flat in the (nr, ntheta) state.  ``d`` = 2/D, ``w_over_r`` =
+    (n-1) w/r (zero at r = 0) and ``axis_col`` (the r = 0 row n*v_rr(0),
+    ghost folded into v_1) are the radial Newton
     Jacobian's fixed parts; ``r_safe`` has 1 at r = 0.
     """
 
@@ -263,8 +264,9 @@ def _radial_operator(spec: GridSpec) -> _RadialOperator:
     rows, w, D = rows[:, 1:] - 1, w[:, 1:], D[:, 1:]  # the ghost is -1
     if spec.polar:
         nt = spec.ntheta
-        j = np.arange(nt)
-        rows = np.where(rows[..., None] < 0, (j + nt // 2) % nt, rows[..., None] * nt + j)
+        ring = rows[:, None, :, None]
+        turn = np.arange(-1, 2)[:, None, None] + np.where(ring < 0, nt // 2, 0)
+        rows = np.maximum(ring, 0) * nt + (np.arange(nt) + turn) % nt
     else:
         rows = np.abs(rows)
     r_safe = np.where(r > 0, r, 1.0)
@@ -284,27 +286,32 @@ def _radial_derivatives(spec: GridSpec, vals: np.ndarray):
                           vals[op.rows])
 
 
-def _polar_derivatives(spec: GridSpec, vals: np.ndarray):
-    """(u_r, u_theta, u_rr, u_thth, u_rth) on a polar grid.
+def _neighbourhood(spec: GridSpec, vals: np.ndarray) -> np.ndarray:
+    """Every node's (..., 3, 3, nr, ntheta) neighbourhood values on a polar
+    grid; ``vals`` is one state or carries leading stack axes."""
+    return vals.reshape(vals.shape[:-2] + (-1,))[..., _radial_operator(spec).rows]
 
-    ``vals`` is one state (nr, ntheta) or a stack (K, nr, ntheta) of states;
-    the radial axis is the second to last and the angular axis the last.
-    Radial derivatives gather through the cached table's flat indices (the
-    antipodal ghost ring included), so a state gets the same bits alone or
-    inside a stack.
-    """
+
+def _own_ring(nb: np.ndarray):
+    """Each node's (theta - dtheta, theta, theta + dtheta) values from its
+    neighbourhood ``nb``: stencil node 1 of a centred row, node 0 of the
+    one-sided outer ring."""
+    own = np.concatenate((nb[..., 1, :, :-1, :], nb[..., 0, :, -1:, :]), axis=-2)
+    return own[..., 0, :, :], own[..., 1, :, :], own[..., 2, :, :]
+
+
+def _polar_derivatives(spec: GridSpec, nb: np.ndarray):
+    """(u_r, u_theta, u_rr, u_thth, u_rth) on a polar grid from the values
+    ``nb`` of :func:`_neighbourhood`; a node reads its own nine entries
+    only, so it gets the same bits alone or inside a stack."""
     op = _radial_operator(spec)
     w, D = op.w[..., None], op.D[..., None]
-    flat = vals.shape[:-2] + (-1,)
     dtheta = 2.0 * np.pi / spec.ntheta
-    # the angular neighbours, as np.roll(vals, -1) and np.roll(vals, 1) along
-    # the last axis but without its per-call set-up
-    up = np.concatenate((vals[..., 1:], vals[..., :1]), axis=-1)
-    um = np.concatenate((vals[..., -1:], vals[..., :-1]), axis=-1)
+    um, u, up = _own_ring(nb)
     ut = (up - um) / (2.0 * dtheta)
-    utt = (up - 2.0 * vals + um) / dtheta ** 2
-    ur, urr = _apply_stencil(w, D, vals.reshape(flat)[..., op.rows])
-    urt = _apply_d1(w, ut.reshape(flat)[..., op.rows])
+    utt = (up - 2.0 * u + um) / dtheta ** 2
+    ur, urr = _apply_stencil(w, D, nb[..., 1, :, :].copy())
+    urt = _apply_d1(w, (nb[..., 2, :, :] - nb[..., 0, :, :]) / (2.0 * dtheta))
     return ur, ut, urr, utt, urt
 
 
@@ -336,12 +343,12 @@ def _radial_speed(spec: GridSpec, p: np.ndarray, q: np.ndarray):
     return speed, one_p2
 
 
-def _polar_quantities(spec: GridSpec, vals: np.ndarray):
+def _polar_quantities(spec: GridSpec, nb: np.ndarray):
     """(u_r, W, H) on a polar grid, H contracting the second fundamental
-    form h against the metric g; ``vals`` may be a stack, as in
+    form h against the metric g, from neighbourhood values as in
     :func:`_polar_derivatives`."""
     r = spec.nodes[:, None]
-    ur, ut, urr, utt, urt = _polar_derivatives(spec, vals)
+    ur, ut, urr, utt, urt = _polar_derivatives(spec, nb)
     W = np.sqrt(1.0 + ur ** 2 + (ut / r) ** 2)
     g = (1.0 + ur ** 2, ur * ut, r ** 2 + ut ** 2)
     h = (urr / W, (urt - ut / r) / W, (r * ur + utt) / W)
@@ -350,17 +357,14 @@ def _polar_quantities(spec: GridSpec, vals: np.ndarray):
     return ur, W, H
 
 
-def _polar_speed(spec: GridSpec, vals: np.ndarray, drift: bool = False) -> np.ndarray:
+def _polar_speed(spec: GridSpec, nb: np.ndarray, drift: bool = False) -> np.ndarray:
     """Flow speed sqrt(1+|Du|^2)*H on a polar grid, plus the similarity drift
-    (r u_r - u)/2 when ``drift``, for one state or a stack (K, nr, ntheta).
-
-    Only elementwise IEEE operations follow the stencil gathers, so each
-    state of a stack gets the bits it gets alone.
-    """
-    ur, W, H = _polar_quantities(spec, vals)
+    (r u_r - u)/2 when ``drift``, from neighbourhood values as in
+    :func:`_polar_derivatives`."""
+    ur, W, H = _polar_quantities(spec, nb)
     speed = W * H
     if drift:
-        speed = speed + 0.5 * (spec.nodes[:, None] * ur - vals)
+        speed = speed + 0.5 * (spec.nodes[:, None] * ur - _own_ring(nb)[1])
     return speed
 
 
@@ -375,7 +379,7 @@ def mean_curvature(u: GridFunction) -> GridFunction:
     """
     spec = u.spec
     if spec.polar:
-        H = _polar_quantities(spec, u.values)[-1]
+        H = _polar_quantities(spec, _neighbourhood(spec, u.values))[-1]
     else:
         H = _radial_curvatures(spec.n, spec.nodes,
                                *_radial_derivatives(spec, u.values))
@@ -398,5 +402,5 @@ def graph_rhs(u: GridFunction) -> GridFunction:
     """Flow speed sqrt(1+|Du|^2)*H[u] on either grid mode (compact stencil)."""
     if not u.spec.polar:
         return radial_rhs(u)
-    return GridFunction(u.spec, _polar_speed(u.spec, u.values))
+    return GridFunction(u.spec, _polar_speed(u.spec, _neighbourhood(u.spec, u.values)))
 

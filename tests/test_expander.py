@@ -198,12 +198,12 @@ def test_angular_relaxation_matches_ring_major_numbering(monkeypatch):
     k = ConeProfile.angular(lambda th: 1.0 + 0.08 * np.cos(2 * th), m=16)
     kw = dict(rho_max=6.0, nr=16, ntheta=8)
     zigzag = relax_angular_expander(k, **kw)
-    # each relaxation builds a fresh grid, so its coloring is built anew
+    # each relaxation builds a fresh grid, so its band layout is built anew
     monkeypatch.setattr(flow, "_zigzag", np.arange)
     ring_major = relax_angular_expander(k, **kw)
-    coloring = flow._polar_coloring(ring_major.solution.spec)
-    assert np.array_equal(coloring.order, np.arange(16 * 8))
-    assert coloring.kl == coloring.ku == 2 * 8 - 1
+    band = flow._polar_band(ring_major.solution.spec)
+    assert np.array_equal(band.order, np.arange(16 * 8))
+    assert band.kl == band.ku == 2 * 8 - 1
     assert (zigzag.steps, zigzag.newton_iters) == (ring_major.steps,
                                                    ring_major.newton_iters)
     ref = ring_major.solution.values

@@ -13,8 +13,8 @@ from coneflow.flow import (FlowRun, SolverConfig, boundary_values_for,
                            comparison_check, detect_t_delta, evolve, step,
                            _radial_newton_matrix, _residual)
 from coneflow.geometry import (GridFunction, GridSpec, graph_rhs,
-                               mean_curvature, radial_rhs, _polar_derivatives,
-                               _radial_derivatives)
+                               mean_curvature, radial_rhs, _neighbourhood,
+                               _polar_derivatives, _radial_derivatives)
 
 
 def _uniform(n, r_max, count):
@@ -695,7 +695,7 @@ def test_step_states_carry_their_speed_safely(cone21, profile21):
 def _reference_rhs(spec, vals, drift):
     speed = graph_rhs(GridFunction(spec, vals)).values
     if drift:
-        ur = _polar_derivatives(spec, vals)[0]
+        ur = _polar_derivatives(spec, _neighbourhood(spec, vals))[0]
         speed = speed + 0.5 * (spec.nodes[:, None] * ur - vals)
     return speed
 
@@ -794,10 +794,10 @@ def _captured_newton_solves(monkeypatch, u0, cfg, steps):
     """Every (state, matrix, residual, update) of the polar Newton loop's
     solves while taking ``steps`` fixed implicit steps from u0, all in the
     natural ring-major numbering: the matrix is the band array the solve
-    received, expanded through the coloring's order, and the residual and
-    the update are what the step's solve received and returned."""
+    received, expanded through the band's order, and the residual and the
+    update are what the step's solve received and returned."""
     seen = []
-    order = flow._polar_coloring(u0.spec).order
+    order = flow._polar_band(u0.spec).order
     build, solve, newton = flow._polar_newton_matrix, flow.solve_band, flow._newton
 
     def capture_state(u_vals, *args):
@@ -859,46 +859,46 @@ def test_polar_newton_matrix_bit_identical_to_reference(monkeypatch, spec, drift
         assert np.array_equal(M, _reference_polar_matrix(v, spec, 0.05, drift).toarray())
 
 
-def _pairs(col, size):
-    """(rows, cols) of the coloring's pairs in flat ring-major nodes: the
-    row from the gather index, the column from the band slot."""
-    return col.gather % size, col.order[col.slots // (2 * col.kl + col.ku + 1)]
+def _pairs(band, size):
+    """(rows, cols) of the band's live pairs in flat ring-major nodes: the
+    row from the live quotient index, the column from the band slot."""
+    return band.live % size, band.order[band.slots // (2 * band.kl + band.ku + 1)]
 
 
-@pytest.mark.parametrize("shape, colors", [
-    ((24, 16), 13), ((72, 32), 14), ((10, 8), None)])
-def test_polar_coloring_is_valid(shape, colors):
-    nr, nt = shape
-    spec = GridSpec.polar_disk(4.0, nr, nt)
-    col = flow._polar_coloring(spec)
-    assert col is flow._polar_coloring(spec)
-    if colors is not None:
-        assert len(col.masks) == colors
-    # every unknown in exactly one color, the Dirichlet ring in none
-    unknown = np.ones(spec.shape, dtype=bool)
-    unknown[-1] = False
-    assert np.array_equal(col.masks.sum(axis=0), unknown.astype(int))
-    # the pairs are the stencil rule, and no two columns of a color share a row
-    expected = {(row, i * nt + j) for i, j in zip(*np.nonzero(unknown))
-                for row in _reference_rows_for(spec, int(i), int(j))}
-    ntot = nr * nt
-    rows, cols = _pairs(col, ntot)
-    assert set(zip(rows.tolist(), cols.tolist())) == expected
-    assert len(expected) == rows.size
-    # ordered by column and then row
-    assert np.all(np.diff(cols * ntot + rows) > 0)
-    pair_colors = col.gather // ntot
-    assert np.all(col.masks.reshape(len(col.masks), -1)[pair_colors, cols])
-    assert np.unique(col.gather).size == col.gather.size
+@pytest.mark.parametrize("nr", [8, 24])
+def test_polar_neighbourhoods_hold_nine_distinct_nodes(nr):
+    # nine probes, each moving one neighbourhood entry of every node, give
+    # each row the difference quotient of one column only if the row's nine
+    # neighbourhood nodes are distinct; the live pairs are then the stencil
+    # rule, read through the table, each with its own band slot
+    for nt in range(8, 65, 2):
+        spec = GridSpec.polar_disk(4.0, nr, nt)
+        table = geometry._radial_operator(spec).rows
+        assert table.shape == (3, 3, nr, nt)
+        nodes = np.sort(table.reshape(9, -1), axis=0)
+        assert np.all(np.diff(nodes, axis=0) > 0)
+        band = flow._polar_band(spec)
+        assert band is flow._polar_band(spec)
+        unknown = np.ones(spec.shape, dtype=bool)
+        unknown[-1] = False
+        expected = {(row, i * nt + j) for i, j in zip(*np.nonzero(unknown))
+                    for row in _reference_rows_for(spec, int(i), int(j))}
+        ntot = nr * nt
+        rows, cols = _pairs(band, ntot)
+        assert np.array_equal(cols, table.ravel()[band.live])
+        assert set(zip(rows.tolist(), cols.tolist())) == expected
+        assert len(expected) == rows.size
+        assert np.unique(band.slots).size == band.slots.size
 
 
 @pytest.mark.parametrize("drift", [False, True])
 @pytest.mark.parametrize("shape", [(10, 8), (24, 16)], ids=["10x8", "24x16"])
 def test_polar_newton_matrix_matches_complex_step_jacobian(shape, drift):
     # an exact oracle: the speed is analytic in the state, so the imaginary
-    # part of the speed at u + i*h*mask, over h, is the sum of the masked
-    # columns of J to round-off (no difference is taken); read through the
-    # coloring's gather it is J at every pair.  The probed entries, forward
+    # part of the speed with one neighbourhood entry of every node moved by
+    # i*h, over h, is each row's entry of that entry's column of J to
+    # round-off (no difference is taken); read at the live quotients it is J
+    # at every pair.  The probed entries, forward
     # differences, must match it within 1e-5 of their row's largest entry.
     # The state is a relaxation's: an anisotropic cone on the benchmark's
     # disk of radius 12, plus a tilted bump.
@@ -906,14 +906,15 @@ def test_polar_newton_matrix_matches_complex_step_jacobian(shape, drift):
     r, th = spec.nodes[:, None], spec.thetas[None, :]
     cone = ConeProfile.angular(lambda t: 1.0 + 0.1 * np.cos(2 * t), m=64)
     u = cone.on_grid(spec).values + 0.5 * np.exp(-r ** 2 / 4) * (1 + 0.3 * r * np.cos(th))
-    col = flow._polar_coloring(spec)
+    band = flow._polar_band(spec)
+    nb = _neighbourhood(spec, u)
     h = 1e-30
-    exact = (flow._polar_speed(spec, u + 1j * h * col.masks, drift).imag / h).ravel()[col.gather]
+    exact = (flow._polar_speed(spec, nb + 1j * h * flow._PROBES, drift).imag / h).ravel()[band.live]
     dt = 0.05
-    kl, ku, ab = flow._polar_newton_matrix(u, flow._polar_speed(spec, u, drift), spec, dt,
-                                           SolverConfig(dt_init=dt, similarity_drift=drift))
-    rows, cols = _pairs(col, u.size)
-    probed = (ab.ravel(order="F")[col.slots] - (rows == cols)) / -dt
+    kl, ku, ab = flow._polar_newton_matrix(u, flow._polar_speed(spec, nb, drift), spec, dt,
+                                           drift)
+    rows, cols = _pairs(band, u.size)
+    probed = (ab.ravel(order="F")[band.slots] - (rows == cols)) / -dt
     scale = np.zeros(u.size)
     np.maximum.at(scale, rows, np.abs(exact))
     assert np.all(np.abs(probed - exact) <= 1e-5 * scale[rows])
@@ -928,26 +929,26 @@ def test_polar_band_layout(shape):
     # and columns are the identity's
     nr, nt = shape
     spec = GridSpec.polar_disk(4.0, nr, nt)
-    col = flow._polar_coloring(spec)
-    assert col.kl == col.ku == nt + 2
-    assert np.array_equal(np.sort(col.order), np.arange(nr * nt))
-    assert np.array_equal(col.order.reshape(nr, nt) // nt,
+    band = flow._polar_band(spec)
+    assert band.kl == band.ku == nt + 2
+    assert np.array_equal(np.sort(band.order), np.arange(nr * nt))
+    assert np.array_equal(band.order.reshape(nr, nt) // nt,
                           np.broadcast_to(np.arange(nr)[:, None], (nr, nt)))
-    position = np.argsort(col.order)
+    position = np.argsort(band.order)
     angles = position.reshape(nr, nt)
     assert np.abs(angles - np.roll(angles, 1, axis=1)).max() == 2
-    assert np.unique(col.slots).size == col.slots.size
-    ldab = 2 * col.kl + col.ku + 1
-    band_row, band_col = np.divmod(col.slots, ldab)[::-1]
-    rows = _pairs(col, nr * nt)[0]
-    assert np.array_equal(band_row, col.kl + col.ku + position[rows] - band_col)
-    assert band_row.min() >= col.kl and band_row.max() < ldab
+    assert np.unique(band.slots).size == band.slots.size
+    ldab = 2 * band.kl + band.ku + 1
+    band_row, band_col = np.divmod(band.slots, ldab)[::-1]
+    rows = _pairs(band, nr * nt)[0]
+    assert np.array_equal(band_row, band.kl + band.ku + position[rows] - band_col)
+    assert band_row.min() >= band.kl and band_row.max() < ldab
     u = _polar_case(spec).values
     kl, ku, ab = flow._polar_newton_matrix(
-        u, flow._polar_speed(spec, u, False), spec, 0.01, SolverConfig(dt_init=0.01))
-    assert (kl, ku, ab.shape) == (col.kl, col.ku, (ldab, u.size))
+        u, flow._polar_speed(spec, _neighbourhood(spec, u), False), spec, 0.01, False)
+    assert (kl, ku, ab.shape) == (band.kl, band.ku, (ldab, u.size))
     assert ab.flags.f_contiguous
-    M = _band_to_dense(kl, ku, ab, col.order)
+    M = _band_to_dense(kl, ku, ab, band.order)
     ring = slice((nr - 1) * nt, None)
     assert np.array_equal(M[ring], np.eye(u.size)[ring])
     assert np.array_equal(M[:, ring], np.eye(u.size)[:, ring])
@@ -982,7 +983,7 @@ def test_nonfinite_polar_newton_update_raises(monkeypatch):
 @pytest.mark.parametrize("drift", [False, True])
 @pytest.mark.parametrize("shape", [(10, 8), (24, 16)], ids=["10x8", "24x16"])
 def test_polar_band_solve_matches_dense_solve(monkeypatch, shape, drift):
-    # gbsv factors the band in the coloring's numbering, with row pivoting
+    # gbsv factors the band in its own numbering, with row pivoting
     # inside the band only; gathered into it and scattered back, each Newton
     # update solves the natural-numbering system as a dense solve does
     spec = GridSpec.polar_disk(4.0, *shape)
@@ -1102,12 +1103,13 @@ def test_polar_relaxation_bit_identical_without_carried_speed(monkeypatch):
 
 def _counted(monkeypatch, name):
     """Replace flow's binding ``name`` with a wrapper recording the number
-    of states each call evaluates (1 for one state, K for a stack of K)."""
+    of states each call evaluates (1 for one state, K for a stack of K); a
+    polar state arrives as its (3, 3, nr, ntheta) neighbourhood values."""
     calls = []
     real = getattr(flow, name)
 
     def counted(spec, vals, *args):
-        calls.append(1 if vals.ndim == len(spec.shape) else len(vals))
+        calls.append(1 if vals.ndim == len(spec.shape) + 2 * spec.polar else len(vals))
         return real(spec, vals, *args)
 
     monkeypatch.setattr(flow, name, counted)
@@ -1131,13 +1133,12 @@ def test_radial_run_makes_one_stencil_pass_per_newton_iterate(monkeypatch, cone2
 
 def test_polar_relaxation_evaluates_each_iterate_once(monkeypatch):
     # single-state speed evaluations: the first step's start plus one per
-    # Newton trial; stacked ones: one probe stack per factorization, which
-    # no longer holds the base state
+    # Newton trial; stacked ones: one stack of the nine probes per
+    # factorization, which does not hold the base state
     speeds = _counted(monkeypatch, "_polar_speed")
     k = ConeProfile.angular(lambda th: 1.0 + 0.08 * np.cos(2 * th), m=16)
     res = relax_angular_expander(k, rho_max=6.0, nr=10, ntheta=8)
-    colors = len(flow._polar_coloring(res.solution.spec).masks)
     assert res.converged and res.newton_iters > res.steps
     assert speeds.count(1) == res.newton_iters + 1
-    assert speeds.count(colors) == res.newton_iters
+    assert speeds.count(9) == res.newton_iters
     assert len(speeds) == 2 * res.newton_iters + 1

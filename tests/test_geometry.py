@@ -9,7 +9,7 @@ from coneflow.cones import ConeProfile
 from coneflow.errors import GridError
 from coneflow.expander import relax_angular_expander
 from coneflow.geometry import (GridFunction, GridSpec, mean_curvature,
-                               radial_rhs, _d1_d2, _polar_derivatives,
+                               radial_rhs, _d1_d2, _neighbourhood, _polar_derivatives,
                                _radial_curvatures, _radial_derivatives)
 
 
@@ -126,9 +126,10 @@ def _polar_curvature_errors(nr, ntheta):
     got_want = [
         (mean_curvature(GridFunction(spec, scherk)).values, 0.0),
         (mean_curvature(GridFunction(spec, saddle)).values, -2.0 * x * y / W2 ** 1.5),
-        (geometry._polar_speed(spec, scherk), 0.0),
-        (geometry._polar_speed(spec, saddle), -2.0 * x * y / W2),
-        (geometry._polar_speed(spec, saddle, drift=True), -2.0 * x * y / W2 + x * y / 2),
+        (geometry._polar_speed(spec, _neighbourhood(spec, scherk)), 0.0),
+        (geometry._polar_speed(spec, _neighbourhood(spec, saddle)), -2.0 * x * y / W2),
+        (geometry._polar_speed(spec, _neighbourhood(spec, saddle), drift=True),
+         -2.0 * x * y / W2 + x * y / 2),
     ]
     return [float(np.max(np.abs(got - want)[:-1])) for got, want in got_want]
 
@@ -150,9 +151,9 @@ def test_polar_curvature_converges_on_exact_graphs():
 def _polar_quantities_copy(cross_sign=1.0, g01=True):
     """geometry._polar_quantities as written, with the sign of the cross
     term h[1] and the presence of the metric's g[1] as knobs."""
-    def quantities(spec, vals):
+    def quantities(spec, nb):
         r = spec.nodes[:, None]
-        ur, ut, urr, utt, urt = _polar_derivatives(spec, vals)
+        ur, ut, urr, utt, urt = _polar_derivatives(spec, nb)
         W = np.sqrt(1.0 + ur ** 2 + (ut / r) ** 2)
         g = (1.0 + ur ** 2, ur * ut if g01 else 0.0, r ** 2 + ut ** 2)
         h = (urr / W, cross_sign * (urt - ut / r) / W, (r * ur + utt) / W)
@@ -165,8 +166,9 @@ def test_polar_quantities_copy_is_faithful():
     spec = GridSpec.polar_disk(1.0, 21, 32)
     r, th = spec.nodes[:, None], spec.thetas[None, :]
     vals = np.log(np.cos(r * np.sin(th)) / np.cos(r * np.cos(th)))
-    for got, want in zip(_polar_quantities_copy()(spec, vals),
-                         geometry._polar_quantities(spec, vals)):
+    nb = _neighbourhood(spec, vals)
+    for got, want in zip(_polar_quantities_copy()(spec, nb),
+                         geometry._polar_quantities(spec, nb)):
         assert np.array_equal(got, want)
 
 
@@ -356,22 +358,23 @@ _POLAR_SPECS = pytest.mark.parametrize("spec", [GridSpec.polar_disk(1.0, 12, 16)
 @_POLAR_SPECS
 def test_polar_derivatives_match_frozen_formulas(spec):
     vals = np.random.default_rng(7).normal(size=(3,) + spec.shape)
-    _assert_same_bits(_polar_derivatives(spec, vals),
+    _assert_same_bits(_polar_derivatives(spec, _neighbourhood(spec, vals)),
                       _frozen_polar_derivatives(spec, vals))
 
 
 @_POLAR_SPECS
 def test_polar_derivatives_match_frozen_formulas_unstacked(spec):
     vals = np.random.default_rng(7).normal(size=spec.shape)
-    _assert_same_bits(_polar_derivatives(spec, vals),
+    _assert_same_bits(_polar_derivatives(spec, _neighbourhood(spec, vals)),
                       _frozen_polar_derivatives(spec, vals))
 
 
 @pytest.mark.parametrize("stack", [(), (13,)], ids=["state", "stack"])
 @pytest.mark.parametrize("shape", [(24, 16), (10, 8)], ids=["24x16", "10x8"])
 def test_polar_angular_shift_matches_roll(shape, stack):
-    # the angular neighbours are copies, so u_theta, u_thth and u_rth have
-    # the bits of the same formulas on np.roll's shifts
+    # the angular neighbours are gathered copies, so u_theta, u_thth and
+    # u_rth have the bits of the same formulas on np.roll's shifts, u_rth
+    # gathering them through the table's unturned radial nodes
     spec = GridSpec.polar_disk(4.0, *shape)
     vals = np.random.default_rng(3).normal(size=stack + spec.shape)
     op = geometry._radial_operator(spec)
@@ -379,8 +382,8 @@ def test_polar_angular_shift_matches_roll(shape, stack):
     up, um = np.roll(vals, -1, axis=-1), np.roll(vals, 1, axis=-1)
     ut = (up - um) / (2.0 * dtheta)
     utt = (up - 2.0 * vals + um) / dtheta ** 2
-    urt = geometry._apply_d1(op.w[..., None], ut.reshape(stack + (-1,))[..., op.rows])
-    _, got_ut, _, got_utt, got_urt = _polar_derivatives(spec, vals)
+    urt = geometry._apply_d1(op.w[..., None], ut.reshape(stack + (-1,))[..., op.rows[:, 1]])
+    _, got_ut, _, got_utt, got_urt = _polar_derivatives(spec, _neighbourhood(spec, vals))
     _assert_same_bits((got_ut, got_utt, got_urt), (ut, utt, urt))
 
 
