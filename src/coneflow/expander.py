@@ -635,8 +635,9 @@ def relax_angular_expander(k: ConeProfile, rho_max: float = 12.0, nr: int = 72,
     refined cone tail gamma*rho_max + c(theta)/rho_max, and implicit steps of
     dtau = 0.05 are taken until the update rate drops to 1e-5, or tau = 40.
     Each step is handed the state the previous one returned, so it starts
-    from the speed that step's final Newton iterate computed (the pinned
-    ring never moves) and evaluates no speed before its first Newton update.
+    from the speed and the nine Jacobian probes that step's final Newton
+    iterate evaluated (the pinned ring never moves): it evaluates nothing
+    before its first Newton update.
 
     The cone must be mean convex: a tail coefficient c(theta) <= 0 at any
     of the grid's angles (c has the sign of gamma + gamma'') is a

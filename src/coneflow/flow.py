@@ -25,19 +25,22 @@ also holds the grid-constant parts of the Jacobian, and share one residual
 and one Newton loop.  Per-step diagnostics (distance to the cone and to
 the expander, extremes of H) are opt-in: ``evolve`` records them only when
 asked, and always records step times, step sizes and Newton counts.  The
-polar band layout is cached per grid, and the nine probes go through one
-stacked speed evaluation, the base speed coming from the residual.  Newton
-runs on raw arrays: the accepted backtracking trial's residual starts the
-next iteration (on radial grids its (v_r, v_rr, 1+v_r^2) also feed the
-Jacobian), and a non-finite residual, a zero pivot or a non-finite update
-raises NewtonError at once.  Each iterate's speed is evaluated once: a step
-starts from the speed its predecessor's final iterate computed, which the
-returned state carries (its values made read-only).  On radial grids only
-row N-2, the one interior row that reads the moved outer node, is
-recomputed; polar steps reuse the speed while the outer ring is unchanged
-bit for bit.  ``evolve``'s slope check of the initial data starts its first
-radial step.  A radial step costs its number of numpy calls, so its kernels
-reuse arrays in place, in the formulas' operation order.
+polar band layout is cached per grid, and each polar iterate's
+neighbourhood is evaluated once, as one stack of ten states: the iterate,
+whose speed the residual reads, and the nine probes, which the Newton
+matrix reads.  Newton runs on raw arrays: the accepted backtracking trial's
+residual starts the next iteration (on radial grids its (v_r, v_rr,
+1+v_r^2), on polar grids its probes, also feed the Jacobian), and a
+non-finite residual, a zero pivot or a non-finite update raises NewtonError
+at once.  Each iterate's speed is evaluated once: a step starts from the
+speed data its predecessor's final iterate computed, which the returned
+state carries (its values made read-only).  On radial grids only row N-2,
+the one interior row that reads the moved outer node, is recomputed; polar
+steps reuse the speed and its probes while the outer ring is unchanged bit
+for bit, so such a step starts with its Jacobian already probed.
+``evolve``'s slope check of the initial data starts its first radial step.
+A radial step costs its number of numpy calls, so its kernels reuse arrays
+in place, in the formulas' operation order.
 
 The Dirichlet data comes in two flavors: pinned to the initial values, or
 pinned to the moving expander (needed for long runs, where a frozen cone
@@ -154,11 +157,24 @@ def boundary_values_for(u0: GridFunction, config: SolverConfig, profile=None):
 
 
 def _speed(spec: GridSpec, v: np.ndarray, drift: bool) -> tuple:
-    """The flow speed at v, last in a tuple with what the radial Newton
-    matrix reads: (v_r, v_rr, 1+v_r^2, speed) on radial grids, (speed,) on
-    polar grids."""
+    """The flow speed at v, last in a tuple with what the Newton matrix
+    reads: (v_r, v_rr, 1+v_r^2, speed) on radial grids, (probed, eps,
+    speed) on polar grids.
+
+    A polar iterate's neighbourhood is evaluated once, as one ten-state
+    stack: slot 0 is v's neighbourhood values themselves (copied, so a -0.0
+    keeps its sign) and slots 1-9 are the nine probes, each moving one
+    entry of every node's neighbourhood by eps = 1e-7*(1 + max|v|)
+    (``_PROBES``).  A node reads only its own entries, so slot 0 is the
+    speed of v alone, bit for bit, and ``probed`` the nine probes' speeds.
+    """
     if spec.polar:
-        return (_polar_speed(spec, _neighbourhood(spec, v), drift),)
+        eps = 1e-7 * (1.0 + float(np.max(np.abs(v))))
+        stack = np.empty((10, 3, 3) + spec.shape)
+        stack[0] = _neighbourhood(spec, v)
+        np.add(stack[0], eps * _PROBES, out=stack[1:])
+        speeds = _polar_speed(spec, stack, drift)
+        return speeds[1:], eps, speeds[0]
     p, q = _radial_derivatives(spec, v)
     speed, one_p2 = _radial_speed(spec, p, q)
     return p, q, one_p2, speed
@@ -206,7 +222,8 @@ def _carried(u: GridFunction, v: np.ndarray, drift: bool) -> tuple | None:
     evaluation, and written into the carried arrays (every use rewrites it);
     the Dirichlet row N-1 is overwritten in the residual and the Newton
     matrix anyway.  On a polar grid every row may read the outer ring, so
-    the data is used only if that ring is unchanged bit for bit.
+    the data, the nine probes of the Newton matrix included, is used only
+    if that ring is unchanged bit for bit.
     """
     carried = getattr(u, "_speed_data", None)
     if (carried is None or carried[0] is not u.values or u.values.flags.writeable
@@ -331,29 +348,27 @@ def _polar_band(spec: GridSpec) -> _PolarBand:
     return _PolarBand(live, order, slots, kl, ku)
 
 
-def _polar_newton_matrix(u_vals: np.ndarray, speed: np.ndarray, spec: GridSpec,
-                         dt: float, drift: bool) -> tuple:
-    """(kl, ku, ab): (I - dt*J) at state u_vals in LAPACK band storage, J
-    (the similarity drift's included when ``drift``) probed by forward
-    differences.
+def _polar_newton_matrix(data: tuple, spec: GridSpec, dt: float) -> tuple:
+    """(kl, ku, ab): (I - dt*J) in LAPACK band storage at the state whose
+    speed data (probed, eps, speed) :func:`_speed` evaluated, J (the
+    similarity drift's included when the data was evaluated with it) by
+    forward differences.
 
-    ``speed`` is the speed at u_vals, which the residual has just evaluated;
-    the nine probes go through one stacked speed evaluation, in which each
-    row sees one entry of its own neighbourhood moved, as a column probe
-    would move it.  The outer ring's unknowns stay clamped (their Newton
-    update is zero), so columns coupling interior rows to them are dropped.
-    The entries -dt*J are scattered into a zeroed band array, and the
-    band's main diagonal gets +1, so each Dirichlet row is the identity.  A
-    solve gathers the right-hand side through the band's ``order`` and
-    scatters the solution back.
+    Nothing is evaluated here: each probe moved one entry of every row's
+    own neighbourhood, as a column probe would move it, so the quotients
+    (probed - speed)/eps are the columns' entries.  The outer ring's
+    unknowns stay clamped (their Newton update is zero), so columns
+    coupling interior rows to them are dropped.  The entries -dt*J are
+    scattered into a zeroed band array, and the band's main diagonal gets
+    +1, so each Dirichlet row is the identity.  A solve gathers the
+    right-hand side through the band's ``order`` and scatters the solution
+    back.
     """
+    probed, eps, speed = data
     band = _polar_band(spec)
     kl, ku = band.kl, band.ku
-    eps = 1e-7 * (1.0 + float(np.max(np.abs(u_vals))))
-    probed = _polar_speed(spec, _neighbourhood(spec, u_vals) + eps * _PROBES, drift)
-    vals = ((probed - speed) / eps).ravel()[band.live]
-    ab = np.zeros((2 * kl + ku + 1, u_vals.size), order="F")
-    ab.ravel(order="F")[band.slots] = -dt * vals
+    ab = np.zeros((2 * kl + ku + 1, speed.size), order="F")
+    ab.ravel(order="F")[band.slots] = -dt * ((probed - speed) / eps).ravel()[band.live]
     ab[kl + ku] += 1.0
     return kl, ku, ab
 
@@ -386,10 +401,11 @@ def step(u: GridFunction, dt: float, config: SolverConfig, boundary,
     The returned state's values are read-only, and it carries the speed of
     the final Newton iterate, so a step from it starts from that speed
     instead of evaluating it again: on a radial grid only row N-2, which
-    reads the moved outer node, is recomputed; on a polar grid the speed is
-    reused as it is while the outer ring is unchanged bit for bit, and is
-    evaluated afresh otherwise.  A state that carries nothing, or whose
-    values were replaced since, starts from a full evaluation.
+    reads the moved outer node, is recomputed; on a polar grid the speed
+    and its probes are reused as they are while the outer ring is unchanged
+    bit for bit, and are evaluated afresh otherwise.  A state that carries
+    nothing, or whose values were replaced since, starts from a full
+    evaluation.
     """
     spec = u.spec
     drift = config.similarity_drift
@@ -409,7 +425,7 @@ def step(u: GridFunction, dt: float, config: SolverConfig, boundary,
             # into it and scatter the update back
             delta = np.empty(spec.shape)
             delta.ravel()[order] = solve_band(
-                *_polar_newton_matrix(w, data[-1], spec, dt, drift), res.ravel()[order])
+                *_polar_newton_matrix(data, spec, dt), res.ravel()[order])
             return delta
     else:
         def solve(w, data, res):

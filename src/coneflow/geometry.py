@@ -349,9 +349,10 @@ def _polar_quantities(spec: GridSpec, nb: np.ndarray):
     :func:`_polar_derivatives`."""
     r = spec.nodes[:, None]
     ur, ut, urr, utt, urt = _polar_derivatives(spec, nb)
-    W = np.sqrt(1.0 + ur ** 2 + (ut / r) ** 2)
-    g = (1.0 + ur ** 2, ur * ut, r ** 2 + ut ** 2)
-    h = (urr / W, (urt - ut / r) / W, (r * ur + utt) / W)
+    g0, ut_r = 1.0 + ur ** 2, ut / r  # each read twice, in the formulas' order
+    W = np.sqrt(g0 + ut_r ** 2)
+    g = (g0, ur * ut, r ** 2 + ut ** 2)
+    h = (urr / W, (urt - ut_r) / W, (r * ur + utt) / W)
     det = g[0] * g[2] - g[1] ** 2
     H = (g[2] * h[0] - 2.0 * g[1] * h[1] + g[0] * h[2]) / det
     return ur, W, H

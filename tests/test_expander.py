@@ -1,6 +1,9 @@
+import importlib.util
+import json
 import math
 import re
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -157,6 +160,25 @@ def test_angular_relaxation_rejects_a_cone_that_is_not_mean_convex(monkeypatch):
     assert not steps
     k = ConeProfile.angular(lambda th: 1.0 + 0.1 * np.cos(3 * th), m=64)
     assert relax_angular_expander(k, rho_max=6.0, nr=10, ntheta=8).steps == 2
+
+
+def test_polar_relax_benchmark_keeps_its_recorded_center_height(tmp_path):
+    # the benchmark's polar-relax workload at the seed its reference file
+    # records: the center height must match the file within the benchmark's
+    # own 1e-12 relative check, so a change that moves the science number
+    # fails here before the benchmark runs
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    loader = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                    bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(workloads)
+    reference = json.loads((bench / "reference.json").read_text())
+    want = reference["full"]["polar-relax"]["center_height"]
+    workload = workloads.PolarRelax(reference["seed"], False, str(tmp_path))
+    workload.setup()
+    workload.run()
+    assert abs(workload.science["center_height"] - want) <= 1e-12 * abs(want)
+    assert all(ok for _, ok in workload.checks())
 
 
 def _sparse_lu_solve(kl, ku, ab, b):

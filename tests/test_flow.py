@@ -793,16 +793,13 @@ def _band_to_dense(kl, ku, ab, order):
 def _captured_newton_solves(monkeypatch, u0, cfg, steps):
     """Every (state, matrix, residual, update) of the polar Newton loop's
     solves while taking ``steps`` fixed implicit steps from u0, all in the
-    natural ring-major numbering: the matrix is the band array the solve
-    received, expanded through the band's order, and the residual and the
-    update are what the step's solve received and returned."""
+    natural ring-major numbering: the state is the iterate the step's solve
+    received, the matrix is the band array the band solve received,
+    expanded through the band's order, and the residual and the update are
+    what the step's solve received and returned."""
     seen = []
     order = flow._polar_band(u0.spec).order
-    build, solve, newton = flow._polar_newton_matrix, flow.solve_band, flow._newton
-
-    def capture_state(u_vals, *args):
-        seen.append([u_vals.copy()])
-        return build(u_vals, *args)
+    solve, newton = flow.solve_band, flow._newton
 
     def capture_matrix(kl, ku, ab, b):
         seen[-1].append(_band_to_dense(kl, ku, ab, order))
@@ -810,12 +807,12 @@ def _captured_newton_solves(monkeypatch, u0, cfg, steps):
 
     def capture_update(v, extra, residual, solve_step, *args):
         def recorded(w, data, res):
+            seen.append([w.copy()])
             delta = solve_step(w, data, res)
             seen[-1] += [res.ravel().copy(), delta.ravel().copy()]
             return delta
         return newton(v, extra, residual, recorded, *args)
 
-    monkeypatch.setattr(flow, "_polar_newton_matrix", capture_state)
     monkeypatch.setattr(flow, "solve_band", capture_matrix)
     monkeypatch.setattr(flow, "_newton", capture_update)
     bv = boundary_values_for(u0, cfg)
@@ -891,6 +888,13 @@ def test_polar_neighbourhoods_hold_nine_distinct_nodes(nr):
         assert np.unique(band.slots).size == band.slots.size
 
 
+def _relaxation_state(spec):
+    """A relaxation's state: an anisotropic cone plus a tilted bump."""
+    r, th = spec.nodes[:, None], spec.thetas[None, :]
+    cone = ConeProfile.angular(lambda t: 1.0 + 0.1 * np.cos(2 * t), m=64)
+    return cone.on_grid(spec).values + 0.5 * np.exp(-r ** 2 / 4) * (1 + 0.3 * r * np.cos(th))
+
+
 @pytest.mark.parametrize("drift", [False, True])
 @pytest.mark.parametrize("shape", [(10, 8), (24, 16)], ids=["10x8", "24x16"])
 def test_polar_newton_matrix_matches_complex_step_jacobian(shape, drift):
@@ -903,16 +907,13 @@ def test_polar_newton_matrix_matches_complex_step_jacobian(shape, drift):
     # The state is a relaxation's: an anisotropic cone on the benchmark's
     # disk of radius 12, plus a tilted bump.
     spec = GridSpec.polar_disk(12.0, *shape)
-    r, th = spec.nodes[:, None], spec.thetas[None, :]
-    cone = ConeProfile.angular(lambda t: 1.0 + 0.1 * np.cos(2 * t), m=64)
-    u = cone.on_grid(spec).values + 0.5 * np.exp(-r ** 2 / 4) * (1 + 0.3 * r * np.cos(th))
+    u = _relaxation_state(spec)
     band = flow._polar_band(spec)
     nb = _neighbourhood(spec, u)
     h = 1e-30
     exact = (flow._polar_speed(spec, nb + 1j * h * flow._PROBES, drift).imag / h).ravel()[band.live]
     dt = 0.05
-    kl, ku, ab = flow._polar_newton_matrix(u, flow._polar_speed(spec, nb, drift), spec, dt,
-                                           drift)
+    kl, ku, ab = flow._polar_newton_matrix(flow._speed(spec, u, drift), spec, dt)
     rows, cols = _pairs(band, u.size)
     probed = (ab.ravel(order="F")[band.slots] - (rows == cols)) / -dt
     scale = np.zeros(u.size)
@@ -944,8 +945,7 @@ def test_polar_band_layout(shape):
     assert np.array_equal(band_row, band.kl + band.ku + position[rows] - band_col)
     assert band_row.min() >= band.kl and band_row.max() < ldab
     u = _polar_case(spec).values
-    kl, ku, ab = flow._polar_newton_matrix(
-        u, flow._polar_speed(spec, _neighbourhood(spec, u), False), spec, 0.01, False)
+    kl, ku, ab = flow._polar_newton_matrix(flow._speed(spec, u, False), spec, 0.01)
     assert (kl, ku, ab.shape) == (band.kl, band.ku, (ldab, u.size))
     assert ab.flags.f_contiguous
     M = _band_to_dense(kl, ku, ab, band.order)
@@ -1132,13 +1132,52 @@ def test_radial_run_makes_one_stencil_pass_per_newton_iterate(monkeypatch, cone2
 
 
 def test_polar_relaxation_evaluates_each_iterate_once(monkeypatch):
-    # single-state speed evaluations: the first step's start plus one per
-    # Newton trial; stacked ones: one stack of the nine probes per
-    # factorization, which does not hold the base state
+    # each iterate's neighbourhood is evaluated once, as one stack of ten
+    # states (the iterate and its nine probes): the first step's start plus
+    # one per Newton trial, none for a factorization
     speeds = _counted(monkeypatch, "_polar_speed")
     k = ConeProfile.angular(lambda th: 1.0 + 0.08 * np.cos(2 * th), m=16)
     res = relax_angular_expander(k, rho_max=6.0, nr=10, ntheta=8)
     assert res.converged and res.newton_iters > res.steps
-    assert speeds.count(1) == res.newton_iters + 1
-    assert speeds.count(9) == res.newton_iters
-    assert len(speeds) == 2 * res.newton_iters + 1
+    assert speeds == [10] * (res.newton_iters + 1)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("drift", [False, True])
+@pytest.mark.parametrize("shape", [(10, 8), (24, 16)], ids=["10x8", "24x16"])
+def test_polar_speed_stack_changes_no_bits(shape, drift):
+    # the iterate shares one stack with its nine probes: slot 0 is its speed
+    # alone, and slots 1-9 are the nine probes evaluated as a stack of their
+    # own (nb + eps*_PROBES), bit for bit
+    spec = GridSpec.polar_disk(12.0, *shape)
+    u = _relaxation_state(spec)
+    probed, eps, speed = flow._speed(spec, u, drift)
+    nb = _neighbourhood(spec, u)
+    assert eps == 1e-7 * (1.0 + float(np.max(np.abs(u))))
+    assert _same_bits(speed, flow._polar_speed(spec, nb, drift))
+    assert _same_bits(probed, flow._polar_speed(spec, nb + eps * flow._PROBES, drift))
+
+
+def test_a_carried_polar_step_starts_with_its_jacobian_probed(monkeypatch):
+    # a relaxation step starts from the data its predecessor's last iterate
+    # evaluated, probes included: the same bits as a fresh evaluation at v
+    starts = []
+    newton = flow._newton
+
+    def record(v, extra, *args):
+        starts.append((v.copy(), extra))
+        return newton(v, extra, *args)
+
+    monkeypatch.setattr(flow, "_newton", record)
+    monkeypatch.setattr(expander, "_RELAX_TAU_MAX", 0.2)
+    k = ConeProfile.angular(lambda th: 1.0 + 0.08 * np.cos(2 * th), m=16)
+    res = relax_angular_expander(k, rho_max=6.0, nr=10, ntheta=8)
+    spec = res.solution.spec
+    assert len(starts) == res.steps == 4 and starts[0][1] is None
+    for v, carried in starts[1:]:
+        fresh = flow._speed(spec, v, True)
+        assert carried[1] == fresh[1]
+        assert _same_bits(carried[0], fresh[0]) and _same_bits(carried[2], fresh[2])
