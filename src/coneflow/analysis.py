@@ -63,35 +63,39 @@ def decay_fit(t, d) -> float:
 
 def _unit_disk(center) -> tuple:
     """(points, weights) of the midpoint polar rule on the unit disk about
-    ``center``: 240 radial by 128 angular cells."""
+    ``center``: 240 radial by 128 angular cells, the points as (2, M) rows."""
     m_r, m_phi = 240, 128
     h = 1.0 / m_r
     c = np.asarray(center, dtype=float)
     s = (np.arange(m_r) + 0.5) * h
     phi = 2.0 * np.pi * (np.arange(m_phi) + 0.5) / m_phi
-    S, PHI = np.meshgrid(s, phi, indexing="ij")
-    pts = np.stack([c[0] + S * np.cos(PHI), c[1] + S * np.sin(PHI)], axis=-1)
-    w = S * h * (2.0 * np.pi / m_phi)
-    return pts.reshape(-1, 2), w.ravel()
+    S = s[:, None]
+    pts = np.stack([c[0] + S * np.cos(phi), c[1] + S * np.sin(phi)])
+    w = np.repeat(s * h * (2.0 * np.pi / m_phi), m_phi)
+    return pts.reshape(2, -1), w
 
 
 def _cone(beta: float, pts: np.ndarray) -> tuple:
-    """beta * |y| and its gradient (0 at the origin) at the rows of ``pts``."""
-    r = np.sqrt(np.sum(pts ** 2, axis=-1))
+    """beta * |y| and its gradient (0 at the origin) at the columns of the
+    (d, M) rows ``pts``."""
+    r = np.sqrt(np.sum(pts ** 2, axis=0))
     safe = np.where(r > 0, r, 1.0)
-    return beta * r, beta * pts / safe[:, None] * (r > 0)[:, None]
+    return beta * r, beta * pts / safe * (r > 0)
 
 
 def _gaussian_bumps(pts: np.ndarray, centers, amplitudes, widths) -> tuple:
     """Sum of a * exp(-|y - c|^2 / (2 w^2)) over the bumps, and its
-    gradient, at the rows of ``pts``."""
-    value = np.zeros(pts.shape[0])
+    gradient, at the columns of the (2, M) rows ``pts``."""
+    value = np.zeros(pts.shape[1])
     grad = np.zeros_like(pts)
     for c, a, w in zip(np.atleast_2d(centers), np.atleast_1d(amplitudes),
                        np.atleast_1d(widths)):
-        e = a * np.exp(-np.sum((pts - c) ** 2, axis=-1) / (2 * w * w))
+        d = pts - c[:, None]
+        e = a * np.exp(-(d[0] ** 2 + d[1] ** 2) / (2 * w * w))
         value += e
-        grad += -e[:, None] * (pts - c) / (w * w)
+        np.multiply(-e, d, out=d)
+        d /= w * w
+        grad += d
     return value, grad
 
 
@@ -141,14 +145,16 @@ def graph_area_bound_check(k, bumps, x, rho: float, G: float) -> AreaBoundReport
     del bumps_v, bumps_dv, cone
     dv = du0 - dcone
     del dcone
-    in_rho = np.sum((pts - x) ** 2, axis=-1) <= rho * rho
+    pts -= x[:, None]
+    in_rho = pts[0] ** 2 + pts[1] ** 2 <= rho * rho
     area_set = in_rho & (v > rho)
-    area = float(np.sum(w[area_set] * np.sqrt(1.0 + np.sum(du0[area_set] ** 2, axis=-1))))
+    du0 = du0[:, area_set]
+    area = float(np.sum(w[area_set] * np.sqrt(1.0 + (du0[0] ** 2 + du0[1] ** 2))))
 
     eps = 1.0 / (1.0 + float(np.sqrt(np.sum(x ** 2))))
     bv_set = np.abs(v) > eps
-    bv = float(np.sum(w[bv_set] * (np.abs(v[bv_set])
-                                   + np.sqrt(np.sum(dv[bv_set] ** 2, axis=-1)))))
+    dv = dv[:, bv_set]
+    bv = float(np.sum(w[bv_set] * (np.abs(v[bv_set]) + np.sqrt(dv[0] ** 2 + dv[1] ** 2))))
     bound = (4.0 + 3.0 * G / rho) * bv
     return AreaBoundReport(area, eps <= rho, area <= bound * (1 + 1e-12) + 1e-15)
 

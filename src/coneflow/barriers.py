@@ -11,7 +11,8 @@ Three families live here, plus the measurement tools that certify them:
   sup/curvature certificates; its H is geometry's radial formula on the
   per-call stencil ``_d1_d2``) and, for the residual checks of the
   evolution equations of g, h, H, |A|^2 and nu, as a Lagrangian particle
-  flow of the profile curve that only those checks integrate;
+  flow of the profile curve that only those checks integrate, on one
+  label table (the labels never move);
 * max-type subsolutions B = max(U - m, b_scaled - delta/2) glued from an
   expanding soliton and a scaled flow barrier.
 
@@ -36,9 +37,12 @@ from .flow import FlowRun, SolverConfig, evolve
 from .geometry import (
     GridFunction,
     GridSpec,
+    _apply_d1,
+    _apply_stencil,
     _d1_d2,
     _radial_curvatures,
     _radial_derivatives,
+    _stencil,
     mean_curvature,
     radial_rhs,
 )
@@ -158,18 +162,23 @@ def _upwind_rate(r: np.ndarray, b: np.ndarray, alpha: float):
     return -F * np.sqrt(1.0 + grad2), F
 
 
-def _lagrangian_velocity(s, R, Z, alpha):
-    Rs, Zs = _d1_d2(s, np.stack((R, Z), axis=1))[0].T
+def _lagrangian_velocity(table, R, Z, alpha):
+    """The particle velocity at (R, Z), its tangent read through the label
+    table ``table`` of :func:`_stencil` (first derivative only)."""
+    rows, w, _ = table
+    Rs, Zs = _apply_d1(w, np.stack((R, Z))[:, rows])
     q = np.sqrt(Rs * Rs + Zs * Zs)
     Fmag = (R * R + Z * Z) ** (-alpha)
     # velocity -F nu = |F| nu with nu = (Z_s, -R_s)/q the downward normal
     return Fmag * Zs / q, -Fmag * Rs / q
 
 
-def _integrate_lagrangian(k: ConeProfile, s: np.ndarray, steps: int,
-                          alpha: float) -> tuple:
+def _integrate_lagrangian(k: ConeProfile, s: np.ndarray, table: tuple,
+                          steps: int, alpha: float) -> tuple:
     """Particle trajectories (R, Z)(s, t) of the profile curve at the
-    ``steps + 1`` levels t = j * _HORIZON / steps, by classical RK4."""
+    ``steps + 1`` levels t = j * _HORIZON / steps, by classical RK4.  The
+    labels ``s`` never move, so every stage reads their one table
+    ``table`` = ``_stencil(s)``."""
     nt = steps
     dt = _HORIZON / nt
     R = np.empty((nt + 1, s.size))
@@ -178,12 +187,12 @@ def _integrate_lagrangian(k: ConeProfile, s: np.ndarray, steps: int,
     Z[0] = k.beta * s
     for j in range(nt):
         r0, z0 = R[j], Z[j]
-        k1 = _lagrangian_velocity(s, r0, z0, alpha)
-        k2 = _lagrangian_velocity(s, r0 + 0.5 * dt * k1[0], z0 + 0.5 * dt * k1[1],
+        k1 = _lagrangian_velocity(table, r0, z0, alpha)
+        k2 = _lagrangian_velocity(table, r0 + 0.5 * dt * k1[0], z0 + 0.5 * dt * k1[1],
                                   alpha)
-        k3 = _lagrangian_velocity(s, r0 + 0.5 * dt * k2[0], z0 + 0.5 * dt * k2[1],
+        k3 = _lagrangian_velocity(table, r0 + 0.5 * dt * k2[0], z0 + 0.5 * dt * k2[1],
                                   alpha)
-        k4 = _lagrangian_velocity(s, r0 + dt * k3[0], z0 + dt * k3[1], alpha)
+        k4 = _lagrangian_velocity(table, r0 + dt * k3[0], z0 + dt * k3[1], alpha)
         R[j + 1] = r0 + dt * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
         Z[j + 1] = z0 + dt * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
     return R, Z
@@ -275,8 +284,9 @@ def lemma_barrier_flow(k: ConeProfile, points: int = 600) -> LemmaBarrierResult:
 # evolution-equation residuals along the Lagrangian path
 
 
-def _profile_geometry(s, R, Z, n, alpha):
-    """Geometric record of one stored profile-curve level.
+def _profile_geometry(table, R, Z, n, alpha):
+    """Geometric record of one stored profile-curve level, its derivatives
+    read through the label table ``table`` of :func:`_stencil`.
 
     The surface of revolution has one profile direction and n-1 rotational
     directions; the rotational block is isotropic, so a single representative
@@ -284,8 +294,8 @@ def _profile_geometry(s, R, Z, n, alpha):
     Derivatives of the speed F = -(R^2+Z^2)^(-alpha) are exact chain
     rules in the stored coordinates, not finite differences.
     """
-    d1, d2 = _d1_d2(s, np.stack((R, Z), axis=1))
-    (Rs, Zs), (Rss, Zss) = d1.T, d2.T
+    rows, w, D = table
+    (Rs, Zs), (Rss, Zss) = _apply_stencil(w, D, np.stack((R, Z))[:, rows])
     q2 = Rs * Rs + Zs * Zs
     q = np.sqrt(q2)
     nu_r = Zs / q
@@ -327,13 +337,17 @@ def evolution_equation_residuals(k: ConeProfile, points: int, steps: int,
     and times, normalized by the larger of the two sides' sup scales, so a
     value of 1e-2 means one percent of the equation's own size.  The three
     nodes at either end of the curve feel the one-sided stencil and are
-    left out.
+    left out, so at least 7 labels are needed.
     """
     alpha = _flow_exponent(k)
+    if points < 7:
+        raise ParameterError(f"need at least seven labels (three end nodes "
+                             f"are cut from each side), got {points}")
     if steps < 2:
         raise ParameterError("need at least three stored levels")
     s = np.geomspace(_R_INNER, _R_OUTER, points)
-    R, Z = _integrate_lagrangian(k, s, steps, alpha)
+    table = _stencil(s)
+    R, Z = _integrate_lagrangian(k, s, table, steps, alpha)
     n, dt = k.n, _HORIZON / steps
     sl = slice(3, points - 3)
 
@@ -343,9 +357,9 @@ def evolution_equation_residuals(k: ConeProfile, points: int, steps: int,
     den = dict(num)
     a_ratio = 0.0
     for j in range(1, steps, max(1, t_stride)):
-        gm = _profile_geometry(s, R[j - 1], Z[j - 1], n, alpha)
-        g0 = _profile_geometry(s, R[j], Z[j], n, alpha)
-        gp = _profile_geometry(s, R[j + 1], Z[j + 1], n, alpha)
+        gm = _profile_geometry(table, R[j - 1], Z[j - 1], n, alpha)
+        g0 = _profile_geometry(table, R[j], Z[j], n, alpha)
+        gp = _profile_geometry(table, R[j + 1], Z[j + 1], n, alpha)
         lhs = {key: (gp[key] - gm[key]) / (2.0 * dt) for key in keys}
         rhs = {
             "g_ss": -2.0 * g0["F"] * g0["h_ss"],

@@ -14,8 +14,10 @@ Every radial derivative reads one three-point weight table, built by
 ``_stencil`` for any node vector: centered differences inside (second order
 on non-uniform grids) and one-sided rows, of lower accuracy, at the ends.
 ``_radial_operator`` caches it per grid for the flow, and ``_d1_d2``
-applies it per call along axis 0 of any stack (the barrier profile curves,
-which keep plain arrays).  One gather and a sum along the row's nodes give
+builds and applies it per call along axis 0 of any stack (the graphical
+barrier curve, a plain array); nodes that never move (the particle labels of
+the barrier flow) get their table built once and read through
+``_apply_d1`` and ``_apply_stencil``.  One gather and a sum along the row's nodes give
 every state of a stack the bits it gets alone.  The flow solves entire
 graphs, so every grid continues across the origin: a radial grid starts at
 r = 0 and reads its ghost by the even extension u(-r) = u(r), a polar grid

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from coneflow import acceptance, barriers, cli
+from coneflow import acceptance, barriers, cli, geometry
 from coneflow.barriers import (Subsolution, _heat_kernel,
                                evolution_equation_residuals,
                                half_space_experiment, lemma_barrier_flow,
@@ -16,7 +16,7 @@ from coneflow.errors import (CertificationError, DomainError, ParameterError)
 from coneflow.expander import evaluate_U
 from coneflow.experiments import SCENARIOS
 from coneflow.flow import FlowRun, SolverConfig, evolve
-from coneflow.geometry import GridSpec, _radial_derivatives
+from coneflow.geometry import GridSpec, _d1_d2, _radial_derivatives
 
 K3 = ConeProfile.radial(3, 1.0)
 
@@ -107,6 +107,10 @@ def test_lemma_barrier_rejects_bad_setups():
             evolution_equation_residuals(cone, 120, 100, 10)
     with pytest.raises(ParameterError):  # fewer than three levels
         evolution_equation_residuals(K3, 120, 1, 10)
+    for points in (2, 6):  # the three end nodes on each side leave none
+        with pytest.raises(ParameterError, match="seven labels"):
+            evolution_equation_residuals(K3, points, 4, 1)
+    assert math.isfinite(evolution_equation_residuals(K3, 7, 4, 1)["max"])
 
 
 def test_only_the_residual_checks_integrate_the_particle_flow(monkeypatch, tmp_path):
@@ -116,9 +120,9 @@ def test_only_the_residual_checks_integrate_the_particle_flow(monkeypatch, tmp_p
     calls = []
     integrate = barriers._integrate_lagrangian
 
-    def counted(k, s, steps, alpha):
+    def counted(k, s, table, steps, alpha):
         calls.append((s.size, steps))
-        return integrate(k, s, steps, alpha)
+        return integrate(k, s, table, steps, alpha)
 
     monkeypatch.setattr(barriers, "_integrate_lagrangian", counted)
     lemma_barrier_flow(K3, points=300)
@@ -128,6 +132,69 @@ def test_only_the_residual_checks_integrate_the_particle_flow(monkeypatch, tmp_p
     ok, _ = acceptance.evolution_equations(quick=True)
     assert ok
     assert calls == [(120, 100), (240, 200)]
+
+
+def test_one_residual_check_builds_one_label_table(monkeypatch):
+    # the labels never move: one table serves every RK4 stage and every
+    # sampled level, and no second derivative is taken per call
+    calls = []
+    build = geometry._stencil
+
+    def counted(x):
+        calls.append(x.size)
+        return build(x)
+
+    def per_call(*args):
+        raise AssertionError("_d1_d2 rebuilt the label table")
+
+    for module in (geometry, barriers):
+        monkeypatch.setattr(module, "_stencil", counted, raising=False)
+        monkeypatch.setattr(module, "_d1_d2", per_call)
+    evolution_equation_residuals(K3, 120, 100, 10)
+    assert calls == [120]
+
+
+def _frozen_velocity(s, R, Z, alpha):
+    # the per-call velocity: _d1_d2 rebuilds the table and takes y'' too
+    Rs, Zs = _d1_d2(s, np.stack((R, Z), axis=1))[0].T
+    q = np.sqrt(Rs * Rs + Zs * Zs)
+    Fmag = (R * R + Z * Z) ** (-alpha)
+    return Fmag * Zs / q, -Fmag * Rs / q
+
+
+def _frozen_integrate(k, s, steps, alpha):
+    dt = 1.0 / steps
+    R = np.empty((steps + 1, s.size))
+    Z = np.empty((steps + 1, s.size))
+    R[0] = s
+    Z[0] = k.beta * s
+    for j in range(steps):
+        r0, z0 = R[j], Z[j]
+        k1 = _frozen_velocity(s, r0, z0, alpha)
+        k2 = _frozen_velocity(s, r0 + 0.5 * dt * k1[0], z0 + 0.5 * dt * k1[1], alpha)
+        k3 = _frozen_velocity(s, r0 + 0.5 * dt * k2[0], z0 + 0.5 * dt * k2[1], alpha)
+        k4 = _frozen_velocity(s, r0 + dt * k3[0], z0 + dt * k3[1], alpha)
+        R[j + 1] = r0 + dt * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
+        Z[j + 1] = z0 + dt * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
+    return R, Z
+
+
+def test_particle_flow_matches_the_per_call_stencil_bit_for_bit():
+    # quick criterion 9's base path, integrated on one label table and on
+    # the frozen per-call _d1_d2, and the profile derivatives of its levels
+    s = np.geomspace(10.0, 400.0, 120)
+    table = geometry._stencil(s)
+    R, Z = barriers._integrate_lagrangian(K3, s, table, 100, 0.25)
+    want_R, want_Z = _frozen_integrate(K3, s, 100, 0.25)
+    assert R.tobytes() == want_R.tobytes()
+    assert Z.tobytes() == want_Z.tobytes()
+    for j in (0, 50, 100):
+        g = barriers._profile_geometry(table, R[j], Z[j], 3, 0.25)
+        d1, d2 = _d1_d2(s, np.stack((R[j], Z[j]), axis=1))
+        (Rs, Zs), (Rss, Zss) = d1.T, d2.T
+        h_ss = (Zss * Rs - Rss * Zs) / np.sqrt(Rs * Rs + Zs * Zs)
+        for got, want in ((g["Rs"], Rs), (g["Zs"], Zs), (g["h_ss"], h_ss)):
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_uncertified_barrier_cannot_be_scaled(lemma_result, profile31):

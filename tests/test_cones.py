@@ -33,8 +33,8 @@ def test_radial_evaluate_matches_formula():
     # a radial cone's Cartesian values are beta * |x|, the origin included
     k = ConeProfile.radial(3, 1.5)
     pts = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 1.0],
-                    [0.0, 0.0, 0.0]])
-    want = 1.5 * np.sqrt(np.sum(pts ** 2, axis=1))
+                    [0.0, 0.0, 0.0]]).T  # (3, M) rows
+    want = 1.5 * np.sqrt(np.sum(pts ** 2, axis=0))
     assert np.allclose(_cone(k.beta, pts)[0], want)
 
 
