@@ -48,6 +48,9 @@ def decay_fit(t, d) -> float:
     d = np.asarray(d, dtype=float)
     if t.size != d.size or t.size < 3:
         raise ParameterError("need at least 3 matching samples")
+    # NaN compares false with every bound below, and inf fits to a NaN exponent
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(d))):
+        raise ParameterError("decay samples must be finite")
     if np.any(d <= 0):
         raise ParameterError("decay data must be positive for a log-log fit")
     if np.any(t <= 0):

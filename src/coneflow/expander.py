@@ -52,13 +52,16 @@ Scipy's ``LSODA`` object is built once per tolerance pair, for its
 tolerance checks and its integrator; each shot (:func:`_miss`) resets that
 integrator's work arrays and state, as the object's constructor does, then
 runs it in one call to rho_max (itask 4, never past it) on a float-level RHS
-that writes into a per-shot buffer and stops the call once a slope reaches
-half the cap.  These are the steps the public ``LSODA`` object's ``step()``
-loop takes, bit for bit, without its per-step wrapper closures and array
-conversions.  The stored profile (:func:`_node_values`) drives the same
-integrator one step per call and evaluates the nodes each step passes with
-scipy's own LSODA dense-output arithmetic, bit for bit what that dense
-output returns.  Both stop with a :class:`ShootingError` after
+that takes n - 1 as a float, writes through a memoryview into a per-shot
+buffer and stops the call once a slope reaches half the cap.  These are the
+steps the public ``LSODA`` object's ``step()`` loop takes, bit for bit,
+without its per-step wrapper closures and array conversions.  The stored
+profile (:func:`_node_values`) drives the same integrator one step per call
+and evaluates the nodes each step passes with scipy's own LSODA
+dense-output arithmetic, bit for bit what that dense output returns: it
+reads LSODA's orders and step sizes as Python numbers, one ``tolist()``
+each, and gathers the Nordsieck array through a per-order index table.
+Both stop with a :class:`ShootingError` after
 ``_MAX_STEPS`` steps: a shot whose step size collapses would otherwise run
 on for minutes.  A slope of half the cap is a blow-up: the shot misses by
 +/-inf, and the node solve raises.
@@ -144,22 +147,30 @@ class _SlopeGuard(Exception):
     args are the (rho, p) it was asked at."""
 
 
-def _ode_rhs(rho, y, n, half_cap, out):
-    """The profile ODE as a first-order system in (phi, phi'), written into
-    the float64 buffer ``out`` of length 2, which is returned: LSODA's
-    wrapper reads it as it is, with no new list to convert per call.
+def _ode_rhs(rho, y, nm1, half_cap, out, buf):
+    """The profile ODE as a first-order system in (phi, phi'), with n - 1
+    given as the float ``nm1``, written through the memoryview ``buf`` of the
+    float64 buffer ``out`` of length 2, which is returned: LSODA's wrapper
+    reads it as it is, with no new list to convert per call.
 
-    Raises :class:`_SlopeGuard` as soon as it is asked for a slope |p| that
-    is not below ``half_cap`` (a NaN slope included).
+    Raises :class:`_SlopeGuard` as soon as it is asked for a slope p that is
+    not strictly between -half_cap and half_cap (a NaN slope included).
     """
     # Python floats run the same IEEE double operations as numpy scalars,
-    # without their per-operation dispatch
+    # without their per-operation dispatch; n - 1 is exact as a float
     phi, p = y.tolist()
-    if not abs(p) < half_cap:
+    if not -half_cap < p < half_cap:
         raise _SlopeGuard(rho, p)
-    out[0] = p
-    out[1] = (1.0 + p * p) * (0.5 * (phi - rho * p) - (n - 1) * p / rho)
+    buf[0] = p
+    buf[1] = (1.0 + p * p) * (0.5 * (phi - rho * p) - nm1 * p / rho)
     return out
+
+
+def _rhs_args(n: int) -> tuple:
+    """The extra arguments of :func:`_ode_rhs` for one solve: n - 1, the
+    guard at half the slope cap, and a fresh buffer with its memoryview."""
+    out = np.empty(2)
+    return n - 1.0, _SLOPE_CAP / 2, out, memoryview(out)
 
 
 def _series_start(a: float, n: int):
@@ -229,8 +240,7 @@ def _miss(a: float, n: int, beta: float) -> float:
     integrator.call_args[2] = 4  # itask 4: to tout, never past tcrit
     integrator.iwork[5] = _MAX_STEPS  # mxstep: the step bound of the one call
     try:
-        y, rho = integrator.run(_ode_rhs, None, y, rho0, _RHO_MAX,
-                                (n, _SLOPE_CAP / 2, np.empty(2)), ())
+        y, rho = integrator.run(_ode_rhs, None, y, rho0, _RHO_MAX, _rhs_args(n), ())
     except _SlopeGuard as trip:
         return trip.args[1] * math.inf  # +/-inf by the slope's sign; NaN stays NaN
     if not integrator.success:
@@ -243,8 +253,11 @@ def _miss(a: float, n: int, beta: float) -> float:
     return float(y[0] - _tail_value(n, beta, _RHO_MAX))
 
 
-# exponents 0..q of scipy's LsodaDenseOutput for each LSODA order q <= 12
+# for each LSODA order q <= 12: the exponents 0..q of scipy's
+# LsodaDenseOutput, and the rwork indices of the (2, q+1) Nordsieck array
+# that LSODA stores column by column from rwork[20]
 _POWERS = [np.arange(q + 1)[:, None] for q in range(13)]
+_NORDSIECK = [20 + 2 * np.arange(q + 1) + np.arange(2)[:, None] for q in range(13)]
 
 
 @_istate_unwarned()
@@ -256,16 +269,17 @@ def _node_values(a: float, n: int, nodes: np.ndarray) -> np.ndarray:
     ``step()`` does, on the same slope guard and RHS buffer, for at most
     ``_MAX_STEPS`` steps.  After each step the nodes in (rho_old, rho]
     (bisecting to the right) are evaluated with scipy's ``LsodaDenseOutput``
-    arithmetic in its shapes: the Nordsieck array of the last step's order,
-    its last column rescaled to the next step size when the order is set to
-    drop, and one ``np.dot`` per step.
+    arithmetic in its shapes: the C-ordered Nordsieck array of the last
+    step's order, gathered through ``_NORDSIECK``, its last column rescaled
+    to the next step size when the order is set to drop, and one ``np.dot``
+    per step.
     A tripped guard or a bad istate raises :class:`ShootingError`.
     """
     t_eval = nodes[1:]
     integrator, y, rho = _lsoda(a, n)
     integrator.call_args[2] = 5  # itask 5: one step, never past tcrit
     rwork, iwork = integrator.rwork, integrator.iwork
-    args = (n, _SLOPE_CAP / 2, np.empty(2))
+    args = _rhs_args(n)
     knots = t_eval.tolist()
     values = np.empty((2, t_eval.size))
     i = 0
@@ -278,11 +292,11 @@ def _node_values(a: float, n: int, nodes: np.ndarray) -> np.ndarray:
                                     scanned=[a])
             j = bisect_right(knots, rho)
             if j > i:
-                order, h = iwork[13], rwork[11]
-                yh = np.reshape(rwork[20:20 + (order + 1) * 2], (2, order + 1),
-                                order="F").copy()
-                if iwork[14] < order:
-                    yh[:, -1] *= (h / rwork[10]) ** order
+                order, next_order = iwork[13:15].tolist()
+                h_last, h = rwork[10:12].tolist()
+                yh = rwork[_NORDSIECK[order]]
+                if next_order < order:
+                    yh[:, -1] *= (h / h_last) ** order
                 values[:, i:j] = np.dot(yh, ((t_eval[i:j] - rho) / h) ** _POWERS[order])
                 i = j
             if not rho < _RHO_MAX:
@@ -338,12 +352,22 @@ def _rk4_defect(rho: np.ndarray, phi: np.ndarray, p: np.ndarray, n: int,
     return np.concatenate([[0.0, 0.0], defect])
 
 
+def _radii(rho) -> np.ndarray:
+    """``rho`` as a float array, every entry a radius >= 0: the spline would
+    extrapolate past the axis, and a NaN would read NaN."""
+    rho = np.asarray(rho, dtype=float)
+    if not np.all(rho >= 0.0):
+        raise DomainError(f"profile evaluation needs radii >= 0, got {np.min(rho)}")
+    return rho
+
+
 @dataclass(eq=False)
 class ExpanderProfile:
     """Solved self-similar profile phi with evaluation helpers.
 
     ``rho``/``phi``/``phi_prime`` sample the profile on [0, rho_max]; beyond
-    rho_max evaluation falls back to the refined tail.  ``a`` is the
+    rho_max evaluation falls back to the refined tail, and a radius that is
+    not >= 0 (NaN included) is a :class:`DomainError`.  ``a`` is the
     shooting parameter phi(0) and ``report`` carries the solve diagnostics
     (defect sup, far-field gap, bracket, bisection and shot counts).
     """
@@ -365,7 +389,7 @@ class ExpanderProfile:
         return float(self.rho[-1])
 
     def evaluate(self, rho) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
+        rho = _radii(rho)
         out = np.empty(rho.shape)
         inside = rho <= self.rho_max
         out[inside] = self._spline(rho[inside])
@@ -386,7 +410,9 @@ class ExpanderProfile:
         evaluation (interval x_i <= rho < x_i+1, the last one closed, and
         the power sum c3 + c2*s + c1*s^2 + c0*s^3 in that order) on floats.
         The tail keeps numpy's power ufunc, which differs from libm's pow
-        in the last bit on some inputs.
+        in the last bit on some inputs.  The radius is not checked: its one
+        caller, the pin-to-expander boundary, passes r_max/sqrt(t) > 0 once
+        per flow step.
         """
         if not rho <= self.rho_max:
             return float(_tail_value(self.n, self.beta, np.array([rho]))[0])
@@ -397,7 +423,7 @@ class ExpanderProfile:
         return (0.0 + c3[i]) + c2[i] * s + c1[i] * z + c0[i] * (z * s)
 
     def evaluate_prime(self, rho) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
+        rho = _radii(rho)
         out = np.empty(rho.shape)
         inside = rho <= self.rho_max
         out[inside] = self._spline(rho[inside], 1)
@@ -587,9 +613,10 @@ def _shoot_profile(n: int, beta: float) -> ExpanderProfile:
 
 
 def evaluate_U(profile: ExpanderProfile, r, t: float) -> np.ndarray:
-    """U(x,t) = sqrt(t)*phi(|x|/sqrt(t)) at radii ``r``; t must be positive."""
-    if t <= 0:
-        raise DomainError(f"self-similar evaluation needs t > 0, got t={t} "
+    """U(x,t) = sqrt(t)*phi(|x|/sqrt(t)) at radii ``r``; t must be positive
+    and finite."""
+    if not 0 < t < math.inf:
+        raise DomainError(f"self-similar evaluation needs t > 0 and finite, got t={t} "
                           "(the t=0 trace is the cone itself)")
     s = np.sqrt(t)
     return s * profile.evaluate(np.asarray(r, dtype=float) / s)
@@ -597,8 +624,8 @@ def evaluate_U(profile: ExpanderProfile, r, t: float) -> np.ndarray:
 
 def expander_time_derivative(profile: ExpanderProfile, r, t: float) -> np.ndarray:
     """dU/dt = (phi - rho*phi')/(2*sqrt(t)) at rho = r/sqrt(t); nonnegative."""
-    if t <= 0:
-        raise DomainError("time derivative needs t > 0")
+    if not 0 < t < math.inf:
+        raise DomainError(f"time derivative needs t > 0 and finite, got t={t}")
     s = np.sqrt(t)
     return profile.time_derivative_profile(np.asarray(r, dtype=float) / s) / s
 

@@ -36,6 +36,18 @@ def test_decay_fit_rejects_nonpositive():
         decay_fit(t, d)
 
 
+@pytest.mark.parametrize("where,value", [("d", np.nan), ("d", np.inf), ("t", np.nan),
+                                         ("t", np.inf)])
+def test_decay_fit_rejects_nonfinite_samples(where, value):
+    # a NaN or inf in d fitted to a NaN exponent; a NaN in t passed every
+    # guard and failed inside LAPACK with a LinAlgError
+    t = np.linspace(1.0, 20.0, 10)
+    d = t ** -1.0
+    (d if where == "d" else t)[4] = value
+    with pytest.raises(ParameterError, match="finite"):
+        decay_fit(t, d)
+
+
 # -- the area bound ----------------------------------------------------------
 
 # no bumps: u0 is the cone itself

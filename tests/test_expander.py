@@ -94,6 +94,32 @@ def test_evaluate_U_rejects_nonpositive_time(profile21):
         evaluate_U(profile21, np.array([1.0]), -1.0)
 
 
+def test_evaluate_U_rejects_nan_and_infinite_time(profile21):
+    # NaN passed t <= 0 and read NaN; t = inf read U = inf and dU/dt = 0
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="t > 0 and finite"):
+            evaluate_U(profile21, np.array([1.0]), t)
+        with pytest.raises(DomainError, match="t > 0 and finite"):
+            expander_time_derivative(profile21, np.array([1.0]), t)
+
+
+def test_profile_evaluation_rejects_radii_off_the_half_line(profile21):
+    # the spline used to extrapolate past the axis: phi(-1) read 1.92277
+    # and phi'(-1) -0.42738, plausible next to phi(1) = 1.92046
+    for rho in (-1.0, -1e-300, math.nan, np.array([0.0, 2.0, -3.0]),
+                np.array([1.0, math.nan])):
+        for fn in (profile21.evaluate, profile21.evaluate_prime,
+                   profile21.time_derivative_profile):
+            with pytest.raises(DomainError, match="radii >= 0"):
+                fn(rho)
+    for fn in (evaluate_U, expander_time_derivative):
+        with pytest.raises(DomainError, match="radii >= 0"):
+            fn(profile21, np.array([-1.0]), 1.0)
+    # the axis itself, signed either way, is on the half-line
+    assert profile21.evaluate(-0.0) == profile21.evaluate(0.0) == profile21.a
+    assert profile21.evaluate_prime(np.array([-0.0, 0.0])).tolist() == [0.0, 0.0]
+
+
 def test_parabolic_homogeneity_exact(profile21):
     r = np.linspace(0.0, 30.0, 301)
     for lam in (0.5, 1.7, 4.0):
@@ -162,22 +188,43 @@ def test_angular_relaxation_rejects_a_cone_that_is_not_mean_convex(monkeypatch):
     assert relax_angular_expander(k, rho_max=6.0, nr=10, ntheta=8).steps == 2
 
 
-def test_polar_relax_benchmark_keeps_its_recorded_center_height(tmp_path):
-    # the benchmark's polar-relax workload at the seed its reference file
-    # records: the center height must match the file within the benchmark's
-    # own 1e-12 relative check, so a change that moves the science number
-    # fails here before the benchmark runs
+def _recorded_workload(name, size, workdir):
+    """The benchmark workload ``name`` built at the seed its reference file
+    records and run once, with the science numbers that file holds for
+    ``size`` ("full" or "tiny").  Only reads ``perfbench/``."""
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     loader = importlib.util.spec_from_file_location("perfbench_workloads",
                                                     bench / "workloads.py")
     workloads = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(workloads)
     reference = json.loads((bench / "reference.json").read_text())
-    want = reference["full"]["polar-relax"]["center_height"]
-    workload = workloads.PolarRelax(reference["seed"], False, str(tmp_path))
+    workload = workloads.WORKLOADS[name](reference["seed"], size == "tiny", str(workdir))
     workload.setup()
     workload.run()
+    return workload, reference[size][name]
+
+
+def test_polar_relax_benchmark_keeps_its_recorded_center_height(tmp_path):
+    # the benchmark's polar-relax workload at the seed its reference file
+    # records: the center height must match the file within the benchmark's
+    # own 1e-12 relative check, so a change that moves the science number
+    # fails here before the benchmark runs
+    workload, recorded = _recorded_workload("polar-relax", "full", tmp_path)
+    want = recorded["center_height"]
     assert abs(workload.science["center_height"] - want) <= 1e-12 * abs(want)
+    assert all(ok for _, ok in workload.checks())
+
+
+@pytest.mark.parametrize("name", ["expander-sweep", "radial-fixed-dt"])
+def test_tiny_profile_benchmarks_keep_their_recorded_science(tmp_path, name):
+    # the expander-sweep axis heights, and the radial-fixed-dt axis height
+    # and psi sups, of the tiny workloads at the recorded seed: a change to
+    # a profile's bits fails here, within the benchmark's own 1e-12
+    # relative check, before the benchmark runs
+    workload, recorded = _recorded_workload(name, "tiny", tmp_path)
+    assert workload.science.keys() == recorded.keys()
+    for key, want in recorded.items():
+        assert abs(workload.science[key] - want) <= 1e-12 * abs(want), key
     assert all(ok for _, ok in workload.checks())
 
 
@@ -316,9 +363,10 @@ def test_ode_rhs_bit_identical_to_numpy_scalars():
     phi = rng.uniform(-50.0, 50.0, rho.size)
     p = rng.choice([-1.0, 1.0], rho.size) * 10.0 ** rng.uniform(-12.0, 7.0, rho.size)
     out = np.empty(2)
+    buf = memoryview(out)
     for n in (2, 3, 4):
         for r, y in zip(rho.tolist(), np.stack([phi, p], axis=1)):
-            got = expander._ode_rhs(r, y, n, math.inf, out)
+            got = expander._ode_rhs(r, y, float(n - 1), math.inf, out, buf)
             want = _seed_ode_rhs(r, y, n)
             assert got is out
             assert np.array(got).tobytes() == np.array(want).tobytes()
@@ -369,13 +417,23 @@ def _max_accepted_slope(a, n, cfg):
 
 
 def test_guard_trips_at_half_cap_and_on_nan():
-    rhs = expander._ode_rhs
-    below = rhs(1.0, np.array([2.0, 0.99]), 2, 1.0, np.empty(2))
-    assert below.tolist() == rhs(1.0, np.array([2.0, 0.99]), 2, math.inf,
-                                 np.empty(2)).tolist()
-    for p in (1.0, -1.0, 5.0, np.inf, np.nan):
+    def rhs(rho, p, half_cap):
+        out = np.empty(2)
+        return expander._ode_rhs(rho, np.array([2.0, p]), 1.0, half_cap, out,
+                                 memoryview(out))
+
+    # strictly inside (-half_cap, half_cap), signed zeros and subnormals
+    # included, the guard lets the oracle's value through
+    for p in (0.99, -0.99, math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0),
+              0.0, -0.0, 5e-324, -5e-324, 2.5e-310):
+        below = rhs(1.0, p, 1.0)
+        want = _seed_ode_rhs(1.0, np.array([2.0, p]), 2)
+        assert below.tobytes() == np.array(want).tobytes()
+        assert below.tobytes() == rhs(1.0, p, math.inf).tobytes()
+    # at +/-half_cap exactly, beyond it, at +/-inf and on NaN it trips
+    for p in (1.0, -1.0, 5.0, -5.0, np.inf, -np.inf, np.nan):
         with pytest.raises(expander._SlopeGuard) as info:
-            rhs(3.0, np.array([2.0, p]), 2, 1.0, np.empty(2))
+            rhs(3.0, p, 1.0)
         rho, slope = info.value.args
         assert rho == 3.0 and (slope == p or np.isnan(p) and np.isnan(slope))
 
@@ -482,8 +540,8 @@ def test_nan_miss_raises_with_scanned(monkeypatch):
     monkeypatch.setattr(expander, "_miss", real_miss)
     real_rhs = expander._ode_rhs
 
-    def poisoned(rho, y, n, half_cap, out):
-        dy = real_rhs(rho, y, n, half_cap, out)
+    def poisoned(rho, y, nm1, half_cap, out, buf):
+        dy = real_rhs(rho, y, nm1, half_cap, out, buf)
         if rho >= 1.0:
             dy[1] = math.nan
         return dy
@@ -556,6 +614,18 @@ def test_node_values_bit_identical_to_solve_ivp(shooting, n, a, cap):
         return
     got = expander._node_values(a, n, nodes)
     assert got.shape == want.y.shape and got.tobytes() == want.y.tobytes()
+
+
+def test_nordsieck_table_gathers_the_fortran_ordered_history():
+    # for every LSODA order the table gathers rwork's Nordsieck entries
+    # into the (2, q+1) array scipy's dense output reshapes, C-ordered
+    rwork = np.random.default_rng(13).standard_normal(20 + 2 * 13 + 8)
+    for q in range(13):
+        want = np.reshape(rwork[20:20 + 2 * (q + 1)], (2, q + 1), order="F")
+        got = rwork[expander._NORDSIECK[q]]
+        assert got.shape == (2, q + 1) and got.flags.c_contiguous
+        assert got.tobytes() == want.copy().tobytes()
+    assert len(expander._NORDSIECK) == len(expander._POWERS) == 13
 
 
 def test_node_values_blow_up_raises_as_solve_ivp_stops(shooting):
