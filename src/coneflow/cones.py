@@ -22,7 +22,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ParameterError
-from .geometry import GridFunction, GridSpec
+from .geometry import GridFunction, GridSpec, _whole
 
 __all__ = ["ConeProfile"]
 
@@ -42,8 +42,10 @@ class ConeProfile:
     _spline: CubicSpline | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"dimension must be >= 1, got {self.n}")
+        n = _whole(self.n, "dimension", ParameterError)
+        if n < 1:
+            raise ParameterError(f"dimension must be >= 1, got {n}")
+        object.__setattr__(self, "n", n)
         if self.gamma_samples is None:
             # beta^2 must be finite too: the curvature and the expander tail read it
             if not math.isfinite(1.0 + float(self.beta) * float(self.beta)):
@@ -74,6 +76,7 @@ class ConeProfile:
     def angular(cls, gamma, m: int = 64) -> "ConeProfile":
         """Planar cone from a callable or sample array for gamma(theta)."""
         if callable(gamma):
+            m = _whole(m, "sample count", ParameterError)
             samples = np.asarray(gamma(2.0 * np.pi * np.arange(m) / m), dtype=float)
         else:
             samples = np.asarray(gamma, dtype=float)

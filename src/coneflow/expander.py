@@ -664,7 +664,8 @@ def relax_angular_expander(k: ConeProfile, rho_max: float = 12.0, nr: int = 72,
     Each step is handed the state the previous one returned, so it starts
     from the speed and the nine Jacobian probes that step's final Newton
     iterate evaluated (the pinned ring never moves): it evaluates nothing
-    before its first Newton update.
+    before its first Newton update.  Each Newton iterate differentiates its
+    neighbourhood once and moves the jet by cached weights for the probes.
 
     The cone must be mean convex: a tail coefficient c(theta) <= 0 at any
     of the grid's angles (c has the sign of gamma + gamma'') is a

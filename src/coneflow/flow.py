@@ -25,14 +25,16 @@ also holds the grid-constant parts of the Jacobian, and share one residual
 and one Newton loop.  Per-step diagnostics (distance to the cone and to
 the expander, extremes of H) are opt-in: ``evolve`` records them only when
 asked, and always records step times, step sizes and Newton counts.  The
-polar band layout is cached per grid, and each polar iterate's
-neighbourhood is evaluated once, as one stack of ten states: the iterate,
-whose speed the residual reads, and the nine probes, which the Newton
-matrix reads.  Newton runs on raw arrays: the accepted backtracking trial's
-residual starts the next iteration (on radial grids its (v_r, v_rr,
-1+v_r^2), on polar grids its probes, also feed the Jacobian), and a
-non-finite residual, a zero pivot or a non-finite update raises NewtonError
-at once.  Each iterate's speed is evaluated once: a step starts from the
+polar band layout and the probes' jet weights are cached per grid.  Each
+polar iterate's neighbourhood is differentiated once, into its jet (its
+derivatives and its own value, linear in the neighbourhood); a probe moves
+that jet by its entry's weights, and the speed is evaluated once, on ten
+jets: the iterate's, whose speed the residual reads, and the nine probes',
+which the Newton matrix reads.  Newton runs on raw arrays: the accepted
+backtracking trial's residual starts the next iteration (on radial grids
+its (v_r, v_rr, 1+v_r^2), on polar grids its probes, also feed the
+Jacobian), and a non-finite residual, a zero pivot or a non-finite update
+raises NewtonError at once.  Each iterate's speed is evaluated once: a step starts from the
 speed data its predecessor's final iterate computed, which the returned
 state carries (its values made read-only).  On radial grids only row N-2,
 the one interior row that reads the moved outer node, is recomputed; polar
@@ -67,7 +69,7 @@ from scipy.sparse.linalg import splu  # noqa: F401 (perfbench/tracing.py spans i
 from .errors import GridError, NewtonError, ParameterError, StepFailureError
 from .expander import evaluate_U
 from .geometry import (GridFunction, GridSpec, mean_curvature, _neighbourhood,
-                       _polar_derivatives, _polar_speed, _radial_derivatives,
+                       _polar_jet, _polar_quantities, _radial_derivatives,
                        _radial_operator, _radial_speed)
 
 __all__ = [
@@ -161,19 +163,22 @@ def _speed(spec: GridSpec, v: np.ndarray, drift: bool) -> tuple:
     reads: (v_r, v_rr, 1+v_r^2, speed) on radial grids, (probed, eps,
     speed) on polar grids.
 
-    A polar iterate's neighbourhood is evaluated once, as one ten-state
-    stack: slot 0 is v's neighbourhood values themselves (copied, so a -0.0
-    keeps its sign) and slots 1-9 are the nine probes, each moving one
-    entry of every node's neighbourhood by eps = 1e-7*(1 + max|v|)
-    (``_PROBES``).  A node reads only its own entries, so slot 0 is the
-    speed of v alone, bit for bit, and ``probed`` the nine probes' speeds.
+    A polar iterate's neighbourhood is differentiated once, into its jet
+    (``geometry._polar_jet``), and the speed is evaluated once, on a stack
+    of ten jets: slot 0 is v's own, and slots 1-9 are the nine probes, each
+    moving one entry of every node's neighbourhood by eps = 1e-7*(1 +
+    max|v|) (``_PROBES``).  The jet is linear in the neighbourhood, so a
+    probe moves it by eps times that entry's cached weights
+    (``_PolarBand.weights``), one broadcast add for all nine.  The speed is
+    elementwise in the jet, so slot 0 is the speed of v alone, bit for bit,
+    and ``probed`` the nine probes' speeds, to round-off in the jet.
     """
     if spec.polar:
         eps = 1e-7 * (1.0 + float(np.max(np.abs(v))))
-        stack = np.empty((10, 3, 3) + spec.shape)
-        stack[0] = _neighbourhood(spec, v)
-        np.add(stack[0], eps * _PROBES, out=stack[1:])
-        speeds = _polar_speed(spec, stack, drift)
+        jets = np.empty((6, 10) + spec.shape)
+        np.stack(_polar_jet(spec, _neighbourhood(spec, v)), out=jets[:, 0])
+        np.add(jets[:, :1], eps * _polar_band(spec).weights, out=jets[:, 1:])
+        speeds = _polar_quantities(spec, jets, drift)[1]
         return speeds[1:], eps, speeds[0]
     p, q = _radial_derivatives(spec, v)
     speed, one_p2 = _radial_speed(spec, p, q)
@@ -292,16 +297,21 @@ _PROBES = np.eye(9).reshape(9, 3, 3, 1, 1)
 
 
 class _PolarBand(NamedTuple):
-    """Band layout of the polar Newton matrix of one grid.
+    """Band layout of the polar Newton matrix of one grid, and the jet
+    weights its probes move by.
 
-    ``live`` lists the flat (probe, row) quotients whose row and table column
-    are both unknowns; live pair k's entry sits at flat index ``slots[k]`` of
-    the Fortran-ordered LAPACK band array of ``kl`` sub- and ``ku``
+    ``weights`` (6, 9, nr, 1) is the jet (``geometry._polar_jet``) of each
+    unit entry of ``_PROBES`` on every ring: what moving that entry of a
+    node's neighbourhood by 1 adds to the node's jet.  ``live`` lists the
+    flat (probe, row) quotients whose row and table column are both
+    unknowns; live pair k's entry sits at flat index ``slots[k]`` of the
+    Fortran-ordered LAPACK band array of ``kl`` sub- and ``ku``
     superdiagonals (entry (a, b) of band positions in row kl + ku + a - b of
     column b, below kl rows left for the LU's fill), whose numbering is
     ``order`` (band position -> node).
     """
 
+    weights: np.ndarray
     live: np.ndarray
     order: np.ndarray
     slots: np.ndarray
@@ -319,8 +329,8 @@ def _zigzag(nt: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _polar_band(spec: GridSpec) -> _PolarBand:
-    """The band layout of the polar Jacobian, cached per grid (GridSpec
-    hashes by identity).
+    """The band layout of the polar Jacobian and its probes' jet weights,
+    cached per grid (GridSpec hashes by identity).
 
     Unknowns are all nodes off the outer Dirichlet ring; those among the
     nine nodes a row's neighbourhood table lists are its sparsity.
@@ -343,24 +353,26 @@ def _polar_band(spec: GridSpec) -> _PolarBand:
     a, b = position[rows], position[cols]
     kl, ku = int(np.max(a - b)), int(np.max(b - a))
     slots = (kl + ku + a - b) + (2 * kl + ku + 1) * b
-    for arr in (live, order, slots):
+    weights = np.stack(_polar_jet(spec, np.broadcast_to(_PROBES, (9, 3, 3, nr, 1))))
+    for arr in (weights, live, order, slots):
         arr.setflags(write=False)
-    return _PolarBand(live, order, slots, kl, ku)
+    return _PolarBand(weights, live, order, slots, kl, ku)
 
 
 def _polar_newton_matrix(data: tuple, spec: GridSpec, dt: float) -> tuple:
     """(kl, ku, ab): (I - dt*J) in LAPACK band storage at the state whose
     speed data (probed, eps, speed) :func:`_speed` evaluated, J (the
     similarity drift's included when the data was evaluated with it) by
-    forward differences.
+    forward differences in derivative space.
 
-    Nothing is evaluated here: each probe moved one entry of every row's
-    own neighbourhood, as a column probe would move it, so the quotients
-    (probed - speed)/eps are the columns' entries.  The outer ring's
-    unknowns stay clamped (their Newton update is zero), so columns
-    coupling interior rows to them are dropped.  The entries -dt*J are
-    scattered into a zeroed band array, and the band's main diagonal gets
-    +1, so each Dirichlet row is the identity.  A solve gathers the
+    Nothing is evaluated here: each probe moved every row's jet as moving
+    one entry of its own neighbourhood moves it, as a column probe would
+    move that entry, so the quotients (probed - speed)/eps are the columns'
+    entries, to round-off in the jet (about 1e-9 of a row's largest).  The
+    outer ring's unknowns stay clamped (their Newton update is zero), so
+    columns coupling interior rows to them are dropped.  The entries -dt*J
+    are scattered into a zeroed band array, and the band's main diagonal
+    gets +1, so each Dirichlet row is the identity.  A solve gathers the
     right-hand side through the band's ``order`` and scatters the solution
     back.
     """
@@ -587,7 +599,7 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
     # the speed and the Newton matrix square the slope, so |Du|^2 must be finite
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.polar:
-            ur, ut = _polar_derivatives(spec, _neighbourhood(spec, u0.values))[:2]
+            ur, ut = _polar_jet(spec, _neighbourhood(spec, u0.values))[:2]
             slope2 = ur ** 2 + (ut / spec.nodes[:, None]) ** 2
         else:
             pq = _radial_derivatives(spec, u0.values)

@@ -26,6 +26,10 @@ innermost ring (angular derivatives are periodic differences).  The outer
 ring is a grid's only one-sided row.  A polar grid's table lists each
 node's 3x3 neighbourhood, so the antipodal ghost and the periodic wrap are
 written in ``_radial_operator`` only; the flow's Jacobian probes its entries.
+The polar speed is split in two: the jet (``_polar_jet``, the derivatives
+and the node's own value), linear in the neighbourhood, and W, H and the
+speed from the jet (``_polar_quantities``), which every polar reader
+shares, the flow's probes included.
 """
 
 from __future__ import annotations
@@ -49,6 +53,15 @@ __all__ = [
 _MIN_NODES = 8
 
 
+def _whole(value, what: str, error: type) -> int:
+    """``value`` as an int if it is a Python or numpy integer, else ``error``.
+    A float is refused even when whole: dimensions and counts are given,
+    never computed, so a float there is a caller's slip."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class GridSpec:
     """Radial or polar computational grid.
@@ -68,8 +81,10 @@ class GridSpec:
     thetas: np.ndarray | None = None
 
     def __post_init__(self):
-        if int(self.n) < 1:
-            raise GridError(f"dimension n must be a positive integer, got {self.n}")
+        n = _whole(self.n, "dimension n", GridError)
+        if n < 1:
+            raise GridError(f"dimension n must be a positive integer, got {n}")
+        object.__setattr__(self, "n", n)
         nodes = np.asarray(self.nodes, dtype=float)
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -126,8 +141,9 @@ class GridSpec:
 
     @classmethod
     def uniform(cls, n: int, r_min: float, r_max: float, count: int) -> "GridSpec":
-        # checked before np.linspace, which has its own error for a count below 0
-        if count < _MIN_NODES:
+        # checked before np.linspace, which has its own errors for a count
+        # below 0 or not an integer
+        if _whole(count, "radial node count", GridError) < _MIN_NODES:
             raise GridError(f"need at least {_MIN_NODES} radial nodes, got {count}")
         return cls(n, np.linspace(r_min, r_max, count))
 
@@ -147,8 +163,9 @@ class GridSpec:
     def polar_disk(cls, r_max: float, nr: int, ntheta: int = 32) -> "GridSpec":
         """Polar grid on a disk; rings staggered at (i+1/2)*h away from r=0."""
         # checked before the division by nr
-        if nr < _MIN_NODES:
+        if _whole(nr, "radial node count", GridError) < _MIN_NODES:
             raise GridError(f"need at least {_MIN_NODES} radial nodes, got {nr}")
+        _whole(ntheta, "angular node count", GridError)
         h = r_max / nr
         radii = (np.arange(nr) + 0.5) * h
         thetas = 2.0 * np.pi * np.arange(ntheta) / ntheta
@@ -302,10 +319,11 @@ def _own_ring(nb: np.ndarray):
     return own[..., 0, :, :], own[..., 1, :, :], own[..., 2, :, :]
 
 
-def _polar_derivatives(spec: GridSpec, nb: np.ndarray):
-    """(u_r, u_theta, u_rr, u_thth, u_rth) on a polar grid from the values
-    ``nb`` of :func:`_neighbourhood`; a node reads its own nine entries
-    only, so it gets the same bits alone or inside a stack."""
+def _polar_jet(spec: GridSpec, nb: np.ndarray) -> tuple:
+    """The jet (u_r, u_theta, u_rr, u_thth, u_rth, u) on a polar grid: the
+    derivatives and each node's own value, all linear in the values ``nb``
+    of :func:`_neighbourhood`; a node reads its own nine entries only, so
+    it gets the same bits alone or inside a stack."""
     op = _radial_operator(spec)
     w, D = op.w[..., None], op.D[..., None]
     dtheta = 2.0 * np.pi / spec.ntheta
@@ -314,7 +332,7 @@ def _polar_derivatives(spec: GridSpec, nb: np.ndarray):
     utt = (up - 2.0 * u + um) / dtheta ** 2
     ur, urr = _apply_stencil(w, D, nb[..., 1, :, :].copy())
     urt = _apply_d1(w, (nb[..., 2, :, :] - nb[..., 0, :, :]) / (2.0 * dtheta))
-    return ur, ut, urr, utt, urt
+    return ur, ut, urr, utt, urt, u
 
 
 # ---------------------------------------------------------------------------
@@ -345,30 +363,31 @@ def _radial_speed(spec: GridSpec, p: np.ndarray, q: np.ndarray):
     return speed, one_p2
 
 
-def _polar_quantities(spec: GridSpec, nb: np.ndarray):
-    """(u_r, W, H) on a polar grid, H contracting the second fundamental
-    form h against the metric g, from neighbourhood values as in
-    :func:`_polar_derivatives`."""
+def _polar_quantities(spec: GridSpec, jet, drift: bool) -> tuple:
+    """(H, speed) on a polar grid from a jet of :func:`_polar_jet` (a tuple
+    or a (6, ...) array): H contracts the second fundamental form h against
+    the metric g, and the flow speed is sqrt(1+|Du|^2)*H, plus the
+    similarity drift (r u_r - u)/2 when ``drift``.  This is the one
+    nonlinear part of the polar speed, elementwise in the jet."""
     r = spec.nodes[:, None]
-    ur, ut, urr, utt, urt = _polar_derivatives(spec, nb)
+    ur, ut, urr, utt, urt, u = jet
     g0, ut_r = 1.0 + ur ** 2, ut / r  # each read twice, in the formulas' order
     W = np.sqrt(g0 + ut_r ** 2)
     g = (g0, ur * ut, r ** 2 + ut ** 2)
     h = (urr / W, (urt - ut_r) / W, (r * ur + utt) / W)
     det = g[0] * g[2] - g[1] ** 2
     H = (g[2] * h[0] - 2.0 * g[1] * h[1] + g[0] * h[2]) / det
-    return ur, W, H
-
-
-def _polar_speed(spec: GridSpec, nb: np.ndarray, drift: bool = False) -> np.ndarray:
-    """Flow speed sqrt(1+|Du|^2)*H on a polar grid, plus the similarity drift
-    (r u_r - u)/2 when ``drift``, from neighbourhood values as in
-    :func:`_polar_derivatives`."""
-    ur, W, H = _polar_quantities(spec, nb)
     speed = W * H
     if drift:
-        speed = speed + 0.5 * (spec.nodes[:, None] * ur - _own_ring(nb)[1])
-    return speed
+        speed = speed + 0.5 * (r * ur - u)
+    return H, speed
+
+
+def _polar_speed(spec: GridSpec, nb: np.ndarray, drift: bool) -> np.ndarray:
+    """Flow speed sqrt(1+|Du|^2)*H on a polar grid, plus the similarity drift
+    (r u_r - u)/2 when ``drift``, from neighbourhood values as in
+    :func:`_polar_jet`."""
+    return _polar_quantities(spec, _polar_jet(spec, nb), drift)[1]
 
 
 def mean_curvature(u: GridFunction) -> GridFunction:
@@ -382,7 +401,8 @@ def mean_curvature(u: GridFunction) -> GridFunction:
     """
     spec = u.spec
     if spec.polar:
-        H = _polar_quantities(spec, _neighbourhood(spec, u.values))[-1]
+        H = _polar_quantities(spec, _polar_jet(spec, _neighbourhood(spec, u.values)),
+                              False)[0]
     else:
         H = _radial_curvatures(spec.n, spec.nodes,
                                *_radial_derivatives(spec, u.values))
@@ -405,5 +425,5 @@ def graph_rhs(u: GridFunction) -> GridFunction:
     """Flow speed sqrt(1+|Du|^2)*H[u] on either grid mode (compact stencil)."""
     if not u.spec.polar:
         return radial_rhs(u)
-    return GridFunction(u.spec, _polar_speed(u.spec, _neighbourhood(u.spec, u.values)))
+    return GridFunction(u.spec, _polar_speed(u.spec, _neighbourhood(u.spec, u.values), False))
 

@@ -19,6 +19,20 @@ def test_radial_constructor_validation():
     assert ConeProfile.radial(2, -1e150).scaled_mean_curvature() < 0
 
 
+def test_dimension_and_sample_count_are_whole_numbers():
+    # a fractional dimension is refused, not solved and cached as its floor,
+    # and so is a fractional sample count, which would sample gamma at the
+    # wrong angles (m = 16.5 gave 17 samples spaced 2 pi/16.5)
+    for n in (2.5, 2.0, np.float64(3.0)):
+        with pytest.raises(ParameterError, match="whole number"):
+            ConeProfile.radial(n, 1.0)
+    with pytest.raises(ParameterError, match="whole number"):
+        ConeProfile.angular(lambda th: 1.0 + 0.1 * np.cos(2 * th), m=16.5)
+    k = ConeProfile.radial(np.int64(3), 1.0)
+    assert k.n == 3 and type(k.n) is int
+    assert ConeProfile.angular(np.cos, m=np.int64(16)).gamma_samples.size == 16
+
+
 def test_angular_constructor_validation():
     with pytest.raises(ParameterError):
         ConeProfile.angular(lambda th: np.ones_like(th), m=4)

@@ -14,7 +14,7 @@ from coneflow.flow import (FlowRun, SolverConfig, boundary_values_for,
                            _radial_newton_matrix, _residual)
 from coneflow.geometry import (GridFunction, GridSpec, graph_rhs,
                                mean_curvature, radial_rhs, _neighbourhood,
-                               _polar_derivatives, _radial_derivatives)
+                               _polar_jet, _radial_derivatives)
 
 
 def _uniform(n, r_max, count):
@@ -695,7 +695,7 @@ def test_step_states_carry_their_speed_safely(cone21, profile21):
 def _reference_rhs(spec, vals, drift):
     speed = graph_rhs(GridFunction(spec, vals)).values
     if drift:
-        ur = _polar_derivatives(spec, _neighbourhood(spec, vals))[0]
+        ur = _polar_jet(spec, _neighbourhood(spec, vals))[0]
         speed = speed + 0.5 * (spec.nodes[:, None] * ur - vals)
     return speed
 
@@ -822,11 +822,22 @@ def _captured_newton_solves(monkeypatch, u0, cfg, steps):
     return seen
 
 
+def _assert_rows_match(got, want):
+    """Each row of ``got`` equals ``want``'s within 1e-8 of that row's
+    largest entry (a zero row exactly).  The probes move each node's jet by
+    its cached weights instead of differentiating a moved state, which
+    rounds the quotients differently, by about 1e-9 of their row's largest;
+    a misplaced or missing entry is off by O(1) of it."""
+    scale = np.abs(want).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-8 * scale)
+
+
 @pytest.mark.parametrize("drift", [False, True])
 @_DISK
 def test_polar_newton_matrix_matches_dense_jacobian(monkeypatch, spec, drift):
     # I - dt*J with J built one column at a time, Dirichlet rows and columns
-    # left to the identity: same entries to the last bit
+    # left to the identity: the same entries within 1e-8 of each row's
+    # largest, and the identity rows exactly
     u0 = _polar_case(spec)
     cfg = SolverConfig(dt_init=0.05, similarity_drift=drift)
     (v, M, *_), *_ = _captured_newton_solves(monkeypatch, u0, cfg, 1)
@@ -842,18 +853,22 @@ def test_polar_newton_matrix_matches_dense_jacobian(monkeypatch, spec, drift):
         J[:, col] = ((_reference_rhs(spec, w.reshape(spec.shape), drift)
                       - base) / eps).ravel()
     J[~unknown.ravel()] = 0.0
-    assert np.array_equal(M, np.eye(ntot) - 0.05 * J)
+    _assert_rows_match(M - np.eye(ntot), -0.05 * J)
 
 
 @pytest.mark.parametrize("drift", [False, True])
 @_DISK
-def test_polar_newton_matrix_bit_identical_to_reference(monkeypatch, spec, drift):
+def test_polar_newton_matrix_matches_reference(monkeypatch, spec, drift):
+    # every Newton matrix of three steps against the colored reference
+    # assembly, within 1e-8 of each row's largest entry
     u0 = _polar_case(spec)
     cfg = SolverConfig(dt_init=0.05, similarity_drift=drift)
     seen = _captured_newton_solves(monkeypatch, u0, cfg, 3)
     assert len(seen) >= 3
+    eye = np.eye(spec.nr * spec.ntheta)
     for v, M, *_ in seen:
-        assert np.array_equal(M, _reference_polar_matrix(v, spec, 0.05, drift).toarray())
+        _assert_rows_match(M - eye,
+                           _reference_polar_matrix(v, spec, 0.05, drift).toarray() - eye)
 
 
 def _pairs(band, size):
@@ -911,7 +926,8 @@ def test_polar_newton_matrix_matches_complex_step_jacobian(shape, drift):
     band = flow._polar_band(spec)
     nb = _neighbourhood(spec, u)
     h = 1e-30
-    exact = (flow._polar_speed(spec, nb + 1j * h * flow._PROBES, drift).imag / h).ravel()[band.live]
+    exact = (geometry._polar_speed(spec, nb + 1j * h * flow._PROBES, drift).imag
+             / h).ravel()[band.live]
     dt = 0.05
     kl, ku, ab = flow._polar_newton_matrix(flow._speed(spec, u, drift), spec, dt)
     rows, cols = _pairs(band, u.size)
@@ -1101,15 +1117,15 @@ def test_polar_relaxation_bit_identical_without_carried_speed(monkeypatch):
         assert getattr(carried, key) == getattr(fresh, key), key
 
 
-def _counted(monkeypatch, name):
-    """Replace flow's binding ``name`` with a wrapper recording the number
-    of states each call evaluates (1 for one state, K for a stack of K); a
-    polar state arrives as its (3, 3, nr, ntheta) neighbourhood values."""
+def _counted(monkeypatch, name, states):
+    """Replace flow's binding ``name`` with a wrapper recording ``states``
+    of each call's second argument: the number of states the call
+    evaluates, or what stands for it."""
     calls = []
     real = getattr(flow, name)
 
     def counted(spec, vals, *args):
-        calls.append(1 if vals.ndim == len(spec.shape) + 2 * spec.polar else len(vals))
+        calls.append(states(vals))
         return real(spec, vals, *args)
 
     monkeypatch.setattr(flow, name, counted)
@@ -1121,25 +1137,42 @@ def test_radial_run_makes_one_stencil_pass_per_newton_iterate(monkeypatch, cone2
     # the slope check's pass starts the first step, and each later step the
     # speed its predecessor's last trial computed: with no backtracking,
     # one full pass per Newton iteration plus one
-    passes = _counted(monkeypatch, "_radial_derivatives")
+    passes = _counted(monkeypatch, "_radial_derivatives", np.ndim)
     spec = _uniform(2, 20.0, 201)
     cfg = SolverConfig(dt_init=1e-4, dt_max=1e-4, snapshot_dt=2.5e-4,
                        boundary="pin-to-expander", newton_tol=1e-12, adaptive=False)
     run = evolve(profile21.on_grid(spec, 1.0), 5e-3, cfg, cone=cone21,
                  profile=profile21, t_start=1.0)
     assert len(run.step_times) == 60  # 1e-4, 1e-4, 5e-5 per cadence interval
-    assert len(passes) == sum(run.newton_iters) + 1
+    assert passes == [1] * (sum(run.newton_iters) + 1)
 
 
-def test_polar_relaxation_evaluates_each_iterate_once(monkeypatch):
-    # each iterate's neighbourhood is evaluated once, as one stack of ten
-    # states (the iterate and its nine probes): the first step's start plus
-    # one per Newton trial, none for a factorization
-    speeds = _counted(monkeypatch, "_polar_speed")
+def _relaxation_calls(monkeypatch, name, states):
+    """(result, counts) of a 10x8 relaxation run with flow's ``name``
+    counted as in :func:`_counted`."""
+    calls = _counted(monkeypatch, name, states)
     k = ConeProfile.angular(lambda th: 1.0 + 0.08 * np.cos(2 * th), m=16)
     res = relax_angular_expander(k, rho_max=6.0, nr=10, ntheta=8)
     assert res.converged and res.newton_iters > res.steps
-    assert speeds == [10] * (res.newton_iters + 1)
+    return res, calls
+
+
+def test_polar_relaxation_evaluates_each_iterate_once(monkeypatch):
+    # each iterate's speed is evaluated once, as one nonlinear evaluation
+    # of ten jets (the iterate and its nine probes): the first step's start
+    # plus one per Newton trial, none for a factorization
+    res, calls = _relaxation_calls(monkeypatch, "_polar_quantities",
+                                   lambda jets: len(jets[0]))
+    assert calls == [10] * (res.newton_iters + 1)
+
+
+def test_polar_relaxation_differentiates_one_neighbourhood_per_iterate(monkeypatch):
+    # the probes move the iterate's jet by cached weights, so each iterate's
+    # neighbourhood is differentiated alone, once; the nine unit entries
+    # are differentiated once per grid, for the weights
+    res, calls = _relaxation_calls(monkeypatch, "_polar_jet",
+                                   lambda nb: int(np.prod(nb.shape[:-4])))
+    assert sorted(calls) == [1] * (res.newton_iters + 1) + [9]
 
 
 def _same_bits(got, want):
@@ -1149,16 +1182,39 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("drift", [False, True])
 @pytest.mark.parametrize("shape", [(10, 8), (24, 16)], ids=["10x8", "24x16"])
 def test_polar_speed_stack_changes_no_bits(shape, drift):
-    # the iterate shares one stack with its nine probes: slot 0 is its speed
-    # alone, and slots 1-9 are the nine probes evaluated as a stack of their
-    # own (nb + eps*_PROBES), bit for bit
+    # the iterate shares one stack of jets with its nine probes: slot 0 is
+    # its speed alone, bit for bit, and the probes' quotients are those of
+    # the nine moved neighbourhoods (nb + eps*_PROBES) within 1e-8 of each
+    # row's largest
     spec = GridSpec.polar_disk(12.0, *shape)
     u = _relaxation_state(spec)
     probed, eps, speed = flow._speed(spec, u, drift)
     nb = _neighbourhood(spec, u)
     assert eps == 1e-7 * (1.0 + float(np.max(np.abs(u))))
-    assert _same_bits(speed, flow._polar_speed(spec, nb, drift))
-    assert _same_bits(probed, flow._polar_speed(spec, nb + eps * flow._PROBES, drift))
+    assert _same_bits(speed, geometry._polar_speed(spec, nb, drift))
+    moved = geometry._polar_speed(spec, nb + eps * flow._PROBES, drift)
+    _assert_rows_match(np.moveaxis((probed - speed) / eps, 0, -1),
+                       np.moveaxis((moved - speed) / eps, 0, -1))
+
+
+@pytest.mark.parametrize("shape", [(10, 8), (24, 16)], ids=["10x8", "24x16"])
+def test_polar_jet_moves_by_its_cached_weights(shape):
+    # the jet is linear in the neighbourhood: moving entry k of every node
+    # by c moves it by c times entry k's cached weights, to round-off, and
+    # leaves every part whose weight is zero with its bits
+    spec = GridSpec.polar_disk(12.0, *shape)
+    weights = flow._polar_band(spec).weights
+    assert weights.shape == (6, 9, spec.nr, 1)
+    nb = np.random.default_rng(5).normal(size=(3, 3) + spec.shape)
+    base = np.array(geometry._polar_jet(spec, nb))
+    c = 0.37
+    for k in range(9):
+        moved = np.array(geometry._polar_jet(spec, nb + c * flow._PROBES[k]))
+        w = np.broadcast_to(weights[:, k], base.shape)
+        assert _same_bits(moved[w == 0.0], base[w == 0.0])
+        assert np.any(w != 0.0)
+        scale = np.abs(base).max(axis=(1, 2), keepdims=True) + c * np.abs(w)
+        assert np.all(np.abs(moved - base - c * w) <= 1e-13 * scale)
 
 
 def test_a_carried_polar_step_starts_with_its_jacobian_probed(monkeypatch):

@@ -9,7 +9,7 @@ from coneflow.cones import ConeProfile
 from coneflow.errors import GridError
 from coneflow.expander import relax_angular_expander
 from coneflow.geometry import (GridFunction, GridSpec, mean_curvature,
-                               radial_rhs, _d1_d2, _neighbourhood, _polar_derivatives,
+                               radial_rhs, _d1_d2, _neighbourhood, _polar_jet,
                                _radial_curvatures, _radial_derivatives)
 
 
@@ -89,6 +89,24 @@ def test_polar_disk_checks_its_radial_count_before_dividing(nr):
         relax_angular_expander(k, nr=nr)
 
 
+def test_dimensions_and_counts_are_whole_numbers():
+    # a fractional dimension or count is refused, not rounded or truncated:
+    # 2.5 would build a grid of n = 2 whose operator reads n - 1 = 1.5, and
+    # 24.5 rings would come out as 25 at spacing 12/24.5; numpy integers
+    # count as whole
+    nodes = np.linspace(0.0, 1.0, 12)
+    for build in (lambda: GridSpec(2.5, nodes), lambda: GridSpec(2.0, nodes),
+                  lambda: GridSpec(True, nodes),
+                  lambda: GridSpec.uniform(2, 0.0, 10.0, 20.5),
+                  lambda: GridSpec.polar_disk(12.0, 24.5, 16),
+                  lambda: GridSpec.polar_disk(12.0, 24, 16.0)):
+        with pytest.raises(GridError, match="whole number"):
+            build()
+    spec = GridSpec.uniform(np.int64(3), 0.0, 10.0, np.int32(20))
+    assert (spec.n, spec.nr) == (3, 20) and type(spec.n) is int
+    assert GridSpec.polar_disk(12.0, np.int64(24), np.int16(16)).shape == (24, 16)
+
+
 def test_polar_matches_radial_curvature():
     # rotationally symmetric data on the polar grid against the closed-form
     # curvature of the hyperboloid graph sqrt(1+r^2); the innermost rings
@@ -126,9 +144,9 @@ def _polar_curvature_errors(nr, ntheta):
     got_want = [
         (mean_curvature(GridFunction(spec, scherk)).values, 0.0),
         (mean_curvature(GridFunction(spec, saddle)).values, -2.0 * x * y / W2 ** 1.5),
-        (geometry._polar_speed(spec, _neighbourhood(spec, scherk)), 0.0),
-        (geometry._polar_speed(spec, _neighbourhood(spec, saddle)), -2.0 * x * y / W2),
-        (geometry._polar_speed(spec, _neighbourhood(spec, saddle), drift=True),
+        (geometry._polar_speed(spec, _neighbourhood(spec, scherk), False), 0.0),
+        (geometry._polar_speed(spec, _neighbourhood(spec, saddle), False), -2.0 * x * y / W2),
+        (geometry._polar_speed(spec, _neighbourhood(spec, saddle), True),
          -2.0 * x * y / W2 + x * y / 2),
     ]
     return [float(np.max(np.abs(got - want)[:-1])) for got, want in got_want]
@@ -151,14 +169,16 @@ def test_polar_curvature_converges_on_exact_graphs():
 def _polar_quantities_copy(cross_sign=1.0, g01=True):
     """geometry._polar_quantities as written, with the sign of the cross
     term h[1] and the presence of the metric's g[1] as knobs."""
-    def quantities(spec, nb):
+    def quantities(spec, jet, drift):
         r = spec.nodes[:, None]
-        ur, ut, urr, utt, urt = _polar_derivatives(spec, nb)
+        ur, ut, urr, utt, urt, u = jet
         W = np.sqrt(1.0 + ur ** 2 + (ut / r) ** 2)
         g = (1.0 + ur ** 2, ur * ut if g01 else 0.0, r ** 2 + ut ** 2)
         h = (urr / W, cross_sign * (urt - ut / r) / W, (r * ur + utt) / W)
         det = g[0] * g[2] - g[1] ** 2
-        return ur, W, (g[2] * h[0] - 2.0 * g[1] * h[1] + g[0] * h[2]) / det
+        H = (g[2] * h[0] - 2.0 * g[1] * h[1] + g[0] * h[2]) / det
+        speed = W * H
+        return H, speed + 0.5 * (r * ur - u) if drift else speed
     return quantities
 
 
@@ -166,14 +186,17 @@ def test_polar_quantities_copy_is_faithful():
     spec = GridSpec.polar_disk(1.0, 21, 32)
     r, th = spec.nodes[:, None], spec.thetas[None, :]
     vals = np.log(np.cos(r * np.sin(th)) / np.cos(r * np.cos(th)))
-    nb = _neighbourhood(spec, vals)
-    for got, want in zip(_polar_quantities_copy()(spec, nb),
-                         geometry._polar_quantities(spec, nb)):
-        assert np.array_equal(got, want)
+    jet = geometry._polar_jet(spec, _neighbourhood(spec, vals))
+    for drift in (False, True):
+        for got, want in zip(_polar_quantities_copy()(spec, jet, drift),
+                             geometry._polar_quantities(spec, jet, drift)):
+            assert np.array_equal(got, want)
 
 
 # the defect table of the polar oracle: each row is the copy above with one
-# defect, and every oracle row catches it.  The other rows of the table live
+# defect, and every oracle row catches it.  The copy replaces the one
+# nonlinear function of the polar speed, which mean_curvature, the speed
+# and the flow's residual and probes all read.  The other rows of the table live
 # with their oracles: the radial speed defects fail the u = r^2/2 oracle
 # (test_quadratic_oracle_catches_speed_defects), the one-update Newton
 # defect the Newton contract tests (test_*_keep_the_newton_contract in
@@ -358,15 +381,15 @@ _POLAR_SPECS = pytest.mark.parametrize("spec", [GridSpec.polar_disk(1.0, 12, 16)
 @_POLAR_SPECS
 def test_polar_derivatives_match_frozen_formulas(spec):
     vals = np.random.default_rng(7).normal(size=(3,) + spec.shape)
-    _assert_same_bits(_polar_derivatives(spec, _neighbourhood(spec, vals)),
-                      _frozen_polar_derivatives(spec, vals))
+    _assert_same_bits(_polar_jet(spec, _neighbourhood(spec, vals)),
+                      (*_frozen_polar_derivatives(spec, vals), vals))
 
 
 @_POLAR_SPECS
 def test_polar_derivatives_match_frozen_formulas_unstacked(spec):
     vals = np.random.default_rng(7).normal(size=spec.shape)
-    _assert_same_bits(_polar_derivatives(spec, _neighbourhood(spec, vals)),
-                      _frozen_polar_derivatives(spec, vals))
+    _assert_same_bits(_polar_jet(spec, _neighbourhood(spec, vals)),
+                      (*_frozen_polar_derivatives(spec, vals), vals))
 
 
 @pytest.mark.parametrize("stack", [(), (13,)], ids=["state", "stack"])
@@ -383,7 +406,7 @@ def test_polar_angular_shift_matches_roll(shape, stack):
     ut = (up - um) / (2.0 * dtheta)
     utt = (up - 2.0 * vals + um) / dtheta ** 2
     urt = geometry._apply_d1(op.w[..., None], ut.reshape(stack + (-1,))[..., op.rows[:, 1]])
-    _, got_ut, _, got_utt, got_urt = _polar_derivatives(spec, _neighbourhood(spec, vals))
+    _, got_ut, _, got_utt, got_urt, _ = _polar_jet(spec, _neighbourhood(spec, vals))
     _assert_same_bits((got_ut, got_utt, got_urt), (ut, utt, urt))
 
 
