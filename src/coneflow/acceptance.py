@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .barriers import (evolution_equation_residuals, half_space_experiment,
                        static_barrier_w, wk_difference_fit)
 from .cones import ConeProfile
 from .expander import evaluate_U, solve_expander_profile
-from .experiments import SCENARIOS
+from .experiments import _FAMILY_THRESHOLD, SCENARIOS
 from .flow import FlowRun, SolverConfig, evolve
 from .geometry import GridSpec
 
@@ -102,12 +102,12 @@ def sup_decay_rate(quick: bool = False):
 def two_sided_convergence(quick: bool = False):
     """Bump perturbations of either sign converge to U inside the sandwich."""
     rep = SCENARIOS["main-theorem"].run(quick)
-    flats = {s: "none" if rep.sides[s].t_flat is None else f"{rep.sides[s].t_flat:.1f}"
-             for s in (+1, -1)}
-    checks = all(bool(rep.sides[s].upper) and bool(rep.sides[s].lower)
-                 for s in (+1, -1))
-    return rep.passed, (f"sup|u-U| <= {rep.threshold} at t = "
-                        f"{flats[+1]} (+) / {flats[-1]} (-), "
+    sides = rep.summary["sides"]
+    flats = {s: "none" if side["t_flat"] is None else f"{side['t_flat']:.1f}"
+             for s, side in sides.items()}
+    checks = all(side["upper_ok"] and side["lower_ok"] for side in sides.values())
+    return rep.passed, (f"sup|u-U| <= {rep.summary['threshold']} at t = "
+                        f"{flats['1']} (+) / {flats['-1']} (-), "
                         f"sandwich checks {'pass' if checks else 'FAIL'}")
 
 
@@ -191,8 +191,9 @@ def psi_identity(quick: bool = False):
 def subsolution_dominance(quick: bool = False):
     """Flows started above the glued subsolution stay above it."""
     rep = SCENARIOS["subsolution"].run(quick)
-    t_delta = "none" if rep.t_delta is None else f"{rep.t_delta:.2f}"
-    return rep.passed, (f"min(u - B) {rep.dominance_margin:+.2e} "
+    t_delta = rep.summary["t_delta"]
+    t_delta = "none" if t_delta is None else f"{t_delta:.2f}"
+    return rep.passed, (f"min(u - B) {rep.summary['dominance_margin']:+.2e} "
                         f"(floor -1e-06), t_delta = {t_delta} (finite)")
 
 
@@ -236,9 +237,10 @@ def clearing_out(quick: bool = False):
 def family_uniformity(quick: bool = False):
     """A five-member family under one envelope converges at a shared time."""
     rep = SCENARIOS["family-uniform"].run(quick)
-    t_u = "none" if rep.t_uniform is None else f"{rep.t_uniform:.1f}"
-    return rep.passed, (f"family sup <= {rep.threshold} at t = {t_u}, "
-                        f"sandwich {rep.sandwich_ok}, rail bound {rep.bound_ok}")
+    s = rep.summary
+    t_u = "none" if s["t_uniform"] is None else f"{s['t_uniform']:.1f}"
+    return rep.passed, (f"family sup <= {_FAMILY_THRESHOLD} at t = {t_u}, "
+                        f"sandwich {s['sandwich_ok']}, rail bound {s['bound_ok']}")
 
 
 CRITERIA = (
@@ -273,25 +275,10 @@ class CriterionResult:
                 f"{self.detail} [{self.seconds:.1f}s]")
 
 
-@dataclass
-class AcceptanceReport:
-    results: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def summary(self) -> str:
-        good = sum(r.passed for r in self.results)
-        total_s = sum(r.seconds for r in self.results)
-        verdict = "PASS" if self.passed else "FAIL"
-        return (f"acceptance {verdict}: {good}/{len(self.results)} criteria "
-                f"in {total_s:.0f}s")
-
-
-def run_acceptance(quick: bool = False) -> AcceptanceReport:
-    """Run every criterion and print one verdict line each."""
-    report = AcceptanceReport()
+def run_acceptance(quick: bool = False) -> list:
+    """Run every criterion, print one verdict line each and a summary line,
+    and return the ``CriterionResult`` list."""
+    results = []
     for number, name, fn in CRITERIA:
         started = time.perf_counter()
         try:
@@ -300,7 +287,10 @@ def run_acceptance(quick: bool = False) -> AcceptanceReport:
             ok, detail = False, f"error: {type(exc).__name__}: {exc}"
         res = CriterionResult(number, name, bool(ok), detail,
                               time.perf_counter() - started)
-        report.results.append(res)
+        results.append(res)
         print(res.line(), flush=True)
-    print(report.summary())
-    return report
+    good = sum(r.passed for r in results)
+    print(f"acceptance {'PASS' if good == len(results) else 'FAIL'}: "
+          f"{good}/{len(results)} criteria in "
+          f"{sum(r.seconds for r in results):.0f}s")
+    return results

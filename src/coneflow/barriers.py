@@ -43,6 +43,7 @@ from .geometry import (
     _radial_curvatures,
     _radial_derivatives,
     _stencil,
+    _whole,
     mean_curvature,
     radial_rhs,
 )
@@ -87,24 +88,22 @@ class StaticBarrier:
         return self.r0 is not None
 
 
-def static_barrier_w(k: ConeProfile, alpha: float, points: int = 400,
-                     require_mean_convex: bool = True) -> StaticBarrier:
+def static_barrier_w(k: ConeProfile, alpha: float, points: int = 400) -> StaticBarrier:
     """Static lower barrier k - r^(-alpha) on a log grid over [1, 1e4].
 
     Reports the smallest sampled radius r0 past which H[w] > 0 holds through
     1e4, or r0 = None when the curvature stays nonpositive at the far end.
-    A cone with H = 0 (a plane through the origin) keeps H[w] < 0 for large r
-    whenever alpha > n-2, which is the documented failure mode; pass
-    require_mean_convex=False to probe it.
+    The cone must be strictly mean convex.  With alpha > n-2 a cone too
+    shallow for the dip keeps H[w] < 0 out to 1e4: (n, beta, alpha) =
+    (3, 1e-13, 2) reads r0 = None, while beta = 1e-11 certifies from 4668.
     """
     if k.kind != "radial":
         raise ParameterError("static power barriers are built over radial cones")
     if not 0 < alpha < math.inf:
         raise ParameterError(f"alpha must be positive and finite, got {alpha}")
-    if require_mean_convex and k.scaled_mean_curvature() <= 0:
-        raise ParameterError("cone is not strictly mean convex; pass "
-                             "require_mean_convex=False to sample anyway")
-    r = np.geomspace(1.0, 1e4, points)
+    if k.scaled_mean_curvature() <= 0:
+        raise ParameterError("cone is not strictly mean convex")
+    r = np.geomspace(1.0, 1e4, _whole(points, "points", ParameterError))
     w, wr, wrr = _power_barrier_parts(k.beta, alpha, r)
     H = _radial_curvatures(k.n, r, wr, wrr)
     pos = H > 0
@@ -129,7 +128,7 @@ def wk_difference_fit(k: ConeProfile, alpha: float, points: int = 160) -> dict:
     """
     if k.kind != "radial":
         raise ParameterError("radial cones only")
-    r = np.geomspace(1e3, 1e4, points)
+    r = np.geomspace(1e3, 1e4, _whole(points, "points", ParameterError))
     _, wr, wrr = _power_barrier_parts(k.beta, alpha, r)
     diff = wrr / (1.0 + wr * wr) + (k.n - 1) * (wr - k.beta) / r
     return {"exponent": decay_fit(r, np.abs(diff)), "predicted_exponent": -(alpha + 2.0)}
@@ -241,6 +240,7 @@ def lemma_barrier_flow(k: ConeProfile, points: int = 600) -> LemmaBarrierResult:
     every certificate (b < k, H[b] > 0, deficit decay and monotonicity).
     """
     alpha = _flow_exponent(k)
+    points = _whole(points, "points", ParameterError)
     r = np.geomspace(_R_INNER, _R_OUTER, points)
     kv = k.beta * r
     f0 = _speed(_R_INNER, k.beta * _R_INNER, alpha)
@@ -340,11 +340,16 @@ def evolution_equation_residuals(k: ConeProfile, points: int, steps: int,
     left out, so at least 7 labels are needed.
     """
     alpha = _flow_exponent(k)
+    points = _whole(points, "points", ParameterError)
+    steps = _whole(steps, "steps", ParameterError)
+    t_stride = _whole(t_stride, "t_stride", ParameterError)
     if points < 7:
         raise ParameterError(f"need at least seven labels (three end nodes "
                              f"are cut from each side), got {points}")
     if steps < 2:
         raise ParameterError("need at least three stored levels")
+    if t_stride < 1:
+        raise ParameterError(f"t_stride must be at least 1, got {t_stride}")
     s = np.geomspace(_R_INNER, _R_OUTER, points)
     table = _stencil(s)
     R, Z = _integrate_lagrangian(k, s, table, steps, alpha)
@@ -356,7 +361,7 @@ def evolution_equation_residuals(k: ConeProfile, points: int, steps: int,
                                 "a_squared", "normal"]}
     den = dict(num)
     a_ratio = 0.0
-    for j in range(1, steps, max(1, t_stride)):
+    for j in range(1, steps, t_stride):
         gm = _profile_geometry(table, R[j - 1], Z[j - 1], n, alpha)
         g0 = _profile_geometry(table, R[j], Z[j], n, alpha)
         gp = _profile_geometry(table, R[j + 1], Z[j + 1], n, alpha)

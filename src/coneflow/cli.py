@@ -288,81 +288,42 @@ def _cmd_verify(cfg: dict, out: str) -> int:
     return 0 if passed else 1
 
 
-def _scenario_settings(scenario, seed: int, pairs) -> dict:
-    """The runner's settings: ``seed`` where it takes one, then key=value
-    pairs type-checked against its defaults."""
-    schema = {name: p.default for name, p in
-              inspect.signature(scenario.function()).parameters.items()}
-    settings = {"seed": seed} if "seed" in schema else {}
-    settings.update(_apply_sets(schema, pairs, f"scenario {scenario.name!r}"))
-    return settings
-
-
-def _experiment_summary(name: str, rep) -> dict:
-    summary = {"scenario": name, "passed": bool(rep.passed)}
-    if hasattr(rep, "sides"):
-        summary["threshold"] = rep.threshold
-        summary["sides"] = {str(s): {"t_flat": side.t_flat,
-                                     "t_delta": side.t_delta,
-                                     "upper_ok": bool(side.upper),
-                                     "lower_ok": bool(side.lower)}
-                            for s, side in rep.sides.items()}
-    if hasattr(rep, "t_uniform"):
-        summary.update(t_uniform=rep.t_uniform,
-                       sandwich_ok=rep.sandwich_ok, bound_ok=rep.bound_ok)
-    if hasattr(rep, "dominance_margin"):
-        summary.update(dominance_margin=rep.dominance_margin,
-                       t_delta=rep.t_delta)
-    return summary
-
-
-def _experiment_trace(rep):
-    if hasattr(rep, "sides"):
-        ts = rep.sides[+1].trace_times
-        return ([("t", "time"), ("sup_above", "height"),
-                 ("sup_below", "height")],
-                zip(ts, rep.sides[+1].trace, rep.sides[-1].trace))
-    if hasattr(rep, "family_trace"):
-        return ([("t", "time"), ("family_sup", "height"),
-                 ("rail_sup", "height")],
-                zip(rep.trace_times, rep.family_trace, rep.rail_trace))
-    return None
-
-
 def _cmd_experiment(cfg: dict, out: str, sets) -> int:
     name = cfg["experiment"]["name"]
     if name not in SCENARIOS:
         raise ParameterError(f"unknown scenario {name!r} "
                              f"(known: {', '.join(sorted(SCENARIOS))})")
     scenario = SCENARIOS[name]
-    rep = scenario.run(cfg["run"]["quick"],
-                       **_scenario_settings(scenario, cfg["run"]["seed"], sets))
-    summary = _experiment_summary(name, rep)
-    summary["claim"] = scenario.claim
-    write_json(os.path.join(out, f"experiment_{name}.json"), summary)
-    trace = _experiment_trace(rep)
-    if trace is not None:
-        write_csv(os.path.join(out, f"experiment_{name}_trace.csv"),
-                  trace[0], trace[1])
+    schema = {key: p.default for key, p in
+              inspect.signature(scenario.function()).parameters.items()}
+    settings = {"seed": cfg["run"]["seed"]} if "seed" in schema else {}
+    settings.update(_apply_sets(schema, sets, f"scenario {name!r}"))
+    rep = scenario.run(cfg["run"]["quick"], **settings)
+    write_json(os.path.join(out, f"experiment_{name}.json"),
+               {"scenario": name, "passed": rep.passed, "claim": scenario.claim,
+                **rep.summary})
+    if rep.trace is not None:
+        write_csv(os.path.join(out, f"experiment_{name}_trace.csv"), *rep.trace)
     print(f"{name}: {'pass' if rep.passed else 'FAIL'} ({scenario.claim})")
     return 0 if rep.passed else 1
 
 
 def _cmd_suite(cfg: dict, out: str) -> int:
-    report = acceptance.run_acceptance(quick=cfg["run"]["quick"])
+    results = acceptance.run_acceptance(quick=cfg["run"]["quick"])
+    passed = all(r.passed for r in results)
     write_csv(os.path.join(out, "acceptance.csv"),
               [("number", "index"), ("name", "text"), ("passed", "0/1"),
                ("seconds", "s"), ("detail", "text")],
               ((r.number, r.name, r.passed, round(r.seconds, 2),
                 '"' + r.detail.replace('"', "'") + '"')
-               for r in report.results))
+               for r in results))
     write_json(os.path.join(out, "acceptance.json"),
-               {"passed": report.passed,
+               {"passed": passed,
                 "criteria": [{"number": r.number, "name": r.name,
                               "passed": r.passed, "detail": r.detail,
                               "seconds": round(r.seconds, 3)}
-                             for r in report.results]})
-    return 0 if report.passed else 1
+                             for r in results]})
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------

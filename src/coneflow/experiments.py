@@ -5,14 +5,16 @@ cone: two-sided perturbations get sandwiched between time-shifted copies of
 the expanding soliton, families under a common envelope converge uniformly,
 and glued subsolutions stay below the flow while it recovers the cone level.
 
-Reports carry the raw traces next to the verdicts so the CLI can dump them
-to CSV without recomputation.
+Each runner returns one ``ScenarioReport``: its verdict, the values that the
+CLI's JSON artifact carries and the trace CSV's columns and rows, which the
+CLI writes as they are.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,12 +28,9 @@ from .flow import (FlowRun, SolverConfig, _allowance, comparison_check,
 from .geometry import GridFunction, GridSpec
 
 __all__ = [
-    "SideReport",
-    "MainTheoremReport",
+    "ScenarioReport",
     "run_main_theorem",
-    "FamilyUniformReport",
     "run_family_uniform",
-    "SubsolutionReport",
     "subsolution_dominance_experiment",
     "Scenario",
     "SCENARIOS",
@@ -72,29 +71,22 @@ def _bisect_upper_shift(profile: ExpanderProfile, u0: GridFunction) -> float:
     return hi
 
 
-@dataclass
-class SideReport:
-    trace_times: np.ndarray
-    trace: np.ndarray
-    t_flat: float | None
-    t_delta: float | None
-    upper: bool
-    lower: bool
-    passed: bool
+class ScenarioReport(NamedTuple):
+    """A scenario's verdict, the JSON-ready values that its artifact
+    ``experiment_<name>.json`` carries next to ``scenario``, ``passed`` and
+    ``claim``, and its trace: the CSV's ``(name, unit)`` columns and one row
+    per snapshot, or None for a scenario without one."""
 
-
-@dataclass
-class MainTheoremReport:
-    threshold: float
-    sides: dict
     passed: bool
+    summary: dict
+    trace: tuple | None
 
 
 def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,
                      radius: float = 5.0, delta: float = 0.2,
                      r_max: float = 75.0, nodes: int = 1501,
                      horizon: float = 50.0, snapshot_dt: float = 0.5,
-                     dt_max: float = 0.025, threshold: float = 0.05) -> MainTheoremReport:
+                     dt_max: float = 0.025, threshold: float = 0.05) -> ScenarioReport:
     """Two-sided bump perturbations settle onto the expanding soliton.
 
     For each sign the run is sandwiched between soliton rails sampled at its
@@ -102,7 +94,9 @@ def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,
     bisection, below by U(., sigma + t - t_delta) - eps once the solution
     has recovered to k - delta (eps = 2*delta, sigma = (delta/(2a))^2 so the
     lower rail starts half a delta clear).  The sup|u - U| trace must drop
-    under the threshold within the horizon.
+    under the threshold within the horizon.  The summary keys each side's
+    times and checks by ``"1"`` and ``"-1"``, and the trace holds both
+    sides' sup|u - U| at the snapshots.
     """
     if not 0 < threshold < math.inf:
         raise ParameterError("threshold must be positive and finite")
@@ -119,13 +113,14 @@ def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,
     eps = 2.0 * delta
     sigma = (delta / (2.0 * profile.a)) ** 2
     dx = spec.max_spacing()
-    sides = {}
+    sides, traces = {}, []
     for sign in (+1, -1):
         u0 = GridFunction(spec, k.beta * spec.nodes
                           + sign * bump(spec.nodes, amplitude, radius))
         run = evolve(u0, horizon, cfg, profile=profile)
         times = run.times
         trace = _expander_gap(run, profile)
+        traces.append((times, trace))
         t_flat = run.first_time(trace <= threshold)
 
         t_up = _bisect_upper_shift(profile, u0)
@@ -141,35 +136,30 @@ def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,
                 evaluate_U(profile, spec.nodes, sigma + (float(t) - t_delta)) - eps
                 for t in times[tail]])
             lower = comparison_check(run.values[tail], lower_rail, times[tail], dx)
-        passed = t_flat is not None and upper and lower
-        sides[sign] = SideReport(times, trace, t_flat, t_delta, upper, lower, passed)
-    return MainTheoremReport(threshold, sides, all(s.passed for s in sides.values()))
-
-
-@dataclass
-class FamilyUniformReport:
-    trace_times: np.ndarray
-    family_trace: np.ndarray
-    rail_trace: np.ndarray
-    t_uniform: float | None
-    sandwich_ok: bool
-    bound_ok: bool
-    threshold: float
-    passed: bool
+        sides[str(sign)] = {"t_flat": t_flat, "t_delta": t_delta,
+                            "upper_ok": bool(upper), "lower_ok": bool(lower)}
+    (times, above), (_, below) = traces
+    passed = all(side["t_flat"] is not None and side["upper_ok"]
+                 and side["lower_ok"] for side in sides.values())
+    return ScenarioReport(
+        passed, {"threshold": threshold, "sides": sides},
+        ([("t", "time"), ("sup_above", "height"), ("sup_below", "height")],
+         list(zip(times, above, below))))
 
 
 def run_family_uniform(n: int = 2, beta: float = 1.0, count: int = 5,
                        envelope_amp: float = 0.5, seed: int = 0,
                        r_max: float = 40.0, nodes: int = 801,
                        horizon: float = 12.0, snapshot_dt: float = 0.5,
-                       dt_max: float = 0.05) -> FamilyUniformReport:
+                       dt_max: float = 0.05) -> ScenarioReport:
     """A family under one decaying envelope converges uniformly.
 
     Members are k + envelope * sin(omega_i r + phase_i) with the envelope
     amp * exp(-r); the rail runs from k +- envelope must sandwich every member
     at every snapshot, and the family deviation max_i sup|u_i - U| must obey
     the rail bound (sum of rail deviations plus twice the scheme allowance)
-    while dropping under 0.05 within the horizon.
+    while dropping under 0.05 within the horizon.  The trace holds the
+    family deviation and the rail sum at the snapshots.
     """
     if count < 5:
         raise ParameterError("family experiments need at least 5 members")
@@ -213,15 +203,11 @@ def run_family_uniform(n: int = 2, beta: float = 1.0, count: int = 5,
     bound_ok = bool(np.all(family <= rail + 2.0 * _allowance(times, dx)))
     t_uniform = run_hi.first_time(family <= _FAMILY_THRESHOLD)
     passed = sandwich_ok and bound_ok and t_uniform is not None
-    return FamilyUniformReport(times, family, rail, t_uniform, sandwich_ok,
-                               bound_ok, _FAMILY_THRESHOLD, bool(passed))
-
-
-@dataclass
-class SubsolutionReport:
-    dominance_margin: float
-    t_delta: float | None
-    passed: bool
+    return ScenarioReport(
+        bool(passed), {"t_uniform": t_uniform, "sandwich_ok": sandwich_ok,
+                       "bound_ok": bound_ok},
+        ([("t", "time"), ("family_sup", "height"), ("rail_sup", "height")],
+         list(zip(times, family, rail))))
 
 
 def subsolution_dominance_experiment(n: int = 3, beta: float = 1.0,
@@ -230,7 +216,7 @@ def subsolution_dominance_experiment(n: int = 3, beta: float = 1.0,
                                      clearance: float = 0.05,
                                      r_max: float = 150.0, nodes: int = 1501,
                                      horizon: float = 2.0,
-                                     snapshot_dt: float = 0.05) -> SubsolutionReport:
+                                     snapshot_dt: float = 0.05) -> ScenarioReport:
     """The glued subsolution stays below the flow while it recovers the cone.
 
     u0 = k - (m - clearance) * bump(r/R) dips only inside the barrier's hole
@@ -239,7 +225,7 @@ def subsolution_dominance_experiment(n: int = 3, beta: float = 1.0,
     make the dominance check measure nothing but the solver's O(sqrt(dt))
     startup lag along the sqrt(t) rise of the soliton branch.  The flow must
     dominate B(., t) at every snapshot within 1e-6, and the recovery time to
-    u >= k - delta must be finite.
+    u >= k - delta must be finite.  There is no trace.
     """
     k = ConeProfile.radial(n, beta)
     profile = solve_expander_profile(k)
@@ -259,7 +245,8 @@ def subsolution_dominance_experiment(n: int = 3, beta: float = 1.0,
                  for t, v in zip(run.times, run.values))
     t_delta = detect_t_delta(run, k, delta)
     passed = margin >= -_DOMINANCE_SLACK and t_delta is not None
-    return SubsolutionReport(float(margin), t_delta, bool(passed))
+    return ScenarioReport(bool(passed), {"dominance_margin": float(margin),
+                                         "t_delta": t_delta}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +255,8 @@ def subsolution_dominance_experiment(n: int = 3, beta: float = 1.0,
 
 @dataclass(frozen=True)
 class Scenario:
-    """Named experiment configuration with a one-line claim tag.
+    """Experiment configuration with a one-line claim tag, named by its
+    ``SCENARIOS`` key.
 
     ``runner`` names the experiment function in this module.  It is looked up
     at call time, so a rebound module attribute (a profiler's wrapper, say)
@@ -276,7 +264,6 @@ class Scenario:
     mode; the settings passed to :meth:`run` win over them.
     """
 
-    name: str
     runner: str
     claim: str
     quick_overrides: tuple = ()
@@ -293,16 +280,16 @@ class Scenario:
 
 SCENARIOS = {
     "main-theorem": Scenario(
-        "main-theorem", "run_main_theorem",
+        "run_main_theorem",
         "two-sided bump perturbations settle onto the expander",
         quick_overrides=(("horizon", 10.0), ("nodes", 601), ("r_max", 40.0),
                          ("dt_max", 0.05), ("threshold", 0.25))),
     "family-uniform": Scenario(
-        "family-uniform", "run_family_uniform",
+        "run_family_uniform",
         "a family under one envelope converges uniformly",
         quick_overrides=(("horizon", 8.0), ("nodes", 401))),
     "subsolution": Scenario(
-        "subsolution", "subsolution_dominance_experiment",
+        "subsolution_dominance_experiment",
         "the glued subsolution is dominated while the flow recovers the cone",
         quick_overrides=(("nodes", 751), ("horizon", 1.0))),
 }

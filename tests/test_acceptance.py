@@ -11,6 +11,7 @@ import pytest
 
 from coneflow import acceptance
 from coneflow.acceptance import CRITERIA, run_acceptance
+from coneflow.experiments import ScenarioReport
 
 IDS = [f"{number:02d}-{name}" for number, name, _ in CRITERIA]
 
@@ -31,10 +32,10 @@ def _only(monkeypatch, *numbers):
 
 def test_run_acceptance_aggregates(monkeypatch, capsys):
     _only(monkeypatch, 3, 4)
-    report = run_acceptance(quick=True)
+    results = run_acceptance(quick=True)
     out = capsys.readouterr().out
-    assert len(report.results) == 2
-    assert report.passed
+    assert len(results) == 2
+    assert all(r.passed for r in results)
     assert "[ 3/14] PASS profile-monotonicity" in out
     assert "[ 4/14] PASS sup-decay-rate" in out
     assert "acceptance PASS: 2/2" in out
@@ -43,15 +44,15 @@ def test_run_acceptance_aggregates(monkeypatch, capsys):
 def test_unflattened_side_fails_with_a_detail_line(monkeypatch, capsys):
     # a side that never drops under the threshold reports "none", as
     # criteria 6 and 14 do, instead of crashing on the format
-    sides = {+1: SimpleNamespace(t_flat=30.0, upper=True, lower=True),
-             -1: SimpleNamespace(t_flat=None, upper=True, lower=True)}
-    fake = SimpleNamespace(run=lambda quick: SimpleNamespace(
-        passed=False, threshold=0.05, sides=sides))
+    sides = {"1": {"t_flat": 30.0, "t_delta": 1.0, "upper_ok": True, "lower_ok": True},
+             "-1": {"t_flat": None, "t_delta": 1.0, "upper_ok": True, "lower_ok": True}}
+    fake = SimpleNamespace(run=lambda quick: ScenarioReport(
+        False, {"threshold": 0.05, "sides": sides}, None))
     monkeypatch.setitem(acceptance.SCENARIOS, "main-theorem", fake)
     _only(monkeypatch, 5)
-    report = run_acceptance(quick=True)
+    results = run_acceptance(quick=True)
     line = capsys.readouterr().out.splitlines()[0]
-    assert not report.passed
+    assert not all(r.passed for r in results)
     assert "error:" not in line
     assert line.startswith("[ 5/14] FAIL two-sided-convergence: sup|u-U| <= 0.05 "
                            "at t = 30.0 (+) / none (-), sandwich checks pass [")

@@ -135,10 +135,6 @@ UNSET_KEEP = {
     # each criterion's quick flag, which run_acceptance passes positionally
     # to the functions of its CRITERIA table
     ("acceptance.py", "*", "quick"),
-    # a record field that run_acceptance fills by appends
-    ("acceptance.py", "AcceptanceReport", "results"),
-    # a negative control: the flat cone, which is not strictly mean convex
-    ("barriers.py", "static_barrier_w", "require_mean_convex"),
     # the block oracle keeps every node with outer_margin=0
     ("barriers.py", "psi_identity_residual", "outer_margin"),
 }

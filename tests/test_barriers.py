@@ -48,11 +48,13 @@ def test_static_barrier_certified_region():
 
 
 def test_static_barrier_flat_background_fails_far_out():
-    # against a plane, a steep power dip turns mean-concave at large radius
-    sb = static_barrier_w(ConeProfile.radial(3, 0.0), 2.0,
-                          require_mean_convex=False)
+    # against a strictly mean convex cone too shallow for the dip, a steep
+    # power dip stays mean-concave out to 1e4; a steeper cone certifies
+    sb = static_barrier_w(ConeProfile.radial(3, 1e-13), 2.0)
     assert sb.r0 is None
     assert not sb.certified
+    assert static_barrier_w(ConeProfile.radial(3, 1e-11), 2.0).r0 == pytest.approx(
+        4668.45, rel=1e-5)
 
 
 def test_static_barrier_r0_matches_the_exact_root():
@@ -111,6 +113,25 @@ def test_lemma_barrier_rejects_bad_setups():
         with pytest.raises(ParameterError, match="seven labels"):
             evolution_equation_residuals(K3, points, 4, 1)
     assert math.isfinite(evolution_equation_residuals(K3, 7, 4, 1)["max"])
+
+
+@pytest.mark.parametrize("fn,args,match", [
+    (lemma_barrier_flow, (K3, 300.5), "points must be a whole number"),
+    (lemma_barrier_flow, (K3, True), "points must be a whole number"),
+    (evolution_equation_residuals, (K3, 120.5, 100, 10), "points must be a whole"),
+    (evolution_equation_residuals, (K3, 120, 100.5, 10), "steps must be a whole"),
+    (evolution_equation_residuals, (K3, 120, 100, 2.5), "t_stride must be a whole"),
+    (evolution_equation_residuals, (K3, 120, 100, 0), "t_stride must be at least 1"),
+    (static_barrier_w, (K3, 0.5, 10.5), "points must be a whole number"),
+    (wk_difference_fit, (K3, 0.5, 10.5), "points must be a whole number"),
+], ids=["lemma-float", "lemma-bool", "residual-points", "residual-steps",
+        "residual-stride", "residual-stride-zero", "static", "wk-fit"])
+def test_barrier_counts_are_whole_numbers(fn, args, match):
+    # a count that is not a whole number, or a stride below one, is the
+    # caller's slip: a ParameterError, not numpy's TypeError nor a silent
+    # stride of one
+    with pytest.raises(ParameterError, match=match):
+        fn(*args)
 
 
 def test_only_the_residual_checks_integrate_the_particle_flow(monkeypatch, tmp_path):

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +11,7 @@ import pytest
 
 from coneflow import acceptance, cli, experiments, flow
 from coneflow.errors import CertificationError, NewtonError
+from coneflow.experiments import ScenarioReport
 
 
 def run_cli(args, cwd):
@@ -237,11 +237,11 @@ def test_experiment_settings_precedence(tmp_path, capsys, monkeypatch):
 
     def family(horizon: float = 50.0, nodes: int = 1001, seed: int = 0):
         calls.append({"horizon": horizon, "nodes": nodes, "seed": seed})
-        return types.SimpleNamespace(passed=True)
+        return ScenarioReport(True, {}, None)
 
     def theorem(horizon: float = 50.0, nodes: int = 1001):
         calls.append({"horizon": horizon, "nodes": nodes})
-        return types.SimpleNamespace(passed=True)
+        return ScenarioReport(True, {}, None)
 
     monkeypatch.setattr(experiments, "run_family_uniform", family)
     monkeypatch.setattr(experiments, "run_main_theorem", theorem)
@@ -580,6 +580,42 @@ def test_quick_experiment_runs(tmp_path, capsys):
     trace = (out / "experiment_family-uniform_trace.csv").read_text()
     header = trace.splitlines()[0]
     assert header.split(",")[0] == "t [time]"
+
+
+def _key_tree(obj):
+    """The nested keys of a JSON object: each key maps to its value's tree,
+    and a value that is not an object to None."""
+    return ({key: _key_tree(value) for key, value in obj.items()}
+            if isinstance(obj, dict) else None)
+
+
+_SIDE = dict.fromkeys(["t_flat", "t_delta", "upper_ok", "lower_ok"])
+
+
+@pytest.mark.parametrize("name,keys,header", [
+    ("main-theorem", {"threshold": None, "sides": {"1": _SIDE, "-1": _SIDE}},
+     "t [time],sup_above [height],sup_below [height]"),
+    ("family-uniform", dict.fromkeys(["t_uniform", "sandwich_ok", "bound_ok"]),
+     "t [time],family_sup [height],rail_sup [height]"),
+    ("subsolution", dict.fromkeys(["dominance_margin", "t_delta"]), None),
+])
+def test_experiment_artifacts(tmp_path, capsys, name, keys, header):
+    # each scenario's JSON carries its key tree and, where it has a trace,
+    # a CSV whose header names the columns and units
+    out = tmp_path / "art"
+    assert run_cli(["--quick", "--out", str(out), "experiment", "--name", name],
+                   tmp_path) == 0
+    report = json.loads((out / f"experiment_{name}.json").read_text())
+    assert _key_tree(report) == {"scenario": None, "passed": None,
+                                 "claim": None, **keys}
+    assert report["scenario"] == name and report["passed"] is True
+    trace = out / f"experiment_{name}_trace.csv"
+    if header is None:
+        assert sorted(p.name for p in out.iterdir()) == [f"experiment_{name}.json"]
+    else:
+        lines = trace.read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) > 2
 
 
 def test_csv_booleans_and_floats(tmp_path):

@@ -37,7 +37,6 @@ def test_scenario_registry_complete():
                        "subsolution": subsolution_dominance_experiment}
     for name, sc in SCENARIOS.items():
         assert isinstance(sc, Scenario)
-        assert sc.name == name
         assert sc.claim
         params = inspect.signature(runners[name]).parameters
         for key, _ in sc.quick_overrides:
@@ -76,5 +75,5 @@ def test_family_needs_five_members():
 def test_family_seed_reproducible():
     a = run_family_uniform(horizon=3.0, nodes=201, r_max=20.0, seed=11)
     b = run_family_uniform(horizon=3.0, nodes=201, r_max=20.0, seed=11)
-    assert np.array_equal(a.family_trace, b.family_trace)
-    assert a.t_uniform == b.t_uniform
+    assert a.trace == b.trace
+    assert a.summary == b.summary
