@@ -113,13 +113,12 @@ def two_sided_convergence(quick: bool = False):
 
 def hyperplane_stability(quick: bool = False):
     """A bump over the flat cone drains; its heat majorant stays above it."""
-    if quick:
-        rep = half_space_experiment(horizon=15.0, threshold=0.2)
-    else:
-        rep = half_space_experiment()
-    below = "none" if rep.first_below is None else f"{rep.first_below:.1f}"
-    return rep.passed, (f"sup u <= {rep.threshold} at t = {below}, "
-                        f"majorant ordering after t0: {rep.ordering_ok}")
+    threshold = 0.2 if quick else 0.05
+    rep = half_space_experiment(15.0 if quick else 50.0, threshold)
+    below = rep.summary["first_below"]
+    below = "none" if below is None else f"{below:.1f}"
+    return rep.passed, (f"sup u <= {threshold} at t = {below}, "
+                        f"majorant ordering after t0: {rep.summary['ordering_ok']}")
 
 
 def static_barrier(quick: bool = False):
@@ -219,8 +218,8 @@ def area_bv_bound(quick: bool = False, trials: int = 100):
                  rng.uniform(-2.0, 2.0, size=nb),
                  rng.uniform(0.25, 1.2, size=nb))
         rep = graph_area_bound_check(k, bumps, x, rho, max(1.0, beta))
-        passes += rep.passed and rep.hypothesis_ok
-        nonempty += rep.area > 0
+        passes += rep.passed and rep.summary["hypothesis_ok"]
+        nonempty += rep.summary["area"] > 0
     ok = passes == trials and trials >= 1
     return ok, (f"{passes}/{trials} bound checks pass "
                 f"({nonempty} with nonempty area set)")

@@ -1,4 +1,6 @@
-"""Measurement tools: decay-rate fits, the graph-area bound, clearing-out times.
+"""Measurement tools: decay-rate fits, the graph-area bound, clearing-out
+times, and ``ScenarioReport``, the one record that the scenario runners,
+the half-space experiment and the area-bound check return.
 
 The area-bound and clearing-out checks follow a fixed discretization
 principle: when an inequality chains pointwise estimates (as the graph-area
@@ -9,7 +11,7 @@ implementation bug, not through quadrature mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,11 +21,23 @@ from .geometry import GridFunction, GridSpec
 __all__ = [
     "bump",
     "decay_fit",
-    "AreaBoundReport",
+    "ScenarioReport",
     "graph_area_bound_check",
     "clearing_out_experiment",
     "clearing_out_scaling",
 ]
+
+
+class ScenarioReport(NamedTuple):
+    """A check's verdict, the JSON-ready values that it measured (for a
+    scenario, what its artifact ``experiment_<name>.json`` carries next to
+    ``scenario``, ``passed`` and ``claim``), and its trace: the CSV's
+    ``(name, unit)`` columns and one row per snapshot, or None for a check
+    without one."""
+
+    passed: bool
+    summary: dict
+    trace: tuple | None
 
 
 def bump(r: np.ndarray, amplitude: float, radius: float) -> np.ndarray:
@@ -102,14 +116,7 @@ def _gaussian_bumps(pts: np.ndarray, centers, amplitudes, widths) -> tuple:
     return value, grad
 
 
-@dataclass
-class AreaBoundReport:
-    area: float
-    hypothesis_ok: bool
-    passed: bool
-
-
-def graph_area_bound_check(k, bumps, x, rho: float, G: float) -> AreaBoundReport:
+def graph_area_bound_check(k, bumps, x, rho: float, G: float) -> ScenarioReport:
     """Graph area above the raised radial cone k vs the BV bound, on one
     shared grid.
 
@@ -123,7 +130,8 @@ def graph_area_bound_check(k, bumps, x, rho: float, G: float) -> AreaBoundReport
     Both sides use the same midpoint quadrature on B_1(x), so the pointwise
     chain (sqrt(1+|Du0|^2) <= (1+G) + |D(u0-k)| and |set| <= integral |u0-k|/rho)
     carries over node by node.  The chain needs eps(|x|) <= rho (otherwise the
-    area set is not contained in the BV set); ``hypothesis_ok`` records that.
+    area set is not contained in the BV set).  The report's summary holds
+    the ``area`` and whether that hypothesis holds, ``hypothesis_ok``.
     """
     if not (0.0 < rho < 1.0):
         raise ParameterError("rho must lie in (0, 1)")
@@ -159,7 +167,8 @@ def graph_area_bound_check(k, bumps, x, rho: float, G: float) -> AreaBoundReport
     dv = dv[:, bv_set]
     bv = float(np.sum(w[bv_set] * (np.abs(v[bv_set]) + np.sqrt(dv[0] ** 2 + dv[1] ** 2))))
     bound = (4.0 + 3.0 * G / rho) * bv
-    return AreaBoundReport(area, eps <= rho, area <= bound * (1 + 1e-12) + 1e-15)
+    return ScenarioReport(area <= bound * (1 + 1e-12) + 1e-15,
+                          {"area": area, "hypothesis_ok": eps <= rho}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +226,8 @@ def clearing_out_scaling(k, rhos=(0.05, 0.1, 0.2)) -> float:
     fitted exponent p.
     """
     rhos = [float(r) for r in rhos]
+    if len({r for r in rhos if r > 0}) < 2:
+        raise ParameterError(f"the fit needs two distinct positive widths, got {rhos}")
     t0 = [clearing_out_experiment(k, 6.0 * r, r) for r in rhos]
     if None in t0:
         raise ParameterError("clearing time not reached within 10 rho^2 "

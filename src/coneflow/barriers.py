@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .analysis import bump, decay_fit
+from .analysis import ScenarioReport, bump, decay_fit
 from .cones import ConeProfile
 from .errors import CertificationError, DomainError, ParameterError
 from .expander import ExpanderProfile, evaluate_U, expander_time_derivative
@@ -58,7 +58,6 @@ __all__ = [
     "Subsolution",
     "PsiIdentityReport",
     "psi_identity_residual",
-    "HalfSpaceReport",
     "half_space_experiment",
 ]
 
@@ -83,9 +82,21 @@ class StaticBarrier:
     H: np.ndarray
     r0: float | None
 
-    @property
-    def certified(self) -> bool:
-        return self.r0 is not None
+
+def _power_samples(k: ConeProfile, alpha: float, points, least: int,
+                   lo: float) -> np.ndarray:
+    """``points`` geometric radii over [lo, 1e4] for the power barrier
+    k - r^(-alpha) over the radial cone k, after the checks the static
+    barrier and the difference fit share: alpha positive and finite, and a
+    whole count of at least ``least``."""
+    if k.kind != "radial":
+        raise ParameterError("static power barriers are built over radial cones")
+    if not 0 < alpha < math.inf:
+        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
+    points = _whole(points, "points", ParameterError)
+    if points < least:
+        raise ParameterError(f"need at least {least} sample points, got {points}")
+    return np.geomspace(lo, 1e4, points)
 
 
 def static_barrier_w(k: ConeProfile, alpha: float, points: int = 400) -> StaticBarrier:
@@ -93,17 +104,16 @@ def static_barrier_w(k: ConeProfile, alpha: float, points: int = 400) -> StaticB
 
     Reports the smallest sampled radius r0 past which H[w] > 0 holds through
     1e4, or r0 = None when the curvature stays nonpositive at the far end.
+    r0 is only as fine as the samples: at (n, beta, alpha) = (2, 0.1, 2),
+    3 points read r0 = 1.0 where 400 read 3.40.  At least 2 points are
+    needed, so that both ends of [1, 1e4] are sampled.
     The cone must be strictly mean convex.  With alpha > n-2 a cone too
     shallow for the dip keeps H[w] < 0 out to 1e4: (n, beta, alpha) =
     (3, 1e-13, 2) reads r0 = None, while beta = 1e-11 certifies from 4668.
     """
-    if k.kind != "radial":
-        raise ParameterError("static power barriers are built over radial cones")
-    if not 0 < alpha < math.inf:
-        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
+    r = _power_samples(k, alpha, points, 2, 1.0)
     if k.scaled_mean_curvature() <= 0:
         raise ParameterError("cone is not strictly mean convex")
-    r = np.geomspace(1.0, 1e4, _whole(points, "points", ParameterError))
     w, wr, wrr = _power_barrier_parts(k.beta, alpha, r)
     H = _radial_curvatures(k.n, r, wr, wrr)
     pos = H > 0
@@ -124,11 +134,10 @@ def wk_difference_fit(k: ConeProfile, alpha: float, points: int = 160) -> dict:
 
         alpha * r^(-alpha-2) * [(n-1) - (alpha+1)/(1+w_r^2)],
 
-    so the log-log fit should sit near exponent -(alpha+2).
+    so the log-log fit should sit near exponent -(alpha+2).  It takes at
+    least 3 points, as ``decay_fit`` does.
     """
-    if k.kind != "radial":
-        raise ParameterError("radial cones only")
-    r = np.geomspace(1e3, 1e4, _whole(points, "points", ParameterError))
+    r = _power_samples(k, alpha, points, 3, 1e3)
     _, wr, wrr = _power_barrier_parts(k.beta, alpha, r)
     diff = wrr / (1.0 + wr * wr) + (k.n - 1) * (wr - k.beta) / r
     return {"exponent": decay_fit(r, np.abs(diff)), "predicted_exponent": -(alpha + 2.0)}
@@ -241,6 +250,8 @@ def lemma_barrier_flow(k: ConeProfile, points: int = 600) -> LemmaBarrierResult:
     """
     alpha = _flow_exponent(k)
     points = _whole(points, "points", ParameterError)
+    if points < 2:
+        raise ParameterError(f"need at least 2 sample points, got {points}")
     r = np.geomspace(_R_INNER, _R_OUTER, points)
     kv = k.beta * r
     f0 = _speed(_R_INNER, k.beta * _R_INNER, alpha)
@@ -443,8 +454,8 @@ class Subsolution:
         if lam * lemma.certified[0] <= self.R:
             raise ParameterError(f"need lam*R1 > R (got {lam * lemma.certified[0]:.4g} "
                                  f"<= {self.R:.4g})")
-        pc, bc = self.profile.cone(), lemma.cone
-        if pc.n != bc.n or abs(pc.beta - bc.beta) > 1e-12:
+        if (self.profile.n != lemma.cone.n
+                or abs(self.profile.beta - lemma.cone.beta) > 1e-12):
             raise ParameterError("expander and barrier belong to different cones")
         self.spline = CubicSpline(lam * lemma.r, lam * lemma.b)
 
@@ -474,11 +485,6 @@ class Subsolution:
     def evaluate(self, r, t: float) -> np.ndarray:
         return np.maximum(*self._branches(r, t))
 
-    def branch(self, r, t: float) -> np.ndarray:
-        """0 where the expander branch is active, 1 where the barrier wins."""
-        ub, bb = self._branches(r, t)
-        return (bb > ub).astype(int)
-
     def residual_report(self, spec: GridSpec, times) -> dict:
         """Branch-wise flow residuals more than two nodes from the gluing
         crease.
@@ -492,8 +498,8 @@ class Subsolution:
         exp_res, bar_min_H = 0.0, np.inf
         clo, chi = (self.lam * c for c in self.lemma.certified)
         for t in times:
-            active = self.branch(r, t)
-            ub = evaluate_U(self.profile, r, t) - self.m
+            ub, bb = self._branches(r, t)
+            active = (bb > ub).astype(int)  # 1 where the barrier branch wins
             crease = np.zeros_like(active, dtype=bool)
             switches = np.nonzero(np.diff(active) != 0)[0]
             for i in switches:
@@ -592,27 +598,18 @@ def psi_identity_residual(run: FlowRun, outer_margin: int = 3) -> PsiIdentityRep
     return PsiIdentityReport(float(np.max(per_time)), per_time)
 
 
-@dataclass
-class HalfSpaceReport:
-    """The half-space experiment: whether the majorant a * Phi + epsilon
-    stays above u from the snapshot nearest t0 on, and the first snapshot
-    time at which sup u is at most ``threshold``."""
-
-    ordering_ok: bool
-    first_below: float | None
-    threshold: float
-    passed: bool
-
-
 def half_space_experiment(horizon: float = 50.0,
-                          threshold: float = 0.05) -> HalfSpaceReport:
+                          threshold: float = 0.05) -> ScenarioReport:
     """Flow a compact bump over the flat cone k = 0 on R^2 and majorize it.
 
     The unit bump of radius 5 sits on r in [0, 75] with its far edge pinned.
     The coefficient a is fixed at the snapshot nearest t0 = 0.1 by
     a = sup (u - epsilon)_+ / Phi(X, t0) with epsilon = 0.025; afterwards
     a*Phi + epsilon must stay above u at every snapshot, while sup u drains
-    below the threshold.
+    below the threshold.  The report's summary holds whether the majorant
+    stays above u from the snapshot nearest t0 on, ``ordering_ok``, and the
+    first snapshot time at which sup u is at most the threshold,
+    ``first_below``.
     """
     n, t0, epsilon = 2, 0.1, 0.025
     spec = GridSpec.uniform(n, 0.0, 75.0, 1501)
@@ -634,6 +631,6 @@ def half_space_experiment(horizon: float = 50.0,
     sup_trace = run.values.max(axis=1)
     first_below = run.first_time(sup_trace <= threshold)
     ordering_ok = bool(np.all(margins >= -1e-9))
-    passed = ordering_ok and first_below is not None
-    return HalfSpaceReport(ordering_ok, first_below, threshold, passed)
+    return ScenarioReport(ordering_ok and first_below is not None,
+                          {"ordering_ok": ordering_ok, "first_below": first_below}, None)
 

@@ -232,11 +232,12 @@ def _cmd_barrier(cfg: dict, out: str) -> int:
         tables.append(("static_barrier.csv",
                        [("r", "length"), ("w", "height"), ("H", "1/length")],
                        zip(sb.r, sb.w, sb.H)))
+        certified = sb.r0 is not None
         report["static"] = {"alpha": sec["alpha"], "r0": sb.r0,
-                            "certified": sb.certified,
+                            "certified": certified,
                             "gap_exponent": fit["exponent"],
                             "predicted_exponent": fit["predicted_exponent"]}
-        verdicts.append(sb.certified)
+        verdicts.append(certified)
     if which in ("lemma", "subsolution", "all"):
         lemma_res = lemma_barrier_flow(k)
         tables.append(("lemma_barrier.csv",

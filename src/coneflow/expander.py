@@ -431,16 +431,8 @@ class ExpanderProfile:
             out[~inside] = _tail_slope(self.n, self.beta, rho[~inside])
         return out
 
-    def time_derivative_profile(self, rho) -> np.ndarray:
-        """(phi - rho*phi')/2, the upward drift of the expander at t = 1."""
-        rho = np.asarray(rho, dtype=float)
-        return 0.5 * (self.evaluate(rho) - rho * self.evaluate_prime(rho))
-
     def on_grid(self, spec: GridSpec, t: float = 1.0) -> GridFunction:
         return GridFunction(spec, evaluate_U(self, spec.nodes, t))
-
-    def cone(self) -> ConeProfile:
-        return ConeProfile.radial(self.n, self.beta)
 
 
 def solve_expander_profile(k: ConeProfile) -> ExpanderProfile:
@@ -627,7 +619,8 @@ def expander_time_derivative(profile: ExpanderProfile, r, t: float) -> np.ndarra
     if not 0 < t < math.inf:
         raise DomainError(f"time derivative needs t > 0 and finite, got t={t}")
     s = np.sqrt(t)
-    return profile.time_derivative_profile(np.asarray(r, dtype=float) / s) / s
+    rho = np.asarray(r, dtype=float) / s
+    return 0.5 * (profile.evaluate(rho) - rho * profile.evaluate_prime(rho)) / s
 
 
 @dataclass

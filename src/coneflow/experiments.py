@@ -5,20 +5,19 @@ cone: two-sided perturbations get sandwiched between time-shifted copies of
 the expanding soliton, families under a common envelope converge uniformly,
 and glued subsolutions stay below the flow while it recovers the cone level.
 
-Each runner returns one ``ScenarioReport``: its verdict, the values that the
-CLI's JSON artifact carries and the trace CSV's columns and rows, which the
-CLI writes as they are.
+Each runner returns one ``analysis.ScenarioReport``: its verdict, the values
+that the CLI's JSON artifact carries and the trace CSV's columns and rows,
+which the CLI writes as they are.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import bump
+from .analysis import ScenarioReport, bump
 from .barriers import Subsolution, lemma_barrier_flow
 from .cones import ConeProfile
 from .errors import ParameterError
@@ -28,7 +27,6 @@ from .flow import (FlowRun, SolverConfig, _allowance, comparison_check,
 from .geometry import GridFunction, GridSpec
 
 __all__ = [
-    "ScenarioReport",
     "run_main_theorem",
     "run_family_uniform",
     "subsolution_dominance_experiment",
@@ -69,17 +67,6 @@ def _bisect_upper_shift(profile: ExpanderProfile, u0: GridFunction) -> float:
         else:
             lo = mid
     return hi
-
-
-class ScenarioReport(NamedTuple):
-    """A scenario's verdict, the JSON-ready values that its artifact
-    ``experiment_<name>.json`` carries next to ``scenario``, ``passed`` and
-    ``claim``, and its trace: the CSV's ``(name, unit)`` columns and one row
-    per snapshot, or None for a scenario without one."""
-
-    passed: bool
-    summary: dict
-    trace: tuple | None
 
 
 def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,

@@ -22,19 +22,21 @@ grid through its antipodal ring), so the truncation ring r = r_max is the
 only Dirichlet boundary.  Both grid modes read one cached three-point
 operator per grid (``geometry._radial_operator``), which on radial grids
 also holds the grid-constant parts of the Jacobian, and share one residual
-and one Newton loop.  Per-step diagnostics (distance to the cone and to
-the expander, extremes of H) are opt-in: ``evolve`` records them only when
-asked, and always records step times, step sizes and Newton counts.  The
-polar band layout and the probes' jet weights are cached per grid.  Each
-polar iterate's neighbourhood is differentiated once, into its jet (its
-derivatives and its own value, linear in the neighbourhood); a probe moves
-that jet by its entry's weights, and the speed is evaluated once, on ten
-jets: the iterate's, whose speed the residual reads, and the nine probes',
-which the Newton matrix reads.  Newton runs on raw arrays: the accepted
-backtracking trial's residual starts the next iteration (on radial grids
-its (v_r, v_rr, 1+v_r^2), on polar grids its probes, also feed the
-Jacobian), and a non-finite residual, a zero pivot or a non-finite update
-raises NewtonError at once.  Each iterate's speed is evaluated once: a step starts from the
+and one Newton loop, written in ``step``, whose update (``_newton_update``)
+is the tridiagonal solve or the polar band solve.  Per-step diagnostics
+(distance to the cone and to the expander, extremes of H) are opt-in:
+``evolve`` records them only when asked, and always records step times,
+step sizes and Newton counts.  The polar band layout and the probes' jet
+weights are cached per grid.  Each polar iterate's neighbourhood is
+differentiated once, into its jet (its derivatives and its own value,
+linear in the neighbourhood); a probe moves that jet by its entry's
+weights, and the speed is evaluated once, on ten jets: the iterate's, whose
+speed the residual reads, and the nine probes', which the Newton matrix
+reads.  Newton runs on raw arrays: the accepted backtracking trial's
+residual starts the next iteration (on radial grids its (v_r, v_rr,
+1+v_r^2), on polar grids its probes, also feed the Jacobian), and a
+non-finite residual, a zero pivot or a non-finite update raises NewtonError
+at once.  Each iterate's speed is evaluated once: a step starts from the
 speed data its predecessor's final iterate computed, which the returned
 state carries (its values made read-only).  On radial grids only row N-2,
 the one interior row that reads the moved outer node, is recomputed; polar
@@ -400,15 +402,33 @@ def solve_band(kl: int, ku: int, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _newton_update(spec: GridSpec, data: tuple, res: np.ndarray, dt: float) -> np.ndarray:
+    """The Newton update at the iterate whose speed data (:func:`_speed`) is
+    ``data`` and whose residual is ``res``: the tridiagonal solve on radial
+    grids, and on polar grids the band solve, which runs in the band's own
+    numbering, so the residual is gathered into it and the update scattered
+    back.  A failed solve raises NewtonError."""
+    if not spec.polar:
+        return solve_banded(*_radial_newton_matrix(spec, *data[:3], dt), res)
+    order = _polar_band(spec).order
+    delta = np.empty(spec.shape)
+    delta.ravel()[order] = solve_band(*_polar_newton_matrix(data, spec, dt),
+                                      res.ravel()[order])
+    return delta
+
+
 def step(u: GridFunction, dt: float, config: SolverConfig, boundary,
          t_new: float, stats: dict | None = None) -> GridFunction:
-    """One implicit Euler step of size dt to time ``t_new``.
+    """One implicit Euler step of size dt to time ``t_new``, by damped
+    Newton on raw arrays.
 
     ``boundary`` is the outer-ring data of :func:`boundary_values_for`,
-    evaluated at ``t_new``.  Raises NewtonError, carrying the residual
-    history, on stagnation or on a non-finite residual.
-    ``stats``, when given, receives the Newton iteration count and residual
-    history of the solve.
+    evaluated at ``t_new``.  The accepted backtracking trial is the next
+    iterate, so its residual, its norm and its speed data are reused rather
+    than evaluated again.  A non-finite residual norm, a failed update (a
+    zero pivot or a non-finite solution) and stagnation raise NewtonError,
+    carrying the residual history.  ``stats``, when given, receives the
+    Newton iteration count and residual history of the solve.
 
     The returned state's values are read-only, and it carries the speed of
     the final Newton iterate, so a step from it starts from that speed
@@ -419,50 +439,14 @@ def step(u: GridFunction, dt: float, config: SolverConfig, boundary,
     nothing, or whose values were replaced since, starts from a full
     evaluation.
     """
-    spec = u.spec
+    spec, u_prev = u.spec, u.values
     drift = config.similarity_drift
     outer = boundary(t_new)
-    v = u.values.copy()
+    v = u_prev.copy()
     v[-1] = outer
-    scale = 1.0 + float(abs(u.values).max())
-
-    def residual(w, data=None):
-        return _residual(spec, w, u.values, dt, config, outer, data)
-
-    if spec.polar:
-        order = _polar_band(spec).order
-
-        def solve(w, data, res):
-            # the band system is in its own numbering: gather the residual
-            # into it and scatter the update back
-            delta = np.empty(spec.shape)
-            delta.ravel()[order] = solve_band(
-                *_polar_newton_matrix(data, spec, dt), res.ravel()[order])
-            return delta
-    else:
-        def solve(w, data, res):
-            return solve_banded(*_radial_newton_matrix(spec, *data[:3], dt), res)
+    scale = 1.0 + float(abs(u_prev).max())
     history = []
-    v, data = _newton(v, _carried(u, v, drift), residual, solve, config, scale, history)
-    if stats is not None:
-        stats["iters"] = len(history) - 1
-        stats["residuals"] = history
-    return _carrying(spec, v, drift, data)
-
-
-def _newton(v, extra, residual, solve, config, scale, history):
-    """Damped Newton on raw arrays; returns the converged v and its extra.
-
-    ``residual(w, extra)`` returns (residual, extra), evaluating extra at w
-    when it is None, and ``solve(w, extra, res)`` the Newton update; the
-    ``extra`` passed in is that of the starting v, or None.  The accepted
-    backtracking trial is the next iterate, so its residual, its norm and
-    its extra are reused rather than evaluated again.
-    Each residual norm goes to ``history``; a non-finite one raises
-    NewtonError, and so does a failed solve (a zero pivot or a non-finite
-    update), with the history attached.
-    """
-    res, extra = residual(v, extra)
+    res, data = _residual(spec, v, u_prev, dt, config, outer, _carried(u, v, drift))
     res_norm = float(abs(res).max())
     for _ in range(_NEWTON_MAX_ITER):
         history.append(res_norm)
@@ -470,9 +454,9 @@ def _newton(v, extra, residual, solve, config, scale, history):
             raise NewtonError(f"non-finite Newton residual after {len(history) - 1} "
                               "iterations", residuals=history)
         if res_norm <= config.newton_tol * scale:
-            return v, extra
+            break
         try:
-            delta = solve(v, extra, res)
+            delta = _newton_update(spec, data, res, dt)
         except NewtonError as err:
             err.residuals = list(history)
             raise
@@ -480,15 +464,20 @@ def _newton(v, extra, residual, solve, config, scale, history):
         # lam < 0.2 accepts the fourth trial at the latest
         lam, v_try = 1.0, v - delta
         while True:
-            r_try, extra = residual(v_try)
+            r_try, data = _residual(spec, v_try, u_prev, dt, config, outer)
             try_norm = float(abs(r_try).max())
             if try_norm < res_norm or lam < 0.2:
                 break
             lam *= 0.5
             v_try = v - lam * delta
         v, res, res_norm = v_try, r_try, try_norm
-    raise NewtonError(f"Newton stalled at residual {history[-1]:.3e} after "
-                      f"{_NEWTON_MAX_ITER} iterations", residuals=history)
+    else:
+        raise NewtonError(f"Newton stalled at residual {history[-1]:.3e} after "
+                          f"{_NEWTON_MAX_ITER} iterations", residuals=history)
+    if stats is not None:
+        stats["iters"] = len(history) - 1
+        stats["residuals"] = history
+    return _carrying(spec, v, drift, data)
 
 
 @dataclass
@@ -687,12 +676,19 @@ def comparison_check(upper: np.ndarray, lower: np.ndarray, times, dx: float) -> 
     allowance ``_allowance``.
 
     ``upper`` and ``lower`` are (T, *shape) stacks of snapshots at the T
-    ``times``, on one grid of largest spacing ``dx``.
+    ``times``, on one grid of largest spacing ``dx``.  A non-finite
+    snapshot value or time is a GridError, and a ``dx`` that is not finite
+    and at least 0 a ParameterError: NaN compares false with every bound,
+    so either would pass any ordering.
     """
     times = np.asarray(times, dtype=float)
     if upper.shape != lower.shape or upper.shape[:1] != times.shape:
         raise GridError(f"comparison needs snapshot stacks of one shape at the "
                         f"{times.size} times, got {upper.shape} and {lower.shape}")
+    if not all(np.isfinite(a).all() for a in (upper, lower, times)):
+        raise GridError("comparison needs finite snapshots and times")
+    if not 0 <= dx < math.inf:
+        raise ParameterError(f"comparison needs a finite dx >= 0, got {dx}")
     init_gap = float(np.min(upper[0] - lower[0]))
     if init_gap < -_ALLOW_TOL:
         raise ParameterError(f"initial ordering violated by {-init_gap:.3e}")

@@ -11,7 +11,7 @@ import pytest
 
 from coneflow import acceptance
 from coneflow.acceptance import CRITERIA, run_acceptance
-from coneflow.experiments import ScenarioReport
+from coneflow.analysis import ScenarioReport
 
 IDS = [f"{number:02d}-{name}" for number, name, _ in CRITERIA]
 

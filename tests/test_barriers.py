@@ -52,7 +52,6 @@ def test_static_barrier_flat_background_fails_far_out():
     # power dip stays mean-concave out to 1e4; a steeper cone certifies
     sb = static_barrier_w(ConeProfile.radial(3, 1e-13), 2.0)
     assert sb.r0 is None
-    assert not sb.certified
     assert static_barrier_w(ConeProfile.radial(3, 1e-11), 2.0).r0 == pytest.approx(
         4668.45, rel=1e-5)
 
@@ -76,6 +75,8 @@ def test_static_barrier_r0_matches_the_exact_root():
     assert sb.r0 == sb.r[i]
     assert sb.r[i - 1] < roots[1] <= sb.r0
     assert (sb.r[i - 1], sb.r0) == pytest.approx((3.3213, 3.3988), abs=1e-4)
+    # r0 is only as fine as the samples: three of them step over the dip
+    assert static_barrier_w(ConeProfile.radial(n, beta), alpha, points=3).r0 == 1.0
 
 
 def test_wk_difference_fit_closed_form():
@@ -124,14 +125,35 @@ def test_lemma_barrier_rejects_bad_setups():
     (evolution_equation_residuals, (K3, 120, 100, 0), "t_stride must be at least 1"),
     (static_barrier_w, (K3, 0.5, 10.5), "points must be a whole number"),
     (wk_difference_fit, (K3, 0.5, 10.5), "points must be a whole number"),
+    (static_barrier_w, (K3, 0.5, 1), "at least 2 sample points"),
+    (static_barrier_w, (K3, 0.5, 0), "at least 2 sample points"),
+    (static_barrier_w, (K3, 0.5, -1), "at least 2 sample points"),
+    (wk_difference_fit, (K3, 0.5, 2), "at least 3 sample points"),
+    (wk_difference_fit, (K3, 0.5, -1), "at least 3 sample points"),
+    (lemma_barrier_flow, (K3, 1), "at least 2 sample points"),
+    (lemma_barrier_flow, (K3, 0), "at least 2 sample points"),
+    (lemma_barrier_flow, (K3, -5), "at least 2 sample points"),
 ], ids=["lemma-float", "lemma-bool", "residual-points", "residual-steps",
-        "residual-stride", "residual-stride-zero", "static", "wk-fit"])
+        "residual-stride", "residual-stride-zero", "static", "wk-fit", "static-1",
+        "static-0", "static-neg", "wk-fit-2", "wk-fit-neg", "lemma-1", "lemma-0",
+        "lemma-neg"])
 def test_barrier_counts_are_whole_numbers(fn, args, match):
-    # a count that is not a whole number, or a stride below one, is the
-    # caller's slip: a ParameterError, not numpy's TypeError nor a silent
-    # stride of one
+    # a count that is not a whole number, a count below the construction's
+    # least or a stride below one is the caller's slip: a ParameterError,
+    # not numpy's TypeError, IndexError or ValueError nor a silent stride of
+    # one (the static barrier samples both ends of [1, 1e4], the fit takes
+    # what decay_fit takes, and the lemma's march needs a spacing)
     with pytest.raises(ParameterError, match=match):
         fn(*args)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, math.inf, math.nan])
+def test_power_barriers_share_the_alpha_check(alpha):
+    # the difference fit refuses the exponents the static barrier refuses;
+    # it returned exponent -1.0 for alpha = -1
+    for fn in (static_barrier_w, wk_difference_fit):
+        with pytest.raises(ParameterError, match="alpha must be positive and finite"):
+            fn(K3, alpha)
 
 
 def test_only_the_residual_checks_integrate_the_particle_flow(monkeypatch, tmp_path):
@@ -308,7 +330,8 @@ def test_subsolution_is_pointwise_max(lemma_result, profile31):
 
 
 def test_subsolution_branches_off_the_barrier_domain(lemma_result, profile31):
-    # off its domain the barrier branch is absent: B = U - m, branch 0
+    # off its domain the barrier branch is absent: B = U - m, and the
+    # barrier branch wins nowhere there
     sub = _sub(profile31, lemma_result)
     lo, hi = sub.domain
     r = np.linspace(0.0, 1.2 * hi, 301)
@@ -322,7 +345,9 @@ def test_subsolution_branches_off_the_barrier_domain(lemma_result, profile31):
     want_branch = np.zeros(r.size, dtype=int)
     want_branch[inside] = bb > ub[inside]
     assert np.array_equal(sub.evaluate(r, t), want_B)
-    assert np.array_equal(sub.branch(r, t), want_branch)
+    ub_got, bb_got = sub._branches(r, t)
+    assert np.array_equal((bb_got > ub_got).astype(int), want_branch)
+    assert np.all(bb_got[~inside] == -np.inf)
 
 
 def test_subsolution_residual_report(lemma_result, profile31):
@@ -431,15 +456,14 @@ def test_psi_identity_blocks_bit_identical_to_per_snapshot(profile21):
 
 def test_half_space_majorant_quick():
     rep = half_space_experiment(horizon=10.0, threshold=0.2)
-    assert rep.ordering_ok
-    assert rep.first_below is not None and rep.first_below <= 10.0
-    assert rep.passed
+    assert rep.summary["ordering_ok"]
+    assert rep.summary["first_below"] is not None and rep.summary["first_below"] <= 10.0
+    assert rep.passed and rep.trace is None
 
 
 def test_half_space_fails_before_the_bump_drains():
     # criterion 6's negative control: at horizon 2 sup u is still above the
     # 0.05 threshold, so the verdict fails while the majorant ordering holds
     rep = half_space_experiment(horizon=2.0)
-    assert rep.first_below is None
-    assert rep.ordering_ok
+    assert rep.summary == {"ordering_ok": True, "first_below": None}
     assert not rep.passed

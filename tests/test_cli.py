@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from coneflow import acceptance, cli, experiments, flow
+from coneflow.analysis import ScenarioReport
 from coneflow.errors import CertificationError, NewtonError
-from coneflow.experiments import ScenarioReport
 
 
 def run_cli(args, cwd):

@@ -108,8 +108,7 @@ def test_profile_evaluation_rejects_radii_off_the_half_line(profile21):
     # and phi'(-1) -0.42738, plausible next to phi(1) = 1.92046
     for rho in (-1.0, -1e-300, math.nan, np.array([0.0, 2.0, -3.0]),
                 np.array([1.0, math.nan])):
-        for fn in (profile21.evaluate, profile21.evaluate_prime,
-                   profile21.time_derivative_profile):
+        for fn in (profile21.evaluate, profile21.evaluate_prime):
             with pytest.raises(DomainError, match="radii >= 0"):
                 fn(rho)
     for fn in (evaluate_U, expander_time_derivative):
@@ -147,12 +146,6 @@ def test_on_grid_is_time_slice(profile21):
     spec = GridSpec.uniform(2, 0.0, 20.0, 101)
     gf = profile21.on_grid(spec, 4.0)
     assert np.allclose(gf.values, evaluate_U(profile21, spec.nodes, 4.0))
-
-
-def test_cone_roundtrip(profile21):
-    k = profile21.cone()
-    assert k.kind == "radial"
-    assert k.n == 2 and k.beta == 1.0
 
 
 def test_angular_relaxation_consistent_with_radial(monkeypatch):

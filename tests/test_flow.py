@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -309,6 +311,29 @@ def test_comparison_check_reports_the_first_violation():
     a[2, 40] = 0.0
     for dx2, ordered in [(0.083, False), (0.0834, True)]:
         assert comparison_check(a, b, times, np.sqrt(dx2)) is ordered
+
+
+@pytest.mark.parametrize("where", ["upper", "lower", "times"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_comparison_check_refuses_nonfinite_snapshots(where, bad):
+    # a NaN compares false with every bound, so a NaN snapshot or time
+    # passed an ordering that is violated by 0.5
+    data = {"upper": np.zeros((3, 11)), "lower": np.zeros((3, 11)),
+            "times": np.array([0.0, 1.0, 2.0])}
+    data["upper"][2, 4] = -0.5
+    data[where][2 if where == "times" else (2, 3)] = bad
+    with pytest.raises(GridError, match="finite snapshots and times"):
+        comparison_check(data["upper"], data["lower"], data["times"], 0.1)
+
+
+@pytest.mark.parametrize("dx", [math.nan, math.inf, -0.1])
+def test_comparison_check_refuses_a_bad_spacing(dx):
+    # dx = NaN or inf made the allowance NaN or inf and passed a violated
+    # ordering
+    upper, lower = np.zeros((3, 11)), np.zeros((3, 11))
+    upper[2, 4] = -0.5
+    with pytest.raises(ParameterError, match="finite dx >= 0"):
+        comparison_check(upper, lower, [0.0, 1.0, 2.0], dx)
 
 
 def test_comparison_check_grid_mismatch(cone21):
@@ -793,28 +818,41 @@ def _band_to_dense(kl, ku, ab, order):
 def _captured_newton_solves(monkeypatch, u0, cfg, steps):
     """Every (state, matrix, residual, update) of the polar Newton loop's
     solves while taking ``steps`` fixed implicit steps from u0, all in the
-    natural ring-major numbering: the state is the iterate the step's solve
-    received, the matrix is the band array the band solve received,
-    expanded through the band's order, and the residual and the update are
-    what the step's solve received and returned."""
-    seen = []
+    natural ring-major numbering: the state is the iterate whose speed data
+    the update received (the state ``flow._speed`` evaluated that data at,
+    or for a carried start the step's starting iterate, which equals it),
+    the matrix is the band array the band solve received, expanded through
+    the band's order, and the residual and the update are what the update
+    received and returned."""
+    seen, states = [], []
     order = flow._polar_band(u0.spec).order
-    solve, newton = flow.solve_band, flow._newton
+    solve, speed = flow.solve_band, flow._speed
+    update, carried = flow._newton_update, flow._carried
+
+    def capture_state(spec, v, drift):
+        data = speed(spec, v, drift)
+        states.append((data, v.copy()))
+        return data
+
+    def capture_start(u, v, drift):
+        data = carried(u, v, drift)
+        states.append((data, v.copy()))
+        return data
 
     def capture_matrix(kl, ku, ab, b):
         seen[-1].append(_band_to_dense(kl, ku, ab, order))
         return solve(kl, ku, ab, b)
 
-    def capture_update(v, extra, residual, solve_step, *args):
-        def recorded(w, data, res):
-            seen.append([w.copy()])
-            delta = solve_step(w, data, res)
-            seen[-1] += [res.ravel().copy(), delta.ravel().copy()]
-            return delta
-        return newton(v, extra, residual, recorded, *args)
+    def capture_update(spec, data, res, dt):
+        seen.append([next(v for d, v in reversed(states) if d is data)])
+        delta = update(spec, data, res, dt)
+        seen[-1] += [res.ravel().copy(), delta.ravel().copy()]
+        return delta
 
+    monkeypatch.setattr(flow, "_speed", capture_state)
+    monkeypatch.setattr(flow, "_carried", capture_start)
     monkeypatch.setattr(flow, "solve_band", capture_matrix)
-    monkeypatch.setattr(flow, "_newton", capture_update)
+    monkeypatch.setattr(flow, "_newton_update", capture_update)
     bv = boundary_values_for(u0, cfg)
     u = u0
     for k in range(steps):
@@ -1221,13 +1259,14 @@ def test_a_carried_polar_step_starts_with_its_jacobian_probed(monkeypatch):
     # a relaxation step starts from the data its predecessor's last iterate
     # evaluated, probes included: the same bits as a fresh evaluation at v
     starts = []
-    newton = flow._newton
+    carried = flow._carried
 
-    def record(v, extra, *args):
+    def record(u, v, drift):
+        extra = carried(u, v, drift)
         starts.append((v.copy(), extra))
-        return newton(v, extra, *args)
+        return extra
 
-    monkeypatch.setattr(flow, "_newton", record)
+    monkeypatch.setattr(flow, "_carried", record)
     monkeypatch.setattr(expander, "_RELAX_TAU_MAX", 0.2)
     k = ConeProfile.angular(lambda th: 1.0 + 0.08 * np.cos(2 * th), m=16)
     res = relax_angular_expander(k, rho_max=6.0, nr=10, ntheta=8)
