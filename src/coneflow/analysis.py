@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
+from .flow import SolverConfig, evolve
 from .geometry import GridFunction, GridSpec
 
 __all__ = [
@@ -184,8 +185,6 @@ def clearing_out_experiment(k, height: float, rho: float) -> float | None:
     height drops below the threshold (linear interpolation between 400
     snapshots).  The cap is 10*rho^2, the diffusive scale of the spike.
     """
-    from .flow import SolverConfig, evolve
-
     if k.kind != "radial":
         raise ParameterError("clearing-out experiment is radial")
     G = max(1.0, abs(k.beta))

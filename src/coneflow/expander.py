@@ -89,6 +89,7 @@ from scipy.integrate import LSODA
 from scipy.integrate import solve_ivp  # noqa: F401 (perfbench/tracing.py spans it by name)
 from scipy.interpolate import CubicHermiteSpline
 
+from . import flow
 from .cones import ConeProfile
 from .errors import DomainError, ParameterError, ShootingError
 from .geometry import GridFunction, GridSpec
@@ -664,8 +665,6 @@ def relax_angular_expander(k: ConeProfile, rho_max: float = 12.0, nr: int = 72,
     of the grid's angles (c has the sign of gamma + gamma'') is a
     ParameterError, raised before the first step.
     """
-    from . import flow
-
     if k.kind != "angular":
         raise ParameterError("relaxation targets angular cones; radial cones shoot")
     spec = GridSpec.polar_disk(rho_max, nr, ntheta)

@@ -46,6 +46,15 @@ def _expander_gap(run: FlowRun, profile: ExpanderProfile) -> np.ndarray:
         for t, v in zip(run.times, run.values)])
 
 
+def _mean_convex_cone(n: int, beta: float) -> ConeProfile:
+    """The radial cone (n, beta), refused unless strictly mean convex."""
+    k = ConeProfile.radial(n, beta)
+    if k.scaled_mean_curvature() <= 0:
+        raise ParameterError(f"the cone (n={n}, beta={beta}) must be strictly "
+                             "mean convex")
+    return k
+
+
 def _bisect_upper_shift(profile: ExpanderProfile, u0: GridFunction) -> float:
     """Smallest T in (1e-6, 64] with U(., T) >= u0 on the grid, by 60
     bisection steps in T."""
@@ -89,10 +98,7 @@ def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,
         raise ParameterError("threshold must be positive and finite")
     if not 0 < delta < math.inf:
         raise ParameterError(f"delta must be positive and finite, got {delta}")
-    k = ConeProfile.radial(n, beta)
-    if k.scaled_mean_curvature() <= 0:
-        raise ParameterError(f"the cone (n={n}, beta={beta}) must be strictly "
-                             "mean convex")
+    k = _mean_convex_cone(n, beta)
     profile = solve_expander_profile(k)
     spec = GridSpec.uniform(n, 0.0, r_max, nodes)
     cfg = SolverConfig(dt_init=1e-3, dt_max=dt_max, snapshot_dt=snapshot_dt,
@@ -146,13 +152,14 @@ def run_family_uniform(n: int = 2, beta: float = 1.0, count: int = 5,
     at every snapshot, and the family deviation max_i sup|u_i - U| must obey
     the rail bound (sum of rail deviations plus twice the scheme allowance)
     while dropping under 0.05 within the horizon.  The trace holds the
-    family deviation and the rail sum at the snapshots.
+    family deviation and the rail sum at the snapshots.  A cone that is not
+    strictly mean convex is a ParameterError, as in ``run_main_theorem``.
     """
     if count < 5:
         raise ParameterError("family experiments need at least 5 members")
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
-    k = ConeProfile.radial(n, beta)
+    k = _mean_convex_cone(n, beta)
     profile = solve_expander_profile(k)
     spec = GridSpec.uniform(n, 0.0, r_max, nodes)
     r = spec.nodes

@@ -23,10 +23,10 @@ only Dirichlet boundary.  Both grid modes read one cached three-point
 operator per grid (``geometry._radial_operator``), which on radial grids
 also holds the grid-constant parts of the Jacobian, and share one residual
 and one Newton loop, written in ``step``, whose update (``_newton_update``)
-is the tridiagonal solve or the polar band solve.  Per-step diagnostics
-(distance to the cone and to the expander, extremes of H) are opt-in:
-``evolve`` records them only when asked, and always records step times,
-step sizes and Newton counts.  The polar band layout and the probes' jet
+is the tridiagonal solve or the polar band solve.  ``evolve`` records step
+times, step sizes and Newton counts; a caller measures anything else per
+step through ``on_step``, so from the package this module imports only
+``errors`` and ``geometry``.  The polar band layout and the probes' jet
 weights are cached per grid.  Each polar iterate's neighbourhood is
 differentiated once, into its jet (its derivatives and its own value,
 linear in the neighbourhood); a probe moves that jet by its entry's
@@ -69,10 +69,9 @@ from scipy.linalg.lapack import dgbsv, dgtsv
 from scipy.sparse.linalg import splu  # noqa: F401 (perfbench/tracing.py spans it by name)
 
 from .errors import GridError, NewtonError, ParameterError, StepFailureError
-from .expander import evaluate_U
-from .geometry import (GridFunction, GridSpec, mean_curvature, _neighbourhood,
-                       _polar_jet, _polar_quantities, _radial_derivatives,
-                       _radial_operator, _radial_speed)
+from .geometry import (GridFunction, GridSpec, _neighbourhood, _polar_jet,
+                       _polar_quantities, _radial_derivatives, _radial_operator,
+                       _radial_speed)
 
 __all__ = [
     "SolverConfig",
@@ -134,9 +133,10 @@ def boundary_values_for(u0: GridFunction, config: SolverConfig, profile=None):
     """The outer ring's Dirichlet data, as a function of t, for a run.
 
     pin-to-expander needs ``profile`` (an ExpanderProfile, read one radius
-    at a time through ``value_at``) and is radial only.  Every grid
-    continues across the origin (``GridSpec`` admits no other layout), so
-    the outer ring is the only boundary.  The similarity drift is polar only.
+    at a time through ``value_at``, so this module imports no expander
+    code), is radial only and holds for t > 0.  Every grid continues across
+    the origin (``GridSpec`` admits no other layout), so the outer ring is
+    the only boundary.  The similarity drift is polar only.
     """
     spec = u0.spec
     if config.similarity_drift and not spec.polar:
@@ -488,9 +488,7 @@ class FlowRun:
     strictly increasing 1-D array, ``values`` has shape
     ``(times.size, *spec.shape)``, and both are checked (finite values
     included) when the run is built.  ``step_times``, ``step_sizes`` and
-    ``newton_iters`` get one entry per accepted step.  The diagnostics
-    ``sup_u_minus_k``, ``sup_u_minus_U``, ``min_H`` and ``max_H`` do too
-    when ``evolve`` ran with ``diagnostics=True``, and stay empty otherwise.
+    ``newton_iters`` get one entry per accepted step.
     """
 
     spec: GridSpec
@@ -499,10 +497,6 @@ class FlowRun:
     step_times: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
     newton_iters: list = field(default_factory=list)
-    sup_u_minus_k: list = field(default_factory=list)
-    sup_u_minus_U: list = field(default_factory=list)
-    min_H: list = field(default_factory=list)
-    max_H: list = field(default_factory=list)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -523,22 +517,16 @@ class FlowRun:
         return float(self.times[hit[0]]) if hit.size else None
 
 
-def _diagnose(t, u_new, cone_vals, profile):
-    """One step's sup|u - k|, sup|u - U|, min H and max H."""
-    vals = u_new.values
-    sup_k = np.nan if cone_vals is None else float(np.max(np.abs(vals - cone_vals)))
-    sup_U = np.nan
-    if profile is not None and not u_new.spec.polar:
-        sup_U = float(np.max(np.abs(vals - evaluate_U(profile, u_new.spec.nodes, t))))
-    H = mean_curvature(u_new).values
-    return sup_k, sup_U, float(np.min(H)), float(np.max(H))
-
-
 def _check_run(T: float, config: SolverConfig, t_start: float) -> float:
-    """Refuse a run ``evolve`` would not finish: a horizon that is not
+    """Refuse a run ``evolve`` would not finish: a ``t_start`` not finite,
+    or negative on the pin-to-expander boundary, a horizon that is not
     positive and finite or is within the landing tolerance of ``t_start``,
     more snapshots than a run holds, or more steps at the largest step than
     a run may take.  Returns the number of cadence intervals."""
+    if not math.isfinite(t_start):
+        raise ParameterError(f"t_start must be finite, got {t_start}")
+    if config.boundary == "pin-to-expander" and t_start < 0:
+        raise ParameterError(f"the expander boundary needs t_start >= 0, got {t_start}")
     if not 0 < T < math.inf:
         raise ParameterError(f"evolution horizon T must be positive and finite, got {T}")
     t_end = t_start + T
@@ -559,8 +547,7 @@ def _check_run(T: float, config: SolverConfig, t_start: float) -> float:
 
 
 def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
-           profile=None, t_start: float = 0.0,
-           diagnostics: bool = False) -> FlowRun:
+           profile=None, t_start: float = 0.0, on_step=None) -> FlowRun:
     """Advance u0 by T, snapshotting on the exact cadence grid.
 
     Steps are clipped to land precisely on multiples of ``snapshot_dt`` (past
@@ -575,12 +562,13 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
     A run that needs more than 1,000,000 steps at its largest step (dt_max
     when adaptive, else min(dt_init, dt_max)) is a ParameterError, and so
     is initial data whose slope squared is not finite; a run whose step
-    attempts, failed ones included, pass 1,000,000 raises StepFailureError.
-    Step times, step sizes and Newton counts are always recorded; the
-    per-step diagnostics (sup|u - k|, the one reader of ``cone``, sup|u - U|,
-    min and max H) only with ``diagnostics=True``, so without them ``cone``
-    does nothing.  They do not feed back into the stepping, so the
-    snapshots are the same either way.
+    attempts, failed ones included, pass 1,000,000 raises StepFailureError,
+    and a t_start not finite, or negative on the pin-to-expander boundary,
+    is a ParameterError.  Step times, step sizes and Newton counts are
+    recorded; ``on_step(t, u)``, when given, sees each accepted step's time
+    and read-only state, and nothing it does or returns feeds back into the
+    stepping.  Nothing reads ``cone``: it stays because the benchmark's
+    fixed-step workload passes it.
     """
     intervals = _check_run(T, config, t_start)
     t_end = t_start + T
@@ -601,7 +589,6 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
         # the check's derivatives start the first step, from a read-only copy
         speed, one_p2 = _radial_speed(spec, *pq)
         u = _carrying(spec, u0.values.copy(), False, (*pq, one_p2, speed))
-    cone_vals = cone.on_grid(spec).values if diagnostics and cone is not None else None
     # t_start, every cadence time up to t_end (one may land within 1e-10
     # past it) and t_end itself
     times = np.empty(int(intervals) + 3)
@@ -609,7 +596,6 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
     times[0], values[0] = t_start, u0.values
     count = 1
     step_times, step_sizes, newton_iters = [], [], []
-    diag = ([], [], [], [])
     t = t_start
     dt = min(config.dt_init, config.dt_max)
     next_snap = t_start + config.snapshot_dt
@@ -643,9 +629,8 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
         step_times.append(float(t))
         step_sizes.append(float(dt_try))
         newton_iters.append(int(stats["iters"]))
-        if diagnostics:
-            for trace, x in zip(diag, _diagnose(t, u_new, cone_vals, profile)):
-                trace.append(x)
+        if on_step is not None:
+            on_step(t, u_new)
         u = u_new
         on_cadence = abs(t - next_snap) < 1e-10
         if on_cadence or t >= t_end - 1e-12:
@@ -659,10 +644,8 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
                 dt = min(dt * 1.4, config.dt_max)
             elif its > hi:
                 dt = max(dt * 0.7, _DT_MIN)
-    sup_k, sup_U, min_H, max_H = diag
     return FlowRun(spec, times[:count], values[:count], step_times=step_times,
-                   step_sizes=step_sizes, newton_iters=newton_iters, sup_u_minus_k=sup_k,
-                   sup_u_minus_U=sup_U, min_H=min_H, max_H=max_H)
+                   step_sizes=step_sizes, newton_iters=newton_iters)
 
 
 def _allowance(times: np.ndarray, dx: float) -> np.ndarray:

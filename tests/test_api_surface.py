@@ -1,7 +1,8 @@
 """Every public function and class has a product caller, every ``__all__``
 entry names an attribute, every seam the benchmark tracer wraps by name
-still exists, every defaulted parameter no caller sets has a stated reason
-to stay a parameter, and every record field has a reader.
+still exists, every package import sits at module top, every defaulted
+parameter no caller sets has a stated reason to stay a parameter, and every
+record field has a reader.
 
 A function or class listed in a module's ``__all__`` must be referenced by
 package code outside its own definition (the package ``__init__`` re-exports
@@ -117,6 +118,32 @@ def test_benchmark_tracer_installs():
          "import tracing; tracing.install(tracing.Recorder())"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# -- the import graph -----------------------------------------------------------
+# Every package import sits at module top, so the import graph is the one
+# the module heads show, and it has no cycle a function body hides: errors
+# and geometry, then cones, flow, expander, analysis, barriers, experiments,
+# acceptance and cli.  The stepper measures nothing of the expander or the
+# cone; its callers do, through ``evolve``'s ``on_step``.
+
+
+def test_no_import_inside_a_function():
+    nested = sorted(
+        f"{name}.py:{node.lineno} in {fn.name}"
+        for name, tree in MODULES.items() for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert not nested, f"imports inside function bodies: {', '.join(nested)}"
+
+
+def test_flow_imports_neither_expander_nor_cones():
+    imported = set()
+    for node in ast.walk(MODULES["flow"]):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= ({node.module} if node.module
+                         else {alias.name for alias in node.names})
+    assert not imported & {"expander", "cones"}, imported
 
 
 # -- defaulted parameters that no caller sets ---------------------------------

@@ -414,6 +414,17 @@ def test_main_theorem_rejects_flat_cones_and_bad_deltas_before_a_solve(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("pair", ["beta=0", "beta=-1", "n=1"])
+def test_family_uniform_rejects_cones_that_are_not_mean_convex(
+        tmp_path, capsys, monkeypatch, pair):
+    # the family converges onto the expander of a strictly mean convex cone
+    # only: beta = 0 passed and n = 1 failed its verdict, where main-theorem
+    # refuses both, with the same message, before an expander is solved
+    _assert_rejected_before_a_flow(tmp_path, capsys, monkeypatch,
+                                   ["--name", "family-uniform", "--set", pair],
+                                   "must be strictly mean convex")
+
+
 def _assert_rejected_before_a_flow(tmp_path, capsys, monkeypatch, argv, message):
     calls = _count_solves_and_flows(monkeypatch)
     out = tmp_path / "art"

@@ -23,6 +23,25 @@ def _uniform(n, r_max, count):
     return GridSpec.uniform(n, 0.0, r_max, count)
 
 
+def _diagnostics(cone, profile):
+    """(traces, on_step): an observer for ``evolve`` that records each
+    accepted step's sup|u - k|, sup|u - U| (NaN without a profile), min H
+    and max H, in the command line's expressions and order."""
+    traces = {"sup_u_minus_k": [], "sup_u_minus_U": [], "min_H": [], "max_H": []}
+
+    def on_step(t, u):
+        vals = u.values
+        traces["sup_u_minus_k"].append(
+            float(np.max(np.abs(vals - cone.on_grid(u.spec).values))))
+        traces["sup_u_minus_U"].append(np.nan if profile is None else float(
+            np.max(np.abs(vals - evaluate_U(profile, u.spec.nodes, t)))))
+        H = mean_curvature(u).values
+        traces["min_H"].append(float(np.min(H)))
+        traces["max_H"].append(float(np.max(H)))
+
+    return traces, on_step
+
+
 def test_plane_is_stationary():
     spec = _uniform(2, 10.0, 101)
     u0 = GridFunction(spec, np.full(101, 3.0))
@@ -43,6 +62,27 @@ def test_horizon_must_be_positive():
         with pytest.raises(ParameterError):
             evolve(u0, T, cfg, t_start=t_start)
     assert evolve(u0, 2e-12, cfg).times.tolist() == [0.0, 2e-12]
+
+
+def test_start_time_must_be_finite_and_not_before_the_expander(profile21):
+    # the expander boundary sqrt(t)*phi(r_max/sqrt(t)) raised a bare
+    # ValueError from t_start = -1 and ZeroDivisionError from a first step
+    # landing on t = 0, and a NaN start was blamed on the landing tolerance;
+    # each is refused before the first step
+    spec = _uniform(2, 5.0, 51)
+    u0 = profile21.on_grid(spec, 1.0)
+    expander_pin = SolverConfig(dt_init=1e-3, dt_max=1e-3, snapshot_dt=0.5,
+                                boundary="pin-to-expander")
+    for t_start in (-1.0, -1e-3):
+        with pytest.raises(ParameterError, match="expander boundary needs t_start >= 0"):
+            evolve(u0, 0.01, expander_pin, profile=profile21, t_start=t_start)
+    for t_start in (math.nan, math.inf, -math.inf):
+        for cfg in (expander_pin, SolverConfig()):
+            with pytest.raises(ParameterError, match="t_start must be finite"):
+                evolve(u0, 0.01, cfg, profile=profile21, t_start=t_start)
+    # pinned to the initial data, a run may start before t = 0
+    run = evolve(u0, 0.01, SolverConfig(snapshot_dt=0.5), t_start=-1.0)
+    assert run.times[-1] == pytest.approx(-0.99)
 
 
 def test_step_attempts_past_the_bound_raise(monkeypatch):
@@ -162,12 +202,14 @@ def test_cone_flow_lifts_origin(cone21, profile21):
     spec = _uniform(2, 40.0, 401)
     cfg = SolverConfig(dt_init=1e-4, dt_max=5e-3, snapshot_dt=0.25,
                        boundary="pin-to-expander")
-    run = evolve(cone21.on_grid(spec), 1.0, cfg, cone=cone21,
-                 profile=profile21, diagnostics=True)
+    diag, on_step = _diagnostics(cone21, profile21)
+    run = evolve(cone21.on_grid(spec), 1.0, cfg, profile=profile21,
+                 on_step=on_step)
     center = run.values[-1][0]
     assert center > 0.5 * profile21.a  # solver lag keeps it below a exactly
     assert center < 1.05 * profile21.a
-    assert np.all(np.asarray(run.min_H) > -1e-10)
+    assert len(diag["min_H"]) == len(run.step_times)
+    assert np.all(np.asarray(diag["min_H"]) > -1e-10)
 
 
 def test_boundary_modes_pin_last_node(cone21, profile21):
@@ -261,30 +303,36 @@ def test_newton_breakdown_raises(monkeypatch):
 def test_diagnostics_track_profile(cone21, profile21):
     spec = _uniform(2, 20.0, 201)
     cfg = SolverConfig(dt_init=1e-3, dt_max=0.01, snapshot_dt=0.2)
-    run = evolve(cone21.on_grid(spec), 0.4, cfg, cone=cone21,
-                 profile=profile21, diagnostics=True)
-    assert len(run.step_times) == len(run.sup_u_minus_U)
-    assert np.all(np.isfinite(run.sup_u_minus_U))
-    assert np.all(np.isfinite(run.sup_u_minus_k))
+    diag, on_step = _diagnostics(cone21, profile21)
+    run = evolve(cone21.on_grid(spec), 0.4, cfg, profile=profile21,
+                 on_step=on_step)
+    assert len(run.step_times) == len(diag["sup_u_minus_U"])
+    assert np.all(np.isfinite(diag["sup_u_minus_U"]))
+    assert np.all(np.isfinite(diag["sup_u_minus_k"]))
 
 
 def test_diagnostics_are_opt_in(cone21, profile21):
-    # the diagnostics only observe the run: switching them off changes no
-    # snapshot and no step, and leaves their four lists empty
+    # an observer only watches the run: with one, every snapshot, time,
+    # step size and Newton count is the same as without, and it sees each
+    # accepted step once, at its time, with the state read-only
     spec = GridSpec.geometric(2, 0.05, 20.0)
     u0 = GridFunction(spec, cone21.on_grid(spec).values + _bump(spec, 0.5))
     cfg = SolverConfig(dt_init=1e-3, dt_max=0.05, snapshot_dt=0.1,
                        boundary="pin-to-expander")
-    on = evolve(u0, 0.3, cfg, cone=cone21, profile=profile21, diagnostics=True)
-    off = evolve(u0, 0.3, cfg, cone=cone21, profile=profile21)
+    seen = []
+
+    def on_step(t, u):
+        seen.append((t, u.values.flags.writeable))
+        return "ignored"
+
+    on = evolve(u0, 0.3, cfg, profile=profile21, on_step=on_step)
+    off = evolve(u0, 0.3, cfg, profile=profile21)
     assert np.array_equal(on.values, off.values)
     assert np.array_equal(on.times, off.times)
     for key in ("step_times", "step_sizes", "newton_iters"):
         assert getattr(on, key) == getattr(off, key), key
     assert len(on.step_times) > 1
-    for key in ("sup_u_minus_k", "sup_u_minus_U", "min_H", "max_H"):
-        assert len(getattr(on, key)) == len(on.step_times), key
-        assert getattr(off, key) == [], key
+    assert seen == [(t, False) for t in on.step_times]
 
 
 def test_comparison_check_ordered_pair(cone21):
@@ -677,12 +725,14 @@ def test_radial_flow_bit_identical_to_reference(monkeypatch, case, cone21, profi
         args = (u0, 0.5, cfg, cone21, None)
     ref = _reference_evolve(*args)
     rejected = _rejected_steps(monkeypatch)
-    run = evolve(*args, diagnostics=True)
+    diag, on_step = _diagnostics(*args[3:5])
+    run = evolve(*args, on_step=on_step)
     assert bool(rejected) == (case == "adaptive-rejecting")
     assert np.array_equal(run.values, np.array(ref["snapshots"]))
-    for key in ("newton_iters", "min_H", "max_H", "sup_u_minus_k",
-                "sup_u_minus_U"):
-        assert np.array_equal(getattr(run, key), ref[key], equal_nan=True), key
+    assert np.array_equal(run.newton_iters, ref["newton_iters"])
+    for key in ("min_H", "max_H", "sup_u_minus_k", "sup_u_minus_U"):
+        assert len(diag[key]) == len(ref[key]), key
+        assert np.array_equal(diag[key], ref[key], equal_nan=True), key
 
 
 def test_step_states_carry_their_speed_safely(cone21, profile21):
