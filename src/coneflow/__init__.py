@@ -10,9 +10,9 @@ claims; the ``coneflow`` console script fronts everything.
 
 from .analysis import (clearing_out_experiment, clearing_out_scaling, decay_fit,
                        graph_area_bound_check)
-from .barriers import (StaticBarrier, Subsolution, evolution_equation_residuals,
+from .barriers import (Subsolution, evolution_equation_residuals,
                        half_space_experiment, lemma_barrier_flow,
-                       psi_identity_residual, static_barrier_w, wk_difference_fit)
+                       psi_identity_residual, static_barrier_w)
 from .cones import ConeProfile
 from .errors import (CertificationError, DomainError, GridError, NewtonError,
                      ParameterError, ShootingError, StepFailureError)
@@ -29,12 +29,12 @@ __all__ = [
     "CertificationError", "ConeProfile", "DomainError",
     "ExpanderProfile", "FlowRun", "GridError", "GridFunction", "GridSpec",
     "NewtonError", "ParameterError", "SCENARIOS", "Scenario", "ShootingError",
-    "SolverConfig", "StaticBarrier", "StepFailureError", "Subsolution",
+    "SolverConfig", "StepFailureError", "Subsolution",
     "clearing_out_experiment", "clearing_out_scaling", "comparison_check",
     "decay_fit", "detect_t_delta", "evaluate_U", "evolution_equation_residuals",
     "evolve", "expander_time_derivative", "graph_area_bound_check",
     "half_space_experiment", "lemma_barrier_flow", "mean_curvature",
     "psi_identity_residual", "run_family_uniform", "run_main_theorem",
     "solve_expander_profile", "static_barrier_w",
-    "subsolution_dominance_experiment", "wk_difference_fit",
+    "subsolution_dominance_experiment",
 ]

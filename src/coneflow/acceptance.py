@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import clearing_out_scaling, decay_fit, graph_area_bound_check
-from .barriers import (evolution_equation_residuals, half_space_experiment,
-                       lemma_barrier_flow, psi_identity_residual,
-                       static_barrier_w, wk_difference_fit)
+from .barriers import (_GROUPS, evolution_equation_residuals,
+                       half_space_experiment, lemma_barrier_flow,
+                       psi_identity_residual, static_barrier_w)
 from .cones import ConeProfile
 from .expander import evaluate_U, solve_expander_profile
 from .experiments import _FAMILY_THRESHOLD, SCENARIOS
@@ -123,15 +123,14 @@ def hyperplane_stability(quick: bool = False):
 
 def static_barrier(quick: bool = False):
     """The power-law graph under the cone is mean convex with the right gap."""
-    k = ConeProfile.radial(3, 1.0)
-    pts = 120 if quick else 400
-    sb = static_barrier_w(k, 0.5, points=pts)
-    fit = wk_difference_fit(k, 0.5, points=60 if quick else 160)
-    exp = fit["exponent"]
-    ok = sb.r0 is not None and abs(exp + 2.5) <= 0.15
-    r0 = "none" if sb.r0 is None else f"{sb.r0:.2f}"
+    sb = static_barrier_w(ConeProfile.radial(3, 1.0), 0.5, points=120 if quick else 400,
+                          fit_points=60 if quick else 160)
+    s = sb.summary
+    exp, want = s["gap_exponent"], s["predicted_exponent"]
+    ok = sb.passed and abs(exp - want) <= 0.15
+    r0 = "none" if s["r0"] is None else f"{s['r0']:.2f}"
     return ok, (f"r0 = {r0} with H[w] > 0 through 1e4, "
-                f"w-k exponent {exp:+.3f} (want -2.5 +- 0.15)")
+                f"w-k exponent {exp:+.3f} (want {want} +- 0.15)")
 
 
 def lemma_barrier(quick: bool = False):
@@ -149,9 +148,8 @@ def evolution_equations(quick: bool = False):
     points, steps = (120, 100) if quick else (240, 200)
     r0 = evolution_equation_residuals(k, points, steps, 10)
     r1 = evolution_equation_residuals(k, 2 * points, 2 * steps, 20)
-    groups = ["metric", "second_form", "mean_curvature", "a_squared", "normal"]
-    base_ok = all(r0[g] <= 1e-2 for g in groups)
-    factors = [r0[g] / r1[g] if r1[g] > 0 else math.inf for g in groups]
+    base_ok = all(r0[g] <= 1e-2 for g in _GROUPS)
+    factors = [r0[g] / r1[g] if r1[g] > 0 else math.inf for g in _GROUPS]
     refine_ok = all(f >= 2.0 for f in factors)
     ratio = max(r0["a_evolution_ratio"], r1["a_evolution_ratio"])
     ratio_ok = math.isfinite(ratio) and ratio <= 10.0

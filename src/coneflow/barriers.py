@@ -49,9 +49,7 @@ from .geometry import (
 )
 
 __all__ = [
-    "StaticBarrier",
     "static_barrier_w",
-    "wk_difference_fit",
     "LemmaBarrierResult",
     "lemma_barrier_flow",
     "evolution_equation_residuals",
@@ -73,47 +71,46 @@ def _power_barrier_parts(beta: float, alpha: float, r: np.ndarray):
     return w, wr, wrr
 
 
-@dataclass(eq=False)
-class StaticBarrier:
-    """Sampled w = k - r^(-alpha) with exact derivatives and curvature."""
+def _sample_count(points, name: str, least: int) -> int:
+    """A construction's count ``points``, refused unless a whole number of
+    at least ``least``."""
+    points = _whole(points, name, ParameterError)
+    if points < least:
+        raise ParameterError(f"need at least {least} sample points, got {points}")
+    return points
 
-    r: np.ndarray
-    w: np.ndarray
-    H: np.ndarray
-    r0: float | None
 
+def static_barrier_w(k: ConeProfile, alpha: float, points: int = 400,
+                     fit_points: int = 160) -> ScenarioReport:
+    """Static lower barrier k - r^(-alpha) on a log grid over [1, 1e4], and
+    the decay of its graph-speed difference from the cone over [1e3, 1e4].
 
-def _power_samples(k: ConeProfile, alpha: float, points, least: int,
-                   lo: float) -> np.ndarray:
-    """``points`` geometric radii over [lo, 1e4] for the power barrier
-    k - r^(-alpha) over the radial cone k, after the checks the static
-    barrier and the difference fit share: alpha positive and finite, and a
-    whole count of at least ``least``."""
+    ``passed`` is whether a radius r0 certifies: the smallest sampled radius
+    past which H[w] > 0 holds through 1e4, or r0 = None when the curvature
+    stays nonpositive at the far end.  r0 is only as fine as the samples: at
+    (n, beta, alpha) = (2, 0.1, 2), 3 points read r0 = 1.0 where 400 read
+    3.40.  At least 2 points are needed, so that both ends of [1, 1e4] are
+    sampled.  The cone must be strictly mean convex.  With alpha > n-2 a cone
+    too shallow for the dip keeps H[w] < 0 out to 1e4: (n, beta, alpha) =
+    (3, 1e-13, 2) reads r0 = None, while beta = 1e-11 certifies from 4668.
+
+    The graphical flow speed is W*H = u_rr/(1+u_r^2) + (n-1)u_r/r; for
+    w = k - r^(-alpha) the difference from the cone's speed is exactly
+
+        alpha * r^(-alpha-2) * [(n-1) - (alpha+1)/(1+w_r^2)],
+
+    so its log-log fit on ``fit_points`` radii, ``gap_exponent``, should sit
+    near ``predicted_exponent`` = -(alpha+2).  The fit takes at least 3
+    points, as ``decay_fit`` does.  The summary holds r0 and both exponents;
+    the trace holds one row of r, w and H[w] per sample.
+    """
     if k.kind != "radial":
         raise ParameterError("static power barriers are built over radial cones")
     if not 0 < alpha < math.inf:
         raise ParameterError(f"alpha must be positive and finite, got {alpha}")
-    points = _whole(points, "points", ParameterError)
-    if points < least:
-        raise ParameterError(f"need at least {least} sample points, got {points}")
-    return np.geomspace(lo, 1e4, points)
-
-
-def static_barrier_w(k: ConeProfile, alpha: float, points: int = 400) -> StaticBarrier:
-    """Static lower barrier k - r^(-alpha) on a log grid over [1, 1e4].
-
-    Reports the smallest sampled radius r0 past which H[w] > 0 holds through
-    1e4, or r0 = None when the curvature stays nonpositive at the far end.
-    r0 is only as fine as the samples: at (n, beta, alpha) = (2, 0.1, 2),
-    3 points read r0 = 1.0 where 400 read 3.40.  At least 2 points are
-    needed, so that both ends of [1, 1e4] are sampled.
-    The cone must be strictly mean convex.  With alpha > n-2 a cone too
-    shallow for the dip keeps H[w] < 0 out to 1e4: (n, beta, alpha) =
-    (3, 1e-13, 2) reads r0 = None, while beta = 1e-11 certifies from 4668.
-    """
-    r = _power_samples(k, alpha, points, 2, 1.0)
-    if k.scaled_mean_curvature() <= 0:
-        raise ParameterError("cone is not strictly mean convex")
+    r = np.geomspace(1.0, 1e4, _sample_count(points, "points", 2))
+    r_fit = np.geomspace(1e3, 1e4, _sample_count(fit_points, "fit_points", 3))
+    k.require_mean_convex()
     w, wr, wrr = _power_barrier_parts(k.beta, alpha, r)
     H = _radial_curvatures(k.n, r, wr, wrr)
     pos = H > 0
@@ -122,25 +119,13 @@ def static_barrier_w(k: ConeProfile, alpha: float, points: int = 400) -> StaticB
     else:
         bad = np.nonzero(~pos)[0]
         r0 = float(r[bad[-1] + 1]) if bad.size else float(r[0])
-    return StaticBarrier(r, w, H, r0)
-
-
-def wk_difference_fit(k: ConeProfile, alpha: float, points: int = 160) -> dict:
-    """Decay rate of the graph-speed difference between w and the cone,
-    fitted over r in [1e3, 1e4].
-
-    The graphical flow speed is W*H = u_rr/(1+u_r^2) + (n-1)u_r/r; for
-    w = k - r^(-alpha) the difference from the cone's speed is exactly
-
-        alpha * r^(-alpha-2) * [(n-1) - (alpha+1)/(1+w_r^2)],
-
-    so the log-log fit should sit near exponent -(alpha+2).  It takes at
-    least 3 points, as ``decay_fit`` does.
-    """
-    r = _power_samples(k, alpha, points, 3, 1e3)
-    _, wr, wrr = _power_barrier_parts(k.beta, alpha, r)
-    diff = wrr / (1.0 + wr * wr) + (k.n - 1) * (wr - k.beta) / r
-    return {"exponent": decay_fit(r, np.abs(diff)), "predicted_exponent": -(alpha + 2.0)}
+    _, wr, wrr = _power_barrier_parts(k.beta, alpha, r_fit)
+    diff = wrr / (1.0 + wr * wr) + (k.n - 1) * (wr - k.beta) / r_fit
+    return ScenarioReport(
+        r0 is not None,
+        {"r0": r0, "gap_exponent": decay_fit(r_fit, np.abs(diff)),
+         "predicted_exponent": -(alpha + 2.0)},
+        ([("r", "length"), ("w", "height"), ("H", "1/length")], list(zip(r, w, H))))
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +198,7 @@ def _flow_exponent(k: ConeProfile) -> float:
         raise ParameterError("the flow barrier is built over radial cones")
     if k.n < 3:
         raise ParameterError("the inverse-power speed needs n >= 3")
-    if k.scaled_mean_curvature() <= 0:
-        raise ParameterError("cone must be strictly mean convex")
+    k.require_mean_convex()
     return (k.n - 2) / 4.0
 
 
@@ -249,9 +233,7 @@ def lemma_barrier_flow(k: ConeProfile, points: int = 600) -> LemmaBarrierResult:
     every certificate (b < k, H[b] > 0, deficit decay and monotonicity).
     """
     alpha = _flow_exponent(k)
-    points = _whole(points, "points", ParameterError)
-    if points < 2:
-        raise ParameterError(f"need at least 2 sample points, got {points}")
+    points = _sample_count(points, "points", 2)
     r = np.geomspace(_R_INNER, _R_OUTER, points)
     kv = k.beta * r
     f0 = _speed(_R_INNER, k.beta * _R_INNER, alpha)
@@ -335,6 +317,13 @@ def _profile_geometry(table, R, Z, n, alpha):
             "nu_r": nu_r, "nu_z": nu_z, "Rs": Rs, "Zs": Zs, "X2": X2}
 
 
+# each of the five evolution equations and the quantities whose residuals
+# it pools
+_GROUPS = {"metric": ("g_ss", "g_th"), "second_form": ("h_ss", "h_th"),
+           "mean_curvature": ("H",), "a_squared": ("A2",),
+           "normal": ("nu_r", "nu_z")}
+
+
 def evolution_equation_residuals(k: ConeProfile, points: int, steps: int,
                                  t_stride: int) -> dict:
     """Check the five evolution equations along the particle flow of the
@@ -367,9 +356,8 @@ def evolution_equation_residuals(k: ConeProfile, points: int, steps: int,
     n, dt = k.n, _HORIZON / steps
     sl = slice(3, points - 3)
 
-    keys = ["g_ss", "g_th", "h_ss", "h_th", "H", "A2", "nu_r", "nu_z"]
-    num = {key: 0.0 for key in ["metric", "second_form", "mean_curvature",
-                                "a_squared", "normal"]}
+    keys = [kq for members in _GROUPS.values() for kq in members]
+    num = dict.fromkeys(_GROUPS, 0.0)
     den = dict(num)
     a_ratio = 0.0
     for j in range(1, steps, t_stride):
@@ -389,10 +377,7 @@ def evolution_equation_residuals(k: ConeProfile, points: int, steps: int,
             "nu_r": g0["F_s"] / g0["g_ss"] * g0["Rs"],
             "nu_z": g0["F_s"] / g0["g_ss"] * g0["Zs"],
         }
-        groups = {"metric": ["g_ss", "g_th"], "second_form": ["h_ss", "h_th"],
-                  "mean_curvature": ["H"], "a_squared": ["A2"],
-                  "normal": ["nu_r", "nu_z"]}
-        for gname, members in groups.items():
+        for gname, members in _GROUPS.items():
             for kq in members:
                 err = np.max(np.abs(lhs[kq][sl] - rhs[kq][sl]))
                 scale = max(np.max(np.abs(lhs[kq][sl])),
@@ -404,9 +389,7 @@ def evolution_equation_residuals(k: ConeProfile, points: int, steps: int,
 
     out = {key: (num[key] / den[key] if den[key] > 0 else 0.0) for key in num}
     out["a_evolution_ratio"] = a_ratio
-    out["max"] = max(out[key] for key in
-                     ["metric", "second_form", "mean_curvature", "a_squared",
-                      "normal"])
+    out["max"] = max(out[key] for key in _GROUPS)
     return out
 
 

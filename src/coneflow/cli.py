@@ -25,8 +25,7 @@ import numpy as np
 
 from . import acceptance
 from .analysis import bump
-from .barriers import (Subsolution, lemma_barrier_flow, static_barrier_w,
-                       wk_difference_fit)
+from .barriers import Subsolution, lemma_barrier_flow, static_barrier_w
 from .cones import ConeProfile
 from .errors import (CertificationError, DomainError, GridError, NewtonError,
                      ParameterError, ShootingError, StepFailureError)
@@ -236,16 +235,9 @@ def _cmd_barrier(cfg: dict, out: str) -> int:
 
     if which in ("static", "all"):
         sb = static_barrier_w(k, sec["alpha"])
-        fit = wk_difference_fit(k, sec["alpha"])
-        tables.append(("static_barrier.csv",
-                       [("r", "length"), ("w", "height"), ("H", "1/length")],
-                       zip(sb.r, sb.w, sb.H)))
-        certified = sb.r0 is not None
-        report["static"] = {"alpha": sec["alpha"], "r0": sb.r0,
-                            "certified": certified,
-                            "gap_exponent": fit["exponent"],
-                            "predicted_exponent": fit["predicted_exponent"]}
-        verdicts.append(certified)
+        tables.append(("static_barrier.csv", *sb.trace))
+        report["static"] = {"alpha": sec["alpha"], "certified": sb.passed, **sb.summary}
+        verdicts.append(sb.passed)
     if which in ("lemma", "subsolution", "all"):
         lemma_res = lemma_barrier_flow(k)
         tables.append(("lemma_barrier.csv",

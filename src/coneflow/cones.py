@@ -7,9 +7,9 @@ samples on a uniform circle grid (n = 2 only, interpolated with a periodic
 cubic spline).
 
 The profile exposes what the solvers and barriers need: gamma on a set of
-angles, sampling on radial and polar grids, the scale-invariant mean
-curvature r*H[k] of a radial cone (mean convexity is H[k] >= 0) and the
-far-field expander tail coefficient of a planar one.  The radial callers read
+angles, sampling on radial and polar grids, the one check that a radial
+cone is strictly mean convex (H[k] > 0) and the far-field expander tail
+coefficient of a planar one.  The radial callers read
 ``beta`` directly: k = beta * |x| and sup |Dk| = |beta|.
 """
 
@@ -106,10 +106,14 @@ class ConeProfile:
 
     # -- derived scalars -----------------------------------------------------
 
-    def scaled_mean_curvature(self) -> float:
-        """r * H[k] of a radial cone, (n-1)*beta/sqrt(1+beta^2), the same on
-        every ray; its callers take radial cones only."""
-        return (self.n - 1) * self.beta / np.sqrt(1.0 + self.beta ** 2)
+    def require_mean_convex(self) -> "ConeProfile":
+        """This radial cone, refused unless strictly mean convex: r * H[k] =
+        (n-1)*beta/sqrt(1+beta^2), the same on every ray, must be positive,
+        so n >= 2 and beta > 0."""
+        if self.n < 2 or not self.beta > 0:
+            raise ParameterError(f"the cone (n={self.n}, beta={self.beta}) must be "
+                                 "strictly mean convex")
+        return self
 
     def tail_coefficient(self, theta):
         """Coefficient c(theta) of the far-field expander correction

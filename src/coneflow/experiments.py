@@ -46,15 +46,6 @@ def _expander_gap(run: FlowRun, profile: ExpanderProfile) -> np.ndarray:
         for t, v in zip(run.times, run.values)])
 
 
-def _mean_convex_cone(n: int, beta: float) -> ConeProfile:
-    """The radial cone (n, beta), refused unless strictly mean convex."""
-    k = ConeProfile.radial(n, beta)
-    if k.scaled_mean_curvature() <= 0:
-        raise ParameterError(f"the cone (n={n}, beta={beta}) must be strictly "
-                             "mean convex")
-    return k
-
-
 def _bisect_upper_shift(profile: ExpanderProfile, u0: GridFunction) -> float:
     """Smallest T in (1e-6, 64] with U(., T) >= u0 on the grid, by 60
     bisection steps in T."""
@@ -98,7 +89,7 @@ def run_main_theorem(n: int = 2, beta: float = 1.0, amplitude: float = 1.0,
         raise ParameterError("threshold must be positive and finite")
     if not 0 < delta < math.inf:
         raise ParameterError(f"delta must be positive and finite, got {delta}")
-    k = _mean_convex_cone(n, beta)
+    k = ConeProfile.radial(n, beta).require_mean_convex()
     profile = solve_expander_profile(k)
     spec = GridSpec.uniform(n, 0.0, r_max, nodes)
     cfg = SolverConfig(dt_init=1e-3, dt_max=dt_max, snapshot_dt=snapshot_dt,
@@ -159,7 +150,7 @@ def run_family_uniform(n: int = 2, beta: float = 1.0, count: int = 5,
         raise ParameterError("family experiments need at least 5 members")
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
-    k = _mean_convex_cone(n, beta)
+    k = ConeProfile.radial(n, beta).require_mean_convex()
     profile = solve_expander_profile(k)
     spec = GridSpec.uniform(n, 0.0, r_max, nodes)
     r = spec.nodes

@@ -9,8 +9,7 @@ from coneflow import acceptance, barriers, cli, geometry
 from coneflow.barriers import (Subsolution, _heat_kernel,
                                evolution_equation_residuals,
                                half_space_experiment, lemma_barrier_flow,
-                               psi_identity_residual, static_barrier_w,
-                               wk_difference_fit)
+                               psi_identity_residual, static_barrier_w)
 from coneflow.cones import ConeProfile
 from coneflow.errors import (CertificationError, DomainError, ParameterError)
 from coneflow.expander import evaluate_U
@@ -21,6 +20,11 @@ from coneflow.geometry import GridSpec, _d1_d2, _radial_derivatives
 K3 = ConeProfile.radial(3, 1.0)
 
 
+def _samples(report):
+    """The static barrier's sampled r, w and H[w] as arrays."""
+    return np.array(report.trace[1]).T
+
+
 @pytest.fixture(scope="module")
 def lemma_result():
     return lemma_barrier_flow(K3, points=300)
@@ -29,31 +33,33 @@ def lemma_result():
 # -- static power-law barrier --------------------------------------------------
 
 def test_static_barrier_values_and_derivative():
-    sb = static_barrier_w(K3, 0.5, points=200)
-    assert np.allclose(sb.w, sb.r - sb.r ** -0.5)
+    r, w, _ = _samples(static_barrier_w(K3, 0.5, points=200))
+    assert np.allclose(w, r - r ** -0.5)
     # the derivative behind H against central differences of the closed form
     eps = 1e-6
-    mid = sb.r[50]
+    mid = r[50]
     fd = ((mid + eps - (mid + eps) ** -0.5)
           - (mid - eps - (mid - eps) ** -0.5)) / (2 * eps)
-    w_r = barriers._power_barrier_parts(K3.beta, 0.5, sb.r)[1]
+    w_r = barriers._power_barrier_parts(K3.beta, 0.5, r)[1]
     assert w_r[50] == pytest.approx(fd, rel=1e-8)
 
 
 def test_static_barrier_certified_region():
     sb = static_barrier_w(K3, 0.5)
-    assert sb.r0 is not None
-    assert sb.r0 <= 1.0 + 1e-12
-    assert np.all(sb.H[sb.r >= sb.r0] > 0.0)
+    r, _, H = _samples(sb)
+    r0 = sb.summary["r0"]
+    assert sb.passed and r0 is not None
+    assert r0 <= 1.0 + 1e-12
+    assert np.all(H[r >= r0] > 0.0)
 
 
 def test_static_barrier_flat_background_fails_far_out():
     # against a strictly mean convex cone too shallow for the dip, a steep
     # power dip stays mean-concave out to 1e4; a steeper cone certifies
     sb = static_barrier_w(ConeProfile.radial(3, 1e-13), 2.0)
-    assert sb.r0 is None
-    assert static_barrier_w(ConeProfile.radial(3, 1e-11), 2.0).r0 == pytest.approx(
-        4668.45, rel=1e-5)
+    assert not sb.passed and sb.summary["r0"] is None
+    sb = static_barrier_w(ConeProfile.radial(3, 1e-11), 2.0)
+    assert sb.passed and sb.summary["r0"] == pytest.approx(4668.45, rel=1e-5)
 
 
 def test_static_barrier_r0_matches_the_exact_root():
@@ -70,19 +76,22 @@ def test_static_barrier_r0_matches_the_exact_root():
     roots = np.sort(s ** (-1.0 / (alpha + 1)))
     assert roots == pytest.approx([1.17521, 3.38102], abs=1e-5)
     sb = static_barrier_w(ConeProfile.radial(n, beta), alpha)
-    assert np.array_equal(np.sign(sb.H), np.sign(P.polyval(sb.r ** (-alpha - 1), g)))
-    i = int(np.searchsorted(sb.r, roots[1]))
-    assert sb.r0 == sb.r[i]
-    assert sb.r[i - 1] < roots[1] <= sb.r0
-    assert (sb.r[i - 1], sb.r0) == pytest.approx((3.3213, 3.3988), abs=1e-4)
+    r, _, H = _samples(sb)
+    r0 = sb.summary["r0"]
+    assert np.array_equal(np.sign(H), np.sign(P.polyval(r ** (-alpha - 1), g)))
+    i = int(np.searchsorted(r, roots[1]))
+    assert r0 == r[i]
+    assert r[i - 1] < roots[1] <= r0
+    assert (r[i - 1], r0) == pytest.approx((3.3213, 3.3988), abs=1e-4)
     # r0 is only as fine as the samples: three of them step over the dip
-    assert static_barrier_w(ConeProfile.radial(n, beta), alpha, points=3).r0 == 1.0
+    coarse = static_barrier_w(ConeProfile.radial(n, beta), alpha, points=3)
+    assert coarse.summary["r0"] == 1.0
 
 
 def test_wk_difference_fit_closed_form():
-    out = wk_difference_fit(K3, 0.5)
+    out = static_barrier_w(K3, 0.5).summary
     assert out["predicted_exponent"] == pytest.approx(-2.5)
-    assert out["exponent"] == pytest.approx(-2.5, abs=1e-3)
+    assert out["gap_exponent"] == pytest.approx(-2.5, abs=1e-3)
 
 
 # -- flowing barrier -----------------------------------------------------------
@@ -124,12 +133,12 @@ def test_lemma_barrier_rejects_bad_setups():
     (evolution_equation_residuals, (K3, 120, 100, 2.5), "t_stride must be a whole"),
     (evolution_equation_residuals, (K3, 120, 100, 0), "t_stride must be at least 1"),
     (static_barrier_w, (K3, 0.5, 10.5), "points must be a whole number"),
-    (wk_difference_fit, (K3, 0.5, 10.5), "points must be a whole number"),
+    (static_barrier_w, (K3, 0.5, 400, 10.5), "fit_points must be a whole number"),
     (static_barrier_w, (K3, 0.5, 1), "at least 2 sample points"),
     (static_barrier_w, (K3, 0.5, 0), "at least 2 sample points"),
     (static_barrier_w, (K3, 0.5, -1), "at least 2 sample points"),
-    (wk_difference_fit, (K3, 0.5, 2), "at least 3 sample points"),
-    (wk_difference_fit, (K3, 0.5, -1), "at least 3 sample points"),
+    (static_barrier_w, (K3, 0.5, 400, 2), "at least 3 sample points"),
+    (static_barrier_w, (K3, 0.5, 400, -1), "at least 3 sample points"),
     (lemma_barrier_flow, (K3, 1), "at least 2 sample points"),
     (lemma_barrier_flow, (K3, 0), "at least 2 sample points"),
     (lemma_barrier_flow, (K3, -5), "at least 2 sample points"),
@@ -149,11 +158,11 @@ def test_barrier_counts_are_whole_numbers(fn, args, match):
 
 @pytest.mark.parametrize("alpha", [-1.0, 0.0, math.inf, math.nan])
 def test_power_barriers_share_the_alpha_check(alpha):
-    # the difference fit refuses the exponents the static barrier refuses;
-    # it returned exponent -1.0 for alpha = -1
-    for fn in (static_barrier_w, wk_difference_fit):
+    # the difference fit refuses the exponents the static barrier refuses,
+    # whatever its sample count; it returned exponent -1.0 for alpha = -1
+    for fit_points in (160, 3):
         with pytest.raises(ParameterError, match="alpha must be positive and finite"):
-            fn(K3, alpha)
+            static_barrier_w(K3, alpha, fit_points=fit_points)
 
 
 def test_only_the_residual_checks_integrate_the_particle_flow(monkeypatch, tmp_path):

@@ -629,6 +629,33 @@ def test_experiment_artifacts(tmp_path, capsys, name, keys, header):
         assert len(lines) > 2
 
 
+def test_barrier_artifacts(tmp_path, capsys):
+    # the default barrier command writes both tables and one report whose
+    # sections carry each barrier's measured values
+    out = tmp_path / "art"
+    assert run_cli(["--out", str(out), "barrier"], tmp_path) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "barrier_report.json", "lemma_barrier.csv", "static_barrier.csv"]
+    with open(out / "static_barrier.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["r [length]", "w [height]", "H [1/length]"]
+    assert len(rows) == 400
+    report = json.loads((out / "barrier_report.json").read_text())
+    beta = report["beta"]
+    assert [float(v) for v in rows[0][:2]] == [1.0, beta - 1.0]
+    with open(out / "lemma_barrier.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == ["r [length]", "b [height]", "k_minus_b [height]"]
+    assert _key_tree(report) == {
+        "n": None, "beta": None, "passed": None,
+        "static": dict.fromkeys(["alpha", "certified", "r0", "gap_exponent",
+                                 "predicted_exponent"]),
+        "lemma": dict.fromkeys(["min_gap", "H_min", "r_cut", "deficit_exponent",
+                                "m1", "R1", "passed"]),
+        "subsolution": dict.fromkeys(["expander_residual", "barrier_min_H",
+                                      "subsolution_ok"])}
+    assert report["passed"] is True and report["static"]["certified"] is True
+
+
 def test_csv_booleans_and_floats(tmp_path):
     path = tmp_path / "x.csv"
     cli.write_csv(str(path), [("flag", "0/1"), ("value", "m")],

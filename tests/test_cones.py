@@ -16,7 +16,13 @@ def test_radial_constructor_validation():
         with pytest.raises(ParameterError):
             ConeProfile.radial(2, beta)
     assert ConeProfile.radial(3, 1.5).kind == "radial"
-    assert ConeProfile.radial(2, -1e150).scaled_mean_curvature() < 0
+    # a slope of any sign is a cone, but only a strictly mean convex one
+    # (n >= 2, beta > 0) passes the check the scenarios and barriers share
+    k = ConeProfile.radial(2, 0.5)
+    assert k.require_mean_convex() is k
+    for n, beta in ((2, -1e150), (2, 0.0), (1, 1.0)):
+        with pytest.raises(ParameterError, match="must be strictly mean convex"):
+            ConeProfile.radial(n, beta).require_mean_convex()
 
 
 def test_dimension_and_sample_count_are_whole_numbers():
