@@ -215,7 +215,7 @@ def area_bv_bound(quick: bool = False, trials: int = 100):
         bumps = (x + rng.uniform(-1.2, 1.2, size=(nb, 2)),
                  rng.uniform(-2.0, 2.0, size=nb),
                  rng.uniform(0.25, 1.2, size=nb))
-        rep = graph_area_bound_check(k, bumps, x, rho, max(1.0, beta))
+        rep = graph_area_bound_check(k, bumps, x, rho)
         passes += rep.passed and rep.summary["hypothesis_ok"]
         nonempty += rep.summary["area"] > 0
     ok = passes == trials and trials >= 1

@@ -118,7 +118,12 @@ def _gaussian_bumps(pts: np.ndarray, centers, amplitudes, widths) -> tuple:
     return value, grad
 
 
-def graph_area_bound_check(k, bumps, x, rho: float, G: float) -> ScenarioReport:
+def _gradient_bound(k) -> float:
+    """G = max(1, slope of k), the area bound's and clearing-out's G."""
+    return max(1.0, abs(k.beta))
+
+
+def graph_area_bound_check(k, bumps, x, rho: float) -> ScenarioReport:
     """Graph area above the raised radial cone k vs the BV bound, on one
     shared grid.
 
@@ -128,7 +133,8 @@ def graph_area_bound_check(k, bumps, x, rho: float, G: float) -> ScenarioReport:
     area  = integral of sqrt(1+|Du0|^2) over {y in B_rho(x) : u0 > k + rho},
     bound = (4 + 3G/rho) * ||u0 - k||_BV over B_1(x) cut to {|u0-k| > eps(|x|)},
 
-    with the far-field closeness threshold eps(r) = 1/(1+r).
+    with G = max(1, slope of k) and the far-field closeness threshold
+    eps(r) = 1/(1+r).
     Both sides use the same midpoint quadrature on B_1(x), so the pointwise
     chain (sqrt(1+|Du0|^2) <= (1+G) + |D(u0-k)| and |set| <= integral |u0-k|/rho)
     carries over node by node.  The chain needs eps(|x|) <= rho (otherwise the
@@ -137,16 +143,11 @@ def graph_area_bound_check(k, bumps, x, rho: float, G: float) -> ScenarioReport:
     """
     if not (0.0 < rho < 1.0):
         raise ParameterError("rho must lie in (0, 1)")
-    if G < 1.0:
-        raise ParameterError("gradient bound G must be >= 1")
     if k.n != 2:
         raise ParameterError("area-bound quadrature is implemented for n = 2")
     if k.kind != "radial":
         raise ParameterError("the area bound is checked over radial cones")
     x = np.asarray(x, dtype=float)
-    slope = abs(k.beta)
-    if slope > G * (1 + 1e-12):
-        raise ParameterError(f"cone slope {slope:.3g} exceeds the declared bound G={G}")
 
     pts, w = _unit_disk(x)
     bumps_v, bumps_dv = _gaussian_bumps(pts, *bumps)
@@ -168,7 +169,7 @@ def graph_area_bound_check(k, bumps, x, rho: float, G: float) -> ScenarioReport:
     bv_set = np.abs(v) > eps
     dv = dv[:, bv_set]
     bv = float(np.sum(w[bv_set] * (np.abs(v[bv_set]) + np.sqrt(dv[0] ** 2 + dv[1] ** 2))))
-    bound = (4.0 + 3.0 * G / rho) * bv
+    bound = (4.0 + 3.0 * _gradient_bound(k) / rho) * bv
     return ScenarioReport(area <= bound * (1 + 1e-12) + 1e-15,
                           {"area": area, "hypothesis_ok": eps <= rho}, None)
 
@@ -188,9 +189,8 @@ def clearing_out_experiment(k, height: float, rho: float) -> float | None:
     """
     if k.kind != "radial":
         raise ParameterError("clearing-out experiment is radial")
-    G = max(1.0, abs(k.beta))
     t_cap = 10.0 * rho * rho
-    threshold = rho * (2.0 + G)  # k(0) = 0
+    threshold = rho * (2.0 + _gradient_bound(k))  # k(0) = 0
     if height <= threshold:
         raise ParameterError("spike must start above the clearing threshold")
 

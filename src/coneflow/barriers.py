@@ -6,13 +6,12 @@ Three families live here, plus the measurement tools that certify them:
   (no finite differences; at r = 1e4 the power-law tail would drown in FD
   roundoff otherwise);
 * the inverse-power normal-speed flow db/dt = -|F| * sqrt(1 + |Db|^2) with
-  |F| = (r^2 + b^2)^(-(n-2)/4), run for unit time from r = 10 to r = 400 and
-  realized twice: as a graphical upwind march of the curve (r, b) (for
-  sup/curvature certificates; its H is geometry's radial formula on the
-  per-call stencil ``_d1_d2``) and, for the residual checks of the
-  evolution equations of g, h, H, |A|^2 and nu, as a Lagrangian particle
-  flow of the profile curve that only those checks integrate, on one
-  label table (the labels never move);
+  |F| = (r^2 + b^2)^(-(n-2)/4), run for unit time from r = 10 to r = 400
+  once, as a Lagrangian particle flow of the profile curve on one label
+  table (the labels never move): the lemma barrier certifies its final
+  level as the graph (r, b) (its H is geometry's radial formula on the
+  per-call stencil ``_d1_d2``), and the residual checks of the evolution
+  equations of g, h, H, |A|^2 and nu read its stored levels;
 * max-type subsolutions B = max(U - m, b_scaled - delta/2) glued from an
   expanding soliton and a scaled flow barrier.
 
@@ -101,8 +100,10 @@ def static_barrier_w(k: ConeProfile, alpha: float, points: int = 400,
 
     so its log-log fit on ``fit_points`` radii, ``gap_exponent``, should sit
     near ``predicted_exponent`` = -(alpha+2).  The fit takes at least 3
-    points, as ``decay_fit`` does.  The summary holds r0 and both exponents;
-    the trace holds one row of r, w and H[w] per sample.
+    points, as ``decay_fit`` does; an alpha steep enough for the difference
+    to underflow to 0 there (from 79 at (n, beta) = (3, 1)) is refused.  The
+    summary holds r0 and both exponents; the trace holds one row of r, w and
+    H[w] per sample.
     """
     if k.kind != "radial":
         raise ParameterError("static power barriers are built over radial cones")
@@ -121,6 +122,9 @@ def static_barrier_w(k: ConeProfile, alpha: float, points: int = 400,
         r0 = float(r[bad[-1] + 1]) if bad.size else float(r[0])
     _, wr, wrr = _power_barrier_parts(k.beta, alpha, r_fit)
     diff = wrr / (1.0 + wr * wr) + (k.n - 1) * (wr - k.beta) / r_fit
+    if not np.all(diff):
+        raise ParameterError(f"alpha = {alpha} is too steep: the w - k speed difference "
+                             f"underflows to 0 on [1e3, 1e4]")
     return ScenarioReport(
         r0 is not None,
         {"r0": r0, "gap_exponent": decay_fit(r_fit, np.abs(diff)),
@@ -129,30 +133,15 @@ def static_barrier_w(k: ConeProfile, alpha: float, points: int = 400,
 
 
 # ---------------------------------------------------------------------------
-# the inverse-power speed flow, graphical form
+# the inverse-power speed flow as a particle flow of the profile curve
 
 
-# both realizations of the flow barrier run over [_R_INNER, _R_OUTER] for
-# time _HORIZON; the graphical march keeps its steps under the CFL cap _CFL
-_R_INNER, _R_OUTER, _HORIZON, _CFL = 10.0, 400.0, 1.0, 0.4
-
-
-def _speed(r: np.ndarray, b: np.ndarray, alpha: float):
-    return (r * r + b * b) ** (-alpha)
-
-
-def _upwind_rate(r: np.ndarray, b: np.ndarray, alpha: float):
-    """db/dt = -|F| sqrt(1+|Db|^2) with Godunov-type one-sided gradients."""
-    F = _speed(r, b, alpha)
-    dr = np.diff(r)
-    dm = np.empty_like(b)
-    dp = np.empty_like(b)
-    dm[1:] = (b[1:] - b[:-1]) / dr
-    dp[:-1] = dm[1:]
-    dm[0] = dp[0]
-    dp[-1] = dm[-1]
-    grad2 = np.maximum(dm, 0.0) ** 2 + np.minimum(dp, 0.0) ** 2
-    return -F * np.sqrt(1.0 + grad2), F
+# the flow runs over [_R_INNER, _R_OUTER] for time _HORIZON; the lemma
+# barrier takes _LEMMA_STEPS RK4 steps (its time error is below 1e-12 from
+# 4 on), and its certificates and the residual checks leave out the
+# _END_CUT labels at either end, which feel the one-sided stencil
+_R_INNER, _R_OUTER, _HORIZON = 10.0, 400.0, 1.0
+_LEMMA_STEPS, _END_CUT = 8, 3
 
 
 def _lagrangian_velocity(table, R, Z, alpha):
@@ -193,7 +182,7 @@ def _integrate_lagrangian(k: ConeProfile, s: np.ndarray, table: tuple,
 
 def _flow_exponent(k: ConeProfile) -> float:
     """alpha = (n-2)/4 of the speed |F| = (r^2 + b^2)^(-alpha) over ``k``,
-    after the checks both realizations of the flow share."""
+    after the cone checks of the lemma barrier and the residual checks."""
     if k.kind != "radial":
         raise ParameterError("the flow barrier is built over radial cones")
     if k.n < 3:
@@ -204,17 +193,14 @@ def _flow_exponent(k: ConeProfile) -> float:
 
 @dataclass(eq=False)
 class LemmaBarrierResult:
-    """The graphical realization of the flow barrier, certified.
-
-    The graphical barrier at unit time is the curve (``r``, ``b``) over
-    r in [10, 400]; ``certified`` is the radius window of the certificates,
-    and ``m1`` the deficit k - b at its inner end.
+    """The flow barrier at unit time, the particles' final level (``r``,
+    ``b``), certified; ``certified`` is the radius window of the
+    certificates, and ``m1`` the deficit k - b at its inner end.
     """
 
     cone: ConeProfile
     r: np.ndarray
     b: np.ndarray
-    r_cut: float
     certified: tuple
     min_gap: float
     H_min: float
@@ -224,53 +210,38 @@ class LemmaBarrierResult:
 
 
 def lemma_barrier_flow(k: ConeProfile, points: int = 600) -> LemmaBarrierResult:
-    """March the inverse-power speed flow from the cone for unit time over
-    r in [10, 400].
+    """Flow the cone for unit time as particles on ``points`` geometric
+    labels over r in [10, 400], and certify the final level as a graph.
 
-    The graphical form runs Heun steps with Godunov-type upwind gradients
-    under a CFL cap.  The inner edge is an inflow boundary for the truncated
-    domain, so a pollution collar of width 2 * max|F| is excluded from
-    every certificate (b < k, H[b] > 0, deficit decay and monotonicity).
+    The particles take _LEMMA_STEPS RK4 steps and carry their own domain,
+    so no inflow collar is cut; radii that do not strictly increase are no
+    graph (a CertificationError).  Every certificate (b < k, H[b] > 0,
+    deficit decay and monotonicity) leaves out the three labels at either
+    end; the decay is fitted on [1.3 R1, R_end / 1.05], R1 and R_end the
+    window's ends, which spans the decade ``decay_fit`` needs from 26
+    labels on.
     """
     alpha = _flow_exponent(k)
-    points = _sample_count(points, "points", 2)
-    r = np.geomspace(_R_INNER, _R_OUTER, points)
-    kv = k.beta * r
-    f0 = _speed(_R_INNER, k.beta * _R_INNER, alpha)
-    hmin = float(np.min(np.diff(r)))
-    dt = min(_CFL * hmin / (f0 * 1.5), _HORIZON / 64.0)
-    nt = int(math.ceil(_HORIZON / dt))
-    dt = _HORIZON / nt
-
-    f_run_max = f0
-    b = kv
-    for _ in range(nt):
-        rate1, F1 = _upwind_rate(r, b, alpha)
-        b1 = b + dt * rate1
-        rate2, F2 = _upwind_rate(r, b1, alpha)
-        b = b + 0.5 * dt * (rate1 + rate2)
-        f_run_max = max(f_run_max, float(np.max(F1)), float(np.max(F2)))
-
-    r_cut = _R_INNER + 2.0 * f_run_max * _HORIZON
-    il = int(np.searchsorted(r, r_cut))
-    iu = points - 3
-    if iu - il < 16:
-        raise CertificationError("certified window too small after the "
-                                 "pollution cut", witness={"r_cut": r_cut})
-    gap = kv - b
+    points = _sample_count(points, "points", 26)
+    s = np.geomspace(_R_INNER, _R_OUTER, points)
+    R, Z = _integrate_lagrangian(k, s, _stencil(s), _LEMMA_STEPS, alpha)
+    r, b = R[-1], Z[-1]
+    if not np.all(np.diff(r) > 0):
+        raise CertificationError("the flowed radii do not strictly increase",
+                                 witness={"r": r})
+    cut = slice(_END_CUT, points - _END_CUT)
+    gap = k.beta * r - b
     H = _radial_curvatures(k.n, r, *_d1_d2(r, b))
-    min_gap = float(np.min(gap[il:iu]))
-    H_min = float(np.min(H[il:iu]))
-    mono = bool(np.all(np.diff(gap[il:iu]) <= 1e-12 * np.max(gap)))
-    lo = r[il] * 1.3
-    hi = r[iu - 1] / 1.05
-    sel = (r >= lo) & (r <= hi)
+    lo, hi = float(r[cut][0]), float(r[cut][-1])
+    min_gap, H_min = float(np.min(gap[cut])), float(np.min(H[cut]))
+    mono = bool(np.all(np.diff(gap[cut]) <= 1e-12 * np.max(gap)))
+    sel = (r >= lo * 1.3) & (r <= hi / 1.05)
     exponent = decay_fit(r[sel], gap[sel])
     want = -(k.n - 2) / 2.0
     passed = (min_gap > 0 and H_min > 0 and mono
               and abs(exponent - want) <= 0.2 * abs(want))
-    return LemmaBarrierResult(k, r, b, r_cut, (float(r[il]), float(r[iu - 1])),
-                              min_gap, H_min, float(gap[il]), exponent, bool(passed))
+    return LemmaBarrierResult(k, r, b, (lo, hi), min_gap, H_min, float(gap[cut][0]),
+                              exponent, bool(passed))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +314,7 @@ def evolution_equation_residuals(k: ConeProfile, points: int, steps: int,
     points = _whole(points, "points", ParameterError)
     steps = _whole(steps, "steps", ParameterError)
     t_stride = _whole(t_stride, "t_stride", ParameterError)
-    if points < 7:
+    if points < 2 * _END_CUT + 1:
         raise ParameterError(f"need at least seven labels (three end nodes "
                              f"are cut from each side), got {points}")
     if steps < 2:
@@ -354,7 +325,7 @@ def evolution_equation_residuals(k: ConeProfile, points: int, steps: int,
     table = _stencil(s)
     R, Z = _integrate_lagrangian(k, s, table, steps, alpha)
     n, dt = k.n, _HORIZON / steps
-    sl = slice(3, points - 3)
+    sl = slice(_END_CUT, points - _END_CUT)
 
     keys = [kq for members in _GROUPS.values() for kq in members]
     num = dict.fromkeys(_GROUPS, 0.0)
@@ -516,17 +487,17 @@ def _heat_kernel(n: int, r, z, t: float) -> np.ndarray:
 
 @dataclass
 class PsiIdentityReport:
-    """The sup of the identity's defect, and its sup at each interior
-    snapshot."""
+    """The sup of the identity's defect over the interior snapshots."""
 
     sup_residual: float
-    per_time: np.ndarray
 
 
-_PSI_BLOCK = 8  # interior snapshots per stack; 64 cost 5.5 MB more peak RSS, no time
+# interior snapshots per stack (64 cost 5.5 MB more peak RSS, no time), and
+# the outer nodes left out, which feel the one-sided stencil and the pinning
+_PSI_BLOCK, _PSI_OUTER_MARGIN = 8, 3
 
 
-def psi_identity_residual(run: FlowRun, outer_margin: int = 3) -> PsiIdentityReport:
+def psi_identity_residual(run: FlowRun) -> PsiIdentityReport:
     """Defect of the parabolic identity for psi = -(n/2) log t - |X|^2/(4t).
 
     Along the flow, d/dt psi - (surface Laplacian) psi - |grad psi|^2 equals
@@ -536,11 +507,9 @@ def psi_identity_residual(run: FlowRun, outer_margin: int = 3) -> PsiIdentityRep
 
         d/dt|_normal = d/dt|_x - (u_t u_r / W^2) * d/dr[psi on the graph],
 
-    which is applied before comparing.  Outer nodes feel the one-sided FD
-    stencil and boundary pinning, so the last ``outer_margin`` of them are
-    excluded (0 keeps every node).  Blocks of snapshots are evaluated as
-    one (node, snapshot) stack, each time's log a scalar: every time gets
-    the bits it gets alone.
+    which is applied before comparing, with the last three nodes left out.
+    Blocks of snapshots are evaluated as one (node, snapshot) stack, each
+    time's log a scalar: every time gets the bits it gets alone.
     """
     times = run.times
     if times.size < 3:
@@ -550,8 +519,6 @@ def psi_identity_residual(run: FlowRun, outer_margin: int = 3) -> PsiIdentityRep
     spec = run.spec
     if spec.polar:
         raise ParameterError("implemented for radial runs")
-    if not 0 <= outer_margin < spec.nr:
-        raise ParameterError(f"outer_margin must lie in [0, {spec.nr}), got {outer_margin}")
     span = times[2:] - times[:-2]
     if np.any(np.abs((times[2:] - times[1:-1]) - (times[1:-1] - times[:-2])) > 1e-9 * span):
         raise ParameterError("uniform snapshot cadence required")
@@ -559,7 +526,7 @@ def psi_identity_residual(run: FlowRun, outer_margin: int = 3) -> PsiIdentityRep
     r = spec.nodes[:, None]
     r2, r_safe = r * r, np.where(r > 0, r, 1.0)
     log_terms = np.array([-(n / 2.0) * np.log(t) for t in times])
-    per_time = np.empty(times.size - 2)
+    sup = 0.0
     for j0 in range(0, times.size - 2, _PSI_BLOCK):
         blk = slice(j0, min(j0 + _PSI_BLOCK, times.size - 2) + 2)
         U = run.values[blk].T
@@ -577,8 +544,8 @@ def psi_identity_residual(run: FlowRun, outer_margin: int = 3) -> PsiIdentityRep
         dpsi_normal = dpsi_graph - udot * p * fr / W2
         Xnu = (r * p - u0) / np.sqrt(W2)
         resid = np.abs(dpsi_normal - lap - grad2 - Xnu ** 2 / (4.0 * t0 * t0))
-        per_time[j0:blk.stop - 2] = resid[:spec.nr - outer_margin].max(axis=0)
-    return PsiIdentityReport(float(np.max(per_time)), per_time)
+        sup = np.maximum(sup, resid[:spec.nr - _PSI_OUTER_MARGIN].max())
+    return PsiIdentityReport(float(sup))
 
 
 def half_space_experiment(horizon: float = 50.0,

@@ -245,7 +245,6 @@ def _cmd_barrier(cfg: dict, out: str) -> int:
                        zip(lemma_res.r, lemma_res.b, k.beta * lemma_res.r - lemma_res.b)))
         report["lemma"] = {"min_gap": lemma_res.min_gap,
                            "H_min": lemma_res.H_min,
-                           "r_cut": lemma_res.r_cut,
                            "deficit_exponent": lemma_res.deficit_exponent,
                            "m1": lemma_res.m1, "R1": lemma_res.certified[0],
                            "passed": lemma_res.passed}

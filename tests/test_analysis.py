@@ -84,24 +84,22 @@ def test_c1_function_algebra_and_gradient():
 def test_c1_function_from_cone_takes_radial_cones_only():
     k = ConeProfile.angular(lambda th: 1.0 + 0.1 * np.cos(2 * th), m=16)
     with pytest.raises(ParameterError, match="radial"):
-        graph_area_bound_check(k, NO_BUMPS, np.array([3.0, 0.0]), 0.5, 2.0)
+        graph_area_bound_check(k, NO_BUMPS, np.array([3.0, 0.0]), 0.5)
 
 
 def test_area_bound_validation():
     k = ConeProfile.radial(2, 1.0)
     x = np.array([3.0, 0.0])
     with pytest.raises(ParameterError):
-        graph_area_bound_check(k, NO_BUMPS, x, 1.5, 2.0)  # rho outside (0,1)
-    with pytest.raises(ParameterError):
-        graph_area_bound_check(k, NO_BUMPS, x, 0.5, 0.5)  # G below the cone slope
+        graph_area_bound_check(k, NO_BUMPS, x, 1.5)  # rho outside (0,1)
     with pytest.raises(ParameterError, match="n = 2"):
-        graph_area_bound_check(ConeProfile.radial(3, 1.0), NO_BUMPS, x, 0.5, 2.0)
+        graph_area_bound_check(ConeProfile.radial(3, 1.0), NO_BUMPS, x, 0.5)
 
 
 def test_area_bound_pass_with_large_bump():
     k = ConeProfile.radial(2, 1.0)
     rep = graph_area_bound_check(k, ([[3.0, 0.0]], [2.0], [0.8]),
-                                 np.array([3.0, 0.0]), 0.5, 1.0)
+                                 np.array([3.0, 0.0]), 0.5)
     assert rep.summary["hypothesis_ok"]
     assert rep.summary["area"] > 0.0
     assert rep.passed
@@ -111,7 +109,7 @@ def test_area_bound_evaluates_the_gradient_once(monkeypatch):
     k = ConeProfile.radial(2, 1.0)
     bumps = ([[3.0, 0.0]], [2.0], [0.8])
     x = np.array([3.0, 0.0])
-    want = graph_area_bound_check(k, bumps, x, 0.5, 1.0)
+    want = graph_area_bound_check(k, bumps, x, 0.5)
     calls = []
     evaluate = analysis._gaussian_bumps
 
@@ -120,7 +118,7 @@ def test_area_bound_evaluates_the_gradient_once(monkeypatch):
         return evaluate(pts, *args)
 
     monkeypatch.setattr(analysis, "_gaussian_bumps", counted)
-    assert graph_area_bound_check(k, bumps, x, 0.5, 1.0) == want
+    assert graph_area_bound_check(k, bumps, x, 0.5) == want
     assert len(calls) == 1
 
 
@@ -192,15 +190,16 @@ def test_area_bound_draws_match_the_frozen_layout(monkeypatch):
     pairs = []
     check = acceptance.graph_area_bound_check
 
-    def both(k, bumps, x, rho, G):
+    def both(k, bumps, x, rho):
         pts, _ = analysis._unit_disk(x)
         for got, want in zip(analysis._gaussian_bumps(pts, *bumps)
                              + analysis._cone(k.beta, pts),
                              _frozen_gaussian_bumps(pts.T, *bumps)
                              + _frozen_cone(k.beta, pts.T)):
             assert got.tobytes() == np.ascontiguousarray(want.T).tobytes()
-        rep = check(k, bumps, x, rho, G)
-        pairs.append((rep, _frozen_area_bound(k, bumps, x, rho, G)))
+        rep = check(k, bumps, x, rho)
+        # criterion 12 passed G = max(1, beta) for its positive slopes
+        pairs.append((rep, _frozen_area_bound(k, bumps, x, rho, max(1.0, k.beta))))
         return rep
 
     monkeypatch.setattr(acceptance, "graph_area_bound_check", both)
@@ -213,7 +212,7 @@ def test_area_bound_draws_match_the_frozen_layout(monkeypatch):
 
 def test_area_bound_trivial_when_no_excess():
     k = ConeProfile.radial(2, 1.0)
-    rep = graph_area_bound_check(k, NO_BUMPS, np.array([4.0, 0.0]), 0.6, 1.0)
+    rep = graph_area_bound_check(k, NO_BUMPS, np.array([4.0, 0.0]), 0.6)
     assert rep.summary["area"] == 0.0
     assert rep.passed
 

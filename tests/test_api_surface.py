@@ -162,8 +162,6 @@ UNSET_KEEP = {
     # each criterion's quick flag, which run_acceptance passes positionally
     # to the functions of its CRITERIA table
     ("acceptance.py", "*", "quick"),
-    # the block oracle keeps every node with outer_margin=0
-    ("barriers.py", "psi_identity_residual", "outer_margin"),
 }
 
 
@@ -248,11 +246,7 @@ def test_every_unset_default_has_a_keep_reason():
 # some attribute load in src/ or perfbench/*.py names it.  Tests do not count
 # as readers, and names are matched alone, so a load of another record's
 # field of the same name counts too.  An entry is (record, field).
-FIELD_KEEP = {
-    # the block oracle compares every snapshot's residual; the record stays
-    # for its sup, which the benchmark reads
-    ("PsiIdentityReport", "per_time"),
-}
+FIELD_KEEP: set = set()  # no field is kept unread
 
 
 def _record_fields() -> set:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
+from scipy.interpolate import CubicSpline
 
 from coneflow import acceptance, barriers, cli, geometry
 from coneflow.barriers import (Subsolution, _heat_kernel,
@@ -94,6 +95,16 @@ def test_wk_difference_fit_closed_form():
     assert out["gap_exponent"] == pytest.approx(-2.5, abs=1e-3)
 
 
+def test_steep_static_barrier_is_refused_before_the_fit():
+    # from alpha = 79 at (3, 1) the w - k speed difference underflows to 0
+    # on [1e3, 1e4]: the alpha is refused by name, not by decay_fit's
+    # log-log guard, and 78.9 still fits
+    with pytest.raises(ParameterError, match=r"alpha = 79.0 .*underflows to 0"):
+        static_barrier_w(K3, 79.0)
+    out = static_barrier_w(K3, 78.9).summary
+    assert out["gap_exponent"] == pytest.approx(-80.9, abs=0.05)
+
+
 # -- flowing barrier -----------------------------------------------------------
 
 def test_lemma_barrier_certificates(lemma_result):
@@ -106,7 +117,35 @@ def test_lemma_barrier_certificates(lemma_result):
     lo, hi = res.certified
     gap = res.cone.beta * res.r - res.b
     assert np.all(np.diff(gap[(res.r >= lo) & (res.r <= hi)]) <= 1e-12 * np.max(gap))
-    assert res.r_cut >= 10.0            # inflow collar excluded
+    # the particles carry their own domain: only the three end labels on
+    # each side are cut, and the radii are the particles' own
+    assert (lo, hi) == (res.r[3], res.r[-4])
+    assert res.r[0] == pytest.approx(10.1889, abs=1e-4)
+    assert np.all(np.diff(res.r) > 0)
+
+
+@pytest.mark.parametrize("points", [300, 600])
+def test_lemma_barrier_converges_to_the_refined_particle_flow(points):
+    # a 9,600-label particle run, splined, is the refined curve: the lemma
+    # barrier lies on it to 1e-9 at its own radii (a first-order upwind
+    # march of the graph was off by 3.5e-5 and 2.6e-5 at 300 and 600 points)
+    s = np.geomspace(10.0, 400.0, 9600)
+    R, Z = barriers._integrate_lagrangian(K3, s, geometry._stencil(s), 16, 0.25)
+    res = lemma_barrier_flow(K3, points)
+    assert np.max(np.abs(res.b - CubicSpline(R[-1], Z[-1])(res.r))) <= 1e-9
+
+
+def test_lemma_barrier_refuses_a_level_that_is_no_graph(monkeypatch):
+    integrate = barriers._integrate_lagrangian
+
+    def folded(*args):
+        R, Z = integrate(*args)
+        R[-1, 10], R[-1, 11] = R[-1, 11], R[-1, 10]
+        return R, Z
+
+    monkeypatch.setattr(barriers, "_integrate_lagrangian", folded)
+    with pytest.raises(CertificationError, match="strictly increase"):
+        lemma_barrier_flow(K3, 300)
 
 
 def test_lemma_barrier_rejects_bad_setups():
@@ -139,19 +178,21 @@ def test_lemma_barrier_rejects_bad_setups():
     (static_barrier_w, (K3, 0.5, -1), "at least 2 sample points"),
     (static_barrier_w, (K3, 0.5, 400, 2), "at least 3 sample points"),
     (static_barrier_w, (K3, 0.5, 400, -1), "at least 3 sample points"),
-    (lemma_barrier_flow, (K3, 1), "at least 2 sample points"),
-    (lemma_barrier_flow, (K3, 0), "at least 2 sample points"),
-    (lemma_barrier_flow, (K3, -5), "at least 2 sample points"),
+    (lemma_barrier_flow, (K3, 1), "at least 26 sample points"),
+    (lemma_barrier_flow, (K3, 0), "at least 26 sample points"),
+    (lemma_barrier_flow, (K3, -5), "at least 26 sample points"),
+    (lemma_barrier_flow, (K3, 25), "at least 26 sample points"),
 ], ids=["lemma-float", "lemma-bool", "residual-points", "residual-steps",
         "residual-stride", "residual-stride-zero", "static", "wk-fit", "static-1",
         "static-0", "static-neg", "wk-fit-2", "wk-fit-neg", "lemma-1", "lemma-0",
-        "lemma-neg"])
+        "lemma-neg", "lemma-25"])
 def test_barrier_counts_are_whole_numbers(fn, args, match):
     # a count that is not a whole number, a count below the construction's
     # least or a stride below one is the caller's slip: a ParameterError,
     # not numpy's TypeError, IndexError or ValueError nor a silent stride of
     # one (the static barrier samples both ends of [1, 1e4], the fit takes
-    # what decay_fit takes, and the lemma's march needs a spacing)
+    # what decay_fit takes, and the lemma barrier's deficit fit spans a
+    # decade from 26 labels on)
     with pytest.raises(ParameterError, match=match):
         fn(*args)
 
@@ -165,25 +206,32 @@ def test_power_barriers_share_the_alpha_check(alpha):
             static_barrier_w(K3, alpha, fit_points=fit_points)
 
 
-def test_only_the_residual_checks_integrate_the_particle_flow(monkeypatch, tmp_path):
-    # the Lagrangian path has one reader, the evolution-equation residuals:
-    # the graphical barrier, the subsolution built on it and the barrier
-    # command integrate none, and criterion 9 integrates its two paths
+def test_every_flow_barrier_integrates_the_one_particle_flow(monkeypatch, tmp_path):
+    # the flow barrier has one realization: each lemma barrier (alone, under
+    # the subsolution scenario and in the barrier command) makes one call of
+    # _LEMMA_STEPS steps and certifies its final level as it is, and
+    # criterion 9 integrates its two paths
     calls = []
     integrate = barriers._integrate_lagrangian
 
     def counted(k, s, table, steps, alpha):
-        calls.append((s.size, steps))
-        return integrate(k, s, table, steps, alpha)
+        R, Z = integrate(k, s, table, steps, alpha)
+        calls.append((s.size, steps, R[-1], Z[-1]))
+        return R, Z
 
     monkeypatch.setattr(barriers, "_integrate_lagrangian", counted)
-    lemma_barrier_flow(K3, points=300)
+    res = lemma_barrier_flow(K3, points=300)
+    assert [c[:2] for c in calls] == [(300, barriers._LEMMA_STEPS)]
+    assert res.r.tobytes() == calls[0][2].tobytes()
+    assert res.b.tobytes() == calls[0][3].tobytes()
+    calls.clear()
     assert SCENARIOS["subsolution"].run(quick=True).passed
     assert cli.dispatch(["--out", str(tmp_path), "barrier"]) == 0
-    assert calls == []
+    assert [c[:2] for c in calls] == [(600, barriers._LEMMA_STEPS)] * 2
+    calls.clear()
     ok, _ = acceptance.evolution_equations(quick=True)
     assert ok
-    assert calls == [(120, 100), (240, 200)]
+    assert [c[:2] for c in calls] == [(120, 100), (240, 200)]
 
 
 def test_one_residual_check_builds_one_label_table(monkeypatch):
@@ -405,17 +453,6 @@ def test_psi_identity_input_validation():
         psi_identity_residual(_constant_run(1.0, spec, late))
 
 
-def test_psi_identity_outer_margin_bounds():
-    spec = GridSpec.uniform(2, 0.0, 10.0, 101)
-    run = _constant_run(3.0, spec, np.arange(1.0, 1.01 + 1e-12, 1e-3))
-    every = psi_identity_residual(run, outer_margin=0)
-    assert every.per_time.shape == (9,)
-    assert np.all(every.per_time >= psi_identity_residual(run).per_time)
-    for bad in (-1, spec.nr):
-        with pytest.raises(ParameterError, match="outer_margin"):
-            psi_identity_residual(run, outer_margin=bad)
-
-
 def _frozen_psi_per_time(run, outer_margin):
     """psi_identity_residual's per-time residuals as first written: one
     snapshot at a time, psi written out per snapshot."""
@@ -456,11 +493,12 @@ def test_psi_identity_blocks_bit_identical_to_per_snapshot(profile21):
     run = evolve(profile21.on_grid(spec, 1.0), 0.022, cfg,
                  profile=profile21, t_start=1.0)
     assert run.times.size == 23
-    for margin in (0, 3, 10):
-        rep = psi_identity_residual(run, outer_margin=margin)
-        want = _frozen_psi_per_time(run, margin)
-        assert np.array_equal(rep.per_time, want)
-        assert rep.sup_residual == float(np.max(want))
+    # each 3-snapshot window is one interior snapshot evaluated alone
+    want = _frozen_psi_per_time(run, 3)
+    for j in range(want.size):
+        window = FlowRun(spec, run.times[j:j + 3], run.values[j:j + 3])
+        assert psi_identity_residual(window).sup_residual == want[j]
+    assert psi_identity_residual(run).sup_residual == float(np.max(want))
 
 
 def test_half_space_majorant_quick():

@@ -649,7 +649,7 @@ def test_barrier_artifacts(tmp_path, capsys):
         "n": None, "beta": None, "passed": None,
         "static": dict.fromkeys(["alpha", "certified", "r0", "gap_exponent",
                                  "predicted_exponent"]),
-        "lemma": dict.fromkeys(["min_gap", "H_min", "r_cut", "deficit_exponent",
+        "lemma": dict.fromkeys(["min_gap", "H_min", "deficit_exponent",
                                 "m1", "R1", "passed"]),
         "subsolution": dict.fromkeys(["expander_residual", "barrier_min_H",
                                       "subsolution_ok"])}
