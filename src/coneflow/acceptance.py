@@ -135,10 +135,11 @@ def static_barrier(quick: bool = False):
 
 def lemma_barrier(quick: bool = False):
     """The curvature-driven barrier flow stays below the cone, mean convex."""
-    res = lemma_barrier_flow(ConeProfile.radial(3, 1.0), 300 if quick else 600)
-    return bool(res.passed), (
-        f"min(k - b) {res.min_gap:.2e} (> 0), min H {res.H_min:.2e} (> 0), "
-        f"deficit exponent {res.deficit_exponent:+.3f} (want -0.5 +- 0.1)")
+    rep = lemma_barrier_flow(ConeProfile.radial(3, 1.0), 300 if quick else 600)
+    s = rep.summary
+    return rep.passed, (
+        f"min(k - b) {s['min_gap']:.2e} (> 0), min H {s['H_min']:.2e} (> 0), "
+        f"deficit exponent {s['deficit_exponent']:+.3f} (want -0.5 +- 0.1)")
 
 
 def evolution_equations(quick: bool = False):

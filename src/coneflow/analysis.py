@@ -1,7 +1,7 @@
 """Measurement tools: decay-rate fits, the graph-area bound, clearing-out
 times, and ``ScenarioReport``, the one record that the scenario runners,
-the static barrier, the half-space experiment and the area-bound check
-return.
+the static and lemma barriers, the subsolution's residual check, the
+half-space experiment and the area-bound check return.
 
 The area-bound and clearing-out checks follow a fixed discretization
 principle: when an inequality chains pointwise estimates (as the graph-area
@@ -35,7 +35,8 @@ class ScenarioReport(NamedTuple):
     scenario, what its artifact ``experiment_<name>.json`` carries next to
     ``scenario``, ``passed`` and ``claim``), and its trace: the CSV's
     ``(name, unit)`` columns and one row per snapshot (per sample for the
-    static barrier), or None for a check without one."""
+    static barrier, per label for the lemma barrier), or None for a check
+    without one."""
 
     passed: bool
     summary: dict

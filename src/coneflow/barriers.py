@@ -13,7 +13,7 @@ Three families live here, plus the measurement tools that certify them:
   per-call stencil ``_d1_d2``), and the residual checks of the evolution
   equations of g, h, H, |A|^2 and nu read its stored levels;
 * max-type subsolutions B = max(U - m, b_scaled - delta/2) glued from an
-  expanding soliton and a scaled flow barrier.
+  expanding soliton and the flow barrier over its cone, scaled.
 
 The log-heat-kernel machinery (psi = -(n/2) log t - |X|^2/(4t) and its
 parabolic defect identity) and the half-space decay experiment sit at the
@@ -49,7 +49,6 @@ from .geometry import (
 
 __all__ = [
     "static_barrier_w",
-    "LemmaBarrierResult",
     "lemma_barrier_flow",
     "evolution_equation_residuals",
     "Subsolution",
@@ -94,16 +93,21 @@ def static_barrier_w(k: ConeProfile, alpha: float, points: int = 400,
     (3, 1e-13, 2) reads r0 = None, while beta = 1e-11 certifies from 4668.
 
     The graphical flow speed is W*H = u_rr/(1+u_r^2) + (n-1)u_r/r; for
-    w = k - r^(-alpha) the difference from the cone's speed is exactly
+    w = k - r^(-alpha), with s = w_r - beta = alpha * r^(-alpha-1), the
+    difference from the cone's speed is exactly
 
-        alpha * r^(-alpha-2) * [(n-1) - (alpha+1)/(1+w_r^2)],
+        alpha * r^(-alpha-2) * [c + (n-1) s (2 beta + s)] / (1+w_r^2),
+        c = (n-1)(1+beta^2) - (alpha+1),
 
-    so its log-log fit on ``fit_points`` radii, ``gap_exponent``, should sit
-    near ``predicted_exponent`` = -(alpha+2).  The fit takes at least 3
-    points, as ``decay_fit`` does; an alpha steep enough for the difference
-    to underflow to 0 there (from 79 at (n, beta) = (3, 1)) is refused.  The
-    summary holds r0 and both exponents; the trace holds one row of r, w and
-    H[w] per sample.
+    and is evaluated in this form, so no cancellation of the two speeds
+    drowns it when c = 0.  Its log-log fit on ``fit_points`` radii,
+    ``gap_exponent``, should sit near ``predicted_exponent`` = -(alpha+2),
+    or -(2 alpha + 3) when c is exactly 0 (alpha = 3 at (n, beta) = (3, 1)
+    reads -9.000, where the difference of the two speeds read -0.907).  The
+    fit takes at least 3 points, as ``decay_fit`` does; an alpha steep
+    enough for the difference to underflow to 0 there (from 79 at (n, beta)
+    = (3, 1)) is refused.  The summary holds r0 and both exponents; the
+    trace holds one row of r, w and H[w] per sample.
     """
     if k.kind != "radial":
         raise ParameterError("static power barriers are built over radial cones")
@@ -120,15 +124,17 @@ def static_barrier_w(k: ConeProfile, alpha: float, points: int = 400,
     else:
         bad = np.nonzero(~pos)[0]
         r0 = float(r[bad[-1] + 1]) if bad.size else float(r[0])
-    _, wr, wrr = _power_barrier_parts(k.beta, alpha, r_fit)
-    diff = wrr / (1.0 + wr * wr) + (k.n - 1) * (wr - k.beta) / r_fit
+    c = (k.n - 1) * (1.0 + k.beta ** 2) - (alpha + 1.0)
+    slope = alpha * r_fit ** (-alpha - 1.0)
+    diff = (alpha * r_fit ** (-alpha - 2.0) * (c + (k.n - 1) * slope * (2.0 * k.beta + slope))
+            / (1.0 + (k.beta + slope) ** 2))
     if not np.all(diff):
         raise ParameterError(f"alpha = {alpha} is too steep: the w - k speed difference "
                              f"underflows to 0 on [1e3, 1e4]")
     return ScenarioReport(
         r0 is not None,
         {"r0": r0, "gap_exponent": decay_fit(r_fit, np.abs(diff)),
-         "predicted_exponent": -(alpha + 2.0)},
+         "predicted_exponent": -(2.0 * alpha + 3.0) if c == 0 else -(alpha + 2.0)},
         ([("r", "length"), ("w", "height"), ("H", "1/length")], list(zip(r, w, H))))
 
 
@@ -191,25 +197,7 @@ def _flow_exponent(k: ConeProfile) -> float:
     return (k.n - 2) / 4.0
 
 
-@dataclass(eq=False)
-class LemmaBarrierResult:
-    """The flow barrier at unit time, the particles' final level (``r``,
-    ``b``), certified; ``certified`` is the radius window of the
-    certificates, and ``m1`` the deficit k - b at its inner end.
-    """
-
-    cone: ConeProfile
-    r: np.ndarray
-    b: np.ndarray
-    certified: tuple
-    min_gap: float
-    H_min: float
-    m1: float
-    deficit_exponent: float
-    passed: bool
-
-
-def lemma_barrier_flow(k: ConeProfile, points: int = 600) -> LemmaBarrierResult:
+def lemma_barrier_flow(k: ConeProfile, points: int = 600) -> ScenarioReport:
     """Flow the cone for unit time as particles on ``points`` geometric
     labels over r in [10, 400], and certify the final level as a graph.
 
@@ -217,9 +205,13 @@ def lemma_barrier_flow(k: ConeProfile, points: int = 600) -> LemmaBarrierResult:
     so no inflow collar is cut; radii that do not strictly increase are no
     graph (a CertificationError).  Every certificate (b < k, H[b] > 0,
     deficit decay and monotonicity) leaves out the three labels at either
-    end; the decay is fitted on [1.3 R1, R_end / 1.05], R1 and R_end the
-    window's ends, which spans the decade ``decay_fit`` needs from 26
-    labels on.
+    end, so the certified window is [R1, r[-4]] with R1 = r[3]; the decay
+    is fitted on [1.3 R1, r[-4] / 1.05], which spans the decade
+    ``decay_fit`` needs from 26 labels on.  A cone whose deficit k - b
+    rounds to 0 there, as at (n, beta) = (20, 1), is a ParameterError.
+    The summary holds ``min_gap``, ``H_min``, ``deficit_exponent``, the
+    deficit ``m1`` at R1 and ``R1``; the trace one row of r, b and k - b
+    per label.
     """
     alpha = _flow_exponent(k)
     points = _sample_count(points, "points", 26)
@@ -236,12 +228,18 @@ def lemma_barrier_flow(k: ConeProfile, points: int = 600) -> LemmaBarrierResult:
     min_gap, H_min = float(np.min(gap[cut])), float(np.min(H[cut]))
     mono = bool(np.all(np.diff(gap[cut]) <= 1e-12 * np.max(gap)))
     sel = (r >= lo * 1.3) & (r <= hi / 1.05)
+    if np.any(gap[sel] <= 0):
+        raise ParameterError(f"the flow barrier cannot resolve the cone (n, beta) = "
+                             f"({k.n}, {k.beta}): k - b rounds to <= 0 on "
+                             f"{np.count_nonzero(gap <= 0)} of {points} labels")
     exponent = decay_fit(r[sel], gap[sel])
     want = -(k.n - 2) / 2.0
-    passed = (min_gap > 0 and H_min > 0 and mono
-              and abs(exponent - want) <= 0.2 * abs(want))
-    return LemmaBarrierResult(k, r, b, (lo, hi), min_gap, H_min, float(gap[cut][0]),
-                              exponent, bool(passed))
+    passed = min_gap > 0 and H_min > 0 and mono and abs(exponent - want) <= 0.2 * abs(want)
+    return ScenarioReport(bool(passed), {"min_gap": min_gap, "H_min": H_min,
+                                         "deficit_exponent": exponent,
+                                         "m1": float(gap[cut][0]), "R1": lo},
+                          ([("r", "length"), ("b", "height"), ("k_minus_b", "height")],
+                           np.column_stack((r, b, gap))))
 
 
 # ---------------------------------------------------------------------------
@@ -372,46 +370,45 @@ def evolution_equation_residuals(k: ConeProfile, points: int, steps: int,
 class Subsolution:
     """B(x, t) = max(U(x, t) - m, b_lam(x) - delta/2).
 
-    b_lam(x) = lam * b(x / lam) is the parabolic rescaling of the certified
-    lemma barrier (``lemma``), exact on the scaled radii lam * r and read
-    between them through the cubic spline ``spline``; its certified window
-    scales with it.  The expander branch solves the flow exactly; the
+    The lemma barrier ``barrier`` is flowed over the expander's own cone
+    ``ConeProfile.radial(profile.n, profile.beta)``, and must certify (a
+    CertificationError otherwise).  b_lam(x) = lam * b(x / lam) is its
+    parabolic rescaling, exact on the scaled radii lam * r and read between
+    them through the cubic spline ``spline``; its certified window [R1,
+    r[-4]] scales with it.  The expander branch solves the flow exactly; the
     barrier branch is static with H >= 0 on its certified region, so each
     branch is a subsolution and the max inherits it.  Construction enforces
-    the gluing inequalities lam * m1 > m and lam * R1 > R, R1 the inner end
-    of the certified window (deficit and hole scales of the barrier strictly
-    dominate those of the perturbation).
+    the gluing inequalities lam * m1 > m and lam * R1 > R (deficit and hole
+    scales of the barrier strictly dominate those of the perturbation).
     """
 
     profile: ExpanderProfile
-    lemma: LemmaBarrierResult
     lam: float
     m: float
     delta: float
     R: float
+    barrier: ScenarioReport = field(init=False, repr=False)
     spline: CubicSpline = field(init=False, repr=False)
 
     def __post_init__(self):
-        lemma, lam = self.lemma, self.lam
-        if not lemma.passed:
+        lam = self.lam
+        barrier = lemma_barrier_flow(ConeProfile.radial(self.profile.n, self.profile.beta))
+        if not barrier.passed:
             raise CertificationError("cannot scale an uncertified barrier",
-                                     witness={"passed": lemma.passed})
-        if not (0 < lam * float(lemma.r[-1]) < math.inf
-                and np.all(np.diff(lam * lemma.r) > 0)):
+                                     witness={"passed": barrier.passed})
+        r, b, _ = barrier.trace[1].T
+        if not (0 < lam * float(r[-1]) < math.inf and np.all(np.diff(lam * r) > 0)):
             raise ParameterError(f"lam must be positive and finite, with lam * r distinct "
                                  f"and finite; got {lam}")
         if not all(0 < v < math.inf for v in (self.m, self.delta, self.R)):
             raise ParameterError("m, delta, R must be positive and finite")
-        if lam * lemma.m1 <= self.m:
-            raise ParameterError(
-                f"need lam*m1 > m (got {lam * lemma.m1:.4g} <= {self.m:.4g})")
-        if lam * lemma.certified[0] <= self.R:
-            raise ParameterError(f"need lam*R1 > R (got {lam * lemma.certified[0]:.4g} "
-                                 f"<= {self.R:.4g})")
-        if (self.profile.n != lemma.cone.n
-                or abs(self.profile.beta - lemma.cone.beta) > 1e-12):
-            raise ParameterError("expander and barrier belong to different cones")
-        self.spline = CubicSpline(lam * lemma.r, lam * lemma.b)
+        m1, R1 = barrier.summary["m1"], barrier.summary["R1"]
+        if lam * m1 <= self.m:
+            raise ParameterError(f"need lam*m1 > m (got {lam * m1:.4g} <= {self.m:.4g})")
+        if lam * R1 <= self.R:
+            raise ParameterError(f"need lam*R1 > R (got {lam * R1:.4g} <= {self.R:.4g})")
+        self.barrier = barrier
+        self.spline = CubicSpline(lam * r, lam * b)
 
     @property
     def domain(self) -> tuple:
@@ -426,7 +423,7 @@ class Subsolution:
         r = np.asarray(r, dtype=float)
         # U extends continuously to t = 0 as the cone itself
         if t == 0:
-            ub = self.lemma.cone.beta * r - self.m
+            ub = self.profile.beta * r - self.m
         else:
             ub = evaluate_U(self.profile, r, t) - self.m
         bb = np.full(r.shape, -np.inf)
@@ -439,18 +436,20 @@ class Subsolution:
     def evaluate(self, r, t: float) -> np.ndarray:
         return np.maximum(*self._branches(r, t))
 
-    def residual_report(self, spec: GridSpec, times) -> dict:
+    def residual_report(self, spec: GridSpec, times) -> ScenarioReport:
         """Branch-wise flow residuals more than two nodes from the gluing
         crease.
 
-        Expander branch: |d/dt U - W H[U - m]| on active nodes (pure
-        discretization error of the sampled soliton).  Barrier branch: the
-        static branch is a subsolution iff H >= 0, so the report carries the
-        minimum sampled curvature on active certified nodes.
+        Expander branch: ``expander_residual``, the sup of |d/dt U - W H[U - m]|
+        on active nodes (pure discretization error of the sampled soliton).
+        Barrier branch: the static branch is a subsolution iff H >= 0, so
+        ``barrier_min_H`` is the minimum sampled curvature on active certified
+        nodes (None if none is), and ``passed`` whether it is above -1e-10.
         """
         r = spec.nodes
         exp_res, bar_min_H = 0.0, np.inf
-        clo, chi = (self.lam * c for c in self.lemma.certified)
+        clo = self.lam * self.barrier.summary["R1"]
+        chi = self.lam * self.barrier.trace[1][-1 - _END_CUT, 0]
         for t in times:
             ub, bb = self._branches(r, t)
             active = (bb > ub).astype(int)  # 1 where the barrier branch wins
@@ -469,9 +468,10 @@ class Subsolution:
                 bvals = self.spline(np.clip(r, *self.domain))
                 Hb = mean_curvature(GridFunction(spec, bvals)).values
                 bar_min_H = min(bar_min_H, float(np.min(Hb[b_mask])))
-        return {"expander_residual": exp_res,
-                "barrier_min_H": None if math.isinf(bar_min_H) else bar_min_H,
-                "subsolution_ok": math.isinf(bar_min_H) or bar_min_H > -1e-10}
+        return ScenarioReport(math.isinf(bar_min_H) or bar_min_H > -1e-10,
+                              {"expander_residual": exp_res,
+                               "barrier_min_H": None if math.isinf(bar_min_H) else bar_min_H},
+                              None)
 
 
 # ---------------------------------------------------------------------------

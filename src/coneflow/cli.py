@@ -228,39 +228,31 @@ def _cmd_barrier(cfg: dict, out: str) -> int:
     if which not in ("static", "lemma", "subsolution", "all"):
         raise ParameterError(f"unknown barrier kind {which!r}")
     k = ConeProfile.radial(sec["n"], sec["beta"])
-    report: dict = {"n": sec["n"], "beta": sec["beta"]}
-    verdicts = []
-    # every result is computed, and so validated, before the first write
-    tables = []
-
+    # (section, verdict key, report, table) of every selected check; each is
+    # computed, and so validated, before the first write
+    checks = []
     if which in ("static", "all"):
         sb = static_barrier_w(k, sec["alpha"])
-        tables.append(("static_barrier.csv", *sb.trace))
-        report["static"] = {"alpha": sec["alpha"], "certified": sb.passed, **sb.summary}
-        verdicts.append(sb.passed)
-    if which in ("lemma", "subsolution", "all"):
-        lemma_res = lemma_barrier_flow(k)
-        tables.append(("lemma_barrier.csv",
-                       [("r", "length"), ("b", "height"), ("k_minus_b", "height")],
-                       zip(lemma_res.r, lemma_res.b, k.beta * lemma_res.r - lemma_res.b)))
-        report["lemma"] = {"min_gap": lemma_res.min_gap,
-                           "H_min": lemma_res.H_min,
-                           "deficit_exponent": lemma_res.deficit_exponent,
-                           "m1": lemma_res.m1, "R1": lemma_res.certified[0],
-                           "passed": lemma_res.passed}
-        if which != "subsolution":
-            verdicts.append(bool(lemma_res.passed))
+        checks.append(("static", "certified",
+                       sb._replace(summary={"alpha": sec["alpha"], **sb.summary}),
+                       "static_barrier.csv"))
+    if which == "lemma":
+        checks.append(("lemma", "passed", lemma_barrier_flow(k), "lemma_barrier.csv"))
     if which in ("subsolution", "all"):
-        sub = Subsolution(solve_expander_profile(k), lemma_res, 1.0, sec["m"],
-                          sec["delta"], sec["barrier_radius"])
+        # the subsolution flows the lemma barrier, which is reported as it is
+        sub = Subsolution(solve_expander_profile(k), 1.0, sec["m"], sec["delta"],
+                          sec["barrier_radius"])
         spec = GridSpec.uniform(sec["n"], 0.0, 0.8 * sub.domain[1], 1001)
-        res = sub.residual_report(spec, np.linspace(0.05, 1.0, 8))
-        report["subsolution"] = res
-        verdicts.append(bool(res["subsolution_ok"]))
+        checks += [("lemma", "passed", sub.barrier, "lemma_barrier.csv"),
+                   ("subsolution", "subsolution_ok",
+                    sub.residual_report(spec, np.linspace(0.05, 1.0, 8)), None)]
 
-    report["passed"] = all(verdicts)
-    for name, header, rows in tables:
-        write_csv(os.path.join(out, name), header, rows)
+    report = {"n": sec["n"], "beta": sec["beta"],
+              "passed": all(rep.passed for _, _, rep, _ in checks)}
+    for section, verdict, rep, table in checks:
+        report[section] = {verdict: rep.passed, **rep.summary}
+        if table is not None:
+            write_csv(os.path.join(out, table), *rep.trace)
     write_json(os.path.join(out, "barrier_report.json"), report)
     return 0 if report["passed"] else 1
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import ScenarioReport, bump
-from .barriers import Subsolution, lemma_barrier_flow
+from .barriers import Subsolution
 from .cones import ConeProfile
 from .errors import ParameterError
 from .expander import ExpanderProfile, evaluate_U, solve_expander_profile
@@ -216,7 +216,7 @@ def subsolution_dominance_experiment(n: int = 3, beta: float = 1.0,
     profile = solve_expander_profile(k)
     if not (0 < clearance < m):
         raise ParameterError("need 0 < clearance < m")
-    sub = Subsolution(profile, lemma_barrier_flow(k), lam, m, delta, R)
+    sub = Subsolution(profile, lam, m, delta, R)
     spec = GridSpec.uniform(n, 0.0, r_max, nodes)
     r = spec.nodes
     u0 = GridFunction(spec, k.beta * r - bump(r, m - clearance, R))

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +12,7 @@ from coneflow.barriers import (Subsolution, _heat_kernel,
                                psi_identity_residual, static_barrier_w)
 from coneflow.cones import ConeProfile
 from coneflow.errors import (CertificationError, DomainError, ParameterError)
-from coneflow.expander import evaluate_U
+from coneflow.expander import evaluate_U, solve_expander_profile
 from coneflow.experiments import SCENARIOS
 from coneflow.flow import FlowRun, SolverConfig, evolve
 from coneflow.geometry import GridSpec, _d1_d2, _radial_derivatives
@@ -22,7 +21,8 @@ K3 = ConeProfile.radial(3, 1.0)
 
 
 def _samples(report):
-    """The static barrier's sampled r, w and H[w] as arrays."""
+    """The columns of a barrier's trace as arrays: the static barrier's
+    sampled r, w and H[w], the lemma barrier's r, b and k - b."""
     return np.array(report.trace[1]).T
 
 
@@ -105,23 +105,44 @@ def test_steep_static_barrier_is_refused_before_the_fit():
     assert out["gap_exponent"] == pytest.approx(-80.9, abs=0.05)
 
 
+def test_static_speed_difference_is_the_closed_form():
+    # at (n, beta) = (3, 1), alpha = 3 zeroes the bracket's constant
+    # (n-1)(1+beta^2) - (alpha+1), and the difference decays as
+    # r^(-2 alpha - 3); taken as the difference of the two speeds it
+    # cancelled to rounding noise, which fit -0.907 (and -4.858 at 2.9)
+    zero = static_barrier_w(K3, 3.0).summary
+    assert zero["predicted_exponent"] == -9.0
+    assert zero["gap_exponent"] == pytest.approx(-9.0, abs=1e-6)
+    near = static_barrier_w(K3, 2.9).summary
+    assert near["predicted_exponent"] == pytest.approx(-4.9)
+    assert near["gap_exponent"] == pytest.approx(-4.9, abs=1e-6)
+
+
 # -- flowing barrier -----------------------------------------------------------
 
 def test_lemma_barrier_certificates(lemma_result):
-    res = lemma_result
-    assert res.passed
-    assert res.min_gap > 0.0            # stays strictly below the cone
-    assert res.H_min > 0.0              # mean convex on the certified region
-    assert res.deficit_exponent == pytest.approx(-0.5, abs=0.1)
-    # the deficit k - b is nonincreasing over the certified window
-    lo, hi = res.certified
-    gap = res.cone.beta * res.r - res.b
-    assert np.all(np.diff(gap[(res.r >= lo) & (res.r <= hi)]) <= 1e-12 * np.max(gap))
-    # the particles carry their own domain: only the three end labels on
-    # each side are cut, and the radii are the particles' own
-    assert (lo, hi) == (res.r[3], res.r[-4])
-    assert res.r[0] == pytest.approx(10.1889, abs=1e-4)
-    assert np.all(np.diff(res.r) > 0)
+    res = lemma_result.summary
+    assert lemma_result.passed
+    assert sorted(res) == ["H_min", "R1", "deficit_exponent", "m1", "min_gap"]
+    assert res["min_gap"] > 0.0         # stays strictly below the cone
+    assert res["H_min"] > 0.0           # mean convex on the certified region
+    assert res["deficit_exponent"] == pytest.approx(-0.5, abs=0.1)
+    # the trace is the certified graph: r, b and the deficit k - b per label
+    columns, rows = lemma_result.trace
+    assert columns == [("r", "length"), ("b", "height"), ("k_minus_b", "height")]
+    r, b, gap = _samples(lemma_result)
+    assert rows.shape == (300, 3)
+    assert gap.tobytes() == (K3.beta * r - b).tobytes()
+    # the deficit k - b is nonincreasing over the certified window, which
+    # starts at R1 with the deficit m1; the particles carry their own
+    # domain: only the three end labels on each side are cut, and the radii
+    # are the particles' own
+    lo, hi = res["R1"], r[-4]
+    assert lo == r[3] and res["m1"] == gap[3]
+    assert np.all(np.diff(gap[(r >= lo) & (r <= hi)]) <= 1e-12 * np.max(gap))
+    assert res["min_gap"] == np.min(gap[3:-3])
+    assert r[0] == pytest.approx(10.1889, abs=1e-4)
+    assert np.all(np.diff(r) > 0)
 
 
 @pytest.mark.parametrize("points", [300, 600])
@@ -131,8 +152,8 @@ def test_lemma_barrier_converges_to_the_refined_particle_flow(points):
     # march of the graph was off by 3.5e-5 and 2.6e-5 at 300 and 600 points)
     s = np.geomspace(10.0, 400.0, 9600)
     R, Z = barriers._integrate_lagrangian(K3, s, geometry._stencil(s), 16, 0.25)
-    res = lemma_barrier_flow(K3, points)
-    assert np.max(np.abs(res.b - CubicSpline(R[-1], Z[-1])(res.r))) <= 1e-9
+    r, b, _ = _samples(lemma_barrier_flow(K3, points))
+    assert np.max(np.abs(b - CubicSpline(R[-1], Z[-1])(r))) <= 1e-9
 
 
 def test_lemma_barrier_refuses_a_level_that_is_no_graph(monkeypatch):
@@ -146,6 +167,17 @@ def test_lemma_barrier_refuses_a_level_that_is_no_graph(monkeypatch):
     monkeypatch.setattr(barriers, "_integrate_lagrangian", folded)
     with pytest.raises(CertificationError, match="strictly increase"):
         lemma_barrier_flow(K3, 300)
+
+
+@pytest.mark.parametrize("n, beta", [(20, 1.0), (10, 10.0), (7, 1000.0)])
+def test_lemma_barrier_names_a_cone_it_cannot_resolve(n, beta):
+    # a steep or high-dimensional cone barely moves: the deficit k - b rounds
+    # to 0 in the fit window, and the refusal names the cone and the count
+    # of such labels rather than the log-log fit the caller never asked for
+    with pytest.raises(ParameterError,
+                       match=rf"cannot resolve the cone \(n, beta\) = \({n}, {beta}\): "
+                             r"k - b rounds to <= 0 on [1-9]\d* of 600 labels"):
+        lemma_barrier_flow(ConeProfile.radial(n, beta))
 
 
 def test_lemma_barrier_rejects_bad_setups():
@@ -220,10 +252,10 @@ def test_every_flow_barrier_integrates_the_one_particle_flow(monkeypatch, tmp_pa
         return R, Z
 
     monkeypatch.setattr(barriers, "_integrate_lagrangian", counted)
-    res = lemma_barrier_flow(K3, points=300)
+    r, b, _ = _samples(lemma_barrier_flow(K3, points=300))
     assert [c[:2] for c in calls] == [(300, barriers._LEMMA_STEPS)]
-    assert res.r.tobytes() == calls[0][2].tobytes()
-    assert res.b.tobytes() == calls[0][3].tobytes()
+    assert r.tobytes() == calls[0][2].tobytes()
+    assert b.tobytes() == calls[0][3].tobytes()
     calls.clear()
     assert SCENARIOS["subsolution"].run(quick=True).passed
     assert cli.dispatch(["--out", str(tmp_path), "barrier"]) == 0
@@ -297,10 +329,11 @@ def test_particle_flow_matches_the_per_call_stencil_bit_for_bit():
             assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-def test_uncertified_barrier_cannot_be_scaled(lemma_result, profile31):
-    with pytest.raises(CertificationError):
-        Subsolution(profile31, dataclasses.replace(lemma_result, passed=False), 1.0,
-                    m=0.2, delta=0.1, R=5.0)
+def test_uncertified_barrier_cannot_be_scaled(lemma_result, profile31, monkeypatch):
+    monkeypatch.setattr(barriers, "lemma_barrier_flow",
+                        lambda k: lemma_result._replace(passed=False))
+    with pytest.raises(CertificationError, match="uncertified barrier"):
+        Subsolution(profile31, 1.0, m=0.2, delta=0.1, R=5.0)
 
 
 def test_evolution_equations_against_lagrangian():
@@ -320,52 +353,65 @@ def test_evolution_residuals_shrink_under_refinement():
 
 # -- rescaling and the glued subsolution ---------------------------------------
 
-def _sub(profile, lemma, lam=1.0, m=0.2, delta=0.1, R=5.0):
-    return Subsolution(profile, lemma, lam, m=m, delta=delta, R=R)
+def _sub(profile, lam=1.0, m=0.2, delta=0.1, R=5.0):
+    return Subsolution(profile, lam, m=m, delta=delta, R=R)
 
 
-def test_scale_barrier_exact_homothety(lemma_result, profile31):
+def test_subsolution_flows_the_barrier_of_its_own_cone(profile31):
+    # the barrier is the lemma barrier over the expander's cone, so the two
+    # branches cannot belong to different cones
+    for profile in (profile31, solve_expander_profile(ConeProfile.radial(4, 2.0))):
+        got = _sub(profile, m=0.05).barrier
+        want = lemma_barrier_flow(ConeProfile.radial(profile.n, profile.beta))
+        assert got.passed and got.summary == want.summary
+        assert got.trace[1].tobytes() == want.trace[1].tobytes()
+
+
+def test_scale_barrier_exact_homothety(profile31):
     lam = 2.5
-    spline = _sub(profile31, lemma_result, lam).spline
-    assert np.allclose(spline.x, lam * lemma_result.r)
-    assert np.allclose(spline(spline.x), lam * lemma_result.b)
+    sub = _sub(profile31, lam)
+    r, b, _ = _samples(sub.barrier)
+    assert np.allclose(sub.spline.x, lam * r)
+    assert np.allclose(sub.spline(sub.spline.x), lam * b)
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan, 1e308, 5e-324])
-def test_scaling_needs_a_positive_finite_factor(lemma_result, profile31, lam):
+def test_scaling_needs_a_positive_finite_factor(profile31, lam):
     # the last two overflow the radii and round them together
     with pytest.raises(ParameterError, match="lam must be positive"):
-        _sub(profile31, lemma_result, lam)
+        _sub(profile31, lam)
 
 
-def test_scaled_barrier_domain_guard(lemma_result, profile31):
+def test_scaled_barrier_domain_guard(profile31):
     # the barrier branch lives on the scaled radii only: finite there and
     # -inf (absent from the max) past either end
-    sub = _sub(profile31, lemma_result, 2.0)
+    sub = _sub(profile31, 2.0)
     lo, hi = sub.domain
-    assert (lo, hi) == (2.0 * lemma_result.r[0], 2.0 * lemma_result.r[-1])
+    r = _samples(sub.barrier)[0]
+    assert (lo, hi) == (2.0 * r[0], 2.0 * r[-1])
     _, bb = sub._branches(np.array([0.9 * lo, lo, 0.5 * (lo + hi), hi, 1.5 * hi]), 0.25)
     assert np.array_equal(np.isfinite(bb), [False, True, True, True, False])
 
 
-def test_scaled_barrier_homogeneity(lemma_result, profile31):
-    one = _sub(profile31, lemma_result, 1.0).spline
-    two = _sub(profile31, lemma_result, 2.0).spline
+def test_scaled_barrier_homogeneity(profile31):
+    one = _sub(profile31, 1.0).spline
+    two = _sub(profile31, 2.0).spline
     r = np.linspace(one.x[0] * 1.05, one.x[-1] * 0.95, 40)
     assert np.allclose(two(2.0 * r), 2.0 * one(r), rtol=1e-10, atol=1e-12)
 
 
-def test_subsolution_invariants(lemma_result, profile31):
+def test_subsolution_invariants(profile31):
+    barrier = _sub(profile31).barrier.summary
+    with pytest.raises(ParameterError, match="need lam\\*m1 > m"):
+        _sub(profile31, m=barrier["m1"] * 1.5)
+    with pytest.raises(ParameterError, match="need lam\\*R1 > R"):
+        _sub(profile31, R=barrier["R1"] * 1.5)
     with pytest.raises(ParameterError):
-        _sub(profile31, lemma_result, m=lemma_result.m1 * 1.5)
-    with pytest.raises(ParameterError):
-        _sub(profile31, lemma_result, R=lemma_result.certified[0] * 1.5)
-    with pytest.raises(ParameterError):
-        _sub(profile31, lemma_result, delta=-0.1)
+        _sub(profile31, delta=-0.1)
 
 
-def test_subsolution_time_zero_is_shifted_cone(lemma_result, profile31):
-    sub = _sub(profile31, lemma_result)
+def test_subsolution_time_zero_is_shifted_cone(profile31):
+    sub = _sub(profile31)
     r = np.linspace(0.0, 30.0, 61)
     vals = sub.evaluate(r, 0.0)
     shifted_cone = r - 0.2
@@ -375,8 +421,8 @@ def test_subsolution_time_zero_is_shifted_cone(lemma_result, profile31):
         sub.evaluate(r, -0.5)
 
 
-def test_subsolution_is_pointwise_max(lemma_result, profile31):
-    sub = _sub(profile31, lemma_result)
+def test_subsolution_is_pointwise_max(profile31):
+    sub = _sub(profile31)
     lo, hi = sub.domain
     r = np.linspace(lo * 1.1, hi * 0.9, 101)
     t = 0.25
@@ -386,10 +432,10 @@ def test_subsolution_is_pointwise_max(lemma_result, profile31):
     assert np.allclose(vals, np.maximum(expander_branch, barrier_branch))
 
 
-def test_subsolution_branches_off_the_barrier_domain(lemma_result, profile31):
+def test_subsolution_branches_off_the_barrier_domain(profile31):
     # off its domain the barrier branch is absent: B = U - m, and the
     # barrier branch wins nowhere there
-    sub = _sub(profile31, lemma_result)
+    sub = _sub(profile31)
     lo, hi = sub.domain
     r = np.linspace(0.0, 1.2 * hi, 301)
     t = 0.25
@@ -407,12 +453,13 @@ def test_subsolution_branches_off_the_barrier_domain(lemma_result, profile31):
     assert np.all(bb_got[~inside] == -np.inf)
 
 
-def test_subsolution_residual_report(lemma_result, profile31):
-    sub = _sub(profile31, lemma_result)
+def test_subsolution_residual_report(profile31):
+    sub = _sub(profile31)
     spec = GridSpec.uniform(3, 0.0, 0.8 * sub.domain[1], 501)
     rep = sub.residual_report(spec, np.linspace(0.1, 1.0, 4))
-    assert rep["subsolution_ok"]
-    assert rep["barrier_min_H"] > 0.0
+    assert rep.passed is True and rep.trace is None
+    assert sorted(rep.summary) == ["barrier_min_H", "expander_residual"]
+    assert rep.summary["barrier_min_H"] > 0.0
 
 
 # -- heat-kernel majorant and the density identity ------------------------------

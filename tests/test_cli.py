@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coneflow import acceptance, cli, experiments, flow
+from coneflow import acceptance, barriers, cli, experiments, flow
 from coneflow.analysis import ScenarioReport
+from coneflow.cones import ConeProfile
 from coneflow.errors import CertificationError, NewtonError
 
 
@@ -629,31 +630,83 @@ def test_experiment_artifacts(tmp_path, capsys, name, keys, header):
         assert len(lines) > 2
 
 
-def test_barrier_artifacts(tmp_path, capsys):
-    # the default barrier command writes both tables and one report whose
-    # sections carry each barrier's measured values
+_BARRIER_SECTIONS = {
+    "static": dict.fromkeys(["alpha", "certified", "r0", "gap_exponent",
+                             "predicted_exponent"]),
+    "lemma": dict.fromkeys(["min_gap", "H_min", "deficit_exponent", "m1", "R1",
+                            "passed"]),
+    "subsolution": dict.fromkeys(["expander_residual", "barrier_min_H",
+                                  "subsolution_ok"])}
+
+
+@pytest.mark.parametrize("which, sections", [
+    ("static", ["static"]),
+    ("lemma", ["lemma"]),
+    ("subsolution", ["lemma", "subsolution"]),
+    ("all", ["static", "lemma", "subsolution"]),
+], ids=["static", "lemma", "subsolution", "all"])
+def test_barrier_artifacts(tmp_path, capsys, which, sections):
+    # the barrier command (all three checks by default) writes one report
+    # whose sections carry each selected check's verdict and measured
+    # values, and a table for each barrier it certifies (the subsolution
+    # reports the lemma barrier it flows)
     out = tmp_path / "art"
-    assert run_cli(["--out", str(out), "barrier"], tmp_path) == 0
-    assert sorted(p.name for p in out.iterdir()) == [
-        "barrier_report.json", "lemma_barrier.csv", "static_barrier.csv"]
-    with open(out / "static_barrier.csv", newline="") as fh:
-        header, *rows = list(csv.reader(fh))
-    assert header == ["r [length]", "w [height]", "H [1/length]"]
-    assert len(rows) == 400
+    sets = [] if which == "all" else ["--set", f"which={which}"]
+    assert run_cli(["--out", str(out), "barrier", *sets], tmp_path) == 0
+    tables = {"static": "static_barrier.csv", "lemma": "lemma_barrier.csv"}
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["barrier_report.json", *(tables[s] for s in sections if s in tables)])
     report = json.loads((out / "barrier_report.json").read_text())
-    beta = report["beta"]
-    assert [float(v) for v in rows[0][:2]] == [1.0, beta - 1.0]
-    with open(out / "lemma_barrier.csv", newline="") as fh:
-        assert next(csv.reader(fh)) == ["r [length]", "b [height]", "k_minus_b [height]"]
-    assert _key_tree(report) == {
-        "n": None, "beta": None, "passed": None,
-        "static": dict.fromkeys(["alpha", "certified", "r0", "gap_exponent",
-                                 "predicted_exponent"]),
-        "lemma": dict.fromkeys(["min_gap", "H_min", "deficit_exponent",
-                                "m1", "R1", "passed"]),
-        "subsolution": dict.fromkeys(["expander_residual", "barrier_min_H",
-                                      "subsolution_ok"])}
-    assert report["passed"] is True and report["static"]["certified"] is True
+    assert _key_tree(report) == {"n": None, "beta": None, "passed": None,
+                                 **{s: _BARRIER_SECTIONS[s] for s in sections}}
+    verdicts = {"static": "certified", "lemma": "passed",
+                "subsolution": "subsolution_ok"}
+    assert report["passed"] is True
+    assert all(report[s][verdicts[s]] is True for s in sections)
+    if "static" in sections:
+        with open(out / "static_barrier.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["r [length]", "w [height]", "H [1/length]"]
+        assert len(rows) == 400
+        assert [float(v) for v in rows[0][:2]] == [1.0, report["beta"] - 1.0]
+        assert report["static"]["alpha"] == 0.5
+    if "lemma" in sections:
+        with open(out / "lemma_barrier.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["r [length]", "b [height]", "k_minus_b [height]"]
+        assert len(rows) == 600
+        r = [float(row[0]) for row in rows]
+        assert r[0] == pytest.approx(10.1889, abs=1e-4)
+        assert report["lemma"]["R1"] == r[3]
+        assert report["lemma"]["m1"] == float(rows[3][2])
+
+
+def test_uncertified_lemma_barrier_fails_the_barrier_command(tmp_path, capsys,
+                                                              monkeypatch):
+    # an uncertified lemma barrier is a failed verdict with its artifacts;
+    # the subsolution refuses to scale it before anything is written
+    failing = barriers.lemma_barrier_flow(ConeProfile.radial(3, 1.0))._replace(passed=False)
+    monkeypatch.setattr(barriers, "lemma_barrier_flow", lambda k: failing)
+    monkeypatch.setattr(cli, "lemma_barrier_flow", lambda k: failing)
+    out = tmp_path / "lemma"
+    assert run_cli(["--out", str(out), "barrier", "--set", "which=lemma"], tmp_path) == 1
+    report = json.loads((out / "barrier_report.json").read_text())
+    assert report["passed"] is False and report["lemma"]["passed"] is False
+    for which in ("subsolution", "all"):
+        out = tmp_path / which
+        assert run_cli(["--out", str(out), "barrier", "--set", f"which={which}"],
+                       tmp_path) == 1
+        assert "cannot scale an uncertified barrier" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+def test_barrier_command_names_a_cone_the_lemma_barrier_cannot_resolve(tmp_path, capsys):
+    out = tmp_path / "art"
+    assert run_cli(["--out", str(out), "barrier", "--set", "which=lemma",
+                    "--set", "n=20"], tmp_path) == 2
+    assert ("usage error: the flow barrier cannot resolve the cone (n, beta) = (20, 1.0)"
+            in capsys.readouterr().err)
+    assert list(out.iterdir()) == []
 
 
 def test_csv_booleans_and_floats(tmp_path):

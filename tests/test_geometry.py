@@ -344,14 +344,14 @@ def test_barrier_curvature_matches_frozen_formulas():
     # the barrier curve's H is the frozen three-point table followed by the
     # written-out H = q/W^3 + (n-1) p/(r W), bit for bit, and H_min is its
     # minimum over the certified window
-    res = lemma_barrier_flow(ConeProfile.radial(3, 1.0), 300)
-    r, b = res.r, res.b
+    rep = lemma_barrier_flow(ConeProfile.radial(3, 1.0), 300)
+    r, b, _ = rep.trace[1].T
     p, q = _frozen_d1_d2(r, b)
     W = np.sqrt(1.0 + p * p)
     want = q / W ** 3 + (3 - 1) * (p / (r * W))
     assert np.array_equal(_radial_curvatures(3, r, *_d1_d2(r, b)), want)
-    lo, hi = res.certified
-    assert res.H_min == float(np.min(want[(r >= lo) & (r <= hi)]))
+    lo, hi = rep.summary["R1"], r[-4]
+    assert rep.summary["H_min"] == float(np.min(want[(r >= lo) & (r <= hi)]))
 
 
 def _frozen_polar_derivatives(spec, vals):
