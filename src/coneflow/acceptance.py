@@ -63,10 +63,9 @@ def cone_dominance(quick: bool = False):
     origin_ok = True
     for n, beta in _COMBOS:
         prof = solve_expander_profile(ConeProfile.radial(n, beta))
-        for t in times:
-            u = evaluate_U(prof, r, float(t))
-            worst = min(worst, float(np.min(u - beta * r)))
-            origin_ok = origin_ok and u[0] > 0.0
+        u = evaluate_U(prof, r, times[:, None])
+        worst = min(worst, float(np.min(u - beta * r)))
+        origin_ok = origin_ok and bool(np.all(u[:, 0] > 0.0))
     ok = worst >= -1e-8 and origin_ok
     return ok, (f"min(U - k) {worst:.2e} (floor -1e-08) over "
                 f"{len(_COMBOS)} cones, U(0,t) > 0: {origin_ok}")
@@ -78,9 +77,8 @@ def profile_monotonicity(quick: bool = False):
     origin_min = math.inf
     for n, beta in _COMBOS:
         prof = solve_expander_profile(ConeProfile.radial(n, beta))
-        drift = 0.5 * (prof.phi - prof.rho * prof.phi_prime)
-        worst = min(worst, float(drift.min()))
-        origin_min = min(origin_min, float(drift[0]))
+        worst = min(worst, prof.report["udot_min"])
+        origin_min = min(origin_min, 0.5 * prof.a)
     ok = worst >= -1e-8 and origin_min > 0.0
     return ok, (f"min drift {worst:.2e} (floor -1e-08), "
                 f"min at rho=0 {origin_min:.3f} (> 0)")
@@ -91,9 +89,8 @@ def sup_decay_rate(quick: bool = False):
     prof = solve_expander_profile(ConeProfile.radial(2, 1.0))
     r = np.linspace(0.0, 300.0, 1001 if quick else 3001)
     ts = np.linspace(5.0, 50.0, 16 if quick else 46)
-    d = np.array([float(np.max(np.abs(evaluate_U(prof, r, t + 1.0)
-                                      - evaluate_U(prof, r, t))))
-                  for t in ts])
+    d = np.max(np.abs(evaluate_U(prof, r, ts[:, None] + 1.0)
+                      - evaluate_U(prof, r, ts[:, None])), axis=1)
     exponent = decay_fit(ts, d)
     ok = abs(exponent + 0.5) <= 0.1
     return ok, f"exponent {exponent:+.3f} (want -0.5 +- 0.1)"

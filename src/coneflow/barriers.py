@@ -247,8 +247,9 @@ def lemma_barrier_flow(k: ConeProfile, points: int = 600) -> ScenarioReport:
 
 
 def _profile_geometry(table, R, Z, n, alpha):
-    """Geometric record of one stored profile-curve level, its derivatives
-    read through the label table ``table`` of :func:`_stencil`.
+    """Geometric record of one stored profile-curve level, or of a stack of
+    levels (labels on the last axis), its derivatives read through the label
+    table ``table`` of :func:`_stencil`.
 
     The surface of revolution has one profile direction and n-1 rotational
     directions; the rotational block is isotropic, so a single representative
@@ -257,7 +258,7 @@ def _profile_geometry(table, R, Z, n, alpha):
     rules in the stored coordinates, not finite differences.
     """
     rows, w, D = table
-    (Rs, Zs), (Rss, Zss) = _apply_stencil(w, D, np.stack((R, Z))[:, rows])
+    (Rs, Zs), (Rss, Zss) = _apply_stencil(w, D, np.stack((R, Z))[..., rows])
     q2 = Rs * Rs + Zs * Zs
     q = np.sqrt(q2)
     nu_r = Zs / q
@@ -325,39 +326,31 @@ def evolution_equation_residuals(k: ConeProfile, points: int, steps: int,
     n, dt = k.n, _HORIZON / steps
     sl = slice(_END_CUT, points - _END_CUT)
 
-    keys = [kq for members in _GROUPS.values() for kq in members]
-    num = dict.fromkeys(_GROUPS, 0.0)
-    den = dict(num)
-    a_ratio = 0.0
-    for j in range(1, steps, t_stride):
-        gm = _profile_geometry(table, R[j - 1], Z[j - 1], n, alpha)
-        g0 = _profile_geometry(table, R[j], Z[j], n, alpha)
-        gp = _profile_geometry(table, R[j + 1], Z[j + 1], n, alpha)
-        lhs = {key: (gp[key] - gm[key]) / (2.0 * dt) for key in keys}
-        rhs = {
-            "g_ss": -2.0 * g0["F"] * g0["h_ss"],
-            "g_th": -2.0 * g0["F"] * g0["h_th"],
-            "h_ss": g0["Fcov_ss"] - g0["F"] * g0["h_ss"] ** 2 / g0["g_ss"],
-            "h_th": g0["Fcov_th"] - g0["F"] * g0["h_th"] ** 2 / g0["g_th"],
-            "H": g0["lapF"] + g0["F"] * g0["A2"],
-            "A2": (2.0 * g0["F"] * g0["trA3"]
-                   + 2.0 * (g0["h_ss"] * g0["Fcov_ss"] / g0["g_ss"] ** 2
-                            + (n - 1) * g0["h_th"] * g0["Fcov_th"] / g0["g_th"] ** 2)),
-            "nu_r": g0["F_s"] / g0["g_ss"] * g0["Rs"],
-            "nu_z": g0["F_s"] / g0["g_ss"] * g0["Zs"],
-        }
-        for gname, members in _GROUPS.items():
-            for kq in members:
-                err = np.max(np.abs(lhs[kq][sl] - rhs[kq][sl]))
-                scale = max(np.max(np.abs(lhs[kq][sl])),
-                            np.max(np.abs(rhs[kq][sl])))
-                num[gname] = max(num[gname], float(err))
-                den[gname] = max(den[gname], float(scale))
-        ratio = np.abs(lhs["A2"][sl]) * g0["X2"][sl] ** 1.5 / np.abs(g0["F"][sl])
-        a_ratio = max(a_ratio, float(np.max(ratio)))
-
-    out = {key: (num[key] / den[key] if den[key] > 0 else 0.0) for key in num}
-    out["a_evolution_ratio"] = a_ratio
+    levels = np.arange(1, steps, t_stride)
+    gm, g0, gp = (_profile_geometry(table, R[j], Z[j], n, alpha)
+                  for j in (levels - 1, levels, levels + 1))
+    lhs = {key: (gp[key] - gm[key]) / (2.0 * dt) for members in _GROUPS.values()
+           for key in members}
+    rhs = {
+        "g_ss": -2.0 * g0["F"] * g0["h_ss"],
+        "g_th": -2.0 * g0["F"] * g0["h_th"],
+        "h_ss": g0["Fcov_ss"] - g0["F"] * g0["h_ss"] ** 2 / g0["g_ss"],
+        "h_th": g0["Fcov_th"] - g0["F"] * g0["h_th"] ** 2 / g0["g_th"],
+        "H": g0["lapF"] + g0["F"] * g0["A2"],
+        "A2": (2.0 * g0["F"] * g0["trA3"]
+               + 2.0 * (g0["h_ss"] * g0["Fcov_ss"] / g0["g_ss"] ** 2
+                        + (n - 1) * g0["h_th"] * g0["Fcov_th"] / g0["g_th"] ** 2)),
+        "nu_r": g0["F_s"] / g0["g_ss"] * g0["Rs"],
+        "nu_z": g0["F_s"] / g0["g_ss"] * g0["Zs"],
+    }
+    out = {}
+    for gname, members in _GROUPS.items():
+        pairs = [(lhs[kq][:, sl], rhs[kq][:, sl]) for kq in members]
+        err = max(float(np.max(np.abs(a - b))) for a, b in pairs)
+        scale = max(float(np.max(np.abs(side))) for pair in pairs for side in pair)
+        out[gname] = err / scale if scale > 0 else 0.0
+    ratio = np.abs(lhs["A2"][:, sl]) * g0["X2"][:, sl] ** 1.5 / np.abs(g0["F"][:, sl])
+    out["a_evolution_ratio"] = float(np.max(ratio))
     out["max"] = max(out[key] for key in _GROUPS)
     return out
 

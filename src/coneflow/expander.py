@@ -605,11 +605,14 @@ def _shoot_profile(n: int, beta: float) -> ExpanderProfile:
     return ExpanderProfile(n, beta, nodes, phi, phi_p, a, report=report)
 
 
-def evaluate_U(profile: ExpanderProfile, r, t: float) -> np.ndarray:
-    """U(x,t) = sqrt(t)*phi(|x|/sqrt(t)) at radii ``r``; t must be positive
-    and finite."""
-    if not 0 < t < math.inf:
-        raise DomainError(f"self-similar evaluation needs t > 0 and finite, got t={t} "
+def evaluate_U(profile: ExpanderProfile, r, t: float | np.ndarray) -> np.ndarray:
+    """U(x,t) = sqrt(t)*phi(|x|/sqrt(t)) at radii ``r`` and times ``t``, which
+    broadcast: a column ``times[:, None]`` gives one row per time.  Every
+    entry of t must be positive and finite, checked before the square root."""
+    t = np.asarray(t, dtype=float)
+    bad = t[~((t > 0) & (t < math.inf))]
+    if bad.size:
+        raise DomainError(f"self-similar evaluation needs t > 0 and finite, got t={bad[0]} "
                           "(the t=0 trace is the cone itself)")
     s = np.sqrt(t)
     return s * profile.evaluate(np.asarray(r, dtype=float) / s)

@@ -675,7 +675,7 @@ def comparison_check(upper: np.ndarray, lower: np.ndarray, times, dx: float) -> 
     init_gap = float(np.min(upper[0] - lower[0]))
     if init_gap < -_ALLOW_TOL:
         raise ParameterError(f"initial ordering violated by {-init_gap:.3e}")
-    worst = np.array([np.min(a - b) for a, b in zip(upper, lower)])
+    worst = np.min((upper - lower).reshape(times.size, -1), axis=1)
     return not np.any(worst < -_allowance(times, dx))
 
 
@@ -685,4 +685,5 @@ def detect_t_delta(run: FlowRun, k, delta: float):
     if not delta > 0:
         raise ParameterError("delta must be positive")
     kv = k.on_grid(run.spec).values
-    return run.first_time([float(np.min(v - kv)) >= -delta for v in run.values])
+    return run.first_time(np.min((run.values - kv).reshape(run.times.size, -1), axis=1)
+                          >= -delta)

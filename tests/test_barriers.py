@@ -351,6 +351,58 @@ def test_evolution_residuals_shrink_under_refinement():
     assert fine["max"] < coarse["max"] / 2.0
 
 
+def _frozen_residuals_per_level(k, points, steps, t_stride):
+    # the residual check as a loop over the sampled levels, one level of
+    # _profile_geometry at a time, with running maxima from 0
+    alpha = barriers._flow_exponent(k)
+    s = np.geomspace(10.0, 400.0, points)
+    table = geometry._stencil(s)
+    R, Z = barriers._integrate_lagrangian(k, s, table, steps, alpha)
+    n, dt = k.n, 1.0 / steps
+    sl = slice(3, points - 3)
+    keys = [kq for members in barriers._GROUPS.values() for kq in members]
+    num = dict.fromkeys(barriers._GROUPS, 0.0)
+    den = dict(num)
+    a_ratio = 0.0
+    for j in range(1, steps, t_stride):
+        gm = barriers._profile_geometry(table, R[j - 1], Z[j - 1], n, alpha)
+        g0 = barriers._profile_geometry(table, R[j], Z[j], n, alpha)
+        gp = barriers._profile_geometry(table, R[j + 1], Z[j + 1], n, alpha)
+        lhs = {key: (gp[key] - gm[key]) / (2.0 * dt) for key in keys}
+        rhs = {
+            "g_ss": -2.0 * g0["F"] * g0["h_ss"],
+            "g_th": -2.0 * g0["F"] * g0["h_th"],
+            "h_ss": g0["Fcov_ss"] - g0["F"] * g0["h_ss"] ** 2 / g0["g_ss"],
+            "h_th": g0["Fcov_th"] - g0["F"] * g0["h_th"] ** 2 / g0["g_th"],
+            "H": g0["lapF"] + g0["F"] * g0["A2"],
+            "A2": (2.0 * g0["F"] * g0["trA3"]
+                   + 2.0 * (g0["h_ss"] * g0["Fcov_ss"] / g0["g_ss"] ** 2
+                            + (n - 1) * g0["h_th"] * g0["Fcov_th"] / g0["g_th"] ** 2)),
+            "nu_r": g0["F_s"] / g0["g_ss"] * g0["Rs"],
+            "nu_z": g0["F_s"] / g0["g_ss"] * g0["Zs"],
+        }
+        for gname, members in barriers._GROUPS.items():
+            for kq in members:
+                err = np.max(np.abs(lhs[kq][sl] - rhs[kq][sl]))
+                scale = max(np.max(np.abs(lhs[kq][sl])), np.max(np.abs(rhs[kq][sl])))
+                num[gname] = max(num[gname], float(err))
+                den[gname] = max(den[gname], float(scale))
+        ratio = np.abs(lhs["A2"][sl]) * g0["X2"][sl] ** 1.5 / np.abs(g0["F"][sl])
+        a_ratio = max(a_ratio, float(np.max(ratio)))
+    out = {key: (num[key] / den[key] if den[key] > 0 else 0.0) for key in num}
+    out["a_evolution_ratio"] = a_ratio
+    out["max"] = max(out[key] for key in barriers._GROUPS)
+    return out
+
+
+@pytest.mark.parametrize("points, steps, t_stride",
+                         [(120, 100, 10), (240, 200, 20), (7, 2, 1), (50, 30, 1)])
+def test_residuals_over_stacked_levels_equal_the_per_level_loop(points, steps, t_stride):
+    # every sampled level at once: maxima are exact, so the dicts are equal
+    got = evolution_equation_residuals(K3, points, steps, t_stride)
+    assert got == _frozen_residuals_per_level(K3, points, steps, t_stride)
+
+
 # -- rescaling and the glued subsolution ---------------------------------------
 
 def _sub(profile, lam=1.0, m=0.2, delta=0.1, R=5.0):

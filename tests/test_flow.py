@@ -414,6 +414,33 @@ def test_detect_t_delta_semantics(cone21):
             detect_t_delta(run, cone21, delta)
 
 
+def test_comparison_and_t_delta_read_polar_stacks_per_snapshot(cone21):
+    # (T, nr, ntheta) stacks against a reference that reads one snapshot at
+    # a time; dips at single nodes of later snapshots flip the ordering as
+    # the allowance grows with dx, and move the first recovered snapshot
+    spec = GridSpec.polar_disk(4.0, 10, 16)
+    times = np.array([0.0, 0.5, 1.0, 1.5])
+    kv = cone21.on_grid(spec).values
+    lower = kv + np.random.default_rng(3).uniform(0.0, 0.01, times.shape + spec.shape)
+    upper = lower.copy()
+    upper[2, 4, 7] -= 0.2
+    upper[3, 9, 0] -= 0.1
+    outcomes = set()
+    for dx in (0.0, 0.3, 0.45, 0.5, 1.0):
+        worst = [np.min(a - b) for a, b in zip(upper, lower)]
+        want = not np.any(np.array(worst) < -flow._allowance(times, dx))
+        assert comparison_check(upper, lower, times, dx) is want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+    dipped = kv - np.array([0.3, 0.08, 0.02, 0.0])[:, None, None] * np.exp(
+        -spec.nodes[:, None] ** 2 - np.cos(spec.thetas) ** 2)
+    dipped[3, 5, 11] -= 0.2
+    run = FlowRun(spec, times, dipped)
+    for delta in (0.001, 0.05, 0.1, 0.25, 0.5):
+        hits = [float(np.min(v - kv)) >= -delta for v in run.values]
+        assert detect_t_delta(run, cone21, delta) == run.first_time(hits)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("spec", [
     GridSpec.uniform(2, 0.0, 5.0, 21), GridSpec.polar_disk(4.0, 10, 16)],
