@@ -9,11 +9,10 @@ Three families live here, plus the measurement tools that certify them:
   |F| = (r^2 + b^2)^(-(n-2)/4), run for unit time from r = 10 to r = 400
   once, as a Lagrangian particle flow of the profile curve on one label
   table (the labels never move): the lemma barrier certifies its final
-  level as the graph (r, b) (its H is geometry's radial formula on the
-  per-call stencil ``_d1_d2``), and the residual checks of the evolution
-  equations of g, h, H, |A|^2 and nu read its stored levels;
+  level as the graph (r, b), its H read off that table, and the residual
+  checks of the evolution equations of g, h, H, |A|^2 and nu read its levels;
 * max-type subsolutions B = max(U - m, b_scaled - delta/2) glued from an
-  expanding soliton and the flow barrier over its cone, scaled.
+  expanding soliton and the flow barrier over its cone, scaled; t may be a column.
 
 The log-heat-kernel machinery (psi = -(n/2) log t - |X|^2/(4t) and its
 parabolic defect identity) and the half-space decay experiment sit at the
@@ -26,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.interpolate import CubicSpline
 
 from .analysis import ScenarioReport, bump, decay_fit
@@ -38,7 +38,6 @@ from .geometry import (
     GridSpec,
     _apply_d1,
     _apply_stencil,
-    _d1_d2,
     _radial_curvatures,
     _radial_derivatives,
     _stencil,
@@ -69,13 +68,13 @@ def _power_barrier_parts(beta: float, alpha: float, r: np.ndarray):
     return w, wr, wrr
 
 
-def _sample_count(points, name: str, least: int) -> int:
-    """A construction's count ``points``, refused unless a whole number of
-    at least ``least``."""
-    points = _whole(points, name, ParameterError)
-    if points < least:
-        raise ParameterError(f"need at least {least} sample points, got {points}")
-    return points
+def _sample_count(count, name: str, least: int) -> int:
+    """A construction's count ``name``, refused unless a whole number of at
+    least ``least``."""
+    count = _whole(count, name, ParameterError)
+    if count < least:
+        raise ParameterError(f"{name} must be at least {least}, got {count}")
+    return count
 
 
 def static_barrier_w(k: ConeProfile, alpha: float, points: int = 400,
@@ -161,19 +160,19 @@ def _lagrangian_velocity(table, R, Z, alpha):
     return Fmag * Zs / q, -Fmag * Rs / q
 
 
-def _integrate_lagrangian(k: ConeProfile, s: np.ndarray, table: tuple,
-                          steps: int, alpha: float) -> tuple:
-    """Particle trajectories (R, Z)(s, t) of the profile curve at the
-    ``steps + 1`` levels t = j * _HORIZON / steps, by classical RK4.  The
-    labels ``s`` never move, so every stage reads their one table
-    ``table`` = ``_stencil(s)``."""
-    nt = steps
-    dt = _HORIZON / nt
-    R = np.empty((nt + 1, s.size))
-    Z = np.empty((nt + 1, s.size))
+def _integrate_lagrangian(k: ConeProfile, points: int, steps: int, alpha: float) -> tuple:
+    """(table, R, Z): the :func:`_stencil` table of ``points`` geometric labels
+    over [_R_INNER, _R_OUTER] and the particle trajectories of the profile
+    curve at the ``steps + 1`` levels t = j * _HORIZON / steps, by classical
+    RK4.  The labels never move, so every stage and reader uses one table."""
+    s = np.geomspace(_R_INNER, _R_OUTER, points)
+    table = _stencil(s)
+    dt = _HORIZON / steps
+    R = np.empty((steps + 1, points))
+    Z = np.empty((steps + 1, points))
     R[0] = s
     Z[0] = k.beta * s
-    for j in range(nt):
+    for j in range(steps):
         r0, z0 = R[j], Z[j]
         k1 = _lagrangian_velocity(table, r0, z0, alpha)
         k2 = _lagrangian_velocity(table, r0 + 0.5 * dt * k1[0], z0 + 0.5 * dt * k1[1],
@@ -183,7 +182,7 @@ def _integrate_lagrangian(k: ConeProfile, s: np.ndarray, table: tuple,
         k4 = _lagrangian_velocity(table, r0 + dt * k3[0], z0 + dt * k3[1], alpha)
         R[j + 1] = r0 + dt * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
         Z[j + 1] = z0 + dt * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
-    return R, Z
+    return table, R, Z
 
 
 def _flow_exponent(k: ConeProfile) -> float:
@@ -203,27 +202,27 @@ def lemma_barrier_flow(k: ConeProfile, points: int = 600) -> ScenarioReport:
 
     The particles take _LEMMA_STEPS RK4 steps and carry their own domain,
     so no inflow collar is cut; radii that do not strictly increase are no
-    graph (a CertificationError).  Every certificate (b < k, H[b] > 0,
-    deficit decay and monotonicity) leaves out the three labels at either
-    end, so the certified window is [R1, r[-4]] with R1 = r[3]; the decay
-    is fitted on [1.3 R1, r[-4] / 1.05], which spans the decade
-    ``decay_fit`` needs from 26 labels on.  A cone whose deficit k - b
-    rounds to 0 there, as at (n, beta) = (20, 1), is a ParameterError.
+    graph (a CertificationError).  H[b] is read off the flow's label table,
+    as criterion 9 reads it.  Every certificate (b < k, H[b] > 0, deficit
+    decay and monotonicity) leaves out the three labels at either end, so
+    the certified window is [R1, r[-4]] with R1 = r[3]; the decay is fitted
+    on [1.3 R1, r[-4] / 1.05], which spans the decade ``decay_fit`` needs
+    from 26 labels on.  A cone whose deficit k - b rounds to 0 there, as at
+    (n, beta) = (20, 1), is a ParameterError.
     The summary holds ``min_gap``, ``H_min``, ``deficit_exponent``, the
     deficit ``m1`` at R1 and ``R1``; the trace one row of r, b and k - b
     per label.
     """
     alpha = _flow_exponent(k)
     points = _sample_count(points, "points", 26)
-    s = np.geomspace(_R_INNER, _R_OUTER, points)
-    R, Z = _integrate_lagrangian(k, s, _stencil(s), _LEMMA_STEPS, alpha)
+    table, R, Z = _integrate_lagrangian(k, points, _LEMMA_STEPS, alpha)
     r, b = R[-1], Z[-1]
     if not np.all(np.diff(r) > 0):
         raise CertificationError("the flowed radii do not strictly increase",
                                  witness={"r": r})
     cut = slice(_END_CUT, points - _END_CUT)
     gap = k.beta * r - b
-    H = _radial_curvatures(k.n, r, *_d1_d2(r, b))
+    H = _profile_geometry(table, r, b, k.n, alpha)["H"]
     lo, hi = float(r[cut][0]), float(r[cut][-1])
     min_gap, H_min = float(np.min(gap[cut])), float(np.min(H[cut]))
     mono = bool(np.all(np.diff(gap[cut]) <= 1e-12 * np.max(gap)))
@@ -303,26 +302,18 @@ def evolution_equation_residuals(k: ConeProfile, points: int, steps: int,
     r in [10, 400] and takes ``steps`` RK4 steps to unit time; every
     ``t_stride``-th interior level is sampled.  Time derivatives at fixed
     particle label come from centered differences of the stored levels; the
-    right-hand sides are evaluated analytically at the middle level.  Each residual is the sup over sampled interior nodes
-    and times, normalized by the larger of the two sides' sup scales, so a
-    value of 1e-2 means one percent of the equation's own size.  The three
-    nodes at either end of the curve feel the one-sided stencil and are
-    left out, so at least 7 labels are needed.
+    right-hand sides are evaluated analytically at the middle level.  Each
+    residual is the sup over sampled interior nodes and times, normalized
+    by the larger of the two sides' sup scales, so a value of 1e-2 means
+    one percent of the equation's own size.  The three nodes at either end
+    of the curve feel the one-sided stencil and are left out, so at least 7
+    labels are needed.
     """
     alpha = _flow_exponent(k)
-    points = _whole(points, "points", ParameterError)
-    steps = _whole(steps, "steps", ParameterError)
-    t_stride = _whole(t_stride, "t_stride", ParameterError)
-    if points < 2 * _END_CUT + 1:
-        raise ParameterError(f"need at least seven labels (three end nodes "
-                             f"are cut from each side), got {points}")
-    if steps < 2:
-        raise ParameterError("need at least three stored levels")
-    if t_stride < 1:
-        raise ParameterError(f"t_stride must be at least 1, got {t_stride}")
-    s = np.geomspace(_R_INNER, _R_OUTER, points)
-    table = _stencil(s)
-    R, Z = _integrate_lagrangian(k, s, table, steps, alpha)
+    points = _sample_count(points, "points", 2 * _END_CUT + 1)
+    steps = _sample_count(steps, "steps", 2)
+    t_stride = _sample_count(t_stride, "t_stride", 1)
+    table, R, Z = _integrate_lagrangian(k, points, steps, alpha)
     n, dt = k.n, _HORIZON / steps
     sl = slice(_END_CUT, points - _END_CUT)
 
@@ -372,7 +363,8 @@ class Subsolution:
     barrier branch is static with H >= 0 on its certified region, so each
     branch is a subsolution and the max inherits it.  Construction enforces
     the gluing inequalities lam * m1 > m and lam * R1 > R (deficit and hole
-    scales of the barrier strictly dominate those of the perturbation).
+    scales of the barrier strictly dominate those of the perturbation), and
+    checks m, delta, R and lam before the barrier flows.
     """
 
     profile: ExpanderProfile
@@ -385,16 +377,17 @@ class Subsolution:
 
     def __post_init__(self):
         lam = self.lam
+        if not all(0 < v < math.inf for v in (self.m, self.delta, self.R, lam)):
+            raise ParameterError(f"m, delta, R and lam must be positive and finite; got "
+                                 f"{self.m}, {self.delta}, {self.R} and {lam}")
         barrier = lemma_barrier_flow(ConeProfile.radial(self.profile.n, self.profile.beta))
         if not barrier.passed:
             raise CertificationError("cannot scale an uncertified barrier",
                                      witness={"passed": barrier.passed})
         r, b, _ = barrier.trace[1].T
-        if not (0 < lam * float(r[-1]) < math.inf and np.all(np.diff(lam * r) > 0)):
+        if not (lam * float(r[-1]) < math.inf and np.all(np.diff(lam * r) > 0)):
             raise ParameterError(f"lam must be positive and finite, with lam * r distinct "
                                  f"and finite; got {lam}")
-        if not all(0 < v < math.inf for v in (self.m, self.delta, self.R)):
-            raise ParameterError("m, delta, R must be positive and finite")
         m1, R1 = barrier.summary["m1"], barrier.summary["R1"]
         if lam * m1 <= self.m:
             raise ParameterError(f"need lam*m1 > m (got {lam * m1:.4g} <= {self.m:.4g})")
@@ -408,25 +401,24 @@ class Subsolution:
         """The scaled barrier's radii (lam * r[0], lam * r[-1])."""
         return (float(self.spline.x[0]), float(self.spline.x[-1]))
 
-    def _branches(self, r, t: float):
-        """(U - m, b_lam - delta/2) at r; the barrier branch is -inf off its
-        domain."""
-        if t < 0:
+    def _branches(self, r, t):
+        """(U - m, b_lam - delta/2) at radii r and times t, which broadcast as
+        in :func:`evaluate_U`; the barrier branch is one row, -inf off its domain."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0):
             raise DomainError("subsolution defined for t >= 0")
         r = np.asarray(r, dtype=float)
         # U extends continuously to t = 0 as the cone itself
-        if t == 0:
-            ub = self.profile.beta * r - self.m
-        else:
-            ub = evaluate_U(self.profile, r, t) - self.m
+        ub = np.where(t == 0, self.profile.beta * r,
+                      evaluate_U(self.profile, r, np.where(t == 0, 1.0, t))) - self.m
         bb = np.full(r.shape, -np.inf)
         lo, hi = self.domain
         inside = (r >= lo) & (r <= hi)
-        if inside.any():
-            bb[inside] = self.spline(r[inside]) - self.delta / 2
+        bb[inside] = self.spline(r[inside]) - self.delta / 2
         return ub, bb
 
-    def evaluate(self, r, t: float) -> np.ndarray:
+    def evaluate(self, r, t) -> np.ndarray:
+        """B at radii r and times t, broadcast as in :meth:`_branches`."""
         return np.maximum(*self._branches(r, t))
 
     def residual_report(self, spec: GridSpec, times) -> ScenarioReport:
@@ -440,27 +432,22 @@ class Subsolution:
         nodes (None if none is), and ``passed`` whether it is above -1e-10.
         """
         r = spec.nodes
-        exp_res, bar_min_H = 0.0, np.inf
+        times = np.asarray(times, dtype=float)[:, None]
         clo = self.lam * self.barrier.summary["R1"]
         chi = self.lam * self.barrier.trace[1][-1 - _END_CUT, 0]
-        for t in times:
-            ub, bb = self._branches(r, t)
-            active = (bb > ub).astype(int)  # 1 where the barrier branch wins
-            crease = np.zeros_like(active, dtype=bool)
-            switches = np.nonzero(np.diff(active) != 0)[0]
-            for i in switches:
-                crease[max(0, i - 2):i + 4] = True
-            e_mask = (active == 0) & ~crease
-            e_mask[:2] = e_mask[-2:] = False
-            if e_mask.any():
-                udot = expander_time_derivative(self.profile, r, t)
-                rhs = radial_rhs(GridFunction(spec, ub)).values
-                exp_res = max(exp_res, float(np.max(np.abs(udot - rhs)[e_mask])))
-            b_mask = (active == 1) & ~crease & (r >= clo) & (r <= chi)
-            if b_mask.any():
-                bvals = self.spline(np.clip(r, *self.domain))
-                Hb = mean_curvature(GridFunction(spec, bvals)).values
-                bar_min_H = min(bar_min_H, float(np.min(Hb[b_mask])))
+        ub, bb = self._branches(r, times)
+        active = bb > ub  # where the barrier branch wins
+        # a switch between nodes i and i+1 marks nodes i-2 .. i+3 as crease
+        switches = np.pad(active[:, 1:] != active[:, :-1], ((0, 0), (3, 3)))
+        crease = sliding_window_view(switches, 6, axis=1).any(axis=2)
+        e_mask = ~active & ~crease
+        e_mask[:, :2] = e_mask[:, -2:] = False
+        udot = expander_time_derivative(self.profile, r, times)
+        rhs = np.reshape([radial_rhs(GridFunction(spec, row)).values for row in ub], ub.shape)
+        exp_res = float(np.max(np.abs(udot - rhs)[e_mask], initial=0.0))
+        b_mask = active & ~crease & (r >= clo) & (r <= chi)
+        Hb = mean_curvature(GridFunction(spec, self.spline(np.clip(r, *self.domain)))).values
+        bar_min_H = float(np.min(np.where(b_mask, Hb, np.inf), initial=np.inf))
         return ScenarioReport(math.isinf(bar_min_H) or bar_min_H > -1e-10,
                               {"expander_residual": exp_res,
                                "barrier_min_H": None if math.isinf(bar_min_H) else bar_min_H},

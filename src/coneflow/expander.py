@@ -605,24 +605,29 @@ def _shoot_profile(n: int, beta: float) -> ExpanderProfile:
     return ExpanderProfile(n, beta, nodes, phi, phi_p, a, report=report)
 
 
+def _root_time(t, what: str) -> np.ndarray:
+    """sqrt(t), every entry of ``t`` checked positive and finite before the
+    square root (a DomainError naming ``what`` and the first bad entry)."""
+    t = np.asarray(t, dtype=float)
+    bad = t[~((t > 0) & (t < math.inf))]
+    if bad.size:
+        raise DomainError(f"{what} needs t > 0 and finite, got t={bad[0]} "
+                          "(the t=0 trace is the cone itself)")
+    return np.sqrt(t)
+
+
 def evaluate_U(profile: ExpanderProfile, r, t: float | np.ndarray) -> np.ndarray:
     """U(x,t) = sqrt(t)*phi(|x|/sqrt(t)) at radii ``r`` and times ``t``, which
     broadcast: a column ``times[:, None]`` gives one row per time.  Every
     entry of t must be positive and finite, checked before the square root."""
-    t = np.asarray(t, dtype=float)
-    bad = t[~((t > 0) & (t < math.inf))]
-    if bad.size:
-        raise DomainError(f"self-similar evaluation needs t > 0 and finite, got t={bad[0]} "
-                          "(the t=0 trace is the cone itself)")
-    s = np.sqrt(t)
+    s = _root_time(t, "self-similar evaluation")
     return s * profile.evaluate(np.asarray(r, dtype=float) / s)
 
 
-def expander_time_derivative(profile: ExpanderProfile, r, t: float) -> np.ndarray:
-    """dU/dt = (phi - rho*phi')/(2*sqrt(t)) at rho = r/sqrt(t); nonnegative."""
-    if not 0 < t < math.inf:
-        raise DomainError(f"time derivative needs t > 0 and finite, got t={t}")
-    s = np.sqrt(t)
+def expander_time_derivative(profile: ExpanderProfile, r, t: float | np.ndarray) -> np.ndarray:
+    """dU/dt = (phi - rho*phi')/(2*sqrt(t)) at rho = r/sqrt(t); nonnegative.
+    ``r`` and ``t`` broadcast, and t is checked, as in :func:`evaluate_U`."""
+    s = _root_time(t, "time derivative")
     rho = np.asarray(r, dtype=float) / s
     return 0.5 * (profile.evaluate(rho) - rho * profile.evaluate_prime(rho)) / s
 

@@ -13,16 +13,15 @@ lower hemisphere of radius R has H = n/R.
 Every radial derivative reads one three-point weight table, built by
 ``_stencil`` for any node vector: centered differences inside (second order
 on non-uniform grids) and one-sided rows, of lower accuracy, at the ends.
-``_radial_operator`` caches it per grid for the flow, and ``_d1_d2``
-builds and applies it per call along axis 0 of any stack (the graphical
-barrier curve, a plain array); nodes that never move (the particle labels of
-the barrier flow) get their table built once and read through
-``_apply_d1`` and ``_apply_stencil``.  One gather and a sum along the row's nodes give
-every state of a stack the bits it gets alone.  The flow solves entire
-graphs, so every grid continues across the origin: a radial grid starts at
-r = 0 and reads its ghost by the even extension u(-r) = u(r), a polar grid
-by the antipodal continuation u(-r, theta) = u(r, theta+pi) across its
-innermost ring (angular derivatives are periodic differences).  The outer
+Each table is built once per grid or label set: ``_radial_operator`` caches
+it per grid for the flow, and the particle labels of the barrier flow, which
+never move, get theirs once per flow, read through ``_apply_d1`` and
+``_apply_stencil``.  One gather and a sum along the row's nodes give every
+state of a stack the bits it gets alone.  The flow solves entire graphs, so
+every grid continues across the origin: a radial grid starts at r = 0 and
+reads its ghost by the even extension u(-r) = u(r), a polar grid by the
+antipodal continuation u(-r, theta) = u(r, theta+pi) across its innermost
+ring (angular derivatives are periodic differences).  The outer
 ring is a grid's only one-sided row.  A polar grid's table lists each
 node's 3x3 neighbourhood, so the antipodal ghost and the periodic wrap are
 written in ``_radial_operator`` only; the flow's Jacobian probes its entries.
@@ -243,12 +242,6 @@ def _apply_stencil(w: np.ndarray, D: np.ndarray, Y: np.ndarray):
 def _trailing(table: np.ndarray, ndim: int) -> np.ndarray:
     """A (3, N) table with a unit axis per trailing axis of ndim-d data."""
     return table if ndim == 1 else table.reshape(table.shape + (1,) * (ndim - 1))
-
-
-def _d1_d2(x: np.ndarray, y: np.ndarray):
-    """First and second derivative of y(x) along axis 0 (:func:`_stencil`)."""
-    rows, w, D = _stencil(x)
-    return _apply_stencil(_trailing(w, y.ndim), _trailing(D, y.ndim), y[rows])
 
 
 class _RadialOperator(NamedTuple):

@@ -5,19 +5,29 @@ import pytest
 from numpy.polynomial import polynomial as P
 from scipy.interpolate import CubicSpline
 
-from coneflow import acceptance, barriers, cli, geometry
+from coneflow import acceptance, barriers, cli, experiments, geometry
+from coneflow.analysis import ScenarioReport
 from coneflow.barriers import (Subsolution, _heat_kernel,
                                evolution_equation_residuals,
                                half_space_experiment, lemma_barrier_flow,
                                psi_identity_residual, static_barrier_w)
 from coneflow.cones import ConeProfile
 from coneflow.errors import (CertificationError, DomainError, ParameterError)
-from coneflow.expander import evaluate_U, solve_expander_profile
-from coneflow.experiments import SCENARIOS
+from coneflow.expander import evaluate_U, expander_time_derivative, solve_expander_profile
+from coneflow.experiments import SCENARIOS, subsolution_dominance_experiment
 from coneflow.flow import FlowRun, SolverConfig, evolve
-from coneflow.geometry import GridSpec, _d1_d2, _radial_derivatives
+from coneflow.geometry import (GridFunction, GridSpec, _radial_derivatives,
+                               mean_curvature, radial_rhs)
 
 K3 = ConeProfile.radial(3, 1.0)
+
+
+def _d1_d2(x, y):
+    """A frozen copy of the per-call stencil geometry once had: the table
+    of ``x`` built for this call and applied along axis 0 of ``y``."""
+    rows, w, D = geometry._stencil(x)
+    return geometry._apply_stencil(geometry._trailing(w, y.ndim),
+                                   geometry._trailing(D, y.ndim), y[rows])
 
 
 def _samples(report):
@@ -150,8 +160,7 @@ def test_lemma_barrier_converges_to_the_refined_particle_flow(points):
     # a 9,600-label particle run, splined, is the refined curve: the lemma
     # barrier lies on it to 1e-9 at its own radii (a first-order upwind
     # march of the graph was off by 3.5e-5 and 2.6e-5 at 300 and 600 points)
-    s = np.geomspace(10.0, 400.0, 9600)
-    R, Z = barriers._integrate_lagrangian(K3, s, geometry._stencil(s), 16, 0.25)
+    _, R, Z = barriers._integrate_lagrangian(K3, 9600, 16, 0.25)
     r, b, _ = _samples(lemma_barrier_flow(K3, points))
     assert np.max(np.abs(b - CubicSpline(R[-1], Z[-1])(r))) <= 1e-9
 
@@ -160,9 +169,9 @@ def test_lemma_barrier_refuses_a_level_that_is_no_graph(monkeypatch):
     integrate = barriers._integrate_lagrangian
 
     def folded(*args):
-        R, Z = integrate(*args)
+        table, R, Z = integrate(*args)
         R[-1, 10], R[-1, 11] = R[-1, 11], R[-1, 10]
-        return R, Z
+        return table, R, Z
 
     monkeypatch.setattr(barriers, "_integrate_lagrangian", folded)
     with pytest.raises(CertificationError, match="strictly increase"):
@@ -191,7 +200,7 @@ def test_lemma_barrier_rejects_bad_setups():
     with pytest.raises(ParameterError):  # fewer than three levels
         evolution_equation_residuals(K3, 120, 1, 10)
     for points in (2, 6):  # the three end nodes on each side leave none
-        with pytest.raises(ParameterError, match="seven labels"):
+        with pytest.raises(ParameterError, match="points must be at least 7"):
             evolution_equation_residuals(K3, points, 4, 1)
     assert math.isfinite(evolution_equation_residuals(K3, 7, 4, 1)["max"])
 
@@ -205,15 +214,15 @@ def test_lemma_barrier_rejects_bad_setups():
     (evolution_equation_residuals, (K3, 120, 100, 0), "t_stride must be at least 1"),
     (static_barrier_w, (K3, 0.5, 10.5), "points must be a whole number"),
     (static_barrier_w, (K3, 0.5, 400, 10.5), "fit_points must be a whole number"),
-    (static_barrier_w, (K3, 0.5, 1), "at least 2 sample points"),
-    (static_barrier_w, (K3, 0.5, 0), "at least 2 sample points"),
-    (static_barrier_w, (K3, 0.5, -1), "at least 2 sample points"),
-    (static_barrier_w, (K3, 0.5, 400, 2), "at least 3 sample points"),
-    (static_barrier_w, (K3, 0.5, 400, -1), "at least 3 sample points"),
-    (lemma_barrier_flow, (K3, 1), "at least 26 sample points"),
-    (lemma_barrier_flow, (K3, 0), "at least 26 sample points"),
-    (lemma_barrier_flow, (K3, -5), "at least 26 sample points"),
-    (lemma_barrier_flow, (K3, 25), "at least 26 sample points"),
+    (static_barrier_w, (K3, 0.5, 1), "points must be at least 2"),
+    (static_barrier_w, (K3, 0.5, 0), "points must be at least 2"),
+    (static_barrier_w, (K3, 0.5, -1), "points must be at least 2"),
+    (static_barrier_w, (K3, 0.5, 400, 2), "fit_points must be at least 3"),
+    (static_barrier_w, (K3, 0.5, 400, -1), "fit_points must be at least 3"),
+    (lemma_barrier_flow, (K3, 1), "points must be at least 26"),
+    (lemma_barrier_flow, (K3, 0), "points must be at least 26"),
+    (lemma_barrier_flow, (K3, -5), "points must be at least 26"),
+    (lemma_barrier_flow, (K3, 25), "points must be at least 26"),
 ], ids=["lemma-float", "lemma-bool", "residual-points", "residual-steps",
         "residual-stride", "residual-stride-zero", "static", "wk-fit", "static-1",
         "static-0", "static-neg", "wk-fit-2", "wk-fit-neg", "lemma-1", "lemma-0",
@@ -246,10 +255,10 @@ def test_every_flow_barrier_integrates_the_one_particle_flow(monkeypatch, tmp_pa
     calls = []
     integrate = barriers._integrate_lagrangian
 
-    def counted(k, s, table, steps, alpha):
-        R, Z = integrate(k, s, table, steps, alpha)
-        calls.append((s.size, steps, R[-1], Z[-1]))
-        return R, Z
+    def counted(k, points, steps, alpha):
+        table, R, Z = integrate(k, points, steps, alpha)
+        calls.append((points, steps, R[-1], Z[-1]))
+        return table, R, Z
 
     monkeypatch.setattr(barriers, "_integrate_lagrangian", counted)
     r, b, _ = _samples(lemma_barrier_flow(K3, points=300))
@@ -268,7 +277,8 @@ def test_every_flow_barrier_integrates_the_one_particle_flow(monkeypatch, tmp_pa
 
 def test_one_residual_check_builds_one_label_table(monkeypatch):
     # the labels never move: one table serves every RK4 stage and every
-    # sampled level, and no second derivative is taken per call
+    # sampled level, and the lemma barrier reads its H off the same table
+    # (a per-call stencil on the final level built a second one)
     calls = []
     build = geometry._stencil
 
@@ -276,14 +286,13 @@ def test_one_residual_check_builds_one_label_table(monkeypatch):
         calls.append(x.size)
         return build(x)
 
-    def per_call(*args):
-        raise AssertionError("_d1_d2 rebuilt the label table")
-
     for module in (geometry, barriers):
         monkeypatch.setattr(module, "_stencil", counted, raising=False)
-        monkeypatch.setattr(module, "_d1_d2", per_call)
     evolution_equation_residuals(K3, 120, 100, 10)
     assert calls == [120]
+    calls.clear()
+    lemma_barrier_flow(K3, 300)
+    assert calls == [300]
 
 
 def _frozen_velocity(s, R, Z, alpha):
@@ -315,8 +324,7 @@ def test_particle_flow_matches_the_per_call_stencil_bit_for_bit():
     # quick criterion 9's base path, integrated on one label table and on
     # the frozen per-call _d1_d2, and the profile derivatives of its levels
     s = np.geomspace(10.0, 400.0, 120)
-    table = geometry._stencil(s)
-    R, Z = barriers._integrate_lagrangian(K3, s, table, 100, 0.25)
+    table, R, Z = barriers._integrate_lagrangian(K3, 120, 100, 0.25)
     want_R, want_Z = _frozen_integrate(K3, s, 100, 0.25)
     assert R.tobytes() == want_R.tobytes()
     assert Z.tobytes() == want_Z.tobytes()
@@ -355,9 +363,7 @@ def _frozen_residuals_per_level(k, points, steps, t_stride):
     # the residual check as a loop over the sampled levels, one level of
     # _profile_geometry at a time, with running maxima from 0
     alpha = barriers._flow_exponent(k)
-    s = np.geomspace(10.0, 400.0, points)
-    table = geometry._stencil(s)
-    R, Z = barriers._integrate_lagrangian(k, s, table, steps, alpha)
+    table, R, Z = barriers._integrate_lagrangian(k, points, steps, alpha)
     n, dt = k.n, 1.0 / steps
     sl = slice(3, points - 3)
     keys = [kq for members in barriers._GROUPS.values() for kq in members]
@@ -503,6 +509,105 @@ def test_subsolution_branches_off_the_barrier_domain(profile31):
     ub_got, bb_got = sub._branches(r, t)
     assert np.array_equal((bb_got > ub_got).astype(int), want_branch)
     assert np.all(bb_got[~inside] == -np.inf)
+
+
+def test_subsolution_takes_a_column_of_times(profile31):
+    # one row per time, a t = 0 row (the shifted cone) among them, bit for
+    # bit the per-time calls; a negative entry anywhere is refused
+    sub = _sub(profile31)
+    r = np.linspace(0.0, 1.2 * sub.domain[1], 777)
+    times = np.array([0.0, 0.05, 0.3, 1.0, 2.5])
+    want = np.stack([sub.evaluate(r, float(t)) for t in times])
+    got = sub.evaluate(r, times[:, None])
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    for i in range(times.size):
+        bad = times.copy()
+        bad[i] = -0.5
+        with pytest.raises(DomainError, match="t >= 0"):
+            sub.evaluate(r, bad[:, None])
+
+
+@pytest.mark.parametrize("kw", [{"m": math.nan}, {"delta": -1.0}, {"R": math.inf},
+                                {"lam": -1.0}], ids=["m-nan", "delta-neg", "R-inf", "lam-neg"])
+def test_subsolution_refuses_its_scalars_before_the_barrier_flows(profile31, monkeypatch, kw):
+    # each of these flowed the 600-label lemma barrier before it was refused
+    calls = []
+    flow = barriers.lemma_barrier_flow
+    monkeypatch.setattr(barriers, "lemma_barrier_flow", lambda k: calls.append(k) or flow(k))
+    with pytest.raises(ParameterError, match="must be positive and finite"):
+        _sub(profile31, **kw)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kw", [{"clearance": 0.5}, {"clearance": math.nan},
+                                {"beta": 0.0}, {"m": math.nan}],
+                         ids=["clearance-0.5", "clearance-nan", "beta-0", "m-nan"])
+def test_dominance_refuses_its_usage_errors_before_the_profile_solve(monkeypatch, kw):
+    # each of these solved the expander profile before it was refused
+    calls = []
+    monkeypatch.setattr(experiments, "solve_expander_profile", calls.append)
+    with pytest.raises(ParameterError):
+        subsolution_dominance_experiment(**kw)
+    assert calls == []
+
+
+def test_dominance_refuses_n2_after_the_profile_solve(monkeypatch):
+    # n = 2 is strictly mean convex: its refusal lives in the lemma barrier,
+    # whose speed needs n >= 3, so the profile is solved first
+    calls = []
+    solve = experiments.solve_expander_profile
+    monkeypatch.setattr(experiments, "solve_expander_profile",
+                        lambda k: calls.append(k) or solve(k))
+    with pytest.raises(ParameterError, match="n >= 3"):
+        subsolution_dominance_experiment(n=2)
+    assert len(calls) == 1
+
+
+def _frozen_residual_report(sub, spec, times):
+    # the residual check as a loop over times, one row of masks at a time,
+    # the barrier branch's spline and H taken anew per time
+    r = spec.nodes
+    exp_res, bar_min_H = 0.0, np.inf
+    clo = sub.lam * sub.barrier.summary["R1"]
+    chi = sub.lam * sub.barrier.trace[1][-4, 0]
+    lo, hi = sub.domain
+    inside = (r >= lo) & (r <= hi)
+    for t in times:
+        ub = evaluate_U(sub.profile, r, t) - sub.m
+        bb = np.full(r.shape, -np.inf)
+        bb[inside] = sub.spline(r[inside]) - sub.delta / 2
+        active = (bb > ub).astype(int)
+        crease = np.zeros_like(active, dtype=bool)
+        for i in np.nonzero(np.diff(active) != 0)[0]:
+            crease[max(0, i - 2):i + 4] = True
+        e_mask = (active == 0) & ~crease
+        e_mask[:2] = e_mask[-2:] = False
+        if e_mask.any():
+            udot = expander_time_derivative(sub.profile, r, t)
+            rhs = radial_rhs(GridFunction(spec, ub)).values
+            exp_res = max(exp_res, float(np.max(np.abs(udot - rhs)[e_mask])))
+        b_mask = (active == 1) & ~crease & (r >= clo) & (r <= chi)
+        if b_mask.any():
+            bvals = sub.spline(np.clip(r, lo, hi))
+            Hb = mean_curvature(GridFunction(spec, bvals)).values
+            bar_min_H = min(bar_min_H, float(np.min(Hb[b_mask])))
+    return ScenarioReport(math.isinf(bar_min_H) or bar_min_H > -1e-10,
+                          {"expander_residual": exp_res,
+                           "barrier_min_H": None if math.isinf(bar_min_H) else bar_min_H},
+                          None)
+
+
+@pytest.mark.parametrize("beta, lam", [(1.0, 1.0), (1.0, 2.0), (0.5, 1.0), (0.5, 2.0)])
+def test_residual_report_over_a_column_equals_the_per_time_loop(beta, lam):
+    # masks, maxima and minima are exact, so the reports are equal, on the
+    # CLI's grid and with eight, four, one and no times
+    profile = solve_expander_profile(ConeProfile.radial(3, beta))
+    sub = _sub(profile, lam, m=0.2 if beta == 1.0 else 0.05)
+    spec = GridSpec.uniform(3, 0.0, 0.8 * sub.domain[1], 1001)
+    for times in (np.linspace(0.05, 1.0, 8), np.linspace(0.1, 1.0, 4), np.array([0.3]),
+                  np.array([])):
+        assert sub.residual_report(spec, times) == _frozen_residual_report(sub, spec, times)
 
 
 def test_subsolution_residual_report(profile31):

@@ -105,21 +105,23 @@ def test_evaluate_U_rejects_nan_and_infinite_time(profile21):
 
 def test_evaluate_U_takes_a_column_of_times(profile21):
     # one row per time, bit for bit one call per time, on radii that reach
-    # the tail past rho_max at every time
+    # the tail past rho_max at every time; dU/dt broadcasts the same way
     r = np.linspace(0.0, 300.0, 1001)
     times = np.array([1e-12, 0.01, 0.5, 1.0, 7.3, 50.0, 1e4])
-    want = np.stack([evaluate_U(profile21, r, float(t)) for t in times])
-    got = evaluate_U(profile21, r, times[:, None])
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    for fn in (evaluate_U, expander_time_derivative):
+        want = np.stack([fn(profile21, r, float(t)) for t in times])
+        got = fn(profile21, r, times[:, None])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_evaluate_U_refuses_a_bad_entry_anywhere_in_a_column(profile21, bad):
     times = np.array([[0.5], [1.0], [2.0]])
     times[1, 0] = bad
-    with pytest.raises(DomainError, match="t > 0 and finite"):
-        evaluate_U(profile21, np.array([1.0, 2.0]), times)
+    for fn in (evaluate_U, expander_time_derivative):
+        with pytest.raises(DomainError, match="t > 0 and finite"):
+            fn(profile21, np.array([1.0, 2.0]), times)
 
 
 def test_profile_evaluation_rejects_radii_off_the_half_line(profile21):

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from coneflow import geometry
+from coneflow import barriers, geometry
 from coneflow.barriers import lemma_barrier_flow
 from coneflow.cones import ConeProfile
 from coneflow.errors import GridError
 from coneflow.expander import relax_angular_expander
 from coneflow.geometry import (GridFunction, GridSpec, mean_curvature,
-                               radial_rhs, _d1_d2, _neighbourhood, _polar_jet,
-                               _radial_curvatures, _radial_derivatives)
+                               radial_rhs, _neighbourhood, _polar_jet,
+                               _radial_derivatives)
 
 
 def test_uniform_spec_basics():
@@ -234,6 +234,14 @@ def _frozen_d1_d2(x, y):
     return d1, d2
 
 
+def _d1_d2(x, y):
+    """A frozen copy of the per-call stencil geometry once had: the table
+    of ``x`` built for this call and applied along axis 0 of ``y``."""
+    rows, w, D = geometry._stencil(x)
+    return geometry._apply_stencil(geometry._trailing(w, y.ndim),
+                                   geometry._trailing(D, y.ndim), y[rows])
+
+
 def _assert_same_bits(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -341,17 +349,31 @@ def test_radial_rhs_needs_a_grid_from_the_axis():
 
 
 def test_barrier_curvature_matches_frozen_formulas():
-    # the barrier curve's H is the frozen three-point table followed by the
-    # written-out H = q/W^3 + (n-1) p/(r W), bit for bit, and H_min is its
-    # minimum over the certified window
-    rep = lemma_barrier_flow(ConeProfile.radial(3, 1.0), 300)
-    r, b, _ = rep.trace[1].T
-    p, q = _frozen_d1_d2(r, b)
-    W = np.sqrt(1.0 + p * p)
-    want = q / W ** 3 + (3 - 1) * (p / (r * W))
-    assert np.array_equal(_radial_curvatures(3, r, *_d1_d2(r, b)), want)
-    lo, hi = rep.summary["R1"], r[-4]
-    assert rep.summary["H_min"] == float(np.min(want[(r >= lo) & (r <= hi)]))
+    # the barrier curve's H is the particle curve's, read off its label
+    # table: the frozen three-point formulas on the labels followed by the
+    # written-out parametric H = kappa_s + (n-1) kappa_theta, bit for bit,
+    # and H_min is its minimum over the certified window; the graph formula
+    # H = q/W^3 + (n-1) p/(r W) on the flowed radii, an oracle, reads the
+    # same H_min to round-off, and differs pointwise at second order in the
+    # label spacing (2.9e-8 and 7.5e-9 relative at the inner end)
+    for points in (300, 600):
+        rep = lemma_barrier_flow(ConeProfile.radial(3, 1.0), points)
+        r, b, _ = rep.trace[1].T
+        s = np.geomspace(10.0, 400.0, points)
+        (Rs, Rss), (Zs, Zss) = _frozen_d1_d2(s, r), _frozen_d1_d2(s, b)
+        q2 = Rs * Rs + Zs * Zs
+        q = np.sqrt(q2)
+        want = (Zss * Rs - Rss * Zs) / q / q2 + (3 - 1) * ((r * Zs / q) / (r * r))
+        got = barriers._profile_geometry(geometry._stencil(s), r, b, 3, 0.25)["H"]
+        assert got.tobytes() == want.tobytes()
+        window = (r >= rep.summary["R1"]) & (r <= r[-4])
+        H_min = rep.summary["H_min"]
+        assert H_min == float(np.min(want[window]))
+        p, pp = _frozen_d1_d2(r, b)
+        W = np.sqrt(1.0 + p * p)
+        graph = (pp / W ** 3 + (3 - 1) * (p / (r * W)))[window]
+        assert abs(float(np.min(graph)) - H_min) <= 2e-12 * H_min
+        assert np.max(np.abs(want[window] - graph) / graph) <= 4e-8 * (300 / points) ** 2
 
 
 def _frozen_polar_derivatives(spec, vals):
