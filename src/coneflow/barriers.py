@@ -222,7 +222,7 @@ def lemma_barrier_flow(k: ConeProfile, points: int = 600) -> ScenarioReport:
                                  witness={"r": r})
     cut = slice(_END_CUT, points - _END_CUT)
     gap = k.beta * r - b
-    H = _profile_geometry(table, r, b, k.n, alpha)["H"]
+    H = _profile_curve(table, r, b, k.n)[-1]
     lo, hi = float(r[cut][0]), float(r[cut][-1])
     min_gap, H_min = float(np.min(gap[cut])), float(np.min(H[cut]))
     mono = bool(np.all(np.diff(gap[cut]) <= 1e-12 * np.max(gap)))
@@ -245,30 +245,31 @@ def lemma_barrier_flow(k: ConeProfile, points: int = 600) -> ScenarioReport:
 # evolution-equation residuals along the Lagrangian path
 
 
-def _profile_geometry(table, R, Z, n, alpha):
-    """Geometric record of one stored profile-curve level, or of a stack of
-    levels (labels on the last axis), its derivatives read through the label
-    table ``table`` of :func:`_stencil`.
-
-    The surface of revolution has one profile direction and n-1 rotational
-    directions; the rotational block is isotropic, so a single representative
-    component (g_th = R^2, h_th = R Z_s / q) with multiplicity n-1 carries it.
-    Derivatives of the speed F = -(R^2+Z^2)^(-alpha) are exact chain
-    rules in the stored coordinates, not finite differences.
-    """
+def _profile_curve(table, R, Z, n) -> tuple:
+    """(R_s, Z_s, q = |X_s|, g_ss, g_th, h_ss, h_th, k_s, k_th, H) of one
+    profile-curve level, or a stack of levels (labels on the last axis), from
+    one pass through the label table ``table`` of :func:`_stencil`.  The
+    rotational block of the surface of revolution is isotropic, so one
+    component (g_th = R^2, h_th = R Z_s / q) of multiplicity n-1 carries it."""
     rows, w, D = table
     (Rs, Zs), (Rss, Zss) = _apply_stencil(w, D, np.stack((R, Z))[..., rows])
-    q2 = Rs * Rs + Zs * Zs
-    q = np.sqrt(q2)
-    nu_r = Zs / q
-    nu_z = -Rs / q
-    g_ss = q2
+    g_ss = Rs * Rs + Zs * Zs
+    q = np.sqrt(g_ss)
     g_th = R * R
     h_ss = (Zss * Rs - Rss * Zs) / q
     h_th = R * Zs / q
     ks = h_ss / g_ss
     kt = h_th / g_th
-    H = ks + (n - 1) * kt
+    return Rs, Zs, q, g_ss, g_th, h_ss, h_th, ks, kt, ks + (n - 1) * kt
+
+
+def _profile_geometry(table, R, Z, n, alpha):
+    """Geometric record of a level or stack as in :func:`_profile_curve`, with
+    the speed F = -(R^2+Z^2)^(-alpha) and its derivatives, exact chain rules
+    in the stored coordinates, not finite differences."""
+    Rs, Zs, q, g_ss, g_th, h_ss, h_th, ks, kt, H = _profile_curve(table, R, Z, n)
+    nu_r = Zs / q
+    nu_z = -Rs / q
     A2 = ks * ks + (n - 1) * kt * kt
     trA3 = ks ** 3 + (n - 1) * kt ** 3
     X2 = R * R + Z * Z

@@ -415,9 +415,9 @@ class ExpanderProfile:
         caller, the pin-to-expander boundary, passes r_max/sqrt(t) > 0 once
         per flow step.
         """
-        if not rho <= self.rho_max:
-            return float(_tail_value(self.n, self.beta, np.array([rho]))[0])
         knots, (c0, c1, c2, c3) = self._pieces
+        if not rho <= knots[-1]:  # rho_max, without the property's numpy read
+            return float(_tail_value(self.n, self.beta, np.array([rho]))[0])
         i = min(max(bisect_right(knots, rho) - 1, 0), len(knots) - 2)
         s = rho - knots[i]
         z = s * s

@@ -8,43 +8,38 @@ radial mode the Jacobian of the reduced operator
 
 is tridiagonal, assembled analytically as its three diagonals and solved
 directly by LAPACK ``gtsv``; polar mode probes the Jacobian by finite
-differences on the 3x3 neighbourhood table of ``geometry._radial_operator``,
-where the antipodal ghost and the periodic wrap are written (nine distinct
-nodes per row, so nine probes recover every column), and solves with a
-banded LU.  The
-band system numbers each ring's angles in zigzag order, which keeps the
-periodic wrap's neighbours close (kl = ku = ntheta + 2, where the ring-major
-numbering needs 2*ntheta - 1); ``gbsv`` factors in place the band array the
-probed entries are scattered into through cached slots.
+differences on the 3x3 neighbourhood table of ``geometry._radial_operator``
+(nine distinct nodes per row, so nine probes recover every column) and
+solves it by LAPACK ``gbsv`` in a zigzag band numbering (``_polar_band``).
 
 Every grid continues across the origin (a radial grid from r = 0, a polar
 grid through its antipodal ring), so the truncation ring r = r_max is the
 only Dirichlet boundary.  Both grid modes read one cached three-point
-operator per grid (``geometry._radial_operator``), which on radial grids
-also holds the grid-constant parts of the Jacobian, and share one residual
-and one Newton loop, written in ``step``, whose update (``_newton_update``)
-is the tridiagonal solve or the polar band solve.  ``evolve`` records step
-times, step sizes and Newton counts; a caller measures anything else per
-step through ``on_step``, so from the package this module imports only
-``errors`` and ``geometry``.  The polar band layout and the probes' jet
-weights are cached per grid.  Each polar iterate's neighbourhood is
-differentiated once, into its jet (its derivatives and its own value,
-linear in the neighbourhood); a probe moves that jet by its entry's
-weights, and the speed is evaluated once, on ten jets: the iterate's, whose
-speed the residual reads, and the nine probes', which the Newton matrix
-reads.  Newton runs on raw arrays: the accepted backtracking trial's
-residual starts the next iteration (on radial grids its (v_r, v_rr,
-1+v_r^2), on polar grids its probes, also feed the Jacobian), and a
-non-finite residual, a zero pivot or a non-finite update raises NewtonError
-at once.  Each iterate's speed is evaluated once: a step starts from the
-speed data its predecessor's final iterate computed, which the returned
-state carries (its values made read-only).  On radial grids only row N-2,
-the one interior row that reads the moved outer node, is recomputed; polar
-steps reuse the speed and its probes while the outer ring is unchanged bit
-for bit, so such a step starts with its Jacobian already probed.
-``evolve``'s slope check of the initial data starts its first radial step.
-A radial step costs its number of numpy calls, so its kernels reuse arrays
-in place, in the formulas' operation order.
+operator per grid, which on radial grids also holds the grid-constant parts
+of the Jacobian, and share one residual and one Newton loop, written in
+``step``, whose update (``_newton_update``) is the tridiagonal or the band
+solve.  ``evolve`` records step times, step sizes and Newton counts; a
+caller measures anything else per step through ``on_step``, so from the
+package this module imports only ``errors`` and ``geometry``.  Each polar
+iterate's neighbourhood is differentiated once, into its jet; a probe moves
+that jet by its entry's cached weights, and the speed is evaluated once, on
+ten jets, the iterate's and its nine probes'.  Newton runs on raw arrays:
+the accepted backtracking trial's residual and speed data start the next
+iteration, and a non-finite residual, a zero pivot or a non-finite update
+raises NewtonError at once.  A step starts from the speed data its
+predecessor's final iterate computed, which the returned state carries (its
+values read-only): on radial grids only row N-2, the one interior row that
+reads the moved outer node, is recomputed; polar steps reuse the speed and
+its probes while the outer ring is unchanged bit for bit.  ``evolve``'s
+slope check of the initial data starts its first radial step.
+
+A radial step costs its number of numpy calls, not its flops, so its
+kernels reuse arrays in place, in the formulas' operation order; an iterate
+makes one speed call (``geometry._radial_speed``: one operator lookup and
+one stencil pass, where a derivative call, two table reshapes and a second
+lookup were), takes its norms by ``np.maximum.reduce``, without
+``ndarray.max``'s Python shim, and the accepted state is built without a
+second finiteness scan (``_carrying``).
 
 The Dirichlet data comes in two flavors: pinned to the initial values, or
 pinned to the moving expander (needed for long runs, where a frozen cone
@@ -70,8 +65,7 @@ from scipy.sparse.linalg import splu  # noqa: F401 (perfbench/tracing.py spans i
 
 from .errors import GridError, NewtonError, ParameterError, StepFailureError
 from .geometry import (GridFunction, GridSpec, _neighbourhood, _polar_jet,
-                       _polar_quantities, _radial_derivatives, _radial_operator,
-                       _radial_speed)
+                       _polar_quantities, _radial_operator, _radial_speed)
 
 __all__ = [
     "SolverConfig",
@@ -182,9 +176,7 @@ def _speed(spec: GridSpec, v: np.ndarray, drift: bool) -> tuple:
         np.add(jets[:, :1], eps * _polar_band(spec).weights, out=jets[:, 1:])
         speeds = _polar_quantities(spec, jets, drift)[1]
         return speeds[1:], eps, speeds[0]
-    p, q = _radial_derivatives(spec, v)
-    speed, one_p2 = _radial_speed(spec, p, q)
-    return p, q, one_p2, speed
+    return _radial_speed(spec, v)
 
 
 def _residual(spec: GridSpec, v: np.ndarray, u_prev: np.ndarray, dt: float,
@@ -194,7 +186,8 @@ def _residual(spec: GridSpec, v: np.ndarray, u_prev: np.ndarray, dt: float,
     when given, is used instead of evaluating it."""
     if data is None:
         data = _speed(spec, v, config.similarity_drift)
-    res = v - u_prev - dt * data[-1]
+    res = v - u_prev
+    res -= dt * data[-1]
     res[-1] = v[-1] - outer
     return res, data
 
@@ -211,10 +204,14 @@ def _outer_row(spec: GridSpec) -> tuple:
 
 
 def _carrying(spec: GridSpec, v: np.ndarray, drift: bool, data: tuple) -> GridFunction:
-    """The state v, made read-only, carrying its speed data for the next step."""
+    """The state v, made read-only, carrying its speed data for the next step,
+    built without GridFunction's checks, which hold: v is a float copy of a
+    checked state, and finite, as ``step`` returns it only on a finite
+    residual norm, which each v_i reaches with unit weight through its own
+    row (a Dirichlet row is v - outer), and ``evolve`` passes checked data."""
     v.setflags(write=False)
-    u = GridFunction(spec, v)
-    u._speed_data = (v, drift, data)
+    u = GridFunction.__new__(GridFunction)
+    u.spec, u.values, u._speed_data = spec, v, (v, drift, data)
     return u
 
 
@@ -444,13 +441,13 @@ def step(u: GridFunction, dt: float, config: SolverConfig, boundary,
     outer = boundary(t_new)
     v = u_prev.copy()
     v[-1] = outer
-    scale = 1.0 + float(abs(u_prev).max())
+    scale = 1.0 + float(np.maximum.reduce(np.abs(u_prev), axis=None))
     history = []
     res, data = _residual(spec, v, u_prev, dt, config, outer, _carried(u, v, drift))
-    res_norm = float(abs(res).max())
+    res_norm = float(np.maximum.reduce(np.abs(res), axis=None))
     for _ in range(_NEWTON_MAX_ITER):
         history.append(res_norm)
-        if not np.isfinite(res_norm):
+        if not math.isfinite(res_norm):
             raise NewtonError(f"non-finite Newton residual after {len(history) - 1} "
                               "iterations", residuals=history)
         if res_norm <= config.newton_tol * scale:
@@ -465,7 +462,7 @@ def step(u: GridFunction, dt: float, config: SolverConfig, boundary,
         lam, v_try = 1.0, v - delta
         while True:
             r_try, data = _residual(spec, v_try, u_prev, dt, config, outer)
-            try_norm = float(abs(r_try).max())
+            try_norm = float(np.maximum.reduce(np.abs(r_try), axis=None))
             if try_norm < res_norm or lam < 0.2:
                 break
             lam *= 0.5
@@ -579,16 +576,15 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
             ur, ut = _polar_jet(spec, _neighbourhood(spec, u0.values))[:2]
             slope2 = ur ** 2 + (ut / spec.nodes[:, None]) ** 2
         else:
-            pq = _radial_derivatives(spec, u0.values)
-            slope2 = pq[0] ** 2
+            data = _radial_speed(spec, u0.values)
+            slope2 = data[2]  # 1 + u_r^2, finite exactly where u_r^2 is
     if not np.isfinite(slope2).all():
         raise ParameterError("the initial data's slope squared is not finite")
     boundary = boundary_values_for(u0, config, profile)
     u = u0
     if not spec.polar:
-        # the check's derivatives start the first step, from a read-only copy
-        speed, one_p2 = _radial_speed(spec, *pq)
-        u = _carrying(spec, u0.values.copy(), False, (*pq, one_p2, speed))
+        # the check's speed data starts the first step, from a read-only copy
+        u = _carrying(spec, u0.values.copy(), False, data)
     # t_start, every cadence time up to t_end (one may land within 1e-10
     # past it) and t_end itself
     times = np.empty(int(intervals) + 3)

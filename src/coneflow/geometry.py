@@ -343,17 +343,19 @@ def _radial_curvatures(n: int, r: np.ndarray, p: np.ndarray,
     return q / W ** 3 + (n - 1) * krot
 
 
-def _radial_speed(spec: GridSpec, p: np.ndarray, q: np.ndarray):
-    """The flow speed u_rr/(1+u_r^2) + (n-1) u_r/r from (u_r, u_rr) on a
-    radial grid from r = 0, where it is n*u_rr, and 1+u_r^2 (which the
-    Newton Jacobian reuses)."""
+def _radial_speed(spec: GridSpec, v: np.ndarray):
+    """(u_r, u_rr, 1+u_r^2, speed) of one state v on a radial grid from r = 0,
+    the flow speed u_rr/(1+u_r^2) + (n-1) u_r/r (n*u_rr at r = 0) last: one
+    operator lookup and one stencil pass per Newton iterate of the flow."""
+    op = _radial_operator(spec)
+    p, q = _apply_stencil(op.w, op.D, v[op.rows])
     one_p2 = p * p
     one_p2 += 1.0
     speed = (spec.n - 1) * p
-    speed /= _radial_operator(spec).r_safe
+    speed /= op.r_safe
     speed += q / one_p2
     speed[0] = spec.n * q[0]
-    return speed, one_p2
+    return p, q, one_p2, speed
 
 
 def _polar_quantities(spec: GridSpec, jet, drift: bool) -> tuple:
@@ -411,7 +413,7 @@ def radial_rhs(u: GridFunction) -> GridFunction:
     spec = u.spec
     if spec.polar:
         raise GridError("radial_rhs requires a radial grid; use graph_rhs for polar mode")
-    return GridFunction(spec, _radial_speed(spec, *_radial_derivatives(spec, u.values))[0])
+    return GridFunction(spec, _radial_speed(spec, u.values)[-1])
 
 
 def graph_rhs(u: GridFunction) -> GridFunction:

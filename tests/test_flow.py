@@ -519,6 +519,64 @@ def test_nonfinite_newton_update_raises(monkeypatch, cone21):
     assert failure.value.residuals
 
 
+def _one_nonfinite_entry(solve, bad):
+    """``solve`` with the middle entry of its solution replaced by ``bad``."""
+    def injected(*args):
+        x = solve(*args)
+        x[x.size // 2] = bad
+        return x
+    return injected
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("polar", [False, True], ids=["radial", "polar-10x8"])
+def test_one_nonfinite_update_entry_fails_the_step(monkeypatch, cone21, polar, bad):
+    # a step returns its state unchecked, so one non-finite entry of an
+    # update, at an interior node, must fail it: that entry reaches its own
+    # residual row with unit weight, and the norm carries it to the check
+    if polar:
+        u0 = _polar_case(GridSpec.polar_disk(4.0, 10, 8))
+        name = "solve_band"
+    else:
+        u0 = cone21.on_grid(_uniform(2, 10.0, 41))
+        name = "solve_banded"
+    monkeypatch.setattr(flow, name, _one_nonfinite_entry(getattr(flow, name), bad))
+    cfg = SolverConfig(dt_init=1e-2, dt_max=1e-2, snapshot_dt=0.1, adaptive=False)
+    # inf - inf and inf * 0 in the trials warn; the check, not the warning,
+    # is what is tested
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NewtonError, match="non-finite Newton residual") as err:
+            step(u0, 1e-2, cfg, boundary_values_for(u0, cfg), 1e-2)
+    history = err.value.residuals
+    assert len(history) == 2
+    assert math.isfinite(history[0]) and not math.isfinite(history[1])
+
+
+@pytest.mark.parametrize("boundary", ["pin-to-initial", "pin-to-expander"])
+def test_accepted_states_are_built_without_a_rescan(monkeypatch, cone21, profile21,
+                                                    boundary):
+    # the finiteness of a returned state follows from its residual check,
+    # so it is built without GridFunction's checks: the constructions of a
+    # run do not grow with its step count
+    made = []
+    check = GridFunction.__post_init__
+
+    def counted(self):
+        made.append(self)
+        check(self)
+
+    u0 = profile21.on_grid(_uniform(2, 10.0, 41), 1.0)
+    cfg = SolverConfig(dt_init=1e-3, dt_max=1e-3, snapshot_dt=0.01, boundary=boundary,
+                       adaptive=False)
+    monkeypatch.setattr(GridFunction, "__post_init__", counted)
+    seen = []
+    for T in (0.01, 0.04):
+        made.clear()
+        run = evolve(u0, T, cfg, cone=cone21, profile=profile21, t_start=1.0)
+        seen.append((len(run.step_times), len(made)))
+    assert seen[0][0] < seen[1][0] and seen[0][1] == seen[1][1]
+
+
 @pytest.mark.parametrize("N", [8, 9, 50, 201, 401])
 @pytest.mark.parametrize("dirichlet", [False, True])
 def test_solve_banded_matches_scipy(N, dirichlet):
@@ -1249,10 +1307,11 @@ def _counted(monkeypatch, name, states):
 
 def test_radial_run_makes_one_stencil_pass_per_newton_iterate(monkeypatch, cone21,
                                                              profile21):
-    # the slope check's pass starts the first step, and each later step the
-    # speed its predecessor's last trial computed: with no backtracking,
-    # one full pass per Newton iteration plus one
-    passes = _counted(monkeypatch, "_radial_derivatives", np.ndim)
+    # the slope check's speed call starts the first step, and each later
+    # step the speed its predecessor's last trial computed: with no
+    # backtracking, one speed call (one stencil pass) per Newton iteration
+    # plus one
+    passes = _counted(monkeypatch, "_radial_speed", np.ndim)
     spec = _uniform(2, 20.0, 201)
     cfg = SolverConfig(dt_init=1e-4, dt_max=1e-4, snapshot_dt=2.5e-4,
                        boundary="pin-to-expander", newton_tol=1e-12, adaptive=False)

@@ -318,17 +318,17 @@ def test_radial_speed_exact_on_quadratics(grid, n):
 
 def _wrong_dimension(speed):
     # (n-1) u_r/r becomes (n-2) u_r/r off the axis
-    def mutant(spec, p, q):
-        s, one_p2 = speed(spec, p, q)
+    def mutant(spec, v):
+        p, q, one_p2, s = speed(spec, v)
         s[1:] -= p[1:] / spec.nodes[1:]
-        return s, one_p2
+        return p, q, one_p2, s
     return mutant
 
 
 def _slowed(speed):
-    def mutant(spec, p, q):
-        s, one_p2 = speed(spec, p, q)
-        return 0.99 * s, one_p2
+    def mutant(spec, v):
+        p, q, one_p2, s = speed(spec, v)
+        return p, q, one_p2, 0.99 * s
     return mutant
 
 
@@ -339,6 +339,37 @@ def _slowed(speed):
 def test_quadratic_oracle_catches_speed_defects(monkeypatch, grid, n, defect):
     monkeypatch.setattr(geometry, "_radial_speed", defect(geometry._radial_speed))
     assert _quadratic_speed_error(_QUADRATIC_GRIDS[grid](n)) > 1e-3
+
+
+def _frozen_radial_speed(spec, v):
+    """(u_r, u_rr, 1+u_r^2, speed) as two calls computed them: the stacked
+    derivative pass ``_radial_derivatives`` and the speed from (u_r, u_rr),
+    frozen in their operation order."""
+    op = geometry._radial_operator(spec)
+    p, q = geometry._apply_stencil(geometry._trailing(op.w, v.ndim),
+                                   geometry._trailing(op.D, v.ndim), v[op.rows])
+    one_p2 = p * p
+    one_p2 += 1.0
+    speed = (spec.n - 1) * p
+    speed /= geometry._radial_operator(spec).r_safe
+    speed += q / one_p2
+    speed[0] = spec.n * q[0]
+    return p, q, one_p2, speed
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("grid", sorted(_QUADRATIC_GRIDS))
+def test_radial_speed_matches_the_frozen_two_call_composition(grid, n):
+    # one operator lookup and one stencil pass give the four arrays, and
+    # radial_rhs the speed, with the bits of the derivative pass followed
+    # by the speed from (u_r, u_rr)
+    spec = _QUADRATIC_GRIDS[grid](n)
+    rng = np.random.default_rng(100 * n + len(grid))
+    for scale in 10.0 ** rng.uniform(-3, 3, 8):
+        v = rng.normal(size=spec.nr) * scale
+        want = _frozen_radial_speed(spec, v)
+        got = (*geometry._radial_speed(spec, v), radial_rhs(GridFunction(spec, v)).values)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want + want[-1:]]
 
 
 def test_radial_rhs_needs_a_grid_from_the_axis():
