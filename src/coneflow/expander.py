@@ -663,11 +663,11 @@ def relax_angular_expander(k: ConeProfile, rho_max: float = 12.0, nr: int = 72,
     expanders are its stationary states.  The outer ring is pinned to the
     refined cone tail gamma*rho_max + c(theta)/rho_max, and implicit steps of
     dtau = 0.05 are taken until the update rate drops to 1e-5, or tau = 40.
-    Each step is handed the state the previous one returned, so it starts
-    from the speed and the nine Jacobian probes that step's final Newton
-    iterate evaluated (the pinned ring never moves): it evaluates nothing
-    before its first Newton update.  Each Newton iterate differentiates its
-    neighbourhood once and moves the jet by cached weights for the probes.
+    Each step is handed the state and the ``carry`` the previous one returned,
+    so it starts from the speed and the nine Jacobian probes of that step's
+    final Newton iterate (the pinned ring never moves) and evaluates nothing
+    before its first Newton update; each iterate differentiates its
+    neighbourhood once, moving the jet by cached weights for the probes.
 
     The cone must be mean convex: a tail coefficient c(theta) <= 0 at any
     of the grid's angles (c has the sign of gamma + gamma'') is a
@@ -689,11 +689,12 @@ def relax_angular_expander(k: ConeProfile, rho_max: float = 12.0, nr: int = 72,
     cfg = flow.SolverConfig(boundary="pin-to-initial", adaptive=False, dt_init=dtau,
                             similarity_drift=True)
     bv = flow.boundary_values_for(u, cfg)
-    rate = np.inf
+    rate, carry = np.inf, None
     steps = iters = 0
     while steps * dtau < _RELAX_TAU_MAX:
         stats = {}
-        u_new = flow.step(u, dtau, cfg, bv, (steps + 1) * dtau, stats=stats)
+        u_new, carry = flow.step(u, dtau, cfg, bv, (steps + 1) * dtau, stats=stats,
+                                 carry=carry)
         iters += stats["iters"]
         rate = float(np.max(np.abs(u_new.values - u.values))) / dtau
         u = u_new

@@ -26,20 +26,21 @@ that jet by its entry's cached weights, and the speed is evaluated once, on
 ten jets, the iterate's and its nine probes'.  Newton runs on raw arrays:
 the accepted backtracking trial's residual and speed data start the next
 iteration, and a non-finite residual, a zero pivot or a non-finite update
-raises NewtonError at once.  A step starts from the speed data its
-predecessor's final iterate computed, which the returned state carries (its
-values read-only): on radial grids only row N-2, the one interior row that
-reads the moved outer node, is recomputed; polar steps reuse the speed and
-its probes while the outer ring is unchanged bit for bit.  ``evolve``'s
-slope check of the initial data starts its first radial step.
+raises NewtonError at once.  ``step`` returns its final iterate's speed
+data beside the state (its values read-only), and the next step, handed it
+back as ``carry``, starts from it: on radial grids only row N-2, the one
+interior row that reads the moved outer node, is recomputed; polar steps
+reuse the speed and its probes while the outer ring is unchanged bit for
+bit.  ``evolve``'s slope check of the initial data starts its first radial
+step.
 
 A radial step costs its number of numpy calls, not its flops, so its
 kernels reuse arrays in place, in the formulas' operation order; an iterate
 makes one speed call (``geometry._radial_speed``: one operator lookup and
 one stencil pass, where a derivative call, two table reshapes and a second
 lookup were), takes its norms by ``np.maximum.reduce``, without
-``ndarray.max``'s Python shim, and the accepted state is built without a
-second finiteness scan (``_carrying``).
+``ndarray.max``'s Python shim, and the returned state is built without a
+second finiteness scan.
 
 The Dirichlet data comes in two flavors: pinned to the initial values, or
 pinned to the moving expander (needed for long runs, where a frozen cone
@@ -203,22 +204,10 @@ def _outer_row(spec: GridSpec) -> tuple:
             float(spec.n - 1))
 
 
-def _carrying(spec: GridSpec, v: np.ndarray, drift: bool, data: tuple) -> GridFunction:
-    """The state v, made read-only, carrying its speed data for the next step,
-    built without GridFunction's checks, which hold: v is a float copy of a
-    checked state, and finite, as ``step`` returns it only on a finite
-    residual norm, which each v_i reaches with unit weight through its own
-    row (a Dirichlet row is v - outer), and ``evolve`` passes checked data."""
-    v.setflags(write=False)
-    u = GridFunction.__new__(GridFunction)
-    u.spec, u.values, u._speed_data = spec, v, (v, drift, data)
-    return u
-
-
-def _carried(u: GridFunction, v: np.ndarray, drift: bool) -> tuple | None:
-    """The speed data at v, which is u.values with the outer ring replaced,
-    from what :func:`_carrying` put on u; None when u carries none for its
-    current, still read-only values and this drift.
+def _start(spec: GridSpec, u_prev: np.ndarray, v: np.ndarray,
+           carry: tuple | None) -> tuple | None:
+    """The speed data at v, which is u_prev with the outer ring replaced,
+    from ``carry``, the data at u_prev; None when there is none to use.
 
     On a radial grid row N-2 reads the outer node, so it is recomputed here
     from v[-3:] on Python floats, in the stencil's order (a, b, c) and
@@ -229,21 +218,17 @@ def _carried(u: GridFunction, v: np.ndarray, drift: bool) -> tuple | None:
     the data, the nine probes of the Newton matrix included, is used only
     if that ring is unchanged bit for bit.
     """
-    carried = getattr(u, "_speed_data", None)
-    if (carried is None or carried[0] is not u.values or u.values.flags.writeable
-            or carried[1] != drift):
-        return None
-    data = carried[2]
-    if u.spec.polar:
-        return data if v[-1].tobytes() == u.values[-1].tobytes() else None
-    w0, w1, w2, D0, D1, D2, r, m = _outer_row(u.spec)
-    a, b, c = v[-3:].tolist()
-    p = w0 * a + w1 * b + w2 * c
-    q = 2.0 * (a / D0 + b / D1 + c / D2)
-    one_p2 = p * p + 1.0
-    for arr, x in zip(data, (p, q, one_p2, m * p / r + q / one_p2)):
-        arr[-2] = x
-    return data
+    if spec.polar:
+        return carry if v[-1].tobytes() == u_prev[-1].tobytes() else None
+    if carry is not None:
+        w0, w1, w2, D0, D1, D2, r, m = _outer_row(spec)
+        a, b, c = v[-3:].tolist()
+        p = w0 * a + w1 * b + w2 * c
+        q = 2.0 * (a / D0 + b / D1 + c / D2)
+        one_p2 = p * p + 1.0
+        for arr, x in zip(carry, (p, q, one_p2, m * p / r + q / one_p2)):
+            arr[-2] = x
+    return carry
 
 
 def _radial_newton_matrix(spec: GridSpec, p: np.ndarray, q: np.ndarray,
@@ -415,35 +400,37 @@ def _newton_update(spec: GridSpec, data: tuple, res: np.ndarray, dt: float) -> n
 
 
 def step(u: GridFunction, dt: float, config: SolverConfig, boundary,
-         t_new: float, stats: dict | None = None) -> GridFunction:
+         t_new: float, stats: dict | None = None, carry: tuple | None = None) -> tuple:
     """One implicit Euler step of size dt to time ``t_new``, by damped
-    Newton on raw arrays.
+    Newton on raw arrays: the new state, its values read-only, and the speed
+    data (:func:`_speed`) of the final Newton iterate.
 
     ``boundary`` is the outer-ring data of :func:`boundary_values_for`,
     evaluated at ``t_new``.  The accepted backtracking trial is the next
     iterate, so its residual, its norm and its speed data are reused rather
-    than evaluated again.  A non-finite residual norm, a failed update (a
-    zero pivot or a non-finite solution) and stagnation raise NewtonError,
-    carrying the residual history.  ``stats``, when given, receives the
-    Newton iteration count and residual history of the solve.
+    than evaluated again.  A dt that is not positive and finite, or a
+    ``t_new`` that is not finite, is a ParameterError; a non-finite residual
+    norm, a failed update (a zero pivot or a non-finite solution) and
+    stagnation raise NewtonError, carrying the residual history.  ``stats``,
+    when given, receives the Newton iteration count and residual history.
 
-    The returned state's values are read-only, and it carries the speed of
-    the final Newton iterate, so a step from it starts from that speed
-    instead of evaluating it again: on a radial grid only row N-2, which
-    reads the moved outer node, is recomputed; on a polar grid the speed
-    and its probes are reused as they are while the outer ring is unchanged
-    bit for bit, and are evaluated afresh otherwise.  A state that carries
-    nothing, or whose values were replaced since, starts from a full
-    evaluation.
+    ``carry``, when given, is the speed data the step to ``u`` returned,
+    under the same ``config``, which the caller vouches for; the step starts
+    from it instead of evaluating the speed again: on a radial grid only row
+    N-2, which reads the moved outer node, is recomputed; on a polar grid
+    the speed and its probes are reused as they are while the outer ring is
+    unchanged bit for bit, and are evaluated afresh otherwise.
     """
+    if not (0 < dt < math.inf and math.isfinite(t_new)):
+        raise ParameterError(f"a step needs a positive finite dt and a finite t_new, "
+                             f"got dt={dt}, t_new={t_new}")
     spec, u_prev = u.spec, u.values
-    drift = config.similarity_drift
     outer = boundary(t_new)
     v = u_prev.copy()
     v[-1] = outer
     scale = 1.0 + float(np.maximum.reduce(np.abs(u_prev), axis=None))
     history = []
-    res, data = _residual(spec, v, u_prev, dt, config, outer, _carried(u, v, drift))
+    res, data = _residual(spec, v, u_prev, dt, config, outer, _start(spec, u_prev, v, carry))
     res_norm = float(np.maximum.reduce(np.abs(res), axis=None))
     for _ in range(_NEWTON_MAX_ITER):
         history.append(res_norm)
@@ -474,7 +461,13 @@ def step(u: GridFunction, dt: float, config: SolverConfig, boundary,
     if stats is not None:
         stats["iters"] = len(history) - 1
         stats["residuals"] = history
-    return _carrying(spec, v, drift, data)
+    # v is a float copy of the checked u.values, and finite: its residual
+    # norm is, and each v_i reaches it with unit weight through its own row
+    # (a Dirichlet row is v - outer), so GridFunction's checks would hold
+    v.setflags(write=False)
+    new = GridFunction.__new__(GridFunction)
+    new.spec, new.values = spec, v
+    return new, data
 
 
 @dataclass
@@ -565,26 +558,24 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
     recorded; ``on_step(t, u)``, when given, sees each accepted step's time
     and read-only state, and nothing it does or returns feeds back into the
     stepping.  Nothing reads ``cone``: it stays because the benchmark's
-    fixed-step workload passes it.
+    fixed-step workload passes it.  Each attempt starts from the ``carry`` the
+    last accepted step returned (the first radial one from the slope check's).
     """
     intervals = _check_run(T, config, t_start)
     t_end = t_start + T
     spec = u0.spec
+    u, carry = u0, None
     # the speed and the Newton matrix square the slope, so |Du|^2 must be finite
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.polar:
             ur, ut = _polar_jet(spec, _neighbourhood(spec, u0.values))[:2]
             slope2 = ur ** 2 + (ut / spec.nodes[:, None]) ** 2
         else:
-            data = _radial_speed(spec, u0.values)
-            slope2 = data[2]  # 1 + u_r^2, finite exactly where u_r^2 is
+            carry = _radial_speed(spec, u0.values)  # it starts the first step
+            slope2 = carry[2]  # 1 + u_r^2, finite exactly where u_r^2 is
     if not np.isfinite(slope2).all():
         raise ParameterError("the initial data's slope squared is not finite")
     boundary = boundary_values_for(u0, config, profile)
-    u = u0
-    if not spec.polar:
-        # the check's speed data starts the first step, from a read-only copy
-        u = _carrying(spec, u0.values.copy(), False, data)
     # t_start, every cadence time up to t_end (one may land within 1e-10
     # past it) and t_end itself
     times = np.empty(int(intervals) + 3)
@@ -607,7 +598,8 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
                 f"only t={t:.6g} of {t_end:.6g}, at dt={dt_try:.3e}", t=t, dt=dt_try)
         stats = {}
         try:
-            u_new = step(u, dt_try, config, boundary, t_new=t + dt_try, stats=stats)
+            u, carry = step(u, dt_try, config, boundary, t_new=t + dt_try, stats=stats,
+                            carry=carry)
         except NewtonError as err:
             if not config.adaptive or dt_try <= _DT_MIN * 1.0000001:
                 raise StepFailureError(
@@ -626,8 +618,7 @@ def evolve(u0: GridFunction, T: float, config: SolverConfig, cone=None,
         step_sizes.append(float(dt_try))
         newton_iters.append(int(stats["iters"]))
         if on_step is not None:
-            on_step(t, u_new)
-        u = u_new
+            on_step(t, u)
         on_cadence = abs(t - next_snap) < 1e-10
         if on_cadence or t >= t_end - 1e-12:
             times[count], values[count] = t, u.values

@@ -821,29 +821,64 @@ def test_radial_flow_bit_identical_to_reference(monkeypatch, case, cone21, profi
 
 
 def test_step_states_carry_their_speed_safely(cone21, profile21):
-    # a returned state's values are read-only; replacing them drops what it
-    # carries, and a step from it equals a step from a fresh copy
+    # a returned state's values are read-only; its carry is not used up by
+    # a step, and a step from the pair equals a step from a fresh copy
+    # without one; replaced values, even read-only ones, or values made
+    # writable and edited, are stepped without a carry, as a fresh copy is
     spec = _uniform(2, 20.0, 101)
     cfg = SolverConfig(dt_init=1e-3, boundary="pin-to-expander")
     bv = boundary_values_for(cone21.on_grid(spec), cfg, profile=profile21)
-    u = step(profile21.on_grid(spec, 1.0), 1e-3, cfg, bv, 1.001)
+    u, carry = step(profile21.on_grid(spec, 1.0), 1e-3, cfg, bv, 1.001)
     with pytest.raises(ValueError):
         u.values[3] = 0.0
-    want = step(GridFunction(spec, u.values.copy()), 1e-3, cfg, bv, 1.002)
+    want, _ = step(GridFunction(spec, u.values.copy()), 1e-3, cfg, bv, 1.002)
     for _ in range(2):  # the carried data is not used up by a step
-        assert np.array_equal(step(u, 1e-3, cfg, bv, 1.002).values, want.values)
-    # values replaced (even by read-only ones), or made writable and
-    # edited, are evaluated afresh
+        got, _ = step(u, 1e-3, cfg, bv, 1.002, carry=carry)
+        assert np.array_equal(got.values, want.values)
     replaced = u.values * 1.01
     replaced.setflags(write=False)
     u.values = replaced
-    fresh = step(GridFunction(spec, u.values.copy()), 1e-3, cfg, bv, 1.002)
-    assert np.array_equal(step(u, 1e-3, cfg, bv, 1.002).values, fresh.values)
-    u = step(u, 1e-3, cfg, bv, 1.002)
+    fresh, _ = step(GridFunction(spec, u.values.copy()), 1e-3, cfg, bv, 1.002)
+    assert np.array_equal(step(u, 1e-3, cfg, bv, 1.002)[0].values, fresh.values)
+    u, _ = step(u, 1e-3, cfg, bv, 1.002)
     u.values.setflags(write=True)
     u.values[50] += 1e-3
-    fresh = step(GridFunction(spec, u.values.copy()), 1e-3, cfg, bv, 1.003)
-    assert np.array_equal(step(u, 1e-3, cfg, bv, 1.003).values, fresh.values)
+    fresh, _ = step(GridFunction(spec, u.values.copy()), 1e-3, cfg, bv, 1.003)
+    assert np.array_equal(step(u, 1e-3, cfg, bv, 1.003)[0].values, fresh.values)
+
+
+@pytest.mark.parametrize("spec", [GridSpec.uniform(2, 0.0, 5.0, 51),
+                                  GridSpec.polar_disk(4.0, 10, 16)],
+                         ids=["radial-origin", "disk"])
+def test_a_stepped_state_holds_its_grid_and_values_only(spec):
+    # the step's speed data travels beside the state, in the open: the
+    # state holds nothing else, and its values are read-only
+    u0 = _polar_case(spec) if spec.polar else GridFunction(
+        spec, spec.nodes + np.exp(-spec.nodes ** 2))
+    cfg = SolverConfig(dt_init=1e-2)
+    u, carry = step(u0, 1e-2, cfg, boundary_values_for(u0, cfg), 1e-2)
+    assert vars(u).keys() == {"spec", "values"}
+    assert u.spec is spec and not u.values.flags.writeable
+    assert carry[-1].shape == spec.shape
+
+
+@pytest.mark.parametrize("dt, t_new", [(-1e-3, -1e-3), (0.0, 0.0), (math.inf, 1.0),
+                                       (math.nan, 1.0), (1e-3, math.nan),
+                                       (1e-3, math.inf)],
+                         ids=["backward", "zero", "inf", "nan", "t-nan", "t-inf"])
+def test_step_refuses_a_time_step_it_cannot_take(dt, t_new):
+    # a step backward in time, of no size, of no finite size, or to a time
+    # that is not finite, is refused before anything is evaluated, the
+    # boundary data included; unchecked, the first two return plausible
+    # states and the next two a mislabelled NewtonError
+    spec = GridSpec.uniform(2, 0.0, 5.0, 51)
+    u0 = GridFunction(spec, spec.nodes + np.exp(-spec.nodes ** 2))
+
+    def boundary(t):
+        raise AssertionError("the step evaluated its boundary data")
+
+    with pytest.raises(ParameterError, match="positive finite dt and a finite t_new"):
+        step(u0, dt, SolverConfig(), boundary, t_new)
 
 
 # -- polar Newton matrix: exact oracles.  The reference assembly below is the
@@ -962,15 +997,15 @@ def _captured_newton_solves(monkeypatch, u0, cfg, steps):
     seen, states = [], []
     order = flow._polar_band(u0.spec).order
     solve, speed = flow.solve_band, flow._speed
-    update, carried = flow._newton_update, flow._carried
+    update, start = flow._newton_update, flow._start
 
     def capture_state(spec, v, drift):
         data = speed(spec, v, drift)
         states.append((data, v.copy()))
         return data
 
-    def capture_start(u, v, drift):
-        data = carried(u, v, drift)
+    def capture_start(spec, u_prev, v, carry):
+        data = start(spec, u_prev, v, carry)
         states.append((data, v.copy()))
         return data
 
@@ -985,13 +1020,13 @@ def _captured_newton_solves(monkeypatch, u0, cfg, steps):
         return delta
 
     monkeypatch.setattr(flow, "_speed", capture_state)
-    monkeypatch.setattr(flow, "_carried", capture_start)
+    monkeypatch.setattr(flow, "_start", capture_start)
     monkeypatch.setattr(flow, "solve_band", capture_matrix)
     monkeypatch.setattr(flow, "_newton_update", capture_update)
     bv = boundary_values_for(u0, cfg)
-    u = u0
+    u, carry = u0, None
     for k in range(steps):
-        u = step(u, cfg.dt_init, cfg, bv, (k + 1) * cfg.dt_init)
+        u, carry = step(u, cfg.dt_init, cfg, bv, (k + 1) * cfg.dt_init, carry=carry)
     return seen
 
 
@@ -1219,12 +1254,12 @@ def _accepted_steps(monkeypatch):
     accepted = []
     take = flow.step
 
-    def record(u, dt, config, boundary, t_new, stats=None):
-        stats = {} if stats is None else stats
-        u_new = take(u, dt, config, boundary, t_new, stats=stats)
+    def record(u, dt, config, boundary, t_new, *args, **kwargs):
+        stats = kwargs.setdefault("stats", {})
+        result = take(u, dt, config, boundary, t_new, *args, **kwargs)
         scale = 1.0 + float(np.max(np.abs(u.values)))
         accepted.append((config.newton_tol * scale, stats))
-        return u_new
+        return result
 
     monkeypatch.setattr(flow, "step", record)
     return accepted
@@ -1258,31 +1293,31 @@ def test_polar_relaxation_steps_keep_the_newton_contract(monkeypatch):
 
 
 @_DISK
-def test_polar_step_reuses_its_speed_only_for_the_same_ring_and_drift(spec):
-    # a moved outer ring, or a step without the drift the speed was
-    # computed with, evaluates the speed afresh
-    with_drift = SolverConfig(dt_init=1e-2, similarity_drift=True)
+def test_polar_step_reuses_its_speed_only_for_the_same_ring(spec):
+    # a carry handed to a step whose outer ring moved is dropped, and the
+    # speed evaluated afresh
+    cfg = SolverConfig(dt_init=1e-2, similarity_drift=True)
     u0 = _polar_case(spec)
-    bv = boundary_values_for(u0, with_drift)
-    u = step(u0, 1e-2, with_drift, bv, 1e-2)
-    for config, boundary in ((SolverConfig(dt_init=1e-2), bv),
-                             (with_drift, lambda t: bv(t) + 0.01)):
-        got, want = {}, {}
-        fresh = step(GridFunction(spec, u.values.copy()), 1e-2, config, boundary, 2e-2,
-                     stats=want)
-        assert np.array_equal(step(u, 1e-2, config, boundary, 2e-2, stats=got).values,
-                              fresh.values)
-        assert got["residuals"] == want["residuals"]
+    bv = boundary_values_for(u0, cfg)
+    u, carry = step(u0, 1e-2, cfg, bv, 1e-2)
+
+    def moved(t):
+        return bv(t) + 0.01
+
+    got, want = {}, {}
+    fresh, _ = step(GridFunction(spec, u.values.copy()), 1e-2, cfg, moved, 2e-2, stats=want)
+    assert np.array_equal(step(u, 1e-2, cfg, moved, 2e-2, stats=got, carry=carry)[0].values,
+                          fresh.values)
+    assert got["residuals"] == want["residuals"]
 
 
 def test_polar_relaxation_bit_identical_without_carried_speed(monkeypatch):
     # each relaxation step starts from the speed of its predecessor's last
-    # iterate; fed fresh copies, which carry nothing, every step evaluates it
+    # iterate; with the carry dropped, every step evaluates it
     k = ConeProfile.angular(lambda th: 1.0 + 0.08 * np.cos(2 * th), m=16)
     carried = relax_angular_expander(k, rho_max=6.0, nr=10, ntheta=8)
     take = flow.step
-    monkeypatch.setattr(flow, "step", lambda u, *args, **kwargs: take(
-        GridFunction(u.spec, u.values.copy()), *args, **kwargs))
+    monkeypatch.setattr(flow, "step", lambda *args, carry=None, **kwargs: take(*args, **kwargs))
     fresh = relax_angular_expander(k, rho_max=6.0, nr=10, ntheta=8)
     assert carried.converged and carried.steps > 10
     assert np.array_equal(carried.solution.values, fresh.solution.values)
@@ -1395,14 +1430,14 @@ def test_a_carried_polar_step_starts_with_its_jacobian_probed(monkeypatch):
     # a relaxation step starts from the data its predecessor's last iterate
     # evaluated, probes included: the same bits as a fresh evaluation at v
     starts = []
-    carried = flow._carried
+    start = flow._start
 
-    def record(u, v, drift):
-        extra = carried(u, v, drift)
+    def record(spec, u_prev, v, carry):
+        extra = start(spec, u_prev, v, carry)
         starts.append((v.copy(), extra))
         return extra
 
-    monkeypatch.setattr(flow, "_carried", record)
+    monkeypatch.setattr(flow, "_start", record)
     monkeypatch.setattr(expander, "_RELAX_TAU_MAX", 0.2)
     k = ConeProfile.angular(lambda th: 1.0 + 0.08 * np.cos(2 * th), m=16)
     res = relax_angular_expander(k, rho_max=6.0, nr=10, ntheta=8)
